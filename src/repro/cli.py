@@ -65,6 +65,7 @@ All ``--db`` / ``--hierarchy`` / ``--out`` paths accept ``.gz``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -364,13 +365,22 @@ def cmd_index_merge(args: argparse.Namespace) -> int:
 
 def cmd_index_info(args: argparse.Namespace) -> int:
     """Print store metadata (header-only, no section decoding)."""
+    from repro.errors import EncodingError
     from repro.serve import open_store
 
     # metadata lives in the manifest and the fixed-size shard headers;
     # skipping the checksum sweep keeps `info` O(header) instead of
     # reading every shard body just to print counts
-    with open_store(args.store, verify_checksums=False) as store:
-        info = store.describe()
+    with contextlib.ExitStack() as stack:
+        try:
+            store = stack.enter_context(
+                open_store(args.store, verify_checksums=False)
+            )
+            # reads every shard header (a sharded handle opens them lazily)
+            info = store.describe()
+        except EncodingError as exc:
+            # not a store this build reads (wrong magic or format version)
+            raise SystemExit(f"lash index info: {exc}") from None
         shard_stats = info.pop("shard_stats", None)
         _print_row("store", info)
         for i, shard in enumerate(shard_stats or ()):
@@ -416,7 +426,6 @@ def cmd_shard_serve(args: argparse.Namespace) -> int:
         quiet=not args.verbose,
         workers=args.workers,
         compress=args.compress,
-        mux=not args.no_mux,
     )
     server.start()
     host, port = server.address
@@ -463,9 +472,6 @@ def cmd_route(args: argparse.Namespace) -> int:
     pipeline_depth = args.pipeline_depth
     if pipeline_depth is None:
         pipeline_depth = cluster.pipeline_depth or 32
-    pool_size = args.pool_size
-    if pool_size is None:
-        pool_size = cluster.pool_size or 2
     fanout_workers = args.fanout_workers
     if fanout_workers is None:
         fanout_workers = cluster.fanout_workers
@@ -473,7 +479,6 @@ def cmd_route(args: argparse.Namespace) -> int:
         cluster,
         deadline=args.deadline,
         health_timeout=args.health_timeout,
-        pool_size=pool_size,
         pipeline_depth=pipeline_depth,
         compress=args.compress,
         fanout_workers=fanout_workers,
@@ -1092,12 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard_serve.add_argument(
         "--compress", action=argparse.BooleanOptionalAction, default=True,
-        help="offer zlib frame compression in the protocol handshake",
-    )
-    shard_serve.add_argument(
-        "--no-mux", action="store_true",
-        help="disable protocol multiplexing (serve every connection in "
-        "legacy one-request-at-a-time framing)",
+        help="accept zlib frame compression when a client offers it",
     )
     shard_serve.add_argument(
         "--verbose", action="store_true",
@@ -1163,11 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pipeline-depth", type=int, default=None,
         help="in-flight requests per shard-server connection (default: "
         "the cluster map's pipeline_depth, else 32)",
-    )
-    route.add_argument(
-        "--pool-size", type=int, default=None,
-        help="legacy-mode connections pooled per shard server (default: "
-        "the cluster map's pool_size, else 2)",
     )
     route.add_argument(
         "--fanout-workers", type=int, default=None,

@@ -9,7 +9,7 @@ work directly on a memory-mapped file without copying sections.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import EncodingError
 
@@ -82,44 +82,11 @@ def read_sequence(data, offset: int) -> tuple[tuple[int, ...], int]:
     return tuple(items), offset
 
 
-def write_deltas(buf: bytearray, values: Iterable[int]) -> None:
-    """Append an ascending integer list as first-absolute-then-gap varints
-    (classic postings compression).  No length prefix: the caller bounds
-    the record with section offsets."""
-    previous = 0
-    first = True
-    for value in values:
-        if first:
-            write_uvarint(buf, value)
-            first = False
-        else:
-            if value <= previous:
-                raise EncodingError(
-                    f"delta list not strictly ascending: {value} after "
-                    f"{previous}"
-                )
-            write_uvarint(buf, value - previous)
-        previous = value
-
-
-def read_deltas(data, offset: int, end: int) -> list[int]:
-    """Decode an ascending delta list occupying ``data[offset:end]``."""
-    values: list[int] = []
-    previous = 0
-    first = True
-    while offset < end:
-        raw, offset = read_uvarint(data, offset)
-        previous = raw if first else previous + raw
-        first = False
-        values.append(previous)
-    return values
-
-
 def write_positions(buf: bytearray, positions: Sequence[int]) -> None:
     """Append one position list: a count followed by the ascending
     positions, first absolute and the rest as gaps.  Used by the
-    version-2 postings entries of the pattern store, where each pattern
-    index carries the positions its item occupies inside the pattern."""
+    postings entries of the pattern store, where each pattern index
+    carries the positions its item occupies inside the pattern."""
     write_uvarint(buf, len(positions))
     previous = 0
     for i, position in enumerate(positions):
@@ -150,9 +117,9 @@ def read_positions(data, offset: int) -> tuple[tuple[int, ...], int]:
 def read_positional_postings(
     data, offset: int, end: int
 ) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Decode one item's version-2 postings record: a sequence of
-    ``(pattern index, positions)`` entries with the indexes gap-coded
-    like :func:`read_deltas` and each positions list coded by
+    """Decode one item's postings record: a sequence of
+    ``(pattern index, positions)`` entries with the indexes coded
+    first-absolute-then-gap and each positions list coded by
     :func:`write_positions`.  Returns the ascending index list and the
     parallel list of position tuples."""
     indexes: list[int] = []
@@ -188,8 +155,6 @@ __all__ = [
     "zigzag_decode",
     "write_sequence",
     "read_sequence",
-    "write_deltas",
-    "read_deltas",
     "write_positions",
     "read_positions",
     "read_positional_postings",

@@ -27,6 +27,9 @@ A subclass provides the storage primitives:
     ascending indexes enumerate "most frequent first".
 ``_postings_for(item_id)``
     Ascending indexes of patterns containing the item.
+``_positional_postings_for(item_id)``
+    Those indexes plus, in parallel, the positions the item occupies
+    inside each pattern.
 ``_length_groups()``
     Mapping ``pattern length -> ascending indexes``.
 
@@ -39,11 +42,11 @@ merging the streams of its member stores without re-implementing any of
 the matching or ranking logic.
 
 Search itself runs through compiled :class:`~repro.query.plan.QueryPlan`
-objects (cached per backend): backends exposing positional postings
-(``_has_positions()``) answer chain queries exactly with bitmap algebra
-and skip the DP entirely; backends without positions still prune
-candidates with the plan's postings bitset and verify survivors with the
-DP, so every path returns byte-identical answers.  Setting
+objects (cached per backend): positional postings answer chain queries
+exactly with bitmap algebra and skip the DP entirely, or — where the
+cost estimate prefers it — prune candidates with the plan's postings
+bitset and verify the survivors with the DP; every path returns
+byte-identical answers.  Setting
 ``_accelerate = False`` restores the legacy selector + DP pipeline — the
 reference the differential tests and benchmarks compare against.
 """
@@ -182,18 +185,12 @@ class PatternSearchBase:
     def _length_groups(self) -> dict[int, Sequence[int]]:
         raise NotImplementedError
 
-    def _has_positions(self) -> bool:
-        """Whether :meth:`_positional_postings_for` is available.  False
-        for backends over version-1 store files — they still get bitset
-        candidate pruning, just not exact positional matching."""
-        return False
-
     def _positional_postings_for(
         self, item_id: int
-    ) -> tuple[Sequence[int], Sequence[tuple[int, ...]]] | None:
+    ) -> tuple[Sequence[int], Sequence[tuple[int, ...]]]:
         """Parallel ``(pattern indexes, per-pattern position tuples)``
-        for one item, or ``None`` when the backend has no positions."""
-        return None
+        for one item."""
+        raise NotImplementedError
 
     def _postings_size_estimate(self, item_id: int) -> int:
         """Estimated postings-list length for one item — the planner's
@@ -394,8 +391,8 @@ class PatternSearchBase:
         queries the plan's cost estimate picks a strategy —
         ``exact`` (positional bitmap propagation, no DP), ``pruned``
         (AND the cheap chain nodes' postings bitsets, DP-verify
-        survivors; on positional backends the verified indexes are
-        retained on the plan) or ``scan`` (length-filtered scan + DP,
+        survivors; the verified indexes are retained on the plan) or
+        ``scan`` (length-filtered scan + DP,
         the union-vs-scan fallback for unselective chains); plans whose
         chain constrains nothing fall back to the legacy selector.
         Every path yields ascending pattern indexes — the rank order —
@@ -430,14 +427,11 @@ class PatternSearchBase:
             yield from self._iter_search_dp(compiled, self._candidates(compiled))
             return
         self._count_path("pruned")
-        if self._has_positions():
-            # cost-routed around the exact path: few candidates, so
-            # verify once and retain on the plan — repeats stay as
-            # cheap as the exact path's retained match indexes
-            for idx in plan.verified_indexes(self, compiled):
-                yield self._pattern_at(idx)
-            return
-        yield from self._iter_search_dp(compiled, iter_bit_indexes(mask))
+        # cost-routed around the exact path: few candidates, so verify
+        # once and retain on the plan — repeats stay as cheap as the
+        # exact path's retained match indexes
+        for idx in plan.verified_indexes(self, compiled):
+            yield self._pattern_at(idx)
 
     def _iter_search_dp(
         self, compiled: list[CompiledToken], indexes

@@ -19,7 +19,7 @@ concrete backend using store statistics that are O(1) per item to read
 From those it picks the cheapest *correct* execution strategy:
 
 ``"exact"``
-    positional bitmap propagation (positions required) — heavy when any
+    positional bitmap propagation — heavy when any
     chain node admits a high-frequency item (its every occurrence is
     decoded into the position map), near-free on repeats (match indexes
     are retained on the plan);
@@ -30,7 +30,7 @@ From those it picks the cheapest *correct* execution strategy:
 ``"scan"``
     length-filtered scan + DP — the fallback that beats building any
     mask when no node is selective (e.g. an ``?@N`` floor admitting
-    most of the vocabulary on a position-less backend).
+    most of the vocabulary).
 
 Every strategy yields byte-identical answers by construction (masks are
 supersets, the DP verifies, the exact path is exact), so the estimate
@@ -299,36 +299,31 @@ class CostEstimator:
             dp_unit if plan.chain else COST_LENGTH_SCAN
         )
 
-        if backend._has_positions():
-            # the exact path decodes every chain node's positional
-            # postings into slot bitmaps, then sweeps the whole position
-            # space once per node (size memoized with the other stats)
-            space_bytes = backend._cost_stat_cache.get(("space",))
-            if space_bytes is None:
-                space_bytes = (
-                    sum(
-                        (length + max_len) * len(group)
-                        for length, group in backend._length_groups().items()
-                    )
-                    // 8
-                ) or 1
-                backend._cost_stat_cache[("space",)] = space_bytes
-            exact_cost = (
-                mask_cost
-                + exact_decode * COST_POSTINGS_ENTRY
-                + len(plan.chain) * space_bytes * COST_BITMAP_BYTE
-            )
-            # all three executions are correct here; ties prefer the
-            # earlier option (exact: no per-candidate DP cliff)
-            options = [("exact", exact_cost)]
-            if sized:
-                options.append(("pruned", pruned_cost))
-            options.append(("scan", scan_cost))
-            chosen, cost = min(options, key=lambda pair: pair[1])
-        elif sized and pruned_cost <= scan_cost:
-            chosen, cost = "pruned", pruned_cost
-        else:
-            chosen, cost = "scan", scan_cost
+        # the exact path decodes every chain node's positional postings
+        # into slot bitmaps, then sweeps the whole position space once
+        # per node (size memoized with the other stats)
+        space_bytes = backend._cost_stat_cache.get(("space",))
+        if space_bytes is None:
+            space_bytes = (
+                sum(
+                    (length + max_len) * len(group)
+                    for length, group in backend._length_groups().items()
+                )
+                // 8
+            ) or 1
+            backend._cost_stat_cache[("space",)] = space_bytes
+        exact_cost = (
+            mask_cost
+            + exact_decode * COST_POSTINGS_ENTRY
+            + len(plan.chain) * space_bytes * COST_BITMAP_BYTE
+        )
+        # all three executions are correct here; ties prefer the
+        # earlier option (exact: no per-candidate DP cliff)
+        options = [("exact", exact_cost)]
+        if sized:
+            options.append(("pruned", pruned_cost))
+        options.append(("scan", scan_cost))
+        chosen, cost = min(options, key=lambda pair: pair[1])
 
         return CostEstimate(
             cost=cost,

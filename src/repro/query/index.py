@@ -89,9 +89,6 @@ class PatternIndex(PatternSearchBase):
     def _postings_for(self, item_id: int) -> Sequence[int]:
         return self._postings.get(item_id, ())
 
-    def _has_positions(self) -> bool:
-        return True
-
     def _positional_postings_for(self, item_id: int):
         return (
             self._postings.get(item_id, ()),

@@ -24,11 +24,10 @@ into range predicates:
 
 The propagation computes exactly the reachable-set of the reference DP
 restricted to consuming tokens, so the surviving fields *are* the
-matches — no verification needed when positions are available.  Backends
-without positions (version-1 store files) still benefit from the plan's
-stage-1 **candidate mask** — the cheapest-first AND of the concrete
-chain nodes' postings bitsets — and drop the survivors into the DP, the
-verified fallback that keeps answers byte-identical by construction.
+matches — no verification needed.  Where the cost estimate finds that
+cheaper, the plan's stage-1 **candidate mask** — the cheapest-first AND
+of the concrete chain nodes' postings bitsets — drops its survivors into
+the DP instead, which keeps answers byte-identical by construction.
 
 Plans hold per-backend bitmaps (pattern indexes are shard-local), so
 they are cached per backend instance; see
@@ -321,24 +320,21 @@ class QueryPlan:
     def strategy(self, backend) -> str:
         """Execution strategy for a chain query: the estimate's pick,
         unless the backend forces one (``_plan_strategy``, a test and
-        benchmark hook).  ``exact`` silently degrades to ``pruned``
-        when the backend has no positions — every strategy answers
-        identically, only the work profile differs."""
+        benchmark hook) — every strategy answers identically, only the
+        work profile differs."""
         chosen = self._strategy
         if chosen is None:
             forced = getattr(backend, "_plan_strategy", None)
             chosen = forced if forced is not None else self.estimate(
                 backend
             ).strategy
-            if chosen == "exact" and not backend._has_positions():
-                chosen = "pruned"
             self._strategy = chosen
         return chosen
 
     def verified_indexes(self, backend, compiled) -> list[int]:
         """Ascending match indexes via mask-prune + DP-verify, retained
-        on the plan.  The cost planner routes skewed queries here *on
-        positional backends* — DP-verifying a rare node's few candidates
+        on the plan.  The cost planner routes skewed queries here —
+        DP-verifying a rare node's few candidates
         beats decoding a ubiquitous node's every occurrence into the
         exact path's bitmaps — and memoizing keeps the steady-state
         profile as flat as the exact path's retained match indexes."""

@@ -14,17 +14,17 @@ Each server optionally runs the existing HTTP layer
 that is where the router's health checks (``/healthz``) and per-server
 ``/metrics`` live, unchanged from single-process serving.
 
-The socket protocol is request/response over a persistent connection —
-one request at a time in legacy framing, many in flight (out-of-order
-responses, optional zlib) once the ``hello`` handshake upgrades the
-connection to multiplexed framing (see :mod:`repro.serve.protocol`):
+The socket protocol is request/response over a persistent connection:
+one ``hello`` exchange, then multiplexed frames — many requests in
+flight, out-of-order responses, optional zlib (see
+:mod:`repro.serve.protocol`):
 
 ====================  ==================================================
 op                    answer
 ====================  ==================================================
 ``ping``              ``{"ok": True, "patterns": N}`` — liveness
-``hello``             capability handshake; the connection switches to
-                      mux framing after the response
+``hello``             first frame of every connection: version check
+                      and zlib offer, mux frames after the response
 ``status``            generation + per-shard pattern counts + front-end
                       gauges (workers, in-flight, rejected) + wire stats
 ``describe``          the subset store's :meth:`describe` dict
@@ -66,17 +66,13 @@ from repro.errors import InvalidParameterError, ReproError, ServerBusyError
 from repro.query.base import rank_key
 from repro.query.tokens import is_negation_only, normalize_query
 from repro.serve.protocol import (
-    ALL_FEATURES,
     DEFAULT_COMPRESS_THRESHOLD,
-    FEATURE_MULTI,
-    FEATURE_MUX,
-    FEATURE_ZLIB,
     PROTOCOL_VERSION,
     WireStats,
+    check_hello,
     decode_tokens,
     encode_error,
     hello_response,
-    negotiate_features,
     recv_message,
     recv_mux,
     send_message,
@@ -167,10 +163,10 @@ def partial_top(
 class _ShardTCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
-    # legacy-mode clients dial a fresh connection whenever their small
-    # pool runs dry, so a burst of concurrent callers can park far more
-    # than socketserver's default backlog of 5 in the SYN queue —
-    # refused dials there read as server failures, not backpressure
+    # a burst of concurrent dials (every router redialing after a
+    # restart) can park far more than socketserver's default backlog of
+    # 5 in the SYN queue — refused dials there read as server failures,
+    # not backpressure
     request_queue_size = 128
 
     def __init__(self, address, owner: "ShardServer") -> None:
@@ -193,10 +189,9 @@ class _ShardTCPServer(socketserver.ThreadingTCPServer):
 
 
 class _ShardRequestHandler(socketserver.BaseRequestHandler):
-    """One connection: a loop of legacy frames until the client hangs
-    up — or, after a ``hello`` handshake, a multiplexed loop where
-    frames are executed on the owner's worker pool and answered out of
-    order under a per-connection send lock."""
+    """One connection: the ``hello`` exchange, then a multiplexed loop
+    where frames are executed on the owner's worker pool and answered
+    out of order under a per-connection send lock."""
 
     def setup(self) -> None:
         # response frames can be small (errors, pings); don't let
@@ -211,51 +206,20 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         owner = self.server.owner
-        while True:
-            try:
-                request = recv_message(self.request)
-            except EOFError:
-                return  # orderly close between frames
-            except (ConnectionError, OSError, ReproError):
-                return  # client died or sent garbage; drop the link
-            if (
-                isinstance(request, dict)
-                and request.get("op") == "hello"
-                and request.get("v", PROTOCOL_VERSION) == PROTOCOL_VERSION
-                and owner.mux_enabled
-                and isinstance(request.get("features"), list)
-            ):
-                features = negotiate_features(
-                    request["features"], owner.offered_features()
-                )
-                try:
-                    send_message(
-                        self.request,
-                        hello_response(features, owner.compress_threshold),
-                    )
-                except OSError:
-                    return
-                if features:
-                    self._serve_mux(features)
-                    return
-                continue  # no common ground: stay in legacy framing
-            response = owner.execute(request)
-            if response is None:
-                return  # server stopping: hang up, don't answer
-            try:
-                send_message(self.request, response)
-            except OSError:
-                return
-
-    def _serve_mux(self, features) -> None:
-        owner = self.server.owner
         sock = self.request
+        try:
+            try:
+                offered = check_hello(recv_message(sock))
+            except ReproError as exc:
+                # not a peer of this protocol version: say so once, in
+                # the hello framing, and hang up
+                send_message(sock, {"error": encode_error(exc)})
+                return
+            threshold = owner.compress_threshold if offered else None
+            send_message(sock, hello_response(threshold))
+        except (EOFError, ConnectionError, OSError):
+            return  # client hung up or died before the exchange finished
         send_lock = threading.Lock()
-        threshold = (
-            owner.compress_threshold
-            if FEATURE_ZLIB in features
-            else None
-        )
         stats = owner.wire_stats
 
         def reply(request_id: int, response: dict) -> None:
@@ -269,9 +233,9 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
             try:
                 request_id, request = recv_mux(sock, stats)
             except EOFError:
-                return
+                return  # orderly close between frames
             except (ConnectionError, OSError, ReproError):
-                return
+                return  # client died or sent garbage; drop the link
             if not owner.submit(request_id, request, reply):
                 return  # server stopping: hang up mid-pipeline
 
@@ -295,13 +259,8 @@ class ShardServer:
         headroom) past which requests answer :class:`ServerBusyError`
         instead of queueing silently.
     compress:
-        Offer per-frame zlib compression in the handshake (clients
-        still have to ask for it).
-    mux:
-        Speak the multiplexing extension at all; ``False`` makes this
-        server behave exactly like a pre-extension build (the
-        mixed-version compatibility switch used by tests and the
-        benchmark's baseline mode).
+        Accept a client's zlib offer in the hello (frames above
+        ``compress_threshold`` bytes are then deflated).
     """
 
     def __init__(
@@ -317,7 +276,6 @@ class ShardServer:
         max_in_flight: int | None = None,
         compress: bool = True,
         compress_threshold: int = DEFAULT_COMPRESS_THRESHOLD,
-        mux: bool = True,
         result_cache: int = 256,
     ) -> None:
         if workers < 1:
@@ -341,9 +299,9 @@ class ShardServer:
         self._max_in_flight = (
             max_in_flight if max_in_flight is not None else 2 * workers
         )
-        self._compress = compress
-        self.compress_threshold = compress_threshold
-        self.mux_enabled = mux
+        #: threshold agreed with clients that offer zlib; ``None``
+        #: declines compression
+        self.compress_threshold = compress_threshold if compress else None
         self.wire_stats = WireStats()
         self._store: ShardedPatternStore | None = None
         self._tcp: _ShardTCPServer | None = None
@@ -461,15 +419,8 @@ class ShardServer:
         self.stop()
 
     # ------------------------------------------------------------------
-    # front end: capability handshake + bounded-concurrency execution
+    # front end: bounded-concurrency execution
     # ------------------------------------------------------------------
-
-    def offered_features(self) -> tuple[str, ...]:
-        if not self.mux_enabled:
-            return ()
-        if self._compress:
-            return ALL_FEATURES
-        return (FEATURE_MUX, FEATURE_MULTI)
 
     def _acquire_slot(self) -> bool:
         with self._lock:
@@ -491,19 +442,6 @@ class ShardServer:
                 )
             )
         }
-
-    def execute(self, request) -> dict | None:
-        """Run one legacy-framing request inline under the in-flight
-        gate.  Saturation answers :class:`ServerBusyError` instead of
-        queueing; ``None`` means the server is stopping (hang up)."""
-        if self._stopping or self._store is None:
-            return None
-        if not self._acquire_slot():
-            return self._busy_response()
-        try:
-            return self.dispatch(request)
-        finally:
-            self._release_slot()
 
     def submit(self, request_id: int, request, reply) -> bool:
         """Queue one multiplexed request onto the worker pool; ``reply``

@@ -42,17 +42,11 @@ from repro.errors import EncodingError, StoreCorruptError
 from repro.mapreduce.engine import stable_hash
 
 MAGIC = b"RPROPST1"
-#: current store version, the one every writer emits.  Version 2 added
-#: positional postings: each ``(item, pattern index)`` entry carries the
+#: the store version — the only one written or read.  Postings are
+#: positional: each ``(item, pattern index)`` entry carries the
 #: gap-coded positions the item occupies inside the pattern, feeding the
-#: compiled-query-plan accelerator.  Version-1 files (index-only
-#: postings) still open read-only; ``lash index compact`` or ``lash
-#: index merge`` rewrites them to the current version.
+#: compiled-query-plan accelerator.
 VERSION = 2
-#: the positional-postings encoding starts at this version
-VERSION_POSITIONAL = 2
-#: versions readers accept
-SUPPORTED_VERSIONS = (1, 2)
 
 #: header flag: a 6 × u32 CRC-32 section trails the postings
 FLAG_CHECKSUMS = 0x1
@@ -275,8 +269,6 @@ def verify_delta_meta(delta: Path, meta: dict) -> bool:
 __all__ = [
     "MAGIC",
     "VERSION",
-    "VERSION_POSITIONAL",
-    "SUPPORTED_VERSIONS",
     "FLAG_CHECKSUMS",
     "FLAG_DELTA",
     "HEADER_STRUCT",

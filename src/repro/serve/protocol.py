@@ -1,15 +1,38 @@
 """Wire protocol of the distributed serving tier.
 
-The router and the shard servers speak a length-prefixed binary
-protocol over plain TCP sockets — no serialization dependency, just the
-store's own varint codec (:mod:`repro.io.codec`) applied to a small
-self-describing value encoding:
+The router and the shard servers speak length-prefixed frames over
+plain TCP sockets.  A connection is one ``hello`` exchange, then
+multiplexed frames — nothing else; a cluster runs one protocol version.
 
-* a **frame** is ``uvarint(len(body)) + body``, so a reader never
-  guesses message boundaries and a single allocation holds the body;
-* a **body** is one :func:`encode_value` value — ``None``, bools,
-  ints (zigzag varints), strings, bytes, lists and string-keyed dicts,
-  nested arbitrarily.  Requests and responses are plain dicts.
+**Hello.**  Each direction sends one frame ``uvarint(len(body)) + body``
+whose body is a single :func:`encode_value` value (the store's own
+varint codec applied to ``None``, bools, ints, strings, bytes, lists and
+string-keyed dicts):
+
+1. the client's first frame is
+   ``{"v": PROTOCOL_VERSION, "op": "hello", "zlib": bool}`` — the
+   version check and the compression offer;
+2. the server answers ``{"ok": True, "threshold": N}`` (``None`` when
+   either side declined zlib) and both ends switch to mux frames.  A
+   first frame that is anything else gets one
+   ``{"error": {"type", "message"}}`` frame and the connection is
+   closed; the client raises that error with its type.
+
+**Mux frames** are ``uvarint(len(body)) + body`` with::
+
+    body = flags:u8 + uvarint(request_id) + payload
+
+The payload is compact UTF-8 JSON; ``flags`` bit 0
+(:data:`FLAG_COMPRESSED`) marks it zlib-compressed and every other bit
+must be zero.  Request ids are chosen by the client (monotonically
+increasing per connection) and echoed by the server, which may answer
+**out of order** — one socket carries many in-flight requests.
+Compression applies per frame, only when zlib was agreed in the hello
+*and* the encoded payload exceeds the agreed threshold (tiny frames cost
+more to deflate than to send); a receiver inflates at most
+:data:`MAX_FRAME_BYTES`.  :class:`WireStats` counts frames and bytes on
+both sides so ``/stats`` and ``/metrics`` can report the compression
+ratio actually achieved.
 
 Query tokens cross the wire *structurally* (:func:`encode_tokens` /
 :func:`decode_tokens`), not as query strings: the string syntax cannot
@@ -21,46 +44,6 @@ Remote errors carry their exception type name so the router re-raises
 the *same* :mod:`repro.errors` class the backend would have raised
 locally — the HTTP layer's 400-vs-503 mapping keeps working unchanged
 across the network hop (:func:`encode_error` / :func:`decode_error`).
-
-Wire format
------------
-
-**Legacy framing** (the v1 baseline every peer speaks): each direction
-is a sequence of frames ``uvarint(len(body)) + body`` where ``body``
-is one :func:`encode_value` value.  Requests and responses strictly
-alternate on a connection — one in flight at a time.
-
-**Multiplexed framing** is negotiated by a capability handshake that
-is itself a legacy exchange, so it degrades byte-compatibly:
-
-1. the client's *first* frame is a normal v1 request
-   ``{"op": "hello", "v": 1, "features": ["mux", "zlib", "multi"]}``;
-2. a server that speaks the extension answers
-   ``{"ok": True, "features": [...], "threshold": N}`` (the feature
-   intersection and its compression threshold) and both sides switch
-   to mux framing for the rest of the connection; a server that does
-   not recognizes no ``hello`` op and answers a regular error
-   response, after which the client simply continues in legacy mode —
-   nothing on the wire ever changed shape;
-3. an old client never sends ``hello``, so a new server stays in
-   legacy mode for that connection automatically.
-
-A **mux frame** is ``uvarint(len(body)) + body`` with::
-
-    body = flags:u8 + uvarint(request_id) + payload
-
-``flags`` bit 0 (:data:`FLAG_COMPRESSED`) marks a zlib-compressed
-payload; bit 1 (:data:`FLAG_JSON`) marks a UTF-8 JSON payload — the
-fast path for every value JSON can represent, with the binary
-:func:`encode_value` codec (bit 1 clear) kept for the rest (``bytes``).
-Request ids are chosen by the client (monotonically
-increasing per connection) and echoed by the server, which may answer
-**out of order** — that is the point: one socket carries many in-flight
-requests.  Compression applies per frame, only when the ``zlib``
-feature was negotiated *and* the encoded payload exceeds the
-negotiated threshold (tiny frames cost more to deflate than to send);
-:class:`WireStats` counts frames and bytes on both sides so ``/stats``
-and ``/metrics`` can report the compression ratio actually achieved.
 """
 
 from __future__ import annotations
@@ -107,31 +90,12 @@ PROTOCOL_VERSION = 1
 #: set — reject before allocating the claimed size
 MAX_FRAME_BYTES = 1 << 26  # 64 MiB
 
-#: capability names of the multiplexing extension: ``mux`` (request-id
-#: tagged frames, out-of-order responses), ``zlib`` (per-frame payload
-#: compression above the threshold), ``multi`` (the ``multi_search``
-#: batched-scatter op)
-FEATURE_MUX = "mux"
-FEATURE_ZLIB = "zlib"
-FEATURE_MULTI = "multi"
-
-#: everything this build can speak; peers negotiate the intersection
-ALL_FEATURES = (FEATURE_MUX, FEATURE_ZLIB, FEATURE_MULTI)
-
-#: default payload size (bytes) above which a negotiated-zlib frame is
-#: compressed — below it deflate overhead beats the byte savings
+#: default payload size (bytes) above which a frame is compressed once
+#: zlib was agreed — below it deflate overhead beats the byte savings
 DEFAULT_COMPRESS_THRESHOLD = 512
 
 #: mux frame flag bit: the payload is zlib-compressed
 FLAG_COMPRESSED = 0x01
-
-#: mux frame flag bit: the (decompressed) payload is UTF-8 JSON rather
-#: than an :func:`encode_value` value.  JSON is the fast path — the C
-#: codec beats the pure-Python tag walk roughly 6x on real result
-#: frames — and the binary codec remains for values JSON cannot carry
-#: (``bytes``).  Legacy framing never sets flags and stays on
-#: :func:`encode_value` byte for byte.
-FLAG_JSON = 0x02
 
 # value-encoding type tags
 _T_NONE = 0
@@ -242,7 +206,7 @@ def decode_value(data, offset: int = 0):
 
 
 def send_message(sock: socket.socket, value) -> None:
-    """Encode ``value`` and write it as one length-prefixed frame."""
+    """Encode ``value`` and write it as one hello frame."""
     body = encode_value(value)
     frame = bytearray()
     write_uvarint(frame, len(body))
@@ -294,7 +258,7 @@ def _recv_frame(sock: socket.socket) -> bytes:
 
 
 def recv_message(sock: socket.socket):
-    """Read one legacy frame and decode its value (see
+    """Read one hello frame and decode its value (see
     :func:`_recv_frame` for the EOF semantics)."""
     body = _recv_frame(sock)
     value, end = decode_value(body, 0)
@@ -306,7 +270,7 @@ def recv_message(sock: socket.socket):
 
 
 # ----------------------------------------------------------------------
-# multiplexed framing (negotiated by the hello handshake)
+# multiplexed framing (everything after the hello exchange)
 # ----------------------------------------------------------------------
 
 
@@ -389,25 +353,23 @@ def send_mux(
     stats: WireStats | None = None,
 ) -> None:
     """Write one mux frame.  ``compress_threshold=None`` disables
-    compression (the ``zlib`` feature was not negotiated); otherwise
-    payloads larger than the threshold are deflated when that actually
-    shrinks them."""
+    compression (zlib was not agreed in the hello); otherwise payloads
+    larger than the threshold are deflated when that actually shrinks
+    them.  A value JSON cannot carry raises :class:`EncodingError`
+    before anything is written."""
     try:
         payload = json.dumps(
             value, separators=(",", ":"), allow_nan=False
         ).encode("utf-8")
-        flags = FLAG_JSON
-    except (TypeError, ValueError):
-        # bytes (or other JSON-unrepresentable) values take the
-        # binary codec; the flag bit tells the peer which one to undo
-        payload = bytes(encode_value(value))
-        flags = 0
+    except (TypeError, ValueError) as exc:
+        raise EncodingError(f"mux frames carry JSON only: {exc}") from None
+    flags = 0
     raw_len = len(payload)
     if compress_threshold is not None and raw_len > compress_threshold:
         squeezed = zlib.compress(payload, 6)
         if len(squeezed) < raw_len:
             payload = squeezed
-            flags |= FLAG_COMPRESSED
+            flags = FLAG_COMPRESSED
     body = bytearray((flags,))
     write_uvarint(body, request_id)
     body += payload
@@ -417,7 +379,7 @@ def send_mux(
     # counters update before the write so a peer that acts on the frame
     # immediately always sees them reflected on this side's /stats
     if stats is not None:
-        stats.observe_sent(raw_len, len(body), bool(flags & FLAG_COMPRESSED))
+        stats.observe_sent(raw_len, len(body), bool(flags))
     sock.sendall(frame)
 
 
@@ -430,70 +392,75 @@ def recv_mux(
     if not body:
         raise EncodingError("empty mux frame")
     flags = body[0]
+    if flags & ~FLAG_COMPRESSED:
+        raise EncodingError(f"unknown mux frame flags {flags:#04x}")
     request_id, offset = read_uvarint(body, 1)
     payload = bytes(body[offset:])
     wire_len = len(body)
     compressed = bool(flags & FLAG_COMPRESSED)
     if compressed:
+        # bound the inflation itself: a small frame must not be able to
+        # demand more memory than the frame limit allows
+        inflater = zlib.decompressobj()
         try:
-            payload = zlib.decompress(payload)
+            payload = inflater.decompress(payload, MAX_FRAME_BYTES + 1)
         except zlib.error as exc:
             raise EncodingError(
                 f"corrupt compressed frame: {exc}"
             ) from None
-        if len(payload) > MAX_FRAME_BYTES:
+        if len(payload) > MAX_FRAME_BYTES or inflater.unconsumed_tail:
             raise EncodingError(
-                f"decompressed frame of {len(payload)} bytes exceeds "
-                f"limit {MAX_FRAME_BYTES}"
+                f"decompressed frame exceeds limit {MAX_FRAME_BYTES}"
             )
-    if flags & FLAG_JSON:
-        try:
-            value = json.loads(payload)
-        except ValueError as exc:
-            raise EncodingError(f"corrupt JSON frame: {exc}") from None
-    else:
-        value, end = decode_value(payload, 0)
-        if end != len(payload):
-            raise EncodingError(
-                f"frame carries {len(payload) - end} trailing bytes "
-                "after its value"
-            )
+        if not inflater.eof:
+            raise EncodingError("corrupt compressed frame: truncated stream")
+    try:
+        value = json.loads(payload)
+    except ValueError as exc:
+        raise EncodingError(f"corrupt JSON frame: {exc}") from None
     if stats is not None:
         stats.observe_received(len(payload), wire_len, compressed)
     return request_id, value
 
 
-def hello_request(features=ALL_FEATURES) -> dict:
-    """The capability handshake's first frame — a plain v1 request, so
-    a pre-extension server rejects the unknown op with an ordinary
-    error response and the connection continues in legacy mode."""
-    return {
-        "v": PROTOCOL_VERSION,
-        "op": "hello",
-        "features": list(features),
-    }
+def hello_request(compress: bool = True) -> dict:
+    """The client's first frame: the protocol-version check and the
+    zlib offer."""
+    return {"v": PROTOCOL_VERSION, "op": "hello", "zlib": compress}
 
 
-def hello_response(
-    features, threshold: int = DEFAULT_COMPRESS_THRESHOLD
-) -> dict:
-    """The server's answer: the negotiated feature intersection and the
-    compression threshold both sides will apply."""
-    return {
-        "ok": True,
-        "features": list(features),
-        "threshold": threshold,
-    }
+def hello_response(threshold: int | None) -> dict:
+    """The server's answer: the compression threshold both sides will
+    apply, ``None`` when either side declined zlib."""
+    return {"ok": True, "threshold": threshold}
 
 
-def negotiate_features(client_features, server_features) -> tuple[str, ...]:
-    """Feature intersection in canonical order; ``zlib`` without
-    ``mux`` is meaningless (legacy frames are never compressed), so it
-    is dropped unless both sides multiplex."""
-    agreed = set(client_features) & set(server_features)
-    if FEATURE_MUX not in agreed:
-        return ()
-    return tuple(f for f in ALL_FEATURES if f in agreed)
+def read_hello_response(response) -> int | None:
+    """The compression threshold a server's hello answer agreed to;
+    a refusal re-raises as the typed error the server sent."""
+    if isinstance(response, dict) and isinstance(response.get("error"), dict):
+        raise decode_error(response["error"])
+    if isinstance(response, dict) and response.get("ok") is True:
+        threshold = response.get("threshold")
+        if threshold is None or type(threshold) is int:
+            return threshold
+    raise EncodingError(f"malformed hello response {response!r}")
+
+
+def check_hello(request) -> bool:
+    """Validate a connection's first frame and return its zlib offer;
+    raises :class:`EncodingError` for anything but a well-formed
+    ``hello`` of this build's protocol version."""
+    if not isinstance(request, dict) or request.get("op") != "hello":
+        raise EncodingError("connection must open with a hello frame")
+    if request.get("v") != PROTOCOL_VERSION:
+        raise EncodingError(
+            f"unsupported protocol version {request.get('v')!r} "
+            f"(expected {PROTOCOL_VERSION})"
+        )
+    if not isinstance(request.get("zlib"), bool):
+        raise EncodingError("hello frame must carry a boolean 'zlib' offer")
+    return request["zlib"]
 
 
 # ----------------------------------------------------------------------
@@ -629,10 +596,6 @@ def decode_error(obj: dict) -> ReproError:
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
-    "ALL_FEATURES",
-    "FEATURE_MUX",
-    "FEATURE_ZLIB",
-    "FEATURE_MULTI",
     "FLAG_COMPRESSED",
     "DEFAULT_COMPRESS_THRESHOLD",
     "WireStats",
@@ -645,7 +608,8 @@ __all__ = [
     "recv_mux",
     "hello_request",
     "hello_response",
-    "negotiate_features",
+    "read_hello_response",
+    "check_hello",
     "encode_token",
     "decode_token",
     "encode_tokens",

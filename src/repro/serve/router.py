@@ -55,6 +55,7 @@ from repro.analysis.costmodel import (
     MIN_DEADLINE_FRACTION,
 )
 from repro.errors import (
+    EncodingError,
     InvalidParameterError,
     ReproError,
     ServerBusyError,
@@ -65,18 +66,13 @@ from repro.query.base import QueryMatch
 from repro.query.cost import CostEstimate
 from repro.query.tokens import normalize_query
 from repro.serve.protocol import (
-    ALL_FEATURES,
-    DEFAULT_COMPRESS_THRESHOLD,
-    FEATURE_MULTI,
-    FEATURE_MUX,
-    FEATURE_ZLIB,
     PROTOCOL_VERSION,
     WireStats,
     decode_error,
     encode_tokens,
     hello_request,
     merge_wire_snapshots,
-    negotiate_features,
+    read_hello_response,
     recv_message,
     recv_mux,
     send_message,
@@ -174,14 +170,12 @@ class ClusterMap:
         num_shards: int,
         replication: int = 1,
         placement: dict[int, list[str]] | None = None,
-        pool_size: int | None = None,
         pipeline_depth: int | None = None,
         fanout_workers: int | None = None,
     ) -> None:
         # optional cluster-wide client sizing defaults (config JSON keys
-        # "pool_size" / "pipeline_depth" / "fanout_workers"); explicit
-        # CLI flags override
-        self.pool_size = pool_size
+        # "pipeline_depth" / "fanout_workers"); explicit CLI flags
+        # override
         self.pipeline_depth = pipeline_depth
         self.fanout_workers = fanout_workers
         if num_shards < 1:
@@ -256,7 +250,6 @@ class ClusterMap:
             num_shards=num_shards,
             replication=config.get("replication", 1),
             placement=pinned if explicit else None,
-            pool_size=config.get("pool_size"),
             pipeline_depth=config.get("pipeline_depth"),
             fanout_workers=config.get("fanout_workers"),
         )
@@ -293,7 +286,7 @@ class ClusterMap:
 
 
 # ----------------------------------------------------------------------
-# shard client (pipelined mux connection, legacy pooled fallback)
+# shard client (one pipelined mux connection per server)
 # ----------------------------------------------------------------------
 
 
@@ -325,67 +318,46 @@ class _MuxConnection:
 class ShardClient:
     """Framed request/response to one shard server.
 
-    In ``auto`` wire mode the first connection performs the capability
-    handshake (see :mod:`repro.serve.protocol`).  Against a server that
-    speaks the extension, **one** multiplexed connection carries up to
-    ``pipeline_depth`` concurrent requests with out-of-order responses
-    and optional zlib compression; against an older server the client
-    silently stays in legacy mode — a small pool of one-request-at-a-
-    time connections, exactly the pre-extension behavior (also forced
-    by ``wire="legacy"``, the mixed-version/benchmark baseline switch).
+    **One** multiplexed connection carries up to ``pipeline_depth``
+    concurrent requests with out-of-order responses; it opens with the
+    ``hello`` exchange of :mod:`repro.serve.protocol`, which checks the
+    protocol version and, with ``compress``, offers zlib.  A server
+    that refuses the hello makes :meth:`request` raise the typed error
+    it answered.
 
-    Failure semantics are shared by both modes: a connection that fails
-    before the request went out may simply have idled past the server's
-    patience and is retried once on a fresh connection; a *fresh*
-    connection failing is the server being down and propagates.  A mux
-    connection dying mid-pipeline fails **every** in-flight request
-    with :class:`ConnectionError`, so each caller's replica-retry path
-    fails its request over independently.
+    A connection that fails before the request went out may simply have
+    idled past the server's patience and is retried once on a fresh
+    connection; a *fresh* connection failing is the server being down
+    and propagates.  A connection dying mid-pipeline fails **every**
+    in-flight request with :class:`ConnectionError`, so each caller's
+    replica-retry path fails its request over independently.
     """
 
     def __init__(
         self,
         host: str,
         port: int,
-        pool_size: int = 2,
         pipeline_depth: int = 32,
         compress: bool = True,
-        wire: str = "auto",
     ) -> None:
-        if wire not in ("auto", "legacy"):
-            raise InvalidParameterError(
-                f"wire must be 'auto' or 'legacy', got {wire!r}"
-            )
         if pipeline_depth < 1:
             raise InvalidParameterError(
                 f"pipeline_depth must be >= 1, got {pipeline_depth}"
             )
         self._host = host
         self._port = port
-        self._pool_size = pool_size
         self._pipeline_depth = pipeline_depth
-        self._wire = wire
-        self._offered = (
-            ALL_FEATURES if compress else (FEATURE_MUX, FEATURE_MULTI)
-        )
-        self._pool: list[socket.socket] = []
+        self._compress = compress
         self._lock = threading.Lock()
         self._closed = False
-        # mux state: mode is None until the first handshake settles it
-        self._mode: str | None = None if wire == "auto" else "legacy"
         self._mux: _MuxConnection | None = None
         self._conn_lock = threading.Lock()
         self._depth = threading.Semaphore(pipeline_depth)
-        self._threshold: int | None = None
+        #: compression threshold the server agreed to in the latest
+        #: hello; ``None`` until connected or when zlib was declined
+        self.compress_threshold: int | None = None
         self._in_flight = 0
-        self.features: tuple[str, ...] = ()
         self.wire_stats = WireStats()
-
-    @property
-    def mode(self) -> str:
-        """``"mux"`` or ``"legacy"`` once settled; ``"auto"`` before
-        the first connection decided."""
-        return self._mode or "auto"
 
     def _connect(self, timeout: float) -> socket.socket:
         sock = socket.create_connection(
@@ -395,92 +367,24 @@ class ShardClient:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
-    # -- legacy pooled mode -------------------------------------------
-
-    def _checkout(self) -> socket.socket | None:
-        with self._lock:
-            if self._pool:
-                return self._pool.pop()
-        return None
-
-    def _checkin(self, conn: socket.socket) -> None:
-        with self._lock:
-            if not self._closed and len(self._pool) < self._pool_size:
-                self._pool.append(conn)
-                return
-        conn.close()
-
-    def _legacy_request(self, payload: dict, timeout: float):
-        conn = self._checkout()
-        fresh = conn is None
-        if conn is None:
-            conn = self._connect(timeout)
-        try:
-            conn.settimeout(timeout)
-            send_message(conn, payload)
-            response = recv_message(conn)
-        except (OSError, EOFError, ConnectionError):
-            conn.close()
-            if fresh:
-                raise
-            # stale pooled socket — one retry on a new connection
-            conn = self._connect(timeout)
-            try:
-                conn.settimeout(timeout)
-                send_message(conn, payload)
-                response = recv_message(conn)
-            except (OSError, EOFError, ConnectionError):
-                conn.close()
-                raise
-        self._checkin(conn)
-        if isinstance(response, dict) and "error" in response:
-            raise decode_error(response["error"])
-        return response
-
-    # -- multiplexed mode ---------------------------------------------
-
-    def _ensure_mux(self, timeout: float) -> _MuxConnection | None:
-        """Current live mux connection, dialing + handshaking one if
-        needed.  ``None`` means the handshake settled on legacy mode."""
+    def _ensure_mux(self, timeout: float) -> _MuxConnection:
+        """Current live connection, dialing one and exchanging hellos
+        if needed."""
         with self._conn_lock:
             if self._closed:
                 raise ConnectionError("shard client is closed")
-            if self._mode == "legacy":
-                return None
             mux = self._mux
             if mux is not None and not mux.dead:
                 return mux
             sock = self._connect(timeout)
             try:
                 sock.settimeout(timeout)
-                send_message(sock, hello_request(self._offered))
-                response = recv_message(sock)
-            except (OSError, EOFError, ConnectionError):
+                send_message(sock, hello_request(self._compress))
+                threshold = read_hello_response(recv_message(sock))
+            except (OSError, EOFError, ConnectionError, ReproError):
                 sock.close()
                 raise
-            features: tuple[str, ...] = ()
-            if (
-                isinstance(response, dict)
-                and response.get("ok")
-                and isinstance(response.get("features"), list)
-            ):
-                features = negotiate_features(
-                    self._offered, response["features"]
-                )
-            if FEATURE_MUX not in features:
-                # pre-extension server (it answered the unknown op with
-                # a plain error) or no common ground: the connection is
-                # a perfectly good legacy link — keep it
-                self._mode = "legacy"
-                self._checkin(sock)
-                return None
-            self._mode = "mux"
-            self.features = features
-            self._threshold = (
-                response.get("threshold", DEFAULT_COMPRESS_THRESHOLD)
-                if FEATURE_ZLIB in features
-                else None
-            )
+            self.compress_threshold = threshold
             sock.settimeout(None)  # the reader blocks; waiters time out
             mux = _MuxConnection(sock)
             self._mux = mux
@@ -535,8 +439,6 @@ class ShardClient:
             response = None
             for attempt in (0, 1):
                 mux = self._ensure_mux(timeout)
-                if mux is None:  # renegotiated down to legacy
-                    return self._legacy_request(payload, timeout)
                 slot = _PendingSlot()
                 with mux.lock:
                     if mux.dead:
@@ -549,12 +451,16 @@ class ShardClient:
                             mux.sock,
                             request_id,
                             payload,
-                            self._threshold,
+                            self.compress_threshold,
                             self.wire_stats,
                         )
-                except (OSError, ConnectionError) as exc:
+                except (OSError, EncodingError) as exc:
                     with mux.lock:
                         mux.pending.pop(request_id, None)
+                    if isinstance(exc, EncodingError):
+                        # unencodable payload: nothing was written, the
+                        # connection is fine — only the slot goes
+                        raise
                     self._drop_mux(mux, exc)
                     if attempt:
                         raise
@@ -581,18 +487,14 @@ class ShardClient:
             raise decode_error(response["error"])
         return response
 
-    # -- shared surface -----------------------------------------------
-
     def request(self, payload: dict, timeout: float):
         """One request/response; raises the remote :mod:`repro.errors`
-        type on an error response, ``OSError``/``ConnectionError`` on
-        transport failure (including a mux connection dying while this
-        request was in flight)."""
+        type on an error response (or a refused hello),
+        ``OSError``/``ConnectionError`` on transport failure (including
+        the connection dying while this request was in flight)."""
         with self._lock:
             self._in_flight += 1
         try:
-            if self._mode == "legacy":
-                return self._legacy_request(payload, timeout)
             return self._mux_request(payload, timeout)
         finally:
             with self._lock:
@@ -602,8 +504,6 @@ class ShardClient:
         with self._lock:
             in_flight = self._in_flight
         return {
-            "mode": self.mode,
-            "features": list(self.features),
             "pipeline_depth": self._pipeline_depth,
             "in_flight": in_flight,
             "wire": self.wire_stats.snapshot(),
@@ -615,10 +515,6 @@ class ShardClient:
             mux, self._mux = self._mux, None
         if mux is not None:
             self._drop_mux(mux, ConnectionError("shard client closed"))
-        with self._lock:
-            pool, self._pool = self._pool, []
-        for conn in pool:
-            conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -650,12 +546,9 @@ class RouterBackend:
         self,
         cluster: ClusterMap,
         deadline: float = 5.0,
-        pool_size: int = 2,
         health_timeout: float = 1.0,
         pipeline_depth: int = 32,
         compress: bool = True,
-        wire: str = "auto",
-        batched: bool = True,
         fanout_workers: int | None = None,
     ) -> None:
         if deadline <= 0:
@@ -671,15 +564,12 @@ class RouterBackend:
         self._health_timeout = health_timeout
         self._pipeline_depth = pipeline_depth
         self._compress = compress
-        self._wire = wire
         self._clients = {
             key: ShardClient(
                 spec.host,
                 spec.port,
-                pool_size=pool_size,
                 pipeline_depth=pipeline_depth,
                 compress=compress,
-                wire=wire,
             )
             for key, spec in cluster.servers.items()
         }
@@ -705,11 +595,6 @@ class RouterBackend:
         self._server_failures = 0
         self._busy_sheds = 0
         self._partials = 0
-        #: whether the cluster speaks multi_search: None until the first
-        #: batched scatter settles it, False disables batching for good
-        #: (batched=False pins it off — the pre-batching wire behaviour,
-        #: kept for apples-to-apples benchmarking)
-        self._multi_ok: bool | None = None if batched else False
         self._patterns_total: int | None = None
         self._estimate_cache: OrderedDict[tuple, CostEstimate] = (
             OrderedDict()
@@ -973,9 +858,9 @@ class RouterBackend:
 
     def estimate_cost(self, query) -> CostEstimate | None:
         """Cluster-level planner estimate for the query, or ``None``
-        when no server can price it (all down, or servers predating the
-        ``estimate`` op — admission then simply skips the gate, it
-        never fails the query).
+        when no server can price it (all down, or the one asked answered
+        an error — admission then simply skips the gate, it never fails
+        the query).
 
         One healthy server is asked for its slice's estimate, which is
         scaled by the shard ratio to cover the whole cluster (shards
@@ -1008,8 +893,7 @@ class RouterBackend:
                 self._mark_down(key)
                 continue
             except ReproError:
-                # a pre-planner server answers "unknown op"; a genuine
-                # query error will surface from the search that follows
+                # a query error will surface from the search that follows
                 return None
             raw = (
                 response.get("estimate")
@@ -1052,13 +936,10 @@ class RouterBackend:
         Per-query errors are parked too and re-raised by the matching
         ``search`` — identical outcomes to the per-query wire path.
 
-        Against a cluster that predates ``multi_search`` the first
-        attempt fails, batching turns itself off, and the per-query
-        path silently takes over.  Best-effort by design: no parked
-        answer ⇒ ``search`` just fans out as usual.
+        Best-effort by design: a scatter that fails as a whole parks
+        nothing, and no parked answer ⇒ ``search`` just fans out as
+        usual and reports whatever went wrong.
         """
-        if self._multi_ok is False:
-            return
         unique: list[tuple] = []
         seen: set[tuple] = set()
         for tokens, min_freq in pairs:
@@ -1121,11 +1002,7 @@ class RouterBackend:
         try:
             groups, partial = self._scatter(make_payload, parse=parse)
         except ReproError:
-            # a server that predates (or rejects) multi_search answers
-            # with a query error; don't try batching again
-            self._multi_ok = False
             return
-        self._multi_ok = True
         prefetched: dict = {}
         for index, key in enumerate(unique):
             streams = []
@@ -1281,8 +1158,6 @@ class RouterBackend:
                 "pipeline": {
                     "depth": self._pipeline_depth,
                     "compress": self._compress,
-                    "wire": self._wire,
-                    "batched_scatter": self._multi_ok,
                     "fanout_workers": self._fanout_workers,
                 },
                 "wire": merge_wire_snapshots(
@@ -1292,7 +1167,6 @@ class RouterBackend:
                     key: {
                         "healthy": self._healthy[key],
                         "http_port": self._cluster.servers[key].http_port,
-                        "wire_mode": client_stats[key]["mode"],
                         "in_flight": client_stats[key]["in_flight"],
                     }
                     for key in sorted(self._cluster.servers)

@@ -36,7 +36,6 @@ from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.query.base import Pattern, PatternSearchBase
 from repro.io.codec import (
-    read_deltas,
     read_positional_postings,
     read_sequence,
     read_uvarint,
@@ -52,10 +51,8 @@ from repro.serve.format import (
     MAGIC,
     SECTION_NAMES,
     SECTIONS_STRUCT,
-    SUPPORTED_VERSIONS,
     U64,
     VERSION,
-    VERSION_POSITIONAL,
 )
 from repro.serve.writer import write_store
 
@@ -124,15 +121,13 @@ class PatternStore(PatternSearchBase):
                 self._total_frequency,
                 self._max_length,
             ) = HEADER_STRUCT.unpack_from(head, len(MAGIC))
-            if self._version not in SUPPORTED_VERSIONS:
+            if self._version != VERSION:
                 raise EncodingError(
                     f"{self._path}: unsupported store version "
-                    f"{self._version} (supported: {SUPPORTED_VERSIONS})"
+                    f"{self._version} (this build reads version {VERSION} "
+                    "only; rebuild the store with `lash index build` or "
+                    "re-mine it)"
                 )
-            # version 1 files carry index-only postings: they still
-            # serve every query, but without positions the accelerated
-            # matcher degrades to bitset pruning + DP verification
-            self._positional = self._version >= VERSION_POSITIONAL
             (
                 self._off_vocab,
                 self._off_lengths,
@@ -240,7 +235,6 @@ class PatternStore(PatternSearchBase):
             "file_bytes": self._off_end
             + (CHECKSUMS_STRUCT.size if self._checksummed else 0),
             "checksums": self._checksummed,
-            "positional": self._positional,
             "delta": self._delta,
         }
 
@@ -307,36 +301,26 @@ class PatternStore(PatternSearchBase):
 
     def _decode_postings(
         self, item_id: int
-    ) -> tuple[list[int], list[tuple[int, ...]] | None]:
+    ) -> tuple[list[int], list[tuple[int, ...]]]:
         base = self._off_post_offsets + U64.size * item_id
         start, end = struct.unpack_from("<2Q", self._data, base)
         start += self._off_postings
         end += self._off_postings
-        if self._positional:
-            return read_positional_postings(self._data, start, end)
-        return read_deltas(self._data, start, end), None
+        return read_positional_postings(self._data, start, end)
 
     def _postings_for(self, item_id: int) -> Sequence[int]:
         cached = self._postings_cache.get(item_id)
         if cached is not None:
             return cached
-        if not 0 <= item_id < self._n_items:
-            return ()
-        postings, positions = self._decode_postings(item_id)
-        with self._lock:
-            if len(self._postings_cache) < self._postings_cache_size:
-                self._postings_cache[item_id] = postings
-                if positions is not None:
-                    self._positions_cache[item_id] = positions
-        return postings
+        return self._positional_postings_for(item_id)[0]
 
     def _postings_size_estimate(self, item_id: int) -> int:
         """O(1) postings-size estimate for the query planner: the
         postings byte range out of the offset table, divided by a rough
-        bytes-per-entry (a positional entry is an index delta varint
-        plus a position count plus gap-coded positions, ≥3 bytes; a
-        version-1 entry a bare delta varint).  Never decodes — ordering
-        and skip decisions only need relative magnitudes."""
+        bytes-per-entry (an entry is an index delta varint plus a
+        position count plus gap-coded positions, ≥3 bytes).  Never
+        decodes — ordering and skip decisions only need relative
+        magnitudes."""
         cached = self._postings_cache.get(item_id)
         if cached is not None:
             return len(cached)
@@ -347,14 +331,9 @@ class PatternStore(PatternSearchBase):
         span = end - start
         if not span:
             return 0
-        return max(1, span // 3) if self._positional else span
-
-    def _has_positions(self) -> bool:
-        return self._positional
+        return max(1, span // 3)
 
     def _positional_postings_for(self, item_id: int):
-        if not self._positional:
-            return None
         if not 0 <= item_id < self._n_items:
             return [], []
         postings = self._postings_cache.get(item_id)
@@ -380,5 +359,4 @@ class PatternStore(PatternSearchBase):
         return self._by_length
 
 
-#: re-exported for the pre-split import path ``repro.serve.store.HEADER_SIZE``
-__all__ = ["PatternStore", "write_store", "HEADER_SIZE", "MAGIC", "VERSION"]
+__all__ = ["PatternStore", "write_store"]

@@ -4,11 +4,9 @@ import pytest
 
 from repro.errors import EncodingError
 from repro.io.codec import (
-    read_deltas,
     read_sequence,
     read_uvarint,
     section_checksum,
-    write_deltas,
     write_sequence,
     write_uvarint,
     zigzag_decode,
@@ -91,22 +89,6 @@ class TestSequence:
         for item in items:
             write_uvarint(raw, item)
         assert len(buf) < len(raw)
-
-
-class TestDeltas:
-    @pytest.mark.parametrize(
-        "values", [[], [0], [7], [0, 1, 2], [3, 10, 1000, 10**6]]
-    )
-    def test_roundtrip(self, values):
-        buf = bytearray()
-        write_deltas(buf, values)
-        assert read_deltas(bytes(buf), 0, len(buf)) == values
-
-    def test_not_ascending_rejected(self):
-        with pytest.raises(EncodingError):
-            write_deltas(bytearray(), [3, 3])
-        with pytest.raises(EncodingError):
-            write_deltas(bytearray(), [5, 2])
 
 
 class TestSectionChecksum:

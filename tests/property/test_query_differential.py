@@ -5,7 +5,7 @@ databases and queries (drawn from all ten token kinds — item, ``^name``,
 ``?``, ``+``, ``*``, ``*{m,n}`` bounded gap, ``(a|b|^C)`` disjunction,
 ``!name`` / ``!^Cat`` negation (counted as two kinds: exact and
 subtree), ``token@N`` frequency floor — plus per-query σ overrides) are
-answered by five implementations that must agree byte for byte on the
+answered by four implementations that must agree byte for byte on the
 ranked ``(pattern, frequency)`` list:
 
 * a naive oracle — backtracking matcher over the raw pattern mapping,
@@ -15,9 +15,7 @@ ranked ``(pattern, frequency)`` list:
 * :class:`~repro.serve.store.PatternStore` — single mmap'd store file
   with positional postings, same bitmap engine;
 * :class:`~repro.serve.sharded.ShardedPatternStore` — k-way heap merge
-  over shard files;
-* a fabricated **version-1** store file (no positional postings) —
-  exercises the accelerator's bitset-prune + DP-verify fallback.
+  over shard files.
 
 Queries are biased toward gap/adjacency-dense shapes (a third draw from
 a ``?``/``*{m,n}``-heavy pool) because position-window arithmetic is
@@ -60,7 +58,7 @@ from repro.query.tokens import (
     is_negation_only,
     normalize_query,
 )
-from repro.serve import QueryService, open_store, write_store
+from repro.serve import QueryService, open_store
 
 SEED = int(os.environ.get("LASH_DIFF_SEED", "20260729"))
 N_INSTANCES = int(os.environ.get("LASH_DIFF_INSTANCES", "24"))
@@ -419,18 +417,12 @@ def test_differential_oracle_vs_all_backends(tmp_path):
         result.to_store(single_path)
         sharded_path = tmp_path / f"i{instance}.shards"
         result.to_store(sharded_path, shards=rng.randint(2, 4))
-        # a version-1 file (no positional postings): the accelerator
-        # must fall back to bitset pruning + DP verification and still
-        # agree byte for byte
-        legacy_path = tmp_path / f"i{instance}.v1.store"
-        write_store(legacy_path, patterns, vocab, store_version=1)
 
         try:
             with open_store(single_path) as single, open_store(
                 sharded_path
-            ) as sharded, open_store(legacy_path) as legacy:
-                assert not legacy._has_positions(), "v1 store has positions?"
-                backends = [index, single, sharded, legacy]
+            ) as sharded:
+                backends = [index, single, sharded]
                 for q in range(QUERIES_PER_INSTANCE):
                     tokens = _random_query(rng, vocab, KINDS[q % len(KINDS)])
                     kinds_covered |= _token_kinds(tokens)
@@ -504,10 +496,9 @@ def test_differential_oracle_vs_all_backends(tmp_path):
     assert kinds_covered == set(KINDS), (
         f"token kinds never generated: {set(KINDS) - kinds_covered}"
     )
-    # the accelerator's fast paths actually ran: positional backends
-    # answered exactly (no DP), the v1 backend pruned with the bitset
+    # the accelerator's fast path actually ran (the planner sweep below
+    # forces the pruned and scan strategies)
     assert paths_total["exact"] > 0, f"exact path never taken: {paths_total}"
-    assert paths_total["pruned"] > 0, f"pruned path never taken: {paths_total}"
 
 
 def test_planner_orderings_and_strategies_differential(tmp_path):
@@ -517,8 +508,8 @@ def test_planner_orderings_and_strategies_differential(tmp_path):
     (``cost``/``cardinality``/``worst``) and forced execution strategy
     (``exact``/``pruned``/``scan`` plus estimate-driven ``None``) must
     return the same ranked answers as the unaccelerated legacy matcher
-    — on the in-memory index, the positional store file, a fabricated
-    version-1 store, and the sharded store.  This is the guarantee that
+    — on the in-memory index, the store file and the sharded store.
+    This is the guarantee that
     lets admission control trust the estimate: the planner can only
     change *speed*, never answers.
     """
@@ -549,12 +540,10 @@ def test_planner_orderings_and_strategies_differential(tmp_path):
         result.to_store(single_path)
         sharded_path = tmp_path / f"p{instance}.shards"
         result.to_store(sharded_path, shards=rng.randint(2, 3))
-        legacy_path = tmp_path / f"p{instance}.v1.store"
-        write_store(legacy_path, patterns, vocab, store_version=1)
         with open_store(single_path) as single, open_store(
             sharded_path
-        ) as sharded, open_store(legacy_path) as legacy:
-            backends = [index, single, sharded, legacy]
+        ) as sharded:
+            backends = [index, single, sharded]
             for q in range(QUERIES_PER_INSTANCE):
                 tokens = _random_query(rng, vocab, KINDS[q % len(KINDS)])
                 reference = None
@@ -606,9 +595,8 @@ def test_plan_pruning_is_superset_of_matches(tmp_path):
     For random queries over random mined instances, the candidate set
     the compiled plan admits (bitset AND of the chain nodes' postings,
     or the wildcard length scan) must be a **superset** of the indexes
-    the reference DP accepts — on the positional in-memory index, the
-    positional store file, and a fabricated version-1 store.  This is
-    the safety property behind the verified fallback: pruning may
+    the reference DP accepts — on the in-memory index and the store
+    file.  This is the safety property behind the verified fallback: pruning may
     over-admit (the DP cleans up), it must never under-admit.
     """
     rng = random.Random(SEED + 1)
@@ -626,14 +614,10 @@ def test_plan_pruning_is_superset_of_matches(tmp_path):
         index = PatternIndex(patterns, vocab)
         single_path = tmp_path / f"s{instance}.store"
         result.to_store(single_path)
-        legacy_path = tmp_path / f"s{instance}.v1.store"
-        write_store(legacy_path, patterns, vocab, store_version=1)
-        with open_store(single_path) as single, open_store(
-            legacy_path
-        ) as legacy:
+        with open_store(single_path) as single:
             for q in range(QUERIES_PER_INSTANCE):
                 tokens = _random_query(rng, vocab, KINDS[q % len(KINDS)])
-                for backend in (index, single, legacy):
+                for backend in (index, single):
                     compiled = backend._compile(normalize_query(tokens))
                     admitted = backend._plan_candidate_indexes(compiled)
                     true_matches = {
@@ -743,11 +727,6 @@ def test_differential_router_backend(tmp_path):
     exactly one live replica, and the same queries must *still* match
     byte for byte with no partial-result flag: failover, not the
     answer, absorbs the failure.
-
-    Two routers run side by side over the same cluster: one on the
-    pipelined, compressed mux wire (the default) and one pinned to
-    legacy one-request-per-connection framing — the wire format must
-    never leak into results, healthy or degraded.
     """
     from repro.serve.distributed import ShardServer
     from repro.serve.router import ClusterMap, RouterBackend, ServerSpec
@@ -778,7 +757,7 @@ def test_differential_router_backend(tmp_path):
             ),
             ShardServer(sharded_path, http_port=None),  # full replica
         ]
-        router = legacy_router = None
+        router = None
         try:
             for server in servers:
                 server.start()
@@ -797,7 +776,6 @@ def test_differential_router_backend(tmp_path):
             router = RouterBackend(
                 cluster, pipeline_depth=rng.randint(1, 8)
             )
-            legacy_router = RouterBackend(cluster, wire="legacy")
             with open_store(sharded_path) as mono:
                 queries = []
                 for q in range(QUERIES_PER_INSTANCE):
@@ -823,15 +801,6 @@ def test_differential_router_backend(tmp_path):
                         f"{context}: {got!r} != mono {expected!r}"
                     )
                     assert router.take_partial() is None, context
-                    via_legacy = [
-                        (m.pattern, m.frequency)
-                        for m in legacy_router.search(tokens)
-                    ]
-                    assert via_legacy == expected, (
-                        f"{context} wire=legacy: "
-                        f"{via_legacy!r} != mono {expected!r}"
-                    )
-                    assert legacy_router.take_partial() is None, context
                     if expected:
                         cut = rng.randint(1, len(expected))
                         prefix = [
@@ -857,9 +826,6 @@ def test_differential_router_backend(tmp_path):
                     compare(tokens, "healthy")
                     compared += 1
                 assert len(router) == len(mono)
-                # the default router actually negotiated the mux wire
-                pipeline = router.describe()["pipeline"]
-                assert pipeline["wire"] == "auto"
                 assert router.describe()["wire"]["frames_sent"] > 0
 
                 # one replica down per shard: both half servers die,
@@ -872,8 +838,6 @@ def test_differential_router_backend(tmp_path):
         finally:
             if router is not None:
                 router.close()
-            if legacy_router is not None:
-                legacy_router.close()
             for server in servers:
                 server.stop()
     assert compared >= 20, f"only {compared} router cases executed"

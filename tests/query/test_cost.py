@@ -27,7 +27,6 @@ from repro.query.cost import (
     order_mask_nodes,
 )
 from repro.query.plan import PositionSpace
-from repro.serve import open_store, write_store
 
 
 @pytest.fixture(scope="module")
@@ -115,22 +114,6 @@ class TestEstimatorDecisions:
         estimate = skewed_index.estimate_cost("common@999999")
         assert estimate.strategy == "unsatisfiable"
         assert estimate.candidates == 0
-
-    def test_negation_only_chain_scans_without_positions(self, tmp_path):
-        hierarchy = Hierarchy()
-        for name in ("a", "b"):
-            hierarchy.add_item(name)
-        coded, vocab = code_patterns(
-            {("a", "b"): 3, ("b", "b"): 2, ("a",): 1}, hierarchy
-        )
-        path = tmp_path / "v1.store"
-        write_store(path, coded, vocab, store_version=1)
-        with open_store(path) as legacy:
-            assert not legacy._has_positions()
-            # no "in" node to build a mask from → the length scan is
-            # the only option, and the estimate says so
-            estimate = legacy.estimate_cost("!a ?")
-            assert estimate.strategy == "scan"
 
     def test_costs_rank_narrow_below_broad(self, skewed_index):
         narrow = skewed_index.estimate_cost("rare").cost

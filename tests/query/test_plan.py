@@ -3,8 +3,7 @@
 The differential harness proves the accelerated engine agrees with the
 reference DP end to end; this file pins down the pieces — the position
 bitmap geometry, window shift algebra, plan structure, per-backend plan
-cache, hierarchy-aware disjunction hoisting, and the version-1 store
-fallback + compaction migration path.
+cache, and hierarchy-aware disjunction hoisting.
 """
 
 from __future__ import annotations
@@ -15,13 +14,7 @@ from repro import Hierarchy
 from repro.query import PatternIndex, code_patterns
 from repro.query.plan import PositionSpace, QueryPlan, iter_bit_indexes
 from repro.query.tokens import normalize_query
-from repro.serve import (
-    StoreCompactor,
-    open_store,
-    write_sharded_store,
-    write_store,
-)
-from repro.serve.format import VERSION, VERSION_POSITIONAL
+from repro.serve import open_store, write_sharded_store
 
 
 @pytest.fixture(scope="module")
@@ -291,64 +284,3 @@ class TestAcceleratedEqualsReference:
             assert accelerated == reference
             # the sharded handle aggregates its shards' counters
             assert store.plan_stats()["paths"]["exact"] > 0
-
-
-# ----------------------------------------------------------------------
-# version-1 stores: fallback + migration
-# ----------------------------------------------------------------------
-
-
-class TestVersionOneStores:
-    def test_v1_opens_without_positions(self, small_index, tmp_path):
-        path = tmp_path / "legacy.store"
-        write_store(
-            path,
-            small_index._frequencies,
-            small_index.vocabulary,
-            store_version=1,
-        )
-        with open_store(path) as store:
-            info = store.describe()
-            assert info["version"] == 1
-            assert info["positional"] is False
-            assert not store._has_positions()
-            assert store._positional_postings_for(0) is None
-            for query in QUERIES:
-                assert _answers(store, query) == _answers(small_index, query)
-            # concrete-token queries went through bitset prune + DP
-            assert store.plan_stats()["paths"]["pruned"] > 0
-            assert store.plan_stats()["paths"]["exact"] == 0
-
-    def test_compact_migrates_v1_to_current(self, small_index, tmp_path):
-        path = tmp_path / "legacy.shards"
-        write_sharded_store(
-            path,
-            small_index._frequencies,
-            small_index.vocabulary,
-            shards=2,
-            store_version=1,
-        )
-        with open_store(path) as store:
-            assert all(
-                s["version"] == 1 for s in store.describe()["shard_stats"]
-            )
-        # a delta-less compaction rewrites every shard at the current
-        # format version — the documented migration path
-        StoreCompactor(path).compact([])
-        with open_store(path) as store:
-            shard_stats = store.describe()["shard_stats"]
-            assert all(s["version"] == VERSION for s in shard_stats)
-            assert all(s["positional"] for s in shard_stats)
-            assert VERSION >= VERSION_POSITIONAL
-            for query in QUERIES:
-                assert _answers(store, query) == _answers(small_index, query)
-            assert store.plan_stats()["paths"]["exact"] > 0
-
-    def test_writer_rejects_unknown_version(self, small_index, tmp_path):
-        with pytest.raises(Exception):
-            write_store(
-                tmp_path / "bad.store",
-                small_index._frequencies,
-                small_index.vocabulary,
-                store_version=99,
-            )

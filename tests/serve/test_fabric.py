@@ -1,10 +1,10 @@
 """Failure surface of the pipelined, compressed serving fabric.
 
 The multiplexed wire path must be invisible when everything works —
-byte-identical answers, same error types — and must degrade the same
-way the legacy path does when it breaks: a connection dying
-mid-pipeline fails over every in-flight request through the replica
-path, a peer that predates the extension silently gets legacy framing,
+byte-identical answers, same error types — and must fail cleanly when
+it breaks: a connection dying mid-pipeline fails over every in-flight
+request through the replica path, a peer that does not open with this
+protocol version's hello gets one typed error and a closed connection,
 and a saturated front end answers a typed, retryable busy signal
 instead of queueing without bound.
 """
@@ -17,27 +17,31 @@ import random
 import socket
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
+import zlib
 
 import pytest
 
 from repro.core import Lash, MiningParams
-from repro.errors import ServerBusyError
+from repro.errors import EncodingError, ReproError, ServerBusyError
+from repro.io.codec import write_uvarint
 from repro.hierarchy import Hierarchy
 from repro.query import parse_query
 from repro.sequence import SequenceDatabase
 from repro.serve import QueryService, create_server, open_store
 from repro.serve.distributed import ShardServer
+from repro.serve import protocol
 from repro.serve.protocol import (
-    ALL_FEATURES,
     DEFAULT_COMPRESS_THRESHOLD,
-    FEATURE_MULTI,
-    FEATURE_MUX,
-    FEATURE_ZLIB,
+    FLAG_COMPRESSED,
     PROTOCOL_VERSION,
-    negotiate_features,
+    hello_request,
+    read_hello_response,
+    recv_message,
     recv_mux,
+    send_message,
     send_mux,
 )
 from repro.serve.router import ClusterMap, RouterBackend, ServerSpec, ShardClient
@@ -119,6 +123,26 @@ def _matches(backend, query, **kwargs):
 # ----------------------------------------------------------------------
 
 
+def _raw_frame(flags: int, request_id: int, payload: bytes) -> bytes:
+    """A mux frame assembled by hand, so tests can send what
+    :func:`send_mux` never would."""
+    body = bytearray((flags,))
+    write_uvarint(body, request_id)
+    body += payload
+    frame = bytearray()
+    write_uvarint(frame, len(body))
+    return bytes(frame + body)
+
+
+def _deflated_frame(request_id: int, raw: bytes) -> bytes:
+    return _raw_frame(FLAG_COMPRESSED, request_id, zlib.compress(raw, 6))
+
+
+#: 16 MiB of zeros deflating to ~16 KiB: a legal frame on the wire that
+#: must not be allowed to allocate its inflated size
+_BOMB = _deflated_frame(1, b"\x00" * (1 << 24))
+
+
 class TestMuxFraming:
     def _pair(self):
         left, right = socket.socketpair()
@@ -189,88 +213,254 @@ class TestMuxFraming:
             left.close()
             right.close()
 
-    def test_bytes_payload_takes_binary_codec(self):
-        # JSON cannot carry bytes: such values fall back to the binary
-        # value codec, signalled per frame by the codec flag bit
+    def test_unencodable_value_raises_at_the_sender(self):
+        # mux payloads are JSON only: bytes have no encoding, and
+        # nothing may reach the peer
         left, right = self._pair()
         try:
-            value = {"blob": b"\x00\xff" * 10}
-            send_mux(left, 7, value, None)
-            request_id, decoded = recv_mux(right)
-            assert request_id == 7
-            assert decoded == value
+            with pytest.raises(EncodingError):
+                send_mux(left, 7, {"blob": b"\x00\xff" * 10}, None)
+            send_mux(left, 8, {"op": "ping"})
+            assert recv_mux(right) == (8, {"op": "ping"})
         finally:
             left.close()
             right.close()
 
-    def test_negotiation_requires_mux(self):
-        assert negotiate_features(ALL_FEATURES, ALL_FEATURES) == ALL_FEATURES
-        assert negotiate_features([FEATURE_ZLIB], ALL_FEATURES) == ()
-        assert negotiate_features(ALL_FEATURES, [FEATURE_MUX]) == (
-            FEATURE_MUX,
-        )
-        assert negotiate_features(
-            [FEATURE_MUX, FEATURE_MULTI], ALL_FEATURES
-        ) == (FEATURE_MUX, FEATURE_MULTI)
+    def test_unknown_flag_bit_is_rejected(self):
+        left, right = self._pair()
+        try:
+            left.sendall(_raw_frame(0x02, 1, b"{}"))
+            with pytest.raises(EncodingError, match="flags"):
+                recv_mux(right)
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            b"\x00",  # empty body
+            _raw_frame(0, 1, b"{not json"),
+            _raw_frame(FLAG_COMPRESSED, 1, b"not a deflate stream"),
+        ],
+    )
+    def test_garbage_frames_are_typed_errors(self, frame):
+        left, right = self._pair()
+        try:
+            left.sendall(frame)
+            with pytest.raises(EncodingError):
+                recv_mux(right)
+        finally:
+            left.close()
+            right.close()
+
+    #: MAX_FRAME_BYTES the inflation tests patch in
+    LIMIT = 1 << 16
+
+    def test_bomb_is_rejected_without_inflating_it(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", self.LIMIT)
+        left, right = self._pair()
+        try:
+            left.sendall(_BOMB)
+            tracemalloc.start()
+            try:
+                with pytest.raises(EncodingError, match="exceeds limit"):
+                    recv_mux(right)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 22, f"inflated {peak} bytes past the limit"
+        finally:
+            left.close()
+            right.close()
+
+    def test_frame_at_the_limit_still_decodes(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", self.LIMIT)
+        text = "x" * (self.LIMIT - 2)  # the JSON quotes make it LIMIT
+        left, right = self._pair()
+        try:
+            left.sendall(_deflated_frame(5, f'"{text}"'.encode()))
+            assert recv_mux(right) == (5, text)
+            left.sendall(_deflated_frame(6, f'"{text}y"'.encode()))
+            with pytest.raises(EncodingError, match="exceeds limit"):
+                recv_mux(right)
+        finally:
+            left.close()
+            right.close()
+
+    def test_truncated_deflate_stream_is_rejected(self):
+        left, right = self._pair()
+        try:
+            deflated = zlib.compress(b'"' + b"v" * 4096 + b'"')
+            left.sendall(_raw_frame(FLAG_COMPRESSED, 1, deflated[:-8]))
+            with pytest.raises(EncodingError, match="corrupt compressed"):
+                recv_mux(right)
+        finally:
+            left.close()
+            right.close()
+
+    def test_server_drops_a_connection_that_sends_a_bomb(
+        self, store_path, monkeypatch
+    ):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", self.LIMIT)
+        with ShardServer(store_path, http_port=None) as server:
+            sock = socket.create_connection(server.address, timeout=5)
+            try:
+                send_message(sock, hello_request())
+                assert recv_message(sock)["ok"] is True
+                sock.sendall(_BOMB)
+                assert sock.recv(1) == b""  # hung up, no answer
+            finally:
+                sock.close()
+            # the server itself is unharmed
+            client = ShardClient(*server.address)
+            try:
+                assert client.request({"op": "ping"}, timeout=5)["ok"]
+            finally:
+                client.close()
 
 
 # ----------------------------------------------------------------------
-# mixed-version handshake fallback
+# mixed versions: a cluster is single-version, anything else is refused
 # ----------------------------------------------------------------------
+
+
+class _RefusingServer:
+    """A peer that answers every connection's first frame with one
+    typed error frame and hangs up — what a shard server of another
+    protocol version looks like to this build's client."""
+
+    def __init__(self) -> None:
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            with conn:
+                recv_message(conn)
+                send_message(
+                    conn,
+                    {
+                        "error": {
+                            "type": "EncodingError",
+                            "message": "unsupported protocol version 1",
+                        }
+                    },
+                )
+
+    def close(self) -> None:
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
 
 
 class TestMixedVersions:
-    def test_new_client_against_old_server(self, store_path, expected):
-        # mux=False makes the server behave like a pre-extension build:
-        # it answers the hello with a plain unknown-op error and the
-        # client silently continues in legacy framing
-        with ShardServer(store_path, http_port=None, mux=False) as server:
-            host, port = server.address
-            client = ShardClient(host, port)
+    def _first_frame_is_refused(self, server, frame, match):
+        sock = socket.create_connection(server.address, timeout=5)
+        try:
+            send_message(sock, frame)
+            answer = recv_message(sock)
+            assert answer["error"]["type"] == "EncodingError"
+            assert match in answer["error"]["message"]
+            assert sock.recv(1) == b""  # one error frame, then EOF
+        finally:
+            sock.close()
+
+    def test_old_client_against_new_server(self, store_path):
+        with ShardServer(store_path, http_port=None) as server:
+            client = ShardClient(*server.address)
             try:
-                answer = client.request(
-                    {"v": PROTOCOL_VERSION, "op": "ping"}, timeout=5
+                client.request({"op": "ping"}, timeout=5)
+                # a peer that skips the hello — the retired
+                # one-request-at-a-time framing did exactly this
+                self._first_frame_is_refused(
+                    server, {"v": PROTOCOL_VERSION, "op": "ping"}, "hello"
                 )
-                assert answer["ok"] is True
-                assert client.mode == "legacy"
-                assert client.features == ()
+                self._first_frame_is_refused(server, ["not", "a", "dict"], "hello")
+                # connections made before and after keep being served
+                assert client.request({"op": "ping"}, timeout=5)["ok"]
+                fresh = ShardClient(*server.address)
+                try:
+                    assert fresh.request({"op": "ping"}, timeout=5)["ok"]
+                finally:
+                    fresh.close()
             finally:
                 client.close()
-            cluster = _cluster_for([(server, range(NUM_SHARDS))])
+
+    def test_undecodable_first_frame_gets_one_error_then_eof(
+        self, store_path
+    ):
+        with ShardServer(store_path, http_port=None) as server:
+            sock = socket.create_connection(server.address, timeout=5)
+            try:
+                sock.sendall(bytes((2, 0xEE, 0xEE)))  # unknown type tag
+                assert recv_message(sock)["error"]["type"] == "EncodingError"
+                assert sock.recv(1) == b""
+            finally:
+                sock.close()
+
+    def test_wrong_version_hello_is_refused(self, store_path):
+        with ShardServer(store_path, http_port=None) as server:
+            self._first_frame_is_refused(
+                server,
+                {**hello_request(), "v": PROTOCOL_VERSION + 1},
+                "unsupported protocol version",
+            )
+            self._first_frame_is_refused(
+                server, {"op": "hello", "zlib": True}, "version"
+            )
+            self._first_frame_is_refused(
+                server,
+                {"v": PROTOCOL_VERSION, "op": "hello", "features": ["mux"]},
+                "zlib",
+            )
+
+    def test_new_client_against_old_server(self):
+        peer = _RefusingServer()
+        try:
+            client = ShardClient(*peer.address)
+            try:
+                with pytest.raises(EncodingError, match="protocol version"):
+                    client.request({"op": "ping"}, timeout=5)
+                # no downgrade state: the next request dials and is
+                # refused again, it does not hang or change framing
+                with pytest.raises(EncodingError):
+                    client.request({"op": "ping"}, timeout=5)
+            finally:
+                client.close()
+            # the router surfaces it as the answer instead of a hang
+            cluster = ClusterMap(
+                [ServerSpec(*peer.address)], num_shards=1
+            )
             router = RouterBackend(cluster, deadline=5)
             try:
-                for query in QUERIES:
-                    got = _matches(router, parse_query(query))
-                    assert got == expected[query], query
-                    assert router.take_partial() is None
+                with pytest.raises(ReproError, match="protocol version"):
+                    router.search(parse_query("a ?"))
             finally:
                 router.close()
+        finally:
+            peer.close()
 
-    def test_old_client_against_new_server(self, store_path, expected):
-        # wire="legacy" never sends hello — exactly what an old client
-        # looks like on the wire; the server stays in legacy framing
-        # for that connection
+    def test_unencodable_request_leaves_the_connection_usable(
+        self, store_path
+    ):
         with ShardServer(store_path, http_port=None) as server:
-            host, port = server.address
-            client = ShardClient(host, port, wire="legacy")
+            client = ShardClient(*server.address)
             try:
-                answer = client.request(
-                    {"v": PROTOCOL_VERSION, "op": "ping"}, timeout=5
-                )
-                assert answer["ok"] is True
-                assert client.mode == "legacy"
+                with pytest.raises(EncodingError):
+                    client.request({"op": "ping", "blob": b"x"}, timeout=5)
+                assert client.request({"op": "ping"}, timeout=5)["ok"]
+                assert client.stats()["in_flight"] == 0
+                assert not client._mux.pending
             finally:
                 client.close()
-            cluster = _cluster_for([(server, range(NUM_SHARDS))])
-            router = RouterBackend(cluster, deadline=5, wire="legacy")
-            try:
-                for query in QUERIES:
-                    assert (
-                        _matches(router, parse_query(query))
-                        == expected[query]
-                    ), query
-            finally:
-                router.close()
 
     def test_mux_negotiated_and_identical(self, store_path, expected):
         with ShardServer(store_path, http_port=None) as server:
@@ -282,15 +472,36 @@ class TestMixedVersions:
                         _matches(router, parse_query(query))
                         == expected[query]
                     ), query
-                modes = {
-                    client.mode for client in router._clients.values()
-                }
-                assert modes == {"mux"}
                 wire = router.describe()["wire"]
                 assert wire["frames_sent"] > 0
                 assert wire["frames_received"] > 0
             finally:
                 router.close()
+
+    @pytest.mark.parametrize(
+        "response",
+        [["ok"], {"ok": False}, {"ok": True, "threshold": "512"}],
+    )
+    def test_malformed_hello_response_is_a_typed_error(self, response):
+        with pytest.raises(EncodingError, match="malformed hello"):
+            read_hello_response(response)
+
+    def test_hello_settles_compression(self, store_path):
+        for server_on, client_on, want in (
+            (True, True, DEFAULT_COMPRESS_THRESHOLD),
+            (True, False, None),
+            (False, True, None),
+        ):
+            with ShardServer(
+                store_path, http_port=None, compress=server_on
+            ) as server:
+                client = ShardClient(*server.address, compress=client_on)
+                try:
+                    assert client.compress_threshold is None  # not dialed
+                    client.request({"op": "ping"}, timeout=5)
+                    assert client.compress_threshold == want
+                finally:
+                    client.close()
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +521,9 @@ class TestWireCompression:
                 client.request(
                     {"v": PROTOCOL_VERSION, "op": "ping"}, timeout=5
                 )
-                assert FEATURE_ZLIB in client.features
+                assert (
+                    client.compress_threshold == DEFAULT_COMPRESS_THRESHOLD
+                )
                 baseline = client.wire_stats.snapshot()
                 assert baseline["compressed_frames_received"] == 0
                 # the full "? ?" result set is well past the threshold
@@ -351,8 +564,7 @@ class TestWireCompression:
                 client.request(
                     {"v": PROTOCOL_VERSION, "op": "ping"}, timeout=5
                 )
-                assert client.mode == "mux"
-                assert FEATURE_ZLIB not in client.features
+                assert client.compress_threshold is None
                 response = client.request(
                     {
                         "v": PROTOCOL_VERSION,
@@ -509,51 +721,62 @@ class TestBatchedScatter:
                     g = {k: v for k, v in g.items() if k != "estimated_cost"}
                     w = {k: v for k, v in w.items() if k != "estimated_cost"}
                     assert g == w
-                # the batch actually used one multi_search scatter
-                assert router.describe()["pipeline"]["batched_scatter"]
+                # the whole batch was one multi_search scatter
+                assert router.describe()["fanouts"] == 1
             finally:
                 router.close()
 
-    def test_batch_against_old_cluster_falls_back(self, store_path):
-        class OldShardServer(ShardServer):
-            """A pre-extension build: no handshake, no multi_search."""
+    def test_failed_multi_search_does_not_disable_batching(
+        self, store_path
+    ):
+        class FlakyShardServer(ShardServer):
+            """Fails the first ``multi_search`` frame, counts them all."""
+
+            multi_frames = 0
+            search_frames = 0
 
             def dispatch(self, request):
-                if (
-                    isinstance(request, dict)
-                    and request.get("op") == "multi_search"
-                ):
-                    request = {**request, "op": "multi_search_unknown"}
+                op = request.get("op") if isinstance(request, dict) else None
+                if op == "search":
+                    self.search_frames += 1
+                if op == "multi_search":
+                    self.multi_frames += 1
+                    if self.multi_frames == 1:
+                        return {
+                            "error": {
+                                "type": "ReproError",
+                                "message": "internal error: KeyError",
+                            }
+                        }
                 return super().dispatch(request)
 
-        queries = QUERIES[:4]
-        with open_store(store_path) as mono:
-            want = [
-                {
-                    k: v
-                    for k, v in entry.items()
-                    if k != "estimated_cost"
-                }
-                for entry in QueryService(mono).batch(queries, limit=5)
+        def comparable(entries):
+            return [
+                {k: v for k, v in entry.items() if k != "estimated_cost"}
+                for entry in entries
             ]
-        with OldShardServer(store_path, http_port=None, mux=False) as server:
+
+        first, second = QUERIES[:4], QUERIES[3:]
+        with open_store(store_path) as mono:
+            mono_service = QueryService(mono)
+            want_first = comparable(mono_service.batch(first, limit=5))
+            want_second = comparable(mono_service.batch(second, limit=5))
+        with FlakyShardServer(store_path, http_port=None) as server:
             cluster = _cluster_for([(server, range(NUM_SHARDS))])
             router = RouterBackend(cluster, deadline=5)
             try:
-                service = QueryService(router)
-                got = [
-                    {
-                        k: v
-                        for k, v in entry.items()
-                        if k != "estimated_cost"
-                    }
-                    for entry in service.batch(queries, limit=5)
-                ]
-                assert got == want
-                # batching disabled itself after the first refusal
-                assert router.describe()["pipeline"]["batched_scatter"] is (
-                    False
+                service = QueryService(router, cache_size=0)
+                # the failed scatter costs this batch its batching only:
+                # every query falls back to its own fan-out
+                assert comparable(service.batch(first, limit=5)) == want_first
+                assert server.multi_frames == 1
+                assert server.search_frames == len(first)
+                # the next batch is one multi_search frame again
+                assert (
+                    comparable(service.batch(second, limit=5)) == want_second
                 )
+                assert server.multi_frames == 2
+                assert server.search_frames == len(first)
             finally:
                 router.close()
 
@@ -569,7 +792,7 @@ class TestBackpressure:
             store_path, http_port=None, workers=1, max_in_flight=1
         ) as server:
             host, port = server.address
-            client = ShardClient(host, port, wire="legacy")
+            client = ShardClient(host, port)
             try:
                 assert server._acquire_slot()  # pin the only slot
                 try:
@@ -755,7 +978,6 @@ class TestPipelining:
                 for thread in threads:
                     thread.join(timeout=30)
                 assert not failures, failures[:3]
-                assert client.mode == "mux"
                 snap = client.wire_stats.snapshot()
                 assert snap["frames_sent"] == 12 * 5
                 assert snap["frames_received"] == 12 * 5

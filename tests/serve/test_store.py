@@ -1,6 +1,7 @@
 """PatternStore: binary round-trip and equivalence with PatternIndex."""
 
 import random
+import struct
 
 import pytest
 
@@ -8,8 +9,8 @@ from repro.core import Lash, MiningParams
 from repro.errors import EncodingError, StoreCorruptError
 from repro.hierarchy import Hierarchy
 from repro.query import PatternIndex, code_patterns
-from repro.serve import PatternStore, write_store
-from repro.serve.store import HEADER_SIZE
+from repro.serve import PatternStore, open_store, write_store
+from repro.serve.format import HEADER_SIZE, MAGIC, VERSION
 
 
 @pytest.fixture
@@ -187,6 +188,42 @@ class TestCorruption:
         path.write_bytes(data[:-10])
         with pytest.raises(StoreCorruptError, match="truncated"):
             PatternStore.open(path)
+
+
+def patch_store_version(path, version: int) -> None:
+    """Overwrite the header's u16 version field (it follows the magic)."""
+    data = bytearray(path.read_bytes())
+    assert struct.unpack_from("<H", data, len(MAGIC))[0] == VERSION
+    struct.pack_into("<H", data, len(MAGIC), version)
+    path.write_bytes(bytes(data))
+
+
+class TestSingleVersion:
+    """A store directory is single-version: any other header version
+    is refused on open, naming the version found and the way out."""
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_single_file(self, fig1_result, tmp_path, version):
+        path = tmp_path / "other.store"
+        write_store(path, fig1_result.patterns, fig1_result.vocabulary)
+        patch_store_version(path, version)
+        with pytest.raises(EncodingError) as err:
+            open_store(path)
+        message = str(err.value)
+        assert f"unsupported store version {version}" in message
+        assert "lash index build" in message and "re-mine" in message
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_sharded(self, fig1_result, tmp_path, version):
+        path = tmp_path / "other.shards"
+        fig1_result.to_store(path, shards=2)
+        patch_store_version(sorted(path.glob("shard-*.store"))[1], version)
+        with pytest.raises(EncodingError) as err:
+            with open_store(path) as store:
+                store.search("? ?")
+        message = str(err.value)
+        assert f"unsupported store version {version}" in message
+        assert "lash index build" in message
 
 
 class TestChecksums:

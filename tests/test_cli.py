@@ -540,6 +540,34 @@ class TestIndex:
         with PatternStore.open(store_path) as store:
             assert store.describe()["checksums"] is False
 
+    @pytest.mark.parametrize("shards", [None, "2"])
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_info_refuses_other_store_versions(
+        self, mined_patterns, tmp_path, capsys, shards, version
+    ):
+        """A header of any other format version: a one-line error
+        naming the version and the remedy, not a traceback."""
+        from tests.serve.test_store import patch_store_version
+
+        patterns, hierarchy = mined_patterns
+        store = tmp_path / "other.store"
+        main([
+            "index", "build", "--patterns", patterns,
+            "--hierarchy", hierarchy, "--out", str(store),
+            *(["--shards", shards] if shards else []),
+        ])
+        capsys.readouterr()
+        patch_store_version(
+            sorted(store.glob("shard-*.store"))[0] if shards else store,
+            version,
+        )
+        with pytest.raises(SystemExit) as err:
+            main(["index", "info", "--store", str(store)])
+        message = str(err.value.code)
+        assert f"unsupported store version {version}" in message
+        assert "lash index build" in message
+        assert "\n" not in message
+
 
 class TestIndexCompact:
     @pytest.fixture
@@ -737,6 +765,7 @@ class TestDistributedCLI:
             cluster.write_text(json.dumps({
                 "num_shards": 2,
                 "servers": [{"host": host, "port": port}],
+                "pool_size": 4,  # retired key: ignored like any unknown
             }))
             rc = main([
                 "route", "--cluster", str(cluster), "--port", "0",
@@ -745,6 +774,20 @@ class TestDistributedCLI:
         out = capsys.readouterr().out
         assert "routing 2 shards over 1 servers (1 healthy)" in out
         assert "shard 0:" in out and "shard 1:" in out
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["route", "--cluster", "cluster.json", "--pool-size", "2"],
+            ["shard-serve", "--store", "store.shards", "--no-mux"],
+        ],
+    )
+    def test_retired_wire_flags_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestIngestCLI:
