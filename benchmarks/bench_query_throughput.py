@@ -21,8 +21,8 @@ Two batteries over the same mined NYT-slice pattern set:
   and constant overheads dominate).
 
 Results persist to ``BENCH_query.json`` (override with
-``LASH_BENCH_QUERY_OUT``) in the same shape as ``BENCH_router.json``:
-per-class and overall numbers for the perf trajectory.
+``LASH_BENCH_QUERY_OUT``): per-class and overall numbers for the perf
+trajectory.
 """
 
 import json

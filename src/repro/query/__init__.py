@@ -28,7 +28,7 @@ from repro.query.tokens import (
     normalize_query,
     parse_query,
 )
-from repro.query.base import PatternSearchBase
+from repro.query.base import Answer, PatternSearchBase
 from repro.query.build import (
     code_patterns,
     merge_pattern_sets,
@@ -37,6 +37,7 @@ from repro.query.build import (
 from repro.query.index import PatternIndex, QueryMatch
 
 __all__ = [
+    "Answer",
     "PatternSearchBase",
     "code_patterns",
     "merge_pattern_sets",

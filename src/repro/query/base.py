@@ -119,8 +119,28 @@ class QueryMatch:
         return f"QueryMatch({self.render()!r}, {self.frequency})"
 
 
+@dataclass(frozen=True)
+class Answer:
+    """One backend read with the per-request facts that belong to it:
+    ``partial`` is the degradation info of the fan-out that produced it
+    (``None`` when complete; only the distributed router can answer
+    partially), the watermarks are those of the backend that produced
+    ``matches`` — so a response cannot be stamped from a different
+    generation than the one that answered."""
+
+    matches: list[QueryMatch]
+    partial: dict | None = None
+    ingested_through: int | None = None
+    retained_from: int | None = None
+
+
 class PatternSearchBase:
     """Shared matching engine over any pattern storage backend."""
+
+    #: freshness watermarks of the generation this backend serves;
+    #: ``None`` on anything never touched by ``lash ingest``
+    ingested_through: int | None = None
+    retained_from: int | None = None
 
     #: compiled query plans retained per backend (plans hold bitmaps in
     #: this backend's pattern-index coordinates, so they cannot be
@@ -304,6 +324,35 @@ class PatternSearchBase:
             if limit is not None and len(matches) >= limit:
                 break
         return matches
+
+    # the serving tier's reads: the same answers as ``search``/``top``,
+    # as an :class:`Answer`.  A local backend always answers completely
+    # and stamps its own watermarks; ``cost`` (the caller's estimate for
+    # this query) matters only to a backend with a deadline to scale.
+
+    def search_answer(
+        self,
+        query,
+        limit: int | None = None,
+        min_freq: int | None = None,
+        cost: float | None = None,
+    ) -> Answer:
+        return self._answer(self.search(query, limit, min_freq))
+
+    def top_answer(self, n: int) -> Answer:
+        return self._answer(self.top(n))
+
+    def _answer(self, matches: list[QueryMatch]) -> Answer:
+        return Answer(
+            matches, None, self.ingested_through, self.retained_from
+        )
+
+    def prefetch(self, pairs) -> dict:
+        """Answers fetched ahead for an iterable of ``(tokens,
+        min_freq)`` pairs, keyed by pair; a local backend has nothing
+        to gain from batching, so it neither reads ``pairs`` nor parks
+        anything."""
+        return {}
 
     def count(self, query, min_freq: int | None = None) -> int:
         """Number of indexed patterns matching the query."""
@@ -916,6 +965,7 @@ class PatternSearchBase:
 
 
 __all__ = [
+    "Answer",
     "PatternSearchBase",
     "QueryMatch",
     "Pattern",

@@ -78,6 +78,26 @@ def render_metrics(stats: dict) -> str:
         lines.append(f"# TYPE {name} {kind}")
         lines.append(f"{name}{labels} {value}")
 
+    def emit_histogram(name: str, help_: str, series) -> None:
+        """One histogram family: ``series`` yields ``(label, snapshot)``
+        pairs, ``label`` being ``key="value"`` or ``""`` for an
+        unlabeled family."""
+        lines.append(f"# HELP {name} {help_}")
+        lines.append(f"# TYPE {name} histogram")
+        for label, hist in series:
+            prefix = f"{label}," if label else ""
+            suffix = f"{{{label}}}" if label else ""
+            for bound, cumulative in hist["buckets"]:
+                lines.append(
+                    f'{name}_bucket{{{prefix}le="{format(bound, "g")}"}} '
+                    f"{cumulative}"
+                )
+            lines.append(
+                f'{name}_bucket{{{prefix}le="+Inf"}} {hist["count"]}'
+            )
+            lines.append(f'{name}_sum{suffix} {hist["sum_seconds"]}')
+            lines.append(f'{name}_count{suffix} {hist["count"]}')
+
     emit(
         "lash_patterns", "gauge",
         "Patterns in the served store.", stats["patterns"],
@@ -127,20 +147,12 @@ def render_metrics(stats: dict) -> str:
         )
         cost = admission.get("cost")
         if cost and cost["count"]:
-            name = "lash_query_cost_units"
-            lines.append(
-                f"# HELP {name} Estimated query cost at admission time "
-                "(planner work units, cache misses only)."
+            emit_histogram(
+                "lash_query_cost_units",
+                "Estimated query cost at admission time "
+                "(planner work units, cache misses only).",
+                [("", cost)],
             )
-            lines.append(f"# TYPE {name} histogram")
-            for bound, cumulative in cost["buckets"]:
-                lines.append(
-                    f'{name}_bucket{{le="{format(bound, "g")}"}} '
-                    f"{cumulative}"
-                )
-            lines.append(f'{name}_bucket{{le="+Inf"}} {cost["count"]}')
-            lines.append(f'{name}_sum {cost["sum_seconds"]}')
-            lines.append(f'{name}_count {cost["count"]}')
     store = stats.get("store")
     if store:
         # the router backend describes a cluster, not a local file set
@@ -206,30 +218,15 @@ def render_metrics(stats: dict) -> str:
                     )
             fanout = store.get("fanout_latency")
             if fanout:
-                name = "lash_router_fanout_latency_seconds"
-                lines.append(
-                    f"# HELP {name} Shard-server round-trip time per "
-                    "shard (each fan-out request observed for every "
-                    "shard it covered)."
+                emit_histogram(
+                    "lash_router_fanout_latency_seconds",
+                    "Shard-server round-trip time per shard (each fan-out "
+                    "request observed for every shard it covered).",
+                    (
+                        (f'shard="{shard}"', hist)
+                        for shard, hist in fanout.items()
+                    ),
                 )
-                lines.append(f"# TYPE {name} histogram")
-                for shard, hist in fanout.items():
-                    label = f'shard="{shard}"'
-                    for bound, cumulative in hist["buckets"]:
-                        lines.append(
-                            f'{name}_bucket{{{label},'
-                            f'le="{format(bound, "g")}"}} {cumulative}'
-                        )
-                    lines.append(
-                        f'{name}_bucket{{{label},le="+Inf"}} '
-                        f'{hist["count"]}'
-                    )
-                    lines.append(
-                        f'{name}_sum{{{label}}} {hist["sum_seconds"]}'
-                    )
-                    lines.append(
-                        f'{name}_count{{{label}}} {hist["count"]}'
-                    )
     frontend = stats.get("frontend")
     if frontend:
         emit(
@@ -320,24 +317,15 @@ def render_metrics(stats: dict) -> str:
             )
     latency = stats.get("request_latency")
     if latency:
-        name = "lash_request_latency_seconds"
-        lines.append(
-            f"# HELP {name} Request wall time by endpoint "
-            "(tracked requests, errors included)."
+        emit_histogram(
+            "lash_request_latency_seconds",
+            "Request wall time by endpoint "
+            "(tracked requests, errors included).",
+            (
+                (f'endpoint="{endpoint}"', hist)
+                for endpoint, hist in latency.items()
+            ),
         )
-        lines.append(f"# TYPE {name} histogram")
-        for endpoint, hist in latency.items():
-            label = f'endpoint="{endpoint}"'
-            for bound, cumulative in hist["buckets"]:
-                lines.append(
-                    f'{name}_bucket{{{label},le="{format(bound, "g")}"}} '
-                    f"{cumulative}"
-                )
-            lines.append(
-                f'{name}_bucket{{{label},le="+Inf"}} {hist["count"]}'
-            )
-            lines.append(f'{name}_sum{{{label}}} {hist["sum_seconds"]}')
-            lines.append(f'{name}_count{{{label}}} {hist["count"]}')
     return "\n".join(lines) + "\n"
 
 

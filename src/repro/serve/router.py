@@ -9,10 +9,10 @@ uses, so the merged answer is byte-identical to a single-process
 manifest.
 
 :class:`RouterBackend` implements the backend surface
-:class:`~repro.serve.service.QueryService` consumes (``search``,
-``top``, ``__len__``, ``describe``, ``close``), which means the whole
-existing HTTP layer — endpoints, error mapping, metrics — serves a
-cluster unchanged.
+:class:`~repro.serve.service.QueryService` consumes (``search_answer``,
+``top_answer``, ``prefetch``, ``estimate_cost``, ``__len__``,
+``describe``, ``close``), which means the whole existing HTTP layer —
+endpoints, error mapping, metrics — serves a cluster unchanged.
 
 Placement and failover:
 
@@ -29,9 +29,9 @@ Placement and failover:
   from later plans until a health check (``/healthz`` of the shard
   server's HTTP sidecar, or a socket ping) revives them.
 * If a shard's replica set is exhausted the query **degrades**: the
-  answer covers the reachable shards and the response is flagged
-  partial (:meth:`RouterBackend.take_partial`) instead of failing —
-  and partial answers are never cached upstream.
+  answer covers the reachable shards and says so in its
+  :attr:`~repro.query.base.Answer.partial` instead of failing — and
+  partial answers are never cached upstream.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from repro.errors import (
     StoreCorruptError,
 )
 from repro.mapreduce.engine import stable_hash
-from repro.query.base import QueryMatch
+from repro.query.base import Answer, QueryMatch
 from repro.query.cost import CostEstimate
 from repro.query.tokens import normalize_query
 from repro.serve.protocol import (
@@ -522,6 +522,18 @@ class ShardClient:
 # ----------------------------------------------------------------------
 
 
+def deadline_fraction(cost: float | None) -> float:
+    """Share of the deadline budget a fan-out priced at ``cost`` gets.
+
+    Cheap lookups fail over fast instead of waiting a broad-scan
+    budget, expensive scans keep the full deadline; without an estimate
+    the full budget stands.
+    """
+    if cost is None:
+        return 1.0
+    return min(1.0, max(MIN_DEADLINE_FRACTION, cost / COST_FULL_DEADLINE))
+
+
 def _record_key(record) -> tuple[int, tuple[int, ...]]:
     # the wire record is (coded, frequency, names); rank order is the
     # shared (-frequency, coded) so merged streams interleave exactly
@@ -529,14 +541,37 @@ def _record_key(record) -> tuple[int, tuple[int, ...]]:
     return (-record[1], record[0])
 
 
+def _decode_records(raw) -> list[tuple]:
+    return [
+        (tuple(coded), frequency, tuple(names))
+        for coded, frequency, names in raw
+    ]
+
+
+def _parse_records(response, key: str) -> list[tuple]:
+    """One server's answer to ``search``/``top``: its record list."""
+    raw = response.get("records") if isinstance(response, dict) else None
+    if raw is None:
+        raise StoreCorruptError(f"server {key} sent a malformed response")
+    return _decode_records(raw)
+
+
+def _to_matches(records) -> list[QueryMatch]:
+    return [QueryMatch(names, frequency) for _, frequency, names in records]
+
+
 class RouterBackend:
     """Fan-out search backend over a cluster of shard servers.
 
     Duck-types the slice of the backend surface ``QueryService`` uses:
-    ``search``/``top`` (returning :class:`QueryMatch` lists in the
-    canonical rank order), ``__len__``, ``describe`` and ``close`` —
-    plus :meth:`take_partial`, which the service layer polls after each
-    backend call to learn whether the answer degraded.
+    ``search_answer``/``top_answer`` (an
+    :class:`~repro.query.base.Answer`: :class:`QueryMatch` lists in the
+    canonical rank order, plus whether that very fan-out degraded),
+    ``prefetch``, ``estimate_cost``, ``__len__``, ``describe`` and
+    ``close``.  ``search``/``top`` are the same reads for embedded
+    callers who only want the list.  Nothing about a request is kept
+    on the router between calls: what a fan-out needs comes in as
+    arguments, what it learned goes out on the answer.
 
     Not a :class:`~repro.query.base.PatternSearchBase`: the router
     holds no vocabulary and no postings, only sockets.
@@ -599,7 +634,6 @@ class RouterBackend:
         self._estimate_cache: OrderedDict[tuple, CostEstimate] = (
             OrderedDict()
         )
-        self._tls = threading.local()
         self._health_stop: threading.Event | None = None
         self._health_thread: threading.Thread | None = None
 
@@ -693,22 +727,25 @@ class RouterBackend:
     def _scatter(
         self,
         make_payload: Callable[[list[int]], dict],
-        parse: Callable | None = None,
-    ) -> tuple[list[list], dict]:
+        parse: Callable = _parse_records,
+        cost: float | None = None,
+    ) -> tuple[list[list], dict | None]:
         """Fan one request out across the cluster.
 
-        Returns ``(group_records, partial_info)`` where each element of
-        ``group_records`` is one server's parsed answer (by default its
-        rank-ordered record list; ``parse(response, key)`` overrides
-        the extraction, e.g. for ``multi_search`` result lists) and
-        ``partial_info`` is ``{}`` when every shard answered, else
+        Returns ``(group_records, partial)`` where each element of
+        ``group_records`` is one server's answer as ``parse(response,
+        key)`` extracted it (by default its rank-ordered record list;
+        ``multi_search`` passes its own for per-query result lists) and
+        ``partial`` is ``None`` when every shard answered, else
         ``{"missing_shards": [...], "failed_servers": [...]}``.
 
         Each shard gets at most two attempts (primary pick + one
-        failover replica), all under a single deadline budget.
+        failover replica), all under a single deadline budget — the
+        configured deadline scaled by :func:`deadline_fraction` of the
+        caller's ``cost`` estimate for this request.
         """
         deadline = time.monotonic() + (
-            self._deadline * self._take_deadline_fraction()
+            self._deadline * deadline_fraction(cost)
         )
         with self._lock:
             self._fanouts += 1
@@ -773,7 +810,7 @@ class RouterBackend:
                     pending.extend(shards)
             if error is not None:
                 raise error
-        partial: dict = {}
+        partial: dict | None = None
         if pending:
             with self._lock:
                 self._partials += 1
@@ -791,7 +828,7 @@ class RouterBackend:
         shards: list[int],
         make_payload: Callable[[list[int]], dict],
         deadline: float,
-        parse: Callable | None = None,
+        parse: Callable,
     ):
         """One server request covering ``shards``; returns
         ``(records, failure)`` with exactly one of the two set."""
@@ -801,22 +838,7 @@ class RouterBackend:
             response = self._clients[key].request(
                 make_payload(shards), timeout
             )
-            if parse is not None:
-                records = parse(response, key)
-            else:
-                raw = (
-                    response.get("records")
-                    if isinstance(response, dict)
-                    else None
-                )
-                if raw is None:
-                    raise StoreCorruptError(
-                        f"server {key} sent a malformed response"
-                    )
-                records = [
-                    (tuple(coded), frequency, tuple(names))
-                    for coded, frequency, names in raw
-                ]
+            records = parse(response, key)
         except Exception as exc:  # noqa: BLE001 - sorted by the caller
             return None, exc
         finally:
@@ -825,32 +847,6 @@ class RouterBackend:
                 for shard in shards:
                     self._shard_hists[shard].observe(elapsed)
         return records, None
-
-    def _set_partial(self, partial: dict) -> None:
-        self._tls.partial = partial or None
-
-    def take_partial(self) -> dict | None:
-        """Degradation info for the *calling thread's* latest query
-        (``None`` when it covered every shard).  Reading clears it."""
-        partial = getattr(self._tls, "partial", None)
-        self._tls.partial = None
-        return partial
-
-    def _take_deadline_fraction(self) -> float:
-        """Deadline scale for this thread's next fan-out, consumed once.
-
-        A query :meth:`estimate_cost` just priced inherits a deadline
-        proportional to its estimate — cheap lookups fail over fast
-        instead of waiting a broad-scan budget, expensive scans keep
-        the full deadline.  Without an estimate the full budget stands.
-        """
-        cost = getattr(self._tls, "last_cost", None)
-        self._tls.last_cost = None
-        if cost is None:
-            return 1.0
-        return min(
-            1.0, max(MIN_DEADLINE_FRACTION, cost / COST_FULL_DEADLINE)
-        )
 
     # ------------------------------------------------------------------
     # backend surface
@@ -865,17 +861,16 @@ class RouterBackend:
         One healthy server is asked for its slice's estimate, which is
         scaled by the shard ratio to cover the whole cluster (shards
         partition the patterns, so slice costs extrapolate linearly).
-        Estimates are cached per normalized query, and the returned
-        cost arms the calling thread's fan-out deadline scale.
+        Estimates are cached per normalized query.  Pricing a query
+        changes nothing about how it (or anything else) later runs: the
+        caller hands the cost to :meth:`search_answer` itself.
         """
         tokens = normalize_query(query)
         with self._lock:
             cached = self._estimate_cache.get(tokens)
             if cached is not None:
                 self._estimate_cache.move_to_end(tokens)
-        if cached is not None:
-            self._tls.last_cost = cached.cost
-            return cached
+                return cached
         wire = encode_tokens(tokens)
         with self._lock:
             ranked = sorted(
@@ -919,26 +914,25 @@ class RouterBackend:
             self._estimate_cache.move_to_end(tokens)
             while len(self._estimate_cache) > _ESTIMATE_CACHE_CAP:
                 self._estimate_cache.popitem(last=False)
-        self._tls.last_cost = estimate.cost
         return estimate
 
     # ------------------------------------------------------------------
     # batched scatter (the /batch endpoint's wire path)
     # ------------------------------------------------------------------
 
-    def prefetch(self, pairs) -> None:
+    def prefetch(self, pairs) -> dict:
         """Fetch many queries in one ``multi_search`` frame per server.
 
-        ``pairs`` is a list of ``(normalized_tokens, min_freq)`` the
-        caller is about to :meth:`search`; answers are parked on the
-        calling thread and consumed (popped) by matching ``search``
-        calls, so a batch pays one scatter instead of one per query.
-        Per-query errors are parked too and re-raised by the matching
-        ``search`` — identical outcomes to the per-query wire path.
+        ``pairs`` iterates ``(normalized_tokens, min_freq)``; the
+        return value maps each pair to its unlimited
+        :class:`~repro.query.base.Answer` — or to the
+        :class:`~repro.errors.ReproError` that query earned — so a
+        batch pays one scatter instead of one per query, with outcomes
+        identical to the per-query wire path.  The caller owns the map.
 
-        Best-effort by design: a scatter that fails as a whole parks
-        nothing, and no parked answer ⇒ ``search`` just fans out as
-        usual and reports whatever went wrong.
+        Best-effort by design: a scatter that fails as a whole returns
+        nothing, and a pair missing from the map just goes through
+        :meth:`search_answer`, which reports whatever went wrong.
         """
         unique: list[tuple] = []
         seen: set[tuple] = set()
@@ -948,7 +942,7 @@ class RouterBackend:
                 seen.add(key)
                 unique.append(key)
         if len(unique) < 2:
-            return  # a single query gains nothing over the plain path
+            return {}  # a single query gains nothing over the plain path
         queries = [
             {
                 "tokens": encode_tokens(tokens),
@@ -983,86 +977,48 @@ class RouterBackend:
                 elif isinstance(entry, dict) and isinstance(
                     entry.get("records"), list
                 ):
-                    parsed.append(
-                        [
-                            (tuple(coded), frequency, tuple(names))
-                            for coded, frequency, names in entry["records"]
-                        ]
-                    )
+                    parsed.append(_decode_records(entry["records"]))
                 else:
                     raise StoreCorruptError(
                         f"server {key} sent a malformed multi_search entry"
                     )
             return parsed
 
-        # the batched scatter does many queries' work: it gets the full
-        # deadline budget, never a stale single-query fraction left by
-        # an estimate whose fan-out was satisfied from a parked answer
-        self._tls.last_cost = None
+        # the batched scatter does many queries' work: no single
+        # query's cost scales it, it gets the full deadline budget
         try:
             groups, partial = self._scatter(make_payload, parse=parse)
         except ReproError:
-            return
-        prefetched: dict = {}
+            return {}
+        parked: dict = {}
         for index, key in enumerate(unique):
-            streams = []
-            error: BaseException | None = None
-            for group in groups:
-                entry = group[index]
-                if isinstance(entry, BaseException):
-                    error = entry
-                else:
-                    streams.append(entry)
+            entries = [group[index] for group in groups]
+            error = next(
+                (e for e in entries if isinstance(e, BaseException)), None
+            )
             if error is not None:
-                prefetched[key] = (error, partial)
+                parked[key] = error
             else:
-                merged = list(heapq.merge(*streams, key=_record_key))
-                prefetched[key] = (merged, partial)
-        self._tls.prefetched = prefetched
+                merged = heapq.merge(*entries, key=_record_key)
+                parked[key] = Answer(_to_matches(merged), partial)
+        return parked
 
-    def discard_prefetch(self) -> None:
-        """Drop the calling thread's parked batch answers (the batch
-        loop's cleanup — never let one batch's answers leak into the
-        next)."""
-        self._tls.prefetched = None
-
-    def _take_prefetched(self, tokens, min_freq):
-        prefetched = getattr(self._tls, "prefetched", None)
-        if not prefetched:
-            return None
-        return prefetched.pop((tokens, min_freq), None)
-
-    def search(
+    def search_answer(
         self,
         query,
         limit: int | None = None,
         min_freq: int | None = None,
-    ) -> list[QueryMatch]:
+        cost: float | None = None,
+    ) -> Answer:
         """Fan the normalized query out and merge the partial answers.
 
         Per-shard σ cuts compose (rank order makes ``min_freq`` a
         stream prefix) and ``limit`` pushes down as a per-server upper
-        bound, re-applied globally after the merge.
+        bound, re-applied globally after the merge.  ``cost`` is the
+        caller's estimate for this query (:meth:`estimate_cost`); it
+        scales this fan-out's deadline and nothing else.
         """
-        normalized = normalize_query(query)
-        parked = self._take_prefetched(normalized, min_freq)
-        if parked is not None:
-            # no fan-out happens: drop the deadline fraction this
-            # query's estimate armed, or it would leak into the next
-            # unrelated scatter on this thread
-            self._tls.last_cost = None
-            result, partial = parked
-            self._set_partial(partial)
-            if isinstance(result, BaseException):
-                raise result
-            # the parked answer is the full merged stream (limit=None),
-            # so any limit is a prefix of it — identical to push-down
-            matches = result if limit is None else result[:limit]
-            return [
-                QueryMatch(names, frequency)
-                for _, frequency, names in matches
-            ]
-        tokens = encode_tokens(normalized)
+        tokens = encode_tokens(normalize_query(query))
 
         def make_payload(shards: list[int]) -> dict:
             return {
@@ -1074,16 +1030,21 @@ class RouterBackend:
                 "min_freq": min_freq,
             }
 
-        groups, partial = self._scatter(make_payload)
+        groups, partial = self._scatter(make_payload, cost=cost)
         merged = heapq.merge(*groups, key=_record_key)
         if limit is not None:
             merged = itertools.islice(merged, limit)
-        self._set_partial(partial)
-        return [
-            QueryMatch(names, frequency) for _, frequency, names in merged
-        ]
+        return Answer(_to_matches(merged), partial)
 
-    def top(self, n: int) -> list[QueryMatch]:
+    def search(
+        self,
+        query,
+        limit: int | None = None,
+        min_freq: int | None = None,
+    ) -> list[QueryMatch]:
+        return self.search_answer(query, limit, min_freq).matches
+
+    def top_answer(self, n: int) -> Answer:
         """Global top-``n``: per-server top-``n`` streams merged, first
         ``n`` kept."""
 
@@ -1097,10 +1058,10 @@ class RouterBackend:
 
         groups, partial = self._scatter(make_payload)
         merged = itertools.islice(heapq.merge(*groups, key=_record_key), n)
-        self._set_partial(partial)
-        return [
-            QueryMatch(names, frequency) for _, frequency, names in merged
-        ]
+        return Answer(_to_matches(merged), partial)
+
+    def top(self, n: int) -> list[QueryMatch]:
+        return self.top_answer(n).matches
 
     def __len__(self) -> int:
         """Total patterns across the cluster's shards.

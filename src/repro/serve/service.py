@@ -12,7 +12,11 @@ counters a production deployment would export: served queries, cache
 hit-rate, error count and cumulative latency.
 
 All entry points are thread-safe; the HTTP layer calls them from one
-thread per request.
+thread per request.  Nothing about a request lives on the service or on
+its backend between calls: each entry point fixes a :class:`_Request`
+(the backend it will use, the cache epoch that backend belongs to, a
+batch's pre-fetched answers) and passes it down, and every backend read
+comes back as one :class:`~repro.query.base.Answer`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import bisect
 import threading
 import time
 from collections import OrderedDict
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.analysis.costmodel import MATCH_BUDGET_DEFAULT
 from repro.analysis.costmodel import COST_BUCKETS as _COST_BUCKETS
@@ -96,12 +100,60 @@ def _render(matches: Sequence[QueryMatch]) -> list[dict]:
     ]
 
 
+def _freshness(source) -> dict:
+    """The freshness fields of an answer or a backend: its ingest
+    watermark and, with it, its retention horizon; ``{}`` for anything
+    never touched by ``lash ingest``."""
+    watermark = getattr(source, "ingested_through", None)
+    if watermark is None:
+        return {}
+    retained = getattr(source, "retained_from", None)
+    if retained is None:
+        return {"ingested_through": watermark}
+    return {"ingested_through": watermark, "retained_from": retained}
+
+
 def error_message(exc: ReproError) -> str:
     """Client-facing message; KeyError-derived errors (UnknownItemError)
     repr-quote their ``str()``, so prefer the raw argument."""
     if exc.args and isinstance(exc.args[0], str):
         return exc.args[0]
     return str(exc)
+
+
+class _Request(NamedTuple):
+    """Per-request facts, fixed once when the request enters."""
+
+    #: every read of this request goes to this backend, whatever
+    #: ``swap_backend`` does meanwhile
+    backend: PatternSearchBase
+    #: the cache epoch ``backend`` was current in: the request reads and
+    #: writes the cache only while that still is the epoch
+    epoch: int
+    #: a batch's pre-fetched ``(tokens, min_freq) -> Answer | ReproError``
+    parked: dict
+
+
+class _Found(NamedTuple):
+    """The limit-independent result set of one normalized query: what
+    ``_search`` hands ``query``/``count`` and, minus ``matches``, what a
+    cache entry holds."""
+
+    #: the first ``max_cached_matches`` matches, rendered
+    rendered: list[dict]
+    count: int
+    total: int
+    tokens: tuple
+    #: the canonical σ override (``0`` reads as ``None``)
+    min_freq: int | None
+    cost: float | None
+    #: watermarks of the backend that produced the matches
+    ingested_through: int | None
+    retained_from: int | None
+    partial: dict | None = None
+    #: the raw match list, on the miss that computed it only — lets the
+    #: caller serve beyond the rendered prefix without re-searching
+    matches: list[QueryMatch] | None = None
 
 
 class QueryService:
@@ -174,10 +226,9 @@ class QueryService:
         self._max_cost = max_cost
         self._budget_cost = budget_cost
         self._match_budget = match_budget
-        self._cache: OrderedDict[tuple, dict] = OrderedDict()
-        #: estimated recomputation cost per cache key — the weight the
-        #: LRU uses when picking an eviction victim
-        self._cache_costs: dict[tuple, float] = {}
+        #: key -> (entry, estimated recomputation cost — the weight the
+        #: LRU uses when picking an eviction victim)
+        self._cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._lock = threading.Lock()
         self._queries = 0
         self._cache_hits = 0
@@ -211,7 +262,6 @@ class QueryService:
             old = self._backend
             self._backend = backend
             self._cache.clear()
-            self._cache_costs.clear()
             self._epoch += 1
         return old
 
@@ -249,85 +299,75 @@ class QueryService:
         are matched, counted and massed (the filter runs server-side,
         before ``limit``).
         """
+        return self._query(self._context(), query, limit, min_freq)
+
+    def _query(
+        self,
+        ctx: _Request,
+        query: str,
+        limit: int | None,
+        min_freq: int | None,
+    ) -> dict:
         if limit is not None and limit < 1:
             self._reject(f"limit must be >= 1 or null, got {limit}")
-        (
-            (rendered, count, total),
-            hit,
-            matches,
-            tokens,
-            min_freq,
-            partial,
-            cost,
-        ) = self._search(query, min_freq)
-        wanted = count if limit is None else min(limit, count)
-        if wanted <= len(rendered):
-            shown = rendered[:wanted]
-        elif matches is not None:
+        found = self._search(ctx, query, min_freq)
+        wanted = found.count if limit is None else min(limit, found.count)
+        if wanted <= len(found.rendered):
+            shown = found.rendered[:wanted]
+        elif found.matches is not None:
             # a miss just computed the full match list; render the part
             # beyond the cached prefix from it instead of re-searching
-            shown = _render(matches[:wanted])
+            shown = _render(found.matches[:wanted])
         else:
             # hit on a capped entry that can't cover the request: one
             # full re-search, latency-accounted and not a cache hit
             start = time.perf_counter()
-            shown = _render(
-                self._backend.search(tokens, limit=limit, min_freq=min_freq)
+            answer = ctx.backend.search_answer(
+                found.tokens, limit=limit, min_freq=found.min_freq
             )
-            partial = self._take_partial() or partial
+            shown = _render(answer.matches)
+            found = found._replace(partial=answer.partial)
             with self._lock:
                 self._latency_s += time.perf_counter() - start
                 self._cache_hits -= 1
-        result = {
-            "query": query,
-            "matches": shown,
-            "count": count,
-            "total_frequency": total,
-            "truncated": count > len(shown),
-        }
-        if min_freq is not None:
-            result["min_freq"] = min_freq
-        if partial is not None:
-            result["partial"] = partial
-        if cost is not None:
-            # present on computed (cache-miss) answers only: hits skip
-            # the estimator entirely, which is the point of the cache
-            result["estimated_cost"] = round(cost, 1)
-        self._stamp_freshness(result)
-        return result
+        return self._annotate(
+            {
+                "query": query,
+                "matches": shown,
+                "count": found.count,
+                "total_frequency": found.total,
+                "truncated": found.count > len(shown),
+            },
+            found,
+        )
 
     def count(self, query: str, min_freq: int | None = None) -> dict:
         """Match count and frequency mass only (no result list)."""
-        (_, count, total), _hit, _matches, _tokens, min_freq, partial, cost = (
-            self._search(query, min_freq)
+        found = self._search(self._context(), query, min_freq)
+        return self._annotate(
+            {
+                "query": query,
+                "count": found.count,
+                "total_frequency": found.total,
+            },
+            found,
         )
-        result = {
-            "query": query,
-            "count": count,
-            "total_frequency": total,
-        }
-        if min_freq is not None:
-            result["min_freq"] = min_freq
-        if partial is not None:
-            result["partial"] = partial
-        if cost is not None:
-            result["estimated_cost"] = round(cost, 1)
-        self._stamp_freshness(result)
-        return result
 
-    def _stamp_freshness(self, result: dict) -> None:
-        """Attach the per-query freshness bound: the ingest watermark of
-        the backend that produced this answer.  Stamped at response time
-        (never cached with the entry) so an answer served from cache
-        after a compaction swap reports the *live* backend's bound —
-        exactly what the answer now reflects, since swaps bump the cache
-        epoch and flush stale entries."""
-        watermark = getattr(self._backend, "ingested_through", None)
-        if watermark is not None:
-            result["ingested_through"] = watermark
-            retained = getattr(self._backend, "retained_from", None)
-            if retained is not None:
-                result["retained_from"] = retained
+    @staticmethod
+    def _annotate(result: dict, found: _Found) -> dict:
+        """The optional tail ``/query`` and ``/count`` responses share.
+        The freshness bound is the watermark of the backend that
+        produced the matches (a cache entry lives exactly as long as
+        its backend is the served one), never re-read from whatever
+        backend is live by the time the response is built."""
+        if found.min_freq is not None:
+            result["min_freq"] = found.min_freq
+        if found.partial is not None:
+            result["partial"] = found.partial
+        if found.cost is not None:
+            result["estimated_cost"] = round(found.cost, 1)
+        result.update(_freshness(found))
+        return result
 
     def topk(self, n: int = DEFAULT_LIMIT) -> dict:
         """The ``n`` globally most frequent patterns (``n >= 1``).
@@ -343,39 +383,100 @@ class QueryService:
         if n < 1:
             self._reject(f"n must be >= 1, got {n}")
         n = min(n, self._max_cached_matches)
-        spill: dict = {}
+        ctx = self._context()
 
-        def compute(key: tuple) -> dict:
-            matches = self._backend.top(key[2])
-            spill["partial"] = self._take_partial()
-            return {"k": key[2], "matches": _render(matches)}
+        def compute():
+            answer = ctx.backend.top_answer(n)
+            value = {"k": n, "matches": _render(answer.matches)}
+            if answer.partial is not None:
+                return {**value, "partial": answer.partial}, None, None
+            return value, value, None
 
-        value, _hit = self._cached(
-            ("topk", "", n),
-            compute,
-            should_cache=lambda _v: spill.get("partial") is None,
-        )
-        partial = spill.get("partial")
-        if partial is not None:
-            # never mutate what may sit in the cache
-            value = {**value, "partial": partial}
-        return value
+        return self._cached(ctx, ("topk", "", n), compute)
 
-    def _search(self, query: str, min_freq: int | None = None):
-        """``((rendered, count, total), was_hit, raw_matches_or_None,
-        tokens, min_freq)`` for the full (limit-independent) result
-        set.  The query is parsed here and the cache keyed on the
-        *normalized token tuple* plus the canonical σ override, so
-        syntactic variants — extra whitespace, reordered disjunction
-        alternatives like ``(a|b)``/``(b|a)``, collapsed gap runs, a
-        no-op ``min_freq=0`` — share one entry.  One entry per
-        (normalized query, σ) pair serves every limit and both
-        ``/query`` and ``/count``, with aggregates precomputed so cache
-        hits cost O(limit), not O(matches).  Only the first
-        ``max_cached_matches`` rendered matches are retained (bounding
-        memory on broad queries); on a miss the raw match list is
-        handed back so the caller can serve beyond the prefix without
-        re-searching.
+    def _search(
+        self, ctx: _Request, query: str, min_freq: int | None
+    ) -> _Found:
+        """The full (limit-independent) result set of ``query``.
+
+        The cache is keyed on the *normalized token tuple* plus the
+        canonical σ override (:meth:`_parse`), so syntactic variants —
+        extra whitespace, reordered disjunction alternatives like
+        ``(a|b)``/``(b|a)``, collapsed gap runs, a no-op ``min_freq=0``
+        — share one entry.  One entry per (normalized query, σ) pair
+        serves every limit and both ``/query`` and ``/count``, with
+        aggregates precomputed so cache hits cost O(limit), not
+        O(matches).  Only the first ``max_cached_matches`` rendered
+        matches are retained (bounding memory on broad queries).
+        """
+        try:
+            tokens, min_freq = self._parse(query, min_freq)
+        except ReproError:
+            # rejections before the search are served-and-errored
+            # requests, exactly like those raised inside the backend
+            with self._lock:
+                self._queries += 1
+                self._errors += 1
+            raise
+
+        def compute():
+            # admission runs only on misses: a cached answer is free, so
+            # repeats of an expensive query bypass the gate by design
+            cost = self._admit(ctx, tokens)
+            budget = None
+            if (
+                cost is not None
+                and self._budget_cost is not None
+                and cost > self._budget_cost
+            ):
+                budget = self._match_budget
+                with self._lock:
+                    self._budgeted += 1
+            answer = ctx.parked.pop((tokens, min_freq), None)
+            if answer is None:
+                answer = ctx.backend.search_answer(
+                    tokens, limit=budget, min_freq=min_freq, cost=cost
+                )
+            elif isinstance(answer, ReproError):
+                raise answer
+            matches, partial = answer.matches, answer.partial
+            if budget is not None:
+                # a parked answer is the unlimited stream, so the budget
+                # is a prefix of it — identical to the push-down
+                matches = matches[:budget]
+                if len(matches) >= budget:
+                    # the budget bound the ranking: count and mass below
+                    # cover only the returned prefix, so the answer is
+                    # flagged degraded (which also keeps it uncached)
+                    partial = {
+                        **(partial or {}),
+                        "budgeted": True,
+                        "match_budget": budget,
+                        "estimated_cost": round(cost, 1),
+                    }
+            found = _Found(
+                _render(matches[: self._max_cached_matches]),
+                len(matches),
+                sum(m.frequency for m in matches),
+                tokens,
+                min_freq,
+                cost,
+                answer.ingested_through,
+                answer.retained_from,
+                partial,
+                matches,
+            )
+            # a degraded answer (shard set unreachable mid-query) must
+            # not be served from cache after the cluster heals
+            entry = found._replace(matches=None) if partial is None else None
+            return found, entry, cost
+
+        return self._cached(ctx, ("search", tokens, min_freq), compute)
+
+    @staticmethod
+    def _parse(query: str, min_freq: int | None) -> tuple[tuple, int | None]:
+        """``(normalized tokens, canonical σ)`` — the two halves of the
+        cache key — or the :class:`ReproError` the request earns.
 
         All-negative queries (``!a ?`` — a negation with no positive
         token) are rejected here: with no postings to prune on they
@@ -386,85 +487,19 @@ class QueryService:
             or isinstance(min_freq, bool)
             or min_freq < 0
         ):
-            self._reject(
+            raise InvalidParameterError(
                 f"min_freq must be an integer >= 0 or null, got {min_freq!r}"
             )
         if min_freq == 0:
             min_freq = None  # frequencies are >= 0: σ=0 admits everything
-        try:
-            tokens = normalize_query(query)
-        except ReproError:
-            # parse rejections are served-and-errored requests, exactly
-            # like rejections raised inside the backend search
-            with self._lock:
-                self._queries += 1
-                self._errors += 1
-            raise
+        tokens = normalize_query(query)
         if is_negation_only(tokens):
-            self._reject(
+            raise InvalidParameterError(
                 "all-negative queries are not served (no positive token "
                 "to select candidates by); add at least one item, "
                 "'^name', disjunction or floored token"
             )
-        spill: dict = {}
-
-        def compute(key: tuple) -> tuple[list[dict], int, int]:
-            # admission runs only on misses: a cached answer is free, so
-            # repeats of an expensive query bypass the gate by design
-            cost = self._admit(tokens)
-            spill["cost"] = cost
-            budget = None
-            if (
-                cost is not None
-                and self._budget_cost is not None
-                and cost > self._budget_cost
-            ):
-                budget = self._match_budget
-                with self._lock:
-                    self._budgeted += 1
-            matches = self._backend.search(
-                tokens, limit=budget, min_freq=min_freq
-            )
-            spill["matches"] = matches
-            partial = self._take_partial()
-            if budget is not None and len(matches) >= budget:
-                # the budget bound the ranking: count and mass below
-                # cover only the returned prefix, so the answer is
-                # flagged degraded (and the veto keeps it uncached)
-                partial = dict(partial or ())
-                partial["budgeted"] = True
-                partial["match_budget"] = budget
-                partial["estimated_cost"] = round(cost, 1)
-            spill["partial"] = partial
-            return (
-                _render(matches[: self._max_cached_matches]),
-                len(matches),
-                sum(m.frequency for m in matches),
-            )
-
-        key = ("search", tokens, min_freq)
-        value, hit = self._cached(
-            key,
-            compute,
-            # a degraded answer (shard set unreachable mid-query) must
-            # not be served from cache after the cluster heals
-            should_cache=lambda _v: spill.get("partial") is None,
-            cost=lambda: spill.get("cost"),
-        )
-        if hit:
-            # a hit skipped the estimator; report the cost stored with
-            # the entry so hit and miss responses read identically
-            with self._lock:
-                spill["cost"] = self._cache_costs.get(key)
-        return (
-            value,
-            hit,
-            spill.get("matches"),
-            tokens,
-            min_freq,
-            spill.get("partial"),
-            spill.get("cost"),
-        )
+        return tokens, min_freq
 
     def batch(
         self,
@@ -480,70 +515,41 @@ class QueryService:
         corrupt store is not a per-query problem, though — that one
         propagates so the HTTP layer can answer 503 for the whole batch.
 
-        Against a backend exposing ``prefetch`` (the distributed
-        router), the batch's cache-missing queries go out first as one
-        batched scatter — a single ``multi_search`` frame per server —
-        and the per-query loop below consumes the parked answers.  The
-        answers are identical either way; only the number of wire round
-        trips changes.
+        The batch's cache-missing queries first go to the backend's
+        ``prefetch`` — against the distributed router that is one
+        batched scatter, a single ``multi_search`` frame per server —
+        and the per-query loop below consumes the answers it returned.
+        The answers are identical either way; only the number of wire
+        round trips changes.
         """
-        self._prefetch(queries, min_freq)
-        try:
-            results: list[dict] = []
-            for query in queries:
-                try:
-                    results.append(
-                        self.query(query, limit, min_freq=min_freq)
-                    )
-                except StoreCorruptError:
-                    raise
-                except ReproError as exc:
-                    results.append(
-                        {"query": query, "error": error_message(exc)}
-                    )
-            return results
-        finally:
-            discard = getattr(self._backend, "discard_prefetch", None)
-            if discard is not None:
-                discard()
-
-    def _prefetch(self, queries: Sequence[str], min_freq: int | None) -> None:
-        """Hand the batch's cache-missing queries to the backend's
-        batched-scatter path, when it has one.  Best-effort: parse
-        failures and negation-only queries are skipped here (the
-        per-query loop reports their errors), and a backend without
-        ``prefetch`` makes this a no-op."""
-        prefetch = getattr(self._backend, "prefetch", None)
-        if prefetch is None:
-            return
-        if min_freq is not None:
-            if (
-                not isinstance(min_freq, int)
-                or isinstance(min_freq, bool)
-                or min_freq < 0
-            ):
-                return  # _search will reject it; nothing to prefetch
-            if min_freq == 0:
-                min_freq = None  # the same canonicalization _search does
-        pairs = []
-        seen: set[tuple] = set()
+        ctx = self._context()
+        ctx.parked.update(
+            ctx.backend.prefetch(self._uncached_pairs(queries, min_freq))
+        )
+        results: list[dict] = []
         for query in queries:
             try:
-                tokens = normalize_query(query)
+                results.append(self._query(ctx, query, limit, min_freq))
+            except StoreCorruptError:
+                raise
+            except ReproError as exc:
+                results.append({"query": query, "error": error_message(exc)})
+        return results
+
+    def _uncached_pairs(self, queries: Sequence[str], min_freq: int | None):
+        """The ``(tokens, σ)`` pairs of a batch that the cache cannot
+        answer, lazily — a backend that batches nothing never pays for
+        the parse.  Queries that fail to parse are skipped here; the
+        per-query loop reports their errors."""
+        for query in queries:
+            try:
+                pair = self._parse(query, min_freq)
             except ReproError:
                 continue
-            if is_negation_only(tokens):
-                continue
-            key = ("search", tokens, min_freq)
-            if key in seen:
-                continue
-            seen.add(key)
             with self._lock:
-                if key in self._cache:
+                if ("search", *pair) in self._cache:
                     continue  # a hit never touches the wire anyway
-            pairs.append((tokens, min_freq))
-        if pairs:
-            prefetch(pairs)
+            yield pair
 
     def stats(self) -> dict:
         """Service counters; ``patterns`` comes from the backend header.
@@ -554,10 +560,11 @@ class QueryService:
         patterns live.
         """
         with self._lock:
+            backend = self._backend
             queries = self._queries
             hits = self._cache_hits
             stats = {
-                "patterns": len(self._backend),
+                "patterns": len(backend),
                 "queries": queries,
                 "cache_hits": hits,
                 "cache_hit_rate": round(hits / queries, 4) if queries else 0.0,
@@ -586,17 +593,13 @@ class QueryService:
                 }
             if self._compaction is not None:
                 stats["compaction"] = dict(self._compaction)
-        describe = getattr(self._backend, "describe", None)
+        describe = getattr(backend, "describe", None)
         if describe is not None:
             stats["store"] = describe()
-        watermark = getattr(self._backend, "ingested_through", None)
-        if watermark is not None:
-            freshness = {"ingested_through": watermark}
-            retained = getattr(self._backend, "retained_from", None)
-            if retained is not None:
-                freshness["retained_from"] = retained
+        freshness = _freshness(backend)
+        if freshness:
             stats["freshness"] = freshness
-        plan_stats = getattr(self._backend, "plan_stats", None)
+        plan_stats = getattr(backend, "plan_stats", None)
         if plan_stats is not None:
             # compiled-query-plan cache + execution-path counters (the
             # router backend is not a PatternSearchBase and has none;
@@ -607,7 +610,6 @@ class QueryService:
     def clear_cache(self) -> None:
         with self._lock:
             self._cache.clear()
-            self._cache_costs.clear()
 
     # ------------------------------------------------------------------
     # internals
@@ -621,19 +623,20 @@ class QueryService:
             self._errors += 1
         raise InvalidParameterError(message)
 
-    def _admit(self, tokens) -> float | None:
+    def _context(self) -> _Request:
+        with self._lock:
+            return _Request(self._backend, self._epoch, {})
+
+    def _admit(self, ctx: _Request, tokens) -> float | None:
         """Price the query and apply the admission ceiling.
 
         Returns the estimated cost (``None`` when the backend cannot
-        estimate — e.g. an old remote server), records it in the cost
-        histogram, and raises :class:`QueryRejectedError` when it
+        estimate — e.g. no shard server reachable), records it in the
+        cost histogram, and raises :class:`QueryRejectedError` when it
         crosses ``max_cost``.  Raised *inside* the cache-miss compute,
         so a rejection can never be cached.
         """
-        estimate_fn = getattr(self._backend, "estimate_cost", None)
-        if estimate_fn is None:
-            return None
-        estimate = estimate_fn(tokens)
+        estimate = ctx.backend.estimate_cost(tokens)
         if estimate is None:
             return None
         cost = float(estimate.cost)
@@ -650,40 +653,40 @@ class QueryService:
             )
         return cost
 
-    def _take_partial(self) -> dict | None:
-        """Degradation info from the last backend call, for backends
-        that can answer partially (the distributed router); ``None``
-        for complete answers and for local backends."""
-        take = getattr(self._backend, "take_partial", None)
-        return take() if take is not None else None
-
     #: how far past the LRU end the cost-weighted eviction looks: the
     #: victim is the cheapest-to-recompute entry among the oldest few,
     #: so one stale-but-expensive scan is not dropped for a fresh
     #: lookup that costs nothing to redo
     _EVICT_WINDOW = 8
 
-    def _cached(self, key: tuple, compute, should_cache=None, cost=None):
-        """``(value, was_cache_hit)`` with LRU bookkeeping.
+    def _cached(self, ctx: _Request, key: tuple, compute):
+        """The cached entry for ``key``, else what ``compute`` makes of
+        it, with LRU bookkeeping.
 
-        ``should_cache(value)`` may veto insertion — used to keep
-        degraded (partial) answers out of the cache while still
-        serving them.  ``cost()`` (read after compute) supplies the
-        entry's estimated recomputation cost: eviction picks the
-        cheapest entry among the ``_EVICT_WINDOW`` least-recently-used
-        ones instead of pure recency.
+        ``compute()`` returns ``(value, entry, cost)``: the value to
+        hand back now, the entry later hits get — ``None`` keeps a
+        degraded (partial) answer out of the cache while still serving
+        it — and the entry's estimated recomputation cost: eviction
+        picks the cheapest entry among the ``_EVICT_WINDOW``
+        least-recently-used ones instead of pure recency.
+
+        A request that began under an older epoch (``swap_backend``
+        ran since) answers for a retired backend: it neither reads the
+        new generation's entries nor inserts its own — that would undo
+        the swap's clear and serve stale results indefinitely.
         """
         with self._lock:
             self._queries += 1
-            cached = self._cache.get(key)
+            cached = (
+                self._cache.get(key) if ctx.epoch == self._epoch else None
+            )
             if cached is not None:
                 self._cache_hits += 1
                 self._cache.move_to_end(key)
-                return cached, True
-            epoch = self._epoch
+                return cached[0]
         start = time.perf_counter()
         try:
-            value = compute(key)
+            value, entry, cost = compute()
         except ReproError:
             with self._lock:
                 self._errors += 1
@@ -691,23 +694,16 @@ class QueryService:
         elapsed = time.perf_counter() - start
         with self._lock:
             self._latency_s += elapsed
-            # a swap_backend between the miss and here cleared the
-            # cache for a reason: this value answered for the retired
-            # backend, so inserting it would undo the clear and serve
-            # stale pre-compaction results indefinitely
             if (
                 self._cache_size
-                and epoch == self._epoch
-                and (should_cache is None or should_cache(value))
+                and entry is not None
+                and ctx.epoch == self._epoch
             ):
-                self._cache[key] = value
+                self._cache[key] = (entry, cost)
                 self._cache.move_to_end(key)
-                entry_cost = cost() if cost is not None else None
-                if entry_cost is not None:
-                    self._cache_costs[key] = entry_cost
                 while len(self._cache) > self._cache_size:
                     self._evict_one()
-        return value, False
+        return value
 
     def _evict_one(self) -> None:
         """Drop the cheapest-to-recompute entry among the oldest
@@ -721,11 +717,8 @@ class QueryService:
             window.append(key)
             if len(window) >= cap:
                 break
-        victim = min(
-            window, key=lambda key: self._cache_costs.get(key, 0.0)
-        )
+        victim = min(window, key=lambda key: self._cache[key][1] or 0.0)
         del self._cache[victim]
-        self._cache_costs.pop(victim, None)
         self._cache_evictions += 1
 
 

@@ -793,14 +793,12 @@ def test_differential_router_backend(tmp_path):
                         (m.pattern, m.frequency)
                         for m in mono.search(tokens)
                     ]
-                    got = [
-                        (m.pattern, m.frequency)
-                        for m in router.search(tokens)
-                    ]
+                    answer = router.search_answer(tokens)
+                    got = [(m.pattern, m.frequency) for m in answer.matches]
                     assert got == expected, (
                         f"{context}: {got!r} != mono {expected!r}"
                     )
-                    assert router.take_partial() is None, context
+                    assert answer.partial is None, context
                     if expected:
                         cut = rng.randint(1, len(expected))
                         prefix = [

@@ -308,10 +308,12 @@ class TestReviewRegressions:
             def __init__(self, inner):
                 self._inner = inner
 
-            def search(self, query, limit=None, min_freq=None):
-                matches = self._inner.search(query, limit=limit)
+            def search_answer(
+                self, query, limit=None, min_freq=None, cost=None
+            ):
+                answer = self._inner.search_answer(query, limit=limit)
                 service.swap_backend(self._inner)
-                return matches
+                return answer
 
             def __getattr__(self, name):
                 return getattr(self._inner, name)

@@ -123,10 +123,12 @@ def _cluster_for(servers, num_shards=NUM_SHARDS, full_replica=None):
     return ClusterMap(specs, num_shards=num_shards, placement=placement)
 
 
+def _pairs(matches):
+    return [(m.pattern, m.frequency) for m in matches]
+
+
 def _matches(backend, query, **kwargs):
-    return [
-        (m.pattern, m.frequency) for m in backend.search(query, **kwargs)
-    ]
+    return _pairs(backend.search(query, **kwargs))
 
 
 # ----------------------------------------------------------------------
@@ -474,10 +476,11 @@ class TestRouterByteIdentity:
                     assert _matches(router, tokens, limit=3) == _matches(
                         mono, tokens, limit=3
                     ), query
-                    assert _matches(
-                        router, tokens, min_freq=3
-                    ) == _matches(mono, tokens, min_freq=3), query
-                    assert router.take_partial() is None
+                    floored = router.search_answer(tokens, min_freq=3)
+                    assert _pairs(floored.matches) == _matches(
+                        mono, tokens, min_freq=3
+                    ), query
+                    assert floored.partial is None
                 for n in (1, 5, 100):
                     assert [
                         (m.pattern, m.frequency) for m in router.top(n)
@@ -503,11 +506,12 @@ class TestRouterByteIdentity:
                 s1.stop()
                 for query in QUERIES:
                     tokens = parse_query(query)
-                    assert _matches(router, tokens) == _matches(
+                    answer = router.search_answer(tokens)
+                    assert _pairs(answer.matches) == _matches(
                         mono, tokens
                     ), query
                     # failover absorbed the failure: no degradation
-                    assert router.take_partial() is None, query
+                    assert answer.partial is None, query
                 info = router.describe()
                 assert info["fanout_retries"] >= 1
                 assert info["server_failures"] >= 1
@@ -541,11 +545,11 @@ class TestRouterFailover:
                 killer.start()
                 for round_ in range(12):
                     for query in QUERIES:
-                        got = _matches(router, parse_query(query))
-                        assert got == expected[query], (
+                        answer = router.search_answer(parse_query(query))
+                        assert _pairs(answer.matches) == expected[query], (
                             f"round {round_} query {query!r}"
                         )
-                        assert router.take_partial() is None
+                        assert answer.partial is None
                 info = router.describe()
                 assert info["server_failures"] >= 1
                 assert info["partial_results"] == 0
@@ -566,8 +570,8 @@ class TestRouterFailover:
             try:
                 tokens = parse_query("? ?")
                 s1.stop()
-                got = _matches(router, tokens)
-                partial = router.take_partial()
+                answer = router.search_answer(tokens)
+                got, partial = _pairs(answer.matches), answer.partial
                 assert partial is not None
                 assert partial["missing_shards"] == [0, 1]
                 assert partial["failed_servers"]
@@ -583,8 +587,6 @@ class TestRouterFailover:
                 ]
                 assert got == reachable
                 assert router.describe()["partial_results"] >= 1
-                # take_partial clears per read
-                assert router.take_partial() is None
             finally:
                 router.close()
 
@@ -609,8 +611,8 @@ class TestRouterFailover:
                 assert router.healthy_servers()[key] is False
 
                 retries_before = router.describe()["fanout_retries"]
-                assert router.search(parse_query("? ?"))
-                assert router.take_partial() is None
+                answer = router.search_answer(parse_query("? ?"))
+                assert answer.matches and answer.partial is None
                 assert (
                     router.describe()["fanout_retries"] == retries_before
                 )

@@ -112,10 +112,12 @@ def _cluster_for(servers, num_shards=NUM_SHARDS, full_replica=None):
     return ClusterMap(specs, num_shards=num_shards, placement=placement)
 
 
+def _pairs(matches):
+    return [(m.pattern, m.frequency) for m in matches]
+
+
 def _matches(backend, query, **kwargs):
-    return [
-        (m.pattern, m.frequency) for m in backend.search(query, **kwargs)
-    ]
+    return _pairs(backend.search(query, **kwargs))
 
 
 # ----------------------------------------------------------------------
@@ -630,8 +632,8 @@ class TestKillMidPipeline:
             for round_ in range(6):
                 query = QUERIES[(index + round_) % len(QUERIES)]
                 try:
-                    got = _matches(router, parse_query(query))
-                    partial = router.take_partial()
+                    answer = router.search_answer(parse_query(query))
+                    got, partial = _pairs(answer.matches), answer.partial
                 except Exception as exc:  # noqa: BLE001 - recorded
                     with lock:
                         errors.append(exc)
@@ -831,11 +833,11 @@ class TestBackpressure:
             try:
                 assert primary._acquire_slot()  # saturate the primary
                 try:
-                    got = _matches(router, parse_query("? ?"))
+                    answer = router.search_answer(parse_query("? ?"))
                 finally:
                     primary._release_slot()
-                assert got == expected["? ?"]
-                assert router.take_partial() is None
+                assert _pairs(answer.matches) == expected["? ?"]
+                assert answer.partial is None
                 info = router.describe()
                 assert info["busy_sheds"] >= 1
                 # busy is not dead: the primary stays in the rotation

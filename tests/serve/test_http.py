@@ -9,7 +9,7 @@ import urllib.request
 import pytest
 
 from repro.core import Lash, MiningParams
-from repro.query import PatternIndex
+from repro.query import PatternIndex, PatternSearchBase
 from repro.serve import QueryService, create_server, open_store
 from repro.serve.http import METRICS_CONTENT_TYPE
 
@@ -308,12 +308,15 @@ class TestErrorPaths:
         assert "error" in results[1] and "error" in results[2]
 
 
-class _CorruptBackend:
+class _CorruptBackend(PatternSearchBase):
     """Backend stub whose every search trips integrity validation, the
     way a store with rotten postings would."""
 
     def __len__(self):
         return 0
+
+    def estimate_cost(self, query):
+        return None  # nothing readable to price
 
     def search(self, query, limit=None, min_freq=None):
         from repro.errors import StoreCorruptError

@@ -1,0 +1,401 @@
+"""Per-request facts travel as arguments and come back on the answer.
+
+Nothing about one request may survive on the router or the service
+until the next: a query's cost scales *its own* fan-out deadline (it is
+an argument of ``search_answer``), degradation and freshness are read
+off the :class:`~repro.query.base.Answer` that carries the matches, and
+a batch's pre-fetched answers live in that batch's own map.  The first
+two classes pin bugs of the thread-local design this replaced; both
+fail on the commit before it.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+
+import pytest
+
+from repro.analysis.costmodel import COST_FULL_DEADLINE, MIN_DEADLINE_FRACTION
+from repro.errors import QueryRejectedError, UnknownItemError
+from repro.hierarchy import Hierarchy
+from repro.query import Answer, PatternIndex, code_patterns, parse_query
+from repro.query.tokens import normalize_query
+from repro.serve import QueryService, open_store
+from repro.serve.distributed import ShardServer
+from repro.serve.router import RouterBackend, deadline_fraction
+
+from tests.serve.test_fabric import (  # noqa: F401 - fixtures
+    NUM_SHARDS,
+    QUERIES,
+    _cluster_for,
+    _pairs,
+    expected,
+    mined,
+    store_path,
+)
+
+
+class StallingShardServer(ShardServer):
+    """Sleeps ``stall`` seconds before answering the ops in ``slow``."""
+
+    stall = 0.0
+    slow: frozenset = frozenset()
+
+    def dispatch(self, request):
+        if isinstance(request, dict) and request.get("op") in self.slow:
+            time.sleep(self.stall)
+        return super().dispatch(request)
+
+
+def _stalling(store_path, stall, slow):
+    server = StallingShardServer(store_path, http_port=None)
+    server.stall, server.slow = stall, frozenset(slow)
+    return server
+
+
+# ----------------------------------------------------------------------
+# bug: a rejected query's estimate shrank the *next* fan-out's deadline
+# ----------------------------------------------------------------------
+
+
+class TestCostNeverLeaksIntoTheNextFanOut:
+    def test_topk_after_a_rejected_query_gets_the_full_deadline(
+        self, store_path
+    ):
+        """Admission prices a query, refuses it (429) — and no fan-out
+        ever runs for it.  The next scatter on the same thread is an
+        unrelated ``/topk`` against a server that needs 0.3 × deadline:
+        it must answer complete, not time out at the rejected query's
+        10 % share."""
+        deadline = 2.0
+        with _stalling(store_path, 0.3 * deadline, {"top"}) as server:
+            cluster = _cluster_for([(server, range(NUM_SHARDS))])
+            router = RouterBackend(cluster, deadline=deadline)
+            try:
+                # a ceiling below any estimate: everything is refused
+                service = QueryService(router, max_cost=1e-6)
+                with pytest.raises(QueryRejectedError) as err:
+                    service.query("a ?")
+                assert deadline_fraction(err.value.estimated_cost) < 0.3
+                top = service.topk(5)
+                assert "partial" not in top
+                with open_store(store_path) as mono:
+                    assert top == QueryService(mono).topk(5)
+                assert router.describe()["partial_results"] == 0
+            finally:
+                router.close()
+
+
+# ----------------------------------------------------------------------
+# bug: a miss racing swap_backend was stamped with the new generation's
+# watermark while carrying the old generation's matches
+# ----------------------------------------------------------------------
+
+
+def _index(ingested_through, retained_from):
+    hierarchy = Hierarchy()
+    for root in ("a", "B"):
+        hierarchy.add_item(root)
+    coded, vocabulary = code_patterns(
+        {("a", "B"): 9, ("a",): 12}, hierarchy
+    )
+    index = PatternIndex(coded, vocabulary)
+    index.ingested_through = ingested_through
+    index.retained_from = retained_from
+    return index
+
+
+class TestFreshnessComesFromTheBackendThatAnswered:
+    def test_miss_racing_a_swap_keeps_the_old_watermark(self):
+        old, newer = _index(5, 1), _index(9, 2)
+        service = QueryService(old)
+        original = old.search
+
+        def swapping_search(query, limit=None, min_freq=None):
+            """The compaction daemon swapping mid-search, made
+            deterministic."""
+            matches = original(query, limit=limit, min_freq=min_freq)
+            service.swap_backend(newer)
+            return matches
+
+        old.search = swapping_search
+        raced = service.query("a ?")
+        # the matches came from `old`: so does the freshness bound
+        assert raced["ingested_through"] == 5
+        assert raced["retained_from"] == 1
+        # ... and an answer for a retired backend is never cached
+        assert service.stats()["cache_entries"] == 0
+        assert service.backend is newer
+        fresh = service.query("a ?")
+        assert fresh["ingested_through"] == 9
+        assert fresh["retained_from"] == 2
+        assert service.stats()["cache_entries"] == 1
+        # the cached entry keeps the watermark of the backend behind it
+        assert service.query("a ?") == fresh
+        assert service.count("a ?")["ingested_through"] == 9
+
+    def test_request_that_began_before_a_swap_never_reads_the_new_cache(
+        self,
+    ):
+        """A batch fixes its backend once; entries the next generation
+        cached meanwhile answer for a different pattern set and are
+        neither read nor overwritten by it."""
+        old, newer = _index(5, 1), _index(9, 2)
+        service = QueryService(old)
+        original = old.search
+
+        def swap_and_warm(query, limit=None, min_freq=None):
+            matches = original(query, limit=limit, min_freq=min_freq)
+            if service.backend is old:
+                service.swap_backend(newer)
+                service.query("a")  # the new generation caches "a"
+            return matches
+
+        old.search = swap_and_warm
+        first, second = service.batch(["a ?", "a"])
+        assert first["ingested_through"] == second["ingested_through"] == 5
+        hits = service.stats()["cache_hits"]
+        assert service.query("a")["ingested_through"] == 9
+        assert service.stats()["cache_hits"] == hits + 1
+
+    def test_local_answers_carry_their_backends_watermarks(self):
+        index = _index(7, 3)
+        answer = index.search_answer("a ?")
+        assert answer == Answer(index.search("a ?"), None, 7, 3)
+        assert index.top_answer(1).matches == index.top(1)
+        assert index.prefetch([(normalize_query("a ?"), None)]) == {}
+
+
+# ----------------------------------------------------------------------
+# cost-scaled deadlines, now that cost is an explicit argument
+# ----------------------------------------------------------------------
+
+
+class TestCostScaledDeadline:
+    def test_fraction_is_clamped_and_linear(self):
+        assert deadline_fraction(None) == 1.0
+        assert deadline_fraction(0.0) == MIN_DEADLINE_FRACTION
+        assert deadline_fraction(1.0) == MIN_DEADLINE_FRACTION
+        assert deadline_fraction(COST_FULL_DEADLINE / 2) == 0.5
+        assert deadline_fraction(COST_FULL_DEADLINE) == 1.0
+        assert deadline_fraction(10 * COST_FULL_DEADLINE) == 1.0
+
+    def test_same_stalled_server_different_costs(self, store_path, expected):
+        """One server that needs 0.3 × deadline per search and has no
+        replica: a cheap query gives up on it after its 10 % share and
+        degrades, an unpriced or expensive one waits and is answered."""
+        deadline = 2.0
+        tokens = parse_query("? ?")
+        with _stalling(store_path, 0.3 * deadline, {"search"}) as server:
+            cluster = _cluster_for([(server, range(NUM_SHARDS))])
+            router = RouterBackend(cluster, deadline=deadline)
+            try:
+                start = time.monotonic()
+                cheap = router.search_answer(tokens, cost=1.0)
+                elapsed = time.monotonic() - start
+                assert cheap.partial is not None
+                assert cheap.partial["missing_shards"] == list(
+                    range(NUM_SHARDS)
+                )
+                assert cheap.matches == []
+                assert (
+                    MIN_DEADLINE_FRACTION * deadline * 0.9
+                    <= elapsed
+                    < 0.3 * deadline
+                )
+
+                for cost in (None, COST_FULL_DEADLINE, 5 * COST_FULL_DEADLINE):
+                    start = time.monotonic()
+                    full = router.search_answer(tokens, cost=cost)
+                    elapsed = time.monotonic() - start
+                    assert full.partial is None, cost
+                    assert _pairs(full.matches) == expected["? ?"], cost
+                    assert elapsed >= 0.3 * deadline * 0.9, cost
+
+                # the list API has no cost to pass: full budget
+                assert _pairs(router.search(tokens)) == expected["? ?"]
+                # pricing a query arms nothing: an estimate followed by
+                # an unpriced fan-out still waits for the server
+                estimate = router.estimate_cost(tokens)
+                assert deadline_fraction(estimate.cost) < 0.3
+                assert router.search_answer(tokens).partial is None
+                assert router.top_answer(3).partial is None
+            finally:
+                router.close()
+
+
+# ----------------------------------------------------------------------
+# /batch through a router: the parked map is the batch's own
+# ----------------------------------------------------------------------
+
+
+def _comparable(entries):
+    # cost estimates legitimately differ between a local store and a
+    # cluster-extrapolated slice estimate
+    return [
+        {k: v for k, v in entry.items() if k != "estimated_cost"}
+        for entry in entries
+    ]
+
+
+class TestBatchOwnsItsParkedAnswers:
+    def test_prefetch_returns_answers_and_typed_errors(
+        self, store_path, expected
+    ):
+        good = (normalize_query("? ?"), None)
+        floored = (normalize_query("? ?"), 3)
+        bad = (normalize_query("zzz"), None)
+        with ShardServer(
+            store_path, shard_subset=[0, 1], http_port=None
+        ) as s1, ShardServer(
+            store_path, shard_subset=[2, 3], http_port=None
+        ) as s2:
+            router = RouterBackend(_cluster_for([(s1, [0, 1]), (s2, [2, 3])]))
+            try:
+                parked = router.prefetch([good, bad, floored, good])
+                assert set(parked) == {good, bad, floored}
+                assert isinstance(parked[good], Answer)
+                assert parked[good].partial is None
+                assert _pairs(parked[good].matches) == expected["? ?"]
+                assert _pairs(parked[floored].matches) == [
+                    pair for pair in expected["? ?"] if pair[1] >= 3
+                ]
+                # a per-query error keeps its original type
+                assert isinstance(parked[bad], UnknownItemError)
+                assert router.describe()["fanouts"] == 1
+                # nothing stayed behind on the router: the same reads
+                # again are fresh fan-outs with the same answers
+                assert _pairs(router.search(good[0])) == expected["? ?"]
+                with pytest.raises(UnknownItemError):
+                    router.search(bad[0])
+                assert router.describe()["fanouts"] == 3
+                # one query gains nothing from batching
+                assert router.prefetch([good]) == {}
+            finally:
+                router.close()
+
+    def test_parked_errors_reraise_per_query(self, store_path):
+        queries = ["? ?", "zzz", "a ?", "nosuch ?", "zzz"]
+        with open_store(store_path) as mono:
+            want = QueryService(mono).batch(queries, limit=5)
+        assert "error" in want[1] and "error" in want[3]
+        with ShardServer(store_path, http_port=None) as server:
+            router = RouterBackend(
+                _cluster_for([(server, range(NUM_SHARDS))])
+            )
+            try:
+                service = QueryService(router)
+                got = service.batch(queries, limit=5)
+                assert _comparable(got) == _comparable(want)
+                # answers and errors alike came out of the one scatter;
+                # only the repeated bad query (its parked error already
+                # consumed, errors are never cached) fanned out again
+                assert router.describe()["fanouts"] == 2
+                stats = service.stats()
+                assert stats["errors"] == 3
+                assert stats["cache_entries"] == 2
+            finally:
+                router.close()
+
+    def test_failed_scatter_parks_nothing(self, store_path):
+        class RefusesMulti(ShardServer):
+            def dispatch(self, request):
+                if isinstance(request, dict) and (
+                    request.get("op") == "multi_search"
+                ):
+                    return {
+                        "error": {"type": "ReproError", "message": "boom"}
+                    }
+                return super().dispatch(request)
+
+        queries = QUERIES[:3]
+        with open_store(store_path) as mono:
+            want = QueryService(mono).batch(queries, limit=5)
+        with RefusesMulti(store_path, http_port=None) as server:
+            router = RouterBackend(
+                _cluster_for([(server, range(NUM_SHARDS))])
+            )
+            try:
+                pairs = [(normalize_query(q), None) for q in queries]
+                assert router.prefetch(pairs) == {}
+                got = QueryService(router).batch(queries, limit=5)
+                assert _comparable(got) == _comparable(want)
+                # two refused scatters, then one fan-out per query
+                assert router.describe()["fanouts"] == 2 + len(queries)
+            finally:
+                router.close()
+
+    def test_interleaved_batches_never_share_parked_answers(self, store_path):
+        """Batch B runs to completion *inside* batch A's prefetch, on
+        the same thread, over the same queries at a different σ — the
+        interleaving thread identity could never separate.  Each batch
+        still consumes exactly its own scatter's answers."""
+        outer, inner = QUERIES[:4], QUERIES[2:6]
+        with open_store(store_path) as mono:
+            mono_service = QueryService(mono, cache_size=0)
+            want_outer = mono_service.batch(outer, limit=None)
+            want_inner = mono_service.batch(inner, limit=None, min_freq=3)
+        with ShardServer(store_path, http_port=None) as server:
+            router = RouterBackend(
+                _cluster_for([(server, range(NUM_SHARDS))])
+            )
+            service = QueryService(router, cache_size=0)
+            nested: list = []
+            prefetch = router.prefetch
+
+            def interleaving_prefetch(pairs):
+                parked = prefetch(pairs)
+                if not nested:
+                    nested.append(None)
+                    nested.append(
+                        service.batch(inner, limit=None, min_freq=3)
+                    )
+                return parked
+
+            router.prefetch = interleaving_prefetch
+            try:
+                got_outer = service.batch(outer, limit=None)
+                assert _comparable(got_outer) == _comparable(want_outer)
+                assert _comparable(nested[1]) == _comparable(want_inner)
+                # one scatter per batch, no per-query fan-out: neither
+                # batch lost (or borrowed) a parked answer
+                assert router.describe()["fanouts"] == 2
+            finally:
+                router.close()
+
+    def test_concurrent_batches_each_pay_one_scatter(self, store_path):
+        rounds = 5
+        sets = [QUERIES[:4], QUERIES[3:], list(reversed(QUERIES))]
+        with open_store(store_path) as mono:
+            mono_service = QueryService(mono, cache_size=0)
+            want = [mono_service.batch(qs, limit=None) for qs in sets]
+        with ShardServer(store_path, http_port=None) as server:
+            router = RouterBackend(
+                _cluster_for([(server, range(NUM_SHARDS))])
+            )
+            service = QueryService(router, cache_size=0)
+            failures: list = []
+
+            def worker(index: int) -> None:
+                try:
+                    for _ in range(rounds):
+                        got = service.batch(sets[index], limit=None)
+                        assert _comparable(got) == _comparable(want[index])
+                except Exception as exc:  # noqa: BLE001 - recorded
+                    failures.append(exc)
+
+            threads = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(len(sets))
+            ]
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not failures, failures
+                assert router.describe()["fanouts"] == rounds * len(sets)
+            finally:
+                router.close()
+
