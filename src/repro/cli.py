@@ -273,7 +273,7 @@ def _print_explain(plan: dict) -> None:
     estimate = plan["estimate"]
     forced = plan.get("forced_strategy")
     line = (
-        f"  plan: strategy={plan['strategy']} order={plan['order']} "
+        f"  plan: strategy={plan['strategy']} "
         f"cost={estimate['cost']:g} candidates={estimate['candidates']} "
         f"scan={estimate['scan_candidates']}"
     )
@@ -825,8 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--explain", action="store_true",
         help="print each query's compiled plan: chosen execution "
-        "strategy, node ordering, estimated cost and per-node postings "
-        "statistics",
+        "strategy, estimated cost and per-node postings statistics",
     )
     query.add_argument(
         "queries", nargs="+",

@@ -41,26 +41,29 @@ Every public read path is expressed over three rank-ordered generators
 merging the streams of its member stores without re-implementing any of
 the matching or ranking logic.
 
-Search itself runs through compiled :class:`~repro.query.plan.QueryPlan`
-objects (cached per backend): positional postings answer chain queries
-exactly with bitmap algebra and skip the DP entirely, or — where the
-cost estimate prefers it — prune candidates with the plan's postings
-bitset and verify the survivors with the DP; every path returns
-byte-identical answers.  Setting
-``_accelerate = False`` restores the legacy selector + DP pipeline — the
-reference the differential tests and benchmarks compare against.
+Search itself runs through a :class:`~repro.query.plan.QueryPlan`
+built, priced and executed per request: positional postings answer
+chain queries exactly with bitmap algebra and skip the DP entirely, or
+— where the cost estimate prefers it — prune candidates with the plan's
+postings bitset and verify the survivors with the DP; every path
+returns byte-identical answers.  Nothing about a query outlives the
+call that answers it (repeats are the serving tier's result cache's
+job); what a backend memoizes is vocabulary- or store-pure: compiled
+tokens, descendant sets, planner statistics, the position space.
+Setting ``_accelerate = False`` runs the selector + DP pipeline instead
+— the reference the differential tests compare against.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from itertools import islice, takewhile
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import InvalidParameterError
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.query.cost import PLAN_ORDERS, PLAN_STRATEGIES, CostEstimate
+from repro.query.cost import PLAN_STRATEGIES, CostEstimate, CostEstimator
 from repro.query.plan import QueryPlan, iter_bit_indexes
 from repro.query.tokens import (
     AnyToken,
@@ -94,6 +97,20 @@ def rank_key(record: tuple[Pattern, int]) -> tuple[int, Pattern]:
     k-way merge, so a merged stream interleaves exactly as a single
     backend would have ranked the union."""
     return (-record[1], record[0])
+
+
+def ranked_prefix(
+    stream: Iterable[tuple[Pattern, int]],
+    limit: int | None = None,
+    min_freq: int | None = None,
+) -> Iterator[tuple[Pattern, int]]:
+    """The σ cut and the limit over a rank-ordered record stream.
+    Frequencies only fall along the stream, so ``min_freq`` is a prefix
+    cut — the first record below it ends the answer — and ``limit``
+    stops the walk without pulling a record past the last one kept."""
+    if min_freq is not None:
+        stream = takewhile(lambda record: record[1] >= min_freq, stream)
+    return islice(stream, None if limit is None else max(limit, 0))
 
 
 def rank_patterns(patterns) -> list[tuple[Pattern, int]]:
@@ -142,11 +159,6 @@ class PatternSearchBase:
     ingested_through: int | None = None
     retained_from: int | None = None
 
-    #: compiled query plans retained per backend (plans hold bitmaps in
-    #: this backend's pattern-index coordinates, so they cannot be
-    #: shared across shards the way the vocabulary-pure caches are)
-    _PLAN_CACHE_CAP = 256
-
     def __init__(self) -> None:
         self._children_map: dict[int, list[int]] | None = None
         self._descendants_cache: dict[int, tuple[int, ...]] = {}
@@ -159,25 +171,13 @@ class PatternSearchBase:
         # length stats, scan counts): per backend, never invalidated —
         # a backend instance is an immutable snapshot of one store
         self._cost_stat_cache: dict[tuple, object] = {}
-        # per-backend plan machinery
+        # plan counters (plans themselves live for one request)
         self._accelerate = True
         self._plan_lock = threading.Lock()
-        self._plan_cache: OrderedDict[tuple, QueryPlan] = OrderedDict()
-        self._plan_hits = 0
         self._plan_compiles = 0
-        self._plan_evictions = 0
-        self._plan_paths = {
-            "exact": 0,
-            "pruned": 0,
-            "scan": 0,
-            "wildcard": 0,
-            "legacy": 0,
-        }
-        # planner knobs: candidate-mask node ordering and a forced
-        # execution strategy (None = the cost estimate decides); both
-        # are part of the plan-cache key, so flipping them can never
-        # serve a plan built under different rules
-        self._plan_order = "cost"
+        self._plan_paths = {"exact": 0, "pruned": 0, "scan": 0, "wildcard": 0}
+        # forced execution strategy — the differential harness's seam;
+        # None lets the cost estimate decide
         self._plan_strategy: str | None = None
         self._pos_space = None
         # a sharded handle installs a factory here so all its shards
@@ -271,15 +271,14 @@ class PatternSearchBase:
 
     def top(self, n: int = 10) -> list[QueryMatch]:
         """The ``n`` most frequent patterns in the index."""
+        return self._decoded(ranked_prefix(self._iter_ranked(), n))
+
+    def _decoded(self, records) -> list[QueryMatch]:
         vocabulary = self.vocabulary
-        out: list[QueryMatch] = []
-        for pattern, frequency in self._iter_ranked():
-            if len(out) >= n:
-                break
-            out.append(
-                QueryMatch(vocabulary.decode_sequence(pattern), frequency)
-            )
-        return out
+        return [
+            QueryMatch(vocabulary.decode_sequence(pattern), frequency)
+            for pattern, frequency in records
+        ]
 
     # ------------------------------------------------------------------
     # search
@@ -304,6 +303,22 @@ class PatternSearchBase:
         descending rank order, the filter is a prefix cut — iteration
         stops at the first pattern below the floor.
         """
+        return self.search_answer(query, limit, min_freq).matches
+
+    # the serving tier's reads: the same answers as ``search``/``top``,
+    # as an :class:`Answer`.  A local backend always answers completely
+    # and stamps its own watermarks.
+
+    def search_answer(
+        self,
+        query,
+        limit: int | None = None,
+        min_freq: int | None = None,
+        cost: CostEstimate | None = None,
+    ) -> Answer:
+        """``cost`` is what :meth:`estimate_cost` returned for this
+        query, if the caller priced it first: the plans it carries for
+        this backend are executed instead of built again."""
         if min_freq is not None and (
             not isinstance(min_freq, int)
             or isinstance(min_freq, bool)
@@ -313,31 +328,12 @@ class PatternSearchBase:
                 f"min_freq must be an integer >= 0 or None, got {min_freq!r}"
             )
         compiled = self._compile(normalize_query(query))
-        vocabulary = self.vocabulary
-        matches: list[QueryMatch] = []
-        for pattern, frequency in self._iter_search(compiled):
-            if min_freq is not None and frequency < min_freq:
-                break  # rank order: everything after is below σ too
-            matches.append(
-                QueryMatch(vocabulary.decode_sequence(pattern), frequency)
-            )
-            if limit is not None and len(matches) >= limit:
-                break
-        return matches
-
-    # the serving tier's reads: the same answers as ``search``/``top``,
-    # as an :class:`Answer`.  A local backend always answers completely
-    # and stamps its own watermarks; ``cost`` (the caller's estimate for
-    # this query) matters only to a backend with a deadline to scale.
-
-    def search_answer(
-        self,
-        query,
-        limit: int | None = None,
-        min_freq: int | None = None,
-        cost: float | None = None,
-    ) -> Answer:
-        return self._answer(self.search(query, limit, min_freq))
+        stream = self._iter_search(
+            compiled, {} if cost is None else cost.plans
+        )
+        return self._answer(
+            self._decoded(ranked_prefix(stream, limit, min_freq))
+        )
 
     def top_answer(self, n: int) -> Answer:
         return self._answer(self.top(n))
@@ -400,23 +396,15 @@ class PatternSearchBase:
         """Indexed patterns that are itemwise generalizations of ``names``
         (same length, each item an ancestor-or-self), including the pattern
         itself when indexed."""
-        vocabulary = self.vocabulary
-        coded = vocabulary.encode_sequence(tuple(names))
-        return [
-            QueryMatch(vocabulary.decode_sequence(pattern), frequency)
-            for pattern, frequency in self._iter_itemwise(coded, upward=True)
-        ]
+        coded = self.vocabulary.encode_sequence(tuple(names))
+        return self._decoded(self._iter_itemwise(coded, upward=True))
 
     def specializations_of(self, names) -> list[QueryMatch]:
         """Indexed patterns that are itemwise specializations of ``names``
         (same length, each item a descendant-or-self), including the
         pattern itself when indexed."""
-        vocabulary = self.vocabulary
-        coded = vocabulary.encode_sequence(tuple(names))
-        return [
-            QueryMatch(vocabulary.decode_sequence(pattern), frequency)
-            for pattern, frequency in self._iter_itemwise(coded, upward=False)
-        ]
+        coded = self.vocabulary.encode_sequence(tuple(names))
+        return self._decoded(self._iter_itemwise(coded, upward=False))
 
     # ------------------------------------------------------------------
     # rank-ordered streams (composite backends merge these)
@@ -429,28 +417,29 @@ class PatternSearchBase:
             yield self._pattern_at(idx)
 
     def _iter_search(
-        self, compiled: list[CompiledToken]
+        self, compiled: list[CompiledToken], plans: dict
     ) -> Iterator[tuple[Pattern, int]]:
         """Records matching a compiled query, in rank order.  The
         compiled form is id-based, so it is only portable to another
-        backend holding an identical vocabulary (shards do).
+        backend holding an identical vocabulary (shards do).  ``plans``
+        is a :attr:`CostEstimate.plans` map: this backend runs its own
+        entry when there is one and prices a fresh plan otherwise.
 
         Routing, cheapest-estimated first: wildcard-only queries are a
         pure length-range scan (no per-pattern work at all); for chain
         queries the plan's cost estimate picks a strategy —
         ``exact`` (positional bitmap propagation, no DP), ``pruned``
         (AND the cheap chain nodes' postings bitsets, DP-verify
-        survivors; the verified indexes are retained on the plan) or
-        ``scan`` (length-filtered scan + DP,
-        the union-vs-scan fallback for unselective chains); plans whose
-        chain constrains nothing fall back to the legacy selector.
-        Every path yields ascending pattern indexes — the rank order —
-        so the choice of path is invisible downstream.
+        survivors) or ``scan`` (length-filtered scan + DP, the fallback
+        for unselective chains, and what a forced ``pruned`` runs when
+        no chain node can be masked).  Every path yields ascending
+        pattern indexes — the rank order — so the choice of path is
+        invisible downstream.
         """
         if not self._accelerate:
             yield from self._iter_search_dp(compiled, self._candidates(compiled))
             return
-        plan = self._plan_for(compiled)
+        plan, strategy = plans.get(self) or self._price(compiled).plans[self]
         if plan.unsatisfiable:
             return
         if not plan.chain:
@@ -458,29 +447,21 @@ class PatternSearchBase:
             for idx in plan.length_scan_indexes(self):
                 yield self._pattern_at(idx)
             return
-        strategy = plan.strategy(self)
+        if self._plan_strategy is not None:
+            strategy = self._plan_strategy
         if strategy == "exact":
             self._count_path("exact")
             for idx in plan.match_indexes(self):
                 yield self._pattern_at(idx)
             return
-        if strategy == "scan":
-            self._count_path("scan")
-            yield from self._iter_search_dp(
-                compiled, plan.length_scan_indexes(self)
-            )
-            return
-        mask = plan.candidate_mask(self)
+        mask = plan.candidate_mask(self) if strategy == "pruned" else None
         if mask is None:
-            self._count_path("legacy")
-            yield from self._iter_search_dp(compiled, self._candidates(compiled))
-            return
-        self._count_path("pruned")
-        # cost-routed around the exact path: few candidates, so verify
-        # once and retain on the plan — repeats stay as cheap as the
-        # exact path's retained match indexes
-        for idx in plan.verified_indexes(self, compiled):
-            yield self._pattern_at(idx)
+            self._count_path("scan")
+            candidates = plan.length_scan_indexes(self)
+        else:
+            self._count_path("pruned")
+            candidates = iter_bit_indexes(mask)
+        yield from self._iter_search_dp(compiled, candidates)
 
     def _iter_search_dp(
         self, compiled: list[CompiledToken], indexes
@@ -517,75 +498,48 @@ class PatternSearchBase:
     # compiled query plans
     # ------------------------------------------------------------------
 
-    def _plan_for(self, compiled: list[CompiledToken]) -> QueryPlan:
-        """The cached :class:`~repro.query.plan.QueryPlan` for a
-        compiled query, building (outside the lock) and inserting on
-        miss.  LRU eviction at :data:`_PLAN_CACHE_CAP` entries — a hit
-        promotes the plan to most-recent, so a hot plan survives cap
-        churn (eviction used to be pure FIFO).  The planner knobs are
-        part of the key: plans hold masks and strategies built under
-        one (order, strategy) setting."""
-        key = (self._plan_order, self._plan_strategy, tuple(compiled))
-        with self._plan_lock:
-            plan = self._plan_cache.get(key)
-            if plan is not None:
-                self._plan_hits += 1
-                self._plan_cache.move_to_end(key)
-                return plan
+    def _price(self, compiled: list[CompiledToken]) -> CostEstimate:
+        """Build this request's :class:`~repro.query.plan.QueryPlan` and
+        price it: one construction, one estimate.  The estimate carries
+        the plan (and the strategy picked for it) under this backend's
+        key, so whoever receives it can hand it on to the execution."""
         plan = QueryPlan(compiled, self)
         with self._plan_lock:
-            existing = self._plan_cache.get(key)
-            if existing is not None:
-                self._plan_hits += 1
-                self._plan_cache.move_to_end(key)
-                return existing
             self._plan_compiles += 1
-            if len(self._plan_cache) >= self._PLAN_CACHE_CAP:
-                self._plan_cache.popitem(last=False)
-                self._plan_evictions += 1
-            self._plan_cache[key] = plan
-        return plan
+        estimate = CostEstimator(self).estimate(plan)
+        return replace(estimate, plans={self: (plan, estimate.strategy)})
 
     def _count_path(self, path: str) -> None:
         with self._plan_lock:
             self._plan_paths[path] += 1
 
-    def set_planner(
-        self, order: str = "cost", strategy: str | None = None
-    ) -> None:
-        """Planner knobs: candidate-mask node ordering (one of
-        :data:`~repro.query.cost.PLAN_ORDERS`) and a forced execution
-        strategy (one of :data:`~repro.query.cost.PLAN_STRATEGIES`,
-        ``None`` = the cost estimate decides).  Every combination
-        answers byte-identically — the differential harness forces them
-        all; benchmarks use ``("cardinality", "exact")`` as the
-        pre-planner reference."""
-        if order not in PLAN_ORDERS:
-            raise InvalidParameterError(
-                f"planner order must be one of {PLAN_ORDERS}, got {order!r}"
-            )
+    def set_planner(self, strategy: str | None = None) -> None:
+        """Force an execution strategy (one of
+        :data:`~repro.query.cost.PLAN_STRATEGIES`; ``None`` = the cost
+        estimate decides).  Every strategy answers byte-identically —
+        the differential harness forces them all."""
         if strategy is not None and strategy not in PLAN_STRATEGIES:
             raise InvalidParameterError(
                 f"planner strategy must be one of {PLAN_STRATEGIES} or "
                 f"None, got {strategy!r}"
             )
-        self._plan_order = order
         self._plan_strategy = strategy
 
     def estimate_cost(self, query) -> CostEstimate:
         """The cost estimate for a query against this backend — the
-        admission-control currency (see :mod:`repro.query.cost`)."""
-        compiled = self._compile(normalize_query(query))
-        return self._plan_for(compiled).estimate(self)
+        admission-control currency (see :mod:`repro.query.cost`).  Hand
+        it to :meth:`search_answer` to run the plan it priced."""
+        return self._price(self._compile(normalize_query(query)))
 
     def explain(self, query) -> dict:
         """The compiled plan and its cost estimate, for ``lash query
         --explain`` and debugging: chain shape, windows, length bounds,
-        the active planner knobs, the strategy that would run, and the
-        full per-node estimate."""
-        compiled = self._compile(normalize_query(query))
-        plan = self._plan_for(compiled)
-        estimate = plan.estimate(self)
+        the forced strategy if any, the strategy that would run, and
+        the full per-node estimate."""
+        estimate = self.estimate_cost(query)
+        plan, strategy = estimate.plans[self]
+        if plan.chain and self._plan_strategy is not None:
+            strategy = self._plan_strategy
         return {
             "chain": [
                 {"kind": kind, "ids": len(ids)} for kind, ids in plan.chain
@@ -594,24 +548,17 @@ class PatternSearchBase:
             "min_len": plan.min_len,
             "max_len": plan.max_len,
             "unsatisfiable": plan.unsatisfiable,
-            "order": self._plan_order,
             "forced_strategy": self._plan_strategy,
-            "strategy": (
-                plan.strategy(self) if plan.chain else estimate.strategy
-            ),
+            "strategy": strategy,
             "estimate": estimate.to_dict(),
         }
 
     def plan_stats(self) -> dict:
-        """Plan-cache and execution-path counters (surfaced by the HTTP
-        service's ``/stats``)."""
+        """Plans built, position spaces built and executions per path
+        (surfaced by the HTTP service's ``/stats``)."""
         with self._plan_lock:
             return {
-                "entries": len(self._plan_cache),
-                "capacity": self._PLAN_CACHE_CAP,
-                "hits": self._plan_hits,
                 "compiles": self._plan_compiles,
-                "evictions": self._plan_evictions,
                 "space_builds": self._space_builds,
                 "paths": dict(self._plan_paths),
             }
@@ -622,7 +569,7 @@ class PatternSearchBase:
         """Ascending candidate indexes stage-1 plan pruning admits, or
         ``None`` when the plan constrains nothing (the property tests
         assert this set is a superset of the true matches)."""
-        plan = self._plan_for(compiled)
+        plan = QueryPlan(compiled, self)
         if plan.unsatisfiable:
             return []
         if not plan.chain:
@@ -972,4 +919,5 @@ __all__ = [
     "CompiledToken",
     "rank_patterns",
     "rank_key",
+    "ranked_prefix",
 ]

@@ -1,10 +1,9 @@
 """Per-query cost estimation for the serving-side planner.
 
-The candidate-selection machinery in :mod:`repro.query.plan` used to
-order stage-1 postings intersections by raw id-set size — one id per
-node tells you nothing about how many *patterns* that id posts to.  This
-module prices a compiled :class:`~repro.query.plan.QueryPlan` against a
-concrete backend using store statistics that are O(1) per item to read
+One id per chain node says nothing about how many *patterns* that id
+posts to, so this module prices a :class:`~repro.query.plan.QueryPlan`
+against a concrete backend using store statistics that are O(1) per
+item to read
 (:meth:`~repro.query.base.PatternSearchBase._postings_size_estimate`):
 
 * per chain node, the summed estimated postings size of its admissible
@@ -19,10 +18,9 @@ concrete backend using store statistics that are O(1) per item to read
 From those it picks the cheapest *correct* execution strategy:
 
 ``"exact"``
-    positional bitmap propagation — heavy when any
-    chain node admits a high-frequency item (its every occurrence is
-    decoded into the position map), near-free on repeats (match indexes
-    are retained on the plan);
+    positional bitmap propagation — heavy when any chain node admits a
+    high-frequency item (its every occurrence is decoded into the
+    position map);
 ``"pruned"``
     AND the cheap nodes' postings bitsets, DP-verify survivors — wins
     when one node is rare and another ubiquitous: the ubiquitous node is
@@ -35,7 +33,7 @@ From those it picks the cheapest *correct* execution strategy:
 Every strategy yields byte-identical answers by construction (masks are
 supersets, the DP verifies, the exact path is exact), so the estimate
 can only change *speed*; the differential harness forces each strategy
-and every node ordering to prove it.
+to prove it.
 
 The same estimate is the admission-control currency:
 :class:`~repro.serve.service.QueryService` compares
@@ -43,11 +41,18 @@ The same estimate is the admission-control currency:
 router scales its fan-out deadline with it, and the LRU weighs it when
 choosing eviction victims.  Constants live in
 :mod:`repro.analysis.costmodel` so all layers price work identically.
+
+Pricing is per request: a plan is built, priced and executed by the one
+thread serving a query and then dropped.  The estimate a local backend
+returns carries the plans it priced (:attr:`CostEstimate.plans`), so the
+search that follows admission executes them instead of building its
+own; only the per-backend *statistics* behind the prices (node postings
+sums, length stats) are memoized, in ``backend._cost_stat_cache``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.analysis.costmodel import (
     COST_BITMAP_BYTE,
@@ -57,14 +62,6 @@ from repro.analysis.costmodel import (
     COST_POSTINGS_ENTRY,
     NODE_SKIP_FACTOR,
 )
-
-#: candidate-mask node orderings the planner can be forced into (tests
-#: and benchmarks flip these; answers must not change):
-#: ``cost`` — ascending estimated postings size, oversized nodes
-#: skipped; ``cardinality`` — the legacy ascending id-set size, nothing
-#: skipped; ``worst`` — descending estimated postings size, nothing
-#: skipped (the adversarial ordering).
-PLAN_ORDERS = ("cost", "cardinality", "worst")
 
 #: execution strategies a plan with a non-empty chain can be forced
 #: into (``None`` lets the estimate decide)
@@ -81,6 +78,12 @@ class CostEstimate:
     can match nothing.  ``candidates`` is the expected DP-verification
     set size; ``nodes`` carries per-concrete-node postings estimates
     (``skipped`` marks nodes the cost ordering leaves out of the mask).
+
+    ``plans`` is the hand-off from pricing to execution inside one
+    request: ``backend -> (QueryPlan, strategy)`` for every local
+    backend priced.  ``search_answer(cost=estimate)`` runs those plans;
+    a backend that finds no entry of its own builds one.  It is no part
+    of the estimate's value — never compared, rendered or sent.
     """
 
     cost: float
@@ -89,6 +92,7 @@ class CostEstimate:
     scan_candidates: int
     nodes: tuple[dict, ...] = ()
     shards: int = 1
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -145,22 +149,23 @@ def combine_estimates(estimates) -> CostEstimate:
         scan_candidates=sum(est.scan_candidates for est in estimates),
         nodes=nodes,
         shards=sum(est.shards for est in estimates),
+        plans={
+            backend: priced
+            for est in estimates
+            for backend, priced in est.plans.items()
+        },
     )
 
 
-def order_mask_nodes(sized: list, order: str) -> tuple[list, list]:
+def order_mask_nodes(sized: list) -> tuple[list, list]:
     """Order ``(estimated postings, ids)`` pairs for mask intersection
-    and split off the ones the ``cost`` ordering skips.  Returns
-    ``(included, skipped)`` — both in intersection order.  Skipping is
-    sound because the mask is an AND of postings supersets: any node
-    subset still yields a superset of the true matches, which the DP
-    (or the exact propagation) then verifies."""
+    — cheapest first — and split off the ones whose postings dwarf the
+    cheapest node's.  Returns ``(included, skipped)``, both in
+    intersection order.  Skipping is sound because the mask is an AND
+    of postings supersets: any node subset still yields a superset of
+    the true matches, which the DP (or the exact propagation) then
+    verifies."""
     ranked = sorted(sized, key=lambda pair: (pair[0], len(pair[1])))
-    if order == "worst":
-        ranked.reverse()
-        return ranked, []
-    if order == "cardinality":
-        return sorted(sized, key=lambda pair: len(pair[1])), []
     ceiling = NODE_SKIP_FACTOR * max(ranked[0][0], 1)
     included = [pair for pair in ranked if pair[0] <= ceiling]
     skipped = [pair for pair in ranked if pair[0] > ceiling]
@@ -270,11 +275,10 @@ class CostEstimator:
             if node_kind == "in" and not whole:
                 sized.append((entries, ids))
 
-        order = getattr(backend, "_plan_order", "cost")
         candidates = float(scan_count)
         mask_cost = 0.0
         if sized:
-            included, skipped = order_mask_nodes(sized, order)
+            included, skipped = order_mask_nodes(sized)
             # mark skipped nodes in the per-node stats by their id
             # tuple (chain nodes can repeat an id set; marking all
             # occurrences is the conservative, readable choice)
@@ -339,6 +343,5 @@ __all__ = [
     "CostEstimator",
     "combine_estimates",
     "order_mask_nodes",
-    "PLAN_ORDERS",
     "PLAN_STRATEGIES",
 ]

@@ -29,14 +29,15 @@ cheaper, the plan's stage-1 **candidate mask** — the cheapest-first AND
 of the concrete chain nodes' postings bitsets — drops its survivors into
 the DP instead, which keeps answers byte-identical by construction.
 
-Plans hold per-backend bitmaps (pattern indexes are shard-local), so
-they are cached per backend instance; see
-:meth:`~repro.query.base.PatternSearchBase._plan_for`.
+A plan lives for one request: the thread serving the query builds it,
+prices it (:mod:`repro.query.cost`), executes it once against the
+backend it was built for, and drops it — nothing here is shared between
+threads or retained between calls.  Repeats are the result cache's job
+(:class:`~repro.serve.service.QueryService`), not the plan's.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from typing import Iterator, Sequence
 
@@ -207,27 +208,11 @@ class QueryPlan:
 
     Construction resolves the chain/window structure and the admissible
     id tuples (``under`` expands through the backend's memoized
-    descendant sets).  The per-backend bitmaps — stage-1 candidate mask
-    and, when positions exist, the final match-index list — build
-    lazily on first execution and are retained, so a cached plan
-    answers repeats (different σ, different limits) with no bitmap work
-    at all.
+    descendant sets) and nothing else; every bitmap is computed by the
+    execution that needs it and dies with it.
     """
 
-    __slots__ = (
-        "chain",
-        "windows",
-        "min_len",
-        "max_len",
-        "unsatisfiable",
-        "_lock",
-        "_mask_ready",
-        "_mask",
-        "_matches_idx",
-        "_verified_idx",
-        "_estimate",
-        "_strategy",
-    )
+    __slots__ = ("chain", "windows", "min_len", "max_len", "unsatisfiable")
 
     def __init__(self, compiled: Sequence, backend) -> None:
         chain: list[tuple[str, tuple[int, ...]]] = []
@@ -276,79 +261,6 @@ class QueryPlan:
         self.min_len = min_len
         self.max_len = max_len
         self.unsatisfiable = unsatisfiable
-        self._lock = threading.Lock()
-        self._mask_ready = False
-        self._mask: int | None = None
-        self._matches_idx: list[int] | None = None
-        self._verified_idx: list[int] | None = None
-        self._estimate = None
-        self._strategy: str | None = None
-
-    # ------------------------------------------------------------------
-    # cost estimation + strategy choice
-    # ------------------------------------------------------------------
-
-    def estimate(self, backend):
-        """The plan's :class:`~repro.query.cost.CostEstimate` against
-        this backend, computed once and retained (plans are per-backend,
-        and the plan-cache key includes the planner knobs, so the
-        estimate can never go stale under knob flips).
-
-        Also memoized in the backend's ``_cost_stat_cache`` keyed by
-        the plan's structure: a plan evicted from (or cleared out of)
-        the plan cache and later recompiled picks its price back up
-        instead of re-walking postings stats — estimates depend only on
-        structure, the stat cache, and the plan-order knob, all of
-        which live exactly as long as the backend."""
-        est = self._estimate
-        if est is None:
-            key = (
-                "estimate",
-                tuple(self.chain),
-                tuple(self.windows),
-                getattr(backend, "_plan_order", "cost"),
-                self.unsatisfiable,
-            )
-            cache = backend._cost_stat_cache
-            est = cache.get(key)
-            if est is None:
-                est = CostEstimator(backend).estimate(self)
-                cache[key] = est
-            self._estimate = est
-        return est
-
-    def strategy(self, backend) -> str:
-        """Execution strategy for a chain query: the estimate's pick,
-        unless the backend forces one (``_plan_strategy``, a test and
-        benchmark hook) — every strategy answers identically, only the
-        work profile differs."""
-        chosen = self._strategy
-        if chosen is None:
-            forced = getattr(backend, "_plan_strategy", None)
-            chosen = forced if forced is not None else self.estimate(
-                backend
-            ).strategy
-            self._strategy = chosen
-        return chosen
-
-    def verified_indexes(self, backend, compiled) -> list[int]:
-        """Ascending match indexes via mask-prune + DP-verify, retained
-        on the plan.  The cost planner routes skewed queries here —
-        DP-verifying a rare node's few candidates
-        beats decoding a ubiquitous node's every occurrence into the
-        exact path's bitmaps — and memoizing keeps the steady-state
-        profile as flat as the exact path's retained match indexes."""
-        cached = self._verified_idx
-        if cached is not None:
-            return cached
-        mask = self.candidate_mask(backend)
-        verified = [
-            idx
-            for idx in iter_bit_indexes(mask or 0)
-            if backend._matches(compiled, backend._pattern_at(idx)[0])
-        ]
-        self._verified_idx = verified
-        return verified
 
     # ------------------------------------------------------------------
     # stage 1: bitset candidate pruning
@@ -363,11 +275,31 @@ class QueryPlan:
         :func:`~repro.query.cost.order_mask_nodes`).  ``None`` when no
         chain node restricts candidates (all-negative queries, or nodes
         admitting the whole vocabulary) — the caller falls back to a
-        length-filtered scan, exactly like the legacy selector."""
-        if self._mask_ready:
-            return self._mask
-        with self._lock:
-            return self._candidate_mask_locked(backend)
+        length-filtered scan."""
+        vocab_size = len(backend.vocabulary)
+        usable = [
+            ids
+            for node_kind, ids in self.chain
+            if node_kind == "in" and len(ids) < vocab_size
+        ]
+        if not usable:
+            return None
+        # node sizes are a property of the (immutable) backend, not the
+        # plan: the estimator memoizes them per backend
+        entries = CostEstimator(backend).node_entries
+        included, _ = order_mask_nodes([(entries(ids), ids) for ids in usable])
+        n_bytes = (backend._num_patterns() + 7) >> 3
+        mask: int | None = None
+        for _, ids in included:
+            buf = bytearray(n_bytes)
+            for item in ids:
+                for idx in backend._postings_for(item):
+                    buf[idx >> 3] |= 1 << (idx & 7)
+            node_mask = int.from_bytes(bytes(buf), "little")
+            mask = node_mask if mask is None else mask & node_mask
+            if not mask:
+                break
+        return mask
 
     # ------------------------------------------------------------------
     # stage 2: exact positional matching
@@ -393,23 +325,12 @@ class QueryPlan:
         return mapped
 
     def match_indexes(self, backend) -> list[int]:
-        """Ascending indexes of the patterns matching the query —
-        computed once per (plan, backend) by chain propagation, exact
-        for every token kind, then retained."""
-        cached = self._matches_idx
-        if cached is not None:
-            return cached
-        with self._lock:
-            if self._matches_idx is None:
-                self._matches_idx = self._compute_matches(backend)
-        return self._matches_idx
-
-    def _compute_matches(self, backend) -> list[int]:
+        """Ascending indexes of the patterns matching the query, by
+        chain propagation — exact for every token kind."""
         space = backend._position_space()
         if not space.offsets:
             return []
-        mask = self._candidate_mask_locked(backend)
-        if mask == 0:
+        if self.candidate_mask(backend) == 0:
             return []
         reach = 0
         for k, node in enumerate(self.chain):
@@ -425,56 +346,6 @@ class QueryPlan:
                 return []
         anchor = space.shift_window_down(space.ends, self.windows[-1])
         return space.field_indexes(reach & anchor)
-
-    def _candidate_mask_locked(self, backend) -> int | None:
-        # Caller holds self._lock (which is not reentrant).
-        if self._mask_ready:
-            return self._mask
-        vocab_size = len(backend.vocabulary)
-        usable = [
-            ids
-            for node_kind, ids in self.chain
-            if node_kind == "in" and len(ids) < vocab_size
-        ]
-        mask: int | None = None
-        if usable:
-            order = getattr(backend, "_plan_order", "cost")
-            if order == "cardinality":
-                # the legacy ordering: id-set size says nothing about
-                # postings volume, kept as a forcible reference
-                usable.sort(key=len)
-                ordered = usable
-            else:
-                # node sizes are a property of the (immutable) backend,
-                # not the plan — share the estimator's memo so cold
-                # compiles don't re-sum hundreds of per-id estimates
-                stat_cache = backend._cost_stat_cache
-                sized = []
-                for ids in usable:
-                    size = stat_cache.get(("node", ids))
-                    if size is None:
-                        size = sum(
-                            backend._postings_size_estimate(item)
-                            for item in ids
-                        )
-                        stat_cache[("node", ids)] = size
-                    sized.append((size, ids))
-                ordered = [
-                    ids for _, ids in order_mask_nodes(sized, order)[0]
-                ]
-            n_bytes = (backend._num_patterns() + 7) >> 3
-            for ids in ordered:
-                buf = bytearray(n_bytes)
-                for item in ids:
-                    for idx in backend._postings_for(item):
-                        buf[idx >> 3] |= 1 << (idx & 7)
-                node_mask = int.from_bytes(bytes(buf), "little")
-                mask = node_mask if mask is None else mask & node_mask
-                if not mask:
-                    break
-        self._mask = mask
-        self._mask_ready = True
-        return mask
 
     # ------------------------------------------------------------------
     # wildcard-only queries

@@ -52,7 +52,6 @@ to a replica, and a direct client sees a typed, retryable error.
 
 from __future__ import annotations
 
-import heapq
 import json
 import socket
 import socketserver
@@ -63,7 +62,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.errors import InvalidParameterError, ReproError, ServerBusyError
-from repro.query.base import rank_key
+from repro.query.base import ranked_prefix
 from repro.query.tokens import is_negation_only, normalize_query
 from repro.serve.protocol import (
     DEFAULT_COMPRESS_THRESHOLD,
@@ -95,8 +94,8 @@ def parse_shard_list(raw: str) -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
-# partial (per-shard-slice) reads — the same machinery ShardedPatternStore
-# uses in-process, restricted to an explicit shard set
+# partial (per-shard-slice) reads — ShardedPatternStore's own ranked
+# streams, restricted to an explicit shard set
 # ----------------------------------------------------------------------
 
 
@@ -107,31 +106,15 @@ def partial_search(
     limit: int | None = None,
     min_freq: int | None = None,
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Rank-ordered ``(coded, frequency)`` matches over a shard slice.
-
-    Compiles once, k-way merges the selected shards' rank-ordered
-    streams with the shared :func:`rank_key`, and applies the σ prefix
-    cut and limit exactly as :meth:`PatternSearchBase.search` does —
-    so concatenating/merging slices reproduces the whole store's
-    answer byte for byte.
+    """Rank-ordered ``(coded, frequency)`` matches over a shard slice:
+    the store's own merged search stream narrowed to ``shard_ids``, cut
+    at σ and ``limit`` exactly as :meth:`PatternSearchBase.search` cuts
+    it — so merging slices reproduces the whole store's answer byte for
+    byte.
     """
-    tokens = normalize_query(tokens)
-    compiled = store._compile(tokens)
-    shards = [
-        store._shard(i)
-        for i in (store.owned_shards if shard_ids is None else shard_ids)
-    ]
-    stream = heapq.merge(
-        *(shard._iter_search(compiled) for shard in shards), key=rank_key
-    )
-    records: list[tuple[tuple[int, ...], int]] = []
-    for pattern, frequency in stream:
-        if min_freq is not None and frequency < min_freq:
-            break  # rank order: everything after is below σ too
-        records.append((pattern, frequency))
-        if limit is not None and len(records) >= limit:
-            break
-    return records
+    compiled = store._compile(normalize_query(tokens))
+    stream = store._iter_search(compiled, {}, shard_ids)
+    return list(ranked_prefix(stream, limit, min_freq))
 
 
 def partial_top(
@@ -140,19 +123,7 @@ def partial_top(
     shard_ids: Sequence[int] | None = None,
 ) -> list[tuple[tuple[int, ...], int]]:
     """Rank-ordered top-``n`` ``(coded, frequency)`` over a shard slice."""
-    shards = [
-        store._shard(i)
-        for i in (store.owned_shards if shard_ids is None else shard_ids)
-    ]
-    stream = heapq.merge(
-        *(shard._iter_ranked() for shard in shards), key=rank_key
-    )
-    records: list[tuple[tuple[int, ...], int]] = []
-    for record in stream:
-        if len(records) >= n:
-            break
-        records.append(record)
-    return records
+    return list(ranked_prefix(store._iter_ranked(shard_ids), n))
 
 
 # ----------------------------------------------------------------------

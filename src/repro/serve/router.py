@@ -1008,15 +1008,15 @@ class RouterBackend:
         query,
         limit: int | None = None,
         min_freq: int | None = None,
-        cost: float | None = None,
+        cost: CostEstimate | None = None,
     ) -> Answer:
         """Fan the normalized query out and merge the partial answers.
 
         Per-shard σ cuts compose (rank order makes ``min_freq`` a
         stream prefix) and ``limit`` pushes down as a per-server upper
         bound, re-applied globally after the merge.  ``cost`` is the
-        caller's estimate for this query (:meth:`estimate_cost`); it
-        scales this fan-out's deadline and nothing else.
+        caller's estimate for this query (:meth:`estimate_cost`); its
+        ``.cost`` scales this fan-out's deadline and nothing else.
         """
         tokens = encode_tokens(normalize_query(query))
 
@@ -1030,7 +1030,9 @@ class RouterBackend:
                 "min_freq": min_freq,
             }
 
-        groups, partial = self._scatter(make_payload, cost=cost)
+        groups, partial = self._scatter(
+            make_payload, cost=None if cost is None else cost.cost
+        )
         merged = heapq.merge(*groups, key=_record_key)
         if limit is not None:
             merged = itertools.islice(merged, limit)

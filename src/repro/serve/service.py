@@ -292,12 +292,10 @@ class QueryService:
     ) -> dict:
         """Ranked matches plus match count and total frequency mass.
 
-        ``limit=None`` returns every match; otherwise ``limit >= 1``
-        (``search`` treats ``limit <= 0`` as 1, which would surprise an
-        HTTP caller asking for 0 results).  ``min_freq`` is the
-        per-query σ override: only patterns with mined frequency ≥ it
-        are matched, counted and massed (the filter runs server-side,
-        before ``limit``).
+        ``limit=None`` returns every match; otherwise ``limit >= 1``.
+        ``min_freq`` is the per-query σ override: only patterns with
+        mined frequency ≥ it are matched, counted and massed (the
+        filter runs server-side, before ``limit``).
         """
         return self._query(self._context(), query, limit, min_freq)
 
@@ -422,7 +420,10 @@ class QueryService:
         def compute():
             # admission runs only on misses: a cached answer is free, so
             # repeats of an expensive query bypass the gate by design
-            cost = self._admit(ctx, tokens)
+            # the float is what this service keeps (response, cache
+            # weight); the estimate itself — and the plans it carries —
+            # goes to the search below and no further
+            estimate, cost = self._admit(ctx, tokens)
             budget = None
             if (
                 cost is not None
@@ -435,7 +436,7 @@ class QueryService:
             answer = ctx.parked.pop((tokens, min_freq), None)
             if answer is None:
                 answer = ctx.backend.search_answer(
-                    tokens, limit=budget, min_freq=min_freq, cost=cost
+                    tokens, limit=budget, min_freq=min_freq, cost=estimate
                 )
             elif isinstance(answer, ReproError):
                 raise answer
@@ -601,9 +602,10 @@ class QueryService:
             stats["freshness"] = freshness
         plan_stats = getattr(backend, "plan_stats", None)
         if plan_stats is not None:
-            # compiled-query-plan cache + execution-path counters (the
-            # router backend is not a PatternSearchBase and has none;
-            # its shard servers each report their own)
+            # plan-build + execution-path counters, under the key the
+            # benchmark suite reads (the router backend is not a
+            # PatternSearchBase and has none; its shard servers each
+            # report their own)
             stats["plan_cache"] = plan_stats()
         return stats
 
@@ -627,18 +629,19 @@ class QueryService:
         with self._lock:
             return _Request(self._backend, self._epoch, {})
 
-    def _admit(self, ctx: _Request, tokens) -> float | None:
+    def _admit(self, ctx: _Request, tokens) -> tuple:
         """Price the query and apply the admission ceiling.
 
-        Returns the estimated cost (``None`` when the backend cannot
-        estimate — e.g. no shard server reachable), records it in the
-        cost histogram, and raises :class:`QueryRejectedError` when it
+        Returns ``(estimate, cost)`` — the backend's estimate and its
+        cost as a float, both ``None`` when the backend cannot estimate
+        (e.g. no shard server reachable) — records the cost in the cost
+        histogram, and raises :class:`QueryRejectedError` when it
         crosses ``max_cost``.  Raised *inside* the cache-miss compute,
         so a rejection can never be cached.
         """
         estimate = ctx.backend.estimate_cost(tokens)
         if estimate is None:
-            return None
+            return None, None
         cost = float(estimate.cost)
         with self._lock:
             self._cost_hist.observe(cost)
@@ -651,7 +654,7 @@ class QueryService:
                 estimated_cost=cost,
                 max_cost=self._max_cost,
             )
-        return cost
+        return estimate, cost
 
     #: how far past the LRU end the cost-weighted eviction looks: the
     #: victim is the cheapest-to-recompute entry among the oldest few,

@@ -199,14 +199,12 @@ class ShardedPatternStore(PatternSearchBase):
                     # descendant expansions (^name queries), compiled
                     # tokens, and admissible id sets are pure functions
                     # of the shared vocabulary: let shards reuse each
-                    # other's results (plan caches stay per-shard —
-                    # their bitmaps live in shard-local coordinates)
+                    # other's results
                     store._descendants_cache = self._descendants_cache
                     store._descendants_lock = self._descendants_lock
                     store._compile_cache = self._compile_cache
                     store._admissible_cache = self._admissible_cache
                     store._accelerate = self._accelerate
-                    store._plan_order = self._plan_order
                     store._plan_strategy = self._plan_strategy
                     # shards slice one shared PositionSpace build
                     # instead of each paying the full slot loop
@@ -218,8 +216,14 @@ class ShardedPatternStore(PatternSearchBase):
                     self._stores[index] = store
         return store
 
-    def _shards(self) -> list[PatternStore]:
-        return [self._shard(i) for i in self._owned]
+    def _shards(
+        self, shard_ids: Sequence[int] | None = None
+    ) -> list[PatternStore]:
+        """The named shards' stores (default: every mounted one)."""
+        return [
+            self._shard(i)
+            for i in (self._owned if shard_ids is None else shard_ids)
+        ]
 
     @classmethod
     def open(
@@ -312,20 +316,32 @@ class ShardedPatternStore(PatternSearchBase):
             )
         return self._subset_counts[0]
 
-    def _iter_ranked(self) -> Iterator[tuple[Pattern, int]]:
+    # ``shard_ids`` narrows a ranked read to a slice of the mounted
+    # shards — what a shard server answers on behalf of the router
+
+    def _iter_ranked(
+        self, shard_ids: Sequence[int] | None = None
+    ) -> Iterator[tuple[Pattern, int]]:
         return heapq.merge(
-            *(store._iter_ranked() for store in self._shards()), key=rank_key
+            *(store._iter_ranked() for store in self._shards(shard_ids)),
+            key=rank_key,
         )
 
     def _iter_search(
-        self, compiled: list[CompiledToken]
+        self,
+        compiled: list[CompiledToken],
+        plans: dict,
+        shard_ids: Sequence[int] | None = None,
     ) -> Iterator[tuple[Pattern, int]]:
         # the compiled ids and id sets are valid in every shard (shared
         # vocabulary); per-shard streams are rank-ordered, so the heap
         # interleaves them into exactly the order one monolithic store
         # would emit
         return heapq.merge(
-            *(store._iter_search(compiled) for store in self._shards()),
+            *(
+                store._iter_search(compiled, plans)
+                for store in self._shards(shard_ids)
+            ),
             key=rank_key,
         )
 
@@ -376,16 +392,14 @@ class ShardedPatternStore(PatternSearchBase):
                 if store is not None:
                     store._accelerate = enabled
 
-    def set_planner(
-        self, order: str = "cost", strategy: str | None = None
-    ) -> None:
-        """Set the planner knobs on this handle and every already-open
-        shard (shards opened later inherit them at mount time)."""
-        super().set_planner(order, strategy)
+    def set_planner(self, strategy: str | None = None) -> None:
+        """Force an execution strategy on this handle and every
+        already-open shard (shards opened later inherit it at mount
+        time)."""
+        super().set_planner(strategy)
         with self._open_lock:
             for store in self._stores:
                 if store is not None:
-                    store._plan_order = order
                     store._plan_strategy = strategy
 
     def _shard_space(self, index: int) -> PositionSpace:
@@ -421,11 +435,11 @@ class ShardedPatternStore(PatternSearchBase):
 
     def estimate_cost(self, query) -> CostEstimate:
         """Handle-level cost estimate: the per-shard estimates summed
-        (shards partition the patterns, so their work adds)."""
+        (shards partition the patterns, so their work adds), carrying
+        every shard's priced plan."""
         compiled = self._compile(normalize_query(query))
         return combine_estimates(
-            shard._plan_for(compiled).estimate(shard)
-            for shard in self._shards()
+            shard._price(compiled) for shard in self._shards()
         )
 
     def explain(self, query) -> dict:
@@ -439,37 +453,20 @@ class ShardedPatternStore(PatternSearchBase):
         return info
 
     def plan_stats(self) -> dict:
-        """Aggregate plan-cache counters over the currently-open shards
+        """The plan counters summed over the currently-open shards
         (closed slots are skipped — this is a metrics read, not a reason
         to fault shards in).  ``space_builds`` counts the handle's own
         shared builds plus any per-shard builds — exactly 1 after a
         positional query, however many shards are mounted."""
-        totals = {
-            "entries": 0,
-            "capacity": 0,
-            "hits": 0,
-            "compiles": 0,
-            "evictions": 0,
-            "space_builds": self._space_builds,
-            "paths": {
-                "exact": 0,
-                "pruned": 0,
-                "scan": 0,
-                "wildcard": 0,
-                "legacy": 0,
-            },
-        }
+        totals = super().plan_stats()
         with self._open_lock:
             open_stores = [s for s in self._stores if s is not None]
         for store in open_stores:
             stats = store.plan_stats()
-            totals["entries"] += stats["entries"]
-            totals["capacity"] += stats["capacity"]
-            totals["hits"] += stats["hits"]
-            totals["compiles"] += stats["compiles"]
-            totals["evictions"] += stats["evictions"]
-            totals["space_builds"] += stats["space_builds"]
-            for path, count in stats["paths"].items():
+            paths = stats.pop("paths")
+            for key, count in stats.items():
+                totals[key] += count
+            for path, count in paths.items():
                 totals["paths"][path] += count
         return totals
 

@@ -398,9 +398,7 @@ def test_differential_oracle_vs_all_backends(tmp_path):
     sigma_cases = 0
     dense_cases = 0
     kinds_covered: set[str] = set()
-    paths_total = {
-        "exact": 0, "pruned": 0, "scan": 0, "wildcard": 0, "legacy": 0,
-    }
+    paths_total = {"exact": 0, "pruned": 0, "scan": 0, "wildcard": 0}
     for instance in range(N_INSTANCES):
         hierarchy = _random_hierarchy(rng)
         database = _random_database(rng, list(hierarchy.items))
@@ -501,19 +499,17 @@ def test_differential_oracle_vs_all_backends(tmp_path):
     assert paths_total["exact"] > 0, f"exact path never taken: {paths_total}"
 
 
-def test_planner_orderings_and_strategies_differential(tmp_path):
+def test_planner_strategies_differential(tmp_path):
     """Every choice the cost planner can make is answer-invariant.
 
-    For random mined instances, every combination of node ordering
-    (``cost``/``cardinality``/``worst``) and forced execution strategy
+    For random mined instances, every forced execution strategy
     (``exact``/``pruned``/``scan`` plus estimate-driven ``None``) must
-    return the same ranked answers as the unaccelerated legacy matcher
-    — on the in-memory index, the store file and the sharded store.
-    This is the guarantee that
-    lets admission control trust the estimate: the planner can only
-    change *speed*, never answers.
+    return the same ranked answers as the unaccelerated reference
+    matcher — on the in-memory index, the store file and the sharded
+    store.  This is the guarantee that lets admission control trust the
+    estimate: the planner can only change *speed*, never answers.
     """
-    from repro.query.cost import PLAN_ORDERS, PLAN_STRATEGIES
+    from repro.query.cost import PLAN_STRATEGIES
 
     def set_accelerate(backend, enabled):
         # only the sharded store has a propagating setter
@@ -558,28 +554,27 @@ def test_planner_orderings_and_strategies_differential(tmp_path):
                         reference = got
                     assert got == reference, (
                         f"seed={SEED + 4} instance={instance} "
-                        f"query={_render_query(tokens)!r} legacy path "
+                        f"query={_render_query(tokens)!r} reference path "
                         f"disagrees on {type(backend).__name__}"
                     )
-                for order in PLAN_ORDERS:
-                    for strategy in (None, *PLAN_STRATEGIES):
-                        for backend in backends:
-                            backend.set_planner(order, strategy)
-                            strategies_run.add(
-                                backend.explain(tokens)["strategy"]
-                            )
-                            got = [
-                                (m.pattern, m.frequency)
-                                for m in backend.search(tokens)
-                            ]
-                            assert got == reference, (
-                                f"seed={SEED + 4} instance={instance} "
-                                f"query={_render_query(tokens)!r} "
-                                f"order={order} strategy={strategy} "
-                                f"backend={type(backend).__name__}: "
-                                f"{got!r} != legacy {reference!r}"
-                            )
-                            compared += 1
+                for strategy in (None, *PLAN_STRATEGIES):
+                    for backend in backends:
+                        backend.set_planner(strategy)
+                        strategies_run.add(
+                            backend.explain(tokens)["strategy"]
+                        )
+                        got = [
+                            (m.pattern, m.frequency)
+                            for m in backend.search(tokens)
+                        ]
+                        assert got == reference, (
+                            f"seed={SEED + 4} instance={instance} "
+                            f"query={_render_query(tokens)!r} "
+                            f"strategy={strategy} "
+                            f"backend={type(backend).__name__}: "
+                            f"{got!r} != reference {reference!r}"
+                        )
+                        compared += 1
                 for backend in backends:
                     backend.set_planner()
     assert compared >= 300, f"only {compared} planner cases executed"

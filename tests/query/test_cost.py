@@ -1,10 +1,10 @@
 """Unit tests for the cost-based query planner (:mod:`repro.query.cost`).
 
-The differential harness proves every ordering and strategy the planner
-can choose is answer-invariant; this file pins the *decisions* — node
-ordering and the skip rule, the estimator's strategy picks on skewed
-statistics, the LRU plan cache (promotion on hit, eviction counter),
-shared position-space slicing, and the explain/estimate public surface.
+The differential harness proves every strategy the planner can choose
+is answer-invariant; this file pins the *decisions* — node ordering and
+the skip rule, the estimator's strategy picks on skewed statistics,
+shared position-space slicing, the explain/estimate public surface —
+and that nothing per-query outlives the request that priced it.
 Decisions are asserted, raw cost numbers are not: only the ratios in
 :mod:`repro.analysis.costmodel` are meaningful.
 """
@@ -20,7 +20,6 @@ from repro.errors import InvalidParameterError
 from repro.hierarchy import Hierarchy
 from repro.query import PatternIndex, code_patterns
 from repro.query.cost import (
-    PLAN_ORDERS,
     PLAN_STRATEGIES,
     CostEstimate,
     combine_estimates,
@@ -32,7 +31,7 @@ from repro.query.plan import PositionSpace
 @pytest.fixture(scope="module")
 def skewed_index() -> PatternIndex:
     """A corpus with one ubiquitous item and one rare one: ``common``
-    posts to 121 patterns, ``rare`` to 2 — past the ``cost`` ordering's
+    posts to 121 patterns, ``rare`` to 2 — past the node ordering's
     skip factor, so a ``common rare`` query should intersect only the
     rare node and DP-verify."""
     hierarchy = Hierarchy()
@@ -59,7 +58,7 @@ class TestOrderMaskNodes:
     SIZED = [(100, (1, 2)), (3, (9,)), (40, (5,))]
 
     def test_cost_sorts_ascending_and_skips_oversized(self):
-        included, skipped = order_mask_nodes(list(self.SIZED), "cost")
+        included, skipped = order_mask_nodes(list(self.SIZED))
         # ceiling = NODE_SKIP_FACTOR * 3: both 40 and 100 exceed it
         assert NODE_SKIP_FACTOR * 3 < 40
         assert [entries for entries, _ in included] == [3]
@@ -67,21 +66,9 @@ class TestOrderMaskNodes:
 
     def test_cost_keeps_balanced_nodes(self):
         sized = [(10, (1,)), (20, (2,)), (60, (3,))]
-        included, skipped = order_mask_nodes(sized, "cost")
+        included, skipped = order_mask_nodes(sized)
         assert NODE_SKIP_FACTOR * 10 >= 60
         assert [entries for entries, _ in included] == [10, 20, 60]
-        assert skipped == []
-
-    def test_worst_is_descending_with_no_skip(self):
-        included, skipped = order_mask_nodes(list(self.SIZED), "worst")
-        assert [entries for entries, _ in included] == [100, 40, 3]
-        assert skipped == []
-
-    def test_cardinality_is_the_legacy_id_set_order(self):
-        included, skipped = order_mask_nodes(list(self.SIZED), "cardinality")
-        # sorted by len(ids): the 100-entry two-id node goes *after*
-        # the single-id ones — the blindness the cost order fixes
-        assert [len(ids) for _, ids in included] == [1, 1, 2]
         assert skipped == []
 
 
@@ -154,52 +141,53 @@ class TestCostEstimate:
         assert combine_estimates([]).strategy == "unsatisfiable"
 
     def test_set_planner_validates_knobs(self, skewed_index):
-        with pytest.raises(InvalidParameterError, match="order"):
-            skewed_index.set_planner("fastest")
         with pytest.raises(InvalidParameterError, match="strategy"):
-            skewed_index.set_planner("cost", "psychic")
-        for order in PLAN_ORDERS:
-            for strategy in (None, *PLAN_STRATEGIES):
-                skewed_index.set_planner(order, strategy)
+            skewed_index.set_planner("psychic")
+        with pytest.raises(TypeError):
+            skewed_index.set_planner("cost", "exact")  # the order knob is gone
+        for strategy in (None, *PLAN_STRATEGIES):
+            skewed_index.set_planner(strategy)
         skewed_index.set_planner()
 
     def test_explain_reports_forced_strategy(self, skewed_index):
         try:
-            skewed_index.set_planner("cost", "scan")
+            skewed_index.set_planner("scan")
             plan = skewed_index.explain("common rare")
             assert plan["forced_strategy"] == "scan"
             assert plan["strategy"] == "scan"
+            assert "order" not in plan
         finally:
             skewed_index.set_planner()
 
 
 # ----------------------------------------------------------------------
-# plan cache: LRU promotion + eviction counter
+# pricing leaves statistics behind, nothing per query
 # ----------------------------------------------------------------------
 
 
-class TestPlanCacheLru:
-    def test_hot_plan_survives_cap_churn(self, skewed_index):
-        hierarchy = Hierarchy()
-        for name in ("a", "b", "c", "d"):
-            hierarchy.add_item(name)
-        coded, vocab = code_patterns(
-            {("a",): 4, ("b",): 3, ("c",): 2, ("d",): 1}, hierarchy
-        )
-        index = PatternIndex(coded, vocab)
-        index._PLAN_CACHE_CAP = 2
-        index.search("a")
-        index.search("b")
-        index.search("a")  # hit → promoted to most-recent
-        index.search("c")  # overflow: evicts "b" (LRU), not hot "a"
-        stats = index.plan_stats()
-        assert stats["entries"] == 2
-        assert stats["evictions"] == 1
-        compiles_before = index.plan_stats()["compiles"]
-        index.search("a")  # still cached: no recompile
-        assert index.plan_stats()["compiles"] == compiles_before
-        index.search("b")  # was evicted: recompiled
-        assert index.plan_stats()["compiles"] == compiles_before + 1
+class TestNothingPerQueryIsRetained:
+    def test_distinct_queries_leave_only_statistics_keys(self, skewed_index):
+        """The estimate used to be parked per distinct query in the
+        never-evicted stat cache; 2 000 distinct queries must leave
+        only store statistics there."""
+        for gap in range(2000):  # 2 000 distinct window shapes
+            query = f"common *{{0,{gap}}} (rare|mid)"
+            skewed_index.estimate_cost(query)
+            skewed_index.search(query, limit=1)
+        kinds = {key[0] for key in skewed_index._cost_stat_cache}
+        assert kinds <= {"node", "lengths", "scan", "space"}
+
+    def test_estimate_carries_its_plans_outside_its_value(self, skewed_index):
+        first = skewed_index.estimate_cost("common rare")
+        second = skewed_index.estimate_cost("common rare")
+        plan, strategy = first.plans[skewed_index]
+        assert strategy == first.strategy
+        assert second.plans[skewed_index][0] is not plan  # built per call
+        assert first == second  # the plans are no part of the value
+        assert "plans" not in first.to_dict()
+        assert "plans" not in first.to_wire()
+        assert "plans" not in repr(first)
+        assert combine_estimates([first, None]).plans == first.plans
 
 
 # ----------------------------------------------------------------------

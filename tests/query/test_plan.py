@@ -2,11 +2,15 @@
 
 The differential harness proves the accelerated engine agrees with the
 reference DP end to end; this file pins down the pieces — the position
-bitmap geometry, window shift algebra, plan structure, per-backend plan
-cache, and hierarchy-aware disjunction hoisting.
+bitmap geometry, window shift algebra, plan structure, the plan
+counters, thread-safety of per-request plans, and hierarchy-aware
+disjunction hoisting.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
@@ -174,29 +178,11 @@ class TestQueryPlanStructure:
 
 
 # ----------------------------------------------------------------------
-# plan cache + stats
+# plan counters + per-request plans
 # ----------------------------------------------------------------------
 
 
 class TestPlanCache:
-    def test_hits_and_compiles(self, small_index):
-        before = small_index.plan_stats()
-        small_index.search("a ? *{0,1}")
-        mid = small_index.plan_stats()
-        assert mid["compiles"] >= before["compiles"] + 1
-        small_index.search("a ? *{0,1}")
-        after = small_index.plan_stats()
-        assert after["hits"] >= mid["hits"] + 1
-        assert after["compiles"] == mid["compiles"]
-
-    def test_eviction_cap(self):
-        hierarchy = Hierarchy()
-        hierarchy.add_item("a")
-        index = PatternIndex(*code_patterns({("a",): 1}, hierarchy))
-        for floor in range(index._PLAN_CACHE_CAP + 10):
-            index.search(f"a@{floor}")
-        assert index.plan_stats()["entries"] <= index._PLAN_CACHE_CAP
-
     def test_paths_counters(self, small_index):
         base = small_index.plan_stats()["paths"]
         small_index.search("a ?")  # positional backend: exact
@@ -204,6 +190,79 @@ class TestPlanCache:
         paths = small_index.plan_stats()["paths"]
         assert paths["exact"] == base["exact"] + 1
         assert paths["wildcard"] == base["wildcard"] + 1
+
+    def test_stats_say_what_is_left(self, small_index):
+        before = small_index.plan_stats()
+        assert set(before) == {"compiles", "space_builds", "paths"}
+        assert set(before["paths"]) == {"exact", "pruned", "scan", "wildcard"}
+        # a plan is a per-request value: the repeat builds its own
+        small_index.search("a ? *{0,1}")
+        small_index.search("a ? *{0,1}")
+        after = small_index.plan_stats()
+        assert after["compiles"] == before["compiles"] + 2
+        assert after["compiles"] >= sum(after["paths"].values())
+
+    def test_forced_pruned_without_maskable_node_answers_as_reference(
+        self, small_index
+    ):
+        """``!c`` has no positive node to mask on: a forced ``pruned``
+        runs the length scan and still answers as the reference DP."""
+        small_index._accelerate = False
+        try:
+            reference = _answers(small_index, "!c ?")
+        finally:
+            small_index._accelerate = True
+        scans = small_index.plan_stats()["paths"]["scan"]
+        small_index.set_planner("pruned")
+        try:
+            assert _answers(small_index, "!c ?") == reference
+        finally:
+            small_index.set_planner()
+        assert reference
+        assert small_index.plan_stats()["paths"]["scan"] == scans + 1
+
+    def test_threads_answer_as_one_thread_does(self, small_index, tmp_path):
+        """8 threads × the same 50 queries on one cold backend: plans
+        are per-request values, so nothing is shared that a lock would
+        have to guard — what the deleted plan locks used to guarantee."""
+        path = tmp_path / "threads.shards"
+        write_sharded_store(
+            path, small_index._frequencies, small_index.vocabulary, shards=2
+        )
+        queries = [
+            f"{QUERIES[i % len(QUERIES)]} *{{0,{i // len(QUERIES)}}}"
+            for i in range(50)
+        ]
+        expected = [_answers(small_index, q) for q in queries]
+        cold_index = PatternIndex(
+            small_index._frequencies, small_index.vocabulary
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with open_store(path) as store:
+                for backend in (cold_index, store):
+                    results: list = [None] * 8
+                    start = threading.Barrier(8)
+
+                    def worker(slot, backend=backend):
+                        start.wait(timeout=10)
+                        results[slot] = [
+                            _answers(backend, q) for q in queries
+                        ]
+
+                    threads = [
+                        threading.Thread(target=worker, args=(slot,))
+                        for slot in range(8)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert results == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

@@ -318,7 +318,7 @@ class _CorruptBackend(PatternSearchBase):
     def estimate_cost(self, query):
         return None  # nothing readable to price
 
-    def search(self, query, limit=None, min_freq=None):
+    def search_answer(self, query, limit=None, min_freq=None, cost=None):
         from repro.errors import StoreCorruptError
         from repro.query.tokens import normalize_query
 

@@ -6,7 +6,10 @@ an argument of ``search_answer``), degradation and freshness are read
 off the :class:`~repro.query.base.Answer` that carries the matches, and
 a batch's pre-fetched answers live in that batch's own map.  The first
 two classes pin bugs of the thread-local design this replaced; both
-fail on the commit before it.
+fail on the commit before it.  The last pins the plan hand-off: the
+estimate admission asked for carries the plans it priced, and the
+search that follows runs them — one build and one pricing per shard per
+cache miss, with no plan cache in between.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from repro.analysis.costmodel import COST_FULL_DEADLINE, MIN_DEADLINE_FRACTION
 from repro.errors import QueryRejectedError, UnknownItemError
 from repro.hierarchy import Hierarchy
 from repro.query import Answer, PatternIndex, code_patterns, parse_query
+from repro.query.cost import CostEstimate, CostEstimator
+from repro.query.plan import QueryPlan
 from repro.query.tokens import normalize_query
-from repro.serve import QueryService, open_store
+from repro.serve import QueryService, open_store, write_sharded_store
 from repro.serve.distributed import ShardServer
 from repro.serve.router import RouterBackend, deadline_fraction
 
@@ -110,16 +115,16 @@ class TestFreshnessComesFromTheBackendThatAnswered:
     def test_miss_racing_a_swap_keeps_the_old_watermark(self):
         old, newer = _index(5, 1), _index(9, 2)
         service = QueryService(old)
-        original = old.search
+        original = old.search_answer
 
-        def swapping_search(query, limit=None, min_freq=None):
+        def swapping_search(query, limit=None, min_freq=None, cost=None):
             """The compaction daemon swapping mid-search, made
             deterministic."""
-            matches = original(query, limit=limit, min_freq=min_freq)
+            answer = original(query, limit, min_freq, cost)
             service.swap_backend(newer)
-            return matches
+            return answer
 
-        old.search = swapping_search
+        old.search_answer = swapping_search
         raced = service.query("a ?")
         # the matches came from `old`: so does the freshness bound
         assert raced["ingested_through"] == 5
@@ -143,16 +148,16 @@ class TestFreshnessComesFromTheBackendThatAnswered:
         neither read nor overwritten by it."""
         old, newer = _index(5, 1), _index(9, 2)
         service = QueryService(old)
-        original = old.search
+        original = old.search_answer
 
-        def swap_and_warm(query, limit=None, min_freq=None):
-            matches = original(query, limit=limit, min_freq=min_freq)
+        def swap_and_warm(query, limit=None, min_freq=None, cost=None):
+            answer = original(query, limit, min_freq, cost)
             if service.backend is old:
                 service.swap_backend(newer)
                 service.query("a")  # the new generation caches "a"
-            return matches
+            return answer
 
-        old.search = swap_and_warm
+        old.search_answer = swap_and_warm
         first, second = service.batch(["a ?", "a"])
         assert first["ingested_through"] == second["ingested_through"] == 5
         hits = service.stats()["cache_hits"]
@@ -170,6 +175,13 @@ class TestFreshnessComesFromTheBackendThatAnswered:
 # ----------------------------------------------------------------------
 # cost-scaled deadlines, now that cost is an explicit argument
 # ----------------------------------------------------------------------
+
+
+def _priced(cost: float) -> CostEstimate:
+    """What a caller hands ``search_answer(cost=…)``: an estimate."""
+    return CostEstimate(
+        cost=cost, strategy="mixed", candidates=0, scan_candidates=0
+    )
 
 
 class TestCostScaledDeadline:
@@ -192,7 +204,7 @@ class TestCostScaledDeadline:
             router = RouterBackend(cluster, deadline=deadline)
             try:
                 start = time.monotonic()
-                cheap = router.search_answer(tokens, cost=1.0)
+                cheap = router.search_answer(tokens, cost=_priced(1.0))
                 elapsed = time.monotonic() - start
                 assert cheap.partial is not None
                 assert cheap.partial["missing_shards"] == list(
@@ -207,7 +219,9 @@ class TestCostScaledDeadline:
 
                 for cost in (None, COST_FULL_DEADLINE, 5 * COST_FULL_DEADLINE):
                     start = time.monotonic()
-                    full = router.search_answer(tokens, cost=cost)
+                    full = router.search_answer(
+                        tokens, cost=None if cost is None else _priced(cost)
+                    )
                     elapsed = time.monotonic() - start
                     assert full.partial is None, cost
                     assert _pairs(full.matches) == expected["? ?"], cost
@@ -399,3 +413,131 @@ class TestBatchOwnsItsParkedAnswers:
             finally:
                 router.close()
 
+
+
+# ----------------------------------------------------------------------
+# the plan admission priced is the plan the search runs — as an argument
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def planner_calls(monkeypatch):
+    """Counts every ``QueryPlan`` construction and every pricing."""
+    calls = {"plans": 0, "estimates": 0}
+    build, price = QueryPlan.__init__, CostEstimator.estimate
+
+    def counting_build(self, compiled, backend):
+        calls["plans"] += 1
+        build(self, compiled, backend)
+
+    def counting_price(self, plan):
+        calls["estimates"] += 1
+        return price(self, plan)
+
+    monkeypatch.setattr(QueryPlan, "__init__", counting_build)
+    monkeypatch.setattr(CostEstimator, "estimate", counting_price)
+    return calls
+
+
+@pytest.fixture(params=["index", "store", "sharded"])
+def local_backend(request, mined, store_path, tmp_path):
+    """``(backend, shards)`` for each kind of local backend."""
+    if request.param == "index":
+        yield PatternIndex(mined.patterns, mined.vocabulary), 1
+    elif request.param == "store":
+        mined.to_store(tmp_path / "single.store")
+        with open_store(tmp_path / "single.store") as store:
+            yield store, 1
+    else:
+        with open_store(store_path) as store:
+            yield store, NUM_SHARDS
+
+
+def _older_generation(mined):
+    """The mined patterns minus every third one, frequencies shifted:
+    same vocabulary, different answers — a store before a fold."""
+    ranked = sorted(mined.patterns.items())
+    return {
+        pattern: frequency + 1
+        for i, (pattern, frequency) in enumerate(ranked)
+        if i % 3
+    }
+
+
+class TestPlanTravelsWithItsEstimate:
+    def test_a_miss_builds_and_prices_one_plan_per_shard(
+        self, local_backend, planner_calls
+    ):
+        backend, shards = local_backend
+        service = QueryService(backend)
+
+        def spent():
+            done = planner_calls["plans"], planner_calls["estimates"]
+            planner_calls["plans"] = planner_calls["estimates"] = 0
+            return done
+
+        service.query("a ?")
+        assert spent() == (shards, shards)
+        service.count("^B +")
+        assert spent() == (shards, shards)
+        service.query("a ?", limit=3)  # a hit: the result cache's job
+        assert spent() == (0, 0)
+        answers = service.batch(["a ?", "a * c", "(a|^B) ?", "a * c"])
+        assert all("error" not in answer for answer in answers)
+        assert spent() == (2 * shards, 2 * shards)  # the two new entries
+        stats = backend.plan_stats()
+        assert stats["compiles"] == 4 * shards == sum(stats["paths"].values())
+
+    def test_a_plan_priced_elsewhere_is_never_executed(
+        self, mined, store_path, tmp_path, planner_calls
+    ):
+        """Two generations of one store, as after ``swap_backend``: the
+        estimate of one handed to the other is not that backend's, so
+        it builds its own plans and answers exactly as it does alone."""
+        older = _older_generation(mined)
+        vocabulary = mined.vocabulary
+        write_sharded_store(tmp_path / "older.shards", older, vocabulary, 4)
+        with open_store(store_path) as new_store, open_store(
+            tmp_path / "older.shards"
+        ) as old_store:
+            pairs = [
+                (PatternIndex(older, vocabulary),
+                 PatternIndex(mined.patterns, vocabulary), 1),
+                (old_store, new_store, NUM_SHARDS),
+            ]
+            for stale, live, shards in pairs:
+                for query in QUERIES:
+                    tokens = parse_query(query)
+                    alone = live.search_answer(tokens)
+                    foreign = stale.estimate_cost(tokens)
+                    assert live not in foreign.plans
+                    planner_calls["plans"] = 0
+                    assert live.search_answer(tokens, cost=foreign) == alone
+                    assert planner_calls["plans"] == shards
+                    # its own estimate, by contrast, is executed as is
+                    own = live.estimate_cost(tokens)
+                    planner_calls["plans"] = 0
+                    assert live.search_answer(tokens, cost=own) == alone
+                    assert planner_calls["plans"] == 0
+                assert stale.search_answer(parse_query("? ?")) != (
+                    live.search_answer(parse_query("? ?"))
+                )
+
+    def test_the_result_cache_keeps_the_float_not_the_estimate(
+        self, local_backend
+    ):
+        """A cached entry must not pin plans, masks or match lists: what
+        the service retains of an estimate is its cost, a float."""
+        backend, _ = local_backend
+        service = QueryService(backend)
+        for query in QUERIES:
+            service.query(query)
+        assert len(service._cache) == len(QUERIES)
+        for entry, cost in service._cache.values():
+            assert type(cost) is float
+            assert type(entry.cost) is float
+            assert entry.matches is None
+            assert not any(
+                isinstance(value, (CostEstimate, QueryPlan))
+                for value in entry
+            )

@@ -165,19 +165,19 @@ class TestLruCache:
     def test_cold_overflow_searches_once(self, backend):
         service = QueryService(backend, max_cached_matches=2)
         calls = []
-        original = backend.search
+        original = backend.search_answer
 
-        def counting_search(query, limit=None, min_freq=None):
+        def counting_search(query, limit=None, min_freq=None, cost=None):
             calls.append(query)
-            return original(query, limit=limit)
+            return original(query, limit, min_freq, cost)
 
-        backend.search = counting_search
+        backend.search_answer = counting_search
         try:
             full = service.query("? ?", limit=None)  # cold miss, overflow
             assert full["count"] == 4 and len(full["matches"]) == 4
             assert len(calls) == 1  # the miss's search served the overflow
         finally:
-            backend.search = original
+            del backend.search_answer
 
     def test_overflow_requests_are_not_counted_as_hits(self, backend):
         service = QueryService(backend, max_cached_matches=2)

@@ -381,7 +381,7 @@ class TestSharedPositionSpace:
         index = PatternIndex.from_result(fig1_result)
         with ShardedPatternStore.open(path) as sharded:
             # force the bitmap path: "pruned" plans skip the space
-            sharded.set_planner("cost", "exact")
+            sharded.set_planner("exact")
             for query in FIG1_QUERIES:
                 assert sharded.search(query) == index.search(query), query
             stats = sharded.plan_stats()
@@ -392,7 +392,7 @@ class TestSharedPositionSpace:
         path = tmp_path / "fig1.shards"
         fig1_result.to_store(path, shards=3)
         with ShardedPatternStore.open(path) as sharded:
-            sharded.set_planner("cost", "exact")
+            sharded.set_planner("exact")
             sharded.search("a ?")
             slices = sharded._space_slices
             assert slices is not None and len(slices) == 3
