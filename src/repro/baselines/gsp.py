@@ -47,7 +47,7 @@ from repro.mapreduce.engine import JobResult, MapReduceEngine
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
 from repro.sequence.database import SequenceDatabase
-from repro.sequence.encoding import encode_uvarint, encoded_size
+from repro.sequence.encoding import encoded_size, uvarint_size
 
 Pattern = tuple[int, ...]
 
@@ -139,7 +139,7 @@ class GspLevel2Job(MapReduceJob):
             yield key, frequency
 
     def kv_size(self, key, value) -> int:
-        return encoded_size(key) + len(encode_uvarint(value))
+        return encoded_size(key) + uvarint_size(value)
 
 
 class GspCountJob(MapReduceJob):
@@ -181,7 +181,7 @@ class GspCountJob(MapReduceJob):
             yield key, frequency
 
     def kv_size(self, key, value) -> int:
-        return encoded_size(key) + len(encode_uvarint(value))
+        return encoded_size(key) + uvarint_size(value)
 
 
 class GspAlgorithm:

@@ -17,7 +17,7 @@ from repro.hierarchy.vocabulary import Vocabulary
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import MapReduceJob
 from repro.sequence.database import SequenceDatabase
-from repro.sequence.encoding import encode_uvarint, encoded_size
+from repro.sequence.encoding import encoded_size, uvarint_size
 from repro.sequence.generate import generalized_subsequences
 
 
@@ -47,7 +47,7 @@ class NaiveGsmJob(MapReduceJob):
             yield key, frequency
 
     def kv_size(self, key, value) -> int:
-        return encoded_size(key) + len(encode_uvarint(value))
+        return encoded_size(key) + uvarint_size(value)
 
 
 class NaiveAlgorithm:

@@ -24,7 +24,7 @@ from repro.core.lash import FlistJob
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import MapReduceJob
 from repro.sequence.database import SequenceDatabase
-from repro.sequence.encoding import encode_uvarint, encoded_size
+from repro.sequence.encoding import encoded_size, uvarint_size
 from repro.sequence.generate import generalized_subsequences
 
 
@@ -70,7 +70,7 @@ class SemiNaiveGsmJob(MapReduceJob):
             yield key, frequency
 
     def kv_size(self, key, value) -> int:
-        return encoded_size(key) + len(encode_uvarint(value))
+        return encoded_size(key) + uvarint_size(value)
 
 
 class SemiNaiveAlgorithm:

@@ -53,9 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.core.lash import MinerFactory, resolve_miner
+from repro.core.lash import MinerFactory, PartitionMineJob, resolve_miner
 from repro.core.params import MiningParams
-from repro.core.partition import merge_weighted, partition_emissions
+from repro.core.partition import merge_weighted
 from repro.core.result import MiningResult
 from repro.core.rewrite import FULL_REWRITE, RewritePlan
 from repro.errors import InvalidParameterError
@@ -65,7 +65,7 @@ from repro.mapreduce.engine import JobResult, MapReduceEngine
 from repro.mapreduce.job import MapReduceJob
 from repro.miners.base import LocalMiner
 from repro.sequence.database import SequenceDatabase
-from repro.sequence.encoding import encode_uvarint, encoded_size
+from repro.sequence.encoding import encoded_size, uvarint_size
 
 Pattern = tuple[int, ...]
 
@@ -182,11 +182,12 @@ def cross_pivot_covers(
 # ----------------------------------------------------------------------
 
 
-class CandidateMineJob(MapReduceJob):
+class CandidateMineJob(PartitionMineJob):
     """Partitioning + mining + local pruning + cover emission.
 
-    The map side is identical to :class:`repro.core.lash.PartitionMineJob`.
-    Each reduce group mines its partition, locally prunes, then emits
+    The map side — emission, combiner, byte metering — is
+    :class:`repro.core.lash.PartitionMineJob`'s, inherited.  Each reduce
+    group mines its partition, locally prunes, then emits
 
     * ``(S, (_CAND, f))`` for every surviving candidate, and
     * ``(S, (_COVER, f(P)))`` for every cross-pivot sub-neighbor of every
@@ -195,7 +196,6 @@ class CandidateMineJob(MapReduceJob):
     """
 
     name = "closed-mine"
-    has_combiner = True
 
     def __init__(
         self,
@@ -205,22 +205,9 @@ class CandidateMineJob(MapReduceJob):
         mode: str,
         rewrite_plan: RewritePlan = FULL_REWRITE,
     ) -> None:
-        self.vocabulary = vocabulary
-        self.params = params
-        self.miner = miner
+        super().__init__(vocabulary, params, miner, rewrite_plan)
         self.mode = _check_mode(mode)
-        self.rewrite_plan = rewrite_plan
         self._children = _child_ids(vocabulary)
-
-    def map(self, record: tuple[int, ...]):
-        for pivot, rewritten in partition_emissions(
-            self.vocabulary, record, self.params, self.rewrite_plan
-        ):
-            yield pivot, (rewritten, 1)
-
-    def combine(self, key, values):
-        for seq, weight in merge_weighted(values).items():
-            yield key, (seq, weight)
 
     def reduce(self, key, values):
         partition = merge_weighted(values)
@@ -234,14 +221,6 @@ class CandidateMineJob(MapReduceJob):
             mined, self.vocabulary, key
         ):
             yield pattern, (_COVER, frequency)
-
-    def kv_size(self, key, value) -> int:
-        seq, weight = value  # map/combine-side partition emission
-        return (
-            len(encode_uvarint(key))
-            + encoded_size(seq)
-            + len(encode_uvarint(weight))
-        )
 
 
 class ReconcileJob(MapReduceJob):
@@ -293,7 +272,7 @@ class ReconcileJob(MapReduceJob):
 
     def kv_size(self, key, value) -> int:
         tag, frequency = value
-        return 1 + encoded_size(key) + len(encode_uvarint(frequency))
+        return 1 + encoded_size(key) + uvarint_size(frequency)
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ from repro.miners.brute import BruteForceMiner
 from repro.miners.dfs import DfsMiner
 from repro.miners.spam import SpamMiner
 from repro.sequence.database import SequenceDatabase
-from repro.sequence.encoding import encode_uvarint, encoded_size
+from repro.sequence.encoding import encoded_size, uvarint_size
 
 #: a miner factory receives (vocabulary, params) and returns a LocalMiner
 MinerFactory = Callable[[Vocabulary, MiningParams], LocalMiner]
@@ -122,11 +122,7 @@ class PartitionMineJob(MapReduceJob):
 
     def kv_size(self, key, value) -> int:
         seq, weight = value
-        return (
-            len(encode_uvarint(key))
-            + encoded_size(seq)
-            + len(encode_uvarint(weight))
-        )
+        return uvarint_size(key) + encoded_size(seq) + uvarint_size(weight)
 
 
 class Lash:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.params import MiningParams
-from repro.core.rewrite import FULL_REWRITE, RewritePlan, rewrite_for_pivot
+from repro.core.rewrite import FULL_REWRITE, RewritePlan, pivot_rewrites
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.sequence.generate import generalized_items
 
@@ -42,13 +42,9 @@ def partition_emissions(
     params: MiningParams,
     plan: RewritePlan = FULL_REWRITE,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield ``(pivot, P_w(T))`` pairs for one input sequence (map phase)."""
-    for pivot in frequent_pivots(vocabulary, sequence, params.sigma):
-        rewritten = rewrite_for_pivot(
-            vocabulary, sequence, pivot, params, plan
-        )
-        if rewritten is not None:
-            yield pivot, rewritten
+    """Yield ``(pivot, P_w(T))`` pairs for one input sequence (map phase),
+    ascending in the pivot."""
+    return pivot_rewrites(vocabulary, sequence, params, plan)
 
 
 def aggregate(sequences: Iterable[tuple[int, ...]]) -> Partition:

@@ -30,18 +30,32 @@ The *pivot distance* of index ``i`` is the minimum, over pivot indexes
 ``i`` (both endpoints included) whose consecutive elements respect the gap
 constraint and whose intermediate elements are non-blank (the target may be
 blank).  A pivot index has distance 1.
+
+The pipeline is written down twice, on purpose.  The stage functions
+(:func:`w_generalize`, :func:`blank_isolated_pivots`,
+:func:`pivot_distances`, :func:`blank_unreachable`,
+:func:`compress_blanks`) are the *specification*: one function per step
+above, each returning a new sequence, pinned by the paper's examples.
+Nothing on the mining path calls them.  :func:`pivot_rewrites` is the
+*production path*: one kernel that rewrites a sequence for all of its
+pivots, which :func:`repro.core.partition.partition_emissions` (every
+pivot, the map phase) and :func:`rewrite_for_pivot` (one pivot) both run,
+under every :class:`RewritePlan`.  ``tests/core/test_rewrite_kernel.py``
+holds the two to the same output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.constants import BLANK
 from repro.core.params import MiningParams
 from repro.hierarchy.vocabulary import Vocabulary
 
 _INF = float("inf")
+#: integer stand-in for "unreachable" in the kernel's distance sweeps
+_FAR = 1 << 30
 
 Seq = Sequence[int]
 
@@ -206,6 +220,127 @@ def compress_blanks(sequence: Seq, gamma: int | None) -> tuple[int, ...]:
     return tuple(out)
 
 
+def pivot_rewrites(
+    vocabulary: Vocabulary,
+    sequence: Seq,
+    params: MiningParams,
+    plan: RewritePlan = FULL_REWRITE,
+    pivot: int | None = None,
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield ``(w, P_w(T))``, ascending in ``w``, for every frequent item
+    ``w`` of ``G1(T)`` — or, with ``pivot`` given, for that item alone,
+    whatever its frequency.
+
+    The fused form of the stage functions above.  What the pivots of one
+    sequence share is computed once: a position's ancestor chain, and
+    from the chains ``G1(T)`` together with, per item of it, the
+    positions that can match it.  Visiting ``G1(T)`` in ascending order
+    keeps the w-generalization of ``T`` up to date by assignment — the
+    positions that can match ``w`` are exactly the ones whose largest
+    ancestor ``≤ w`` has just become ``w``.  Per pivot one forward sweep
+    takes the left distances and one backward sweep takes the right
+    distances, blanks what neither reaches, compresses the blank runs
+    and counts what is left.  Pairs that cannot contribute a pivot
+    sequence are dropped.
+    """
+    n = len(sequence)
+    gamma, lam = params.gamma, params.lam
+    # widest index step one hop may take, and blanks an interior run keeps
+    hop = n if gamma is None else gamma + 1
+    kept_run = (BLANK,) * (0 if gamma is None else gamma + 1)
+    padding = [_FAR] * hop  # lets every hop window be one non-empty slice
+    generalize, compress = plan.generalize, plan.compress
+    isolated, unreachable = plan.isolated, plan.unreachable
+
+    positions: dict[int, list[int]] = {}
+    # positions w-generalization cannot settle by assignment: their
+    # ancestors are not a chain
+    dag: list[int] = []
+    for i, item in enumerate(sequence):
+        for ancestor in vocabulary.ancestors_or_self(item):
+            if ancestor in positions:
+                positions[ancestor].append(i)
+            else:
+                positions[ancestor] = [i]
+        if generalize and item != BLANK and not vocabulary.is_chain(item):
+            dag.append(i)
+
+    current = [BLANK] * n if generalize else list(sequence)
+    for w in sorted(positions):
+        pivots = positions[w]
+        if generalize:
+            for i in pivots:
+                current[i] = w
+        if pivot is None:
+            if vocabulary.frequency(w) < params.sigma:
+                continue
+        elif w != pivot:
+            continue
+        seq = current[:]
+        for i in dag:
+            if sequence[i] > w:
+                seq[i] = vocabulary.largest_relevant_ancestor(sequence[i], w)
+
+        if isolated:
+            # an isolated pivot is in no other pivot's window (windows are
+            # symmetric), so blanking in place is the simultaneous rule
+            live = []
+            for p in pivots:
+                window = seq[max(0, p - hop) : p + hop + 1]
+                if len(window) - window.count(BLANK) > 1:
+                    live.append(p)
+                else:
+                    seq[p] = BLANK
+            if not live:
+                continue
+            pivots = live
+
+        if unreachable:
+            # left distances behind ``hop`` entries of padding; 1 marks the
+            # pivot positions and nothing else
+            left = padding[:]
+            for i, item in enumerate(seq):
+                if item == BLANK:
+                    left.append(_FAR)
+                elif item == w or (item > w and i in pivots):
+                    left.append(1)
+                else:
+                    left.append(min(left[i:]) + 1)
+        else:
+            left = [1] * (hop + n)  # stage off: nothing is out of reach
+
+        # backward: right distances (last position first), the reach
+        # verdict, blank compression and the count of what is left
+        right = padding[:]
+        out: list[int] = []
+        run = non_blank = 0
+        for item, near in zip(reversed(seq), reversed(left)):
+            if near == 1:
+                right.append(1)
+            elif item == BLANK:
+                right.append(_FAR)
+            else:
+                far = min(right[-hop:]) + 1
+                right.append(far)
+                if near > lam and far > lam:
+                    item = BLANK
+            if item == BLANK:
+                if compress:
+                    run += 1
+                else:
+                    out.append(BLANK)
+                continue
+            if run:
+                if out:
+                    out.extend(kept_run[:run])
+                run = 0
+            out.append(item)
+            non_blank += 1
+        if non_blank >= 2:
+            out.reverse()
+            yield w, tuple(out)
+
+
 def rewrite_for_pivot(
     vocabulary: Vocabulary,
     sequence: Seq,
@@ -218,22 +353,7 @@ def rewrite_for_pivot(
     Returns ``None`` when the rewritten sequence cannot contribute any pivot
     sequence (no pivot occurrence left, or fewer than two non-blank items).
     """
-    seq: Seq = sequence
-    if plan.generalize:
-        seq = w_generalize(vocabulary, seq, pivot)
-    if plan.isolated:
-        seq = blank_isolated_pivots(vocabulary, seq, pivot, params.gamma)
-    if plan.unreachable:
-        distances = pivot_distances(vocabulary, seq, pivot, params.gamma)
-        seq = blank_unreachable(seq, distances, params.lam)
-    result = (
-        compress_blanks(seq, params.gamma) if plan.compress else tuple(seq)
+    found = next(
+        pivot_rewrites(vocabulary, sequence, params, plan, pivot), None
     )
-    if len(result) < 2:
-        return None
-    non_blank = sum(1 for item in result if item != BLANK)
-    if non_blank < 2:
-        return None
-    if not any(_is_pivot_pos(vocabulary, item, pivot) for item in result):
-        return None
-    return result
+    return None if found is None else found[1]

@@ -183,6 +183,11 @@ class Vocabulary:
     def depth(self, item_id: int) -> int:
         return self._depths[item_id]
 
+    def is_chain(self, item_id: int) -> bool:
+        """True when the item's ancestors are totally ordered by ``→*`` (always
+        so in a forest; a DAG node with two parent lines is not a chain)."""
+        return self._chain[item_id]
+
     def generalizes_to(self, specific: int, general: int) -> bool:
         """``specific →* general`` over ids; blanks match nothing."""
         if specific == BLANK or general == BLANK:

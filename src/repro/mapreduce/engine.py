@@ -299,34 +299,40 @@ def run_map_task(
     Module-level so both the serial engine and the process-parallel
     executor (:mod:`repro.mapreduce.parallel`) run the identical code.
     """
+    # records and bytes are counted in locals and posted once per phase of
+    # the attempt: a crashed attempt's counters are discarded whole, so
+    # the totals are the same as posting per record
+    kv_size = job.kv_size
     raw: list[tuple[Any, Any]] = []
+    output_bytes = 0
     for position, record in enumerate(split):
         if crash_after is not None and position >= crash_after:
             raise _InjectedFailure()
-        counters.increment(C.MAP_INPUT_RECORDS)
         for key, value in job.map(record):
             raw.append((key, value))
-            counters.increment(C.MAP_OUTPUT_RECORDS)
-            counters.increment(C.MAP_OUTPUT_BYTES, job.kv_size(key, value))
+            output_bytes += kv_size(key, value)
     if crash_after is not None:
         # crash point beyond the split: die right before task commit
         raise _InjectedFailure()
+    counters.increment(C.MAP_INPUT_RECORDS, len(split))
+    counters.increment(C.MAP_OUTPUT_RECORDS, len(raw))
+    counters.increment(C.MAP_OUTPUT_BYTES, output_bytes)
     if not job.has_combiner:
-        for key, value in raw:
-            counters.increment(C.SHUFFLE_BYTES, job.kv_size(key, value))
+        # nothing was combined, so what is shuffled is what was emitted
+        counters.increment(C.SHUFFLE_BYTES, output_bytes)
         return raw
     grouped: dict[Any, list[Any]] = {}
     for key, value in raw:
         grouped.setdefault(key, []).append(value)
     combined: list[tuple[Any, Any]] = []
+    shuffle_bytes = 0
     for key, values in grouped.items():
-        counters.increment(C.COMBINE_INPUT_RECORDS, len(values))
         for out_key, out_value in job.combine(key, values):
             combined.append((out_key, out_value))
-            counters.increment(C.COMBINE_OUTPUT_RECORDS)
-            counters.increment(
-                C.SHUFFLE_BYTES, job.kv_size(out_key, out_value)
-            )
+            shuffle_bytes += kv_size(out_key, out_value)
+    counters.increment(C.COMBINE_INPUT_RECORDS, len(raw))
+    counters.increment(C.COMBINE_OUTPUT_RECORDS, len(combined))
+    counters.increment(C.SHUFFLE_BYTES, shuffle_bytes)
     return combined
 
 

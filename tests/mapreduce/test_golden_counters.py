@@ -1,0 +1,101 @@
+"""Golden map-side counters of the two LASH jobs.
+
+``run_map_task`` counts records and bytes in locals and posts them once
+per attempt; the numbers below were produced by the per-record posting it
+replaced, and must come out the same whichever way a job is run.
+"""
+
+from dataclasses import dataclass
+
+import pytest
+
+from repro import Lash, MiningParams
+from repro.datasets.text import TextCorpusConfig, generate_text_corpus
+from repro.mapreduce import C, FailurePlan, ParallelMapReduceEngine
+from tests.conftest import paper_database, paper_hierarchy
+
+NAMES = (
+    C.MAP_INPUT_RECORDS,
+    C.MAP_OUTPUT_RECORDS,
+    C.MAP_OUTPUT_BYTES,
+    C.COMBINE_INPUT_RECORDS,
+    C.COMBINE_OUTPUT_RECORDS,
+    C.SHUFFLE_BYTES,
+)
+
+
+def _fig1():
+    return MiningParams(2, 1, 3), paper_database(), paper_hierarchy()
+
+
+def _text300():
+    corpus = generate_text_corpus(TextCorpusConfig(num_sentences=300, seed=7))
+    return MiningParams(5, 0, 3), corpus.database, corpus.hierarchies["CLP"]
+
+
+#: case -> (inputs, f-list job counters, mining job counters, patterns)
+GOLDEN = {
+    "fig1": (_fig1, (6, 28, 70, 28, 28, 70), (6, 14, 94, 14, 14, 94), 10),
+    "text300": (
+        _text300,
+        (300, 3602, 18558, 3602, 1274, 7719),
+        (300, 2381, 15951, 2381, 1415, 9804),
+        453,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class _CrashAtCommit(FailurePlan):
+    """Doomed attempts get through their whole split and die at commit."""
+
+    def crash_point(self, phase, task_index, attempt, num_records):
+        return num_records
+
+
+def _plain(lash, tmp_path):
+    return lash
+
+
+def _mid_split_crashes(lash, tmp_path):
+    lash.engine.failure_plan = FailurePlan(
+        map_failures={0: 1, 3: 2}, probability=0.2, seed=11, max_attempts=8
+    )
+    return lash
+
+
+def _commit_crashes(lash, tmp_path):
+    lash.engine.failure_plan = _CrashAtCommit(map_failures={1: 2, 5: 1})
+    return lash
+
+
+def _spill(lash, tmp_path):
+    lash.engine.spill_dir = tmp_path
+    return lash
+
+
+def _parallel(lash, tmp_path):
+    lash.engine = ParallelMapReduceEngine(8, 8, max_workers=2)
+    return lash
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+@pytest.mark.parametrize(
+    "way", [_plain, _mid_split_crashes, _commit_crashes, _spill, _parallel]
+)
+def test_counters_do_not_depend_on_how_the_job_ran(case, way, tmp_path):
+    make, flist_golden, mine_golden, patterns = GOLDEN[case]
+    params, database, hierarchy = make()
+    result = way(Lash(params), tmp_path).mine(database, hierarchy)
+    for job, golden in (
+        (result.preprocess_job, flist_golden),
+        (result.mining_job, mine_golden),
+    ):
+        assert tuple(job.counters[name] for name in NAMES) == golden
+    assert len(result) == patterns
+    if way in (_mid_split_crashes, _commit_crashes):
+        failed = (
+            result.preprocess_job.counters[C.FAILED_MAP_TASKS]
+            + result.mining_job.counters[C.FAILED_MAP_TASKS]
+        )
+        assert failed >= 3

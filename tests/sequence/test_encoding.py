@@ -1,6 +1,8 @@
 """Unit tests for varint / run-length sequence encoding."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.constants import BLANK
 from repro.errors import EncodingError
@@ -10,6 +12,7 @@ from repro.sequence.encoding import (
     encode_sequence,
     encode_uvarint,
     encoded_size,
+    uvarint_size,
 )
 
 
@@ -85,3 +88,39 @@ class TestSequenceCodec:
     def test_encoded_size_matches(self):
         seq = (1, BLANK, BLANK, 9)
         assert encoded_size(seq) == len(encode_sequence(seq))
+
+
+# ids on both sides of the 2**7 and 2**14 varint boundaries (an item is
+# coded as id + 1), and blank runs short and ≥ 128 (a two-byte run length)
+_boundary_items = st.sampled_from(
+    [0, 1, 126, 127, 128, 129, 16382, 16383, 16384, 2**21 - 2, 2**21 - 1]
+)
+_segments = st.one_of(
+    st.lists(
+        st.one_of(_boundary_items, st.integers(0, 2**22)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from([1, 2, 127, 128, 129, 300]).map(lambda r: [BLANK] * r),
+)
+_sequences = st.lists(_segments, max_size=6).map(
+    lambda parts: tuple(item for part in parts for item in part)
+)
+
+
+class TestEncodedSizeIsArithmetic:
+    @given(_sequences)
+    def test_size_equals_encoded_length_and_roundtrips(self, seq):
+        data = encode_sequence(seq)
+        assert encoded_size(seq) == len(data)
+        assert decode_sequence(data) == (seq, len(data))
+
+    @given(st.integers(0, 2**70))
+    def test_uvarint_size(self, value):
+        assert uvarint_size(value) == len(encode_uvarint(value))
+
+    def test_negative_ids_still_rejected(self):
+        with pytest.raises(EncodingError):
+            encoded_size((3, -5, 4))
+        with pytest.raises(EncodingError):
+            uvarint_size(-5)
