@@ -467,21 +467,13 @@ def cmd_route(args: argparse.Namespace) -> int:
     from repro.serve.router import ClusterMap, RouterBackend
 
     cluster = ClusterMap.load(args.cluster)
-    # explicit flags beat the cluster map's optional defaults, which
-    # beat the built-in sizing
-    pipeline_depth = args.pipeline_depth
-    if pipeline_depth is None:
-        pipeline_depth = cluster.pipeline_depth or 32
-    fanout_workers = args.fanout_workers
-    if fanout_workers is None:
-        fanout_workers = cluster.fanout_workers
     backend = RouterBackend(
         cluster,
         deadline=args.deadline,
         health_timeout=args.health_timeout,
-        pipeline_depth=pipeline_depth,
+        pipeline_depth=args.pipeline_depth,
         compress=args.compress,
-        fanout_workers=fanout_workers,
+        fanout_workers=args.fanout_workers,
     )
     health = backend.check_health()
     backend.start_health_loop(args.health_interval)
@@ -1159,15 +1151,13 @@ def build_parser() -> argparse.ArgumentParser:
         "gzip HTTP responses)",
     )
     route.add_argument(
-        "--pipeline-depth", type=int, default=None,
-        help="in-flight requests per shard-server connection (default: "
-        "the cluster map's pipeline_depth, else 32)",
+        "--pipeline-depth", type=int, default=32,
+        help="in-flight requests per shard-server connection",
     )
     route.add_argument(
         "--fanout-workers", type=int, default=None,
         help="scatter worker threads shared by all fan-outs (default: "
-        "the cluster map's fanout_workers, else scaled to the "
-        "pipeline depth)",
+        "scaled to the pipeline depth)",
     )
     route.add_argument(
         "--verbose", action="store_true",

@@ -48,8 +48,10 @@ chain queries exactly with bitmap algebra and skip the DP entirely, or
 postings bitset and verify the survivors with the DP; every path
 returns byte-identical answers.  Nothing about a query outlives the
 call that answers it (repeats are the serving tier's result cache's
-job); what a backend memoizes is vocabulary- or store-pure: compiled
-tokens, descendant sets, planner statistics, the position space.
+job); what a backend memoizes is vocabulary- or store-pure and keyed
+by nothing a client chooses: descendant sets (at most one per
+vocabulary item), planner statistics, the position space.  A token is
+compiled by the request that sent it.
 Setting ``_accelerate = False`` runs the selector + DP pipeline instead
 — the reference the differential tests compare against.
 """
@@ -64,7 +66,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.errors import InvalidParameterError
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.query.cost import PLAN_STRATEGIES, CostEstimate, CostEstimator
-from repro.query.plan import QueryPlan, iter_bit_indexes
+from repro.query.plan import PositionSpace, QueryPlan, iter_bit_indexes
 from repro.query.tokens import (
     AnyToken,
     FloorToken,
@@ -163,10 +165,6 @@ class PatternSearchBase:
         self._children_map: dict[int, list[int]] | None = None
         self._descendants_cache: dict[int, tuple[int, ...]] = {}
         self._descendants_lock = threading.Lock()
-        # vocabulary-pure memos (shared across shards, see
-        # ShardedPatternStore._shard): token -> compiled form / id set
-        self._compile_cache: dict[QueryToken, CompiledToken] = {}
-        self._admissible_cache: dict[QueryToken, frozenset[int]] = {}
         # planner-statistics memo (postings sizes per node id set,
         # length stats, scan counts): per backend, never invalidated —
         # a backend instance is an immutable snapshot of one store
@@ -179,11 +177,9 @@ class PatternSearchBase:
         # forced execution strategy — the differential harness's seam;
         # None lets the cost estimate decide
         self._plan_strategy: str | None = None
-        self._pos_space = None
-        # a sharded handle installs a factory here so all its shards
-        # slice one shared PositionSpace build; the counter feeds
+        # built by the first positional query; the counter feeds
         # plan_stats() so tests can pin "built exactly once"
-        self._space_factory = None
+        self._pos_space = None
         self._space_builds = 0
 
     # ------------------------------------------------------------------
@@ -590,22 +586,14 @@ class PatternSearchBase:
 
     def _position_space(self):
         """The lazily-built positional coordinate system shared by every
-        plan over this backend.  A sharded handle installs a
-        ``_space_factory`` so its shards slice one shared build instead
-        of each paying the full slot loop on first positional query."""
+        plan over this backend."""
         space = self._pos_space
         if space is None:
-            from repro.query.plan import PositionSpace
-
             with self._plan_lock:
                 space = self._pos_space
                 if space is None:
-                    factory = self._space_factory
-                    if factory is not None:
-                        space = factory()
-                    else:
-                        space = PositionSpace(self._pattern_lengths())
-                        self._space_builds += 1
+                    space = PositionSpace(self._pattern_lengths())
+                    self._space_builds += 1
                     self._pos_space = space
         return space
 
@@ -667,25 +655,17 @@ class PatternSearchBase:
     def _admissible_ids(
         self, token: QueryToken, vocabulary: Vocabulary
     ) -> frozenset[int]:
-        """Id set an item/``^name``/disjunction token admits.  Memoized
-        per token: the result derives only from the vocabulary, so the
-        cache is shared across shards and never invalidates."""
-        cached = self._admissible_cache.get(token)
-        if cached is not None:
-            return cached
+        """Id set an item/``^name``/disjunction token admits."""
         if isinstance(token, UnderToken):
-            ids = frozenset(
+            return frozenset(
                 self._descendants_or_self(vocabulary.id(token.name))
             )
-        elif isinstance(token, ItemToken):
-            ids = frozenset((vocabulary.id(token.name),))
-        else:
-            union: set[int] = set()
-            for choice in token.choices:
-                union.update(self._admissible_ids(choice, vocabulary))
-            ids = frozenset(union)
-        self._admissible_cache[token] = ids
-        return ids
+        if isinstance(token, ItemToken):
+            return frozenset((vocabulary.id(token.name),))
+        union: set[int] = set()
+        for choice in token.choices:
+            union.update(self._admissible_ids(choice, vocabulary))
+        return frozenset(union)
 
     def _hoist_oneof(self, ids: frozenset[int]) -> CompiledToken:
         """Collapse an admissible id set to a cheaper token when its
@@ -707,18 +687,6 @@ class PatternSearchBase:
         return ("oneof", ids)
 
     def _compile_token(
-        self, token: QueryToken, vocabulary: Vocabulary
-    ) -> CompiledToken:
-        """Memoized front of :meth:`_compile_token_uncached` (tokens are
-        frozen dataclasses; compilation is vocabulary-pure)."""
-        cached = self._compile_cache.get(token)
-        if cached is not None:
-            return cached
-        compiled = self._compile_token_uncached(token, vocabulary)
-        self._compile_cache[token] = compiled
-        return compiled
-
-    def _compile_token_uncached(
         self, token: QueryToken, vocabulary: Vocabulary
     ) -> CompiledToken:
         if isinstance(token, ItemToken):

@@ -20,7 +20,9 @@ into range predicates:
   occurrences (the store's positional postings) become set bits; window
   checks become shift-and-OR sweeps; a query is answered by propagating
   a reachable-position bitmap through the chain and reading off which
-  fields keep a live bit.
+  fields keep a live bit.  A space belongs to one backend — one per
+  store file, so each shard of a sharded store has its own — and is
+  built by the first positional query that executes there.
 
 The propagation computes exactly the reachable-set of the reference DP
 restricted to consuming tokens, so the surviving fields *are* the
@@ -55,39 +57,29 @@ def iter_bit_indexes(mask: int) -> Iterator[int]:
 
 
 class PositionSpace:
-    """Global bit-slot coordinates for every position of every pattern.
+    """Bit-slot coordinates for every position of every pattern of one
+    backend.
 
     Pattern ``i`` of length ``L_i`` owns slots ``[offsets[i],
-    offsets[i] + L_i)``; fields are separated by ``pad`` dead slots
-    where ``pad`` is the maximum pattern length, so any single shift of
-    at most ``pad`` slots followed by an AND with :attr:`valid` stays
-    within fields.  :attr:`starts` and :attr:`ends` mark each field's
+    offsets[i] + L_i)``; fields are separated by :attr:`max_len` dead
+    slots (the maximum pattern length), so any single shift of at most
+    that many slots followed by an AND with :attr:`valid` stays within
+    fields.  :attr:`starts` and :attr:`ends` mark each field's
     first and last slot — the anchors for prefix and tail windows.
     """
 
-    __slots__ = (
-        "offsets", "valid", "starts", "ends", "max_len", "pad", "total",
-    )
+    __slots__ = ("offsets", "valid", "starts", "ends", "max_len", "total")
 
-    def __init__(
-        self, lengths: Sequence[int], pad: int | None = None
-    ) -> None:
+    def __init__(self, lengths: Sequence[int]) -> None:
         max_len = 1
         for length in lengths:
             if length > max_len:
                 max_len = length
-        if pad is None:
-            pad = max_len
-        elif pad < max_len:
-            raise ValueError(
-                f"pad {pad} below the maximum pattern length {max_len}: "
-                "in-field shifts could leak into a neighboring field"
-            )
         offsets: list[int] = []
         offset = 0
         for length in lengths:
             offsets.append(offset)
-            offset += length + pad
+            offset += length + max_len
         nbytes = ((offset + 7) >> 3) or 1
         valid = bytearray(nbytes)
         starts = bytearray(nbytes)
@@ -103,40 +95,7 @@ class PositionSpace:
         self.starts = int.from_bytes(bytes(starts), "little")
         self.ends = int.from_bytes(bytes(ends), "little")
         self.max_len = max_len
-        self.pad = pad
         self.total = offset
-
-    def slice_fields(self, first: int, count: int) -> "PositionSpace":
-        """A view of ``count`` consecutive fields starting at field
-        ``first``, rebased to its own coordinates.  Masks extract with
-        two big-int shifts instead of re-running the per-slot build
-        loop — this is how a sharded handle hands each shard its slice
-        of one shared build.  ``pad`` and ``max_len`` stay global: a
-        larger-than-necessary pad still separates fields, and a
-        larger ``max_len`` only admits extra shift distances whose
-        landing bits the AND with :attr:`valid` clears, so window
-        algebra over a slice equals a direct build with the same pad."""
-        view = object.__new__(PositionSpace)
-        if count <= 0:
-            view.offsets = []
-            view.valid = view.starts = view.ends = 0
-            view.max_len = self.max_len
-            view.pad = self.pad
-            view.total = 0
-            return view
-        offsets = self.offsets
-        lo = offsets[first]
-        end = first + count
-        hi = offsets[end] if end < len(offsets) else self.total
-        width_mask = (1 << (hi - lo)) - 1
-        view.offsets = [base - lo for base in offsets[first:end]]
-        view.valid = (self.valid >> lo) & width_mask
-        view.starts = (self.starts >> lo) & width_mask
-        view.ends = (self.ends >> lo) & width_mask
-        view.max_len = self.max_len
-        view.pad = self.pad
-        view.total = hi - lo
-        return view
 
     # ------------------------------------------------------------------
     # window algebra
@@ -152,7 +111,7 @@ class PositionSpace:
         covered = 0
         valid = self.valid
         while covered < width and bits:
-            step = min(covered + 1, width - covered, self.pad)
+            step = min(covered + 1, width - covered, self.max_len)
             bits |= (bits << step) & valid
             covered += step
         return bits
@@ -161,7 +120,7 @@ class PositionSpace:
         covered = 0
         valid = self.valid
         while covered < width and bits:
-            step = min(covered + 1, width - covered, self.pad)
+            step = min(covered + 1, width - covered, self.max_len)
             bits |= (bits >> step) & valid
             covered += step
         return bits

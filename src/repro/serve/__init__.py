@@ -25,7 +25,10 @@ turns it into a long-lived query-serving system:
   spool, closing the build → ingest → compact → serve loop
   (``lash ingest``);
 * :class:`~repro.serve.service.QueryService` — a thread-safe façade
-  with an LRU result cache, batch API and serving stats;
+  with an LRU result cache, batch API and serving stats.  That cache is
+  the one place an answer is remembered: stores keep bounded caches of
+  decoded bytes and facts derived from the vocabulary, shard servers
+  and the router keep nothing between requests;
 * :mod:`~repro.serve.http` — a dependency-free ``ThreadingHTTPServer``
   exposing ``/query``, ``/count``, ``/topk``, ``/batch``, ``/stats``,
   ``/metrics`` (Prometheus text) and ``/healthz``;

@@ -14,6 +14,13 @@ Each server optionally runs the existing HTTP layer
 that is where the router's health checks (``/healthz``) and per-server
 ``/metrics`` live, unchanged from single-process serving.
 
+A shard server remembers no answers: every ``search`` compiles, plans
+and executes against the mounted store (which keeps decoded bytes and
+store statistics, nothing per query), and the sidecar's service runs
+with its result cache off.  Repeats are absorbed in front of the
+fan-out, by the :class:`~repro.serve.service.QueryService` the router
+serves through.
+
 The socket protocol is request/response over a persistent connection:
 one ``hello`` exchange, then multiplexed frames — many requests in
 flight, out-of-order responses, optional zlib (see
@@ -52,11 +59,9 @@ to a replica, and a direct client sees a typed, retryable error.
 
 from __future__ import annotations
 
-import json
 import socket
 import socketserver
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
@@ -247,7 +252,6 @@ class ShardServer:
         max_in_flight: int | None = None,
         compress: bool = True,
         compress_threshold: int = DEFAULT_COMPRESS_THRESHOLD,
-        result_cache: int = 256,
     ) -> None:
         if workers < 1:
             raise InvalidParameterError(
@@ -285,15 +289,6 @@ class ShardServer:
         self._in_flight = 0
         self._rejected = 0
         self._stopping = False
-        # rendered-result LRU: repeated identical searches (hot
-        # dashboards, the router's batched scatter fan-out) skip
-        # compile + k-way merge + render entirely.  Stores are
-        # immutable once mounted, so the generation in the key is the
-        # only invalidation needed.
-        self._result_cache_size = max(0, result_cache)
-        self._result_cache: OrderedDict[str, list] = OrderedDict()
-        self._result_cache_lock = threading.Lock()
-        self._cache_hits = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -341,7 +336,8 @@ class ShardServer:
             from repro.serve.http import create_server
             from repro.serve.service import QueryService
 
-            self._service = QueryService(self._store)
+            # answers are remembered in front of the fan-out only
+            self._service = QueryService(self._store, cache_size=0)
             self._http = create_server(
                 self._service, self._host, self._http_port, quiet=self._quiet
             )
@@ -508,14 +504,7 @@ class ShardServer:
         with self._lock:
             requests, errors = self._requests, self._errors
             in_flight, rejected = self._in_flight, self._rejected
-        with self._result_cache_lock:
-            cache = {
-                "size": len(self._result_cache),
-                "capacity": self._result_cache_size,
-                "hits": self._cache_hits,
-            }
         return {
-            "result_cache": cache,
             "generation": store.generation,
             "num_shards": store.num_shards,
             "owned": list(store.owned_shards),
@@ -543,42 +532,7 @@ class ShardServer:
             )
         return shards
 
-    def _result_cache_key(self, request) -> str | None:
-        if not self._result_cache_size:
-            return None
-        try:
-            return json.dumps(
-                [
-                    self.store.generation,
-                    request.get("tokens"),
-                    request.get("shards"),
-                    request.get("limit"),
-                    request.get("min_freq"),
-                ],
-                sort_keys=True,
-            )
-        except (TypeError, ValueError):
-            return None  # unserializable request: let validation reject it
-
     def _search(self, request) -> list:
-        key = self._result_cache_key(request)
-        if key is not None:
-            with self._result_cache_lock:
-                cached = self._result_cache.get(key)
-                if cached is not None:
-                    self._result_cache.move_to_end(key)
-                    self._cache_hits += 1
-                    return cached
-        rendered = self._search_uncached(request)
-        if key is not None:
-            with self._result_cache_lock:
-                self._result_cache[key] = rendered
-                self._result_cache.move_to_end(key)
-                while len(self._result_cache) > self._result_cache_size:
-                    self._result_cache.popitem(last=False)
-        return rendered
-
-    def _search_uncached(self, request) -> list:
         tokens = decode_tokens(request.get("tokens"))
         if is_negation_only(tokens):
             # the router's service layer rejects these before fan-out;

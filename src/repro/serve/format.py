@@ -12,9 +12,9 @@ One store *file* (written by :mod:`repro.serve.writer`, read by
     [pat_offs]  (n_patterns+1) × u64, relative to [patterns]  fixed
     [patterns]  per pattern: frequency + zigzag-delta items   varint
     [post_offs] (n_items+1) × u64, relative to [postings]     fixed
-    [postings]  per item: ascending pattern indexes, gap-coded;
-                version >= 2 interleaves each index with the
-                gap-coded positions of the item in that pattern
+    [postings]  per item: ascending pattern indexes, gap-coded,
+                each interleaved with the gap-coded positions of
+                the item in that pattern
     [checksums] 6 × u32 CRC-32, one per section               optional
 
 The trailing checksum section exists iff :data:`FLAG_CHECKSUMS` is set

@@ -444,6 +444,8 @@ class PatternRequestHandler(BaseHTTPRequestHandler):
     #: socket timeout: a client that stalls mid-request (e.g. a body
     #: shorter than its Content-Length) frees its thread after this
     timeout = 30
+    #: when the request being handled began; ``None`` once observed
+    _started: float | None = None
 
     # ------------------------------------------------------------------
     # routing
@@ -456,7 +458,7 @@ class PatternRequestHandler(BaseHTTPRequestHandler):
         self._handle(self._route_post)
 
     def _handle(self, route) -> None:
-        start = time.perf_counter()
+        self._started = time.perf_counter()
         try:
             try:
                 route()
@@ -492,11 +494,22 @@ class PatternRequestHandler(BaseHTTPRequestHandler):
             # while we were writing an error; nothing left to tell it
             self.close_connection = True
         finally:
-            endpoint = urlsplit(self.path).path
-            if endpoint in TRACKED_ENDPOINTS:
-                self.server.service.observe_latency(
-                    endpoint.lstrip("/"), time.perf_counter() - start
-                )
+            # a request that never got as far as a response (client
+            # gone) is still counted
+            self._observe()
+
+    def _observe(self) -> None:
+        """Record this request's latency, once.  Runs before the first
+        byte of the response is written: a client that has read its
+        answer must find it counted by whatever it asks next."""
+        started, self._started = self._started, None
+        if started is None:
+            return
+        endpoint = urlsplit(self.path).path
+        if endpoint in TRACKED_ENDPOINTS:
+            self.server.service.observe_latency(
+                endpoint.lstrip("/"), time.perf_counter() - started
+            )
 
     def _route_get(self) -> None:
         url = urlsplit(self.path)
@@ -650,6 +663,7 @@ class PatternRequestHandler(BaseHTTPRequestHandler):
                 body = squeezed
                 encoding = "gzip"
                 self.server.note_gzipped()
+        self._observe()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         if encoding is not None:

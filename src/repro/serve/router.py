@@ -44,7 +44,6 @@ import socket
 import threading
 import time
 import urllib.request
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,9 +86,6 @@ _VNODES = 64
 #: floor for any single socket operation's timeout: once the deadline
 #: budget is nearly spent, fail fast instead of waiting 0 seconds
 _MIN_TIMEOUT = 0.05
-
-#: cached cost estimates the router retains (keyed by normalized query)
-_ESTIMATE_CACHE_CAP = 256
 
 
 # ----------------------------------------------------------------------
@@ -170,14 +166,7 @@ class ClusterMap:
         num_shards: int,
         replication: int = 1,
         placement: dict[int, list[str]] | None = None,
-        pipeline_depth: int | None = None,
-        fanout_workers: int | None = None,
     ) -> None:
-        # optional cluster-wide client sizing defaults (config JSON keys
-        # "pipeline_depth" / "fanout_workers"); explicit CLI flags
-        # override
-        self.pipeline_depth = pipeline_depth
-        self.fanout_workers = fanout_workers
         if num_shards < 1:
             raise InvalidParameterError(
                 f"num_shards must be >= 1, got {num_shards}"
@@ -250,8 +239,6 @@ class ClusterMap:
             num_shards=num_shards,
             replication=config.get("replication", 1),
             placement=pinned if explicit else None,
-            pipeline_depth=config.get("pipeline_depth"),
-            fanout_workers=config.get("fanout_workers"),
         )
 
     @classmethod
@@ -631,9 +618,6 @@ class RouterBackend:
         self._busy_sheds = 0
         self._partials = 0
         self._patterns_total: int | None = None
-        self._estimate_cache: OrderedDict[tuple, CostEstimate] = (
-            OrderedDict()
-        )
         self._health_stop: threading.Event | None = None
         self._health_thread: threading.Thread | None = None
 
@@ -861,23 +845,17 @@ class RouterBackend:
         One healthy server is asked for its slice's estimate, which is
         scaled by the shard ratio to cover the whole cluster (shards
         partition the patterns, so slice costs extrapolate linearly).
-        Estimates are cached per normalized query.  Pricing a query
-        changes nothing about how it (or anything else) later runs: the
-        caller hands the cost to :meth:`search_answer` itself.
+        Priced per call, like a local backend's plans: repeats are the
+        result cache's job.  Pricing a query changes nothing about how
+        it (or anything else) later runs: the caller hands the cost to
+        :meth:`search_answer` itself.
         """
-        tokens = normalize_query(query)
-        with self._lock:
-            cached = self._estimate_cache.get(tokens)
-            if cached is not None:
-                self._estimate_cache.move_to_end(tokens)
-                return cached
-        wire = encode_tokens(tokens)
+        wire = encode_tokens(normalize_query(query))
         with self._lock:
             ranked = sorted(
                 self._cluster.servers,
                 key=lambda key: not self._healthy.get(key, True),
             )
-        estimate: CostEstimate | None = None
         for key in ranked:
             try:
                 response = self._clients[key].request(
@@ -899,22 +877,14 @@ class RouterBackend:
                 return None
             covered = max(1, int(raw.get("shards", 1)))
             scale = self._cluster.num_shards / covered
-            estimate = CostEstimate(
+            return CostEstimate(
                 cost=float(raw.get("cost", 0)) * scale,
                 strategy=str(raw.get("strategy", "mixed")),
                 candidates=int(raw.get("candidates", 0) * scale),
                 scan_candidates=int(raw.get("scan_candidates", 0) * scale),
                 shards=self._cluster.num_shards,
             )
-            break
-        if estimate is None:
-            return None
-        with self._lock:
-            self._estimate_cache[tokens] = estimate
-            self._estimate_cache.move_to_end(tokens)
-            while len(self._estimate_cache) > _ESTIMATE_CACHE_CAP:
-                self._estimate_cache.popitem(last=False)
-        return estimate
+        return None
 
     # ------------------------------------------------------------------
     # batched scatter (the /batch endpoint's wire path)

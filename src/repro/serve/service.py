@@ -7,9 +7,10 @@ Heavy query traffic is dominated by repeats — popular n-gram lookups,
 dashboard refreshes — so full match lists land in a bounded LRU cache
 keyed by the *normalized* query (the parsed token tuple: one entry
 serves every ``limit``, both ``/query`` and ``/count``, and syntactic
-variants like ``(a|b)`` vs ``(b|a)``), and the service keeps the
-counters a production deployment would export: served queries, cache
-hit-rate, error count and cumulative latency.
+variants like ``(a|b)`` vs ``(b|a)``), evicted least recently used
+first, and the service keeps the counters a production deployment would
+export: served queries, cache hit-rate, error count and cumulative
+latency.  This is the only place the serving tier remembers an answer.
 
 All entry points are thread-safe; the HTTP layer calls them from one
 thread per request.  Nothing about a request lives on the service or on
@@ -226,9 +227,8 @@ class QueryService:
         self._max_cost = max_cost
         self._budget_cost = budget_cost
         self._match_budget = match_budget
-        #: key -> (entry, estimated recomputation cost — the weight the
-        #: LRU uses when picking an eviction victim)
-        self._cache: OrderedDict[tuple, tuple] = OrderedDict()
+        #: key -> entry, least recently used first
+        self._cache: OrderedDict[tuple, object] = OrderedDict()
         self._lock = threading.Lock()
         self._queries = 0
         self._cache_hits = 0
@@ -387,8 +387,8 @@ class QueryService:
             answer = ctx.backend.top_answer(n)
             value = {"k": n, "matches": _render(answer.matches)}
             if answer.partial is not None:
-                return {**value, "partial": answer.partial}, None, None
-            return value, value, None
+                return {**value, "partial": answer.partial}, None
+            return value, value
 
         return self._cached(ctx, ("topk", "", n), compute)
 
@@ -420,9 +420,9 @@ class QueryService:
         def compute():
             # admission runs only on misses: a cached answer is free, so
             # repeats of an expensive query bypass the gate by design
-            # the float is what this service keeps (response, cache
-            # weight); the estimate itself — and the plans it carries —
-            # goes to the search below and no further
+            # the float is what this service keeps (in the response);
+            # the estimate itself — and the plans it carries — goes to
+            # the search below and no further
             estimate, cost = self._admit(ctx, tokens)
             budget = None
             if (
@@ -470,7 +470,7 @@ class QueryService:
             # a degraded answer (shard set unreachable mid-query) must
             # not be served from cache after the cluster heals
             entry = found._replace(matches=None) if partial is None else None
-            return found, entry, cost
+            return found, entry
 
         return self._cached(ctx, ("search", tokens, min_freq), compute)
 
@@ -560,12 +560,16 @@ class QueryService:
         per-shard breakdown, so ``/stats`` shows where the bytes and
         patterns live.
         """
+        backend = self._backend
+        # not under the lock: a router's length can be a status round
+        # trip per server, and every request — hits included — takes
+        # the lock
+        patterns = len(backend)
         with self._lock:
-            backend = self._backend
             queries = self._queries
             hits = self._cache_hits
             stats = {
-                "patterns": len(backend),
+                "patterns": patterns,
                 "queries": queries,
                 "cache_hits": hits,
                 "cache_hit_rate": round(hits / queries, 4) if queries else 0.0,
@@ -656,22 +660,14 @@ class QueryService:
             )
         return estimate, cost
 
-    #: how far past the LRU end the cost-weighted eviction looks: the
-    #: victim is the cheapest-to-recompute entry among the oldest few,
-    #: so one stale-but-expensive scan is not dropped for a fresh
-    #: lookup that costs nothing to redo
-    _EVICT_WINDOW = 8
-
     def _cached(self, ctx: _Request, key: tuple, compute):
         """The cached entry for ``key``, else what ``compute`` makes of
         it, with LRU bookkeeping.
 
-        ``compute()`` returns ``(value, entry, cost)``: the value to
-        hand back now, the entry later hits get — ``None`` keeps a
+        ``compute()`` returns ``(value, entry)``: the value to hand
+        back now and the entry later hits get — ``None`` keeps a
         degraded (partial) answer out of the cache while still serving
-        it — and the entry's estimated recomputation cost: eviction
-        picks the cheapest entry among the ``_EVICT_WINDOW``
-        least-recently-used ones instead of pure recency.
+        it.  Past ``cache_size`` the least recently used entry goes.
 
         A request that began under an older epoch (``swap_backend``
         ran since) answers for a retired backend: it neither reads the
@@ -686,10 +682,10 @@ class QueryService:
             if cached is not None:
                 self._cache_hits += 1
                 self._cache.move_to_end(key)
-                return cached[0]
+                return cached
         start = time.perf_counter()
         try:
-            value, entry, cost = compute()
+            value, entry = compute()
         except ReproError:
             with self._lock:
                 self._errors += 1
@@ -702,27 +698,12 @@ class QueryService:
                 and entry is not None
                 and ctx.epoch == self._epoch
             ):
-                self._cache[key] = (entry, cost)
+                self._cache[key] = entry
                 self._cache.move_to_end(key)
                 while len(self._cache) > self._cache_size:
-                    self._evict_one()
+                    self._cache.popitem(last=False)
+                    self._cache_evictions += 1
         return value
-
-    def _evict_one(self) -> None:
-        """Drop the cheapest-to-recompute entry among the oldest
-        ``_EVICT_WINDOW`` (caller holds the lock).  Entries with no
-        estimate weigh 0 — evicted before anything priced.  The
-        newest entry is never a candidate: the insertion that
-        triggered the eviction must not evict itself."""
-        window = []
-        cap = min(self._EVICT_WINDOW, len(self._cache) - 1)
-        for key in self._cache:
-            window.append(key)
-            if len(window) >= cap:
-                break
-        victim = min(window, key=lambda key: self._cache[key][1] or 0.0)
-        del self._cache[victim]
-        self._cache_evictions += 1
 
 
 __all__ = [

@@ -8,7 +8,11 @@ item's *name*, and all shards carry the identical shared vocabulary.
 :class:`~repro.query.base.PatternSearchBase` backend:
 
 * each shard opens lazily (O(header) + mmap) the first time a query
-  touches it, so ``open()`` on the directory reads only the manifest;
+  touches it, so ``open()`` on the directory reads only the manifest.
+  An open shard is a whole :class:`~repro.serve.store.PatternStore`
+  with its own decode caches, planner statistics and position space,
+  each built when a query first needs it; only the decoded vocabulary
+  and the descendant sets derived from it are shared between shards;
 * ranked read paths — search, iteration, top-k, hierarchy navigation —
   k-way merge the shards' rank-ordered streams with a heap keyed by the
   shared :func:`~repro.query.base.rank_key`, so answers are
@@ -36,7 +40,6 @@ from repro.query.base import (
     rank_key,
 )
 from repro.query.cost import CostEstimate, combine_estimates
-from repro.query.plan import PositionSpace
 from repro.query.tokens import normalize_query
 from repro.serve.format import is_sharded_store, read_manifest, shard_of
 from repro.serve.store import PatternStore
@@ -109,11 +112,6 @@ class ShardedPatternStore(PatternSearchBase):
                 f"({exc.filename})"
             ) from None
         self._shared_vocab: Vocabulary | None = None
-        # one PositionSpace build shared by every shard: the first
-        # positional query triggers a single global build, sliced into
-        # per-shard views (see _shard_space)
-        self._space_lock = threading.Lock()
-        self._space_slices: dict[int, PositionSpace] | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -196,23 +194,13 @@ class ShardedPatternStore(PatternSearchBase):
                         # even if the path was since unlinked
                         fileobj=pin,
                     )
-                    # descendant expansions (^name queries), compiled
-                    # tokens, and admissible id sets are pure functions
-                    # of the shared vocabulary: let shards reuse each
-                    # other's results
+                    # descendant expansions (^name queries) are pure
+                    # functions of the shared vocabulary: let shards
+                    # reuse each other's results
                     store._descendants_cache = self._descendants_cache
                     store._descendants_lock = self._descendants_lock
-                    store._compile_cache = self._compile_cache
-                    store._admissible_cache = self._admissible_cache
                     store._accelerate = self._accelerate
                     store._plan_strategy = self._plan_strategy
-                    # shards slice one shared PositionSpace build
-                    # instead of each paying the full slot loop
-                    store._space_factory = (
-                        lambda shard_index=index: self._shard_space(
-                            shard_index
-                        )
-                    )
                     self._stores[index] = store
         return store
 
@@ -402,37 +390,6 @@ class ShardedPatternStore(PatternSearchBase):
                 if store is not None:
                     store._plan_strategy = strategy
 
-    def _shard_space(self, index: int) -> PositionSpace:
-        """The shard's slice of one shared :class:`PositionSpace`.
-
-        The per-slot build loop is the expensive part of a cold
-        positional query; building it once over the concatenated owned
-        shards' lengths and slicing per shard (two big-int shifts each)
-        turns a shard-count-fold cold start into a single build.  The
-        global pad keeps every slice's window algebra identical to a
-        direct per-shard build."""
-        with self._space_lock:
-            if self._space_slices is None:
-                lengths: list[int] = []
-                counts: list[tuple[int, int]] = []
-                for shard_index in self._owned:
-                    shard_lengths = self._shard(
-                        shard_index
-                    )._pattern_lengths()
-                    counts.append((shard_index, len(shard_lengths)))
-                    lengths.extend(shard_lengths)
-                space = PositionSpace(lengths)
-                self._space_builds += 1
-                slices: dict[int, PositionSpace] = {}
-                first = 0
-                for shard_index, n_fields in counts:
-                    slices[shard_index] = space.slice_fields(
-                        first, n_fields
-                    )
-                    first += n_fields
-                self._space_slices = slices
-            return self._space_slices[index]
-
     def estimate_cost(self, query) -> CostEstimate:
         """Handle-level cost estimate: the per-shard estimates summed
         (shards partition the patterns, so their work adds), carrying
@@ -455,9 +412,9 @@ class ShardedPatternStore(PatternSearchBase):
     def plan_stats(self) -> dict:
         """The plan counters summed over the currently-open shards
         (closed slots are skipped — this is a metrics read, not a reason
-        to fault shards in).  ``space_builds`` counts the handle's own
-        shared builds plus any per-shard builds — exactly 1 after a
-        positional query, however many shards are mounted."""
+        to fault shards in).  ``space_builds`` is one per shard a
+        positional query has executed on: each shard builds its own
+        :class:`~repro.query.plan.PositionSpace`, lazily, once."""
         totals = super().plan_stats()
         with self._open_lock:
             open_stores = [s for s in self._stores if s is not None]

@@ -161,10 +161,11 @@ class PatternStore(PatternSearchBase):
         self._lock = threading.RLock()
         self._vocab: Vocabulary | None = vocabulary
         self._pattern_cache: dict[int, tuple[Pattern, int]] = {}
-        self._postings_cache: dict[int, list[int]] = {}
-        # parallel to _postings_cache for version >= 2 files: per entry,
-        # the positions the item occupies inside that pattern
-        self._positions_cache: dict[int, list[tuple[int, ...]]] = {}
+        #: item id -> (pattern indexes, per entry the positions the
+        #: item occupies inside that pattern), decoded together
+        self._postings_cache: dict[
+            int, tuple[list[int], list[tuple[int, ...]]]
+        ] = {}
         self._by_length: dict[int, list[int]] | None = None
 
     def _verify_checksums(self) -> None:
@@ -309,9 +310,6 @@ class PatternStore(PatternSearchBase):
         return read_positional_postings(self._data, start, end)
 
     def _postings_for(self, item_id: int) -> Sequence[int]:
-        cached = self._postings_cache.get(item_id)
-        if cached is not None:
-            return cached
         return self._positional_postings_for(item_id)[0]
 
     def _postings_size_estimate(self, item_id: int) -> int:
@@ -323,7 +321,7 @@ class PatternStore(PatternSearchBase):
         magnitudes."""
         cached = self._postings_cache.get(item_id)
         if cached is not None:
-            return len(cached)
+            return len(cached[0])
         if not 0 <= item_id < self._n_items:
             return 0
         base = self._off_post_offsets + U64.size * item_id
@@ -336,15 +334,13 @@ class PatternStore(PatternSearchBase):
     def _positional_postings_for(self, item_id: int):
         if not 0 <= item_id < self._n_items:
             return [], []
-        postings = self._postings_cache.get(item_id)
-        positions = self._positions_cache.get(item_id)
-        if postings is None or positions is None:
-            postings, positions = self._decode_postings(item_id)
+        cached = self._postings_cache.get(item_id)
+        if cached is None:
+            cached = self._decode_postings(item_id)
             with self._lock:
                 if len(self._postings_cache) < self._postings_cache_size:
-                    self._postings_cache[item_id] = postings
-                    self._positions_cache[item_id] = positions
-        return postings, positions
+                    self._postings_cache[item_id] = cached
+        return cached
 
     def _length_groups(self) -> dict[int, Sequence[int]]:
         if self._by_length is None:

@@ -3,15 +3,15 @@
 The differential harness proves every strategy the planner can choose
 is answer-invariant; this file pins the *decisions* — node ordering and
 the skip rule, the estimator's strategy picks on skewed statistics,
-shared position-space slicing, the explain/estimate public surface —
-and that nothing per-query outlives the request that priced it.
+the explain/estimate public surface — and that nothing per-query
+outlives the request that priced it.
 Decisions are asserted, raw cost numbers are not: only the ratios in
 :mod:`repro.analysis.costmodel` are meaningful.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -25,7 +25,7 @@ from repro.query.cost import (
     combine_estimates,
     order_mask_nodes,
 )
-from repro.query.plan import PositionSpace
+from repro.serve import open_store, write_sharded_store, write_store
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,72 @@ class TestNothingPerQueryIsRetained:
         kinds = {key[0] for key in skewed_index._cost_stat_cache}
         assert kinds <= {"node", "lengths", "scan", "space"}
 
+    @pytest.mark.parametrize("layout", ["index", "store", "sharded"])
+    def test_distinct_tokens_grow_nothing_but_statistics(
+        self, layout, tmp_path
+    ):
+        """Tokens are client input: a token is compiled by the request
+        that sent it, so 2 000 distinct ``?@N`` floors and 2 000
+        distinct disjunctions leave no attribute of a backend (or of a
+        shard) larger than the vocabulary bounds it — except the decode
+        caches, which carry their own caps, and the planner statistics
+        (keyed by id set; ROADMAP 7c)."""
+        names = [f"i{n}" for n in range(12)]
+        hierarchy = Hierarchy()
+        for name in names:
+            hierarchy.add_item(name)
+        patterns = {
+            pair: 5 + index
+            for index, pair in enumerate(combinations(names, 2))
+        }
+        coded, vocabulary = code_patterns(patterns, hierarchy)
+        if layout == "index":
+            backend = PatternIndex(coded, vocabulary)
+        elif layout == "store":
+            write_store(tmp_path / "p.store", coded, vocabulary)
+            backend = open_store(tmp_path / "p.store")
+        else:
+            write_sharded_store(
+                tmp_path / "p.shards", coded, vocabulary, shards=2
+            )
+            backend = open_store(tmp_path / "p.shards")
+        disjunctions = [
+            "(" + "|".join(choice) + ")"
+            for size in (2, 3, 4, 5, 6)
+            for choice in combinations(names, size)
+        ][:2000]
+        assert len(set(disjunctions)) == 2000
+
+        def sized(holder) -> dict[str, int]:
+            return {
+                name: len(value)
+                for name, value in vars(holder).items()
+                if hasattr(value, "__len__")
+            }
+
+        def holders() -> list:
+            return [backend, *filter(None, getattr(backend, "_stores", ()))]
+
+        allowed = {"_cost_stat_cache", "_pattern_cache", "_postings_cache"}
+        try:
+            backend.search("i0 ?")  # fault every shard in
+            before = [sized(holder) for holder in holders()]
+            for n in range(2000):
+                backend.search(f"i0 ?@{n + 1}", limit=1)
+                backend.search(f"{disjunctions[n]} ?", limit=1)
+            after = [sized(holder) for holder in holders()]
+        finally:
+            if layout != "index":
+                backend.close()
+        bound = len(vocabulary)
+        grown = {
+            name
+            for was, now in zip(before, after)
+            for name, size in now.items()
+            if size > max(was.get(name, 0), bound)
+        }
+        assert grown <= allowed, grown
+
     def test_estimate_carries_its_plans_outside_its_value(self, skewed_index):
         first = skewed_index.estimate_cost("common rare")
         second = skewed_index.estimate_cost("common rare")
@@ -190,38 +256,3 @@ class TestNothingPerQueryIsRetained:
         assert combine_estimates([first, None]).plans == first.plans
 
 
-# ----------------------------------------------------------------------
-# shared position space slices
-# ----------------------------------------------------------------------
-
-
-class TestPositionSpaceSlices:
-    LENGTHS = [2, 3, 1, 4, 2, 2]
-
-    def test_slice_equals_direct_build_with_global_pad(self):
-        space = PositionSpace(self.LENGTHS)
-        view = space.slice_fields(1, 3)
-        direct = PositionSpace(self.LENGTHS[1:4], pad=space.pad)
-        assert view.offsets == direct.offsets
-        assert view.valid == direct.valid
-        assert view.pad == direct.pad
-        assert view.total == direct.total
-
-    def test_slices_partition_the_space(self):
-        space = PositionSpace(self.LENGTHS)
-        first = space.slice_fields(0, 2)
-        rest = space.slice_fields(2, 4)
-        assert len(first.offsets) + len(rest.offsets) == len(self.LENGTHS)
-        # rebased: every slice starts at its own origin
-        assert first.offsets[0] == 0
-        assert rest.offsets[0] == 0
-
-    def test_empty_slice(self):
-        space = PositionSpace(self.LENGTHS)
-        view = space.slice_fields(3, 0)
-        assert view.offsets == []
-        assert view.valid == 0
-
-    def test_pad_below_max_len_rejected(self):
-        with pytest.raises(ValueError, match="pad"):
-            PositionSpace([3, 1], pad=2)

@@ -69,10 +69,10 @@ class TestIterBitIndexes:
 class TestPositionSpace:
     def test_geometry(self):
         space = PositionSpace([2, 3, 1])
-        # pad equals the max length; fields are length + pad apart
+        # fields are padded by the max length: length + max_len apart
         assert space.max_len == 3
-        assert space.pad == 3
         assert space.offsets == [0, 5, 11]
+        assert space.total == 15
         # valid marks exactly the in-field slots
         expected_valid = 0
         for base, length in zip(space.offsets, [2, 3, 1]):
@@ -81,6 +81,13 @@ class TestPositionSpace:
         assert space.valid == expected_valid
         assert list(iter_bit_indexes(space.starts)) == [0, 5, 11]
         assert list(iter_bit_indexes(space.ends)) == [1, 7, 11]
+
+    def test_empty_space(self):
+        """A shard that holds no patterns still gets a space."""
+        space = PositionSpace([])
+        assert space.offsets == []
+        assert space.valid == space.starts == space.ends == 0
+        assert space.shift_window_up(space.starts, (0, None)) == 0
 
     def test_shift_window_up_exact(self):
         space = PositionSpace([3])

@@ -1,7 +1,9 @@
 """HTTP server: live endpoint behavior and concurrent query traffic."""
 
+import io
 import json
 import threading
+import types
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -11,7 +13,7 @@ import pytest
 from repro.core import Lash, MiningParams
 from repro.query import PatternIndex, PatternSearchBase
 from repro.serve import QueryService, create_server, open_store
-from repro.serve.http import METRICS_CONTENT_TYPE
+from repro.serve.http import METRICS_CONTENT_TYPE, PatternRequestHandler
 
 
 @pytest.fixture
@@ -456,6 +458,47 @@ class TestLatencyHistogramExposition:
                 ] = value
         ordered = [by_bound[bound] for bound in sorted(by_bound)]
         assert ordered == sorted(ordered)
+
+    @pytest.mark.parametrize("client_gone", [False, True])
+    def test_latency_is_observed_before_the_first_response_byte(
+        self, mining_result, client_gone
+    ):
+        """A client that has read its answer must find it counted by
+        whatever it asks next (``/metrics`` right after ``/stats``), so
+        the observation precedes the first write — and a client that
+        hung up before any response still gets its request counted."""
+        events: list[str] = []
+
+        class Recording(QueryService):
+            def observe_latency(self, endpoint, seconds):
+                events.append(f"observe {endpoint}")
+                super().observe_latency(endpoint, seconds)
+
+        class FakeSocket:
+            def settimeout(self, timeout):
+                pass
+
+            def makefile(self, mode, buffering):
+                return io.BytesIO(
+                    b"GET /query?q=a+%3F HTTP/1.1\r\n"
+                    b"Host: test\r\nConnection: close\r\n\r\n"
+                )
+
+            def sendall(self, data):
+                if client_gone:
+                    raise BrokenPipeError
+                events.append("write")
+
+        service = Recording(PatternIndex.from_result(mining_result))
+        PatternRequestHandler(
+            FakeSocket(),
+            ("127.0.0.1", 0),
+            types.SimpleNamespace(service=service),
+        )
+        assert events[0] == "observe query"
+        assert events.count("observe query") == 1
+        assert ("write" in events) is not client_gone
+        assert service.stats()["request_latency"]["query"]["count"] == 1
 
     def test_errors_are_observed_too(self, server):
         with pytest.raises(urllib.error.HTTPError):

@@ -1,5 +1,8 @@
 """QueryService: LRU caching, batching, stats and error accounting."""
 
+import threading
+import time
+
 import pytest
 
 from repro.errors import InvalidParameterError, UnknownItemError
@@ -116,28 +119,22 @@ class TestLruCache:
         assert service.stats()["cache_hits"] == 1
         assert service.stats()["cache_entries"] == 1
 
-    def test_eviction_is_cost_weighted_lru(self, backend):
-        """Eviction weighs estimated recomputation cost, not recency
-        alone: among the oldest entries the *cheapest* one goes, even
-        if it was touched more recently than an expensive scan."""
+    def test_eviction_is_least_recently_used(self, backend):
+        """Past ``cache_size`` the oldest untouched entry goes, whatever
+        it would cost to recompute; a hit makes an entry the newest."""
         service = QueryService(backend, cache_size=2)
-        costs = {
-            "a ?": service.query("a ?")["estimated_cost"],
-            "? ?": service.query("? ?")["estimated_cost"],
-        }
-        assert costs["a ?"] != costs["? ?"], "fixture queries price equal"
-        cheap = min(costs, key=costs.get)
-        expensive = max(costs, key=costs.get)
-        service.query(cheap)      # hit → cheap entry is most recent
-        service.query("c ?")      # overflow: evicts cheap, not expensive
+        service.query("a ?")
+        service.query("? ?")
+        service.query("a ?")      # hit → "? ?" is now the oldest
+        service.query("c ?")      # overflow: evicts "? ?"
         assert service.stats()["cache_entries"] == 2
         assert service.stats()["cache_evictions"] == 1
         hits_before = service.stats()["cache_hits"]
-        service.query(expensive)  # the pricey scan survived the churn
+        service.query("a ?")      # the touched entry survived
         assert service.stats()["cache_hits"] == hits_before + 1
-        hits_before = service.stats()["cache_hits"]
-        service.query(cheap)      # was evicted → recomputed
-        assert service.stats()["cache_hits"] == hits_before
+        service.query("? ?")      # was evicted → recomputed
+        assert service.stats()["cache_hits"] == hits_before + 1
+        assert service.stats()["cache_evictions"] == 2
 
     def test_cache_disabled(self, backend):
         service = QueryService(backend, cache_size=0)
@@ -262,6 +259,45 @@ class TestStats:
         latency = service.stats()["total_latency_ms"]
         service.query("a ?")  # cache hit: no extra search latency
         assert service.stats()["total_latency_ms"] == latency
+
+    def test_backend_length_is_read_outside_the_lock(self, backend):
+        """A router's ``len()`` is a status round trip per server while
+        one is down; ``/stats`` must not make every request — cache
+        hits included — queue behind it."""
+
+        class SlowLen:
+            """Delegates to ``backend``; ``len()`` takes up to 1 s."""
+
+            entered = threading.Event()
+            release = threading.Event()
+
+            def __len__(self):
+                self.entered.set()
+                self.release.wait(timeout=1.0)
+                return len(backend)
+
+            def __getattr__(self, name):
+                return getattr(backend, name)
+
+        slow = SlowLen()
+        service = QueryService(slow)
+        service.query("a ?")
+        stats: list[dict] = []
+        thread = threading.Thread(
+            target=lambda: stats.append(service.stats())
+        )
+        thread.start()
+        try:
+            assert slow.entered.wait(timeout=5)
+            start = time.perf_counter()
+            service.query("a ?")  # a hit, while stats() sits in len()
+            elapsed = time.perf_counter() - start
+        finally:
+            slow.release.set()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert elapsed < 0.2
+        assert stats[0]["patterns"] == 5
 
 
 class TestQueryCanonicalization:

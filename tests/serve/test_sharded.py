@@ -25,6 +25,7 @@ from repro.serve import (
     write_sharded_store,
     write_store,
 )
+from repro.serve.distributed import partial_search
 from repro.serve.format import (
     MANIFEST_NAME,
     read_manifest,
@@ -371,32 +372,41 @@ class TestMerge:
                 assert merged.search(query) == index.search(query), query
 
 
-class TestSharedPositionSpace:
-    def test_one_build_covers_every_shard(self, fig1_result, tmp_path):
-        """Cold positional queries build ONE position space for the
-        whole handle; each shard runs on a rebased slice of it, and
-        the slices answer exactly like per-shard builds would."""
+class TestPerShardPositionSpace:
+    def test_each_shard_builds_its_own_space_once_lazily(
+        self, fig1_result, tmp_path
+    ):
+        """A shard is a whole store: the first positional query to
+        execute on it builds its position space, later ones reuse it,
+        and shards no such query touched have built nothing."""
         path = tmp_path / "fig1.shards"
         fig1_result.to_store(path, shards=3)
         index = PatternIndex.from_result(fig1_result)
+        index.set_planner("exact")
         with ShardedPatternStore.open(path) as sharded:
             # force the bitmap path: "pruned" plans skip the space
             sharded.set_planner("exact")
+            sharded.search("? ? ?")  # no chain: a length scan, no space
+            assert sharded.plan_stats()["space_builds"] == 0
+            partial_search(sharded, "a ?", shard_ids=[1])
+            assert sharded.plan_stats()["space_builds"] == 1
+            assert sharded._shard(0)._pos_space is None
             for query in FIG1_QUERIES:
                 assert sharded.search(query) == index.search(query), query
             stats = sharded.plan_stats()
-            assert stats["space_builds"] == 1
+            assert stats["space_builds"] == 3
             assert stats["paths"]["exact"] > 0
+            for query in FIG1_QUERIES:
+                assert sharded.search(query) == index.search(query), query
+            assert sharded.plan_stats()["space_builds"] == 3
 
-    def test_slices_are_per_shard_views(self, fig1_result, tmp_path):
+    def test_spaces_cover_their_own_shard(self, fig1_result, tmp_path):
         path = tmp_path / "fig1.shards"
         fig1_result.to_store(path, shards=3)
         with ShardedPatternStore.open(path) as sharded:
             sharded.set_planner("exact")
             sharded.search("a ?")
-            slices = sharded._space_slices
-            assert slices is not None and len(slices) == 3
-            total_fields = sum(
-                len(view.offsets) for view in slices.values()
-            )
-            assert total_fields == len(sharded)
+            shards = sharded._shards()
+            for shard in shards:
+                assert len(shard._pos_space.offsets) == len(shard)
+            assert sum(len(shard) for shard in shards) == len(sharded)
