@@ -236,11 +236,22 @@ def cmd_mine(args: argparse.Namespace) -> int:
         f"in {elapsed:.2f}s"
     )
     times = result.phase_times()
+    flist = ""
+    if result.preprocess_job is not None:
+        flist_s = result.preprocess_job.metrics.serial_phase_times().total_s
+        flist = f"flist={flist_s:.2f}s "
     print(
-        f"phases: map={times.map_s:.2f}s shuffle={times.shuffle_s:.2f}s "
+        f"phases: {flist}map={times.map_s:.2f}s "
+        f"shuffle={times.shuffle_s:.2f}s "
         f"reduce={times.reduce_s:.2f}s | shuffled "
         f"{result.counters['SHUFFLE_BYTES']} bytes"
     )
+    search = result.local_stats
+    if search.candidates:
+        print(
+            f"search: {search.candidates} candidates -> {search.outputs} "
+            f"outputs ({search.outputs / search.candidates:.1%} useful)"
+        )
     for pattern, freq in result.top(args.top):
         print(f"{freq:>8}  {pattern}")
     if args.out:

@@ -76,9 +76,13 @@ class FlistJob(MapReduceJob):
 
     def __init__(self, hierarchy: Hierarchy) -> None:
         self.hierarchy = hierarchy
+        # per distinct word, remembered for the life of the job (in a pool
+        # worker: of the task): its generalizations and its UTF-8 length
+        self._chains: dict[str, tuple[str, ...]] = {}
+        self._key_bytes: dict[str, int] = {}
 
     def map(self, record: tuple[str, ...]):
-        for item in iter_generalized_items(self.hierarchy, record):
+        for item in iter_generalized_items(self.hierarchy, record, self._chains):
             yield item, 1
 
     def combine(self, key, values):
@@ -86,6 +90,15 @@ class FlistJob(MapReduceJob):
 
     def reduce(self, key, values):
         yield key, sum(values)
+
+    def kv_size(self, key: str, value: int) -> int:
+        """The base class's generic metering of a ``(word, count)`` pair,
+        in closed form: UTF-8 bytes of the word plus one byte per started
+        7 bits of the count."""
+        key_bytes = self._key_bytes.get(key)
+        if key_bytes is None:
+            key_bytes = self._key_bytes[key] = len(key.encode("utf-8"))
+        return key_bytes + max(1, (value.bit_length() + 7) // 7)
 
 
 class PartitionMineJob(MapReduceJob):

@@ -11,12 +11,30 @@ right-expanding to append ``S_r``:
 * sequences produced by a right-expansion are never left-expanded
   (prevents duplicates).
 
-**Projected databases.**  For the current sequence ``S`` each supporting
-partition sequence carries the set of ``(start, end)`` position pairs of
-embeddings of ``S``.  A right-expansion extends ``end`` within the gap
-window; a left-expansion extends ``start``; hierarchy generalizations of the
-window items are candidate expansion items (filtered to ``≤ pivot`` —
-irrelevant items cannot occur in pivot sequences).
+**Projected databases.**  One linear pass turns every partition sequence
+into ``item → position bitmask`` over the items it holds and their ancestors
+``≤ pivot`` (irrelevant items cannot occur in pivot sequences); the pivot's
+mask is where the search starts.  For the current sequence ``S`` a
+supporting sequence then carries only what the next expansion reads, and an
+expansion is a shift: the positions within the gap bound of a set of ends
+``E`` are ``E<<1 | … | E<<(γ+1)`` (everything above the lowest end when γ is
+unbounded), mirrored for starts.  A sequence produced by a right-expansion
+is never left-expanded, so its entries keep *one window per sequence* —
+which starts reached an end is dead weight there, and with an unbounded gap
+a quadratic amount of it.  Only the left spine (``S_l · w``, still to be
+expanded both ways) needs to know which starts belong to which end, and
+every one of its ends is a pivot occurrence: its entries keep one window
+per occurrence that still ends an embedding.
+
+A scan *counts first*: per entry the set of items present in its window
+(remembered per sequence and window, intersected with ``R_S`` when the index
+restricts) adds the entry's weight to one ``item → weight`` dict, which is
+``W_S`` — the candidates.  Only the items that reached σ are then projected
+(``mask[item] & window``, shifted on), and at ``|S| = λ−1`` nothing is:
+the frequent expansions are outputs no scan will read.  Candidates are
+counted exactly as before — every item whose support a scan evaluates, once
+— so the search-space figures (Fig. 4(d)) are those of the pair-set miner
+this replaced, kept as ``tests/core/psm_reference.py``.
 
 **Right-expansion index** (Sec. 5.2 "Indexing right-expansions").  When
 ``S·x`` was infrequent, ``y·S·x`` must be infrequent too (support
@@ -33,17 +51,55 @@ layouts are provided:
 
 from __future__ import annotations
 
-from typing import Iterable
+from bisect import bisect_right
+from typing import Callable, Mapping
 
 from repro.constants import BLANK
 from repro.core.params import MiningParams
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.miners.base import ExplorationStats, LocalMiner, normalize_partition
 
-#: projected-database entry: (sequence, weight, embedding (start,end) pairs)
-_Entry = tuple[tuple[int, ...], int, frozenset[tuple[int, int]]]
+#: projected-database entry: (item → position mask, window memo, weight,
+#: window) — the sequence's first three, shared by all of its entries, then
+#: the mask of the positions the next expansion can reach
+_Entry = tuple[dict[int, int], dict[int, list[int]], int, int]
+#: the left spine also keeps, per entry and per pivot occurrence that still
+#: ends an embedding, ``(left window of its starts, end bit)``
+_Groups = list[tuple[int, int]]
 
 _INDEX_MODES = ("exact", "level", "none")
+
+
+def _windows(
+    gamma: int | None,
+) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """``(after, before)``: position mask → mask of the positions one
+    right- / left-expansion can reach from it under the gap bound.
+
+    Windows are only ever intersected with position masks, so ``after`` does
+    not clip at the sequence end; with no bound it is every position above
+    the lowest end — an int with infinitely many leading ones.
+    """
+    if gamma is None:
+        return (
+            lambda ends: -((ends & -ends) << 1),
+            lambda starts: (1 << (starts.bit_length() - 1)) - 1,
+        )
+    further = range(2, gamma + 2)
+
+    def after(ends: int) -> int:
+        reach = ends << 1
+        for shift in further:
+            reach |= ends << shift
+        return reach
+
+    def before(starts: int) -> int:
+        reach = starts >> 1
+        for shift in further:
+            reach |= starts >> shift
+        return reach
+
+    return after, before
 
 
 class PivotSequenceMiner(LocalMiner):
@@ -64,126 +120,177 @@ class PivotSequenceMiner(LocalMiner):
             )
         self.index_mode = index_mode
 
-    # ------------------------------------------------------------------
-
     def mine_partition(
         self, partition, pivot: int
     ) -> dict[tuple[int, ...], int]:
-        entries: list[_Entry] = []
+        search = _Search(self, pivot)
+        after, before = search.after, search.before
+        ancestors_or_self = self.vocabulary.ancestors_or_self
+        chains: dict[int, tuple[int, ...]] = {}  # item → ancestors ≤ pivot
+        right: list[_Entry] = []
+        left: list[_Entry] = []
+        groups: list[_Groups] = []
         total_weight = 0
-        for seq, weight in normalize_partition(partition):
-            pairs = frozenset(
-                (i, i)
-                for i, item in enumerate(seq)
-                if self._matches_pivot(item, pivot)
-            )
-            if pairs:
-                entries.append((seq, weight, pairs))
-                total_weight += weight
-        output: dict[tuple[int, ...], int] = {}
-        if total_weight < self.params.sigma:
-            return output
-        self._pivot = pivot
-        self._output = output
+        for seq, weight in (
+            partition.items()
+            if isinstance(partition, Mapping)
+            else normalize_partition(partition)
+        ):
+            posmask: dict[int, int] = {}
+            bit = 1
+            for item in seq:
+                if item != BLANK:
+                    chain = chains.get(item)
+                    if chain is None:
+                        anc = ancestors_or_self(item)  # ascending
+                        chain = chains[item] = anc[: bisect_right(anc, pivot)]
+                    for ancestor in chain:
+                        posmask[ancestor] = posmask.get(ancestor, 0) | bit
+                bit <<= 1
+            occurrences = posmask.get(pivot)
+            if occurrences is None:
+                continue
+            total_weight += weight
+            memo: dict[int, list[int]] = {}
+            right.append((posmask, memo, weight, after(occurrences)))
+            union = 0
+            per_occurrence = []
+            while occurrences:
+                low = occurrences & -occurrences
+                window = before(low)
+                per_occurrence.append((window, low))
+                union |= window
+                occurrences ^= low
+            left.append((posmask, memo, weight, union))
+            groups.append(per_occurrence)
+        if total_weight >= self.params.sigma:
+            start = (pivot,)
+            search.expand_right(start, right, root=start)
+            search.expand_left(start, left, groups)
+        return search.output
+
+
+class _Search:
+    """One ``mine_partition`` call: the expansion recursion and its index."""
+
+    __slots__ = (
+        "pivot", "sigma", "lam", "index_mode", "stats", "output",
+        "after", "before", "_exact_index", "_series_index",
+    )
+
+    def __init__(self, miner: PivotSequenceMiner, pivot: int) -> None:
+        self.pivot = pivot
+        self.sigma = miner.params.sigma
+        self.lam = miner.params.lam
+        self.index_mode = miner.index_mode
+        self.stats = miner.stats
+        self.output: dict[tuple[int, ...], int] = {}
+        self.after, self.before = _windows(miner.params.gamma)
         self._exact_index: dict[tuple[int, ...], frozenset[int]] = {}
         # level mode: per expansion-series root, one union set per offset
         self._series_index: dict[tuple[int, ...], dict[int, set[int]]] = {}
-        start = (pivot,)
-        self._expand(start, entries, right=True, root=start)
-        self._expand(start, entries, right=False, root=start)
-        return output
 
     # ------------------------------------------------------------------
     # expansion machinery
     # ------------------------------------------------------------------
 
-    def _matches_pivot(self, item: int, pivot: int) -> bool:
-        if item == pivot:
-            return True
-        return item > pivot and self.vocabulary.generalizes_to(item, pivot)
+    def _frequent(self, candidates: dict[int, int]) -> list[int]:
+        """Account for one scan's candidates; those that reached σ — each
+        an output — in the order they are expanded."""
+        self.stats.candidates += len(candidates)
+        sigma = self.sigma
+        frequent = sorted(
+            item for item, weight in candidates.items() if weight >= sigma
+        )
+        self.stats.outputs += len(frequent)
+        return frequent
 
-    def _expand(
+    def expand_right(
         self,
         seq: tuple[int, ...],
         entries: list[_Entry],
-        right: bool,
         root: tuple[int, ...],
     ) -> None:
-        """Grow ``seq``; ``root`` is the left-expanded sequence that started
-        the current series of right-expansions (``seq`` itself while
-        left-expanding)."""
-        params = self.params
-        if len(seq) == params.lam:
-            return
-        allowed = self._allowed_items(seq, root) if right else None
+        """Append to ``seq`` (shorter than λ); ``root`` is the left-expanded
+        sequence that started the current series of right-expansions."""
+        allowed = self._allowed_items(seq, root)
         if allowed is not None and not allowed:
             # R_S = ∅: no right-expansion can be frequent; skip the scan
             # entirely (paper: "we do not scan the database").
             self._record_index(seq, root, frozenset())
             return
-        candidates = self._scan(seq, entries, right, allowed)
-        if right:
-            candidates.pop(self._pivot, None)
-        self.stats.candidates += len(candidates)
-        frequent = {
-            item: payload
-            for item, payload in candidates.items()
-            if payload[0] >= params.sigma
-        }
-        if right:
-            self._record_index(seq, root, frozenset(frequent))
-        for item in sorted(frequent):
-            weight, sub_entries = frequent[item]
-            new_seq = seq + (item,) if right else (item,) + seq
-            self._output[new_seq] = weight
-            self.stats.outputs += 1
-            # a left-expansion starts a fresh series rooted at the new
-            # sequence; right-expansions stay in the current series
-            new_root = root if right else new_seq
-            self._expand(new_seq, sub_entries, right=True, root=new_root)
-            if not right:
-                self._expand(new_seq, sub_entries, right=False, root=new_seq)
+        candidates = _count(entries, allowed)
+        candidates.pop(self.pivot, None)
+        frequent = self._frequent(candidates)
+        wanted = frozenset(frequent)
+        self._record_index(seq, root, wanted)
+        output = self.output
+        if len(seq) + 1 == self.lam:
+            # the expansions are outputs and nothing grows from them
+            for item in frequent:
+                output[seq + (item,)] = candidates[item]
+            return
+        if not frequent:
+            return
+        after = self.after
+        projected: dict[int, list[_Entry]] = {item: [] for item in frequent}
+        for posmask, memo, weight, reach in entries:
+            for item in wanted.intersection(memo[reach]):
+                projected[item].append(
+                    (posmask, memo, weight, after(posmask[item] & reach))
+                )
+        for item in frequent:
+            new_seq = seq + (item,)
+            output[new_seq] = candidates[item]
+            self.expand_right(new_seq, projected.pop(item), root)
 
-    def _scan(
+    def expand_left(
         self,
         seq: tuple[int, ...],
         entries: list[_Entry],
-        right: bool,
-        allowed: frozenset[int] | set[int] | None,
-    ) -> dict[int, list]:
-        """Compute ``W^dir_S``: expansion item → [weight, projected entries]."""
-        gamma = self.params.gamma
-        vocabulary = self.vocabulary
-        pivot = self._pivot
-        agg: dict[int, list] = {}
-        for t, weight, pairs in entries:
-            n = len(t)
-            found: dict[int, set[tuple[int, int]]] = {}
-            for start, end in pairs:
-                if right:
-                    lo = end + 1
-                    hi = n if gamma is None else min(n, end + 2 + gamma)
-                else:
-                    hi = start
-                    lo = 0 if gamma is None else max(0, start - 1 - gamma)
-                for k in range(lo, hi):
-                    item = t[k]
-                    if item == BLANK:
-                        continue
-                    new_pair = (start, k) if right else (k, end)
-                    for anc in vocabulary.ancestors_or_self(item):
-                        if anc > pivot:
-                            continue
-                        if allowed is not None and anc not in allowed:
-                            continue
-                        found.setdefault(anc, set()).add(new_pair)
-            for item, new_pairs in found.items():
-                payload = agg.get(item)
-                if payload is None:
-                    payload = agg[item] = [0, []]
-                payload[0] += weight
-                payload[1].append((t, weight, frozenset(new_pairs)))
-        return agg
+        groups: list[_Groups],
+    ) -> None:
+        """Prepend to ``seq`` (shorter than λ), a sequence that only
+        left-expansions produced; every result starts a fresh right series
+        rooted at itself and is then left-expanded in turn.  ``groups`` runs
+        parallel to ``entries``."""
+        candidates = _count(entries, None)
+        frequent = self._frequent(candidates)
+        output = self.output
+        if len(seq) + 1 == self.lam:
+            for item in frequent:
+                output[(item,) + seq] = candidates[item]
+            return
+        if not frequent:
+            return
+        wanted = frozenset(frequent)
+        after = self.after
+        before = self.before
+        projected: dict[int, tuple[list[_Entry], list[_Entry], list[_Groups]]] = {
+            item: ([], [], []) for item in frequent
+        }
+        for (posmask, memo, weight, reach), per_occurrence in zip(entries, groups):
+            for item in wanted.intersection(memo[reach]):
+                occurrences = posmask[item]
+                ends = union = 0
+                new_groups = []
+                for window, end in per_occurrence:
+                    starts = occurrences & window
+                    if starts:
+                        window = before(starts)
+                        new_groups.append((window, end))
+                        union |= window
+                        ends |= end
+                right, left, left_groups = projected[item]
+                right.append((posmask, memo, weight, after(ends)))
+                left.append((posmask, memo, weight, union))
+                left_groups.append(new_groups)
+        for item in frequent:
+            new_seq = (item,) + seq
+            output[new_seq] = candidates[item]
+            right, left, left_groups = projected.pop(item)
+            self.expand_right(new_seq, right, root=new_seq)
+            self.expand_left(new_seq, left, left_groups)
 
     # ------------------------------------------------------------------
     # right-expansion index
@@ -226,6 +333,25 @@ class PivotSequenceMiner(LocalMiner):
             self._series_index.setdefault(root, {}).setdefault(
                 offset, set()
             ).update(frequent)
+
+
+def _count(
+    entries: list[_Entry], allowed: frozenset[int] | set[int] | None
+) -> dict[int, int]:
+    """``W_S``: expansion item → weight of the entries whose window holds it
+    (only items of ``allowed`` when the index has something to say)."""
+    counts: dict[int, int] = {}
+    for posmask, memo, weight, reach in entries:
+        items = memo.get(reach)
+        if items is None:
+            items = memo[reach] = [
+                item for item, mask in posmask.items() if mask & reach
+            ]
+        if allowed is not None:
+            items = allowed.intersection(items)
+        for item in items:
+            counts[item] = counts.get(item, 0) + weight
+    return counts
 
 
 def mine_partitions(

@@ -24,19 +24,32 @@ from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.vocabulary import Vocabulary
 
 
-def iter_generalized_items(hierarchy: Hierarchy, sequence: Iterable[str]) -> set[str]:
+def iter_generalized_items(
+    hierarchy: Hierarchy,
+    sequence: Iterable[str],
+    chains: dict[str, tuple[str, ...]] | None = None,
+) -> set[str]:
     """``G1(T)`` over names: distinct items of ``T`` plus all ancestors.
 
-    Items absent from the hierarchy are treated as isolated roots.
+    Items absent from the hierarchy are treated as isolated roots.  A caller
+    that generalizes many sequences passes one ``chains`` dict to all the
+    calls: it remembers ``token → ancestors_or_self``, so the hierarchy is
+    walked once per distinct token rather than once per sequence holding it.
     """
+    if chains is None:
+        chains = {}
     out: set[str] = set()
     for token in sequence:
         if token in out:
             continue
-        if token in hierarchy:
-            out.update(hierarchy.ancestors_or_self(token))
-        else:
-            out.add(token)
+        chain = chains.get(token)
+        if chain is None:
+            chain = chains[token] = (
+                hierarchy.ancestors_or_self(token)
+                if token in hierarchy
+                else (token,)
+            )
+        out.update(chain)
     return out
 
 
@@ -49,8 +62,9 @@ def compute_generalized_flist(
     frequency 0), as are items that occur only in the data.
     """
     freqs: Counter[str] = Counter()
+    chains: dict[str, tuple[str, ...]] = {}
     for sequence in database:
-        freqs.update(iter_generalized_items(hierarchy, sequence))
+        freqs.update(iter_generalized_items(hierarchy, sequence, chains))
     for item in hierarchy:
         freqs.setdefault(item, 0)
     return dict(freqs)

@@ -343,16 +343,19 @@ def run_reduce_task(
     crash_after: int | None = None,
 ) -> list[Any]:
     """One reduce task: ``job.reduce`` over the partition's sorted keys."""
+    # counted in locals and posted once per attempt, as in run_map_task
     output: list[Any] = []
+    groups = records = 0
     for position, key in enumerate(sorted(partition)):
         if crash_after is not None and position >= crash_after:
             raise _InjectedFailure()
         values = partition[key]
-        counters.increment(C.REDUCE_INPUT_GROUPS)
-        counters.increment(C.REDUCE_INPUT_RECORDS, len(values))
-        for out in job.reduce(key, values):
-            output.append(out)
-            counters.increment(C.REDUCE_OUTPUT_RECORDS)
+        groups += 1
+        records += len(values)
+        output.extend(job.reduce(key, values))
     if crash_after is not None:
         raise _InjectedFailure()
+    counters.increment(C.REDUCE_INPUT_GROUPS, groups)
+    counters.increment(C.REDUCE_INPUT_RECORDS, records)
+    counters.increment(C.REDUCE_OUTPUT_RECORDS, len(output))
     return output

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import Lash, MiningParams
-from repro.core.lash import mine, resolve_miner
+from repro.core.lash import FlistJob, mine, resolve_miner
 from repro.errors import InvalidParameterError
-from repro.mapreduce import C
+from repro.hierarchy import Hierarchy
+from repro.hierarchy.flist import iter_generalized_items
+from repro.mapreduce import C, MapReduceJob
 
 #: the paper's complete GSM output for σ=2, γ=1, λ=3 (Sec. 2)
 PAPER_OUTPUT = {
@@ -121,3 +123,45 @@ class TestDriverMechanics:
             [["a", "b1"], ["a", "b2"]], fig1_hierarchy, sigma=2, gamma=0, lam=2
         )
         assert result.decoded() == {("a", "B"): 2}
+
+
+class TestFlistJob:
+    def test_metering_is_the_generic_formula(self, fig1_hierarchy):
+        """``kv_size`` is the base class's estimate in closed form — not
+        ``uvarint_size``, which is a byte shorter wherever the count's bit
+        length is a multiple of 7 (64-127, 8192-16383, ...)."""
+        job = FlistJob(fig1_hierarchy)
+        counts = sorted(
+            {1, 2, 1 << 21}
+            | {n + d for n in (1 << 6, 1 << 7, 1 << 13, 1 << 14) for d in (-1, 0)}
+            | {3**k for k in range(14)}
+        )
+        assert {63, 64, 127, 128, 8191, 8192, 16383, 16384} <= set(counts)
+        for word in ("a", "b11", "naïve", "日本語", "über-größe", ""):
+            for count in counts:
+                assert job.kv_size(word, count) == MapReduceJob.kv_size(
+                    job, word, count
+                )
+        assert job.kv_size("日本語", 64) == 9 + 2
+
+    def test_hierarchy_is_walked_once_per_distinct_word(
+        self, fig1_database, fig1_hierarchy, monkeypatch
+    ):
+        walked = []
+        ancestors = Hierarchy.ancestors
+        monkeypatch.setattr(
+            Hierarchy,
+            "ancestors",
+            lambda self, item: walked.append(item) or ancestors(self, item),
+        )
+        job = FlistJob(fig1_hierarchy)
+        emitted = [sorted(job.map(record)) for record in fig1_database]
+        words = {word for record in fig1_database for word in record}
+        assert sorted(walked) == sorted(words)
+        assert emitted == [
+            sorted(
+                (item, 1)
+                for item in iter_generalized_items(fig1_hierarchy, record)
+            )
+            for record in fig1_database
+        ]

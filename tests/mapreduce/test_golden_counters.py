@@ -1,8 +1,9 @@
-"""Golden map-side counters of the two LASH jobs.
+"""Golden counters of the two LASH jobs.
 
-``run_map_task`` counts records and bytes in locals and posts them once
-per attempt; the numbers below were produced by the per-record posting it
-replaced, and must come out the same whichever way a job is run.
+``run_map_task`` and ``run_reduce_task`` count records and bytes in locals
+and post them once per attempt; the numbers below were produced by the
+per-record posting they replaced, and must come out the same whichever way
+a job is run.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,11 @@ NAMES = (
     C.COMBINE_INPUT_RECORDS,
     C.COMBINE_OUTPUT_RECORDS,
     C.SHUFFLE_BYTES,
+)
+REDUCE_NAMES = (
+    C.REDUCE_INPUT_GROUPS,
+    C.REDUCE_INPUT_RECORDS,
+    C.REDUCE_OUTPUT_RECORDS,
 )
 
 
@@ -43,6 +49,11 @@ GOLDEN = {
         453,
     ),
 }
+#: case -> (f-list job, mining job) counters of REDUCE_NAMES
+REDUCE_GOLDEN = {
+    "fig1": ((14, 28, 14), (5, 14, 10)),
+    "text300": ((628, 1274, 628), (80, 1415, 453)),
+}
 
 
 @dataclass(frozen=True)
@@ -59,13 +70,16 @@ def _plain(lash, tmp_path):
 
 def _mid_split_crashes(lash, tmp_path):
     lash.engine.failure_plan = FailurePlan(
-        map_failures={0: 1, 3: 2}, probability=0.2, seed=11, max_attempts=8
+        map_failures={0: 1, 3: 2}, reduce_failures={2: 1, 6: 2},
+        probability=0.2, seed=11, max_attempts=8,
     )
     return lash
 
 
 def _commit_crashes(lash, tmp_path):
-    lash.engine.failure_plan = _CrashAtCommit(map_failures={1: 2, 5: 1})
+    lash.engine.failure_plan = _CrashAtCommit(
+        map_failures={1: 2, 5: 1}, reduce_failures={0: 1, 4: 2}
+    )
     return lash
 
 
@@ -87,15 +101,20 @@ def test_counters_do_not_depend_on_how_the_job_ran(case, way, tmp_path):
     make, flist_golden, mine_golden, patterns = GOLDEN[case]
     params, database, hierarchy = make()
     result = way(Lash(params), tmp_path).mine(database, hierarchy)
-    for job, golden in (
-        (result.preprocess_job, flist_golden),
-        (result.mining_job, mine_golden),
+    for job, golden, reduce_golden in zip(
+        (result.preprocess_job, result.mining_job),
+        (flist_golden, mine_golden),
+        REDUCE_GOLDEN[case],
     ):
         assert tuple(job.counters[name] for name in NAMES) == golden
+        assert (
+            tuple(job.counters[name] for name in REDUCE_NAMES) == reduce_golden
+        )
     assert len(result) == patterns
     if way in (_mid_split_crashes, _commit_crashes):
-        failed = (
-            result.preprocess_job.counters[C.FAILED_MAP_TASKS]
-            + result.mining_job.counters[C.FAILED_MAP_TASKS]
-        )
-        assert failed >= 3
+        for failed_tasks in (C.FAILED_MAP_TASKS, C.FAILED_REDUCE_TASKS):
+            failed = (
+                result.preprocess_job.counters[failed_tasks]
+                + result.mining_job.counters[failed_tasks]
+            )
+            assert failed >= 3

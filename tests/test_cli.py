@@ -1,5 +1,7 @@
 """Integration tests for the CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -120,6 +122,46 @@ class TestMine:
         ])
         assert rc == 0
         assert "10 patterns" in capsys.readouterr().out
+
+    def test_summary_accounts_for_the_whole_job(
+        self, example_files, capsys, tmp_path
+    ):
+        """The f-list job's time is in the phase line whenever that job ran,
+        and the local miners' search space follows it."""
+        db, hierarchy = example_files
+        args = [
+            "mine", "--db", db, "--hierarchy", hierarchy,
+            "--sigma", "2", "--gamma", "1", "--lam", "3",
+        ]
+
+        def summary(*extra):
+            assert main(args + list(extra)) == 0
+            lines = capsys.readouterr().out.splitlines()
+            phases = [line for line in lines if line.startswith("phases: ")]
+            search = [line for line in lines if line.startswith("search: ")]
+            assert len(phases) == 1
+            return phases[0], search
+
+        phases, search = summary()
+        assert re.match(
+            r"phases: flist=\d+\.\d\ds map=\d+\.\d\ds shuffle=\d+\.\d\ds "
+            r"reduce=\d+\.\d\ds \| shuffled 94 bytes$",
+            phases,
+        )
+        assert search == ["search: 31 candidates -> 10 outputs (32.3% useful)"]
+
+        # a reused f-list runs no f-list job; the mining job is the same
+        flist = tmp_path / "flist.tsv"
+        assert main(["flist", "--db", db, "--hierarchy", hierarchy,
+                     "--out", str(flist)]) == 0
+        phases, search = summary("--flist", str(flist))
+        assert phases.startswith("phases: map=")
+        assert search == ["search: 31 candidates -> 10 outputs (32.3% useful)"]
+
+        # no local miner, no search space to report
+        phases, search = summary("--algorithm", "naive")
+        assert phases.startswith("phases: map=")
+        assert search == []
 
     def test_store_shards_export(self, example_files, capsys, tmp_path):
         db, hierarchy = example_files
