@@ -10,10 +10,15 @@ Public API::
     result = mine(db, h, sigma=2, gamma=0, lam=3)
     result.top(10)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every table and figure.
+See README.md: "Layout" is the system inventory, "Tests and benchmarks"
+says which tables and figures of the paper the benches reproduce, and
+"Start-up" states the import rule this file follows (names resolve on
+first use, so importing a leaf module never loads the mining stack).
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.constants import BLANK, BLANK_SYMBOL
 from repro.errors import (
     EncodingError,
@@ -22,63 +27,99 @@ from repro.errors import (
     ReproError,
     UnknownItemError,
 )
-from repro.hierarchy import (
-    Hierarchy,
-    Vocabulary,
-    build_total_order,
-    build_vocabulary,
-    compute_generalized_flist,
-)
-from repro.sequence import SequenceDatabase, EncodedDatabase
-from repro.core import (
-    ClosedLash,
-    ClosedMiningResult,
-    Lash,
-    MiningParams,
-    MiningResult,
-    PivotSequenceMiner,
-    mine_closed_direct,
-    mine_top_k,
-)
-from repro.core.lash import mine
-from repro.analysis.closedmax import mine_closed
-from repro.miners import (
-    BfsMiner,
-    BruteForceMiner,
-    DfsMiner,
-    ExplorationStats,
-    SpamMiner,
-)
-from repro.baselines import (
-    GspAlgorithm,
-    MgFsm,
-    NaiveAlgorithm,
-    SemiNaiveAlgorithm,
-)
-from repro.mapreduce import ClusterSpec, MapReduceEngine
-from repro.query import (
-    PatternIndex,
-    Q,
-    code_patterns,
-    normalize_query,
-    parse_query,
-)
 
+if TYPE_CHECKING:
+    from repro.analysis.closedmax import mine_closed
+    from repro.baselines import (
+        GspAlgorithm,
+        MgFsm,
+        NaiveAlgorithm,
+        SemiNaiveAlgorithm,
+    )
+    from repro.core import (
+        ClosedLash,
+        ClosedMiningResult,
+        Lash,
+        MiningParams,
+        MiningResult,
+        PivotSequenceMiner,
+        mine_closed_direct,
+        mine_top_k,
+    )
+    from repro.core.lash import mine
+    from repro.hierarchy import (
+        Hierarchy,
+        Vocabulary,
+        build_total_order,
+        build_vocabulary,
+        compute_generalized_flist,
+    )
+    from repro.mapreduce import ClusterSpec, MapReduceEngine
+    from repro.miners import (
+        BfsMiner,
+        BruteForceMiner,
+        DfsMiner,
+        ExplorationStats,
+        SpamMiner,
+    )
+    from repro.query import (
+        PatternIndex,
+        Q,
+        code_patterns,
+        normalize_query,
+        parse_query,
+    )
+    from repro.sequence import EncodedDatabase, SequenceDatabase
+    from repro.serve import (
+        PatternStore,
+        QueryService,
+        ShardedPatternStore,
+        merge_stores,
+        open_store,
+    )
 
-def __getattr__(name):
-    # the serving stack (http.server etc.) stays opt-in: resolve its
-    # exports lazily so `import repro` never pays for it
-    if name in (
-        "PatternStore",
-        "ShardedPatternStore",
-        "open_store",
-        "merge_stores",
-        "QueryService",
-    ):
-        from repro import serve
+_EXPORTS = {
+    "Hierarchy": "repro.hierarchy.hierarchy",
+    "Vocabulary": "repro.hierarchy.vocabulary",
+    "build_total_order": "repro.hierarchy.flist",
+    "build_vocabulary": "repro.hierarchy.flist",
+    "compute_generalized_flist": "repro.hierarchy.flist",
+    "SequenceDatabase": "repro.sequence.database",
+    "EncodedDatabase": "repro.sequence.database",
+    "Lash": "repro.core.lash",
+    "MiningParams": "repro.core.params",
+    "MiningResult": "repro.core.result",
+    "PivotSequenceMiner": "repro.core.psm",
+    "mine": "repro.core.lash",
+    "mine_closed": "repro.analysis.closedmax",
+    "mine_closed_direct": "repro.core.closedlash",
+    "mine_top_k": "repro.core.topk",
+    "ClosedLash": "repro.core.closedlash",
+    "ClosedMiningResult": "repro.core.closedlash",
+    "BfsMiner": "repro.miners.bfs",
+    "BruteForceMiner": "repro.miners.brute",
+    "DfsMiner": "repro.miners.dfs",
+    "SpamMiner": "repro.miners.spam",
+    "ExplorationStats": "repro.miners.base",
+    "GspAlgorithm": "repro.baselines.gsp",
+    "MgFsm": "repro.baselines.mgfsm",
+    "NaiveAlgorithm": "repro.baselines.naive",
+    "SemiNaiveAlgorithm": "repro.baselines.seminaive",
+    "ClusterSpec": "repro.mapreduce.cluster",
+    "MapReduceEngine": "repro.mapreduce.engine",
+    "PatternIndex": "repro.query.index",
+    "PatternStore": "repro.serve.store",
+    "ShardedPatternStore": "repro.serve.sharded",
+    "open_store": "repro.serve.sharded",
+    "merge_stores": "repro.serve.writer",
+    "QueryService": "repro.serve.service",
+    "Q": "repro.query.tokens",
+    "code_patterns": "repro.query.build",
+    "normalize_query": "repro.query.tokens",
+    "parse_query": "repro.query.tokens",
+}
 
-        return getattr(serve, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __version__ = "1.0.0"
 
@@ -90,43 +131,6 @@ __all__ = [
     "UnknownItemError",
     "InvalidParameterError",
     "EncodingError",
-    "Hierarchy",
-    "Vocabulary",
-    "build_total_order",
-    "build_vocabulary",
-    "compute_generalized_flist",
-    "SequenceDatabase",
-    "EncodedDatabase",
-    "Lash",
-    "MiningParams",
-    "MiningResult",
-    "PivotSequenceMiner",
-    "mine",
-    "mine_closed",
-    "mine_closed_direct",
-    "mine_top_k",
-    "ClosedLash",
-    "ClosedMiningResult",
-    "BfsMiner",
-    "BruteForceMiner",
-    "DfsMiner",
-    "SpamMiner",
-    "ExplorationStats",
-    "GspAlgorithm",
-    "MgFsm",
-    "NaiveAlgorithm",
-    "SemiNaiveAlgorithm",
-    "ClusterSpec",
-    "MapReduceEngine",
-    "PatternIndex",
-    "PatternStore",
-    "ShardedPatternStore",
-    "open_store",
-    "merge_stores",
-    "QueryService",
-    "Q",
-    "code_patterns",
-    "normalize_query",
-    "parse_query",
+    *_EXPORTS,
     "__version__",
 ]

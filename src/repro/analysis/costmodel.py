@@ -104,60 +104,3 @@ def psm_explored_fraction(k: int, lam: int) -> float:
     """``1 − Σ(k−1)^n / Σk^n``: the fraction of the BFS/DFS space PSM
     touches.  The paper's example: k=100,000, λ=5 → 0.00005 (0.005%)."""
     return psm_search_space(k, lam) / total_sequences(k, lam)
-
-
-# ---------------------------------------------------------------------------
-# Serving-cost constants
-#
-# The per-query planner (`repro.query.cost`) and the admission-control
-# layer (`repro.serve.service`) price query execution in abstract *work
-# units* — roughly "one postings entry touched".  The constants below
-# are shared so the planner's strategy choice, the service's admission
-# thresholds and the router's deadline scaling all speak the same
-# currency.  Absolute values are calibration, not physics: only the
-# *ratios* matter for strategy choice, and the unit tests pin the
-# decisions (skewed query → pruned, dense query → exact), not the raw
-# numbers.
-# ---------------------------------------------------------------------------
-
-#: work to decode one postings entry and OR it into a candidate bitmap
-COST_POSTINGS_ENTRY = 1.0
-#: work per (candidate × query-token) cell of the DP verifier — measured
-#: against the NYT-shape planner battery, one DP candidate costs tens of
-#: postings-entry units, not a fraction of one
-COST_DP_CELL = 1.5
-#: work to decode + rank-check one candidate pattern
-COST_PATTERN_DECODE = 4.0
-#: work per byte of position-space bitmap swept per chain node
-#: (the exact path's big-int AND/shift passes)
-COST_BITMAP_BYTE = 0.02
-#: work to visit one pattern during a pure length-range scan
-COST_LENGTH_SCAN = 2.0
-
-#: candidate-mask node skip rule: after sorting concrete nodes by
-#: estimated postings size, a node whose estimate exceeds this multiple
-#: of the cheapest node's costs more to AND in than the DP verification
-#: it could save — the planner leaves it out (the mask stays a superset,
-#: so answers cannot change)
-NODE_SKIP_FACTOR = 8.0
-
-#: default per-query match budget handed to budgeted (cost-capped)
-#: executions by the admission controller
-MATCH_BUDGET_DEFAULT = 1000
-
-#: estimated-cost histogram buckets for /stats and /metrics (work units)
-COST_BUCKETS = (
-    100.0,
-    1_000.0,
-    10_000.0,
-    100_000.0,
-    1_000_000.0,
-    10_000_000.0,
-)
-
-#: estimated cost at which the router grants a fan-out its full
-#: deadline; cheaper queries get a proportionally smaller per-query
-#: budget so they fail over fast instead of waiting out a dead replica
-COST_FULL_DEADLINE = 100_000.0
-#: floor on the scaled router deadline, as a fraction of the full one
-MIN_DEADLINE_FRACTION = 0.1

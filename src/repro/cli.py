@@ -70,31 +70,11 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis import filter_result
-from repro.baselines import (
-    GspAlgorithm,
-    MgFsm,
-    NaiveAlgorithm,
-    SemiNaiveAlgorithm,
-)
-from repro.core import ClosedLash, Lash, MiningParams
-from repro.datasets import (
-    EventLogConfig,
-    ProductDataConfig,
-    TextCorpusConfig,
-    generate_event_log,
-    generate_product_data,
-    generate_text_corpus,
-    hierarchy_stats,
-)
-from repro.io import (
-    read_database,
-    read_hierarchy,
-    read_patterns,
-    read_vocabulary,
-    write_patterns,
-    write_vocabulary,
-)
+# Start-up rule (README, "Start-up"): this module imports the stdlib
+# only.  Each ``cmd_*`` imports what its process will run as its first
+# statements — before it validates, announces or does work — so a
+# command pays for what it runs and nothing is imported inside a
+# request, a fold or a map task.
 
 
 def _print_row(label: str, row: dict) -> None:
@@ -107,6 +87,25 @@ def _print_row(label: str, row: dict) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    try:
+        if args.kind == "text":
+            from repro.datasets import TextCorpusConfig, generate_text_corpus
+        elif args.kind == "products":
+            from repro.datasets import (
+                ProductDataConfig,
+                generate_product_data,
+            )
+        else:
+            from repro.datasets import EventLogConfig, generate_event_log
+    except ModuleNotFoundError as exc:
+        # the text and products generators are numpy's only users, so
+        # it may well be absent where everything else works
+        if exc.name != "numpy":
+            raise
+        raise SystemExit(
+            f"lash generate {args.kind} needs numpy: {exc}"
+        ) from None
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "text":
@@ -145,6 +144,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from repro.datasets import hierarchy_stats
+    from repro.io import read_database, read_hierarchy
+
     database = read_database(args.db)
     _print_row("dataset", database.stats().row())
     if args.hierarchy:
@@ -156,6 +158,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_flist(args: argparse.Namespace) -> int:
     """Compute the generalized f-list and persist it (paper Sec. 3.4)."""
     from repro.hierarchy import Hierarchy, build_vocabulary
+    from repro.io import read_database, read_hierarchy, write_vocabulary
 
     database = read_database(args.db)
     if args.hierarchy:
@@ -172,13 +175,24 @@ def cmd_flist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_algorithm(args: argparse.Namespace, params: MiningParams):
+def _build_algorithm(args: argparse.Namespace, params):
     if args.algorithm == "lash":
+        from repro.core import Lash
+
         return Lash(params, local_miner=args.miner)
     if args.algorithm == "closed-lash":
+        from repro.core import ClosedLash
+
         return ClosedLash(
             params, mode=args.mode, local_miner=args.miner
         )
+    from repro.baselines import (
+        GspAlgorithm,
+        MgFsm,
+        NaiveAlgorithm,
+        SemiNaiveAlgorithm,
+    )
+
     if args.algorithm == "naive":
         return NaiveAlgorithm(params)
     if args.algorithm == "semi-naive":
@@ -191,6 +205,17 @@ def _build_algorithm(args: argparse.Namespace, params: MiningParams):
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    from repro.core import MiningParams
+    from repro.io import (
+        read_database,
+        read_hierarchy,
+        read_vocabulary,
+        write_patterns,
+    )
+
+    if args.filter:
+        from repro.analysis import filter_result
+
     # flag validation first: don't load a multi-GB corpus to then die
     # on an inconsistent engine option
     gamma = None if args.gamma < 0 else args.gamma
@@ -221,7 +246,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         vocabulary = read_vocabulary(args.flist, hierarchy)
 
     start = time.perf_counter()
-    if isinstance(algorithm, MgFsm):
+    if args.algorithm == "mg-fsm":  # flat by definition: takes no hierarchy
         result = algorithm.mine(database)
     elif vocabulary is not None:
         result = algorithm.mine(database, vocabulary=vocabulary)
@@ -265,6 +290,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def _load_coded_patterns(patterns_path: str, hierarchy_path: str | None):
     """Patterns TSV (+ optional hierarchy) → ``(coded, vocabulary)``."""
+    from repro.io import read_hierarchy, read_patterns
     from repro.query import code_patterns
 
     patterns = read_patterns(patterns_path)
@@ -379,6 +405,9 @@ def cmd_index_info(args: argparse.Namespace) -> int:
     from repro.errors import EncodingError
     from repro.serve import open_store
 
+    if args.advise:
+        from repro.serve.advisor import advise_shards
+
     # metadata lives in the manifest and the fixed-size shard headers;
     # skipping the checksum sweep keeps `info` O(header) instead of
     # reading every shard body just to print counts
@@ -397,8 +426,6 @@ def cmd_index_info(args: argparse.Namespace) -> int:
         for i, shard in enumerate(shard_stats or ()):
             _print_row(f"shard {i}", shard)
         if args.advise:
-            from repro.serve.advisor import advise_shards
-
             report = advise_shards(
                 store, target_bytes=args.target_bytes
             )
@@ -555,6 +582,8 @@ def _ingest_batch(args: argparse.Namespace) -> list[tuple[str, ...]]:
         tuple(seq.split()) for seq in args.sequences
     ]
     if args.db:
+        from repro.io import read_database
+
         batch.extend(tuple(seq) for seq in read_database(args.db))
     if not batch:
         raise SystemExit(
@@ -622,14 +651,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import QueryService, create_server, open_store
     from repro.serve.http import run_server
 
+    if args.compact_spool is not None:
+        # the daemon's whole fold path (compact -> writer -> stream),
+        # loaded now rather than under the first fold
+        from repro.serve import CompactionDaemon
+
     store = open_store(args.store, verify_checksums=not args.no_verify)
     service = QueryService(
         store, cache_size=args.cache_size, **_admission_kwargs(args)
     )
     daemon = None
     if args.compact_spool is not None:
-        from repro.serve import CompactionDaemon
-
         if not hasattr(store, "num_shards"):
             raise SystemExit(
                 "--compact-spool requires a sharded store "
@@ -684,6 +716,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.io import read_patterns
+
     def load(path: str) -> dict[str, int]:
         return {
             " ".join(pattern): freq

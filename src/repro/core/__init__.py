@@ -1,55 +1,68 @@
 """The LASH algorithm: hierarchy-aware partitioning + pivot sequence mining."""
 
-from repro.core.params import MiningParams
-from repro.core.rewrite import (
-    FULL_REWRITE,
-    NO_REWRITE,
-    RewritePlan,
-    w_generalize,
-    blank_isolated_pivots,
-    pivot_distances,
-    blank_unreachable,
-    compress_blanks,
-    rewrite_for_pivot,
-)
-from repro.core.partition import frequent_pivots, build_partitions
-from repro.core.partition_stats import (
-    PartitionStats,
-    partition_statistics,
-    replication_factor,
-)
-from repro.core.psm import PivotSequenceMiner, ExplorationStats
-from repro.core.result import MiningResult
-from repro.core.lash import Lash
-from repro.core.closedlash import (
-    ClosedLash,
-    ClosedMiningResult,
-    mine_closed_direct,
-)
-from repro.core.topk import mine_top_k
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "MiningParams",
-    "FULL_REWRITE",
-    "NO_REWRITE",
-    "RewritePlan",
-    "w_generalize",
-    "blank_isolated_pivots",
-    "pivot_distances",
-    "blank_unreachable",
-    "compress_blanks",
-    "rewrite_for_pivot",
-    "frequent_pivots",
-    "build_partitions",
-    "PartitionStats",
-    "partition_statistics",
-    "replication_factor",
-    "PivotSequenceMiner",
-    "ExplorationStats",
-    "MiningResult",
-    "Lash",
-    "ClosedLash",
-    "ClosedMiningResult",
-    "mine_closed_direct",
-    "mine_top_k",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.closedlash import (
+        ClosedLash,
+        ClosedMiningResult,
+        mine_closed_direct,
+    )
+    from repro.core.lash import Lash
+    from repro.core.params import MiningParams
+    from repro.core.partition import build_partitions, frequent_pivots
+    from repro.core.partition_stats import (
+        PartitionStats,
+        partition_statistics,
+        replication_factor,
+    )
+    from repro.core.psm import ExplorationStats, PivotSequenceMiner
+    from repro.core.result import MiningResult
+    from repro.core.rewrite import (
+        FULL_REWRITE,
+        NO_REWRITE,
+        RewritePlan,
+        blank_isolated_pivots,
+        blank_unreachable,
+        compress_blanks,
+        pivot_distances,
+        rewrite_for_pivot,
+        w_generalize,
+    )
+    from repro.core.topk import mine_top_k
+
+# lazy because the leaves are imported from outside the package
+# (`miners.base` -> `core.params`, and `core.psm` -> `miners.base` back):
+# an eager fan-out here would make that a cycle for whoever imports
+# `repro.miners` first
+_EXPORTS = {
+    "MiningParams": "repro.core.params",
+    "FULL_REWRITE": "repro.core.rewrite",
+    "NO_REWRITE": "repro.core.rewrite",
+    "RewritePlan": "repro.core.rewrite",
+    "w_generalize": "repro.core.rewrite",
+    "blank_isolated_pivots": "repro.core.rewrite",
+    "pivot_distances": "repro.core.rewrite",
+    "blank_unreachable": "repro.core.rewrite",
+    "compress_blanks": "repro.core.rewrite",
+    "rewrite_for_pivot": "repro.core.rewrite",
+    "frequent_pivots": "repro.core.partition",
+    "build_partitions": "repro.core.partition",
+    "PartitionStats": "repro.core.partition_stats",
+    "partition_statistics": "repro.core.partition_stats",
+    "replication_factor": "repro.core.partition_stats",
+    "PivotSequenceMiner": "repro.core.psm",
+    "ExplorationStats": "repro.core.psm",
+    "MiningResult": "repro.core.result",
+    "Lash": "repro.core.lash",
+    "ClosedLash": "repro.core.closedlash",
+    "ClosedMiningResult": "repro.core.closedlash",
+    "mine_closed_direct": "repro.core.closedlash",
+    "mine_top_k": "repro.core.topk",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

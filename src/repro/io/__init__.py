@@ -19,20 +19,29 @@ suffix).  Formats:
 delta lists) behind the pattern-store format of :mod:`repro.serve`.
 """
 
-from repro.io.lines import open_text
-from repro.io.database import read_database, write_database
-from repro.io.hierarchy import read_hierarchy, write_hierarchy
-from repro.io.flist import read_vocabulary, write_vocabulary
-from repro.io.patterns import read_patterns, write_patterns
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "open_text",
-    "read_database",
-    "write_database",
-    "read_hierarchy",
-    "write_hierarchy",
-    "read_vocabulary",
-    "write_vocabulary",
-    "read_patterns",
-    "write_patterns",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.io.database import read_database, write_database
+    from repro.io.flist import read_vocabulary, write_vocabulary
+    from repro.io.hierarchy import read_hierarchy, write_hierarchy
+    from repro.io.lines import open_text
+    from repro.io.patterns import read_patterns, write_patterns
+
+_EXPORTS = {
+    "open_text": "repro.io.lines",
+    "read_database": "repro.io.database",
+    "write_database": "repro.io.database",
+    "read_hierarchy": "repro.io.hierarchy",
+    "write_hierarchy": "repro.io.hierarchy",
+    "read_vocabulary": "repro.io.flist",
+    "write_vocabulary": "repro.io.flist",
+    "read_patterns": "repro.io.patterns",
+    "write_patterns": "repro.io.patterns",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

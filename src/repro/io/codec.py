@@ -3,7 +3,9 @@
 LEB128-style unsigned varints (7 bits per byte, high bit = continuation),
 zigzag mapping for signed deltas, and delta coding for ascending integer
 lists (postings).  Pure functions over ``bytes``-like buffers so they
-work directly on a memory-mapped file without copying sections.
+work directly on a memory-mapped file without copying sections.  Also
+the CRC-32 section checksum and the FNV-1a :func:`stable_hash` that
+routes patterns to shards.
 """
 
 from __future__ import annotations
@@ -148,6 +150,38 @@ def section_checksum(data, start: int = 0, end: int | None = None) -> int:
     return zlib.crc32(view) & 0xFFFFFFFF
 
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+
+
+def _fnv(data: bytes, state: int = _FNV_OFFSET) -> int:
+    for byte in data:
+        state ^= byte
+        state = (state * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return state
+
+
+def stable_hash(key) -> int:
+    """A deterministic 64-bit hash (unlike ``hash(str)`` under PYTHONHASHSEED).
+
+    FNV-1a over ints, strings, bytes and tuples of those.  It places
+    shuffle keys on reduce tasks, patterns on shards (so it is part of
+    the sharded store format) and shards on the router's hash ring.
+    """
+    if isinstance(key, int):
+        return _fnv(key.to_bytes(8, "little", signed=True))
+    if isinstance(key, str):
+        return _fnv(key.encode("utf-8"))
+    if isinstance(key, bytes):
+        return _fnv(key)
+    if isinstance(key, tuple):
+        state = _FNV_OFFSET
+        for part in key:
+            state = _fnv(stable_hash(part).to_bytes(8, "little"), state)
+        return state
+    raise TypeError(f"unhashable shuffle key type: {type(key).__name__}")
+
+
 __all__ = [
     "write_uvarint",
     "read_uvarint",
@@ -159,4 +193,5 @@ __all__ = [
     "read_positions",
     "read_positional_postings",
     "section_checksum",
+    "stable_hash",
 ]

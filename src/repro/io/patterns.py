@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING
 
-from repro.core.result import MiningResult
 from repro.errors import EncodingError
 from repro.io.lines import open_text
+
+if TYPE_CHECKING:
+    from repro.core.result import MiningResult
 
 Patterns = dict[tuple[str, ...], int]
 
@@ -18,10 +21,12 @@ def write_patterns(
 ) -> None:
     """Write patterns (a :class:`MiningResult` or a decoded mapping),
     most frequent first, ties in text order."""
-    if isinstance(patterns, MiningResult):
-        decoded = patterns.decoded()
-    else:
+    # a MiningResult is not a Mapping, which is how the two are told
+    # apart without the reader of a TSV importing the mining core
+    if isinstance(patterns, Mapping):
         decoded = dict(patterns)
+    else:
+        decoded = patterns.decoded()
     rows = sorted(decoded.items(), key=lambda kv: (-kv[1], kv[0]))
     with open_text(path, "w") as f:
         for pattern, freq in rows:

@@ -23,41 +23,57 @@ Only task *placement* is simulated; all data movement, skew, and compute are
 real, measured quantities.
 """
 
-from repro.mapreduce.counters import Counters, C
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.metrics import JobMetrics, PhaseTimes
-from repro.mapreduce.engine import MapReduceEngine, JobResult, stable_hash
-from repro.mapreduce.parallel import ParallelMapReduceEngine
-from repro.mapreduce.failures import FailurePlan, TaskRetriesExceededError
-from repro.mapreduce.cluster import ClusterSpec, schedule_makespan, simulate_cluster
-from repro.mapreduce.spill import (
-    MERGED_RUNS,
-    SPILL_BYTES,
-    SPILLED_RECORDS,
-    MergedPartition,
-    SpillRun,
-    spill_map_output,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Counters",
-    "C",
-    "MapReduceJob",
-    "JobMetrics",
-    "PhaseTimes",
-    "MapReduceEngine",
-    "ParallelMapReduceEngine",
-    "JobResult",
-    "stable_hash",
-    "FailurePlan",
-    "TaskRetriesExceededError",
-    "ClusterSpec",
-    "schedule_makespan",
-    "simulate_cluster",
-    "MERGED_RUNS",
-    "SPILL_BYTES",
-    "SPILLED_RECORDS",
-    "MergedPartition",
-    "SpillRun",
-    "spill_map_output",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.mapreduce.cluster import (
+        ClusterSpec,
+        schedule_makespan,
+        simulate_cluster,
+    )
+    from repro.mapreduce.counters import C, Counters
+    from repro.mapreduce.engine import JobResult, MapReduceEngine, stable_hash
+    from repro.mapreduce.failures import FailurePlan, TaskRetriesExceededError
+    from repro.mapreduce.job import MapReduceJob
+    from repro.mapreduce.metrics import JobMetrics, PhaseTimes
+    from repro.mapreduce.parallel import ParallelMapReduceEngine
+    from repro.mapreduce.spill import (
+        MERGED_RUNS,
+        SPILL_BYTES,
+        SPILLED_RECORDS,
+        MergedPartition,
+        SpillRun,
+        spill_map_output,
+    )
+
+# lazy so that the serial engine, the counters a `MiningResult` carries
+# and the store format's `stable_hash` do not load the process pool
+# (`parallel` -> `concurrent.futures.process` -> `multiprocessing`)
+_EXPORTS = {
+    "Counters": "repro.mapreduce.counters",
+    "C": "repro.mapreduce.counters",
+    "MapReduceJob": "repro.mapreduce.job",
+    "JobMetrics": "repro.mapreduce.metrics",
+    "PhaseTimes": "repro.mapreduce.metrics",
+    "MapReduceEngine": "repro.mapreduce.engine",
+    "ParallelMapReduceEngine": "repro.mapreduce.parallel",
+    "JobResult": "repro.mapreduce.engine",
+    "stable_hash": "repro.io.codec",
+    "FailurePlan": "repro.mapreduce.failures",
+    "TaskRetriesExceededError": "repro.mapreduce.failures",
+    "ClusterSpec": "repro.mapreduce.cluster",
+    "schedule_makespan": "repro.mapreduce.cluster",
+    "simulate_cluster": "repro.mapreduce.cluster",
+    "MERGED_RUNS": "repro.mapreduce.spill",
+    "SPILL_BYTES": "repro.mapreduce.spill",
+    "SPILLED_RECORDS": "repro.mapreduce.spill",
+    "MergedPartition": "repro.mapreduce.spill",
+    "SpillRun": "repro.mapreduce.spill",
+    "spill_map_output": "repro.mapreduce.spill",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from repro.io.codec import stable_hash
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.failures import (
     FailurePlan,
@@ -49,33 +50,6 @@ from repro.mapreduce.spill import (
     spill_map_output,
     total_spill_stats,
 )
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
-
-def _fnv(data: bytes, state: int = _FNV_OFFSET) -> int:
-    for byte in data:
-        state ^= byte
-        state = (state * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return state
-
-
-def stable_hash(key: Any) -> int:
-    """A deterministic 64-bit hash (unlike ``hash(str)`` under PYTHONHASHSEED)."""
-    if isinstance(key, int):
-        return _fnv(key.to_bytes(8, "little", signed=True))
-    if isinstance(key, str):
-        return _fnv(key.encode("utf-8"))
-    if isinstance(key, bytes):
-        return _fnv(key)
-    if isinstance(key, tuple):
-        state = _FNV_OFFSET
-        for part in key:
-            state = _fnv(stable_hash(part).to_bytes(8, "little"), state)
-        return state
-    raise TypeError(f"unhashable shuffle key type: {type(key).__name__}")
-
 
 @dataclass
 class JobResult:

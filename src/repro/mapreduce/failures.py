@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import ReproError
+from repro.io.codec import stable_hash
 
 
 class TaskRetriesExceededError(ReproError):
@@ -80,8 +81,6 @@ class FailurePlan:
 
     def _unit(self, phase: str, task_index: int, attempt: int, salt: str) -> float:
         """A deterministic uniform draw in [0, 1)."""
-        from repro.mapreduce.engine import stable_hash
-
         h = stable_hash((salt, phase, task_index, attempt, self.seed))
         return (h % (1 << 53)) / float(1 << 53)
 

@@ -37,10 +37,9 @@ to prove it.
 
 The same estimate is the admission-control currency:
 :class:`~repro.serve.service.QueryService` compares
-:attr:`CostEstimate.cost` against its ceiling/budget thresholds, the
-router scales its fan-out deadline with it, and the LRU weighs it when
-choosing eviction victims.  Constants live in
-:mod:`repro.analysis.costmodel` so all layers price work identically.
+:attr:`CostEstimate.cost` against its ceiling/budget thresholds,
+and the router scales its fan-out deadline with it.  The constants
+below are the one definition all layers price work with.
 
 Pricing is per request: a plan is built, priced and executed by the one
 thread serving a query and then dropped.  The estimate a local backend
@@ -54,14 +53,61 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.costmodel import (
-    COST_BITMAP_BYTE,
-    COST_DP_CELL,
-    COST_LENGTH_SCAN,
-    COST_PATTERN_DECODE,
-    COST_POSTINGS_ENTRY,
-    NODE_SKIP_FACTOR,
+# ---------------------------------------------------------------------------
+# Serving-cost constants
+#
+# The planner below and the admission-control layer
+# (`repro.serve.service`) price query execution in abstract *work
+# units* — roughly "one postings entry touched".  The constants are
+# defined once, here, so the planner's strategy choice, the service's
+# admission thresholds and the router's deadline scaling all speak the
+# same currency.  Absolute values are calibration, not physics: only the
+# *ratios* matter for strategy choice, and the unit tests pin the
+# decisions (skewed query → pruned, dense query → exact), not the raw
+# numbers.
+# ---------------------------------------------------------------------------
+
+#: work to decode one postings entry and OR it into a candidate bitmap
+COST_POSTINGS_ENTRY = 1.0
+#: work per (candidate × query-token) cell of the DP verifier — measured
+#: against the NYT-shape planner battery, one DP candidate costs tens of
+#: postings-entry units, not a fraction of one
+COST_DP_CELL = 1.5
+#: work to decode + rank-check one candidate pattern
+COST_PATTERN_DECODE = 4.0
+#: work per byte of position-space bitmap swept per chain node
+#: (the exact path's big-int AND/shift passes)
+COST_BITMAP_BYTE = 0.02
+#: work to visit one pattern during a pure length-range scan
+COST_LENGTH_SCAN = 2.0
+
+#: candidate-mask node skip rule: after sorting concrete nodes by
+#: estimated postings size, a node whose estimate exceeds this multiple
+#: of the cheapest node's costs more to AND in than the DP verification
+#: it could save — the planner leaves it out (the mask stays a superset,
+#: so answers cannot change)
+NODE_SKIP_FACTOR = 8.0
+
+#: default per-query match budget handed to budgeted (cost-capped)
+#: executions by the admission controller
+MATCH_BUDGET_DEFAULT = 1000
+
+#: estimated-cost histogram buckets for /stats and /metrics (work units)
+COST_BUCKETS = (
+    100.0,
+    1_000.0,
+    10_000.0,
+    100_000.0,
+    1_000_000.0,
+    10_000_000.0,
 )
+
+#: estimated cost at which the router grants a fan-out its full
+#: deadline; cheaper queries get a proportionally smaller per-query
+#: budget so they fail over fast instead of waiting out a dead replica
+COST_FULL_DEADLINE = 100_000.0
+#: floor on the scaled router deadline, as a fraction of the full one
+MIN_DEADLINE_FRACTION = 0.1
 
 #: execution strategies a plan with a non-empty chain can be forced
 #: into (``None`` lets the estimate decide)

@@ -53,24 +53,54 @@ Build a store from a mining result and serve it::
     serve(service, port=8080)                    # lash serve --store ...
 """
 
-from repro.serve.store import PatternStore
-from repro.serve.sharded import ShardedPatternStore, open_store
-from repro.serve.writer import (
-    PatternWriter,
-    ShardedPatternWriter,
-    merge_stores,
-    write_sharded_store,
-    write_store,
-)
-from repro.serve.compact import CompactionDaemon, StoreCompactor
-from repro.serve.ingest import Ingestor
-from repro.serve.service import QueryService
+from typing import TYPE_CHECKING
 
-_HTTP_EXPORTS = ("PatternHTTPServer", "create_server", "run_server", "serve")
+from repro._lazy import lazy_exports
 
-#: distributed-tier exports, resolved lazily like the HTTP ones so the
-#: store-only import path stays socket-free
-_DISTRIBUTED_EXPORTS = {
+if TYPE_CHECKING:
+    from repro.serve.advisor import advise_shards
+    from repro.serve.compact import CompactionDaemon, StoreCompactor
+    from repro.serve.distributed import ShardServer
+    from repro.serve.http import (
+        PatternHTTPServer,
+        create_server,
+        run_server,
+        serve,
+    )
+    from repro.serve.ingest import Ingestor
+    from repro.serve.router import ClusterMap, RouterBackend, plan_placement
+    from repro.serve.service import QueryService
+    from repro.serve.sharded import ShardedPatternStore, open_store
+    from repro.serve.store import PatternStore
+    from repro.serve.writer import (
+        PatternWriter,
+        ShardedPatternWriter,
+        merge_stores,
+        write_sharded_store,
+        write_store,
+    )
+
+# every name resolves on first use: a process that serves a store never
+# loads the writer, the ingestor's mining core or (for a shard server
+# without a sidecar) http.server, and one that builds a store never
+# opens a socket module
+_EXPORTS = {
+    "PatternStore": "repro.serve.store",
+    "ShardedPatternStore": "repro.serve.sharded",
+    "open_store": "repro.serve.sharded",
+    "PatternWriter": "repro.serve.writer",
+    "ShardedPatternWriter": "repro.serve.writer",
+    "write_store": "repro.serve.writer",
+    "write_sharded_store": "repro.serve.writer",
+    "merge_stores": "repro.serve.writer",
+    "StoreCompactor": "repro.serve.compact",
+    "CompactionDaemon": "repro.serve.compact",
+    "Ingestor": "repro.serve.ingest",
+    "QueryService": "repro.serve.service",
+    "PatternHTTPServer": "repro.serve.http",
+    "create_server": "repro.serve.http",
+    "run_server": "repro.serve.http",
+    "serve": "repro.serve.http",
     "ShardServer": "repro.serve.distributed",
     "ClusterMap": "repro.serve.router",
     "RouterBackend": "repro.serve.router",
@@ -78,36 +108,6 @@ _DISTRIBUTED_EXPORTS = {
     "advise_shards": "repro.serve.advisor",
 }
 
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
-def __getattr__(name):
-    # store-only paths (MiningResult.to_store, `lash index build`) never
-    # pay the http.server import; resolve the server lazily
-    if name in _HTTP_EXPORTS:
-        from repro.serve import http
-
-        return getattr(http, name)
-    if name in _DISTRIBUTED_EXPORTS:
-        import importlib
-
-        return getattr(
-            importlib.import_module(_DISTRIBUTED_EXPORTS[name]), name
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "PatternStore",
-    "ShardedPatternStore",
-    "open_store",
-    "PatternWriter",
-    "ShardedPatternWriter",
-    "write_store",
-    "write_sharded_store",
-    "merge_stores",
-    "StoreCompactor",
-    "CompactionDaemon",
-    "Ingestor",
-    "QueryService",
-    *_HTTP_EXPORTS,
-    *_DISTRIBUTED_EXPORTS,
-]
+__all__ = list(_EXPORTS)

@@ -53,6 +53,7 @@ from repro.serve.format import (
     verify_delta_meta,
     write_manifest,
 )
+from repro.serve.sharded import open_store
 from repro.serve.stream import DEFAULT_SORT_BUFFER
 from repro.serve.writer import (
     _ShardStreamWriter,
@@ -189,8 +190,6 @@ class StoreCompactor:
         deltas: Sequence[str | Path],
         shards: int | None,
     ) -> dict:
-        from repro.serve.sharded import open_store
-
         manifest = read_manifest(self._path)
         old_files = list(manifest["shard_files"])
         generation = manifest["generation"] + 1
@@ -509,8 +508,6 @@ class CompactionDaemon:
         """Filter out deltas that cannot be opened, quarantining them by
         signature so one bad file (a crashed copy, bit rot) cannot fail
         every future batch and wedge the healthy deltas behind it."""
-        from repro.serve.sharded import open_store
-
         usable: list[Path] = []
         pending_keys: set[tuple] = set()
         for delta in deltas:
@@ -604,8 +601,6 @@ class CompactionDaemon:
             sidecar.unlink(missing_ok=True)
 
     def _swap(self) -> None:
-        from repro.serve.sharded import open_store
-
         backend = open_store(
             self._store_path, verify_checksums=self._verify
         )

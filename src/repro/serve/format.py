@@ -35,11 +35,12 @@ from __future__ import annotations
 import json
 import re
 import struct
+import zlib
 from pathlib import Path
 from typing import Sequence
 
 from repro.errors import EncodingError, StoreCorruptError
-from repro.mapreduce.engine import stable_hash
+from repro.io.codec import stable_hash
 
 MAGIC = b"RPROPST1"
 #: the store version — the only one written or read.  Postings are
@@ -91,8 +92,8 @@ PARTITIONER = "fnv64(first-item-name)"
 def shard_of(first_item: str, num_shards: int) -> int:
     """Shard index owning every pattern whose first item is ``first_item``.
 
-    Keyed on the item *name* through the engine's
-    :func:`~repro.mapreduce.engine.stable_hash` so the assignment is
+    Keyed on the item *name* through the shuffle's
+    :func:`~repro.io.codec.stable_hash` so the assignment is
     reproducible across processes, Python versions, and — critically —
     across merges that renumber item ids.
     """
@@ -214,8 +215,6 @@ def write_delta_meta(
     the final ``delta`` location (the publish protocol renames the
     sidecar into place *before* the delta itself).
     """
-    import zlib
-
     data = (delta if source is None else source).read_bytes()
     payload = {
         "format": "repro-ingest-delta",
@@ -255,8 +254,6 @@ def read_delta_meta(delta: Path) -> dict | None:
 
 def verify_delta_meta(delta: Path, meta: dict) -> bool:
     """True iff the delta's bytes match the size + CRC-32 in ``meta``."""
-    import zlib
-
     try:
         data = delta.read_bytes()
     except OSError:

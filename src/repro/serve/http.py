@@ -130,7 +130,7 @@ def render_metrics(stats: dict) -> str:
     )
     emit(
         "lash_cache_evictions_total", "counter",
-        "Result-cache entries dropped by cost-weighted LRU eviction.",
+        "Result-cache entries dropped by LRU eviction.",
         stats.get("cache_evictions", 0),
     )
     admission = stats.get("admission")

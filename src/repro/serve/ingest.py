@@ -46,7 +46,18 @@ import json
 import re
 from pathlib import Path
 
+from repro.core.lash import micro_mine
+from repro.core.params import MiningParams
 from repro.errors import EncodingError, StoreCorruptError
+from repro.query.build import negate_vocabulary
+from repro.serve.format import (
+    is_sharded_store,
+    read_manifest,
+    write_delta_meta,
+    write_manifest,
+)
+from repro.serve.sharded import open_store
+from repro.serve.writer import write_store
 
 try:  # POSIX advisory locking; absent on some platforms
     import fcntl
@@ -132,8 +143,6 @@ class Ingestor:
         store's manifest is stamped with the zero watermark so ``/query``
         and ``/stats`` report freshness from the first request on.
         """
-        from repro.serve.format import is_sharded_store
-
         state_dir = Path(state_dir)
         store = Path(store)
         spool = Path(spool)
@@ -300,8 +309,6 @@ class Ingestor:
         """The live store's hierarchy — the one every micro-mine must
         share, or item frequencies would stop adding up."""
         if self._hierarchy is None:
-            from repro.serve.sharded import open_store
-
             with open_store(self._store) as store:
                 self._hierarchy = store.vocabulary.hierarchy
         return self._hierarchy
@@ -434,12 +441,6 @@ class Ingestor:
         ``.store`` name — so a visible delta always has a sidecar that
         vouches for its exact bytes.
         """
-        from repro.core.lash import micro_mine
-        from repro.core.params import MiningParams
-        from repro.query.build import negate_vocabulary
-        from repro.serve.format import write_delta_meta
-        from repro.serve.writer import write_store
-
         params = MiningParams(
             sigma=1, gamma=self._state["gamma"], lam=self._state["lam"]
         )
@@ -482,8 +483,6 @@ def _stamp_manifest(store: Path, ingest: dict) -> None:
     """Fold ``ingest`` watermarks into a sharded store's manifest (as
     monotonic maxima), under the same advisory lock compactions take so
     a concurrent compactor's manifest write cannot be lost."""
-    from repro.serve.format import read_manifest, write_manifest
-
     lock_path = store / ".compact.lock"
     handle = open(lock_path, "a+b")
     try:

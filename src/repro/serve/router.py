@@ -18,7 +18,7 @@ Placement and failover:
 
 * :func:`plan_placement` assigns each shard ``replication`` servers via
   a consistent-hash ring (virtual nodes over the repo's FNV
-  :func:`~repro.mapreduce.engine.stable_hash`), so adding a server
+  :func:`~repro.io.codec.stable_hash`), so adding a server
   moves few shards; explicit per-server shard lists in the cluster
   config override it.
 * Each fan-out has one **deadline budget**: every socket operation gets
@@ -49,10 +49,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.analysis.costmodel import (
-    COST_FULL_DEADLINE,
-    MIN_DEADLINE_FRACTION,
-)
 from repro.errors import (
     EncodingError,
     InvalidParameterError,
@@ -60,9 +56,13 @@ from repro.errors import (
     ServerBusyError,
     StoreCorruptError,
 )
-from repro.mapreduce.engine import stable_hash
+from repro.io.codec import stable_hash
 from repro.query.base import Answer, QueryMatch
-from repro.query.cost import CostEstimate
+from repro.query.cost import (
+    COST_FULL_DEADLINE,
+    MIN_DEADLINE_FRACTION,
+    CostEstimate,
+)
 from repro.query.tokens import normalize_query
 from repro.serve.protocol import (
     PROTOCOL_VERSION,

@@ -28,8 +28,6 @@ import time
 from collections import OrderedDict
 from typing import NamedTuple, Sequence
 
-from repro.analysis.costmodel import MATCH_BUDGET_DEFAULT
-from repro.analysis.costmodel import COST_BUCKETS as _COST_BUCKETS
 from repro.errors import (
     InvalidParameterError,
     QueryRejectedError,
@@ -37,6 +35,8 @@ from repro.errors import (
     StoreCorruptError,
 )
 from repro.query.base import PatternSearchBase, QueryMatch
+from repro.query.cost import COST_BUCKETS as _COST_BUCKETS
+from repro.query.cost import MATCH_BUDGET_DEFAULT
 from repro.query.tokens import is_negation_only, normalize_query
 
 DEFAULT_CACHE_SIZE = 1024

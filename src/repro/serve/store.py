@@ -54,7 +54,6 @@ from repro.serve.format import (
     U64,
     VERSION,
 )
-from repro.serve.writer import write_store
 
 
 class PatternStore(PatternSearchBase):
@@ -203,6 +202,10 @@ class PatternStore(PatternSearchBase):
         checksums: bool = True,
     ) -> "PatternStore":
         """Write a store file and open it."""
+        # the one writer edge of this module, taken when a store is
+        # built: a process that only reads stores never loads the writer
+        from repro.serve.writer import write_store
+
         write_store(path, patterns, vocabulary, checksums=checksums)
         return cls(path)
 
@@ -355,4 +358,4 @@ class PatternStore(PatternSearchBase):
         return self._by_length
 
 
-__all__ = ["PatternStore", "write_store"]
+__all__ = ["PatternStore"]

@@ -39,6 +39,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 from repro.errors import EncodingError
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.query.base import Pattern, rank_key, rank_patterns
+from repro.query.build import merge_vocabularies
 from repro.io.codec import (
     write_positions,
     write_sequence,
@@ -61,6 +62,7 @@ from repro.serve.format import (
     shard_of,
     write_manifest,
 )
+from repro.serve.sharded import open_store
 from repro.serve.stream import (
     DEFAULT_SORT_BUFFER,
     RUN_BUFFERING,
@@ -704,8 +706,6 @@ def merged_vocabulary(stores: Sequence, signed: bool = False) -> Vocabulary:
     item frequencies summed, the LASH total order recomputed —
     ``signed=True`` switches to the frequency-free depth order for
     delta-to-delta merges whose sums may go negative)."""
-    from repro.query.build import merge_vocabularies
-
     return merge_vocabularies(
         [store.vocabulary for store in stores], signed=signed
     )
@@ -794,8 +794,6 @@ def merge_stores(
     including re-routing an existing shard set to a new shard count
     (``lash index merge old.shards --out new.shards --shards M``).
     """
-    from repro.serve.sharded import open_store
-
     if not sources:
         raise EncodingError("merge needs at least one source store")
     out = Path(out)

@@ -6,7 +6,7 @@ the skip rule, the estimator's strategy picks on skewed statistics,
 the explain/estimate public surface — and that nothing per-query
 outlives the request that priced it.
 Decisions are asserted, raw cost numbers are not: only the ratios in
-:mod:`repro.analysis.costmodel` are meaningful.
+:mod:`repro.query.cost` are meaningful.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from itertools import combinations, product
 
 import pytest
 
-from repro.analysis.costmodel import NODE_SKIP_FACTOR
 from repro.errors import InvalidParameterError
 from repro.hierarchy import Hierarchy
 from repro.query import PatternIndex, code_patterns
 from repro.query.cost import (
+    NODE_SKIP_FACTOR,
     PLAN_STRATEGIES,
     CostEstimate,
     combine_estimates,

@@ -19,11 +19,15 @@ import time
 
 import pytest
 
-from repro.analysis.costmodel import COST_FULL_DEADLINE, MIN_DEADLINE_FRACTION
 from repro.errors import QueryRejectedError, UnknownItemError
 from repro.hierarchy import Hierarchy
 from repro.query import Answer, PatternIndex, code_patterns, parse_query
-from repro.query.cost import CostEstimate, CostEstimator
+from repro.query.cost import (
+    COST_FULL_DEADLINE,
+    MIN_DEADLINE_FRACTION,
+    CostEstimate,
+    CostEstimator,
+)
 from repro.query.plan import QueryPlan
 from repro.query.tokens import normalize_query
 from repro.serve import QueryService, open_store, write_sharded_store
