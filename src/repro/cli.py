@@ -698,8 +698,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     if daemon is not None:
         print(
-            f"compacting deltas from {args.compact_spool} every "
-            f"{args.compact_interval:g}s"
+            f"compacting deltas from {args.compact_spool} in a fold "
+            f"worker; back to back while deltas arrive, polling every "
+            f"{args.compact_interval:g}s when idle"
         )
         daemon.start()
     try:
@@ -1072,7 +1073,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--compact-interval", type=float, default=30.0,
-        help="seconds between spool scans (with --compact-spool)",
+        help="seconds to wait after a spool scan that found nothing to "
+        "fold (with --compact-spool); a scan that folded is followed "
+        "by the next at once",
     )
     serve.add_argument(
         "--applied-retain", type=int, default=None,

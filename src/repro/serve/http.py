@@ -578,11 +578,11 @@ class PatternRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
 
     def _healthz(self) -> dict:
-        backend = self.server.service.backend
-        info = {"status": "ok", "patterns": len(backend)}
-        describe = getattr(backend, "describe", None)
-        if describe is not None:
-            info["store"] = describe()
+        with self.server.service.lease() as backend:
+            info = {"status": "ok", "patterns": len(backend)}
+            describe = getattr(backend, "describe", None)
+            if describe is not None:
+                info["store"] = describe()
         return info
 
     def _stats(self) -> dict:

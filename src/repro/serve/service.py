@@ -18,11 +18,17 @@ its backend between calls: each entry point fixes a :class:`_Request`
 (the backend it will use, the cache epoch that backend belongs to, a
 batch's pre-fetched answers) and passes it down, and every backend read
 comes back as one :class:`~repro.query.base.Answer`.
+
+Fixing the backend also *leases* it: the service counts the readers of
+every backend, and a backend replaced by :meth:`QueryService.swap_backend`
+is closed by whoever drops its last lease — at once if nobody holds
+one — so a generation lives exactly as long as its slowest request.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import threading
 import time
 from collections import OrderedDict
@@ -112,6 +118,12 @@ def _freshness(source) -> dict:
     if retained is None:
         return {"ingested_through": watermark}
     return {"ingested_through": watermark, "retained_from": retained}
+
+
+def _close(backend) -> None:
+    close = getattr(backend, "close", None)
+    if close is not None:
+        close()
 
 
 def error_message(exc: ReproError) -> str:
@@ -243,27 +255,64 @@ class QueryService:
         #: bumped by swap_backend; a result computed under an older
         #: epoch is never cached (it answered for a retired backend)
         self._epoch = 0
+        #: id(backend) -> readers holding it (requests in flight, stats)
+        self._leases: dict[int, int] = {}
+        #: id -> backend replaced by a swap while still leased; the last
+        #: reader to let go closes it
+        self._outgoing: dict[int, PatternSearchBase] = {}
 
     @property
     def backend(self) -> PatternSearchBase:
+        """The backend served right now, *not* leased: it may be closed
+        by a swap at any moment.  Read through :meth:`lease` instead."""
         return self._backend
 
     def swap_backend(self, backend: PatternSearchBase) -> PatternSearchBase:
         """Atomically replace the served backend; returns the old one.
 
         The cache is dropped (its entries answered for the old pattern
-        set) while the serving counters continue.  In-flight requests
-        keep the backend reference they already grabbed, so the caller
-        must not close the returned backend until those drain — the
-        compaction daemon closes a retired backend only after the *next*
-        swap.
+        set) while the serving counters continue.  The old backend now
+        belongs to the service: a request that leased it before the swap
+        keeps reading it, and whoever drops its last lease closes it —
+        the swap itself when nobody holds one.  The caller must not use
+        the returned backend.
         """
         with self._lock:
             old = self._backend
             self._backend = backend
             self._cache.clear()
             self._epoch += 1
+            # swapping a still-leased backend back in revives it
+            self._outgoing.pop(id(backend), None)
+            if old is backend:
+                return old
+            if self._leases.get(id(old)):
+                self._outgoing[id(old)] = old
+                return old
+        _close(old)
         return old
+
+    @contextlib.contextmanager
+    def lease(self):
+        """The served backend, held open until the block exits even if a
+        swap replaces it meanwhile."""
+        backend = self._context().backend
+        try:
+            yield backend
+        finally:
+            self._release(backend)
+
+    def _release(self, backend: PatternSearchBase) -> None:
+        with self._lock:
+            key = id(backend)
+            left = self._leases[key] - 1
+            if left:
+                self._leases[key] = left
+                return
+            del self._leases[key]
+            if self._outgoing.pop(key, None) is None:
+                return
+        _close(backend)
 
     def observe_latency(self, endpoint: str, seconds: float) -> None:
         """Record one request's wall time into the endpoint's histogram
@@ -297,7 +346,11 @@ class QueryService:
         mined frequency ≥ it are matched, counted and massed (the
         filter runs server-side, before ``limit``).
         """
-        return self._query(self._context(), query, limit, min_freq)
+        ctx = self._context()
+        try:
+            return self._query(ctx, query, limit, min_freq)
+        finally:
+            self._release(ctx.backend)
 
     def _query(
         self,
@@ -341,7 +394,11 @@ class QueryService:
 
     def count(self, query: str, min_freq: int | None = None) -> dict:
         """Match count and frequency mass only (no result list)."""
-        found = self._search(self._context(), query, min_freq)
+        ctx = self._context()
+        try:
+            found = self._search(ctx, query, min_freq)
+        finally:
+            self._release(ctx.backend)
         return self._annotate(
             {
                 "query": query,
@@ -390,7 +447,10 @@ class QueryService:
                 return {**value, "partial": answer.partial}, None
             return value, value
 
-        return self._cached(ctx, ("topk", "", n), compute)
+        try:
+            return self._cached(ctx, ("topk", "", n), compute)
+        finally:
+            self._release(ctx.backend)
 
     def _search(
         self, ctx: _Request, query: str, min_freq: int | None
@@ -524,18 +584,23 @@ class QueryService:
         round trips changes.
         """
         ctx = self._context()
-        ctx.parked.update(
-            ctx.backend.prefetch(self._uncached_pairs(queries, min_freq))
-        )
-        results: list[dict] = []
-        for query in queries:
-            try:
-                results.append(self._query(ctx, query, limit, min_freq))
-            except StoreCorruptError:
-                raise
-            except ReproError as exc:
-                results.append({"query": query, "error": error_message(exc)})
-        return results
+        try:
+            ctx.parked.update(
+                ctx.backend.prefetch(self._uncached_pairs(queries, min_freq))
+            )
+            results: list[dict] = []
+            for query in queries:
+                try:
+                    results.append(self._query(ctx, query, limit, min_freq))
+                except StoreCorruptError:
+                    raise
+                except ReproError as exc:
+                    results.append(
+                        {"query": query, "error": error_message(exc)}
+                    )
+            return results
+        finally:
+            self._release(ctx.backend)
 
     def _uncached_pairs(self, queries: Sequence[str], min_freq: int | None):
         """The ``(tokens, σ)`` pairs of a batch that the cache cannot
@@ -560,7 +625,10 @@ class QueryService:
         per-shard breakdown, so ``/stats`` shows where the bytes and
         patterns live.
         """
-        backend = self._backend
+        with self.lease() as backend:
+            return self._stats(backend)
+
+    def _stats(self, backend: PatternSearchBase) -> dict:
         # not under the lock: a router's length can be a status round
         # trip per server, and every request — hits included — takes
         # the lock
@@ -597,7 +665,10 @@ class QueryService:
                     for endpoint, hist in sorted(self._request_hists.items())
                 }
             if self._compaction is not None:
-                stats["compaction"] = dict(self._compaction)
+                stats["compaction"] = {
+                    **self._compaction,
+                    "retired_open": len(self._outgoing),
+                }
         describe = getattr(backend, "describe", None)
         if describe is not None:
             stats["store"] = describe()
@@ -630,8 +701,12 @@ class QueryService:
         raise InvalidParameterError(message)
 
     def _context(self) -> _Request:
+        """The request's backend, leased (the caller releases it in
+        ``finally``), and the epoch it is current in."""
         with self._lock:
-            return _Request(self._backend, self._epoch, {})
+            backend = self._backend
+            self._leases[id(backend)] = self._leases.get(id(backend), 0) + 1
+            return _Request(backend, self._epoch, {})
 
     def _admit(self, ctx: _Request, tokens) -> tuple:
         """Price the query and apply the admission ceiling.

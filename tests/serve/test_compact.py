@@ -1,9 +1,20 @@
 """Online compaction: atomic manifest swaps under live readers."""
 
+import json
+import os
+import re
+import shutil
+import signal
+import subprocess
+import sys
 import threading
+import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import Lash, MiningParams
 from repro.errors import EncodingError
 from repro.sequence import SequenceDatabase
@@ -11,11 +22,14 @@ from repro.serve import (
     CompactionDaemon,
     QueryService,
     StoreCompactor,
+    create_server,
     merge_stores,
     open_store,
 )
 from repro.serve import compact as compact_module
 from repro.serve.format import read_manifest, shard_filename
+
+SRC = Path(repro.__file__).resolve().parents[1]
 
 CORPUS_A = [
     ["a", "b1", "a", "b1"],
@@ -50,6 +64,108 @@ def delta(fig1_hierarchy, tmp_path):
     path = tmp_path / "delta.store"
     _mine(CORPUS_B, fig1_hierarchy).to_store(path)
     return path
+
+
+class _Parked:
+    """A backend whose searches wait on ``release`` after announcing
+    themselves on ``entered``: a request parked inside the backend."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.closed = False
+
+    def search_answer(self, *args, **kwargs):
+        self.entered.set()
+        self.release.wait(10)
+        return self._inner.search_answer(*args, **kwargs)
+
+    def close(self):
+        self.closed = True
+        self._inner.close()
+
+    def __len__(self):
+        return len(self._inner)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class _Guarded:
+    """A backend that records every use that starts or ends after its
+    ``close()``; the store it wraps is shared and stays open.  Each call
+    lasts at least a millisecond, so a swap can land inside it."""
+
+    def __init__(self, inner, misuse: list):
+        self._inner = inner
+        self._misuse = misuse
+        self.closed = 0
+
+    def close(self):
+        self.closed += 1
+
+    def _check(self, name):
+        if self.closed:
+            self._misuse.append(name)
+
+    def __len__(self):
+        return self.__getattr__("__len__")()
+
+    def __getattr__(self, name):
+        self._check(name)
+        value = getattr(self._inner, name)
+        if not callable(value):
+            return value
+
+        def call(*args, **kwargs):
+            try:
+                time.sleep(0.001)
+                return value(*args, **kwargs)
+            finally:
+                self._check(name)
+
+        return call
+
+
+def _gone(pid: int, timeout: float = 10.0) -> bool:
+    """Whether process ``pid`` has exited (a zombie counts) in time."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/status") as status:
+                state = next(
+                    line.split()[1] for line in status
+                    if line.startswith("State:")
+                )
+        except (FileNotFoundError, ProcessLookupError):
+            return True
+        if state in ("Z", "X"):
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def _worker_pid(service, timeout: float = 30.0) -> int:
+    """The fold worker's pid as ``/stats`` publishes it."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        pid = (service.stats().get("compaction") or {}).get("worker_pid")
+        if pid is not None:
+            return pid
+        time.sleep(0.05)
+    raise AssertionError("no fold worker was published on /stats")
+
+
+def _same_shards(left, right) -> bool:
+    """Pairwise byte equality through each manifest's shard list."""
+    pairs = list(
+        zip(read_manifest(left)["shard_files"],
+            read_manifest(right)["shard_files"])
+    )
+    return bool(pairs) and all(
+        (left / a).read_bytes() == (right / b).read_bytes() for a, b in pairs
+    )
 
 
 class TestStoreCompactor:
@@ -256,20 +372,44 @@ class TestCompactionDaemon:
             daemon.stop()
             service.backend.close()
 
-    def test_in_flight_backend_survives_swap(self, base, delta, tmp_path):
-        """The retired backend is closed one swap late, so requests that
-        grabbed it before a swap keep a live mmap."""
-        service = self._service(base)
-        old_backend = service.backend
+    def test_in_flight_backend_survives_swap(
+        self, base, delta, fig1_hierarchy, tmp_path
+    ):
+        """A request parked inside the backend keeps the retired
+        generation open across a swap, and that generation closes when
+        the request returns; with no request in flight the next
+        retired generation closes at the swap itself."""
+        parked = _Parked(open_store(base))
+        service = QueryService(parked)
         spool = tmp_path / "spool"
         spool.mkdir()
         delta.rename(spool / "delta.store")
         daemon = CompactionDaemon(service, base, spool, interval=3600)
+        answers = []
+        request = threading.Thread(
+            target=lambda: answers.append(service.query("a ?"))
+        )
         try:
-            daemon.poll_once()
-            # one generation behind: still queryable
-            assert old_backend.search("a ?") is not None
+            request.start()
+            assert parked.entered.wait(10)
+            assert daemon.poll_once() is True
+            assert service.backend.generation == 1
+            # retired by the swap, still held by the parked request
+            assert not parked.closed
+            assert service.stats()["compaction"]["retired_open"] == 1
+            parked.release.set()
+            request.join(10)
+            assert answers and answers[0]["matches"]
+            assert parked.closed
+            assert service.stats()["compaction"]["retired_open"] == 0
+
+            generation1 = service.backend
+            _mine(CORPUS_B, fig1_hierarchy).to_store(spool / "more.store")
+            assert daemon.poll_once() is True
+            with pytest.raises(ValueError, match="closed"):
+                generation1.search("a ?")
         finally:
+            parked.release.set()
             daemon.stop()
             service.backend.close()
 
@@ -299,7 +439,6 @@ class TestReviewRegressions:
         """A cache miss computed against the pre-swap backend must not
         be inserted after swap_backend cleared the cache."""
         store = open_store(base)
-        service = QueryService(store)
 
         class SwappingBackend:
             """Backend whose search triggers a swap mid-computation —
@@ -318,7 +457,10 @@ class TestReviewRegressions:
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-        service.swap_backend(SwappingBackend(store))
+            def close(self):
+                pass  # the wrapper does not own the store it wraps
+
+        service = QueryService(SwappingBackend(store))
         service.query("a ?")
         try:
             assert service.stats()["cache_entries"] == 0
@@ -490,21 +632,6 @@ class TestSecondReviewRegressions:
         with open_store(base) as store:
             assert len(store) > 0
 
-    def test_stop_closes_backends_still_in_grace(self, base, delta, tmp_path):
-        service = QueryService(open_store(base))
-        spool = tmp_path / "spool"
-        spool.mkdir()
-        delta.rename(spool / "delta.store")
-        daemon = CompactionDaemon(service, base, spool, interval=3600)
-        old_backend = service.backend
-        daemon.poll_once()
-        assert daemon._retired and daemon._retired[0][1] is old_backend
-        daemon.stop()
-        assert daemon._retired == []
-        with pytest.raises(ValueError):
-            old_backend._shard(0)._pattern_at(0)
-        service.backend.close()
-
 
 class TestThirdReviewRegressions:
     def test_refold_of_already_folded_delta_is_a_noop(self, base, delta):
@@ -555,3 +682,221 @@ class TestThirdReviewRegressions:
         finally:
             daemon.stop()
             service.backend.close()
+
+
+class TestFoldWorker:
+    """The fold runs in a worker process the daemon owns."""
+
+    def test_fold_runs_in_another_process_byte_equal_to_in_process(
+        self, base, delta, tmp_path, monkeypatch
+    ):
+        reference = tmp_path / "reference.shards"
+        shutil.copytree(base, reference)
+        StoreCompactor(reference).compact([delta])
+
+        def in_this_process(*args, **kwargs):
+            raise AssertionError("the serving process ran a fold")
+
+        monkeypatch.setattr(StoreCompactor, "compact", in_this_process)
+        service = QueryService(open_store(base))
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        delta.rename(spool / delta.name)
+        daemon = CompactionDaemon(service, base, spool, interval=3600)
+        try:
+            assert daemon.poll_once() is True
+            compaction = service.stats()["compaction"]
+            assert compaction["worker_pid"] not in (None, os.getpid())
+            assert compaction["worker_peak_rss_mb"] > 0
+            assert service.backend.generation == 1
+            assert _same_shards(base, reference)
+        finally:
+            daemon.stop()
+            service.backend.close()
+
+    def test_killed_worker_is_one_failed_cycle(
+        self, base, delta, fig1_hierarchy, tmp_path
+    ):
+        service = QueryService(open_store(base))
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        delta.rename(spool / "first.store")
+        daemon = CompactionDaemon(service, base, spool, interval=3600)
+        try:
+            assert daemon.poll_once() is True
+            pid = service.stats()["compaction"]["worker_pid"]
+            os.kill(pid, signal.SIGKILL)
+            _mine(CORPUS_A, fig1_hierarchy).to_store(spool / "second.store")
+
+            assert daemon.poll_once() is False
+            compaction = service.stats()["compaction"]
+            assert f"fold worker {pid} died" in compaction["last_error"]
+            assert [d.name for d in daemon.pending_deltas()] == [
+                "second.store"
+            ]
+            assert service.backend.generation == 1
+
+            # the next scan starts a fresh worker and folds the delta
+            assert daemon.poll_once() is True
+            compaction = service.stats()["compaction"]
+            assert "last_error" not in compaction
+            assert compaction["worker_pid"] not in (None, pid)
+            assert daemon.pending_deltas() == []
+            assert service.backend.generation == 2
+        finally:
+            daemon.stop()
+            service.backend.close()
+
+    def test_delta_dropped_during_a_fold_is_folded_at_once(
+        self, base, delta, fig1_hierarchy, tmp_path, monkeypatch
+    ):
+        """A scan that changed the store is followed by the next at
+        once: ``interval`` is only the wait on an empty spool."""
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        delta.rename(spool / "first.store")
+        late = tmp_path / "late.store"
+        _mine(CORPUS_A, fig1_hierarchy).to_store(late)
+        real_archive = CompactionDaemon._archive
+
+        def archive_while_a_delta_lands(self, deltas):
+            if late.exists():
+                late.rename(spool / late.name)
+            real_archive(self, deltas)
+
+        monkeypatch.setattr(
+            CompactionDaemon, "_archive", archive_while_a_delta_lands
+        )
+        service = QueryService(open_store(base))
+        daemon = CompactionDaemon(service, base, spool, interval=3600)
+        daemon.start()
+        try:
+            deadline = time.monotonic() + 30
+            while service.backend.generation < 2:
+                assert time.monotonic() < deadline, "the late delta waited"
+                time.sleep(0.05)
+            assert daemon.pending_deltas() == []
+            assert service.stats()["compaction"]["compactions"] == 2
+        finally:
+            daemon.stop()
+            service.backend.close()
+
+    def test_stop_leaves_no_worker(self, base, delta, tmp_path):
+        service = QueryService(open_store(base))
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        delta.rename(spool / delta.name)
+        daemon = CompactionDaemon(service, base, spool, interval=3600)
+        daemon.start()
+        try:
+            pid = _worker_pid(service)
+        finally:
+            daemon.stop()
+            service.backend.close()
+        assert _gone(pid)
+
+    def test_sigkill_of_the_server_leaves_no_worker(
+        self, base, delta, tmp_path
+    ):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        delta.rename(spool / delta.name)  # folded by the first scan
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--store",
+             str(base), "--port", "0", "--compact-spool", str(spool),
+             "--compact-interval", "3600"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            port = None
+            for line in server.stdout:
+                match = re.search(r"http://[\d.]+:(\d+)", line)
+                if match:
+                    port = int(match.group(1))
+                if "compacting deltas" in line:
+                    break
+            assert port is not None
+            deadline = time.monotonic() + 30
+            pid = None
+            while pid is None:
+                assert time.monotonic() < deadline, "no worker published"
+                with urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/stats", timeout=5
+                ) as response:
+                    stats = json.load(response)
+                pid = (stats.get("compaction") or {}).get("worker_pid")
+                time.sleep(0.05)
+            assert pid != server.pid
+            server.kill()
+            server.wait(10)
+            assert _gone(pid)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(10)
+            server.stdout.close()
+
+
+class TestRetirementByLastReader:
+    def test_readers_never_touch_a_closed_backend(self, base):
+        """8 threads of query / stats() / ``/healthz`` over 50 swaps: no
+        read starts or ends on a closed backend, every replaced backend
+        is closed exactly once, the served one never."""
+        store = open_store(base)
+        misuse: list[str] = []
+        served = [_Guarded(store, misuse)]
+        service = QueryService(served[0])
+        server = create_server(service, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        healthz = f"http://127.0.0.1:{server.server_port}/healthz"
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def read(kind: str, seed: int) -> None:
+            turn = seed
+            try:
+                while not stop.is_set():
+                    turn += 1
+                    if kind == "query":
+                        # the σ override varies the cache key, so reads
+                        # reach the backend between swaps too
+                        service.query(
+                            QUERIES[turn % len(QUERIES)],
+                            min_freq=turn % 4 or None,
+                        )
+                    elif kind == "stats":
+                        service.stats()
+                    else:
+                        with urllib.request.urlopen(
+                            healthz, timeout=10
+                        ) as response:
+                            assert response.status == 200
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        kinds = ["query"] * 4 + ["stats"] * 2 + ["healthz"] * 2
+        readers = [
+            threading.Thread(target=read, args=(kind, seed))
+            for seed, kind in enumerate(kinds)
+        ]
+        for reader in readers:
+            reader.start()
+        try:
+            for _ in range(50):
+                time.sleep(0.005)
+                served.append(_Guarded(store, misuse))
+                service.swap_backend(served[-1])
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            server.shutdown()
+            server.server_close()
+            store.close()
+        assert not errors, errors[:3]
+        assert misuse == []
+        assert [backend.closed for backend in served[:-1]] == [1] * 50
+        assert served[-1].closed == 0

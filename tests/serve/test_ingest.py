@@ -62,6 +62,7 @@ def rig(live, tmp_path):
     service = QueryService(open_store(live))
     daemon = CompactionDaemon(service, live, spool, interval=3600)
     yield ingestor, service, daemon, spool
+    daemon.stop()
     service.backend.close()
 
 
@@ -352,6 +353,7 @@ class TestAppliedRetention:
             assert sidecars == [s + ".meta.json" for s in stores]
             assert service.backend.ingested_through == 8
         finally:
+            daemon.stop()
             service.backend.close()
 
 

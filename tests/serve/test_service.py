@@ -362,6 +362,8 @@ class TestBackendSwap:
         assert service.stats()["compaction"] == {
             "compactions": 2,
             "generation": 2,
+            # the service's own count: replaced generations still leased
+            "retired_open": 0,
         }
 
 
