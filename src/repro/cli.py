@@ -1177,8 +1177,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     route.add_argument(
         "--deadline", type=float, default=5.0,
-        help="seconds budgeted per fan-out, retries included; a priced "
-        "query's deadline scales down with its cost estimate",
+        help="seconds budgeted per fan-out, retries included",
     )
     route.add_argument(
         "--health-interval", type=float, default=2.0,

@@ -66,6 +66,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.errors import InvalidParameterError
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.query.cost import PLAN_STRATEGIES, CostEstimate, CostEstimator
+from repro.query.cost import combine_estimates
 from repro.query.plan import PositionSpace, QueryPlan, iter_bit_indexes
 from repro.query.tokens import (
     AnyToken,
@@ -145,12 +146,15 @@ class Answer:
     (``None`` when complete; only the distributed router can answer
     partially), the watermarks are those of the backend that produced
     ``matches`` — so a response cannot be stamped from a different
-    generation than the one that answered."""
+    generation than the one that answered — and ``cost`` is the summed
+    planner price of the plans that produced them (``None`` for reads
+    that run no plan, such as top-k)."""
 
     matches: list[QueryMatch]
     partial: dict | None = None
     ingested_through: int | None = None
     retained_from: int | None = None
+    cost: float | None = None
 
 
 class PatternSearchBase:
@@ -314,7 +318,8 @@ class PatternSearchBase:
     ) -> Answer:
         """``cost`` is what :meth:`estimate_cost` returned for this
         query, if the caller priced it first: the plans it carries for
-        this backend are executed instead of built again."""
+        this backend are executed instead of built again.  The answer's
+        ``cost`` is the price of the plans that ran, priced or not."""
         if min_freq is not None and (
             not isinstance(min_freq, int)
             or isinstance(min_freq, bool)
@@ -324,19 +329,20 @@ class PatternSearchBase:
                 f"min_freq must be an integer >= 0 or None, got {min_freq!r}"
             )
         compiled = self._compile(normalize_query(query))
-        stream = self._iter_search(
-            compiled, {} if cost is None else cost.plans
-        )
+        cost = self._priced(compiled, cost)
+        stream = self._iter_search(compiled, cost.plans)
         return self._answer(
-            self._decoded(ranked_prefix(stream, limit, min_freq))
+            self._decoded(ranked_prefix(stream, limit, min_freq)), cost.cost
         )
 
     def top_answer(self, n: int) -> Answer:
         return self._answer(self.top(n))
 
-    def _answer(self, matches: list[QueryMatch]) -> Answer:
+    def _answer(
+        self, matches: list[QueryMatch], cost: float | None = None
+    ) -> Answer:
         return Answer(
-            matches, None, self.ingested_through, self.retained_from
+            matches, None, self.ingested_through, self.retained_from, cost
         )
 
     def prefetch(self, pairs) -> dict:
@@ -418,8 +424,8 @@ class PatternSearchBase:
         """Records matching a compiled query, in rank order.  The
         compiled form is id-based, so it is only portable to another
         backend holding an identical vocabulary (shards do).  ``plans``
-        is a :attr:`CostEstimate.plans` map: this backend runs its own
-        entry when there is one and prices a fresh plan otherwise.
+        is the :attr:`CostEstimate.plans` map of :meth:`_priced`: this
+        backend runs its own entry.
 
         Routing, cheapest-estimated first: wildcard-only queries are a
         pure length-range scan (no per-pattern work at all); for chain
@@ -435,7 +441,7 @@ class PatternSearchBase:
         if not self._accelerate:
             yield from self._iter_search_dp(compiled, self._candidates(compiled))
             return
-        plan, strategy = plans.get(self) or self._price(compiled).plans[self]
+        plan, strategy = plans[self]
         if plan.unsatisfiable:
             return
         if not plan.chain:
@@ -505,6 +511,23 @@ class PatternSearchBase:
         estimate = CostEstimator(self).estimate(plan)
         return replace(estimate, plans={self: (plan, estimate.strategy)})
 
+    def _priced(
+        self, compiled: list[CompiledToken], cost: CostEstimate | None = None
+    ) -> CostEstimate:
+        """The estimate whose plans (one per shard, summed in shard
+        order) a search runs: ``cost`` when it priced every shard of
+        this backend, else a fresh pricing — an estimate made for
+        another generation is never executed."""
+        shards = self._shards()
+        if cost is not None and all(shard in cost.plans for shard in shards):
+            return cost
+        return combine_estimates(shard._price(compiled) for shard in shards)
+
+    def _shards(self) -> list:
+        """The store files a search runs one plan on each: a plain
+        backend is its own single shard."""
+        return [self]
+
     def _count_path(self, path: str) -> None:
         with self._plan_lock:
             self._plan_paths[path] += 1
@@ -525,7 +548,7 @@ class PatternSearchBase:
         """The cost estimate for a query against this backend — the
         admission-control currency (see :mod:`repro.query.cost`).  Hand
         it to :meth:`search_answer` to run the plan it priced."""
-        return self._price(self._compile(normalize_query(query)))
+        return self._priced(self._compile(normalize_query(query)))
 
     def explain(self, query) -> dict:
         """The compiled plan and its cost estimate, for ``lash query

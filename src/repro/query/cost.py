@@ -35,11 +35,12 @@ supersets, the DP verifies, the exact path is exact), so the estimate
 can only change *speed*; the differential harness forces each strategy
 to prove it.
 
-The same estimate is the admission-control currency:
-:class:`~repro.serve.service.QueryService` compares
-:attr:`CostEstimate.cost` against its ceiling/budget thresholds,
-and the router scales its fan-out deadline with it.  The constants
-below are the one definition all layers price work with.
+The same estimate is the serving tier's cost currency: every search
+returns the summed price of the plans it ran
+(:attr:`~repro.query.base.Answer.cost`, echoed as ``estimated_cost``),
+and :class:`~repro.serve.service.QueryService` prices a query *before*
+it runs only to hold it against a ceiling or budget threshold.  The
+constants below are the one definition all layers price work with.
 
 Pricing is per request: a plan is built, priced and executed by the one
 thread serving a query and then dropped.  The estimate a local backend
@@ -59,12 +60,12 @@ from dataclasses import dataclass, field
 # The planner below and the admission-control layer
 # (`repro.serve.service`) price query execution in abstract *work
 # units* — roughly "one postings entry touched".  The constants are
-# defined once, here, so the planner's strategy choice, the service's
-# admission thresholds and the router's deadline scaling all speak the
-# same currency.  Absolute values are calibration, not physics: only the
-# *ratios* matter for strategy choice, and the unit tests pin the
-# decisions (skewed query → pruned, dense query → exact), not the raw
-# numbers.
+# defined once, here, so the planner's strategy choice, the echoed
+# ``estimated_cost`` and the service's admission thresholds all speak
+# the same currency.  Absolute values are calibration, not physics:
+# only the *ratios* matter for strategy choice, and the unit tests pin
+# the decisions (skewed query → pruned, dense query → exact), not the
+# raw numbers.
 # ---------------------------------------------------------------------------
 
 #: work to decode one postings entry and OR it into a candidate bitmap
@@ -102,13 +103,6 @@ COST_BUCKETS = (
     10_000_000.0,
 )
 
-#: estimated cost at which the router grants a fan-out its full
-#: deadline; cheaper queries get a proportionally smaller per-query
-#: budget so they fail over fast instead of waiting out a dead replica
-COST_FULL_DEADLINE = 100_000.0
-#: floor on the scaled router deadline, as a fraction of the full one
-MIN_DEADLINE_FRACTION = 0.1
-
 #: execution strategies a plan with a non-empty chain can be forced
 #: into (``None`` lets the estimate decide)
 PLAN_STRATEGIES = ("exact", "pruned", "scan")
@@ -126,10 +120,11 @@ class CostEstimate:
     (``skipped`` marks nodes the cost ordering leaves out of the mask).
 
     ``plans`` is the hand-off from pricing to execution inside one
-    request: ``backend -> (QueryPlan, strategy)`` for every local
-    backend priced.  ``search_answer(cost=estimate)`` runs those plans;
-    a backend that finds no entry of its own builds one.  It is no part
-    of the estimate's value — never compared, rendered or sent.
+    request: ``backend -> (QueryPlan, strategy)`` for every store file
+    priced.  ``search_answer(cost=estimate)`` runs those plans — the
+    admission path, where a ceiling needed the price first; a backend
+    the estimate did not price prices itself afresh.  It is no part of
+    the estimate's value — never compared, rendered or sent.
     """
 
     cost: float
@@ -147,18 +142,6 @@ class CostEstimate:
             "candidates": self.candidates,
             "scan_candidates": self.scan_candidates,
             "nodes": [dict(node) for node in self.nodes],
-            "shards": self.shards,
-        }
-
-    def to_wire(self) -> dict:
-        """Integer-only projection for the socket protocol (the wire
-        format has no float type; work units round to ints losslessly
-        enough for admission thresholds)."""
-        return {
-            "cost": int(round(self.cost)),
-            "strategy": self.strategy,
-            "candidates": self.candidates,
-            "scan_candidates": self.scan_candidates,
             "shards": self.shards,
         }
 

@@ -35,21 +35,23 @@ op                    answer
 ``status``            generation + per-shard pattern counts + front-end
                       gauges (workers, in-flight, rejected) + wire stats
 ``describe``          the subset store's :meth:`describe` dict
-``search``            rank-ordered records for ``tokens`` over the
+``search``            rank-ordered ``records`` for ``tokens`` over the
                       requested ``shards`` (default: all mounted),
-                      honoring ``min_freq`` (σ prefix cut) and ``limit``
+                      honoring ``min_freq`` (σ prefix cut) and
+                      ``limit``, plus ``costs`` of the plans they ran
 ``multi_search``      many searches in one frame (the router's batched
-                      scatter): per-query ``{"records"}`` or
+                      scatter): per-query ``{"records", "costs"}`` or
                       ``{"error"}`` entries under ``"results"``
 ``top``               rank-ordered top-``n`` records
-``estimate``          the slice's combined planner cost estimate for
-                      ``tokens`` (integer work units; the router scales
-                      its fan-out deadline and admission gate with it)
+``estimate``          per-shard planner ``estimates`` for ``tokens``
+                      (the router's pre-flight when a ceiling is set)
 ====================  ==================================================
 
-Every record is ``[coded_ids, frequency, names]``; errors come back as
-``{"error": {"type", "message"}}`` and re-raise client-side with their
-original :mod:`repro.errors` type.
+Every record is ``[coded_ids, frequency, names]``; ``costs`` and
+``estimates`` map shard index to exact float work units, which added in
+shard order give the in-process store's sum bit for bit.  Errors come
+back as ``{"error": {"type", "message"}}`` and re-raise client-side
+with their original :mod:`repro.errors` type.
 
 Request execution is bounded by a sized worker pool: past the
 in-flight cap the server answers :class:`ServerBusyError` immediately
@@ -68,6 +70,7 @@ from typing import Sequence
 
 from repro.errors import InvalidParameterError, ReproError, ServerBusyError
 from repro.query.base import ranked_prefix
+from repro.query.cost import combine_estimates
 from repro.query.tokens import is_negation_only, normalize_query
 from repro.serve.protocol import (
     DEFAULT_COMPRESS_THRESHOLD,
@@ -83,6 +86,10 @@ from repro.serve.protocol import (
     send_mux,
 )
 from repro.serve.sharded import ShardedPatternStore
+
+#: seconds between a listener's checks for ``shutdown()``: ``stop()``
+#: waits up to this long per listener (socketserver's default is 0.5)
+POLL_INTERVAL = 0.05
 
 
 def parse_shard_list(raw: str) -> tuple[int, ...]:
@@ -110,16 +117,27 @@ def partial_search(
     shard_ids: Sequence[int] | None = None,
     limit: int | None = None,
     min_freq: int | None = None,
-) -> list[tuple[tuple[int, ...], int]]:
+) -> tuple[list[tuple[tuple[int, ...], int]], dict[int, float]]:
     """Rank-ordered ``(coded, frequency)`` matches over a shard slice:
     the store's own merged search stream narrowed to ``shard_ids``, cut
     at σ and ``limit`` exactly as :meth:`PatternSearchBase.search` cuts
     it — so merging slices reproduces the whole store's answer byte for
-    byte.
+    byte.  Returned with the price of the plan each shard ran, by shard.
     """
     compiled = store._compile(normalize_query(tokens))
-    stream = store._iter_search(compiled, {}, shard_ids)
-    return list(ranked_prefix(stream, limit, min_freq))
+    priced = _price_slice(store, compiled, shard_ids)
+    stream = store._iter_search(
+        compiled, combine_estimates(priced.values()).plans, shard_ids
+    )
+    costs = {index: estimate.cost for index, estimate in priced.items()}
+    return list(ranked_prefix(stream, limit, min_freq)), costs
+
+
+def _price_slice(store, compiled, shard_ids) -> dict:
+    """One priced plan per shard of the slice (default: every mounted
+    one), by shard index."""
+    ids = store.owned_shards if shard_ids is None else shard_ids
+    return {index: store._shard(index)._price(compiled) for index in ids}
 
 
 def partial_top(
@@ -327,6 +345,7 @@ class ShardServer:
         self._tcp = _ShardTCPServer((self._host, self._port), self)
         thread = threading.Thread(
             target=self._tcp.serve_forever,
+            args=(POLL_INTERVAL,),
             name="shard-serve-tcp",
             daemon=True,
         )
@@ -343,6 +362,7 @@ class ShardServer:
             )
             thread = threading.Thread(
                 target=self._http.serve_forever,
+                args=(POLL_INTERVAL,),
                 name="shard-serve-http",
                 daemon=True,
             )
@@ -470,13 +490,13 @@ class ShardServer:
             if op == "describe":
                 return {"describe": self.store.describe()}
             if op == "search":
-                return {"records": self._search(request)}
+                return self._search(request)
             if op == "multi_search":
                 return {"results": self._multi_search(request)}
             if op == "top":
                 return {"records": self._top(request)}
             if op == "estimate":
-                return {"estimate": self._estimate(request)}
+                return {"estimates": self._estimate(request)}
             raise InvalidParameterError(f"unknown op {op!r}")
         except ReproError as exc:
             if self._stopping:
@@ -532,7 +552,8 @@ class ShardServer:
             )
         return shards
 
-    def _search(self, request) -> list:
+    @staticmethod
+    def _tokens(request) -> tuple:
         tokens = decode_tokens(request.get("tokens"))
         if is_negation_only(tokens):
             # the router's service layer rejects these before fan-out;
@@ -541,24 +562,32 @@ class ShardServer:
             raise InvalidParameterError(
                 "all-negative queries are not served"
             )
-        limit = request.get("limit")
-        min_freq = request.get("min_freq")
-        records = partial_search(
+        return tokens
+
+    def _search(self, request) -> dict:
+        records, costs = partial_search(
             self.store,
-            tokens,
+            self._tokens(request),
             shard_ids=self._shard_ids(request),
-            limit=limit,
-            min_freq=min_freq,
+            limit=request.get("limit"),
+            min_freq=request.get("min_freq"),
         )
-        return self._render(records)
+        return {
+            "records": self._render(records),
+            "costs": {str(index): cost for index, cost in costs.items()},
+        }
 
     def _estimate(self, request) -> dict:
-        tokens = decode_tokens(request.get("tokens"))
-        if is_negation_only(tokens):
-            raise InvalidParameterError(
-                "all-negative queries are not served"
-            )
-        return self.store.estimate_cost(tokens).to_wire()
+        store = self.store
+        priced = _price_slice(
+            store, store._compile(self._tokens(request)),
+            self._shard_ids(request),
+        )
+        # the exact float, not to_dict()'s display rounding
+        return {
+            str(index): {**estimate.to_dict(), "cost": estimate.cost}
+            for index, estimate in priced.items()
+        }
 
     def _top(self, request) -> list:
         n = request.get("n")
@@ -594,11 +623,9 @@ class ShardServer:
                 )
                 continue
             try:
-                records = self._search({**entry, "shards": shards})
+                results.append(self._search({**entry, "shards": shards}))
             except ReproError as exc:
                 results.append({"error": encode_error(exc)})
-            else:
-                results.append({"records": records})
         return results
 
     def _render(self, records) -> list:
@@ -610,6 +637,7 @@ class ShardServer:
 
 
 __all__ = [
+    "POLL_INTERVAL",
     "ShardServer",
     "partial_search",
     "partial_top",

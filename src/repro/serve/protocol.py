@@ -6,8 +6,8 @@ multiplexed frames — nothing else; a cluster runs one protocol version.
 
 **Hello.**  Each direction sends one frame ``uvarint(len(body)) + body``
 whose body is a single :func:`encode_value` value (the store's own
-varint codec applied to ``None``, bools, ints, strings, bytes, lists and
-string-keyed dicts):
+varint codec applied to ``None``, bools, ints, floats, strings, bytes,
+lists and string-keyed dicts — every value a mux payload can carry):
 
 1. the client's first frame is
    ``{"v": PROTOCOL_VERSION, "op": "hello", "zlib": bool}`` — the
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 import threading
 import zlib
 
@@ -57,7 +58,6 @@ from repro.errors import (
     EncodingError,
     HierarchyError,
     InvalidParameterError,
-    QueryRejectedError,
     ReproError,
     ServerBusyError,
     StoreCorruptError,
@@ -106,6 +106,7 @@ _T_STR = 4
 _T_BYTES = 5
 _T_LIST = 6
 _T_DICT = 7
+_T_FLOAT = 8  # IEEE-754 double, little-endian
 
 
 # ----------------------------------------------------------------------
@@ -126,6 +127,9 @@ def encode_value(value, buf: bytearray | None = None) -> bytearray:
     elif isinstance(value, int):
         buf.append(_T_INT)
         write_uvarint(buf, zigzag_encode(value))
+    elif isinstance(value, float):
+        buf.append(_T_FLOAT)
+        buf += struct.pack("<d", value)
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         buf.append(_T_STR)
@@ -175,6 +179,10 @@ def decode_value(data, offset: int = 0):
     if tag == _T_INT:
         raw, offset = read_uvarint(data, offset)
         return zigzag_decode(raw), offset
+    if tag == _T_FLOAT:
+        if len(data) < offset + 8:
+            raise EncodingError("truncated protocol value")
+        return struct.unpack_from("<d", data, offset)[0], offset + 8
     if tag == _T_STR:
         n, offset = read_uvarint(data, offset)
         return bytes(data[offset:offset + n]).decode("utf-8"), offset + n
@@ -544,7 +552,6 @@ _ERROR_TYPES = {
         InvalidParameterError,
         EncodingError,
         StoreCorruptError,
-        QueryRejectedError,
         ServerBusyError,
     )
 }
@@ -561,10 +568,6 @@ def encode_error(exc: ReproError) -> dict:
     item = getattr(exc, "item", None)
     if isinstance(item, str):
         out["item"] = item
-    if isinstance(exc, QueryRejectedError):
-        # admission numbers travel as ints (the wire has no float type)
-        out["estimated_cost"] = int(round(exc.estimated_cost))
-        out["max_cost"] = int(round(exc.max_cost))
     if isinstance(exc, ServerBusyError):
         out["retry_after"] = int(round(exc.retry_after)) or 1
     return out
@@ -577,12 +580,6 @@ def decode_error(obj: dict) -> ReproError:
     cls = _ERROR_TYPES.get(obj.get("type"), ReproError)
     if cls is UnknownItemError and "item" in obj:
         return UnknownItemError(obj["item"])
-    if cls is QueryRejectedError:
-        return QueryRejectedError(
-            obj.get("message", "query rejected"),
-            estimated_cost=obj.get("estimated_cost", 0),
-            max_cost=obj.get("max_cost", 0),
-        )
     if cls is ServerBusyError:
         return ServerBusyError(
             obj.get("message", "server busy"),

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import http.client
 import itertools
 import json
 import socket
@@ -58,11 +59,7 @@ from repro.errors import (
 )
 from repro.io.codec import stable_hash
 from repro.query.base import Answer, QueryMatch
-from repro.query.cost import (
-    COST_FULL_DEADLINE,
-    MIN_DEADLINE_FRACTION,
-    CostEstimate,
-)
+from repro.query.cost import CostEstimate, combine_estimates
 from repro.query.tokens import normalize_query
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -509,18 +506,6 @@ class ShardClient:
 # ----------------------------------------------------------------------
 
 
-def deadline_fraction(cost: float | None) -> float:
-    """Share of the deadline budget a fan-out priced at ``cost`` gets.
-
-    Cheap lookups fail over fast instead of waiting a broad-scan
-    budget, expensive scans keep the full deadline; without an estimate
-    the full budget stands.
-    """
-    if cost is None:
-        return 1.0
-    return min(1.0, max(MIN_DEADLINE_FRACTION, cost / COST_FULL_DEADLINE))
-
-
 def _record_key(record) -> tuple[int, tuple[int, ...]]:
     # the wire record is (coded, frequency, names); rank order is the
     # shared (-frequency, coded) so merged streams interleave exactly
@@ -528,23 +513,50 @@ def _record_key(record) -> tuple[int, tuple[int, ...]]:
     return (-record[1], record[0])
 
 
-def _decode_records(raw) -> list[tuple]:
+def _parse_records(response, key: str) -> list[tuple]:
+    """One server's answer to ``top``: its record list."""
+    raw = response.get("records") if isinstance(response, dict) else None
+    if raw is None:
+        raise StoreCorruptError(f"server {key} sent a malformed response")
     return [
         (tuple(coded), frequency, tuple(names))
         for coded, frequency, names in raw
     ]
 
 
-def _parse_records(response, key: str) -> list[tuple]:
-    """One server's answer to ``search``/``top``: its record list."""
-    raw = response.get("records") if isinstance(response, dict) else None
-    if raw is None:
-        raise StoreCorruptError(f"server {key} sent a malformed response")
-    return _decode_records(raw)
+def _parse_search(response, key: str) -> tuple[list[tuple], dict]:
+    """One server's answer to ``search`` (or one ``multi_search``
+    entry): its record list and the price each of its shards ran at."""
+    costs = response["costs"].items()
+    return _parse_records(response, key), {int(s): c for s, c in costs}
+
+
+def _by_shard(groups) -> list:
+    """The per-shard values of every server that answered, in shard
+    order — the order a :class:`~repro.serve.sharded.ShardedPatternStore`
+    combines its shards in, so sums come out bit-identical to its own."""
+    merged: dict[int, object] = {}
+    for group in groups:
+        merged.update(group)
+    return [merged[shard] for shard in sorted(merged)]
 
 
 def _to_matches(records) -> list[QueryMatch]:
     return [QueryMatch(names, frequency) for _, frequency, names in records]
+
+
+def _merged_answer(groups, partial, limit: int | None = None) -> Answer:
+    """One search's per-server ``(records, costs)`` as one answer:
+    records k-way merged and cut at ``limit``, the prices of the shards
+    that answered summed."""
+    merged = heapq.merge(*(records for records, _ in groups), key=_record_key)
+    if limit is not None:
+        merged = itertools.islice(merged, limit)
+    return Answer(
+        _to_matches(merged),
+        partial,
+        cost=sum(_by_shard(costs for _, costs in groups)),
+    )
 
 
 class RouterBackend:
@@ -558,7 +570,8 @@ class RouterBackend:
     ``close``.  ``search``/``top`` are the same reads for embedded
     callers who only want the list.  Nothing about a request is kept
     on the router between calls: what a fan-out needs comes in as
-    arguments, what it learned goes out on the answer.
+    arguments, what it learned goes out on the answer — degradation
+    and, for searches, the price of the plans the servers ran.
 
     Not a :class:`~repro.query.base.PatternSearchBase`: the router
     holds no vocabulary and no postings, only sockets.
@@ -634,7 +647,9 @@ class RouterBackend:
                     url, timeout=self._health_timeout
                 ) as response:
                     return response.status == 200
-            except OSError:
+            except (OSError, http.client.HTTPException):
+                # refused, timed out, or not HTTP at all: this one server
+                # reads as down, and the other probes still run
                 return False
         try:
             answer = self._clients[key].request(
@@ -712,25 +727,19 @@ class RouterBackend:
         self,
         make_payload: Callable[[list[int]], dict],
         parse: Callable = _parse_records,
-        cost: float | None = None,
     ) -> tuple[list[list], dict | None]:
         """Fan one request out across the cluster.
 
         Returns ``(group_records, partial)`` where each element of
         ``group_records`` is one server's answer as ``parse(response,
-        key)`` extracted it (by default its rank-ordered record list;
-        ``multi_search`` passes its own for per-query result lists) and
-        ``partial`` is ``None`` when every shard answered, else
+        key)`` extracted it (by default its rank-ordered record list)
+        and ``partial`` is ``None`` when every shard answered, else
         ``{"missing_shards": [...], "failed_servers": [...]}``.
 
         Each shard gets at most two attempts (primary pick + one
-        failover replica), all under a single deadline budget — the
-        configured deadline scaled by :func:`deadline_fraction` of the
-        caller's ``cost`` estimate for this request.
+        failover replica), all under the configured deadline budget.
         """
-        deadline = time.monotonic() + (
-            self._deadline * deadline_fraction(cost)
-        )
+        deadline = time.monotonic() + self._deadline
         with self._lock:
             self._fanouts += 1
         tried: dict[int, set[str]] = {
@@ -837,54 +846,34 @@ class RouterBackend:
     # ------------------------------------------------------------------
 
     def estimate_cost(self, query) -> CostEstimate | None:
-        """Cluster-level planner estimate for the query, or ``None``
-        when no server can price it (all down, or the one asked answered
-        an error — admission then simply skips the gate, it never fails
-        the query).
+        """One ``estimate`` scatter, combined in shard order: the very
+        estimate a :class:`~repro.serve.sharded.ShardedPatternStore`
+        over the same manifest returns.  ``None`` when the cluster
+        cannot price the query completely (a query error, or a shard no
+        server answered for): admission then steps aside and the search
+        reports what went wrong."""
+        tokens = encode_tokens(normalize_query(query))
 
-        One healthy server is asked for its slice's estimate, which is
-        scaled by the shard ratio to cover the whole cluster (shards
-        partition the patterns, so slice costs extrapolate linearly).
-        Priced per call, like a local backend's plans: repeats are the
-        result cache's job.  Pricing a query changes nothing about how
-        it (or anything else) later runs: the caller hands the cost to
-        :meth:`search_answer` itself.
-        """
-        wire = encode_tokens(normalize_query(query))
-        with self._lock:
-            ranked = sorted(
-                self._cluster.servers,
-                key=lambda key: not self._healthy.get(key, True),
-            )
-        for key in ranked:
-            try:
-                response = self._clients[key].request(
-                    {"v": PROTOCOL_VERSION, "op": "estimate", "tokens": wire},
-                    self._health_timeout,
-                )
-            except (OSError, EOFError, ConnectionError):
-                self._mark_down(key)
-                continue
-            except ReproError:
-                # a query error will surface from the search that follows
-                return None
-            raw = (
-                response.get("estimate")
-                if isinstance(response, dict)
-                else None
-            )
-            if not isinstance(raw, dict):
-                return None
-            covered = max(1, int(raw.get("shards", 1)))
-            scale = self._cluster.num_shards / covered
-            return CostEstimate(
-                cost=float(raw.get("cost", 0)) * scale,
-                strategy=str(raw.get("strategy", "mixed")),
-                candidates=int(raw.get("candidates", 0) * scale),
-                scan_candidates=int(raw.get("scan_candidates", 0) * scale),
-                shards=self._cluster.num_shards,
-            )
-        return None
+        def make_payload(shards: list[int]) -> dict:
+            return {
+                "v": PROTOCOL_VERSION,
+                "op": "estimate",
+                "tokens": tokens,
+                "shards": shards,
+            }
+
+        def parse(response, key: str) -> dict:
+            # a malformed answer fails that server over, like any other
+            return {
+                int(shard): CostEstimate(**raw)
+                for shard, raw in response["estimates"].items()
+            }
+
+        try:
+            groups, partial = self._scatter(make_payload, parse)
+        except ReproError:
+            return None
+        return None if partial else combine_estimates(_by_shard(groups))
 
     # ------------------------------------------------------------------
     # batched scatter (the /batch endpoint's wire path)
@@ -940,22 +929,13 @@ class RouterBackend:
                 raise StoreCorruptError(
                     f"server {key} sent a malformed multi_search response"
                 )
-            parsed = []
-            for entry in results:
-                if isinstance(entry, dict) and "error" in entry:
-                    parsed.append(decode_error(entry["error"]))
-                elif isinstance(entry, dict) and isinstance(
-                    entry.get("records"), list
-                ):
-                    parsed.append(_decode_records(entry["records"]))
-                else:
-                    raise StoreCorruptError(
-                        f"server {key} sent a malformed multi_search entry"
-                    )
-            return parsed
+            return [
+                decode_error(entry["error"])
+                if isinstance(entry, dict) and "error" in entry
+                else _parse_search(entry, key)
+                for entry in results
+            ]
 
-        # the batched scatter does many queries' work: no single
-        # query's cost scales it, it gets the full deadline budget
         try:
             groups, partial = self._scatter(make_payload, parse=parse)
         except ReproError:
@@ -966,11 +946,9 @@ class RouterBackend:
             error = next(
                 (e for e in entries if isinstance(e, BaseException)), None
             )
-            if error is not None:
-                parked[key] = error
-            else:
-                merged = heapq.merge(*entries, key=_record_key)
-                parked[key] = Answer(_to_matches(merged), partial)
+            parked[key] = (
+                _merged_answer(entries, partial) if error is None else error
+            )
         return parked
 
     def search_answer(
@@ -984,9 +962,8 @@ class RouterBackend:
 
         Per-shard σ cuts compose (rank order makes ``min_freq`` a
         stream prefix) and ``limit`` pushes down as a per-server upper
-        bound, re-applied globally after the merge.  ``cost`` is the
-        caller's estimate for this query (:meth:`estimate_cost`); its
-        ``.cost`` scales this fan-out's deadline and nothing else.
+        bound, re-applied globally after the merge.  ``cost`` is unused:
+        the plans live on the servers, which price them as they run.
         """
         tokens = encode_tokens(normalize_query(query))
 
@@ -1000,13 +977,8 @@ class RouterBackend:
                 "min_freq": min_freq,
             }
 
-        groups, partial = self._scatter(
-            make_payload, cost=None if cost is None else cost.cost
-        )
-        merged = heapq.merge(*groups, key=_record_key)
-        if limit is not None:
-            merged = itertools.islice(merged, limit)
-        return Answer(_to_matches(merged), partial)
+        groups, partial = self._scatter(make_payload, _parse_search)
+        return _merged_answer(groups, partial, limit)
 
     def search(
         self,

@@ -42,7 +42,7 @@ from repro.errors import (
 )
 from repro.query.base import PatternSearchBase, QueryMatch
 from repro.query.cost import COST_BUCKETS as _COST_BUCKETS
-from repro.query.cost import MATCH_BUDGET_DEFAULT
+from repro.query.cost import MATCH_BUDGET_DEFAULT, CostEstimate
 from repro.query.tokens import is_negation_only, normalize_query
 
 DEFAULT_CACHE_SIZE = 1024
@@ -192,6 +192,7 @@ class QueryService:
         Soft threshold: a miss whose estimate exceeds it still runs,
         but under a ``match_budget``-bounded search; if the budget
         binds, the response is flagged partial and never cached.
+        Only these two thresholds price a miss before it runs.
     match_budget:
         Match-list cap for budgeted queries.
     """
@@ -479,16 +480,15 @@ class QueryService:
 
         def compute():
             # admission runs only on misses: a cached answer is free, so
-            # repeats of an expensive query bypass the gate by design
-            # the float is what this service keeps (in the response);
-            # the estimate itself — and the plans it carries — goes to
-            # the search below and no further
-            estimate, cost = self._admit(ctx, tokens)
+            # repeats of an expensive query bypass the gate by design;
+            # the estimate (and its plans) goes to the search and no
+            # further — the response keeps the answer's cost, a float
+            estimate = self._admit(ctx, tokens)
             budget = None
             if (
-                cost is not None
+                estimate is not None
                 and self._budget_cost is not None
-                and cost > self._budget_cost
+                and estimate.cost > self._budget_cost
             ):
                 budget = self._match_budget
                 with self._lock:
@@ -500,6 +500,10 @@ class QueryService:
                 )
             elif isinstance(answer, ReproError):
                 raise answer
+            if estimate is None and answer.cost is not None:
+                # not priced in advance: observe the search's own price
+                with self._lock:
+                    self._cost_hist.observe(answer.cost)
             matches, partial = answer.matches, answer.partial
             if budget is not None:
                 # a parked answer is the unlimited stream, so the budget
@@ -513,7 +517,7 @@ class QueryService:
                         **(partial or {}),
                         "budgeted": True,
                         "match_budget": budget,
-                        "estimated_cost": round(cost, 1),
+                        "estimated_cost": round(estimate.cost, 1),
                     }
             found = _Found(
                 _render(matches[: self._max_cached_matches]),
@@ -521,7 +525,7 @@ class QueryService:
                 sum(m.frequency for m in matches),
                 tokens,
                 min_freq,
-                cost,
+                answer.cost,
                 answer.ingested_through,
                 answer.retained_from,
                 partial,
@@ -708,20 +712,20 @@ class QueryService:
             self._leases[id(backend)] = self._leases.get(id(backend), 0) + 1
             return _Request(backend, self._epoch, {})
 
-    def _admit(self, ctx: _Request, tokens) -> tuple:
-        """Price the query and apply the admission ceiling.
-
-        Returns ``(estimate, cost)`` — the backend's estimate and its
-        cost as a float, both ``None`` when the backend cannot estimate
-        (e.g. no shard server reachable) — records the cost in the cost
-        histogram, and raises :class:`QueryRejectedError` when it
-        crosses ``max_cost``.  Raised *inside* the cache-miss compute,
-        so a rejection can never be cached.
-        """
+    def _admit(self, ctx: _Request, tokens) -> CostEstimate | None:
+        """The pre-flight, when a threshold needs the price before the
+        work: price the query, record the cost in the cost histogram,
+        and raise :class:`QueryRejectedError` when it crosses
+        ``max_cost`` (inside the cache-miss compute, so a rejection can
+        never be cached).  Returns the estimate, whose plans the search
+        then runs — ``None`` with no threshold set or when the backend
+        cannot estimate (e.g. no shard server reachable)."""
+        if self._max_cost is None and self._budget_cost is None:
+            return None
         estimate = ctx.backend.estimate_cost(tokens)
         if estimate is None:
-            return None, None
-        cost = float(estimate.cost)
+            return None
+        cost = estimate.cost
         with self._lock:
             self._cost_hist.observe(cost)
         if self._max_cost is not None and cost > self._max_cost:
@@ -733,7 +737,7 @@ class QueryService:
                 estimated_cost=cost,
                 max_cost=self._max_cost,
             )
-        return estimate, cost
+        return estimate
 
     def _cached(self, ctx: _Request, key: tuple, compute):
         """The cached entry for ``key``, else what ``compute`` makes of

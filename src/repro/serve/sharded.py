@@ -39,8 +39,6 @@ from repro.query.base import (
     PatternSearchBase,
     rank_key,
 )
-from repro.query.cost import CostEstimate, combine_estimates
-from repro.query.tokens import normalize_query
 from repro.serve.format import is_sharded_store, read_manifest, shard_of
 from repro.serve.store import PatternStore
 
@@ -389,15 +387,6 @@ class ShardedPatternStore(PatternSearchBase):
             for store in self._stores:
                 if store is not None:
                     store._plan_strategy = strategy
-
-    def estimate_cost(self, query) -> CostEstimate:
-        """Handle-level cost estimate: the per-shard estimates summed
-        (shards partition the patterns, so their work adds), carrying
-        every shard's priced plan."""
-        compiled = self._compile(normalize_query(query))
-        return combine_estimates(
-            shard._price(compiled) for shard in self._shards()
-        )
 
     def explain(self, query) -> dict:
         """Plan shape from the first owned shard (chains are

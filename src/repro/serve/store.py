@@ -321,10 +321,9 @@ class PatternStore(PatternSearchBase):
         bytes-per-entry (an entry is an index delta varint plus a
         position count plus gap-coded positions, ≥3 bytes).  Never
         decodes — ordering and skip decisions only need relative
-        magnitudes."""
-        cached = self._postings_cache.get(item_id)
-        if cached is not None:
-            return len(cached[0])
+        magnitudes.  A function of the store bytes alone, never of
+        which postings earlier queries happened to decode: every
+        process mounting this file prices a query the same."""
         if not 0 <= item_id < self._n_items:
             return 0
         base = self._off_post_offsets + U64.size * item_id

@@ -721,7 +721,9 @@ def test_differential_router_backend(tmp_path):
     manifest — then both half servers are killed, leaving each shard
     exactly one live replica, and the same queries must *still* match
     byte for byte with no partial-result flag: failover, not the
-    answer, absorbs the failure.
+    answer, absorbs the failure.  Through a ``QueryService`` the whole
+    response is compared, ``estimated_cost`` included: the servers'
+    plan prices, summed in shard order, are the in-process store's.
     """
     from repro.serve.distributed import ShardServer
     from repro.serve.router import ClusterMap, RouterBackend, ServerSpec
@@ -771,7 +773,9 @@ def test_differential_router_backend(tmp_path):
             router = RouterBackend(
                 cluster, pipeline_depth=rng.randint(1, 8)
             )
+            service = QueryService(router, cache_size=0)
             with open_store(sharded_path) as mono:
+                mono_service = QueryService(mono, cache_size=0)
                 queries = []
                 for q in range(QUERIES_PER_INSTANCE):
                     tokens = _random_query(rng, vocab, KINDS[q % len(KINDS)])
@@ -814,6 +818,15 @@ def test_differential_router_backend(tmp_path):
                         f"{context} min_freq={min_freq}: "
                         f"{got_floored!r} != mono {floored!r}"
                     )
+                    for ask in (
+                        lambda svc: svc.query(tokens, limit=None),
+                        lambda svc: svc.count(tokens, min_freq=min_freq),
+                    ):
+                        routed, local = ask(service), ask(mono_service)
+                        assert routed == local, (
+                            f"{context} min_freq={min_freq}: service "
+                            f"{routed!r} != mono {local!r}"
+                        )
 
                 for tokens in queries:
                     compare(tokens, "healthy")

@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.hierarchy import Hierarchy
 from repro.query import PatternIndex, code_patterns, parse_query
 from repro.serve import QueryService, create_server, open_store
-from repro.serve.distributed import ShardServer
+from repro.serve.distributed import POLL_INTERVAL, ShardServer
 from repro.serve.protocol import PROTOCOL_VERSION, encode_tokens
 from repro.serve.router import RouterBackend, ShardClient
 
@@ -169,7 +169,7 @@ class TestHttpAdmission:
         service = QueryService(backend, max_cost=gate)
         server = create_server(service, port=0)
         thread = threading.Thread(
-            target=server.serve_forever, daemon=True
+            target=server.serve_forever, args=(POLL_INTERVAL,), daemon=True
         )
         thread.start()
         yield server
@@ -237,6 +237,10 @@ def shard_store_path(fig1_database, fig1_hierarchy, tmp_path):
 
 class TestDistributedEstimate:
     def test_estimate_op_round_trip(self, shard_store_path):
+        """A server prices every shard it is asked for, exactly: added
+        in shard order, its prices are the in-process store's estimate
+        float for float."""
+        tokens = encode_tokens(parse_query("a ?"))
         with ShardServer(
             shard_store_path, http_port=None
         ) as server, open_store(shard_store_path) as store:
@@ -247,38 +251,198 @@ class TestDistributedEstimate:
                     {
                         "v": PROTOCOL_VERSION,
                         "op": "estimate",
-                        "tokens": encode_tokens(parse_query("a ?")),
+                        "tokens": tokens,
                     },
                     5.0,
-                )["estimate"]
+                )["estimates"]
+                slice_ = client.request(
+                    {
+                        "v": PROTOCOL_VERSION,
+                        "op": "estimate",
+                        "tokens": tokens,
+                        "shards": [2, 0],
+                    },
+                    5.0,
+                )["estimates"]
             finally:
                 client.close()
-            local = store.estimate_cost("a ?").to_wire()
-            assert wire == local
-            assert isinstance(wire["cost"], int)
-            assert wire["shards"] == NUM_SHARDS
+            local = store.estimate_cost("a ?")
+        assert sorted(wire) == [str(shard) for shard in range(NUM_SHARDS)]
+        assert sum(
+            wire[str(shard)]["cost"] for shard in range(NUM_SHARDS)
+        ) == local.cost
+        assert sorted(slice_) == ["0", "2"]
+        assert slice_["2"] == wire["2"]
 
-    def test_router_scales_a_slice_estimate(self, shard_store_path):
+    def test_router_sums_the_per_shard_estimates(self, shard_store_path):
         with ShardServer(
             shard_store_path, shard_subset=[0, 1], http_port=None
         ) as s1, ShardServer(
             shard_store_path, shard_subset=[2, 3], http_port=None
-        ) as s2:
+        ) as s2, open_store(shard_store_path) as store:
             cluster = _cluster_for(
                 [(s1, [0, 1]), (s2, [2, 3])], num_shards=NUM_SHARDS
             )
             router = RouterBackend(cluster)
             try:
-                tokens = parse_query("? ?")
-                estimate = router.estimate_cost(tokens)
-                assert estimate.cost > 0
-                # a 2-shard slice answered: extrapolated to 4 shards
-                assert estimate.shards == NUM_SHARDS
-                # priced per call, and the same every time
-                assert router.estimate_cost(tokens) == estimate
+                for query in ADMISSION_QUERIES:
+                    tokens = parse_query(query)
+                    # not a slice extrapolated: the in-process estimate,
+                    # strategy, counts and nodes included
+                    assert router.estimate_cost(tokens) == (
+                        store.estimate_cost(tokens)
+                    ), query
+                    assert router.describe()["partial_results"] == 0
 
                 # query errors are the search's to raise, not the
                 # estimator's: the gate steps aside with None
                 assert router.estimate_cost(parse_query("!a")) is None
+                assert router.estimate_cost(parse_query("zzz ?")) is None
+                # and so does a price that is missing shards
+                s2.stop()
+                assert router.estimate_cost(parse_query("a ?")) is None
             finally:
                 router.close()
+
+
+# ----------------------------------------------------------------------
+# a query is priced in advance only when a ceiling needs the price
+# ----------------------------------------------------------------------
+
+
+#: queries over the fig-1 store: chains, wildcards, a hierarchy token
+ADMISSION_QUERIES = ["a ?", "? ?", "^B ?", "a * c", "? c", "B ?"]
+
+
+class CountingShardServer(ShardServer):
+    """Counts the request frames it answers, by op."""
+
+    def start(self):
+        self.ops: dict[str, int] = {}
+        self.ops_lock = threading.Lock()
+        return super().start()
+
+    def dispatch(self, request):
+        if isinstance(request, dict):
+            with self.ops_lock:  # workers dispatch concurrently
+                op = request.get("op")
+                self.ops[op] = self.ops.get(op, 0) + 1
+        return super().dispatch(request)
+
+
+def _http_server(service):
+    server = create_server(service, port=0)
+    threading.Thread(
+        target=server.serve_forever, args=(POLL_INTERVAL,), daemon=True
+    ).start()
+    return server
+
+
+def _fetch(server, path, body=None):
+    """``(status, raw body bytes)`` of one request, errors included."""
+    url = f"http://127.0.0.1:{server.server_port}{path}"
+    data = None if body is None else json.dumps(body).encode("utf-8")
+    try:
+        with urllib.request.urlopen(url, data=data, timeout=10) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
+
+
+class TestPricedOnlyWhenACeilingNeedsIt:
+    @pytest.fixture
+    def cluster(self, shard_store_path):
+        """A router over two half-cluster counting servers."""
+        with CountingShardServer(
+            shard_store_path, shard_subset=[0, 1], http_port=None
+        ) as s1, CountingShardServer(
+            shard_store_path, shard_subset=[2, 3], http_port=None
+        ) as s2:
+            router = RouterBackend(
+                _cluster_for(
+                    [(s1, [0, 1]), (s2, [2, 3])], num_shards=NUM_SHARDS
+                )
+            )
+            try:
+                yield router, (s1, s2)
+            finally:
+                router.close()
+
+    def test_a_routed_miss_is_one_search_frame_per_server(
+        self, cluster, shard_store_path
+    ):
+        router, servers = cluster
+        service = QueryService(router, cache_size=0)
+        with open_store(shard_store_path) as store:
+            mono = QueryService(store, cache_size=0)
+            for query in ADMISSION_QUERIES:
+                sent = router.describe()["wire"]["frames_sent"]
+                # the echoed cost is the in-process one, byte for byte
+                assert service.query(query) == mono.query(query)
+                assert service.count(query) == mono.count(query)
+                # two misses, each N frames: no estimate pre-flight
+                assert router.describe()["wire"]["frames_sent"] == (
+                    sent + 2 * len(servers)
+                )
+        for server in servers:
+            assert server.ops == {"search": 2 * len(ADMISSION_QUERIES)}
+        cost = service.stats()["admission"]["cost"]
+        assert cost["count"] == 2 * len(ADMISSION_QUERIES)
+
+    def test_a_batch_of_misses_is_one_multi_search_per_server(
+        self, cluster, shard_store_path
+    ):
+        router, servers = cluster
+        service = QueryService(router, cache_size=0)
+        with open_store(shard_store_path) as store:
+            want = QueryService(store, cache_size=0).batch(ADMISSION_QUERIES)
+        sent = router.describe()["wire"]["frames_sent"]
+        assert service.batch(ADMISSION_QUERIES) == want
+        assert router.describe()["wire"]["frames_sent"] == sent + len(servers)
+        for server in servers:
+            assert server.ops == {"multi_search": 1}
+
+    def test_a_ceiling_prices_each_miss_once_before_it_runs(self, cluster):
+        router, servers = cluster
+        service = QueryService(router, cache_size=0, max_cost=1e12)
+        for query in ADMISSION_QUERIES:
+            service.query(query)
+        for server in servers:
+            assert server.ops == {
+                "estimate": len(ADMISSION_QUERIES),
+                "search": len(ADMISSION_QUERIES),
+            }
+        cost = service.stats()["admission"]["cost"]
+        assert cost["count"] == len(ADMISSION_QUERIES)
+
+    def test_router_rejects_exactly_what_serve_rejects(
+        self, cluster, shard_store_path
+    ):
+        """``lash route --max-cost C`` and ``lash serve --max-cost C``
+        over one manifest: the same statuses and the same bytes, 429
+        bodies included, for every endpoint that prices."""
+        router, _ = cluster
+        with open_store(shard_store_path) as store:
+            gate = _gate_between(store, "a ?", "? ?")
+            routed = _http_server(QueryService(router, max_cost=gate))
+            local = _http_server(QueryService(store, max_cost=gate))
+            try:
+                statuses = set()
+                paths = [
+                    f"/{endpoint}?q={urllib.parse.quote(query)}"
+                    for endpoint in ("query", "count")
+                    for query in ADMISSION_QUERIES + ["zzz"]
+                ]
+                for path in paths:
+                    got, want = _fetch(routed, path), _fetch(local, path)
+                    assert got == want, path
+                    statuses.add(got[0])
+                assert statuses == {200, 400, 429}
+                body = {"queries": ADMISSION_QUERIES, "limit": 3}
+                assert _fetch(routed, "/batch", body) == (
+                    _fetch(local, "/batch", body)
+                )
+            finally:
+                for server in (routed, local):
+                    server.shutdown()
+                    server.server_close()

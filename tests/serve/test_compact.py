@@ -27,6 +27,7 @@ from repro.serve import (
     open_store,
 )
 from repro.serve import compact as compact_module
+from repro.serve.distributed import POLL_INTERVAL
 from repro.serve.format import read_manifest, shard_filename
 
 SRC = Path(repro.__file__).resolve().parents[1]
@@ -850,7 +851,9 @@ class TestRetirementByLastReader:
         served = [_Guarded(store, misuse)]
         service = QueryService(served[0])
         server = create_server(service, port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=server.serve_forever, args=(POLL_INTERVAL,), daemon=True
+        ).start()
         healthz = f"http://127.0.0.1:{server.server_port}/healthz"
         stop = threading.Event()
         errors: list[BaseException] = []

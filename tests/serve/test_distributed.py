@@ -36,6 +36,7 @@ from repro.serve.advisor import (
     simulate_placement,
 )
 from repro.serve.distributed import (
+    POLL_INTERVAL,
     ShardServer,
     parse_shard_list,
     partial_search,
@@ -159,6 +160,9 @@ class TestProtocolValues:
             {},
             {"op": "search", "shards": [0, 2], "limit": None},
             {"nested": {"deep": [{"k": -7}]}},
+            0.0,
+            191.22000000000003,
+            -1e-300,
         ],
     )
     def test_round_trip(self, value):
@@ -235,7 +239,7 @@ class TestPartialReads:
         with open_store(store_path) as store:
             for query in QUERIES:
                 tokens = parse_query(query)
-                whole = partial_search(store, tokens)
+                whole, costs = partial_search(store, tokens)
                 assert whole == [
                     (store.vocabulary.encode_sequence(m.pattern), m.frequency)
                     for m in store.search(tokens)
@@ -249,17 +253,26 @@ class TestPartialReads:
                     partial_search(store, tokens, shard_ids=[2, 3]),
                 ]
                 remerged = list(
-                    heapq.merge(*halves, key=rank_key)
+                    heapq.merge(
+                        *(records for records, _ in halves), key=rank_key
+                    )
                 )
                 assert remerged == whole, query
+                # each shard's price, whatever slice it ran in; summed
+                # in shard order it is the whole store's, float for float
+                assert {**halves[0][1], **halves[1][1]} == costs
+                assert list(costs) == list(range(NUM_SHARDS))
+                assert sum(costs.values()) == store.search_answer(tokens).cost
 
     def test_sigma_and_limit_push_down(self, store_path):
         with open_store(store_path) as store:
             tokens = parse_query("? ?")
-            whole = partial_search(store, tokens)
+            whole, costs = partial_search(store, tokens)
             floored = partial_search(store, tokens, min_freq=3)
-            assert floored == [r for r in whole if r[1] >= 3]
-            assert partial_search(store, tokens, limit=4) == whole[:4]
+            assert floored == ([r for r in whole if r[1] >= 3], costs)
+            assert partial_search(store, tokens, limit=4) == (
+                whole[:4], costs
+            )
 
     def test_top_slices(self, store_path):
         with open_store(store_path) as store:
@@ -310,7 +323,7 @@ class TestShardServer:
                 )["describe"]
                 assert described["patterns"] == len(store)
 
-                records = client.request(
+                response = client.request(
                     {
                         "v": PROTOCOL_VERSION,
                         "op": "search",
@@ -320,13 +333,18 @@ class TestShardServer:
                         "min_freq": None,
                     },
                     5.0,
-                )["records"]
-                expected = partial_search(
+                )
+                records = response["records"]
+                expected, costs = partial_search(
                     store, parse_query("? ?"), shard_ids=[0, 2]
                 )
                 assert [
                     (tuple(coded), freq) for coded, freq, _ in records
                 ] == expected
+                # the price of each shard's plan rides along, exact
+                assert response["costs"] == {
+                    str(shard): cost for shard, cost in costs.items()
+                }
                 # wire records carry names so the router stays data-free
                 assert all(
                     tuple(names)
@@ -583,7 +601,7 @@ class TestRouterFailover:
                     )
                     for coded, freq in partial_search(
                         mono, tokens, shard_ids=[2, 3]
-                    )
+                    )[0]
                 ]
                 assert got == reachable
                 assert router.describe()["partial_results"] >= 1
@@ -616,6 +634,40 @@ class TestRouterFailover:
                 assert (
                     router.describe()["fanout_retries"] == retries_before
                 )
+            finally:
+                router.close()
+
+    def test_a_non_http_answer_reads_as_that_server_down(self, store_path):
+        """An ``http_port`` that reaches a listener speaking no HTTP
+        (here the server's own mux port) is that one server down: the
+        probe does not raise, and the other servers are still probed —
+        a downed replica is revived by the same sweep."""
+        with ShardServer(
+            store_path, shard_subset=[0, 1], http_port=None
+        ) as s1, ShardServer(store_path, http_port=None) as replica:
+            host, port = s1.address
+            confused = ServerSpec(host, port, http_port=port)
+            healthy = ServerSpec(*replica.address)
+            cluster = ClusterMap(
+                [confused, healthy],
+                num_shards=NUM_SHARDS,
+                placement={
+                    shard: [confused.key, healthy.key] if shard < 2
+                    else [healthy.key]
+                    for shard in range(NUM_SHARDS)
+                },
+            )
+            router = RouterBackend(cluster)
+            try:
+                router._mark_down(healthy.key)
+                assert router.check_health() == {
+                    confused.key: False,
+                    healthy.key: True,
+                }
+                assert router.healthy_servers() == {
+                    confused.key: False,
+                    healthy.key: True,
+                }
             finally:
                 router.close()
 
@@ -669,7 +721,7 @@ class TestServiceOverRouter:
             service = QueryService(router)
             http = create_server(service, "127.0.0.1", 0, quiet=True)
             thread = threading.Thread(
-                target=http.serve_forever, daemon=True
+                target=http.serve_forever, args=(POLL_INTERVAL,), daemon=True
             )
             thread.start()
             base = f"http://127.0.0.1:{http.server_address[1]}"

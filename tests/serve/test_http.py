@@ -13,6 +13,7 @@ import pytest
 from repro.core import Lash, MiningParams
 from repro.query import PatternIndex, PatternSearchBase
 from repro.serve import QueryService, create_server, open_store
+from repro.serve.distributed import POLL_INTERVAL
 from repro.serve.http import METRICS_CONTENT_TYPE, PatternRequestHandler
 
 
@@ -36,7 +37,9 @@ def server(mining_result, tmp_path, request):
     store = open_store(path)
     service = QueryService(store)
     server = create_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(POLL_INTERVAL,), daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()
@@ -338,7 +341,9 @@ class TestCorruptStoreIs503:
     def corrupt_server(self):
         service = QueryService(_CorruptBackend())
         server = create_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(POLL_INTERVAL,), daemon=True
+        )
         thread.start()
         yield server
         server.shutdown()

@@ -21,6 +21,7 @@ from repro.serve import (
     open_store,
     write_store,
 )
+from repro.serve.distributed import POLL_INTERVAL
 from repro.serve.format import (
     delta_meta_path,
     read_manifest,
@@ -390,7 +391,9 @@ class TestFreshnessSurface:
         ingestor.add(BATCH1)
         daemon.poll_once()
         server = create_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, args=(POLL_INTERVAL,), daemon=True
+        )
         thread.start()
         try:
             base = f"http://127.0.0.1:{server.server_port}"

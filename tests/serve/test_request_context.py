@@ -1,15 +1,14 @@
 """Per-request facts travel as arguments and come back on the answer.
 
 Nothing about one request may survive on the router or the service
-until the next: a query's cost scales *its own* fan-out deadline (it is
-an argument of ``search_answer``), degradation and freshness are read
-off the :class:`~repro.query.base.Answer` that carries the matches, and
-a batch's pre-fetched answers live in that batch's own map.  The first
+until the next: a rejected query leaves nothing behind for the next
+fan-out, degradation, freshness and cost are read off the
+:class:`~repro.query.base.Answer` that carries the matches, and a
+batch's pre-fetched answers live in that batch's own map.  The first
 two classes pin bugs of the thread-local design this replaced; both
 fail on the commit before it.  The last pins the plan hand-off: the
-estimate admission asked for carries the plans it priced, and the
-search that follows runs them — one build and one pricing per shard per
-cache miss, with no plan cache in between.
+plans a miss is priced with are the plans it runs — one build and one
+pricing per shard per cache miss, with no plan cache in between.
 """
 
 from __future__ import annotations
@@ -22,17 +21,12 @@ import pytest
 from repro.errors import QueryRejectedError, UnknownItemError
 from repro.hierarchy import Hierarchy
 from repro.query import Answer, PatternIndex, code_patterns, parse_query
-from repro.query.cost import (
-    COST_FULL_DEADLINE,
-    MIN_DEADLINE_FRACTION,
-    CostEstimate,
-    CostEstimator,
-)
+from repro.query.cost import CostEstimate, CostEstimator
 from repro.query.plan import QueryPlan
 from repro.query.tokens import normalize_query
 from repro.serve import QueryService, open_store, write_sharded_store
 from repro.serve.distributed import ShardServer
-from repro.serve.router import RouterBackend, deadline_fraction
+from repro.serve.router import RouterBackend
 
 from tests.serve.test_fabric import (  # noqa: F401 - fixtures
     NUM_SHARDS,
@@ -65,6 +59,7 @@ def _stalling(store_path, stall, slow):
 
 # ----------------------------------------------------------------------
 # bug: a rejected query's estimate shrank the *next* fan-out's deadline
+# (deadlines no longer scale with cost at all; the scenario stays pinned)
 # ----------------------------------------------------------------------
 
 
@@ -84,9 +79,8 @@ class TestCostNeverLeaksIntoTheNextFanOut:
             try:
                 # a ceiling below any estimate: everything is refused
                 service = QueryService(router, max_cost=1e-6)
-                with pytest.raises(QueryRejectedError) as err:
+                with pytest.raises(QueryRejectedError):
                     service.query("a ?")
-                assert deadline_fraction(err.value.estimated_cost) < 0.3
                 top = service.topk(5)
                 assert "partial" not in top
                 with open_store(store_path) as mono:
@@ -171,74 +165,40 @@ class TestFreshnessComesFromTheBackendThatAnswered:
     def test_local_answers_carry_their_backends_watermarks(self):
         index = _index(7, 3)
         answer = index.search_answer("a ?")
-        assert answer == Answer(index.search("a ?"), None, 7, 3)
+        assert answer == Answer(
+            index.search("a ?"), None, 7, 3, index.estimate_cost("a ?").cost
+        )
         assert index.top_answer(1).matches == index.top(1)
         assert index.prefetch([(normalize_query("a ?"), None)]) == {}
 
 
 # ----------------------------------------------------------------------
-# cost-scaled deadlines, now that cost is an explicit argument
+# every fan-out gets the full deadline, whatever the query costs
 # ----------------------------------------------------------------------
 
 
-def _priced(cost: float) -> CostEstimate:
-    """What a caller hands ``search_answer(cost=…)``: an estimate."""
-    return CostEstimate(
-        cost=cost, strategy="mixed", candidates=0, scan_candidates=0
-    )
-
-
-class TestCostScaledDeadline:
-    def test_fraction_is_clamped_and_linear(self):
-        assert deadline_fraction(None) == 1.0
-        assert deadline_fraction(0.0) == MIN_DEADLINE_FRACTION
-        assert deadline_fraction(1.0) == MIN_DEADLINE_FRACTION
-        assert deadline_fraction(COST_FULL_DEADLINE / 2) == 0.5
-        assert deadline_fraction(COST_FULL_DEADLINE) == 1.0
-        assert deadline_fraction(10 * COST_FULL_DEADLINE) == 1.0
-
-    def test_same_stalled_server_different_costs(self, store_path, expected):
-        """One server that needs 0.3 × deadline per search and has no
-        replica: a cheap query gives up on it after its 10 % share and
-        degrades, an unpriced or expensive one waits and is answered."""
+class TestFullDeadline:
+    def test_stalled_server_answers_a_cheap_query(self, store_path):
+        """One server that needs 0.3 × deadline per request and has no
+        replica: the cheapest query waits for it and comes back
+        complete, priced or not."""
         deadline = 2.0
-        tokens = parse_query("? ?")
-        with _stalling(store_path, 0.3 * deadline, {"search"}) as server:
+        with _stalling(
+            store_path, 0.3 * deadline, {"search", "estimate"}
+        ) as server:
             cluster = _cluster_for([(server, range(NUM_SHARDS))])
             router = RouterBackend(cluster, deadline=deadline)
             try:
-                start = time.monotonic()
-                cheap = router.search_answer(tokens, cost=_priced(1.0))
-                elapsed = time.monotonic() - start
-                assert cheap.partial is not None
-                assert cheap.partial["missing_shards"] == list(
-                    range(NUM_SHARDS)
-                )
-                assert cheap.matches == []
-                assert (
-                    MIN_DEADLINE_FRACTION * deadline * 0.9
-                    <= elapsed
-                    < 0.3 * deadline
-                )
-
-                for cost in (None, COST_FULL_DEADLINE, 5 * COST_FULL_DEADLINE):
+                with open_store(store_path) as mono:
+                    want = QueryService(mono).query("a ?")
+                for service in (
+                    QueryService(router),
+                    QueryService(router, max_cost=1e12),
+                ):
                     start = time.monotonic()
-                    full = router.search_answer(
-                        tokens, cost=None if cost is None else _priced(cost)
-                    )
-                    elapsed = time.monotonic() - start
-                    assert full.partial is None, cost
-                    assert _pairs(full.matches) == expected["? ?"], cost
-                    assert elapsed >= 0.3 * deadline * 0.9, cost
-
-                # the list API has no cost to pass: full budget
-                assert _pairs(router.search(tokens)) == expected["? ?"]
-                # pricing a query arms nothing: an estimate followed by
-                # an unpriced fan-out still waits for the server
-                estimate = router.estimate_cost(tokens)
-                assert deadline_fraction(estimate.cost) < 0.3
-                assert router.search_answer(tokens).partial is None
-                assert router.top_answer(3).partial is None
+                    assert service.query("a ?") == want
+                    assert time.monotonic() - start >= 0.3 * deadline * 0.9
+                assert router.describe()["partial_results"] == 0
             finally:
                 router.close()
 
@@ -246,15 +206,6 @@ class TestCostScaledDeadline:
 # ----------------------------------------------------------------------
 # /batch through a router: the parked map is the batch's own
 # ----------------------------------------------------------------------
-
-
-def _comparable(entries):
-    # cost estimates legitimately differ between a local store and a
-    # cluster-extrapolated slice estimate
-    return [
-        {k: v for k, v in entry.items() if k != "estimated_cost"}
-        for entry in entries
-    ]
 
 
 class TestBatchOwnsItsParkedAnswers:
@@ -305,7 +256,7 @@ class TestBatchOwnsItsParkedAnswers:
             try:
                 service = QueryService(router)
                 got = service.batch(queries, limit=5)
-                assert _comparable(got) == _comparable(want)
+                assert got == want
                 # answers and errors alike came out of the one scatter;
                 # only the repeated bad query (its parked error already
                 # consumed, errors are never cached) fanned out again
@@ -338,7 +289,7 @@ class TestBatchOwnsItsParkedAnswers:
                 pairs = [(normalize_query(q), None) for q in queries]
                 assert router.prefetch(pairs) == {}
                 got = QueryService(router).batch(queries, limit=5)
-                assert _comparable(got) == _comparable(want)
+                assert got == want
                 # two refused scatters, then one fan-out per query
                 assert router.describe()["fanouts"] == 2 + len(queries)
             finally:
@@ -374,8 +325,8 @@ class TestBatchOwnsItsParkedAnswers:
             router.prefetch = interleaving_prefetch
             try:
                 got_outer = service.batch(outer, limit=None)
-                assert _comparable(got_outer) == _comparable(want_outer)
-                assert _comparable(nested[1]) == _comparable(want_inner)
+                assert got_outer == want_outer
+                assert nested[1] == want_inner
                 # one scatter per batch, no per-query fan-out: neither
                 # batch lost (or borrowed) a parked answer
                 assert router.describe()["fanouts"] == 2
@@ -399,7 +350,7 @@ class TestBatchOwnsItsParkedAnswers:
                 try:
                     for _ in range(rounds):
                         got = service.batch(sets[index], limit=None)
-                        assert _comparable(got) == _comparable(want[index])
+                        assert got == want[index]
                 except Exception as exc:  # noqa: BLE001 - recorded
                     failures.append(exc)
 
