@@ -158,9 +158,12 @@ class Lash:
         Which Sec. 4 rewrite stages the map phase applies (ablation knob;
         the mined answer is identical under any plan).
     spill_dir:
-        Shuffle through disk instead of memory (see
+        Shuffle through disk instead of memory: each map task spills one
+        anonymous run file here, in the run format of the package's one
+        external sort (:mod:`repro.io.runs`, see
         :class:`~repro.mapreduce.engine.MapReduceEngine`); the mined
-        answer is identical either way.
+        answer and every counter but ``SPILL_BYTES``'s value are
+        identical either way.
 
     Example
     -------

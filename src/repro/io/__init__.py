@@ -16,7 +16,8 @@ suffix).  Formats:
   (:mod:`repro.io.patterns`).
 
 :mod:`repro.io.codec` holds the binary primitives (varint, zigzag,
-delta lists) behind the pattern-store format of :mod:`repro.serve`.
+delta lists) behind the pattern-store format of :mod:`repro.serve`, and
+:mod:`repro.io.runs` the package's one external sort.
 """
 
 from typing import TYPE_CHECKING

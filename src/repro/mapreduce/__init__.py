@@ -14,10 +14,10 @@ the equivalent execution model for a single machine:
   a real cluster would show (used for the scalability experiments, Fig. 6),
 * task failures can be injected deterministically (:class:`FailurePlan`);
   failed attempts are discarded and retried exactly like Hadoop does,
-* the shuffle can run through disk (``spill_dir``): map outputs are sorted
-  into run files and reducers stream a merge of their partition's runs,
-  exactly like Hadoop's sort/spill/merge pipeline
-  (:mod:`repro.mapreduce.spill`).
+* the shuffle can run through disk (``spill_dir``): each map task's output
+  is sorted into one run file, a segment per partition, and reducers
+  stream a merge of their partition's segments, exactly like Hadoop's
+  sort/spill/merge pipeline (:mod:`repro.mapreduce.spill`).
 
 Only task *placement* is simulated; all data movement, skew, and compute are
 real, measured quantities.

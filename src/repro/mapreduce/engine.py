@@ -26,8 +26,7 @@ times are recorded so a cluster layout can be simulated afterwards
 
 from __future__ import annotations
 
-import shutil
-import tempfile
+import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,8 +46,8 @@ from repro.mapreduce.spill import (
     SPILL_BYTES,
     SPILLED_RECORDS,
     MergedPartition,
+    spill_file,
     spill_map_output,
-    total_spill_stats,
 )
 
 @dataclass
@@ -76,13 +75,14 @@ class MapReduceEngine:
         :mod:`repro.mapreduce.failures`).
     spill_dir:
         When set, shuffle through disk instead of memory: every map task's
-        output is sorted and spilled to run files under this directory and
-        each reduce task streams a merge of its partition's runs
-        (:mod:`repro.mapreduce.spill`).  Results and byte counters are
-        identical to the in-memory shuffle; ``SPILLED_RECORDS``,
-        ``SPILL_BYTES`` and ``MERGED_RUNS`` meter the extra disk traffic.
-        Run files live in a per-job temporary subdirectory and are removed
-        when the job finishes.
+        output is sorted and spilled to one run file in this directory,
+        one segment per partition, and each reduce task streams a merge
+        of its partition's segments (:mod:`repro.mapreduce.spill`, over
+        the package's one external sort, :mod:`repro.io.runs`).  Results
+        and byte counters are identical to the in-memory shuffle;
+        ``SPILLED_RECORDS``, ``SPILL_BYTES`` and ``MERGED_RUNS`` meter the
+        extra disk traffic.  Run files are anonymous: open only while the
+        job runs, and never visible in the directory.
     """
 
     def __init__(
@@ -114,17 +114,13 @@ class MapReduceEngine:
             )
             map_outputs.append(pairs)
 
-        job_dir: Path | None = None
-        try:
+        with contextlib.ExitStack() as spills:
             start = time.perf_counter()
             if self.spill_dir is None:
                 partitions: Sequence[Any] = self._shuffle(map_outputs)
             else:
-                job_dir = Path(
-                    tempfile.mkdtemp(prefix=f"{job.name}-", dir=self._spill_root())
-                )
                 partitions = self._shuffle_external(
-                    map_outputs, job_dir, counters
+                    map_outputs, spills, counters
                 )
             metrics.shuffle_s = time.perf_counter() - start
             metrics.shuffle_bytes = counters[C.SHUFFLE_BYTES]
@@ -137,9 +133,6 @@ class MapReduceEngine:
                         self._run_reduce_task,
                     )
                 )
-        finally:
-            if job_dir is not None:
-                shutil.rmtree(job_dir, ignore_errors=True)
 
         return JobResult(output=output, counters=counters, metrics=metrics)
 
@@ -218,22 +211,22 @@ class MapReduceEngine:
     def _shuffle_external(
         self,
         map_outputs: list[list[tuple[Any, Any]]],
-        job_dir: Path,
+        spills: contextlib.ExitStack,
         counters: Counters,
     ) -> list[MergedPartition]:
-        """Sort/spill each map output to disk, merge runs per partition."""
+        """Sort/spill each map output to disk, merge runs per partition;
+        the run files close with ``spills``."""
         partitioner = lambda key: (  # noqa: E731 - tiny closure
             stable_hash(key) % self.num_reduce_tasks
         )
         by_partition: list[list] = [[] for _ in range(self.num_reduce_tasks)]
-        for task_id, pairs in enumerate(map_outputs):
-            runs = spill_map_output(
-                pairs, self.num_reduce_tasks, partitioner, job_dir, task_id
-            )
-            records, spill_bytes = total_spill_stats(runs)
-            counters.increment(SPILLED_RECORDS, records)
-            counters.increment(SPILL_BYTES, spill_bytes)
-            for run in runs:
+        spill_dir = self._spill_root()
+        for pairs in map_outputs:
+            file = spill_file(spill_dir)
+            spills.callback(file.close)
+            for run in spill_map_output(pairs, partitioner, file):
+                counters.increment(SPILLED_RECORDS, run.records)
+                counters.increment(SPILL_BYTES, run.bytes)
                 by_partition[run.partition].append(run)
         counters.increment(
             MERGED_RUNS, sum(len(runs) for runs in by_partition)

@@ -3,20 +3,25 @@
 The in-memory shuffle of :class:`~repro.mapreduce.engine.MapReduceEngine`
 assumes every map output fits in RAM at once.  Real MapReduce does not:
 each map task sorts its output by (partition, key) and *spills* it to
-local disk; every reduce task then streams a merge of the sorted runs that
-belong to its partition.  This module reproduces that pipeline so the
-engine can shuffle datasets larger than memory and so spill/merge costs
-become measurable:
+local disk as one file with one sorted segment per partition; every
+reduce task then streams a merge of the segments that belong to its
+partition.  This module reproduces that pipeline so the engine can
+shuffle datasets larger than memory and so spill/merge costs become
+measurable:
 
 * :func:`spill_map_output` — partition one map task's pairs, sort each
-  partition by key, and write one run file per non-empty partition.
-* :class:`MergedPartition` — a lazy reduce-side view over all run files of
-  one partition: keys are merged in sorted order and each key's values are
-  read from disk only when the reducer asks for them.
+  partition by key, and append one run per non-empty partition to the
+  task's run file.
+* :class:`MergedPartition` — a lazy reduce-side view over all runs of
+  one partition: keys are merged in sorted order and each key's values
+  are read from disk only when the reducer asks for them.
 
-Records are serialized with :mod:`pickle` (framed, streamed one group at a
-time); byte counters continue to use the jobs' own wire-format metering,
-so spilling never changes ``MAP_OUTPUT_BYTES``/``SHUFFLE_BYTES``.
+Run files are those of the package's one external sort
+(:mod:`repro.io.runs`): anonymous temp files, so one map task holds one
+open file and nothing is left on disk.  A ``(key, values)`` group is a
+length-prefixed pickle — keys and values of a job are arbitrary Python
+objects.  Byte counters continue to use the jobs' own wire-format
+metering, so spilling never changes ``MAP_OUTPUT_BYTES``/``SHUFFLE_BYTES``.
 
 Keys within one job must be mutually comparable (ints, strings, or tuples
 thereof — true for every job in this library); the merge relies on the
@@ -32,66 +37,74 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.errors import EncodingError
+from repro.io.codec import read_uvarint, write_uvarint
+from repro.io.runs import RunFile
+
 #: counter names (extends repro.mapreduce.counters.C)
 SPILLED_RECORDS = "SPILLED_RECORDS"
 SPILL_BYTES = "SPILL_BYTES"
 MERGED_RUNS = "MERGED_RUNS"
 
 
+def write_group(buf: bytearray, group: tuple[Any, list[Any]]) -> None:
+    data = pickle.dumps(group, pickle.HIGHEST_PROTOCOL)
+    write_uvarint(buf, len(data))
+    buf += data
+
+
+def read_group(data, offset: int) -> tuple[tuple[Any, list[Any]], int]:
+    size, offset = read_uvarint(data, offset)
+    end = offset + size
+    if end > len(data):
+        raise EncodingError("spilled group runs past the data")
+    return pickle.loads(data[offset:end]), end
+
+
+def spill_file(spill_dir: str | Path | None = None) -> RunFile:
+    """A run file for one map task's spilled groups."""
+    return RunFile(write_group, read_group, spill_dir)
+
+
 @dataclass
 class SpillRun:
-    """One sorted run file produced by one map task for one partition."""
+    """One map task's sorted segment of one partition."""
 
-    path: Path
+    file: RunFile
     partition: int
+    start: int
+    end: int
     records: int
-    bytes: int
+
+    @property
+    def bytes(self) -> int:
+        return self.end - self.start
 
     def read_groups(self) -> Iterator[tuple[Any, list[Any]]]:
         """Stream the ``(key, values)`` groups back in key order."""
-        with open(self.path, "rb") as handle:
-            while True:
-                try:
-                    yield pickle.load(handle)
-                except EOFError:
-                    return
+        return self.file.read(self.start, self.end)
 
 
 def spill_map_output(
-    pairs: list[tuple[Any, Any]],
-    num_partitions: int,
-    partitioner,
-    directory: Path,
-    task_id: int,
+    pairs: list[tuple[Any, Any]], partitioner, file: RunFile
 ) -> list[SpillRun]:
-    """Sort one map task's output and write one run file per partition.
+    """Sort one map task's output into ``file``, one run per partition.
 
     ``partitioner`` maps a key to its reduce partition (the engine passes
     its stable hash).  Values of equal keys are grouped inside the run, so
     the merge only compares keys.
     """
-    directory.mkdir(parents=True, exist_ok=True)
     buckets: dict[int, dict[Any, list[Any]]] = {}
     for key, value in pairs:
         bucket = buckets.setdefault(partitioner(key), {})
         bucket.setdefault(key, []).append(value)
     runs: list[SpillRun] = []
     for partition, groups in sorted(buckets.items()):
-        path = directory / f"spill-m{task_id:05d}-p{partition:05d}.run"
-        records = 0
-        with open(path, "wb") as handle:
-            for key in sorted(groups):
-                values = groups[key]
-                pickle.dump((key, values), handle)
-                records += len(values)
-        runs.append(
-            SpillRun(
-                path=path,
-                partition=partition,
-                records=records,
-                bytes=path.stat().st_size,
-            )
+        start, end = file.append(
+            (key, groups[key]) for key in sorted(groups)
         )
+        records = sum(len(values) for values in groups.values())
+        runs.append(SpillRun(file, partition, start, end, records))
     return runs
 
 
@@ -166,20 +179,12 @@ class MergedPartition:
         raise KeyError(key)
 
 
-def total_spill_stats(runs: list[SpillRun]) -> tuple[int, int]:
-    """``(records, bytes)`` across a list of runs."""
-    return (
-        sum(run.records for run in runs),
-        sum(run.bytes for run in runs),
-    )
-
-
 __all__ = [
     "SPILLED_RECORDS",
     "SPILL_BYTES",
     "MERGED_RUNS",
     "SpillRun",
+    "spill_file",
     "spill_map_output",
     "MergedPartition",
-    "total_spill_stats",
 ]

@@ -48,6 +48,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from repro.errors import EncodingError, ReproError, StoreCorruptError
+from repro.io.runs import DEFAULT_SORT_BUFFER
 from repro.serve.format import (
     DELTA_META_SUFFIX,
     MANIFEST_NAME,
@@ -61,12 +62,7 @@ from repro.serve.format import (
     write_manifest,
 )
 from repro.serve.sharded import open_store
-from repro.serve.stream import DEFAULT_SORT_BUFFER
-from repro.serve.writer import (
-    _ShardStreamWriter,
-    iter_merged_records,
-    merged_vocabulary,
-)
+from repro.serve.writer import _ShardStreamWriter, fold_stores
 
 
 #: folded-delta signatures retained in the manifest (enough to cover
@@ -112,8 +108,8 @@ class StoreCompactor:
         Whether to CRC-verify the base store and deltas before folding
         them in (corrupt input fails the compaction, never the store).
     sort_buffer:
-        Records per in-memory sort run of the streaming merge — the
-        knob bounding compaction memory.
+        Records per in-memory run of every sort of the fold (merge and
+        postings alike) — the knob bounding compaction memory.
     """
 
     def __init__(
@@ -268,38 +264,20 @@ class StoreCompactor:
                     ingest[field] = max(ingest.get(field, 0), value)
 
         start = time.perf_counter()
-        opened = []
-        writer: _ShardStreamWriter | None = None
         try:
-            for source in (self._path, *deltas):
-                opened.append(
-                    open_store(
-                        source,
-                        pattern_cache_size=0,
-                        postings_cache_size=0,
-                        verify_checksums=self._verify,
-                    )
-                )
-            vocabulary = merged_vocabulary(opened)
-            records = iter_merged_records(
-                opened, vocabulary, sort_buffer=self._sort_buffer,
+            # delta decrements may cancel a pattern partially or fully;
+            # anything below one supporting sequence would not exist in
+            # a re-mine of the retained corpus (min_frequency=1)
+            vocabulary, writer = fold_stores(
+                (self._path, *deltas),
+                lambda vocabulary: _ShardStreamWriter(
+                    self._path, new_files, vocabulary,
+                    checksums=self._checksums, sort_buffer=self._sort_buffer,
+                ),
+                sort_buffer=self._sort_buffer,
                 spill_dir=self._path,
+                verify_checksums=self._verify,
             )
-            writer = _ShardStreamWriter(
-                self._path,
-                new_files,
-                vocabulary,
-                checksums=self._checksums,
-                postings_buffer=self._sort_buffer,
-            )
-            for pattern, frequency in records:
-                # delta decrements may cancel a pattern partially or
-                # fully; anything below one supporting sequence would
-                # not exist in a re-mine of the retained corpus
-                if frequency < 1:
-                    continue
-                writer.write(pattern, frequency)
-            writer.close()
             meta = {
                 "items": len(vocabulary),
                 "patterns": writer.count,
@@ -323,14 +301,11 @@ class StoreCompactor:
             # see only the new generation
             write_manifest(self._path, new_files, meta)
         except BaseException:
-            if writer is not None:
-                writer.abort()
+            # the fold aborted its writer; shards it had already
+            # published are unreferenced by any manifest
             for name in new_files:
                 (self._path / name).unlink(missing_ok=True)
             raise
-        finally:
-            for store in opened:
-                store.close()
         self._sweep_stale(keep=set(new_files) | set(old_files))
         stats = {
             "path": str(self._path),

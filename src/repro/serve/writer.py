@@ -7,18 +7,24 @@ of a build is bounded by its spill buffers, never by the pattern count.
 
 * :class:`PatternWriter` — streams one store file.  Variable-length
   sections (lengths, offsets, records) spill to anonymous temp files as
-  they grow; postings are accumulated as ``(item, index)`` pairs,
-  spilled as sorted runs, and k-way merged on close; the final file is
-  assembled section by section and swapped in atomically.
+  they grow; postings are accumulated as ``(item, index, positions)``
+  triples in an :class:`~repro.io.runs.ExternalSort` and come out sorted
+  on close; the final file is assembled section by section and swapped
+  in atomically.
 * :class:`ShardedPatternWriter` — routes one rank-ordered stream across
   shard files by stable hash of the first item, then drops a manifest
   and swaps the whole directory in.
-* :func:`merge_stores` — the incremental-build path: vocabularies are
-  unioned into a merged vocabulary, per-source streams are id-remapped
-  and externally re-sorted (duplicate patterns summing their
-  frequencies), and the resulting rank-ordered stream feeds the same
-  writers.  Output is byte-identical to a full in-memory rebuild while
-  peak memory stays bounded by the sort buffer.
+* :func:`merge_stores` — the incremental-build path, and through
+  :func:`fold_stores` also the compactor's: vocabularies are unioned
+  into a merged vocabulary, per-source streams are id-remapped and
+  externally re-sorted (duplicate patterns summing their frequencies),
+  and the resulting rank-ordered stream feeds the same writers.  Output
+  is byte-identical to a full in-memory rebuild.
+
+Every sort here is the package's one external sort
+(:mod:`repro.io.runs`), and ``sort_buffer`` — records per in-memory run,
+default :data:`~repro.io.runs.DEFAULT_SORT_BUFFER` — is the one knob that
+bounds the memory of a build, a merge or a fold.
 
 All writers are atomic (write-then-rename): rebuilding a store a live
 server has mmapped never truncates the mapped inode or exposes a half
@@ -27,25 +33,30 @@ file.
 
 from __future__ import annotations
 
-import heapq
 import os
 import re
 import shutil
 import tempfile
 import zlib
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import EncodingError
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.query.base import Pattern, rank_key, rank_patterns
 from repro.query.build import merge_vocabularies
 from repro.io.codec import (
+    read_positions,
+    read_sequence,
+    read_uvarint,
     write_positions,
     write_sequence,
     write_uvarint,
+    zigzag_decode,
     zigzag_encode,
 )
+from repro.io.runs import DEFAULT_SORT_BUFFER, ExternalSort
 from repro.serve.format import (
     CHECKSUMS_STRUCT,
     FLAG_CHECKSUMS,
@@ -63,13 +74,6 @@ from repro.serve.format import (
     write_manifest,
 )
 from repro.serve.sharded import open_store
-from repro.serve.stream import (
-    DEFAULT_SORT_BUFFER,
-    RUN_BUFFERING,
-    read_file_uvarint,
-    sorted_records,
-    sum_equal_patterns,
-)
 
 #: names a shard build may leave behind (shard files of any generation,
 #: manifest, the compaction lock, their tmps)
@@ -81,9 +85,72 @@ _SHARD_ENTRY_RE = re.compile(
 
 #: in-memory bytes per streamed section before it spills to a temp file
 DEFAULT_SECTION_BUFFER = 1 << 16
-#: in-memory ``(item, pattern index)`` posting pairs before a sorted run
-#: is spilled
-DEFAULT_POSTINGS_BUFFER = 1 << 15
+
+Record = tuple[Pattern, int]
+#: ``(item, pattern index, positions of the item in the pattern)``
+Posting = tuple[int, int, tuple[int, ...]]
+
+
+# ----------------------------------------------------------------------
+# run codecs of the two sorts (records back to back, see repro.io.runs)
+# ----------------------------------------------------------------------
+
+def write_pattern_record(buf: bytearray, record: Record) -> None:
+    """A ``(pattern, frequency)`` record: the coded sequence, then the
+    zigzag-coded frequency (signed: delta merges carry decrements)."""
+    write_sequence(buf, record[0])
+    write_uvarint(buf, zigzag_encode(record[1]))
+
+
+def read_pattern_record(data, offset: int) -> tuple[Record, int]:
+    pattern, offset = read_sequence(data, offset)
+    frequency, offset = read_uvarint(data, offset)
+    return (pattern, zigzag_decode(frequency)), offset
+
+
+def write_posting(buf: bytearray, posting: Posting) -> None:
+    write_uvarint(buf, posting[0])
+    write_uvarint(buf, posting[1])
+    write_positions(buf, posting[2])
+
+
+def read_posting(data, offset: int) -> tuple[Posting, int]:
+    item, offset = read_uvarint(data, offset)
+    index, offset = read_uvarint(data, offset)
+    positions, offset = read_positions(data, offset)
+    return (item, index, positions), offset
+
+
+def sum_equal_patterns(records: Iterable[Record]) -> Iterator[Record]:
+    """Collapse a pattern-ordered stream: adjacent records with the same
+    pattern become one record with their frequencies summed — document
+    support adds over a disjoint union of corpora, so this is exactly
+    the merge semantics of :func:`merge_stores`."""
+    iterator = iter(records)
+    try:
+        pattern, frequency = next(iterator)
+    except StopIteration:
+        return
+    for next_pattern, next_frequency in iterator:
+        if next_pattern == pattern:
+            frequency += next_frequency
+        else:
+            yield pattern, frequency
+            pattern, frequency = next_pattern, next_frequency
+    yield pattern, frequency
+
+
+class _Atomic:
+    """``with`` closes (publishes) on success and aborts on an exception."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
 
 
 def _remove_shard_dir(directory: Path) -> None:
@@ -167,7 +234,7 @@ class _SectionSpill:
             self._file = None
 
 
-class PatternWriter:
+class PatternWriter(_Atomic):
     """Stream a rank-ordered pattern record sequence into one store file.
 
     The streaming counterpart of the old materialize-then-serialize
@@ -181,11 +248,11 @@ class PatternWriter:
 
     Memory stays bounded regardless of how many records pass through:
     growing sections spill to anonymous temp files next to the target
-    (``spill_dir`` overrides), postings pairs spill as sorted runs that
-    are heap-merged during :meth:`close`, and only O(vocabulary) state
-    is ever resident.  ``close`` assembles the final file and swaps it
-    in with ``os.replace``; :meth:`abort` (or an exception inside the
-    ``with`` block) discards everything.
+    (``spill_dir`` overrides), postings go through an external sort of
+    ``sort_buffer`` records that is merged during :meth:`close`, and
+    only O(vocabulary) state is ever resident.  ``close`` assembles the
+    final file and swaps it in with ``os.replace``; :meth:`abort` (or an
+    exception inside the ``with`` block) discards everything.
     """
 
     def __init__(
@@ -195,7 +262,7 @@ class PatternWriter:
         checksums: bool = True,
         spill_dir: str | Path | None = None,
         buffer_bytes: int = DEFAULT_SECTION_BUFFER,
-        postings_buffer: int = DEFAULT_POSTINGS_BUFFER,
+        sort_buffer: int = DEFAULT_SORT_BUFFER,
         delta: bool = False,
     ) -> None:
         """``delta=True`` writes a signed delta store (header
@@ -217,9 +284,14 @@ class PatternWriter:
         self._offsets.append(U64.pack(0))
         self._records = _SectionSpill(spill, buffer_bytes)
         self._cursor = 0
-        self._pairs: list[tuple[int, int, tuple[int, ...]]] = []
-        self._pair_runs: list[IO[bytes]] = []
-        self._postings_buffer = max(1, postings_buffer)
+        # triples are unique per (item, pattern) — one carries every
+        # position of the item inside the pattern — so their natural
+        # order gives each item strictly ascending pattern indexes, as
+        # the gap coding demands
+        self._postings = ExternalSort(
+            write_posting, read_posting, sort_buffer=sort_buffer,
+            spill_dir=spill,
+        )
         self._count = 0
         self._total_frequency = 0
         self._max_length = 0
@@ -289,78 +361,15 @@ class PatternWriter:
         self._cursor += len(record)
         self._offsets.append(U64.pack(self._cursor))
 
-        positions_by_item: dict[int, list[int]] = {}
+        positions_by_item: dict[int, tuple[int, ...]] = {}
         for position, item in enumerate(pattern):
-            positions_by_item.setdefault(item, []).append(position)
+            positions_by_item[item] = positions_by_item.get(item, ()) + (position,)
         for item, positions in positions_by_item.items():
-            self._pairs.append((item, self._count, tuple(positions)))
-        if len(self._pairs) >= self._postings_buffer:
-            self._spill_pairs()
+            self._postings.add((item, self._count, positions))
 
         self._count += 1
         self._total_frequency += frequency
         self._max_length = max(self._max_length, len(pattern))
-
-    def _spill_pairs(self) -> None:
-        self._pairs.sort()
-        run = tempfile.TemporaryFile(
-            prefix="repro-postings-",
-            dir=str(self._spill_dir),
-            buffering=RUN_BUFFERING,
-        )
-        try:
-            buf = bytearray()
-            for item, idx, positions in self._pairs:
-                write_uvarint(buf, item)
-                write_uvarint(buf, idx)
-                write_positions(buf, positions)
-                if len(buf) >= self._buffer_bytes:
-                    run.write(buf)
-                    buf = bytearray()
-            run.write(buf)
-        except BaseException:
-            run.close()
-            raise
-        self._pair_runs.append(run)
-        self._pairs = []
-
-    @staticmethod
-    def _iter_pair_run(
-        run: IO[bytes],
-    ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        run.seek(0)
-        while True:
-            item = read_file_uvarint(run)
-            if item is None:
-                return
-            idx = read_file_uvarint(run)
-            n_positions = read_file_uvarint(run)
-            if idx is None or n_positions is None:
-                raise EncodingError("truncated postings spill run")
-            positions: list[int] = []
-            previous = 0
-            for i in range(n_positions):
-                raw = read_file_uvarint(run)
-                if raw is None:
-                    raise EncodingError("truncated postings spill run")
-                previous = raw if i == 0 else previous + raw
-                positions.append(previous)
-            yield item, idx, tuple(positions)
-
-    def _merged_pairs(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """All ``(item, pattern index, positions)`` triples, sorted.
-        Triples are unique per (item, pattern) — one carries every
-        position of the item inside the pattern — so the per-item index
-        lists come out strictly ascending, as the gap coding demands."""
-        self._pairs.sort()
-        streams: list[Iterator[tuple[int, int, tuple[int, ...]]]] = [
-            self._iter_pair_run(run) for run in self._pair_runs
-        ]
-        if self._pairs or not streams:
-            streams.append(iter(self._pairs))
-        if len(streams) == 1:
-            return streams[0]
-        return heapq.merge(*streams)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -377,7 +386,7 @@ class PatternWriter:
         try:
             post_offsets.append(U64.pack(0))
             cursor = 0
-            pairs = self._merged_pairs()
+            pairs = iter(self._postings)
             pending = next(pairs, None)
             for item_id in range(self._n_items):
                 # flush into the spill in bounded chunks: a single
@@ -466,22 +475,10 @@ class PatternWriter:
     def _release(self) -> None:
         for spill in (self._lengths, self._offsets, self._records):
             spill.close()
-        for run in self._pair_runs:
-            run.close()
-        self._pair_runs = []
-        self._pairs = []
-
-    def __enter__(self) -> "PatternWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
+        self._postings.close()
 
 
-class _ShardStreamWriter:
+class _ShardStreamWriter(_Atomic):
     """Route one rank-ordered stream into shard files of a directory.
 
     The core router shared by :class:`ShardedPatternWriter` (fresh
@@ -499,7 +496,7 @@ class _ShardStreamWriter:
         files: Sequence[str],
         vocabulary: Vocabulary,
         checksums: bool = True,
-        postings_buffer: int = DEFAULT_POSTINGS_BUFFER,
+        sort_buffer: int = DEFAULT_SORT_BUFFER,
         delta: bool = False,
     ) -> None:
         self._vocabulary = vocabulary
@@ -515,7 +512,7 @@ class _ShardStreamWriter:
                         vocabulary,
                         checksums=checksums,
                         spill_dir=directory,
-                        postings_buffer=postings_buffer,
+                        sort_buffer=sort_buffer,
                         delta=delta,
                     )
                 )
@@ -532,15 +529,19 @@ class _ShardStreamWriter:
         self.total_frequency += frequency
 
     def close(self) -> None:
-        for writer in self._writers:
-            writer.close()
+        try:
+            for writer in self._writers:
+                writer.close()
+        except BaseException:
+            self.abort()  # the shards not yet closed
+            raise
 
     def abort(self) -> None:
         for writer in self._writers:
             writer.abort()
 
 
-class ShardedPatternWriter:
+class ShardedPatternWriter(_Atomic):
     """Stream a rank-ordered record sequence into a fresh shard set.
 
     Shard files and manifest are built in a sibling ``.build-tmp``
@@ -558,7 +559,7 @@ class ShardedPatternWriter:
         vocabulary: Vocabulary,
         shards: int,
         checksums: bool = True,
-        postings_buffer: int = DEFAULT_POSTINGS_BUFFER,
+        sort_buffer: int = DEFAULT_SORT_BUFFER,
         delta: bool = False,
     ) -> None:
         if shards < 1:
@@ -585,7 +586,7 @@ class ShardedPatternWriter:
                 self._files,
                 vocabulary,
                 checksums=checksums,
-                postings_buffer=postings_buffer,
+                sort_buffer=sort_buffer,
                 delta=delta,
             )
         except BaseException:
@@ -637,15 +638,6 @@ class ShardedPatternWriter:
         self._done = True
         self._router.abort()
         shutil.rmtree(self._tmp, ignore_errors=True)
-
-    def __enter__(self) -> "ShardedPatternWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
 
 
 # ----------------------------------------------------------------------
@@ -701,53 +693,71 @@ def write_sharded_store(
 # streaming merge
 # ----------------------------------------------------------------------
 
-def merged_vocabulary(stores: Sequence, signed: bool = False) -> Vocabulary:
-    """The union vocabulary of already-open stores (hierarchies unioned,
-    item frequencies summed, the LASH total order recomputed —
-    ``signed=True`` switches to the frequency-free depth order for
-    delta-to-delta merges whose sums may go negative)."""
-    return merge_vocabularies(
-        [store.vocabulary for store in stores], signed=signed
-    )
-
-
-def iter_merged_records(
-    stores: Sequence,
-    vocabulary: Vocabulary,
+def fold_stores(
+    sources: Sequence[str | Path],
+    open_writer: Callable[[Vocabulary], _Atomic],
     sort_buffer: int = DEFAULT_SORT_BUFFER,
     spill_dir: str | Path | None = None,
-) -> Iterator[tuple[Pattern, int]]:
-    """Rank-ordered union stream of already-open stores.
+    min_frequency: int = 1,
+    signed: bool = False,
+    verify_checksums: bool = True,
+) -> tuple[Vocabulary, _Atomic]:
+    """The one fold loop, behind :func:`merge_stores` and the compactor.
 
-    Per-source ranked streams are decoded lazily, remapped onto
-    ``vocabulary`` (from :func:`merged_vocabulary`) through per-source
-    id tables, externally sorted by pattern so duplicates across
-    sources become adjacent and sum their frequencies, then externally
-    re-sorted into the canonical rank order.  Peak memory is bounded by
-    ``sort_buffer`` records plus O(vocabulary) for the remap tables —
-    independent of how many patterns flow through.
+    Sources open with their decode caches off (a linear scan gains
+    nothing from them); their vocabularies are unioned (``signed``: the
+    frequency-free depth order of a delta output), their ranked streams
+    remapped onto the union, externally sorted by pattern so duplicates
+    sum, re-sorted into rank order and written to
+    ``open_writer(vocabulary)``, dropping records below ``min_frequency``
+    (under ``signed``, only exact zeros).  Peak memory is ``sort_buffer``
+    records per sort plus O(vocabulary), however many patterns flow
+    through.  Returns the vocabulary and the closed writer.
     """
-    remaps = [
-        [
-            vocabulary.id(store.vocabulary.name(item_id))
-            for item_id in range(len(store.vocabulary))
-        ]
-        for store in stores
-    ]
-
-    def remapped() -> Iterator[tuple[Pattern, int]]:
-        for store, remap in zip(stores, remaps):
+    by_pattern, by_rank = (
+        ExternalSort(
+            write_pattern_record, read_pattern_record, key=key,
+            sort_buffer=sort_buffer, spill_dir=spill_dir,
+        )
+        for key in (itemgetter(0), rank_key)
+    )
+    opened = []
+    try:
+        for source in sources:
+            opened.append(
+                open_store(
+                    source, pattern_cache_size=0, postings_cache_size=0,
+                    verify_checksums=verify_checksums,
+                )
+            )
+        vocabulary = merge_vocabularies(
+            [store.vocabulary for store in opened], signed=signed
+        )
+        for store in opened:
+            remap = [
+                vocabulary.id(store.vocabulary.name(item_id))
+                for item_id in range(len(store.vocabulary))
+            ]
             for pattern, frequency in store._iter_ranked():
-                yield tuple(remap[item] for item in pattern), frequency
-
-    by_pattern = sorted_records(
-        remapped(), key=lambda record: record[0], buffer_records=sort_buffer,
-        spill_dir=spill_dir,
-    )
-    return sorted_records(
-        sum_equal_patterns(by_pattern), key=rank_key,
-        buffer_records=sort_buffer, spill_dir=spill_dir,
-    )
+                by_pattern.add(
+                    (tuple([remap[item] for item in pattern]), frequency)
+                )
+        for record in sum_equal_patterns(by_pattern):
+            by_rank.add(record)
+        with open_writer(vocabulary) as writer:
+            for pattern, frequency in by_rank:
+                if signed:
+                    if frequency == 0:
+                        continue
+                elif frequency < min_frequency:
+                    continue
+                writer.write(pattern, frequency)
+        return vocabulary, writer
+    finally:
+        by_pattern.close()
+        by_rank.close()
+        for store in opened:
+            store.close()
 
 
 def merge_stores(
@@ -784,11 +794,8 @@ def merge_stores(
     any grouping or arrival order of the same deltas produces the same
     bytes.
 
-    Unlike the original implementation this never materializes a source:
-    records stream straight from the source mmaps through two external
-    sorts into the streaming writers, so ``sort_buffer`` (records per
-    in-memory run, also applied to the writers' postings buffers) bounds
-    peak memory regardless of store sizes.
+    Nothing is materialized (:func:`fold_stores`): ``sort_buffer``, the
+    records per in-memory run of every sort, bounds peak memory.
 
     ``shards=None`` writes a single file; ``shards=N`` a shard set —
     including re-routing an existing shard set to a new shard count
@@ -804,45 +811,25 @@ def merge_stores(
             f"{out}: is a directory; pass shards=N to overwrite a "
             "sharded store"
         )
-    opened = []
-    try:
-        for source in sources:
-            # a linear merge scan gains nothing from decode caches; size
-            # 0 keeps peak memory independent of the source store sizes
-            opened.append(
-                open_store(
-                    source, pattern_cache_size=0, postings_cache_size=0
-                )
-            )
-        vocabulary = merged_vocabulary(opened, signed=as_delta)
-        records = iter_merged_records(
-            opened, vocabulary, sort_buffer=sort_buffer,
-            spill_dir=out.parent,
-        )
-        # the sources stream lazily, so `out` may be one of them: the
-        # writers build in tmp files/directories and swap in atomically,
-        # and an already-mmapped source inode survives the replace
+
+    # the sources stream lazily, so `out` may be one of them: the
+    # writers build in tmp files/directories and swap in atomically,
+    # and an already-mmapped source inode survives the replace
+    def open_writer(vocabulary: Vocabulary) -> _Atomic:
         if shards is None:
-            writer: PatternWriter | ShardedPatternWriter = PatternWriter(
+            return PatternWriter(
                 out, vocabulary, checksums=checksums,
-                postings_buffer=sort_buffer, delta=as_delta,
+                sort_buffer=sort_buffer, delta=as_delta,
             )
-        else:
-            writer = ShardedPatternWriter(
-                out, vocabulary, shards, checksums=checksums,
-                postings_buffer=sort_buffer, delta=as_delta,
-            )
-        with writer:
-            for pattern, frequency in records:
-                if as_delta:
-                    if frequency == 0:
-                        continue
-                elif frequency < min_frequency:
-                    continue
-                writer.write(pattern, frequency)
-    finally:
-        for store in opened:
-            store.close()
+        return ShardedPatternWriter(
+            out, vocabulary, shards, checksums=checksums,
+            sort_buffer=sort_buffer, delta=as_delta,
+        )
+
+    fold_stores(
+        sources, open_writer, sort_buffer=sort_buffer, spill_dir=out.parent,
+        min_frequency=min_frequency, signed=as_delta,
+    )
 
 
 __all__ = [
@@ -850,7 +837,6 @@ __all__ = [
     "ShardedPatternWriter",
     "write_store",
     "write_sharded_store",
-    "merged_vocabulary",
-    "iter_merged_records",
+    "fold_stores",
     "merge_stores",
 ]

@@ -2,10 +2,13 @@
 
 The external shuffle must be answer- and counter-equivalent to the
 in-memory shuffle, add honest spill metering, stream values lazily, and
-clean its run files up — including under injected task failures.
+leave no run file behind — including under injected task failures.
 """
 
 from __future__ import annotations
+
+import os
+from contextlib import ExitStack
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.mapreduce import (
     MergedPartition,
     spill_map_output,
 )
-from repro.mapreduce.spill import total_spill_stats
+from repro.mapreduce.spill import spill_file
 
 
 class WordCount(MapReduceJob):
@@ -93,8 +96,10 @@ def test_spill_counters_only_with_spilling(tmp_path):
 
 
 def test_run_files_cleaned_up(tmp_path):
+    before = len(os.listdir("/proc/self/fd"))
     run_wordcount(spill_dir=tmp_path)
-    assert list(tmp_path.rglob("*.run")) == []
+    assert os.listdir(tmp_path) == []
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_spill_dir_created_if_missing(tmp_path):
@@ -129,7 +134,7 @@ def test_reduce_retry_rereads_runs(tmp_path):
     failing = run_wordcount(spill_dir=tmp_path, failure_plan=plan)
     assert sorted(failing.output) == sorted(clean.output)
     assert failing.counters[C.FAILED_REDUCE_TASKS] == 4
-    assert list(tmp_path.rglob("*.run")) == []
+    assert os.listdir(tmp_path) == []
 
 
 def test_map_retry_with_spilling(tmp_path):
@@ -144,47 +149,58 @@ def test_map_retry_with_spilling(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def make_runs(tmp_path, pairs_per_task, num_partitions=2):
+@pytest.fixture
+def spill(tmp_path):
+    """Opens spill files that are closed after the test."""
+    with ExitStack() as files:
+        def open_file():
+            file = spill_file(tmp_path)
+            files.callback(file.close)
+            return file
+
+        yield open_file
+
+
+def make_runs(spill, pairs_per_task, num_partitions=2):
     runs = []
-    for task_id, pairs in enumerate(pairs_per_task):
+    for pairs in pairs_per_task:
         runs.extend(
             spill_map_output(
-                pairs,
-                num_partitions,
-                lambda key: key % num_partitions,
-                tmp_path,
-                task_id,
+                pairs, lambda key: key % num_partitions, spill()
             )
         )
     return runs
 
 
-def test_spill_map_output_sorts_and_groups(tmp_path):
+def test_spill_map_output_sorts_and_groups(spill):
     pairs = [(3, "x"), (1, "y"), (3, "z"), (2, "w")]
-    runs = spill_map_output(pairs, 1, lambda key: 0, tmp_path, 0)
+    runs = spill_map_output(pairs, lambda key: 0, spill())
     assert len(runs) == 1
     groups = list(runs[0].read_groups())
     assert groups == [(1, ["y"]), (2, ["w"]), (3, ["x", "z"])]
-    records, size = total_spill_stats(runs)
-    assert records == 4
-    assert size == runs[0].path.stat().st_size > 0
+    assert runs[0].records == 4
+    assert runs[0].bytes == runs[0].file.size > 0
 
 
-def test_spill_partitions_by_partitioner(tmp_path):
+def test_spill_partitions_by_partitioner(spill):
     pairs = [(0, "a"), (1, "b"), (2, "c"), (3, "d")]
-    runs = spill_map_output(pairs, 2, lambda key: key % 2, tmp_path, 7)
+    file = spill()
+    runs = spill_map_output(pairs, lambda key: key % 2, file)
     assert {run.partition for run in runs} == {0, 1}
-    even = next(run for run in runs if run.partition == 0)
+    even, odd = runs
+    # segments of one file, each readable on its own, in any order
+    assert [key for key, _ in odd.read_groups()] == [1, 3]
     assert [key for key, _ in even.read_groups()] == [0, 2]
+    assert (even.start, even.end, odd.end) == (0, odd.start, file.size)
 
 
-def test_empty_map_output_produces_no_runs(tmp_path):
-    assert spill_map_output([], 4, lambda key: 0, tmp_path, 0) == []
+def test_empty_map_output_produces_no_runs(spill):
+    assert spill_map_output([], lambda key: 0, spill()) == []
 
 
-def test_merged_partition_merges_across_runs(tmp_path):
+def test_merged_partition_merges_across_runs(spill):
     runs = make_runs(
-        tmp_path,
+        spill,
         [
             [(2, "a"), (4, "b")],
             [(2, "c"), (6, "d")],
@@ -198,8 +214,8 @@ def test_merged_partition_merges_across_runs(tmp_path):
     assert partition[6] == ["d"]
 
 
-def test_merged_partition_out_of_order_access(tmp_path):
-    runs = make_runs(tmp_path, [[(0, "a"), (2, "b"), (4, "c")]])
+def test_merged_partition_out_of_order_access(spill):
+    runs = make_runs(spill, [[(0, "a"), (2, "b"), (4, "c")]])
     partition = MergedPartition(runs=runs)
     # access the last key first: earlier groups get buffered
     assert partition[4] == ["c"]
@@ -207,8 +223,8 @@ def test_merged_partition_out_of_order_access(tmp_path):
     assert partition[2] == ["b"]
 
 
-def test_merged_partition_replay_after_exhaustion(tmp_path):
-    runs = make_runs(tmp_path, [[(0, "a"), (2, "b")]])
+def test_merged_partition_replay_after_exhaustion(spill):
+    runs = make_runs(spill, [[(0, "a"), (2, "b")]])
     partition = MergedPartition(runs=runs)
     assert partition[0] == ["a"]
     assert partition[2] == ["b"]
@@ -216,8 +232,8 @@ def test_merged_partition_replay_after_exhaustion(tmp_path):
     assert partition[0] == ["a"]
 
 
-def test_merged_partition_missing_key(tmp_path):
-    runs = make_runs(tmp_path, [[(0, "a")]])
+def test_merged_partition_missing_key(spill):
+    runs = make_runs(spill, [[(0, "a")]])
     partition = MergedPartition(runs=runs)
     with pytest.raises(KeyError):
         partition[99]
@@ -229,10 +245,10 @@ def test_merged_partition_empty():
     assert list(partition) == []
 
 
-def test_tuple_keys_roundtrip(tmp_path):
+def test_tuple_keys_roundtrip(spill):
     """LASH's reconcile job keys by pattern tuples; tuple ordering must
     survive the spill."""
     pairs = [((1, 2), "x"), ((1, 1), "y"), ((0, 9), "z")]
-    runs = spill_map_output(pairs, 1, lambda key: 0, tmp_path, 0)
+    runs = spill_map_output(pairs, lambda key: 0, spill())
     keys = [key for key, _ in runs[0].read_groups()]
     assert keys == [(0, 9), (1, 1), (1, 2)]

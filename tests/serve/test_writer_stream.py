@@ -17,8 +17,13 @@ from repro.serve import (
     write_sharded_store,
     write_store,
 )
+from repro.io.runs import ExternalSort
 from repro.serve.format import shard_filename
-from repro.serve.stream import sorted_records, sum_equal_patterns
+from repro.serve.writer import (
+    read_pattern_record,
+    sum_equal_patterns,
+    write_pattern_record,
+)
 
 
 def _random_patterns(seed, n_patterns, n_items=30):
@@ -50,13 +55,14 @@ class TestStreamedBytesIdentity:
         coded, vocabulary = _random_patterns(11, 600)
         reference = tmp_path / "reference.store"
         write_store(reference, coded, vocabulary)
-        spilled = tmp_path / "spilled.store"
-        with PatternWriter(
-            spilled, vocabulary, buffer_bytes=32, postings_buffer=7
-        ) as writer:
-            for pattern, frequency in rank_patterns(coded):
-                writer.write(pattern, frequency)
-        assert spilled.read_bytes() == reference.read_bytes()
+        for sort_buffer in (1, 7):
+            spilled = tmp_path / f"spilled-{sort_buffer}.store"
+            with PatternWriter(
+                spilled, vocabulary, buffer_bytes=32, sort_buffer=sort_buffer
+            ) as writer:
+                for pattern, frequency in rank_patterns(coded):
+                    writer.write(pattern, frequency)
+            assert spilled.read_bytes() == reference.read_bytes()
 
     def test_sharded_router_equals_mapping_write(self, tmp_path):
         coded, vocabulary = _random_patterns(5, 300)
@@ -129,7 +135,7 @@ class TestLifecycle:
         coded, vocabulary = _random_patterns(8, 200)
         writer = PatternWriter(
             tmp_path / "aborted.store", vocabulary, buffer_bytes=16,
-            postings_buffer=4,
+            sort_buffer=4,
         )
         for pattern, frequency in rank_patterns(coded):
             writer.write(pattern, frequency)
@@ -173,13 +179,13 @@ class TestExternalSort:
             for _ in range(200)
         ]
         expected = sorted(records, key=lambda r: r[0])
-        got = list(
-            sorted_records(
-                iter(records), key=lambda r: r[0],
-                buffer_records=buffer_records, spill_dir=tmp_path,
-            )
+        sort = ExternalSort(
+            write_pattern_record, read_pattern_record, key=lambda r: r[0],
+            sort_buffer=buffer_records, spill_dir=tmp_path,
         )
-        assert got == expected
+        for record in records:
+            sort.add(record)
+        assert list(sort) == expected
         # all spill runs deleted once the stream is exhausted
         assert os.listdir(tmp_path) == []
 

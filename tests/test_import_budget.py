@@ -55,7 +55,7 @@ SERVING_FORBIDDEN = (
 #: whose daemon folds deltas, loads the writer and the external sort
 WRITER_SIDE = (
     "repro.serve.writer",
-    "repro.serve.stream",
+    "repro.io.runs",
     "repro.serve.compact",
 )
 #: an ingester micro-mines (``serve.ingest`` -> ``core.lash`` is its
