@@ -308,24 +308,27 @@ def _load_query_index(patterns_path: str, hierarchy_path: str | None):
 def _print_explain(plan: dict) -> None:
     """Render one query's compiled plan + cost estimate (`--explain`)."""
     estimate = plan["estimate"]
-    forced = plan.get("forced_strategy")
     line = (
         f"  plan: strategy={plan['strategy']} "
-        f"cost={estimate['cost']:g} candidates={estimate['candidates']} "
-        f"scan={estimate['scan_candidates']}"
+        f"cost={estimate['cost']:g} candidates={estimate['candidates']}"
     )
-    if forced:
-        line += f" (forced={forced})"
     if plan.get("unsatisfiable"):
         line += " (unsatisfiable)"
     print(line)
     max_len = plan["max_len"] if plan["max_len"] is not None else "inf"
     print(f"  length range: [{plan['min_len']}, {max_len}]")
     for node in estimate.get("nodes", ()):
-        skipped = "  [skipped: too many postings]" if node["skipped"] else ""
+        maps = {source: n for source, n in node["maps"].items() if n}
+        if not maps:
+            source = "every slot"
+        elif len(maps) == 1:
+            source = next(iter(maps))
+        else:
+            source = ", ".join(f"{name} ×{n}" for name, n in maps.items())
+        skipped = "  [not in mask]" if node["skipped"] else ""
         print(
             f"  node {node['kind']:>5}: {node['ids']} ids, "
-            f"~{node['postings']} postings{skipped}"
+            f"~{node['postings']} postings, map from {source}{skipped}"
         )
 
 
@@ -862,8 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--explain", action="store_true",
-        help="print each query's compiled plan: chosen execution "
-        "strategy, estimated cost and per-node postings statistics",
+        help="print each query's compiled plan: execution path, "
+        "estimated cost and per-node postings and map source",
     )
     query.add_argument(
         "queries", nargs="+",

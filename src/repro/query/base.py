@@ -1,8 +1,9 @@
 """Backend-agnostic wildcard search over a set of mined patterns.
 
 :class:`PatternSearchBase` holds everything about *matching* — query
-compilation, the regex-style DP matcher, candidate pruning via postings,
-hierarchy descendant expansion — and leaves *storage* to subclasses.
+compilation, hierarchy descendant expansion, planning and executing a
+:class:`~repro.query.plan.QueryPlan` — and leaves *storage* to
+subclasses.
 Two backends implement it:
 
 * :class:`~repro.query.index.PatternIndex` — everything in memory, built
@@ -42,18 +43,16 @@ merging the streams of its member stores without re-implementing any of
 the matching or ranking logic.
 
 Search itself runs through a :class:`~repro.query.plan.QueryPlan`
-built, priced and executed per request: positional postings answer
-chain queries exactly with bitmap algebra and skip the DP entirely, or
-— where the cost estimate prefers it — prune candidates with the plan's
-postings bitset and verify the survivors with the DP; every path
-returns byte-identical answers.  Nothing about a query outlives the
-call that answers it (repeats are the serving tier's result cache's
-job); what a backend memoizes is vocabulary- or store-pure and keyed
-by nothing a client chooses: descendant sets (at most one per
-vocabulary item), planner statistics, the position space.  A token is
-compiled by the request that sent it.
-Setting ``_accelerate = False`` runs the selector + DP pipeline instead
-— the reference the differential tests compare against.
+built, priced and executed per request.  There is one matcher: a query
+with no chain node is a length-range scan, and every other query is
+answered exactly by positional propagation over a candidate mask (see
+:mod:`repro.query.plan`).  Nothing about a query outlives the call that
+answers it (repeats are the serving tier's result cache's job); what a
+backend memoizes is vocabulary- or store-pure and keyed by nothing a
+client chooses: descendant sets (at most one per vocabulary item),
+planner statistics (the length histogram and one postings sum per
+subtree root), the position space.  A token is compiled by the request
+that sent it.
 """
 
 from __future__ import annotations
@@ -65,9 +64,8 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.errors import InvalidParameterError
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.query.cost import PLAN_STRATEGIES, CostEstimate, CostEstimator
-from repro.query.cost import combine_estimates
-from repro.query.plan import PositionSpace, QueryPlan, iter_bit_indexes
+from repro.query.cost import CostEstimate, CostEstimator, combine_estimates
+from repro.query.plan import PositionSpace, QueryPlan
 from repro.query.tokens import (
     AnyToken,
     FloorToken,
@@ -102,6 +100,10 @@ def rank_key(record: tuple[Pattern, int]) -> tuple[int, Pattern]:
     return (-record[1], record[0])
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def ranked_prefix(
     stream: Iterable[tuple[Pattern, int]],
     limit: int | None = None,
@@ -110,7 +112,20 @@ def ranked_prefix(
     """The σ cut and the limit over a rank-ordered record stream.
     Frequencies only fall along the stream, so ``min_freq`` is a prefix
     cut — the first record below it ends the answer — and ``limit``
-    stops the walk without pulling a record past the last one kept."""
+    stops the walk without pulling a record past the last one kept.
+
+    Every search path — a local search, a shard server's partial one —
+    cuts here, so both values are checked here, before the stream is
+    pulled: ``limit`` an integer (a negative one keeps nothing) or
+    ``None``, ``min_freq`` an integer >= 0 or ``None``."""
+    if limit is not None and not _is_int(limit):
+        raise InvalidParameterError(
+            f"limit must be an integer or None, got {limit!r}"
+        )
+    if min_freq is not None and (not _is_int(min_freq) or min_freq < 0):
+        raise InvalidParameterError(
+            f"min_freq must be an integer >= 0 or None, got {min_freq!r}"
+        )
     if min_freq is not None:
         stream = takewhile(lambda record: record[1] >= min_freq, stream)
     return islice(stream, None if limit is None else max(limit, 0))
@@ -169,18 +184,15 @@ class PatternSearchBase:
         self._children_map: dict[int, list[int]] | None = None
         self._descendants_cache: dict[int, tuple[int, ...]] = {}
         self._descendants_lock = threading.Lock()
-        # planner-statistics memo (postings sizes per node id set,
-        # length stats, scan counts): per backend, never invalidated —
-        # a backend instance is an immutable snapshot of one store
+        # planner-statistics memo (the length histogram, postings sums
+        # per subtree root): per backend, never invalidated — a backend
+        # instance is an immutable snapshot of one store
         self._cost_stat_cache: dict[tuple, object] = {}
         # plan counters (plans themselves live for one request)
-        self._accelerate = True
         self._plan_lock = threading.Lock()
         self._plan_compiles = 0
-        self._plan_paths = {"exact": 0, "pruned": 0, "scan": 0, "wildcard": 0}
-        # forced execution strategy — the differential harness's seam;
-        # None lets the cost estimate decide
-        self._plan_strategy: str | None = None
+        self._plan_paths = {"exact": 0, "wildcard": 0}
+        self._plan_sources = {"postings": 0, "candidates": 0}
         # built by the first positional query; the counter feeds
         # plan_stats() so tests can pin "built exactly once"
         self._pos_space = None
@@ -320,17 +332,9 @@ class PatternSearchBase:
         query, if the caller priced it first: the plans it carries for
         this backend are executed instead of built again.  The answer's
         ``cost`` is the price of the plans that ran, priced or not."""
-        if min_freq is not None and (
-            not isinstance(min_freq, int)
-            or isinstance(min_freq, bool)
-            or min_freq < 0
-        ):
-            raise InvalidParameterError(
-                f"min_freq must be an integer >= 0 or None, got {min_freq!r}"
-            )
         compiled = self._compile(normalize_query(query))
         cost = self._priced(compiled, cost)
-        stream = self._iter_search(compiled, cost.plans)
+        stream = self._iter_search(cost.plans)
         return self._answer(
             self._decoded(ranked_prefix(stream, limit, min_freq)), cost.cost
         )
@@ -418,62 +422,28 @@ class PatternSearchBase:
         for idx in range(self._num_patterns()):
             yield self._pattern_at(idx)
 
-    def _iter_search(
-        self, compiled: list[CompiledToken], plans: dict
-    ) -> Iterator[tuple[Pattern, int]]:
-        """Records matching a compiled query, in rank order.  The
-        compiled form is id-based, so it is only portable to another
-        backend holding an identical vocabulary (shards do).  ``plans``
-        is the :attr:`CostEstimate.plans` map of :meth:`_priced`: this
-        backend runs its own entry.
+    def _iter_search(self, plans: dict) -> Iterator[tuple[Pattern, int]]:
+        """Records matching a query, in rank order.  ``plans`` is the
+        :attr:`CostEstimate.plans` map of :meth:`_priced`: this backend
+        runs its own entry.
 
-        Routing, cheapest-estimated first: wildcard-only queries are a
-        pure length-range scan (no per-pattern work at all); for chain
-        queries the plan's cost estimate picks a strategy —
-        ``exact`` (positional bitmap propagation, no DP), ``pruned``
-        (AND the cheap chain nodes' postings bitsets, DP-verify
-        survivors) or ``scan`` (length-filtered scan + DP, the fallback
-        for unselective chains, and what a forced ``pruned`` runs when
-        no chain node can be masked).  Every path yields ascending
-        pattern indexes — the rank order — so the choice of path is
-        invisible downstream.
+        Three cases: an unsatisfiable query matches nothing; a query
+        with no chain node (wildcards and gaps only) is a pure
+        length-range scan; every other query is answered exactly by
+        positional propagation (:meth:`QueryPlan.match_indexes`).  Both
+        yield ascending pattern indexes — the rank order.
         """
-        if not self._accelerate:
-            yield from self._iter_search_dp(compiled, self._candidates(compiled))
-            return
-        plan, strategy = plans[self]
+        plan = plans[self]
         if plan.unsatisfiable:
             return
-        if not plan.chain:
-            self._count_path("wildcard")
-            for idx in plan.length_scan_indexes(self):
-                yield self._pattern_at(idx)
-            return
-        if self._plan_strategy is not None:
-            strategy = self._plan_strategy
-        if strategy == "exact":
+        if plan.chain:
             self._count_path("exact")
-            for idx in plan.match_indexes(self):
-                yield self._pattern_at(idx)
-            return
-        mask = plan.candidate_mask(self) if strategy == "pruned" else None
-        if mask is None:
-            self._count_path("scan")
-            candidates = plan.length_scan_indexes(self)
+            indexes = plan.match_indexes(self)
         else:
-            self._count_path("pruned")
-            candidates = iter_bit_indexes(mask)
-        yield from self._iter_search_dp(compiled, candidates)
-
-    def _iter_search_dp(
-        self, compiled: list[CompiledToken], indexes
-    ) -> Iterator[tuple[Pattern, int]]:
-        """The verified path: run the reference DP over the given
-        ascending candidate indexes."""
+            self._count_path("wildcard")
+            indexes = plan.length_scan_indexes(self)
         for idx in indexes:
-            pattern, frequency = self._pattern_at(idx)
-            if self._matches(compiled, pattern):
-                yield pattern, frequency
+            yield self._pattern_at(idx)
 
     def _iter_itemwise(
         self, coded: Pattern, upward: bool
@@ -503,13 +473,13 @@ class PatternSearchBase:
     def _price(self, compiled: list[CompiledToken]) -> CostEstimate:
         """Build this request's :class:`~repro.query.plan.QueryPlan` and
         price it: one construction, one estimate.  The estimate carries
-        the plan (and the strategy picked for it) under this backend's
-        key, so whoever receives it can hand it on to the execution."""
+        the plan under this backend's key, so whoever receives it can
+        hand it on to the execution."""
         plan = QueryPlan(compiled, self)
         with self._plan_lock:
             self._plan_compiles += 1
         estimate = CostEstimator(self).estimate(plan)
-        return replace(estimate, plans={self: (plan, estimate.strategy)})
+        return replace(estimate, plans={self: plan})
 
     def _priced(
         self, compiled: list[CompiledToken], cost: CostEstimate | None = None
@@ -532,17 +502,9 @@ class PatternSearchBase:
         with self._plan_lock:
             self._plan_paths[path] += 1
 
-    def set_planner(self, strategy: str | None = None) -> None:
-        """Force an execution strategy (one of
-        :data:`~repro.query.cost.PLAN_STRATEGIES`; ``None`` = the cost
-        estimate decides).  Every strategy answers byte-identically —
-        the differential harness forces them all."""
-        if strategy is not None and strategy not in PLAN_STRATEGIES:
-            raise InvalidParameterError(
-                f"planner strategy must be one of {PLAN_STRATEGIES} or "
-                f"None, got {strategy!r}"
-            )
-        self._plan_strategy = strategy
+    def _count_source(self, source: str) -> None:
+        with self._plan_lock:
+            self._plan_sources[source] += 1
 
     def estimate_cost(self, query) -> CostEstimate:
         """The cost estimate for a query against this backend — the
@@ -553,12 +515,10 @@ class PatternSearchBase:
     def explain(self, query) -> dict:
         """The compiled plan and its cost estimate, for ``lash query
         --explain`` and debugging: chain shape, windows, length bounds,
-        the forced strategy if any, the strategy that would run, and
-        the full per-node estimate."""
+        the path that runs, and the full per-node estimate with each
+        node's expected map source."""
         estimate = self.estimate_cost(query)
-        plan, strategy = estimate.plans[self]
-        if plan.chain and self._plan_strategy is not None:
-            strategy = self._plan_strategy
+        plan = estimate.plans[self]
         return {
             "chain": [
                 {"kind": kind, "ids": len(ids)} for kind, ids in plan.chain
@@ -567,36 +527,21 @@ class PatternSearchBase:
             "min_len": plan.min_len,
             "max_len": plan.max_len,
             "unsatisfiable": plan.unsatisfiable,
-            "forced_strategy": self._plan_strategy,
-            "strategy": strategy,
+            "strategy": estimate.strategy,
             "estimate": estimate.to_dict(),
         }
 
     def plan_stats(self) -> dict:
-        """Plans built, position spaces built and executions per path
-        (surfaced by the HTTP service's ``/stats``)."""
+        """Plans built, position spaces built, executions per path and
+        node slot maps per source (surfaced by the HTTP service's
+        ``/stats``)."""
         with self._plan_lock:
             return {
                 "compiles": self._plan_compiles,
                 "space_builds": self._space_builds,
                 "paths": dict(self._plan_paths),
+                "sources": dict(self._plan_sources),
             }
-
-    def _plan_candidate_indexes(
-        self, compiled: list[CompiledToken]
-    ) -> list[int] | None:
-        """Ascending candidate indexes stage-1 plan pruning admits, or
-        ``None`` when the plan constrains nothing (the property tests
-        assert this set is a superset of the true matches)."""
-        plan = QueryPlan(compiled, self)
-        if plan.unsatisfiable:
-            return []
-        if not plan.chain:
-            return plan.length_scan_indexes(self)
-        mask = plan.candidate_mask(self)
-        if mask is None:
-            return None
-        return list(iter_bit_indexes(mask))
 
     def _pattern_lengths(self) -> list[int]:
         """Length of every stored pattern, indexed by pattern index
@@ -696,9 +641,10 @@ class PatternSearchBase:
         set covering exactly one hierarchy subtree is an ``under`` test
         rooted at its minimum id (ancestors always carry smaller ids
         than their descendants, so the root of any covered subtree must
-        be the set's minimum).  Both rewrites give `_candidates` a
-        directly-posted token and give plans a smaller chain node; the
-        admitted items are identical by construction."""
+        be the set's minimum).  Both rewrites give plans a smaller
+        chain node, and a subtree's postings sum is memoized per root
+        instead of summed per request; the admitted items are identical
+        by construction."""
         if not ids:
             return ("oneof", ids)
         root = min(ids)
@@ -746,8 +692,8 @@ class PatternSearchBase:
             elif kind == "notin":
                 # floor over a negation (!a@N): the floor turns the
                 # near-whole-vocabulary complement into a concrete
-                # id set, which also gives `_candidates` postings to
-                # prune on — unlike a bare negation
+                # id set, which also gives the candidate mask postings
+                # to prune on — unlike a bare negation
                 if token.floor == 0:
                     return ("notin", payload)
                 candidates = [
@@ -767,139 +713,6 @@ class PatternSearchBase:
         raise InvalidParameterError(
             f"unsupported query token {token!r}"
         )  # pragma: no cover - normalize_query guards this
-
-    def _candidates(self, compiled: list[CompiledToken]) -> list[int]:
-        """Candidate pattern indexes, ascending (= frequency-descending),
-        from the most selective *positive* concrete token's postings.
-        ``oneof`` tokens consume exactly one item from their id set, so
-        the union of those ids' postings is a complete candidate set —
-        an empty id set (an unsatisfiable floor) yields no candidates
-        at all.  ``notin`` tokens contribute **no** postings: their
-        complement is nearly the whole vocabulary, so unioning it would
-        degrade selection to a full scan while adding nothing — the
-        negation is enforced by the matcher, like gaps.
-
-        Single-item and subtree postings are sized up first; ``oneof``
-        unions (potentially the whole vocabulary, e.g. ``?@N``) run
-        last and abort as soon as they outgrow the best set so far —
-        the chosen candidate set is identical either way, only the
-        wasted union work goes.
-
-        A query with no positive concrete token (wildcard-only, or
-        all-negative like ``!a !^B``) falls back to scanning every
-        length group whose length the query can consume — negations
-        and ``?`` take exactly one item, ``*{m,n}`` between ``m`` and
-        ``n``.  The serving tier refuses all-negative queries for this
-        reason (:func:`~repro.query.tokens.is_negation_only`); embedded
-        callers accept the scan.
-        """
-        best: Sequence[int] | None = None
-        oneofs: list[frozenset[int]] = []
-        for kind, item in compiled:
-            if kind == "item":
-                postings = self._postings_for(item)
-            elif kind == "under":
-                merged: set[int] = set()
-                for descendant in self._descendants_or_self(item):
-                    merged.update(self._postings_for(descendant))
-                postings = sorted(merged)
-            elif kind == "oneof":
-                oneofs.append(item)
-                continue
-            else:
-                continue
-            if best is None or len(postings) < len(best):
-                best = postings
-        for ids in oneofs:
-            if ids and len(ids) == len(self.vocabulary) and best is not None:
-                continue  # unions to every pattern; cannot beat `best`
-            merged = set()
-            overflow = False
-            for member in ids:
-                merged.update(self._postings_for(member))
-                if best is not None and len(merged) >= len(best):
-                    overflow = True
-                    break
-            if not overflow:
-                best = sorted(merged)
-        if best is not None:
-            return list(best)
-        # no positive concrete token: filter by achievable lengths
-        min_len = 0
-        max_len: int | None = 0
-        for kind, payload in compiled:
-            if kind == "span":
-                max_len = None
-            elif kind == "plus":
-                min_len += 1
-                max_len = None
-            elif kind == "gap":
-                lower, upper = payload
-                min_len += lower
-                if upper is None:
-                    max_len = None
-                elif max_len is not None:
-                    max_len += upper
-            else:  # any / notin consume exactly one item
-                min_len += 1
-                if max_len is not None:
-                    max_len += 1
-        indexes: list[int] = []
-        for length, idxs in self._length_groups().items():
-            if length >= min_len and (max_len is None or length <= max_len):
-                indexes.extend(idxs)
-        return sorted(indexes)
-
-    def _matches(
-        self, compiled: list[CompiledToken], pattern: Pattern
-    ) -> bool:
-        """Regex-style DP over token positions × pattern positions."""
-        vocabulary = self.vocabulary
-        n_items = len(pattern)
-        # reachable[j] = True if a prefix of tokens consumed pattern[:j]
-        reachable = [True] + [False] * n_items
-        for kind, target in compiled:
-            nxt = [False] * (n_items + 1)
-            if kind == "span":
-                # zero or more: propagate the earliest reachable point right
-                running = False
-                for j in range(n_items + 1):
-                    running = running or reachable[j]
-                    nxt[j] = running
-            elif kind == "plus":
-                running = False
-                for j in range(1, n_items + 1):
-                    running = running or reachable[j - 1]
-                    nxt[j] = running
-            elif kind == "gap":
-                # nxt[j] iff some reachable[j - d] with m <= d <= n
-                lower, upper = target
-                for j in range(lower, n_items + 1):
-                    first = 0 if upper is None else max(0, j - upper)
-                    nxt[j] = any(reachable[first : j - lower + 1])
-            else:
-                for j in range(n_items):
-                    if not reachable[j]:
-                        continue
-                    item = pattern[j]
-                    if kind == "any":
-                        nxt[j + 1] = True
-                    elif kind == "item":
-                        if item == target:
-                            nxt[j + 1] = True
-                    elif kind == "oneof":
-                        if item in target:
-                            nxt[j + 1] = True
-                    elif kind == "notin":
-                        if item not in target:
-                            nxt[j + 1] = True
-                    else:  # under
-                        if vocabulary.generalizes_to(item, target):
-                            nxt[j + 1] = True
-            reachable = nxt
-            if not any(reachable):
-                return False
-        return reachable[n_items]
 
 
 __all__ = [

@@ -5,11 +5,11 @@ pattern→frequency mapping plus its vocabulary), the index answers
 Netspeak-style queries (see :mod:`repro.query.tokens`), ranked by
 frequency.
 
-Search is accelerated by an inverted index from item id to the patterns
-containing it: the matcher only runs on the postings of the query's most
-selective concrete token.  ``^name`` tokens union the postings of the
-item's descendants; queries with no concrete token fall back to a
-length-filtered scan.
+The index keeps, per item, the ascending indexes of the patterns
+containing it and, in parallel, the item's positions inside each — the
+positional postings a :class:`~repro.query.plan.QueryPlan` builds its
+candidate mask and slot maps from — plus the patterns grouped by
+length, which a query with no item test scans.
 
 The matching machinery itself lives in
 :class:`~repro.query.base.PatternSearchBase` and is shared with the

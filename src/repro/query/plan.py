@@ -1,11 +1,9 @@
-"""Compiled query plans: bitset candidate pruning + positional matching.
+"""Compiled query plans: a candidate mask, then positional propagation.
 
-The DP matcher in :mod:`repro.query.base` re-interprets the compiled
-token list for every candidate pattern.  This module lowers a compiled
-query **once** into a :class:`QueryPlan` and answers it with big-integer
-bitmap algebra instead — the sequence analog of DMR-XPath's numbering
-scheme, where a precomputed coordinate system turns structural traversal
-into range predicates:
+A compiled query is lowered **once** into a :class:`QueryPlan` and
+answered with big-integer bitmap algebra — the sequence analog of
+DMR-XPath's numbering scheme, where a precomputed coordinate system
+turns structural traversal into range predicates:
 
 * the **chain** of a query is its membership-testing tokens (``item`` /
   ``under`` / ``oneof`` / ``notin``), each holding the admissible (or
@@ -17,19 +15,27 @@ into range predicates:
 * a :class:`PositionSpace` lays every stored pattern out as a *field* of
   bit slots inside one big Python integer, separated by enough zero
   padding that in-field shifts can never leak into a neighbor.  Item
-  occurrences (the store's positional postings) become set bits; window
-  checks become shift-and-OR sweeps; a query is answered by propagating
-  a reachable-position bitmap through the chain and reading off which
-  fields keep a live bit.  A space belongs to one backend — one per
-  store file, so each shard of a sharded store has its own — and is
-  built by the first positional query that executes there.
+  occurrences become set bits; window checks become shift-and-OR
+  sweeps; a query is answered by propagating a reachable-position
+  bitmap through the chain and reading off which fields keep a live
+  bit.  A space belongs to one backend — one per store file, so each
+  shard of a sharded store has its own — and is built by the first
+  positional query that executes there.
 
-The propagation computes exactly the reachable-set of the reference DP
-restricted to consuming tokens, so the surviving fields *are* the
-matches — no verification needed.  Where the cost estimate finds that
-cheaper, the plan's stage-1 **candidate mask** — the cheapest-first AND
-of the concrete chain nodes' postings bitsets — drops its survivors into
-the DP instead, which keeps answers byte-identical by construction.
+The propagation computes exactly the reachable set of a regex-style
+matcher restricted to consuming tokens, so the surviving fields *are*
+the matches — there is no verification step.  It runs in two stages:
+
+1. the **candidate mask** — the cheapest-first AND of the concrete chain
+   nodes' postings bitsets, or the length-range scan when no node beats
+   it — a superset of the matches;
+2. per chain node, a **slot map** built from whichever source is cheaper
+   by the counts in hand (:func:`~repro.query.cost.node_map_cost`): the
+   node's positional postings, or the candidates' own items.  A map
+   built from the candidates is exact inside their fields and empty
+   outside them, which cannot drop a match since every match is a
+   candidate.  So a ubiquitous node beside a rare one never has its
+   postings decoded.
 
 A plan lives for one request: the thread serving the query builds it,
 prices it (:mod:`repro.query.cost`), executes it once against the
@@ -43,7 +49,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator, Sequence
 
-from repro.query.cost import CostEstimator, order_mask_nodes
+from repro.query.cost import CostEstimator, node_map_cost
 
 Window = tuple[int, "int | None"]
 
@@ -166,9 +172,10 @@ class QueryPlan:
     """One compiled query lowered for bitmap execution.
 
     Construction resolves the chain/window structure and the admissible
-    id tuples (``under`` expands through the backend's memoized
-    descendant sets) and nothing else; every bitmap is computed by the
-    execution that needs it and dies with it.
+    id tuples (an ``under`` node holds the backend's memoized descendant
+    tuple itself, which is how the estimator recognises a subtree) and
+    nothing else; every bitmap is computed by the execution that needs
+    it and dies with it.
     """
 
     __slots__ = ("chain", "windows", "min_len", "max_len", "unsatisfiable")
@@ -222,31 +229,22 @@ class QueryPlan:
         self.unsatisfiable = unsatisfiable
 
     # ------------------------------------------------------------------
-    # stage 1: bitset candidate pruning
+    # stage 1: the candidate mask
     # ------------------------------------------------------------------
 
     def candidate_mask(self, backend) -> int | None:
-        """Pattern-index bitmask of candidates surviving the AND of the
-        concrete chain nodes' postings bitsets, cheapest (smallest
-        *estimated postings volume*) first with an early exit at zero;
-        nodes whose postings dwarf the cheapest node's are skipped
-        entirely (the mask stays a verified superset — see
-        :func:`~repro.query.cost.order_mask_nodes`).  ``None`` when no
-        chain node restricts candidates (all-negative queries, or nodes
-        admitting the whole vocabulary) — the caller falls back to a
-        length-filtered scan."""
-        vocab_size = len(backend.vocabulary)
-        usable = [
-            ids
-            for node_kind, ids in self.chain
-            if node_kind == "in" and len(ids) < vocab_size
-        ]
-        if not usable:
+        """Pattern-index bitmask of the candidates surviving the AND of
+        the mask nodes' postings bitsets, cheapest (smallest *estimated
+        postings volume*) first with an early exit at zero; nodes whose
+        postings dwarf the cheapest node's are left out (see
+        :meth:`~repro.query.cost.CostEstimator.mask_nodes`).  Always a
+        superset of the matches.  ``None`` when no node posts to fewer
+        patterns than the length-range scan visits (all-negative
+        queries, nodes admitting the whole vocabulary, unselective
+        nodes): the scan is then the candidate set."""
+        included, _ = CostEstimator(backend).mask_nodes(self)
+        if not included:
             return None
-        # node sizes are a property of the (immutable) backend, not the
-        # plan: the estimator memoizes them per backend
-        entries = CostEstimator(backend).node_entries
-        included, _ = order_mask_nodes([(entries(ids), ids) for ids in usable])
         n_bytes = (backend._num_patterns() + 7) >> 3
         mask: int | None = None
         for _, ids in included:
@@ -264,13 +262,25 @@ class QueryPlan:
     # stage 2: exact positional matching
     # ------------------------------------------------------------------
 
-    def _node_position_map(self, backend, space: PositionSpace, node) -> int:
-        """Bitmap of slots whose item the chain node admits."""
+    @staticmethod
+    def _node_map(backend, space: PositionSpace, node, candidates) -> int:
+        """Bitmap of slots whose item the chain node admits: from the
+        node's positional postings, or — given the decoded
+        ``(index, pattern)`` candidates — from their own items, in
+        their fields only."""
         node_kind, ids = node
-        if node_kind == "in" and len(ids) == len(backend.vocabulary):
-            return space.valid  # every slot holds *some* item
         bits = bytearray((space.valid.bit_length() + 7) >> 3 or 1)
         offsets = space.offsets
+        if candidates is not None:
+            members = frozenset(ids)
+            admit = node_kind == "in"
+            for idx, pattern in candidates:
+                base = offsets[idx]
+                for position, item in enumerate(pattern):
+                    if (item in members) == admit:
+                        slot = base + position
+                        bits[slot >> 3] |= 1 << (slot & 7)
+            return int.from_bytes(bytes(bits), "little")
         for item in ids:
             indexes, positions = backend._positional_postings_for(item)
             for idx, entry in zip(indexes, positions):
@@ -285,22 +295,54 @@ class QueryPlan:
 
     def match_indexes(self, backend) -> list[int]:
         """Ascending indexes of the patterns matching the query, by
-        chain propagation — exact for every token kind."""
+        chain propagation — exact for every token kind.  Each node's
+        slot map comes from the source :func:`node_map_cost` prices
+        cheaper for the candidate count in hand; the backend tallies
+        the sources (``plan_stats()["sources"]``)."""
         space = backend._position_space()
         if not space.offsets:
             return []
-        if self.candidate_mask(backend) == 0:
+        mask = self.candidate_mask(backend)
+        if mask is None:
+            scanned = self.length_scan_indexes(backend)
+            n_candidates = len(scanned)
+        else:
+            n_candidates = mask.bit_count()
+        if not n_candidates:
             return []
+        estimator = CostEstimator(backend)
+        _, avg_len = estimator.length_stats()
+        vocab_size = len(backend.vocabulary)
+        candidates = None  # decoded by the first node mapped from them
         reach = 0
         for k, node in enumerate(self.chain):
             lo, hi = self.windows[k]
             if k == 0:
-                source = space.shift_window_up(space.starts, (lo, hi))
+                shifted = space.shift_window_up(space.starts, (lo, hi))
             else:
-                source = space.shift_window_up(
+                shifted = space.shift_window_up(
                     reach, (lo + 1, None if hi is None else hi + 1)
                 )
-            reach = source & self._node_position_map(backend, space, node)
+            node_kind, ids = node
+            if node_kind == "in" and len(ids) == vocab_size:
+                node_map = space.valid  # every slot holds *some* item
+            else:
+                source, _ = node_map_cost(
+                    estimator.node_entries(ids), n_candidates, avg_len
+                )
+                backend._count_source(source)
+                if source == "candidates" and candidates is None:
+                    candidates = [
+                        (idx, backend._pattern_at(idx)[0])
+                        for idx in (
+                            scanned if mask is None else iter_bit_indexes(mask)
+                        )
+                    ]
+                node_map = self._node_map(
+                    backend, space, node,
+                    candidates if source == "candidates" else None,
+                )
+            reach = shifted & node_map
             if not reach:
                 return []
         anchor = space.shift_window_down(space.ends, self.windows[-1])

@@ -127,7 +127,7 @@ def partial_search(
     compiled = store._compile(normalize_query(tokens))
     priced = _price_slice(store, compiled, shard_ids)
     stream = store._iter_search(
-        compiled, combine_estimates(priced.values()).plans, shard_ids
+        combine_estimates(priced.values()).plans, shard_ids
     )
     costs = {index: estimate.cost for index, estimate in priced.items()}
     return list(ranked_prefix(stream, limit, min_freq)), costs

@@ -46,7 +46,7 @@ MAGIC = b"RPROPST1"
 #: the store version — the only one written or read.  Postings are
 #: positional: each ``(item, pattern index)`` entry carries the
 #: gap-coded positions the item occupies inside the pattern, feeding the
-#: compiled-query-plan accelerator.
+#: query plans' positional propagation.
 VERSION = 2
 
 #: header flag: a 6 × u32 CRC-32 section trails the postings

@@ -33,12 +33,7 @@ from typing import Iterator, Sequence
 
 from repro.errors import InvalidParameterError, StoreCorruptError
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.query.base import (
-    CompiledToken,
-    Pattern,
-    PatternSearchBase,
-    rank_key,
-)
+from repro.query.base import Pattern, PatternSearchBase, rank_key
 from repro.serve.format import is_sharded_store, read_manifest, shard_of
 from repro.serve.store import PatternStore
 
@@ -197,8 +192,6 @@ class ShardedPatternStore(PatternSearchBase):
                     # reuse each other's results
                     store._descendants_cache = self._descendants_cache
                     store._descendants_lock = self._descendants_lock
-                    store._accelerate = self._accelerate
-                    store._plan_strategy = self._plan_strategy
                     self._stores[index] = store
         return store
 
@@ -314,20 +307,13 @@ class ShardedPatternStore(PatternSearchBase):
         )
 
     def _iter_search(
-        self,
-        compiled: list[CompiledToken],
-        plans: dict,
-        shard_ids: Sequence[int] | None = None,
+        self, plans: dict, shard_ids: Sequence[int] | None = None
     ) -> Iterator[tuple[Pattern, int]]:
-        # the compiled ids and id sets are valid in every shard (shared
-        # vocabulary); per-shard streams are rank-ordered, so the heap
-        # interleaves them into exactly the order one monolithic store
-        # would emit
+        # each shard runs its own plan; per-shard streams are
+        # rank-ordered, so the heap interleaves them into exactly the
+        # order one monolithic store would emit
         return heapq.merge(
-            *(
-                store._iter_search(compiled, plans)
-                for store in self._shards(shard_ids)
-            ),
+            *(store._iter_search(plans) for store in self._shards(shard_ids)),
             key=rank_key,
         )
 
@@ -369,33 +355,12 @@ class ShardedPatternStore(PatternSearchBase):
     # query-plan plumbing
     # ------------------------------------------------------------------
 
-    def set_accelerate(self, enabled: bool) -> None:
-        """Toggle compiled-plan execution on this handle and every
-        already-open shard (shards opened later inherit the setting)."""
-        self._accelerate = enabled
-        with self._open_lock:
-            for store in self._stores:
-                if store is not None:
-                    store._accelerate = enabled
-
-    def set_planner(self, strategy: str | None = None) -> None:
-        """Force an execution strategy on this handle and every
-        already-open shard (shards opened later inherit it at mount
-        time)."""
-        super().set_planner(strategy)
-        with self._open_lock:
-            for store in self._stores:
-                if store is not None:
-                    store._plan_strategy = strategy
-
     def explain(self, query) -> dict:
         """Plan shape from the first owned shard (chains are
         vocabulary-pure, hence identical across shards) with the
         handle-level combined estimate."""
-        combined = self.estimate_cost(query)
         info = self._shard(self._owned[0]).explain(query)
-        info["estimate"] = combined.to_dict()
-        info["strategy"] = combined.strategy
+        info["estimate"] = self.estimate_cost(query).to_dict()
         return info
 
     def plan_stats(self) -> dict:
@@ -408,12 +373,12 @@ class ShardedPatternStore(PatternSearchBase):
         with self._open_lock:
             open_stores = [s for s in self._stores if s is not None]
         for store in open_stores:
-            stats = store.plan_stats()
-            paths = stats.pop("paths")
-            for key, count in stats.items():
-                totals[key] += count
-            for path, count in paths.items():
-                totals["paths"][path] += count
+            for key, count in store.plan_stats().items():
+                if isinstance(count, dict):
+                    for name, n in count.items():
+                        totals[key][name] += n
+                else:
+                    totals[key] += count
         return totals
 
 

@@ -5,11 +5,14 @@ databases and queries (drawn from all ten token kinds — item, ``^name``,
 ``?``, ``+``, ``*``, ``*{m,n}`` bounded gap, ``(a|b|^C)`` disjunction,
 ``!name`` / ``!^Cat`` negation (counted as two kinds: exact and
 subtree), ``token@N`` frequency floor — plus per-query σ overrides) are
-answered by four implementations that must agree byte for byte on the
+answered by five implementations that must agree byte for byte on the
 ranked ``(pattern, frequency)`` list:
 
 * a naive oracle — backtracking matcher over the raw pattern mapping,
   no compiled form, no postings, no candidate pruning;
+* the DP oracle (``tests/query/dp_reference.py``) — the engine's
+  compiler, then a regex-style DP per stored pattern, run over every
+  backend's own records;
 * :class:`~repro.query.index.PatternIndex` — in-memory, inverted index,
   answered exactly by the compiled-plan bitmap engine;
 * :class:`~repro.serve.store.PatternStore` — single mmap'd store file
@@ -20,7 +23,8 @@ ranked ``(pattern, frequency)`` list:
 Queries are biased toward gap/adjacency-dense shapes (a third draw from
 a ``?``/``*{m,n}``-heavy pool) because position-window arithmetic is
 where the plan engine could silently diverge from the DP; a companion
-property test asserts stage-1 pruning only ever *over*-admits.
+property test asserts the candidate mask only ever *over*-admits, and
+another builds every node map from each source in turn.
 
 ``LASH_DIFF_SEED`` reseeds the generator (CI runs the fixed default
 plus one randomized seed per build); ``LASH_DIFF_INSTANCES`` scales the
@@ -59,6 +63,7 @@ from repro.query.tokens import (
     normalize_query,
 )
 from repro.serve import QueryService, open_store
+from tests.query.dp_reference import dp_matches, dp_search
 
 SEED = int(os.environ.get("LASH_DIFF_SEED", "20260729"))
 N_INSTANCES = int(os.environ.get("LASH_DIFF_INSTANCES", "24"))
@@ -116,7 +121,7 @@ def _oracle_token_matches(token: QueryToken, item: int, vocab) -> bool:
 
 def _oracle_match(tokens, pattern, vocab) -> bool:
     """Backtracking recursion — deliberately nothing like the DP in
-    :meth:`PatternSearchBase._matches`."""
+    ``tests/query/dp_reference.py``."""
 
     def rec(i: int, j: int) -> bool:
         if i == len(tokens):
@@ -398,7 +403,8 @@ def test_differential_oracle_vs_all_backends(tmp_path):
     sigma_cases = 0
     dense_cases = 0
     kinds_covered: set[str] = set()
-    paths_total = {"exact": 0, "pruned": 0, "scan": 0, "wildcard": 0}
+    paths_total = {"exact": 0, "wildcard": 0}
+    sources_total = {"postings": 0, "candidates": 0}
     for instance in range(N_INSTANCES):
         hierarchy = _random_hierarchy(rng)
         database = _random_database(rng, list(hierarchy.items))
@@ -444,6 +450,10 @@ def test_differential_oracle_vs_all_backends(tmp_path):
                             f"{context} backend={type(backend).__name__}: "
                             f"{got!r} != oracle {expected!r}"
                         )
+                        assert dp_search(backend, tokens) == expected, (
+                            f"{context} backend={type(backend).__name__}: "
+                            "DP oracle disagrees with the naive oracle"
+                        )
 
                     # per-query σ override: a rank-prefix cut on every
                     # backend must equal the oracle's plain filter
@@ -477,8 +487,11 @@ def test_differential_oracle_vs_all_backends(tmp_path):
                             assert prefix == expected[:cut], context
                     cases += 1
                 for backend in backends:
-                    for path, count in backend.plan_stats()["paths"].items():
+                    stats = backend.plan_stats()
+                    for path, count in stats["paths"].items():
                         paths_total[path] += count
+                    for source, count in stats["sources"].items():
+                        sources_total[source] += count
         except AssertionError as exc:
             raise AssertionError(
                 str(exc)
@@ -494,34 +507,38 @@ def test_differential_oracle_vs_all_backends(tmp_path):
     assert kinds_covered == set(KINDS), (
         f"token kinds never generated: {set(KINDS) - kinds_covered}"
     )
-    # the accelerator's fast path actually ran (the planner sweep below
-    # forces the pruned and scan strategies)
     assert paths_total["exact"] > 0, f"exact path never taken: {paths_total}"
+    assert paths_total["wildcard"] > 0, paths_total
+    # both node-map sources ran by the planner's own choice
+    assert all(sources_total.values()), f"a source never ran: {sources_total}"
 
 
-def test_planner_strategies_differential(tmp_path):
-    """Every choice the cost planner can make is answer-invariant.
+def test_planner_strategies_differential(tmp_path, monkeypatch):
+    """Every choice the planner can make is answer-invariant.
 
-    For random mined instances, every forced execution strategy
-    (``exact``/``pruned``/``scan`` plus estimate-driven ``None``) must
-    return the same ranked answers as the unaccelerated reference
-    matcher — on the in-memory index, the store file and the sharded
-    store.  This is the guarantee that lets admission control trust the
-    estimate: the planner can only change *speed*, never answers.
+    What the planner chooses is the candidate set (see the superset
+    test below) and where each chain node's slot map comes from.  For
+    random mined instances, its own choice and each source
+    forced on every node (positional postings, the candidates' own
+    items) must return the DP oracle's ranked answers — on the
+    in-memory index, the store file and the sharded store.  This is the
+    guarantee that lets admission control trust the estimate: the
+    planner can only change *speed*, never answers.  The force is a
+    test-side patch of the one pricing function; the engine itself has
+    no switch.
     """
-    from repro.query.cost import PLAN_STRATEGIES
+    from repro.query import plan as plan_module
 
-    def set_accelerate(backend, enabled):
-        # only the sharded store has a propagating setter
-        if hasattr(backend, "set_accelerate"):
-            backend.set_accelerate(enabled)
-        else:
-            backend._accelerate = enabled
+    choose = plan_module.node_map_cost
+
+    def forced(source):
+        if source is None:
+            return choose
+        return lambda entries, candidates, avg_len: (source, 0.0)
 
     rng = random.Random(SEED + 4)
     compared = 0
-    strategies_run: set[str] = set()
-    for instance in range(max(3, N_INSTANCES // 8)):
+    for instance in range(max(4, N_INSTANCES // 6)):
         hierarchy = _random_hierarchy(rng)
         database = _random_database(rng, list(hierarchy.items))
         params = MiningParams(
@@ -542,27 +559,12 @@ def test_planner_strategies_differential(tmp_path):
             backends = [index, single, sharded]
             for q in range(QUERIES_PER_INSTANCE):
                 tokens = _random_query(rng, vocab, KINDS[q % len(KINDS)])
-                reference = None
-                for backend in backends:
-                    set_accelerate(backend, False)
-                    got = [
-                        (m.pattern, m.frequency)
-                        for m in backend.search(tokens)
-                    ]
-                    set_accelerate(backend, True)
-                    if reference is None:
-                        reference = got
-                    assert got == reference, (
-                        f"seed={SEED + 4} instance={instance} "
-                        f"query={_render_query(tokens)!r} reference path "
-                        f"disagrees on {type(backend).__name__}"
+                reference = dp_search(index, tokens)
+                for source in (None, "postings", "candidates"):
+                    monkeypatch.setattr(
+                        plan_module, "node_map_cost", forced(source)
                     )
-                for strategy in (None, *PLAN_STRATEGIES):
                     for backend in backends:
-                        backend.set_planner(strategy)
-                        strategies_run.add(
-                            backend.explain(tokens)["strategy"]
-                        )
                         got = [
                             (m.pattern, m.frequency)
                             for m in backend.search(tokens)
@@ -570,32 +572,32 @@ def test_planner_strategies_differential(tmp_path):
                         assert got == reference, (
                             f"seed={SEED + 4} instance={instance} "
                             f"query={_render_query(tokens)!r} "
-                            f"strategy={strategy} "
+                            f"source={source} "
                             f"backend={type(backend).__name__}: "
                             f"{got!r} != reference {reference!r}"
                         )
                         compared += 1
-                for backend in backends:
-                    backend.set_planner()
-    assert compared >= 300, f"only {compared} planner cases executed"
-    ran = strategies_run & set(PLAN_STRATEGIES)
-    assert ran == set(PLAN_STRATEGIES), (
-        f"strategies never exercised: {set(PLAN_STRATEGIES) - ran}"
-    )
+                monkeypatch.setattr(plan_module, "node_map_cost", choose)
+    assert compared >= 500, f"only {compared} node-source cases executed"
 
 
 def test_plan_pruning_is_superset_of_matches(tmp_path):
-    """Stage-1 plan pruning never drops a true match.
+    """The candidate set never drops a true match.
 
-    For random queries over random mined instances, the candidate set
-    the compiled plan admits (bitset AND of the chain nodes' postings,
-    or the wildcard length scan) must be a **superset** of the indexes
-    the reference DP accepts — on the in-memory index and the store
-    file.  This is the safety property behind the verified fallback: pruning may
-    over-admit (the DP cleans up), it must never under-admit.
+    For random queries over random mined instances, the candidates a
+    compiled plan admits (:meth:`QueryPlan.candidate_mask`, or the
+    length-range scan where it returns ``None`` and for chainless
+    queries) must be a **superset** of the indexes the reference DP
+    accepts — on the in-memory index and the store file.  This is the
+    safety property behind building a node map from the candidates:
+    the mask may over-admit (the propagation narrows it exactly), it
+    must never under-admit.
     """
+    from repro.query.plan import QueryPlan, iter_bit_indexes
+
     rng = random.Random(SEED + 1)
     checked = 0
+    masked = 0
     for instance in range(max(4, N_INSTANCES // 4)):
         hierarchy = _random_hierarchy(rng)
         database = _random_database(rng, list(hierarchy.items))
@@ -614,12 +616,18 @@ def test_plan_pruning_is_superset_of_matches(tmp_path):
                 tokens = _random_query(rng, vocab, KINDS[q % len(KINDS)])
                 for backend in (index, single):
                     compiled = backend._compile(normalize_query(tokens))
-                    admitted = backend._plan_candidate_indexes(compiled)
+                    plan = QueryPlan(compiled, backend)
+                    mask = plan.candidate_mask(backend) if plan.chain else None
+                    if mask is None:
+                        admitted = set(plan.length_scan_indexes(backend))
+                    else:
+                        admitted = set(iter_bit_indexes(mask))
+                        masked += 1
                     true_matches = {
                         idx
                         for idx in range(backend._num_patterns())
-                        if backend._matches(
-                            compiled, backend._pattern_at(idx)[0]
+                        if dp_matches(
+                            compiled, backend._pattern_at(idx)[0], vocab
                         )
                     }
                     context = (
@@ -627,14 +635,13 @@ def test_plan_pruning_is_superset_of_matches(tmp_path):
                         f"query={_render_query(tokens)!r} "
                         f"backend={type(backend).__name__}"
                     )
-                    if admitted is None:
-                        continue  # unrestricted: trivially a superset
-                    dropped = true_matches - set(admitted)
+                    dropped = true_matches - admitted
                     assert not dropped, (
                         f"{context}: pruning dropped true matches {dropped}"
                     )
                     checked += 1
     assert checked >= 100, f"only {checked} superset cases executed"
+    assert masked >= 10, f"only {masked} masked cases executed"
 
 
 def test_canonicalization_differential(tmp_path):

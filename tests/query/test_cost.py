@@ -1,10 +1,10 @@
 """Unit tests for the cost-based query planner (:mod:`repro.query.cost`).
 
-The differential harness proves every strategy the planner can choose
-is answer-invariant; this file pins the *decisions* — node ordering and
-the skip rule, the estimator's strategy picks on skewed statistics,
-the explain/estimate public surface — and that nothing per-query
-outlives the request that priced it.
+The differential harness proves every node-map source the planner can
+choose is answer-invariant; this file pins the *decisions* — node
+ordering and the skip rule, the estimator's source picks on skewed
+statistics, the explain/estimate public surface — and that nothing per
+query outlives the request that priced it.
 Decisions are asserted, raw cost numbers are not: only the ratios in
 :mod:`repro.query.cost` are meaningful.
 """
@@ -15,16 +15,15 @@ from itertools import combinations, product
 
 import pytest
 
-from repro.errors import InvalidParameterError
 from repro.hierarchy import Hierarchy
 from repro.query import PatternIndex, code_patterns
 from repro.query.cost import (
     NODE_SKIP_FACTOR,
-    PLAN_STRATEGIES,
     CostEstimate,
     combine_estimates,
     order_mask_nodes,
 )
+from repro.query.plan import QueryPlan
 from repro.serve import open_store, write_sharded_store, write_store
 
 
@@ -33,7 +32,7 @@ def skewed_index() -> PatternIndex:
     """A corpus with one ubiquitous item and one rare one: ``common``
     posts to 121 patterns, ``rare`` to 2 — past the node ordering's
     skip factor, so a ``common rare`` query should intersect only the
-    rare node and DP-verify."""
+    rare node and map ``common`` from the two candidates."""
     hierarchy = Hierarchy()
     for name in ("common", "rare", "mid"):
         hierarchy.add_item(name)
@@ -73,7 +72,7 @@ class TestOrderMaskNodes:
 
 
 # ----------------------------------------------------------------------
-# the estimator's strategy decisions
+# the estimator's decisions
 # ----------------------------------------------------------------------
 
 
@@ -83,19 +82,25 @@ class TestEstimatorDecisions:
     ):
         plan = skewed_index.explain("common rare")
         estimate = plan["estimate"]
-        assert plan["strategy"] == "pruned"
+        assert plan["strategy"] == "exact"
         by_postings = sorted(
             estimate["nodes"], key=lambda node: node["postings"]
         )
-        assert by_postings[0]["skipped"] is False  # rare: the mask
-        assert by_postings[-1]["skipped"] is True  # common: skipped
+        rare, common = by_postings
+        assert rare["skipped"] is False  # rare: the mask
+        assert common["skipped"] is True  # common: skipped
         # candidate prediction tracks the rare postings, not the scan
-        assert estimate["candidates"] <= by_postings[0]["postings"]
+        assert estimate["candidates"] <= rare["postings"]
+        # rare maps from its postings, common from the candidates
+        assert rare["maps"] == {"postings": 1, "candidates": 0}
+        assert common["maps"] == {"postings": 0, "candidates": 1}
 
     def test_chainless_query_is_a_wildcard_scan(self, skewed_index):
         estimate = skewed_index.estimate_cost("? ?")
         assert estimate.strategy == "wildcard"
-        assert estimate.scan_candidates == estimate.candidates > 0
+        # every 2-item pattern: three over {common, mid}, common rare
+        assert estimate.candidates == 4
+        assert estimate.nodes == ()
 
     def test_unsatisfiable_floor_costs_nothing(self, skewed_index):
         estimate = skewed_index.estimate_cost("common@999999")
@@ -115,42 +120,48 @@ class TestEstimatorDecisions:
 
 class TestCostEstimate:
     def test_combine_sums_and_reports_mixed_strategies(self):
+        """Costs, counts and postings add; shards that chose different
+        map sources for a node are reported as a mix, one count per
+        source."""
+        def node(postings, source):
+            maps = {"postings": 0, "candidates": 0, source: 1}
+            return {
+                "kind": "in", "ids": 1, "postings": postings,
+                "skipped": False, "maps": maps,
+            }
+
         a = CostEstimate(
-            cost=10.0, strategy="pruned", candidates=2, scan_candidates=5
+            cost=10.0, strategy="exact", candidates=2,
+            nodes=(node(7, "postings"),),
         )
         b = CostEstimate(
-            cost=4.0, strategy="exact", candidates=1, scan_candidates=3
+            cost=4.0, strategy="exact", candidates=1,
+            nodes=(node(30, "candidates"),),
         )
         combined = combine_estimates([a, b, None])
         assert combined.cost == 14.0
-        assert combined.strategy == "mixed"
+        assert combined.strategy == "exact"
         assert combined.candidates == 3
-        assert combined.scan_candidates == 8
         assert combined.shards == 2
-        same = combine_estimates([a, a])
-        assert same.strategy == "pruned"
+        (merged,) = combined.nodes
+        assert merged["postings"] == 37
+        assert merged["maps"] == {"postings": 1, "candidates": 1}
 
     def test_combine_of_nothing_is_unsatisfiable(self):
         assert combine_estimates([]).strategy == "unsatisfiable"
 
-    def test_set_planner_validates_knobs(self, skewed_index):
-        with pytest.raises(InvalidParameterError, match="strategy"):
-            skewed_index.set_planner("psychic")
-        with pytest.raises(TypeError):
-            skewed_index.set_planner("cost", "exact")  # the order knob is gone
-        for strategy in (None, *PLAN_STRATEGIES):
-            skewed_index.set_planner(strategy)
-        skewed_index.set_planner()
-
-    def test_explain_reports_forced_strategy(self, skewed_index):
-        try:
-            skewed_index.set_planner("scan")
-            plan = skewed_index.explain("common rare")
-            assert plan["forced_strategy"] == "scan"
-            assert plan["strategy"] == "scan"
-            assert "order" not in plan
-        finally:
-            skewed_index.set_planner()
+    def test_explain_reports_node_sources(self, skewed_index):
+        plan = skewed_index.explain("common rare")
+        assert "forced_strategy" not in plan
+        assert "scan_candidates" not in plan["estimate"]
+        assert [node["maps"] for node in plan["estimate"]["nodes"]] == [
+            {"postings": 0, "candidates": 1},
+            {"postings": 1, "candidates": 0},
+        ]
+        # a node admitting every item maps every slot: no source at all
+        estimate = skewed_index.explain("(common|mid|rare) rare")["estimate"]
+        whole = estimate["nodes"][0]
+        assert whole["maps"] == {"postings": 0, "candidates": 0}
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +179,7 @@ class TestNothingPerQueryIsRetained:
             skewed_index.estimate_cost(query)
             skewed_index.search(query, limit=1)
         kinds = {key[0] for key in skewed_index._cost_stat_cache}
-        assert kinds <= {"node", "lengths", "scan", "space"}
+        assert kinds <= {"under", "lengths"}
 
     @pytest.mark.parametrize("layout", ["index", "store", "sharded"])
     def test_distinct_tokens_grow_nothing_but_statistics(
@@ -178,8 +189,7 @@ class TestNothingPerQueryIsRetained:
         that sent it, so 2 000 distinct ``?@N`` floors and 2 000
         distinct disjunctions leave no attribute of a backend (or of a
         shard) larger than the vocabulary bounds it — except the decode
-        caches, which carry their own caps, and the planner statistics
-        (keyed by id set; ROADMAP 7c)."""
+        caches, which carry their own caps."""
         names = [f"i{n}" for n in range(12)]
         hierarchy = Hierarchy()
         for name in names:
@@ -216,7 +226,7 @@ class TestNothingPerQueryIsRetained:
         def holders() -> list:
             return [backend, *filter(None, getattr(backend, "_stores", ()))]
 
-        allowed = {"_cost_stat_cache", "_pattern_cache", "_postings_cache"}
+        allowed = {"_pattern_cache", "_postings_cache"}
         try:
             backend.search("i0 ?")  # fault every shard in
             before = [sized(holder) for holder in holders()]
@@ -239,12 +249,62 @@ class TestNothingPerQueryIsRetained:
     def test_estimate_carries_its_plans_outside_its_value(self, skewed_index):
         first = skewed_index.estimate_cost("common rare")
         second = skewed_index.estimate_cost("common rare")
-        plan, strategy = first.plans[skewed_index]
-        assert strategy == first.strategy
-        assert second.plans[skewed_index][0] is not plan  # built per call
+        plan = first.plans[skewed_index]
+        assert isinstance(plan, QueryPlan)
+        assert second.plans[skewed_index] is not plan  # built per call
         assert first == second  # the plans are no part of the value
         assert "plans" not in first.to_dict()
         assert "plans" not in repr(first)
         assert combine_estimates([first, None]).plans == first.plans
 
-
+    @pytest.mark.parametrize("layout", ["index", "store", "sharded"])
+    def test_stat_memo_is_bounded_by_the_vocabulary(self, layout, tmp_path):
+        """The planner memo holds what the store alone decides — the
+        length histogram and one postings sum per subtree root — so
+        2 000 distinct disjunctions, 2 000 distinct gap bounds and a
+        query under every root leave at most |V| + 1 entries."""
+        hierarchy = Hierarchy()
+        roots = [f"R{n}" for n in range(4)]
+        names = []
+        for root in roots:
+            hierarchy.add_item(root)
+            for child in range(3):
+                names.append(f"{root}c{child}")
+                hierarchy.add_item(names[-1], root)
+        patterns = {
+            pair: 5 + index
+            for index, pair in enumerate(combinations(names, 2))
+        }
+        coded, vocabulary = code_patterns(patterns, hierarchy)
+        if layout == "index":
+            backend = PatternIndex(coded, vocabulary)
+        elif layout == "store":
+            write_store(tmp_path / "p.store", coded, vocabulary)
+            backend = open_store(tmp_path / "p.store")
+        else:
+            write_sharded_store(
+                tmp_path / "p.shards", coded, vocabulary, shards=2
+            )
+            backend = open_store(tmp_path / "p.shards")
+        disjunctions = [
+            "(" + "|".join(choice) + ")"
+            for size in (2, 3, 4, 5, 6)
+            for choice in combinations(names, size)
+        ][:2000]
+        assert len(set(disjunctions)) == 2000
+        try:
+            for root in roots:
+                backend.search(f"^{root} ?", limit=1)
+            for n, disjunction in enumerate(disjunctions):
+                backend.estimate_cost(f"{disjunction} ?")
+                backend.search(f"{names[0]} *{{{n % 7},{n}}} ^R1", limit=1)
+            shards = filter(None, getattr(backend, "_stores", ()))
+            memos = [
+                holder._cost_stat_cache for holder in [backend, *shards]
+            ]
+        finally:
+            if layout != "index":
+                backend.close()
+        for memo in memos:
+            assert len(memo) <= len(vocabulary) + 1, len(memo)
+        assert any(("under", vocabulary.id("R1")) in memo for memo in memos)

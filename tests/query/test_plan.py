@@ -1,10 +1,10 @@
 """Unit tests for the compiled-query-plan engine (:mod:`repro.query.plan`).
 
-The differential harness proves the accelerated engine agrees with the
-reference DP end to end; this file pins down the pieces — the position
-bitmap geometry, window shift algebra, plan structure, the plan
-counters, thread-safety of per-request plans, and hierarchy-aware
-disjunction hoisting.
+The differential harness proves the engine agrees with its oracles end
+to end; this file pins down the pieces — the position bitmap geometry,
+window shift algebra, plan structure, the plan counters, thread-safety
+of per-request plans, hierarchy-aware disjunction hoisting, and every
+query shape against the reference DP.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from repro import Hierarchy
 from repro.query import PatternIndex, code_patterns
 from repro.query.plan import PositionSpace, QueryPlan, iter_bit_indexes
 from repro.query.tokens import normalize_query
-from repro.serve import open_store, write_sharded_store
+from repro.serve import open_store, write_sharded_store, write_store
+from tests.query.dp_reference import dp_search
 
 
 @pytest.fixture(scope="module")
@@ -200,8 +201,9 @@ class TestPlanCache:
 
     def test_stats_say_what_is_left(self, small_index):
         before = small_index.plan_stats()
-        assert set(before) == {"compiles", "space_builds", "paths"}
-        assert set(before["paths"]) == {"exact", "pruned", "scan", "wildcard"}
+        assert set(before) == {"compiles", "space_builds", "paths", "sources"}
+        assert set(before["paths"]) == {"exact", "wildcard"}
+        assert set(before["sources"]) == {"postings", "candidates"}
         # a plan is a per-request value: the repeat builds its own
         small_index.search("a ? *{0,1}")
         small_index.search("a ? *{0,1}")
@@ -209,24 +211,18 @@ class TestPlanCache:
         assert after["compiles"] == before["compiles"] + 2
         assert after["compiles"] >= sum(after["paths"].values())
 
-    def test_forced_pruned_without_maskable_node_answers_as_reference(
-        self, small_index
-    ):
-        """``!c`` has no positive node to mask on: a forced ``pruned``
-        runs the length scan and still answers as the reference DP."""
-        small_index._accelerate = False
-        try:
-            reference = _answers(small_index, "!c ?")
-        finally:
-            small_index._accelerate = True
-        scans = small_index.plan_stats()["paths"]["scan"]
-        small_index.set_planner("pruned")
-        try:
-            assert _answers(small_index, "!c ?") == reference
-        finally:
-            small_index.set_planner()
+    def test_unmaskable_chain_answers_as_reference(self, small_index):
+        """``!c`` has no positive node to mask on: the length-range scan
+        is the candidate set, and the answer is the reference DP's."""
+        plan = QueryPlan(_compiled(small_index, "!c ?"), small_index)
+        assert plan.candidate_mask(small_index) is None
+        exact = small_index.plan_stats()["paths"]["exact"]
+        reference = dp_search(small_index, "!c ?")
         assert reference
-        assert small_index.plan_stats()["paths"]["scan"] == scans + 1
+        assert _answers(small_index, "!c ?") == [
+            (" ".join(names), freq) for names, freq in reference
+        ]
+        assert small_index.plan_stats()["paths"]["exact"] == exact + 1
 
     def test_threads_answer_as_one_thread_does(self, small_index, tmp_path):
         """8 threads × the same 50 queries on one cold backend: plans
@@ -273,6 +269,52 @@ class TestPlanCache:
 
 
 # ----------------------------------------------------------------------
+# node slot maps: positional postings or the candidates' own items
+# ----------------------------------------------------------------------
+
+
+class TestNodeSources:
+    def test_ubiquitous_category_beside_a_rare_item_is_never_decoded(
+        self, tmp_path
+    ):
+        """``rare ^C``: the mask is ``rare``'s two patterns, and
+        building ``^C``'s map from those two candidates is cheaper than
+        decoding the positional postings of C's subtree, which every
+        other pattern holds — so those postings are never read."""
+        hierarchy = Hierarchy()
+        hierarchy.add_item("C")
+        hierarchy.add_item("rare")
+        children = [f"c{n}" for n in range(6)]
+        for child in children:
+            hierarchy.add_item(child, "C")
+        patterns = {
+            (first, second): 100 + 6 * n + m
+            for n, first in enumerate(children)
+            for m, second in enumerate(children)
+        }
+        patterns.update({("rare", "c0"): 3, ("rare",): 2, ("c1", "rare"): 1})
+        coded, vocabulary = code_patterns(patterns, hierarchy)
+        write_store(tmp_path / "skew.store", coded, vocabulary)
+        subtree = {vocabulary.id(name) for name in ("C", *children)}
+        with open_store(tmp_path / "skew.store") as store:
+            read: list[int] = []
+            decode = store._positional_postings_for
+
+            def spy(item_id):
+                read.append(item_id)
+                return decode(item_id)
+
+            store._positional_postings_for = spy
+            before = store.plan_stats()["sources"]
+            got = _answers(store, "rare ^C")
+            after = store.plan_stats()["sources"]
+        assert got == [("rare c0", 3)]
+        assert read and not subtree & set(read), read
+        assert after["candidates"] == before["candidates"] + 1
+        assert after["postings"] == before["postings"] + 1
+
+
+# ----------------------------------------------------------------------
 # hierarchy-aware disjunction hoisting
 # ----------------------------------------------------------------------
 
@@ -306,7 +348,7 @@ class TestDisjunctionHoisting:
 
 
 # ----------------------------------------------------------------------
-# accelerated vs reference DP on every path
+# every query shape against the reference DP
 # ----------------------------------------------------------------------
 
 QUERIES = (
@@ -330,23 +372,18 @@ QUERIES = (
 class TestAcceleratedEqualsReference:
     @pytest.mark.parametrize("query", QUERIES)
     def test_index_paths_agree(self, small_index, query):
-        accelerated = _answers(small_index, query)
-        small_index._accelerate = False
-        try:
-            reference = _answers(small_index, query)
-        finally:
-            small_index._accelerate = True
-        assert accelerated == reference
+        assert _answers(small_index, query) == [
+            (" ".join(names), freq)
+            for names, freq in dp_search(small_index, query)
+        ]
 
-    def test_store_set_accelerate_toggle(self, small_index, tmp_path):
-        path = tmp_path / "toggle.shards"
+    def test_sharded_store_agrees(self, small_index, tmp_path):
+        path = tmp_path / "reference.shards"
         write_sharded_store(
             path, small_index._frequencies, small_index.vocabulary, shards=2
         )
         with open_store(path) as store:
-            accelerated = {q: _answers(store, q) for q in QUERIES}
-            store.set_accelerate(False)
-            reference = {q: _answers(store, q) for q in QUERIES}
-            assert accelerated == reference
+            for query in QUERIES:
+                assert _answers(store, query) == _answers(small_index, query)
             # the sharded handle aggregates its shards' counters
             assert store.plan_stats()["paths"]["exact"] > 0

@@ -26,7 +26,12 @@ import zlib
 import pytest
 
 from repro.core import Lash, MiningParams
-from repro.errors import EncodingError, ReproError, ServerBusyError
+from repro.errors import (
+    EncodingError,
+    InvalidParameterError,
+    ReproError,
+    ServerBusyError,
+)
 from repro.io.codec import write_uvarint
 from repro.hierarchy import Hierarchy
 from repro.query import parse_query
@@ -703,6 +708,47 @@ class TestBatchedScatter:
                 assert got == expected["? ?"]
                 # the bad query fails alone, with its original type
                 assert results[1]["error"]["type"] == "UnknownItemError"
+            finally:
+                client.close()
+
+    @pytest.mark.parametrize("field", ["limit", "min_freq"])
+    def test_bad_bound_fails_only_its_own_entry(
+        self, store_path, expected, field
+    ):
+        """A non-integer ``limit`` or ``min_freq`` is a typed error for
+        its own ``multi_search`` entry, or its own ``search`` frame: the
+        batchmates are answered and the connection stays usable."""
+        good = {"tokens": [["any"], ["any"]], "limit": None, "min_freq": None}
+        bad = {**good, field: "x"}
+
+        def records(result):
+            return [
+                (tuple(names), freq) for _, freq, names in result["records"]
+            ]
+
+        with ShardServer(store_path, http_port=None) as server:
+            client = ShardClient(*server.address)
+            try:
+                response = client.request(
+                    {
+                        "v": PROTOCOL_VERSION,
+                        "op": "multi_search",
+                        "shards": None,
+                        "queries": [good, bad, good],
+                    },
+                    timeout=5,
+                )
+                first, failed, last = response["results"]
+                assert failed["error"]["type"] == "InvalidParameterError"
+                assert field in failed["error"]["message"]
+                assert records(first) == records(last) == expected["? ?"]
+                single = {
+                    "v": PROTOCOL_VERSION, "op": "search", "shards": None
+                }
+                with pytest.raises(InvalidParameterError, match=field):
+                    client.request({**single, **bad}, timeout=5)
+                answer = client.request({**single, **good}, timeout=5)
+                assert records(answer) == expected["? ?"]
             finally:
                 client.close()
 

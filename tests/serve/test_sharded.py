@@ -382,10 +382,7 @@ class TestPerShardPositionSpace:
         path = tmp_path / "fig1.shards"
         fig1_result.to_store(path, shards=3)
         index = PatternIndex.from_result(fig1_result)
-        index.set_planner("exact")
         with ShardedPatternStore.open(path) as sharded:
-            # force the bitmap path: "pruned" plans skip the space
-            sharded.set_planner("exact")
             sharded.search("? ? ?")  # no chain: a length scan, no space
             assert sharded.plan_stats()["space_builds"] == 0
             partial_search(sharded, "a ?", shard_ids=[1])
@@ -404,7 +401,6 @@ class TestPerShardPositionSpace:
         path = tmp_path / "fig1.shards"
         fig1_result.to_store(path, shards=3)
         with ShardedPatternStore.open(path) as sharded:
-            sharded.set_planner("exact")
             sharded.search("a ?")
             shards = sharded._shards()
             for shard in shards:
