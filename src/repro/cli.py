@@ -425,9 +425,16 @@ def cmd_index_info(args: argparse.Namespace) -> int:
             # not a store this build reads (wrong magic or format version)
             raise SystemExit(f"lash index info: {exc}") from None
         shard_stats = info.pop("shard_stats", None)
-        _print_row("store", info)
-        for i, shard in enumerate(shard_stats or ()):
-            _print_row(f"shard {i}", shard)
+        for label, row in [("store", info)] + [
+            (f"shard {i}", shard) for i, shard in enumerate(shard_stats or ())
+        ]:
+            # where the bytes go: one size per section, on its own line
+            sections = row.pop("sections")
+            _print_row(label, row)
+            _print_row(
+                "  sections",
+                {name.replace(" ", "_"): size for name, size in sections.items()},
+            )
         if args.advise:
             report = advise_shards(
                 store, target_bytes=args.target_bytes

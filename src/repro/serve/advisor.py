@@ -9,9 +9,10 @@ the store itself and simulates the real placement hash over candidate
 shard counts, instead of guessing from file size alone:
 
 1. weigh every first-item **group**: the group's pattern-record bytes
-   (exact, from the offset table) plus its share of the postings
-   sections (distributed by the group's item occurrences — each shard
-   rebuilds postings for its own patterns);
+   (exact: each record's span plus its offset-table entry) plus its
+   share of the other non-vocabulary sections (distributed by the
+   group's item occurrences — each shard rebuilds postings for its own
+   patterns);
 2. simulate ``shard_of`` for doubling shard counts and score each
    count's max-shard bytes and imbalance (max/mean);
 3. recommend the smallest count whose largest shard fits the target
@@ -26,7 +27,7 @@ Everything here is advisory and read-only; rebalancing itself is
 from __future__ import annotations
 
 from repro.errors import InvalidParameterError
-from repro.serve.format import U64, shard_of
+from repro.serve.format import shard_of
 from repro.serve.sharded import ShardedPatternStore
 from repro.serve.store import PatternStore
 
@@ -44,10 +45,12 @@ DEFAULT_MAX_SHARDS = 256
 def group_weights(store) -> dict[str, int]:
     """Bytes attributable to each first-item-name routing group.
 
-    Pattern-record bytes are exact (offset-table diffs); the postings
-    and offset-table sections are apportioned by each group's summed
-    item occurrences, which is what drives their size in a per-shard
-    rebuild.
+    Pattern-record bytes are exact (each record's span plus its
+    offset-table entry, from :meth:`PatternStore.record_bytes`); the
+    rest of every shard's non-vocabulary sections — lengths, postings
+    and their directory — is apportioned by each group's summed item
+    occurrences, which is what drives its size in a per-shard rebuild.
+    The vocabulary is every shard's fixed cost and belongs to no group.
     """
     if isinstance(store, ShardedPatternStore):
         physical = store._shards()
@@ -63,26 +66,16 @@ def group_weights(store) -> dict[str, int]:
     total_occurrences = 0
     overhead = 0
     for shard in physical:
-        n = shard._num_patterns()
-        if n == 0:
-            continue
-        data = shard._data
-        base = shard._off_pat_offsets
-        starts = [
-            U64.unpack_from(data, base + U64.size * idx)[0]
-            for idx in range(n)
-        ]
-        starts.append(shard._off_post_offsets - shard._off_patterns)
-        for idx in range(n):
+        sections = shard.describe()["sections"]
+        overhead += sum(sections.values()) - sections["vocabulary"]
+        for idx in range(shard._num_patterns()):
             pattern, _freq = shard._pattern_at(idx)
             name = vocabulary.name(pattern[0])
-            record_bytes = (starts[idx + 1] - starts[idx]) + U64.size
+            record_bytes = sum(shard.record_bytes(idx))
             weights[name] = weights.get(name, 0) + record_bytes
+            overhead -= record_bytes
             occurrences[name] = occurrences.get(name, 0) + len(pattern)
             total_occurrences += len(pattern)
-        overhead += (shard._off_end - shard._off_post_offsets) + (
-            shard._off_pat_offsets - shard._off_lengths
-        )
     if total_occurrences:
         for name, count in occurrences.items():
             weights[name] += overhead * count // total_occurrences

@@ -7,20 +7,31 @@ One store *file* (written by :mod:`repro.serve.writer`, read by
     header: version, flags, n_items, n_patterns,
             total_frequency, max_length                       28 bytes
     section table: 7 × u64 absolute offsets                   56 bytes
-    [vocab]     per item: name, frequency, parent ids         varint
+    [vocab]     uvarint inflated length, then a zlib stream
+                of: per item name, frequency, parent ids      deflated
     [lengths]   per pattern: its length                       varint
-    [pat_offs]  (n_patterns+1) × u64, relative to [patterns]  fixed
+    [pat_offs]  (n_patterns+1) × u32, relative to [patterns]  fixed
     [patterns]  per pattern: frequency + zigzag-delta items   varint
-    [post_offs] (n_items+1) × u64, relative to [postings]     fixed
-    [postings]  per item: ascending pattern indexes, gap-coded,
-                each interleaved with the gap-coded positions of
-                the item in that pattern
+    [post_dir]  k × u32 ascending item ids (the items with
+                postings in this file), then (k+1) × u32
+                offsets relative to [postings]                fixed
+    [postings]  per listed item: ascending pattern indexes,
+                gap-coded, each interleaved with the gap-coded
+                positions of the item in that pattern
     [checksums] 6 × u32 CRC-32, one per section               optional
+
+Every fixed-width entry is little-endian; the writer refuses a store
+whose pattern or postings section would pass the ``u32`` range.  An
+item missing from ``[post_dir]`` has no postings in this file, so the
+directory costs one id and one offset per item the file actually
+indexes, not per vocabulary entry.
 
 The trailing checksum section exists iff :data:`FLAG_CHECKSUMS` is set
 in the header flags; the section table's final offset always marks the
 end of the postings, so readers locate the checksums (and validate the
-file size) from the flag alone.
+file size) from the flag alone.  The first checksum also covers the
+magic, header and section table, so every byte but the checksums
+themselves is under a CRC.
 
 A *sharded* store is a directory of store files plus a JSON manifest
 (:data:`MANIFEST_NAME`).  Patterns are routed to shards by
@@ -35,7 +46,9 @@ from __future__ import annotations
 import json
 import re
 import struct
+import sys
 import zlib
+from array import array
 from pathlib import Path
 from typing import Sequence
 
@@ -47,7 +60,7 @@ MAGIC = b"RPROPST1"
 #: positional: each ``(item, pattern index)`` entry carries the
 #: gap-coded positions the item occupies inside the pattern, feeding the
 #: query plans' positional propagation.
-VERSION = 2
+VERSION = 3
 
 #: header flag: a 6 × u32 CRC-32 section trails the postings
 FLAG_CHECKSUMS = 0x1
@@ -62,7 +75,13 @@ FLAG_DELTA = 0x2
 
 HEADER_STRUCT = struct.Struct("<HHIQQI")
 SECTIONS_STRUCT = struct.Struct("<7Q")
-U64 = struct.Struct("<Q")
+U32 = struct.Struct("<I")
+#: the largest offset a ``u32`` table entry can hold
+U32_MAX = 0xFFFFFFFF
+#: deflate's largest expansion: no valid stream inflates to more than
+#: this many times its own size, so a vocabulary declaring more is
+#: refused before a byte is inflated
+MAX_DEFLATE_RATIO = 1032
 CHECKSUMS_STRUCT = struct.Struct("<6I")
 #: bytes read by :meth:`PatternStore.open` before any query arrives
 HEADER_SIZE = len(MAGIC) + HEADER_STRUCT.size + SECTIONS_STRUCT.size
@@ -73,9 +92,23 @@ SECTION_NAMES = (
     "lengths",
     "pattern offsets",
     "patterns",
-    "posting offsets",
+    "posting directory",
     "postings",
 )
+
+
+def u32_table(buffer, start: int, end: int) -> Sequence[int]:
+    """The little-endian ``u32`` run ``buffer[start:end]`` as a sequence
+    of ints: a zero-copy ``memoryview`` cast on little-endian hosts (the
+    holder must ``release()`` it before closing a mapped ``buffer``), a
+    byte-swapped copy elsewhere."""
+    view = memoryview(buffer)[start:end]
+    if sys.byteorder == "little":
+        return view.cast("I")
+    table = array("I")
+    table.frombytes(view)
+    table.byteswap()
+    return table
 
 # ----------------------------------------------------------------------
 # sharded-store manifest
@@ -270,10 +303,13 @@ __all__ = [
     "FLAG_DELTA",
     "HEADER_STRUCT",
     "SECTIONS_STRUCT",
-    "U64",
+    "U32",
+    "U32_MAX",
+    "MAX_DEFLATE_RATIO",
     "CHECKSUMS_STRUCT",
     "HEADER_SIZE",
     "SECTION_NAMES",
+    "u32_table",
     "MANIFEST_NAME",
     "MANIFEST_FORMAT",
     "MANIFEST_VERSION",

@@ -34,7 +34,12 @@ from typing import Iterator, Sequence
 from repro.errors import InvalidParameterError, StoreCorruptError
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.query.base import Pattern, PatternSearchBase, rank_key
-from repro.serve.format import is_sharded_store, read_manifest, shard_of
+from repro.serve.format import (
+    SECTION_NAMES,
+    is_sharded_store,
+    read_manifest,
+    shard_of,
+)
 from repro.serve.store import PatternStore
 
 
@@ -248,6 +253,10 @@ class ShardedPatternStore(PatternSearchBase):
             "total_frequency": self._manifest["total_frequency"],
             "max_length": max((s["max_length"] for s in shards), default=0),
             "file_bytes": sum(s["file_bytes"] for s in shards),
+            "sections": {
+                name: sum(s["sections"][name] for s in shards)
+                for name in SECTION_NAMES
+            },
             "shard_stats": shards,
         }
         if isinstance(self._manifest.get("ingest"), dict):

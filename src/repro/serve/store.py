@@ -13,25 +13,31 @@ text.
 The byte layout lives in :mod:`repro.serve.format`; patterns are stored
 most-frequent-first (ties by coded pattern), the exact order
 :class:`~repro.query.index.PatternIndex` uses, so the two backends
-return identical ranked results.  The fixed-width offset tables give
-O(1) random access into the varint sections — the store never has to
-decode records it does not touch.  For stores written with per-section
-checksums, ``open()`` verifies every section's CRC-32 and raises
-:class:`~repro.errors.StoreCorruptError` on a mismatch (skippable with
-``verify_checksums=False`` when O(header) startup matters more than
-bit-rot detection).
+return identical ranked results.  The ``u32`` pattern-offset table gives
+O(1) random access into the pattern records, and the posting directory —
+the ascending ids of the items with postings in the file, next to their
+``u32`` offsets — finds an item's postings by binary search, so the
+store never has to decode records it does not touch.  The vocabulary is
+deflated on disk and inflated once per mount.  For stores written with
+per-section checksums, ``open()`` verifies every section's CRC-32 and
+raises :class:`~repro.errors.StoreCorruptError` on a mismatch (skippable
+with ``verify_checksums=False`` when O(header) startup matters more than
+bit-rot detection); without the sweep, damaged tables and a damaged
+vocabulary still raise it when first read.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-import struct
 import threading
+import zlib
+from bisect import bisect_left
+from operator import le, lt
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.errors import EncodingError, StoreCorruptError
+from repro.errors import EncodingError, HierarchyError, StoreCorruptError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.query.base import Pattern, PatternSearchBase
@@ -49,10 +55,12 @@ from repro.serve.format import (
     HEADER_SIZE,
     HEADER_STRUCT,
     MAGIC,
+    MAX_DEFLATE_RATIO,
     SECTION_NAMES,
     SECTIONS_STRUCT,
-    U64,
+    U32,
     VERSION,
+    u32_table,
 )
 
 
@@ -127,15 +135,18 @@ class PatternStore(PatternSearchBase):
                     "only; rebuild the store with `lash index build` or "
                     "re-mine it)"
                 )
+            self._bounds = SECTIONS_STRUCT.unpack_from(
+                head, len(MAGIC) + HEADER_STRUCT.size
+            )
             (
                 self._off_vocab,
                 self._off_lengths,
                 self._off_pat_offsets,
                 self._off_patterns,
-                self._off_post_offsets,
+                self._off_post_dir,
                 self._off_postings,
                 self._off_end,
-            ) = SECTIONS_STRUCT.unpack_from(head, len(MAGIC) + HEADER_STRUCT.size)
+            ) = self._bounds
             self._checksummed = bool(self._flags & FLAG_CHECKSUMS)
             # a signed delta store (spool-only): every frequency is
             # zigzag-coded and decrements come out negative
@@ -149,11 +160,13 @@ class PatternStore(PatternSearchBase):
                 raise StoreCorruptError(
                     f"{self._path}: truncated pattern store"
                 )
+            self._check_table_sizes()
             self._data = mmap.mmap(
                 self._file.fileno(), 0, access=mmap.ACCESS_READ
             )
             if self._checksummed and verify_checksums:
                 self._verify_checksums()
+            self._map_tables()
         except Exception:
             self._file.close()
             raise
@@ -167,21 +180,58 @@ class PatternStore(PatternSearchBase):
         ] = {}
         self._by_length: dict[int, list[int]] | None = None
 
-    def _verify_checksums(self) -> None:
-        """CRC-check every section against the trailing checksum block."""
-        stored = CHECKSUMS_STRUCT.unpack_from(self._data, self._off_end)
-        bounds = (
-            self._off_vocab,
-            self._off_lengths,
-            self._off_pat_offsets,
-            self._off_patterns,
-            self._off_post_offsets,
-            self._off_postings,
-            self._off_end,
+    def _corrupt(self, what: str) -> StoreCorruptError:
+        return StoreCorruptError(f"{self._path}: {what}")
+
+    def _check_table_sizes(self) -> None:
+        """O(header) shape checks: sections in file order, and the
+        fixed-width tables sized for the counts the header declares."""
+        if self._off_vocab != HEADER_SIZE or any(
+            map(lt, self._bounds[1:], self._bounds[:-1])
+        ):
+            raise self._corrupt("section table out of order")
+        if self._off_patterns - self._off_pat_offsets != U32.size * (
+            self._n_patterns + 1
+        ):
+            raise self._corrupt(
+                "pattern offsets section does not match the pattern count"
+            )
+        entries, odd = divmod(self._off_postings - self._off_post_dir, U32.size)
+        if odd or entries % 2 == 0:
+            raise self._corrupt("posting directory section is misaligned")
+
+    def _map_tables(self) -> None:
+        """View the ``u32`` tables in place and check their end entries;
+        the directory's order is checked on first use
+        (:meth:`_check_directory`)."""
+        data = self._data
+        self._pattern_offsets = u32_table(
+            data, self._off_pat_offsets, self._off_patterns
         )
+        listed = (self._off_postings - self._off_post_dir) // (2 * U32.size)
+        split = self._off_post_dir + U32.size * listed
+        self._posting_items = u32_table(data, self._off_post_dir, split)
+        self._posting_offsets = u32_table(data, split, self._off_postings)
+        self._directory_checked = False
+        if self._pattern_offsets[0] != 0 or self._pattern_offsets[-1] != (
+            self._off_post_dir - self._off_patterns
+        ):
+            raise self._corrupt("pattern offsets do not span their section")
+        if self._posting_offsets[0] != 0 or self._posting_offsets[-1] != (
+            self._off_end - self._off_postings
+        ):
+            raise self._corrupt("posting directory does not span the postings")
+
+    def _verify_checksums(self) -> None:
+        """CRC-check every section against the trailing checksum block
+        (the first CRC also covers the magic, header and section table)."""
+        stored = CHECKSUMS_STRUCT.unpack_from(self._data, self._off_end)
+        bounds = (0,) + self._bounds[1:]
         for i, name in enumerate(SECTION_NAMES):
             actual = section_checksum(self._data, bounds[i], bounds[i + 1])
             if actual != stored[i]:
+                if not i:
+                    name = "header or " + name
                 raise StoreCorruptError(
                     f"{self._path}: checksum mismatch in {name} section "
                     f"(stored {stored[i]:#010x}, computed {actual:#010x})"
@@ -210,6 +260,11 @@ class PatternStore(PatternSearchBase):
         return cls(path)
 
     def close(self) -> None:
+        for table in (
+            self._pattern_offsets, self._posting_items, self._posting_offsets
+        ):
+            if isinstance(table, memoryview):
+                table.release()  # views of the map pin it open
         self._data.close()
         self._file.close()
 
@@ -240,7 +295,17 @@ class PatternStore(PatternSearchBase):
             + (CHECKSUMS_STRUCT.size if self._checksummed else 0),
             "checksums": self._checksummed,
             "delta": self._delta,
+            "sections": {
+                name: self._bounds[i + 1] - self._bounds[i]
+                for i, name in enumerate(SECTION_NAMES)
+            },
         }
+
+    def record_bytes(self, idx: int) -> tuple[int, int]:
+        """Bytes pattern record ``idx`` costs this file: its span in the
+        pattern section and its entry in the pattern-offset table."""
+        offsets = self._pattern_offsets
+        return offsets[idx + 1] - offsets[idx], U32.size
 
     # ------------------------------------------------------------------
     # storage primitives (see PatternSearchBase)
@@ -253,31 +318,73 @@ class PatternStore(PatternSearchBase):
                     self._vocab = self._decode_vocabulary()
         return self._vocab
 
-    def _decode_vocabulary(self) -> Vocabulary:
+    def _inflate_vocabulary(self) -> bytes:
+        """The vocabulary section's zlib stream, inflated.  Memory is
+        bounded by the declared length, which in turn is bounded by what
+        deflate can expand the section's bytes to."""
         data = self._data
-        offset = self._off_vocab
+        try:
+            size, offset = read_uvarint(data, self._off_vocab)
+        except EncodingError:
+            offset = self._off_end  # the varint ran off the file
+        if offset > self._off_lengths:
+            raise self._corrupt("vocabulary section has no length")
+        stream = data[offset:self._off_lengths]
+        if size > MAX_DEFLATE_RATIO * len(stream):
+            raise self._corrupt(
+                f"vocabulary declares {size} inflated bytes from "
+                f"{len(stream)} deflated"
+            )
+        inflater = zlib.decompressobj()
+        try:
+            # one byte past the declared size shows a longer stream
+            raw = inflater.decompress(stream, size + 1)
+        except zlib.error as exc:
+            raise self._corrupt(f"vocabulary stream is damaged: {exc}") from None
+        if len(raw) != size or not inflater.eof or inflater.unused_data:
+            raise self._corrupt(
+                f"vocabulary stream does not inflate to its declared "
+                f"{size} bytes"
+            )
+        return raw
+
+    def _decode_vocabulary(self) -> Vocabulary:
+        raw = self._inflate_vocabulary()
+        offset = 0
         names: list[str] = []
         frequencies: list[int] = []
         parent_lists: list[tuple[int, ...]] = []
-        for _ in range(self._n_items):
-            n, offset = read_uvarint(data, offset)
-            names.append(data[offset:offset + n].decode("utf-8"))
-            offset += n
-            freq, offset = read_uvarint(data, offset)
-            frequencies.append(zigzag_decode(freq) if self._delta else freq)
-            n_parents, offset = read_uvarint(data, offset)
-            parents = []
-            for _ in range(n_parents):
-                parent, offset = read_uvarint(data, offset)
-                parents.append(parent)
-            parent_lists.append(tuple(parents))
-        hierarchy = Hierarchy()
-        for name in names:
-            hierarchy.add_item(name)
-        for name, parents in zip(names, parent_lists):
-            for parent in parents:
-                hierarchy.add_edge(name, names[parent])
-        return Vocabulary(names, hierarchy, frequencies)
+        try:
+            for _ in range(self._n_items):
+                n, offset = read_uvarint(raw, offset)
+                if offset + n > len(raw):
+                    raise IndexError(offset + n)
+                names.append(raw[offset:offset + n].decode("utf-8"))
+                offset += n
+                freq, offset = read_uvarint(raw, offset)
+                frequencies.append(zigzag_decode(freq) if self._delta else freq)
+                n_parents, offset = read_uvarint(raw, offset)
+                parents = []
+                for _ in range(n_parents):
+                    parent, offset = read_uvarint(raw, offset)
+                    parents.append(parent)
+                parent_lists.append(tuple(parents))
+            if offset != len(raw):
+                raise IndexError(offset)
+            hierarchy = Hierarchy()
+            for name in names:
+                hierarchy.add_item(name)
+            for name, parents in zip(names, parent_lists):
+                for parent in parents:
+                    hierarchy.add_edge(name, names[parent])
+            return Vocabulary(names, hierarchy, frequencies)
+        except (
+            IndexError, UnicodeDecodeError, EncodingError, HierarchyError
+        ) as exc:
+            raise self._corrupt(
+                f"vocabulary does not decode to {self._n_items} items "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
 
     def _num_patterns(self) -> int:
         return self._n_patterns
@@ -291,43 +398,82 @@ class PatternStore(PatternSearchBase):
             return cached
         if not 0 <= idx < self._n_patterns:
             raise IndexError(f"pattern index {idx} out of range")
-        base = self._off_pat_offsets + U64.size * idx
-        start = U64.unpack_from(self._data, base)[0] + self._off_patterns
-        freq, offset = read_uvarint(self._data, start)
+        offsets = self._pattern_offsets
+        start = offsets[idx]
+        end = offsets[idx + 1]
+        if not start < end <= offsets[-1]:
+            raise self._corrupt(f"pattern offsets out of order at record {idx}")
+        base = self._off_patterns
+        data = self._data
+        try:
+            freq, offset = read_uvarint(data, base + start)
+            pattern, offset = read_sequence(data, offset)
+        except EncodingError:
+            offset = -1  # a varint ran off the file
+        if offset != base + end:
+            raise self._corrupt(f"pattern record {idx} overruns its offsets")
         if self._delta:
             freq = zigzag_decode(freq)
-        pattern, _ = read_sequence(self._data, offset)
         record = (pattern, freq)
         with self._lock:
             if len(self._pattern_cache) < self._pattern_cache_size:
                 self._pattern_cache[idx] = record
         return record
 
+    def _check_directory(self) -> None:
+        """Check the posting directory's order once (O(listed items))
+        before the first lookup trusts a binary search over it."""
+        with self._lock:
+            if self._directory_checked:
+                return
+            items = self._posting_items.tolist()
+            offsets = self._posting_offsets.tolist()
+            if items and items[-1] >= self._n_items:
+                raise self._corrupt("posting directory lists an unknown item")
+            # strictly: an id is listed once, and only with postings
+            if any(map(le, items[1:], items)) or any(
+                map(le, offsets[1:], offsets)
+            ):
+                raise self._corrupt("posting directory is not ascending")
+            self._directory_checked = True
+
+    def _posting_span(self, item_id: int) -> tuple[int, int]:
+        """``(start, end)`` of an item's postings relative to the
+        postings section; ``(0, 0)`` for an item the file does not list."""
+        if not self._directory_checked:
+            self._check_directory()
+        items = self._posting_items
+        slot = bisect_left(items, item_id)
+        if slot < len(items) and items[slot] == item_id:
+            offsets = self._posting_offsets
+            return offsets[slot], offsets[slot + 1]
+        return 0, 0
+
     def _decode_postings(
         self, item_id: int
     ) -> tuple[list[int], list[tuple[int, ...]]]:
-        base = self._off_post_offsets + U64.size * item_id
-        start, end = struct.unpack_from("<2Q", self._data, base)
-        start += self._off_postings
-        end += self._off_postings
-        return read_positional_postings(self._data, start, end)
+        start, end = self._posting_span(item_id)
+        base = self._off_postings
+        try:
+            return read_positional_postings(self._data, base + start, base + end)
+        except EncodingError:
+            raise self._corrupt(f"postings of item {item_id} overrun") from None
 
     def _postings_for(self, item_id: int) -> Sequence[int]:
         return self._positional_postings_for(item_id)[0]
 
     def _postings_size_estimate(self, item_id: int) -> int:
-        """O(1) postings-size estimate for the query planner: the
-        postings byte range out of the offset table, divided by a rough
-        bytes-per-entry (an entry is an index delta varint plus a
-        position count plus gap-coded positions, ≥3 bytes).  Never
-        decodes — ordering and skip decisions only need relative
+        """O(log listed items) postings-size estimate for the query
+        planner: the postings byte range out of the directory, divided
+        by a rough bytes-per-entry (an entry is an index delta varint
+        plus a position count plus gap-coded positions, ≥3 bytes).
+        Never decodes — ordering and skip decisions only need relative
         magnitudes.  A function of the store bytes alone, never of
         which postings earlier queries happened to decode: every
         process mounting this file prices a query the same."""
         if not 0 <= item_id < self._n_items:
             return 0
-        base = self._off_post_offsets + U64.size * item_id
-        start, end = struct.unpack_from("<2Q", self._data, base)
+        start, end = self._posting_span(item_id)
         span = end - start
         if not span:
             return 0

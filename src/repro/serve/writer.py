@@ -36,8 +36,10 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import struct
 import tempfile
 import zlib
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -67,7 +69,8 @@ from repro.serve.format import (
     MANIFEST_NAME,
     SECTIONS_STRUCT,
     SHARD_FILE_RE,
-    U64,
+    U32,
+    U32_MAX,
     VERSION,
     shard_filename,
     shard_of,
@@ -169,7 +172,8 @@ def _remove_shard_dir(directory: Path) -> None:
 
 
 def _encode_vocabulary(vocabulary: Vocabulary, delta: bool = False) -> bytes:
-    """The vocabulary section: per item name, frequency, parent ids.
+    """The vocabulary section: the inflated length, then the deflated
+    per-item name, frequency and parent ids.
 
     Under ``delta`` the frequencies are zigzag-coded: a retire delta
     carries *negative* item frequencies so merging vocabularies of base
@@ -185,7 +189,10 @@ def _encode_vocabulary(vocabulary: Vocabulary, delta: bool = False) -> bytes:
         write_uvarint(vocab, len(parents))
         for parent in parents:
             write_uvarint(vocab, parent)
-    return bytes(vocab)
+    section = bytearray()
+    write_uvarint(section, len(vocab))
+    section.extend(zlib.compress(vocab, 9))
+    return bytes(section)
 
 
 class _SectionSpill:
@@ -281,7 +288,7 @@ class PatternWriter(_Atomic):
         self._vocab_bytes = _encode_vocabulary(vocabulary, delta=delta)
         self._lengths = _SectionSpill(spill, buffer_bytes)
         self._offsets = _SectionSpill(spill, buffer_bytes)
-        self._offsets.append(U64.pack(0))
+        self._offsets.append(U32.pack(0))
         self._records = _SectionSpill(spill, buffer_bytes)
         self._cursor = 0
         # triples are unique per (item, pattern) — one carries every
@@ -357,9 +364,14 @@ class PatternWriter(_Atomic):
             record, zigzag_encode(frequency) if self._delta else frequency
         )
         write_sequence(record, pattern)
+        if self._cursor + len(record) > U32_MAX:
+            raise EncodingError(
+                f"{self._path}: pattern section passes the u32 offset "
+                f"range at record {self._count}; shard the store"
+            )
         self._records.append(record)
         self._cursor += len(record)
-        self._offsets.append(U64.pack(self._cursor))
+        self._offsets.append(U32.pack(self._cursor))
 
         positions_by_item: dict[int, tuple[int, ...]] = {}
         for position, item in enumerate(pattern):
@@ -382,45 +394,46 @@ class PatternWriter(_Atomic):
         self._done = True
         tmp = self._path.with_name(self._path.name + ".tmp")
         postings = _SectionSpill(self._spill_dir, self._buffer_bytes)
-        post_offsets = _SectionSpill(self._spill_dir, self._buffer_bytes)
         try:
-            post_offsets.append(U64.pack(0))
+            # the directory lists only the items with postings: O(items
+            # this file indexes) ids and offsets, held until written
+            item_ids: list[int] = []
+            item_offsets = [0]
             cursor = 0
-            pairs = iter(self._postings)
-            pending = next(pairs, None)
-            for item_id in range(self._n_items):
+            for item_id, entries in groupby(self._postings, key=itemgetter(0)):
                 # flush into the spill in bounded chunks: a single
                 # stopword-grade item may own postings for most of the
                 # store, and one bytearray per item would grow with it
                 buf = bytearray()
-                previous = 0
-                first = True
-                while pending is not None and pending[0] == item_id:
-                    idx = pending[1]
-                    if first:
-                        write_uvarint(buf, idx)
-                        first = False
-                    else:
-                        write_uvarint(buf, idx - previous)
+                previous = 0  # the first index is coded absolute
+                for _, idx, positions in entries:
+                    write_uvarint(buf, idx - previous)
                     previous = idx
-                    write_positions(buf, pending[2])
+                    write_positions(buf, positions)
                     if len(buf) >= self._buffer_bytes:
                         postings.append(buf)
                         cursor += len(buf)
                         buf = bytearray()
-                    pending = next(pairs, None)
                 postings.append(buf)
                 cursor += len(buf)
-                post_offsets.append(U64.pack(cursor))
-
-            spills = (
-                self._lengths,
-                self._offsets,
-                self._records,
-                post_offsets,
-                postings,
+                if cursor > U32_MAX:
+                    raise EncodingError(
+                        f"{self._path}: postings section passes the u32 "
+                        "offset range; shard the store"
+                    )
+                item_ids.append(item_id)
+                item_offsets.append(cursor)
+            directory = struct.pack(
+                f"<{2 * len(item_ids) + 1}I", *item_ids, *item_offsets
             )
-            sizes = (len(self._vocab_bytes),) + tuple(s.size for s in spills)
+
+            spills = (self._lengths, self._offsets, self._records)
+            sizes = (
+                len(self._vocab_bytes),
+                *(s.size for s in spills),
+                len(directory),
+                postings.size,
+            )
             sections: list[int] = []
             offset = HEADER_SIZE
             for size in sizes:
@@ -441,19 +454,26 @@ class PatternWriter(_Atomic):
                 else self._total_frequency,
                 self._max_length,
             )
+            head = MAGIC + header + SECTIONS_STRUCT.pack(*sections)
             try:
                 with open(tmp, "wb") as f:
-                    f.write(MAGIC)
-                    f.write(header)
-                    f.write(SECTIONS_STRUCT.pack(*sections))
+                    f.write(head)
                     f.write(self._vocab_bytes)
                     for spill in spills:
                         spill.copy_into(f)
+                    f.write(directory)
+                    postings.copy_into(f)
                     if self._checksums:
+                        # the first CRC covers the head too: a flipped
+                        # header flag or count cannot pass as intact
                         f.write(
                             CHECKSUMS_STRUCT.pack(
-                                zlib.crc32(self._vocab_bytes) & 0xFFFFFFFF,
+                                zlib.crc32(
+                                    self._vocab_bytes, zlib.crc32(head)
+                                ) & 0xFFFFFFFF,
                                 *(spill.checksum() for spill in spills),
+                                zlib.crc32(directory) & 0xFFFFFFFF,
+                                postings.checksum(),
                             )
                         )
                 os.replace(tmp, self._path)
@@ -462,7 +482,6 @@ class PatternWriter(_Atomic):
                 raise
         finally:
             postings.close()
-            post_offsets.close()
             self._release()
 
     def abort(self) -> None:

@@ -42,6 +42,7 @@ from repro.serve.distributed import (
     partial_search,
     partial_top,
 )
+from repro.serve.format import HEADER_SIZE, SECTIONS_STRUCT
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     decode_error,
@@ -780,6 +781,24 @@ class TestAdvisor:
         mined.to_store(single)
         with open_store(single) as a, open_store(store_path) as b:
             assert set(group_weights(a)) == set(group_weights(b))
+
+    def test_weights_sum_to_the_non_vocabulary_bytes(self, mined, tmp_path):
+        """Each group's share is floored, so the weights fall short of
+        the shard files' non-vocabulary section bytes by less than one
+        byte per group."""
+        path = tmp_path / "adv.shards"
+        mined.to_store(path, shards=2)
+        expected = 0
+        for shard in sorted(path.glob("shard-*.store")):
+            data = shard.read_bytes()
+            bounds = SECTIONS_STRUCT.unpack_from(
+                data, HEADER_SIZE - SECTIONS_STRUCT.size
+            )
+            expected += bounds[-1] - bounds[1]  # lengths through postings
+        with open_store(path) as store:
+            weights = group_weights(store)
+        total = sum(weights.values())
+        assert expected - len(weights) < total <= expected
 
     def test_simulation_conserves_bytes(self, store_path):
         with open_store(store_path) as store:

@@ -10,7 +10,13 @@ from repro.errors import EncodingError, StoreCorruptError
 from repro.hierarchy import Hierarchy
 from repro.query import PatternIndex, code_patterns
 from repro.serve import PatternStore, open_store, write_store
-from repro.serve.format import HEADER_SIZE, MAGIC, VERSION
+from repro.serve.format import (
+    CHECKSUMS_STRUCT,
+    HEADER_SIZE,
+    MAGIC,
+    SECTION_NAMES,
+    VERSION,
+)
 
 
 @pytest.fixture
@@ -47,6 +53,47 @@ class TestRoundTrip:
             len(p) for p in fig1_result.patterns
         )
         assert info["file_bytes"] > HEADER_SIZE
+
+    def test_sections_account_for_every_byte(self, fig1_result, fig1_store):
+        """`describe()["sections"]` sizes each section from the header;
+        with the head and the checksum block they make up the file."""
+        info = fig1_store.describe()
+        sections = info["sections"]
+        assert tuple(sections) == SECTION_NAMES
+        assert all(size > 0 for size in sections.values())
+        assert sum(sections.values()) == (
+            info["file_bytes"] - HEADER_SIZE - CHECKSUMS_STRUCT.size
+        )
+        assert fig1_store._vocab is None  # nothing was decoded
+
+    def test_sharded_sections_are_summed(self, fig1_result, tmp_path):
+        path = tmp_path / "fig1.shards"
+        fig1_result.to_store(path, shards=2)
+        with open_store(path) as store:
+            info = store.describe()
+        per_shard = [shard["sections"] for shard in info["shard_stats"]]
+        assert info["sections"] == {
+            name: sum(sections[name] for sections in per_shard)
+            for name in SECTION_NAMES
+        }
+
+    def test_directory_lists_only_indexed_items(self, fig1_result, tmp_path):
+        """A shard's posting directory holds exactly the items with
+        postings in that file; every other item estimates to 0."""
+        path = tmp_path / "fig1.shards"
+        fig1_result.to_store(path, shards=2)
+        with open_store(path) as store:
+            for shard in store._shards():
+                indexed = [
+                    item
+                    for item in range(shard._n_items)
+                    if shard._positional_postings_for(item)[0]
+                ]
+                assert list(shard._posting_items) == indexed
+                assert len(indexed) < shard._n_items
+                for item in range(shard._n_items):
+                    estimate = shard._postings_size_estimate(item)
+                    assert (estimate > 0) == (item in indexed)
 
     @pytest.mark.parametrize("query", FIG1_QUERIES)
     def test_search_identical_to_index(self, fig1_result, fig1_store, query):
@@ -112,6 +159,30 @@ def test_empty_pattern_rejected(fig1_result, tmp_path):
         write_store(
             tmp_path / "bad.store", {(): 5}, fig1_result.vocabulary
         )
+
+
+@pytest.mark.parametrize("section", ["pattern", "postings"])
+def test_writer_refuses_to_pass_the_u32_range(
+    fig1_result, tmp_path, monkeypatch, section
+):
+    """Offsets are u32: the writer raises before a table entry would
+    overflow, and leaves no file behind.  (The limit is lowered so the
+    test need not write 4 GiB.)"""
+    from repro.serve import writer
+
+    path = tmp_path / "big.store"
+    write_store(path, fig1_result.patterns, fig1_result.vocabulary)
+    with PatternStore.open(path) as store:
+        sections = store.describe()["sections"]
+    path.unlink()
+    records, postings = sections["patterns"], sections["postings"]
+    assert records < postings
+    # one byte short of the section the case is about
+    limit = records - 1 if section == "pattern" else postings - 1
+    monkeypatch.setattr(writer, "U32_MAX", limit)
+    with pytest.raises(EncodingError, match=f"{section} section passes"):
+        write_store(path, fig1_result.patterns, fig1_result.vocabulary)
+    assert not path.exists()
 
 
 def test_rebuild_does_not_disturb_open_store(fig1_result, tmp_path):
@@ -202,7 +273,7 @@ class TestSingleVersion:
     """A store directory is single-version: any other header version
     is refused on open, naming the version found and the way out."""
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_single_file(self, fig1_result, tmp_path, version):
         path = tmp_path / "other.store"
         write_store(path, fig1_result.patterns, fig1_result.vocabulary)
@@ -213,7 +284,7 @@ class TestSingleVersion:
         assert f"unsupported store version {version}" in message
         assert "lash index build" in message and "re-mine" in message
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_sharded(self, fig1_result, tmp_path, version):
         path = tmp_path / "other.shards"
         fig1_result.to_store(path, shards=2)

@@ -457,6 +457,38 @@ class TestIndex:
         assert rc == 0
         out = capsys.readouterr().out
         assert "patterns=10" in out
+        assert "version=3" in out
+
+    def test_info_prints_where_the_bytes_go(
+        self, mined_patterns, tmp_path, capsys
+    ):
+        """Each file's row is followed by its section sizes, and they
+        account for every byte but the header and the checksums."""
+        from repro.serve.format import CHECKSUMS_STRUCT, HEADER_SIZE
+
+        patterns, hierarchy = mined_patterns
+        store = tmp_path / "patterns.shards"
+        main([
+            "index", "build", "--patterns", patterns,
+            "--hierarchy", hierarchy, "--out", str(store), "--shards", "2",
+        ])
+        capsys.readouterr()
+        assert main(["index", "info", "--store", str(store)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines if line.startswith("shard ")]
+        assert len(rows) == 2
+        for row in rows:
+            cells = dict(c.split("=", 1) for c in row.split() if "=" in c)
+            sections = lines[lines.index(row) + 1].split()
+            assert sections[0] == "sections"
+            sizes = dict(cell.split("=") for cell in sections[1:])
+            assert list(sizes) == [
+                "vocabulary", "lengths", "pattern_offsets", "patterns",
+                "posting_directory", "postings",
+            ]
+            assert sum(map(int, sizes.values())) == (
+                int(cells["file_bytes"]) - HEADER_SIZE - CHECKSUMS_STRUCT.size
+            )
 
     def test_store_answers_like_query_command(
         self, mined_patterns, tmp_path, capsys
@@ -583,7 +615,7 @@ class TestIndex:
             assert store.describe()["checksums"] is False
 
     @pytest.mark.parametrize("shards", [None, "2"])
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_info_refuses_other_store_versions(
         self, mined_patterns, tmp_path, capsys, shards, version
     ):
