@@ -52,10 +52,8 @@ from a background thread)::
 Serve one shard set from many processes — shard servers own slices,
 the router fans out and merges (answers byte-identical to ``serve``)::
 
-    lash shard-serve --store merged.shards --shards 0,1 --port 7601 \
-         --http-port 7611
-    lash shard-serve --store merged.shards --shards 2,3 --port 7602 \
-         --http-port 7612
+    lash shard-serve --store merged.shards --shards 0,1 --port 7601
+    lash shard-serve --store merged.shards --shards 2,3 --port 7602
     lash route --cluster cluster.json --port 8080
     lash index info --store merged.shards --advise   # pick a shard count
 
@@ -458,7 +456,8 @@ def cmd_index_info(args: argparse.Namespace) -> int:
 
 def cmd_shard_serve(args: argparse.Namespace) -> int:
     """Serve a shard slice of a sharded store over the socket protocol
-    (plus the HTTP endpoints for health checks and metrics)."""
+    (plus, unless ``--no-http``, an HTTP sidecar with per-server stats
+    and metrics)."""
     from repro.serve.distributed import ShardServer, parse_shard_list
 
     shards = (
@@ -1128,12 +1127,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard_serve.add_argument(
         "--http-port", type=int, default=0,
-        help="HTTP sidecar port for /healthz and /metrics (0 = ephemeral)",
+        help="HTTP sidecar port for /stats and /metrics (0 = ephemeral)",
     )
     shard_serve.add_argument(
         "--no-http", action="store_true",
-        help="disable the HTTP sidecar (health checks fall back to "
-        "socket pings)",
+        help="disable the HTTP sidecar (the router's health checks are "
+        "socket pings either way)",
     )
     shard_serve.add_argument(
         "--no-verify", action="store_true",
@@ -1162,7 +1161,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--cluster", required=True,
         help="cluster map JSON: {num_shards, replication, servers: "
-        "[{host, port, http_port, shards?}]}",
+        "[{host, port, shards?}]}",
     )
     route.add_argument("--host", default="127.0.0.1")
     route.add_argument("--port", type=int, default=8080)
@@ -1191,11 +1190,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     route.add_argument(
         "--health-interval", type=float, default=2.0,
-        help="seconds between /healthz probes of the shard servers",
+        help="seconds between health pings of the shard servers",
     )
     route.add_argument(
         "--health-timeout", type=float, default=1.0,
-        help="per-probe timeout in seconds",
+        help="per-ping timeout in seconds",
     )
     route.add_argument(
         "--workers", type=int, default=8,

@@ -9,49 +9,49 @@ partial streams from many servers with the exact
 :func:`~repro.query.base.rank_key` order a single-process store uses —
 the distributed answer is byte-identical to the in-process one.
 
-Each server optionally runs the existing HTTP layer
-(:mod:`repro.serve.http`) on a second port, scoped to its shard slice:
-that is where the router's health checks (``/healthz``) and per-server
-``/metrics`` live, unchanged from single-process serving.
-
 A shard server remembers no answers: every ``search`` compiles, plans
 and executes against the mounted store (which keeps decoded bytes and
-store statistics, nothing per query), and the sidecar's service runs
-with its result cache off.  Repeats are absorbed in front of the
-fan-out, by the :class:`~repro.serve.service.QueryService` the router
-serves through.
+store statistics, nothing per query).  Repeats are absorbed in front of
+the fan-out, by the :class:`~repro.serve.service.QueryService` the
+router serves through.
 
 The socket protocol is request/response over a persistent connection:
-one ``hello`` exchange, then multiplexed frames — many requests in
-flight, out-of-order responses, optional zlib (see
-:mod:`repro.serve.protocol`):
+one ``hello`` exchange — the version check and the zlib offer — then
+multiplexed frames: many requests in flight, out-of-order responses,
+optional zlib (see :mod:`repro.serve.protocol`).  After the hello a
+request is one of five ops:
 
-====================  ==================================================
-op                    answer
-====================  ==================================================
-``ping``              ``{"ok": True, "patterns": N}`` — liveness
-``hello``             first frame of every connection: version check
-                      and zlib offer, mux frames after the response
-``status``            generation + per-shard pattern counts + front-end
-                      gauges (workers, in-flight, rejected) + wire stats
-``describe``          the subset store's :meth:`describe` dict
-``search``            rank-ordered ``records`` for ``tokens`` over the
-                      requested ``shards`` (default: all mounted),
-                      honoring ``min_freq`` (σ prefix cut) and
-                      ``limit``, plus ``costs`` of the plans they ran
-``multi_search``      many searches in one frame (the router's batched
-                      scatter): per-query ``{"records", "costs"}`` or
-                      ``{"error"}`` entries under ``"results"``
-``top``               rank-ordered top-``n`` records
-``estimate``          per-shard planner ``estimates`` for ``tokens``
-                      (the router's pre-flight when a ceiling is set)
-====================  ==================================================
+=============  =========================================================
+op             answer
+=============  =========================================================
+``ping``       ``{"ok": True, "patterns": N}`` — liveness; the router's
+               health check
+``status``     generation + per-shard pattern counts + front-end gauges
+               (workers, in-flight, rejected) + wire stats
+``search``     one entry per query of ``queries`` (each ``{"tokens",
+               "limit", "min_freq"}``, at most
+               :data:`~repro.serve.protocol.MAX_BATCH`) under
+               ``"results"``: the rank-ordered ``records`` over the
+               requested ``shards`` (default: all mounted), cut at
+               ``min_freq`` (σ prefix) and ``limit``, plus the ``costs``
+               of the plans they ran — or that query's ``{"error"}``.
+               A routed miss is a one-entry search, a routed ``/batch``
+               one search per server
+``top``        rank-ordered top-``n`` records
+``estimate``   per-shard planner ``estimates`` for ``tokens`` (the
+               router's pre-flight when a ceiling is set)
+=============  =========================================================
 
 Every record is ``[coded_ids, frequency, names]``; ``costs`` and
 ``estimates`` map shard index to exact float work units, which added in
 shard order give the in-process store's sum bit for bit.  Errors come
 back as ``{"error": {"type", "message"}}`` and re-raise client-side
 with their original :mod:`repro.errors` type.
+
+Each server can also run the HTTP layer (:mod:`repro.serve.http`) on a
+second port, scoped to its shard slice, for per-server ``/stats`` and
+``/metrics``.  The router does not use it: its health checks are
+``ping`` frames on the socket above.
 
 Request execution is bounded by a sized worker pool: past the
 in-flight cap the server answers :class:`ServerBusyError` immediately
@@ -74,7 +74,7 @@ from repro.query.cost import combine_estimates
 from repro.query.tokens import is_negation_only, normalize_query
 from repro.serve.protocol import (
     DEFAULT_COMPRESS_THRESHOLD,
-    PROTOCOL_VERSION,
+    MAX_BATCH,
     WireStats,
     check_hello,
     decode_tokens,
@@ -246,7 +246,8 @@ class ShardServer:
         replicated server).
     port / http_port:
         ``0`` binds an ephemeral port; ``http_port=None`` disables the
-        HTTP sidecar (health checks then fall back to socket pings).
+        HTTP sidecar (per-server ``/stats`` and ``/metrics``; the router
+        never needs it).
     workers / max_in_flight:
         Size of the request-execution worker pool, and the in-flight
         cap (default ``2 * workers`` — a bounded queue's worth of
@@ -476,23 +477,13 @@ class ShardServer:
                 raise InvalidParameterError(
                     f"request must be a dict, got {type(request).__name__}"
                 )
-            version = request.get("v", PROTOCOL_VERSION)
-            if version != PROTOCOL_VERSION:
-                raise InvalidParameterError(
-                    f"unsupported protocol version {version!r} "
-                    f"(expected {PROTOCOL_VERSION})"
-                )
             op = request.get("op")
             if op == "ping":
                 return {"ok": True, "patterns": len(self.store)}
             if op == "status":
                 return self._status()
-            if op == "describe":
-                return {"describe": self.store.describe()}
             if op == "search":
-                return self._search(request)
-            if op == "multi_search":
-                return {"results": self._multi_search(request)}
+                return {"results": self._search(request)}
             if op == "top":
                 return {"records": self._top(request)}
             if op == "estimate":
@@ -564,19 +555,6 @@ class ShardServer:
             )
         return tokens
 
-    def _search(self, request) -> dict:
-        records, costs = partial_search(
-            self.store,
-            self._tokens(request),
-            shard_ids=self._shard_ids(request),
-            limit=request.get("limit"),
-            min_freq=request.get("min_freq"),
-        )
-        return {
-            "records": self._render(records),
-            "costs": {str(index): cost for index, cost in costs.items()},
-        }
-
     def _estimate(self, request) -> dict:
         store = self.store
         priced = _price_slice(
@@ -598,35 +576,49 @@ class ShardServer:
         )
         return self._render(records)
 
-    def _multi_search(self, request) -> list:
-        """The router's batched scatter: many searches in one frame.
-        Per-query failures come back as per-entry ``{"error"}`` dicts —
-        one bad query must not poison its batchmates."""
+    def _search(self, request) -> list:
+        """One entry per query of the frame.  A query's failure is its
+        own entry's ``{"error"}`` — one bad query must not poison its
+        batchmates — while a malformed frame fails as a whole, before
+        any entry runs."""
         queries = request.get("queries")
         if not isinstance(queries, list):
             raise InvalidParameterError(
                 f"'queries' must be a list, got {type(queries).__name__}"
             )
-        shards = request.get("shards")
+        if len(queries) > MAX_BATCH:
+            raise InvalidParameterError(
+                f"search of {len(queries)} queries exceeds limit {MAX_BATCH}"
+            )
+        shards = self._shard_ids(request)
         results: list[dict] = []
         for entry in queries:
-            if not isinstance(entry, dict):
-                results.append(
-                    {
-                        "error": encode_error(
-                            InvalidParameterError(
-                                "each query must be a dict, got "
-                                f"{type(entry).__name__}"
-                            )
-                        )
-                    }
-                )
-                continue
             try:
-                results.append(self._search({**entry, "shards": shards}))
+                results.append(self._search_one(entry, shards))
             except ReproError as exc:
+                if self._stopping:
+                    raise  # teardown, not the query: dispatch hangs up
+                with self._lock:
+                    self._errors += 1
                 results.append({"error": encode_error(exc)})
         return results
+
+    def _search_one(self, entry, shards) -> dict:
+        if not isinstance(entry, dict):
+            raise InvalidParameterError(
+                f"each query must be a dict, got {type(entry).__name__}"
+            )
+        records, costs = partial_search(
+            self.store,
+            self._tokens(entry),
+            shard_ids=shards,
+            limit=entry.get("limit"),
+            min_freq=entry.get("min_freq"),
+        )
+        return {
+            "records": self._render(records),
+            "costs": {str(index): cost for index, cost in costs.items()},
+        }
 
     def _render(self, records) -> list:
         vocabulary = self.store.vocabulary

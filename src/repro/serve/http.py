@@ -45,10 +45,9 @@ from repro.errors import (
     ReproError,
     StoreCorruptError,
 )
-from repro.serve.protocol import DEFAULT_COMPRESS_THRESHOLD
+from repro.serve.protocol import DEFAULT_COMPRESS_THRESHOLD, MAX_BATCH
 from repro.serve.service import DEFAULT_LIMIT, QueryService, error_message
 
-MAX_BATCH = 1000
 _MAX_BODY = 1 << 20  # 1 MiB request bodies are plenty for query batches
 
 #: exposition format version expected by Prometheus scrapers

@@ -11,7 +11,10 @@ lists and string-keyed dicts — every value a mux payload can carry):
 
 1. the client's first frame is
    ``{"v": PROTOCOL_VERSION, "op": "hello", "zlib": bool}`` — the
-   version check and the compression offer;
+   compression offer and the connection's **only** version check: no
+   mux payload after it carries a ``v``, and a peer of another version
+   is refused here, typed, before it can send a frame of a shape this
+   build does not know;
 2. the server answers ``{"ok": True, "threshold": N}`` (``None`` when
    either side declined zlib) and both ends switch to mux frames.  A
    first frame that is anything else gets one
@@ -82,13 +85,19 @@ from repro.query.tokens import (
     UnderToken,
 )
 
-#: protocol revision; servers reject requests tagged with another one
-#: instead of misreading them
-PROTOCOL_VERSION = 1
+#: protocol revision, checked once per connection by the hello; a
+#: server refuses a peer of another revision instead of misreading its
+#: frames
+PROTOCOL_VERSION = 2
 
 #: a frame larger than this is a corrupt length prefix, not a result
 #: set — reject before allocating the claimed size
 MAX_FRAME_BYTES = 1 << 26  # 64 MiB
+
+#: most queries one request may carry — an HTTP ``/batch`` body and a
+#: shard server's ``search`` frame alike — so one frame cannot pin a
+#: worker for the time of a million searches
+MAX_BATCH = 1000
 
 #: default payload size (bytes) above which a frame is compressed once
 #: zlib was agreed — below it deflate overhead beats the byte savings
@@ -593,6 +602,7 @@ def decode_error(obj: dict) -> ReproError:
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "MAX_BATCH",
     "FLAG_COMPRESSED",
     "DEFAULT_COMPRESS_THRESHOLD",
     "WireStats",

@@ -26,8 +26,9 @@ Placement and failover:
   request beyond the budget.
 * A shard whose chosen server fails is retried **once** on its next
   untried replica; servers that fail are marked unhealthy and excluded
-  from later plans until a health check (``/healthz`` of the shard
-  server's HTTP sidecar, or a socket ping) revives them.
+  from later plans until a health check — a ``ping`` on the server's
+  own mux connection — revives them.  A busy answer to that ping reads
+  as alive.
 * If a shard's replica set is exhausted the query **degrades**: the
   answer covers the reachable shards and says so in its
   :attr:`~repro.query.base.Answer.partial` instead of failing — and
@@ -38,13 +39,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import http.client
 import itertools
 import json
 import socket
 import threading
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,7 +61,6 @@ from repro.query.base import Answer, QueryMatch
 from repro.query.cost import CostEstimate, combine_estimates
 from repro.query.tokens import normalize_query
 from repro.serve.protocol import (
-    PROTOCOL_VERSION,
     WireStats,
     decode_error,
     encode_tokens,
@@ -92,11 +90,10 @@ _MIN_TIMEOUT = 0.05
 
 @dataclass(frozen=True)
 class ServerSpec:
-    """One shard server endpoint (socket port + optional HTTP sidecar)."""
+    """One shard server endpoint."""
 
     host: str
     port: int
-    http_port: int | None = None
 
     @property
     def key(self) -> str:
@@ -146,15 +143,16 @@ class ClusterMap:
           "num_shards": 4,
           "replication": 2,
           "servers": [
-            {"host": "127.0.0.1", "port": 7601, "http_port": 7611},
-            {"host": "127.0.0.1", "port": 7602, "http_port": 7612}
+            {"host": "127.0.0.1", "port": 7601},
+            {"host": "127.0.0.1", "port": 7602}
           ]
         }
 
     Placement is consistent-hash by default; a server may instead pin
     its shards explicitly with ``"shards": [0, 2]`` (then every server
     must pin, and each shard needs at least one owner).  Every server
-    is expected to mount at least the shards placed on it.
+    is expected to mount at least the shards placed on it.  Other keys
+    of a server entry are ignored.
     """
 
     def __init__(
@@ -212,11 +210,7 @@ class ClusterMap:
         explicit = 0
         for entry in raw_servers:
             try:
-                spec = ServerSpec(
-                    host=entry["host"],
-                    port=entry["port"],
-                    http_port=entry.get("http_port"),
-                )
+                spec = ServerSpec(host=entry["host"], port=entry["port"])
             except (TypeError, KeyError) as exc:
                 raise InvalidParameterError(
                     f"server entry {entry!r} must define {exc}"
@@ -524,11 +518,18 @@ def _parse_records(response, key: str) -> list[tuple]:
     ]
 
 
-def _parse_search(response, key: str) -> tuple[list[tuple], dict]:
-    """One server's answer to ``search`` (or one ``multi_search``
-    entry): its record list and the price each of its shards ran at."""
-    costs = response["costs"].items()
-    return _parse_records(response, key), {int(s): c for s, c in costs}
+def _parse_entry(entry, key: str):
+    """One entry of a server's ``search`` answer: its record list and
+    the price each of its shards ran at — or the error that query
+    earned there.  A corrupt store is the server's failure, not the
+    query's, so it is raised: the scatter then fails the server over."""
+    if isinstance(entry, dict) and "error" in entry:
+        error = decode_error(entry["error"])
+        if isinstance(error, StoreCorruptError):
+            raise error
+        return error
+    costs = entry["costs"].items()
+    return _parse_records(entry, key), {int(s): c for s, c in costs}
 
 
 def _by_shard(groups) -> list:
@@ -545,7 +546,7 @@ def _to_matches(records) -> list[QueryMatch]:
     return [QueryMatch(names, frequency) for _, frequency, names in records]
 
 
-def _merged_answer(groups, partial, limit: int | None = None) -> Answer:
+def _merged_answer(groups, partial, limit: int | None) -> Answer:
     """One search's per-server ``(records, costs)`` as one answer:
     records k-way merged and cut at ``limit``, the prices of the shards
     that answered summed."""
@@ -639,32 +640,25 @@ class RouterBackend:
     # ------------------------------------------------------------------
 
     def _probe(self, key: str) -> bool:
-        spec = self._cluster.servers[key]
-        if spec.http_port is not None:
-            url = f"http://{spec.host}:{spec.http_port}/healthz"
-            try:
-                with urllib.request.urlopen(
-                    url, timeout=self._health_timeout
-                ) as response:
-                    return response.status == 200
-            except (OSError, http.client.HTTPException):
-                # refused, timed out, or not HTTP at all: this one server
-                # reads as down, and the other probes still run
-                return False
         try:
             answer = self._clients[key].request(
-                {"v": PROTOCOL_VERSION, "op": "ping"}, self._health_timeout
+                {"op": "ping"}, self._health_timeout
             )
+        except ServerBusyError:
+            # at capacity is alive: the scatter fails it over without
+            # marking it down, and the probe agrees
+            return True
         except (OSError, EOFError, ConnectionError, ReproError):
+            # refused, timed out, or no peer of this protocol: this one
+            # server reads as down, and the other probes still run
             return False
         return bool(isinstance(answer, dict) and answer.get("ok"))
 
     def check_health(self) -> dict[str, bool]:
-        """Probe every server once and update the health map.
+        """Ping every server once and update the health map.
 
-        Shard servers answer ``/healthz`` on their HTTP sidecar (or a
-        socket ping when they run without one).  A server marked down
-        is excluded from fan-out plans; a later probe revives it.
+        A server marked down is excluded from fan-out plans; a later
+        ping revives it.
         """
         status = {key: self._probe(key) for key in self._cluster.servers}
         with self._lock:
@@ -732,8 +726,9 @@ class RouterBackend:
 
         Returns ``(group_records, partial)`` where each element of
         ``group_records`` is one server's answer as ``parse(response,
-        key)`` extracted it (by default its rank-ordered record list)
-        and ``partial`` is ``None`` when every shard answered, else
+        key)`` extracted it (by default its rank-ordered record list),
+        ordered by the lowest shard it covers, and ``partial`` is
+        ``None`` when every shard answered, else
         ``{"missing_shards": [...], "failed_servers": [...]}``.
 
         Each shard gets at most two attempts (primary pick + one
@@ -781,7 +776,7 @@ class RouterBackend:
             for future, (key, shards) in futures.items():
                 records, failure = future.result()
                 if failure is None:
-                    group_records.append(records)
+                    group_records.append((min(shards), records))
                 elif isinstance(failure, ServerBusyError):
                     # overloaded, not dead: fail over to a replica but
                     # leave the server in the rotation — the next probe
@@ -813,7 +808,8 @@ class RouterBackend:
             }
             if retried:
                 partial["retried_shards"] = sorted(retried)
-        return group_records, partial
+        group_records.sort(key=lambda group: group[0])
+        return [records for _, records in group_records], partial
 
     def _call_group(
         self,
@@ -855,12 +851,7 @@ class RouterBackend:
         tokens = encode_tokens(normalize_query(query))
 
         def make_payload(shards: list[int]) -> dict:
-            return {
-                "v": PROTOCOL_VERSION,
-                "op": "estimate",
-                "tokens": tokens,
-                "shards": shards,
-            }
+            return {"op": "estimate", "tokens": tokens, "shards": shards}
 
         def parse(response, key: str) -> dict:
             # a malformed answer fails that server over, like any other
@@ -876,48 +867,32 @@ class RouterBackend:
         return None if partial else combine_estimates(_by_shard(groups))
 
     # ------------------------------------------------------------------
-    # batched scatter (the /batch endpoint's wire path)
+    # search: one scatter for one query or a whole batch
     # ------------------------------------------------------------------
 
-    def prefetch(self, pairs) -> dict:
-        """Fetch many queries in one ``multi_search`` frame per server.
+    def _search(self, queries: list[tuple]) -> list:
+        """One ``search`` scatter for ``queries``, ``(tokens, limit,
+        min_freq)`` triples: per query, its merged
+        :class:`~repro.query.base.Answer` or the
+        :class:`~repro.errors.ReproError` it earned — from the lowest
+        shard that reported one, so the outcome does not depend on
+        which server answered first.
 
-        ``pairs`` iterates ``(normalized_tokens, min_freq)``; the
-        return value maps each pair to its unlimited
-        :class:`~repro.query.base.Answer` — or to the
-        :class:`~repro.errors.ReproError` that query earned — so a
-        batch pays one scatter instead of one per query, with outcomes
-        identical to the per-query wire path.  The caller owns the map.
-
-        Best-effort by design: a scatter that fails as a whole returns
-        nothing, and a pair missing from the map just goes through
-        :meth:`search_answer`, which reports whatever went wrong.
+        Per-shard σ cuts compose (rank order makes ``min_freq`` a
+        stream prefix) and ``limit`` pushes down as a per-server upper
+        bound, re-applied globally after the merge.
         """
-        unique: list[tuple] = []
-        seen: set[tuple] = set()
-        for tokens, min_freq in pairs:
-            key = (tokens, min_freq)
-            if key not in seen:
-                seen.add(key)
-                unique.append(key)
-        if len(unique) < 2:
-            return {}  # a single query gains nothing over the plain path
-        queries = [
+        wire = [
             {
                 "tokens": encode_tokens(tokens),
-                "limit": None,
+                "limit": limit,
                 "min_freq": min_freq,
             }
-            for tokens, min_freq in unique
+            for tokens, limit, min_freq in queries
         ]
 
         def make_payload(shards: list[int]) -> dict:
-            return {
-                "v": PROTOCOL_VERSION,
-                "op": "multi_search",
-                "shards": shards,
-                "queries": queries,
-            }
+            return {"op": "search", "shards": shards, "queries": wire}
 
         def parse(response, key: str) -> list:
             results = (
@@ -925,31 +900,50 @@ class RouterBackend:
                 if isinstance(response, dict)
                 else None
             )
-            if not isinstance(results, list) or len(results) != len(unique):
+            if not isinstance(results, list) or len(results) != len(wire):
                 raise StoreCorruptError(
-                    f"server {key} sent a malformed multi_search response"
+                    f"server {key} sent a malformed search response"
                 )
-            return [
-                decode_error(entry["error"])
-                if isinstance(entry, dict) and "error" in entry
-                else _parse_search(entry, key)
-                for entry in results
-            ]
+            return [_parse_entry(entry, key) for entry in results]
 
-        try:
-            groups, partial = self._scatter(make_payload, parse=parse)
-        except ReproError:
-            return {}
-        parked: dict = {}
-        for index, key in enumerate(unique):
+        groups, partial = self._scatter(make_payload, parse)
+        answers = []
+        for index, (_, limit, _) in enumerate(queries):
             entries = [group[index] for group in groups]
             error = next(
-                (e for e in entries if isinstance(e, BaseException)), None
+                (e for e in entries if isinstance(e, ReproError)), None
             )
-            parked[key] = (
-                _merged_answer(entries, partial) if error is None else error
+            answers.append(
+                _merged_answer(entries, partial, limit)
+                if error is None
+                else error
             )
-        return parked
+        return answers
+
+    def prefetch(self, pairs) -> dict:
+        """Fetch many queries in one ``search`` frame per server.
+
+        ``pairs`` iterates ``(normalized_tokens, min_freq)``; the
+        return value maps each pair to its unlimited
+        :class:`~repro.query.base.Answer` — or to the
+        :class:`~repro.errors.ReproError` that query earned — so a
+        batch pays one scatter instead of one per query, with outcomes
+        identical to the per-query path.  The caller owns the map.
+
+        Best-effort by design: a scatter that fails as a whole returns
+        nothing, and a pair missing from the map just goes through
+        :meth:`search_answer`, which reports whatever went wrong.
+        """
+        unique = list(dict.fromkeys(pairs))
+        if not unique:
+            return {}
+        try:
+            answers = self._search(
+                [(tokens, None, min_freq) for tokens, min_freq in unique]
+            )
+        except ReproError:
+            return {}
+        return dict(zip(unique, answers))
 
     def search_answer(
         self,
@@ -958,27 +952,13 @@ class RouterBackend:
         min_freq: int | None = None,
         cost: CostEstimate | None = None,
     ) -> Answer:
-        """Fan the normalized query out and merge the partial answers.
-
-        Per-shard σ cuts compose (rank order makes ``min_freq`` a
-        stream prefix) and ``limit`` pushes down as a per-server upper
-        bound, re-applied globally after the merge.  ``cost`` is unused:
-        the plans live on the servers, which price them as they run.
-        """
-        tokens = encode_tokens(normalize_query(query))
-
-        def make_payload(shards: list[int]) -> dict:
-            return {
-                "v": PROTOCOL_VERSION,
-                "op": "search",
-                "tokens": tokens,
-                "shards": shards,
-                "limit": limit,
-                "min_freq": min_freq,
-            }
-
-        groups, partial = self._scatter(make_payload, _parse_search)
-        return _merged_answer(groups, partial, limit)
+        """Fan the normalized query out as a one-entry ``search`` and
+        merge the partial answers.  ``cost`` is unused: the plans live
+        on the servers, which price them as they run."""
+        (answer,) = self._search([(normalize_query(query), limit, min_freq)])
+        if isinstance(answer, ReproError):
+            raise answer
+        return answer
 
     def search(
         self,
@@ -993,12 +973,7 @@ class RouterBackend:
         ``n`` kept."""
 
         def make_payload(shards: list[int]) -> dict:
-            return {
-                "v": PROTOCOL_VERSION,
-                "op": "top",
-                "n": n,
-                "shards": shards,
-            }
+            return {"op": "top", "n": n, "shards": shards}
 
         groups, partial = self._scatter(make_payload)
         merged = itertools.islice(heapq.merge(*groups, key=_record_key), n)
@@ -1029,8 +1004,7 @@ class RouterBackend:
                 asked.add(key)
                 try:
                     status = self._clients[key].request(
-                        {"v": PROTOCOL_VERSION, "op": "status"},
-                        self._health_timeout,
+                        {"op": "status"}, self._health_timeout
                     )
                 except (OSError, EOFError, ConnectionError, ReproError):
                     continue
@@ -1071,7 +1045,6 @@ class RouterBackend:
                 "servers": {
                     key: {
                         "healthy": self._healthy[key],
-                        "http_port": self._cluster.servers[key].http_port,
                         "in_flight": client_stats[key]["in_flight"],
                     }
                     for key in sorted(self._cluster.servers)

@@ -582,7 +582,7 @@ class QueryService:
 
         The batch's cache-missing queries first go to the backend's
         ``prefetch`` — against the distributed router that is one
-        batched scatter, a single ``multi_search`` frame per server —
+        batched scatter, a single ``search`` frame per server —
         and the per-query loop below consumes the answers it returned.
         The answers are identical either way; only the number of wire
         round trips changes.

@@ -389,7 +389,7 @@ class TestPricedOnlyWhenACeilingNeedsIt:
         cost = service.stats()["admission"]["cost"]
         assert cost["count"] == 2 * len(ADMISSION_QUERIES)
 
-    def test_a_batch_of_misses_is_one_multi_search_per_server(
+    def test_a_batch_of_misses_is_one_search_frame_per_server(
         self, cluster, shard_store_path
     ):
         router, servers = cluster
@@ -400,7 +400,7 @@ class TestPricedOnlyWhenACeilingNeedsIt:
         assert service.batch(ADMISSION_QUERIES) == want
         assert router.describe()["wire"]["frames_sent"] == sent + len(servers)
         for server in servers:
-            assert server.ops == {"multi_search": 1}
+            assert server.ops == {"search": 1}
 
     def test_a_ceiling_prices_each_miss_once_before_it_runs(self, cluster):
         router, servers = cluster

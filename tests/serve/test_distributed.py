@@ -13,6 +13,7 @@ is flagged partial and kept out of the service cache.
 from __future__ import annotations
 
 import random
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -44,7 +45,6 @@ from repro.serve.distributed import (
 )
 from repro.serve.format import HEADER_SIZE, SECTIONS_STRUCT
 from repro.serve.protocol import (
-    PROTOCOL_VERSION,
     decode_error,
     decode_tokens,
     decode_value,
@@ -112,13 +112,7 @@ def _cluster_for(servers, num_shards=NUM_SHARDS, full_replica=None):
         entries.append((full_replica, range(num_shards)))
     for server, shards in entries:
         host, port = server.address
-        spec = ServerSpec(
-            host,
-            port,
-            http_port=(
-                server.http_address[1] if server.http_address else None
-            ),
-        )
+        spec = ServerSpec(host, port)
         specs.append(spec)
         for shard in shards:
             placement.setdefault(shard, []).append(spec.key)
@@ -305,36 +299,34 @@ class TestShardServer:
             host, port = server.address
             client = ShardClient(host, port)
             try:
-                pong = client.request(
-                    {"v": PROTOCOL_VERSION, "op": "ping"}, 5.0
-                )
+                pong = client.request({"op": "ping"}, 5.0)
                 assert pong == {"ok": True, "patterns": len(store)}
 
-                status = client.request(
-                    {"v": PROTOCOL_VERSION, "op": "status"}, 5.0
-                )
+                status = client.request({"op": "status"}, 5.0)
                 assert status["num_shards"] == NUM_SHARDS
                 assert status["owned"] == list(range(NUM_SHARDS))
                 assert sum(
                     status["patterns_by_shard"].values()
                 ) == len(store)
 
-                described = client.request(
-                    {"v": PROTOCOL_VERSION, "op": "describe"}, 5.0
-                )["describe"]
-                assert described["patterns"] == len(store)
+                def search(*token_lists, shards=None):
+                    return client.request(
+                        {
+                            "op": "search",
+                            "shards": shards,
+                            "queries": [
+                                {
+                                    "tokens": encode_tokens(tokens),
+                                    "limit": None,
+                                    "min_freq": None,
+                                }
+                                for tokens in token_lists
+                            ],
+                        },
+                        5.0,
+                    )["results"]
 
-                response = client.request(
-                    {
-                        "v": PROTOCOL_VERSION,
-                        "op": "search",
-                        "tokens": encode_tokens(parse_query("? ?")),
-                        "shards": [0, 2],
-                        "limit": None,
-                        "min_freq": None,
-                    },
-                    5.0,
-                )
+                (response,) = search(parse_query("? ?"), shards=[0, 2])
                 records = response["records"]
                 expected, costs = partial_search(
                     store, parse_query("? ?"), shard_ids=[0, 2]
@@ -353,38 +345,23 @@ class TestShardServer:
                     for coded, _freq, names in records
                 )
 
-                # errors cross the wire with their original type
-                with pytest.raises(UnknownItemError):
-                    client.request(
-                        {
-                            "v": PROTOCOL_VERSION,
-                            "op": "search",
-                            "tokens": encode_tokens([ItemToken("zzz")]),
-                        },
-                        5.0,
-                    )
-                with pytest.raises(InvalidParameterError):
-                    client.request(
-                        {"v": PROTOCOL_VERSION, "op": "nope"}, 5.0
-                    )
-                with pytest.raises(InvalidParameterError):
-                    client.request({"v": 999, "op": "ping"}, 5.0)
-                with pytest.raises(InvalidParameterError):
-                    # negation-only guard repeats server-side
-                    client.request(
-                        {
-                            "v": PROTOCOL_VERSION,
-                            "op": "search",
-                            "tokens": encode_tokens(
-                                [NotToken(ItemToken("a"))]
-                            ),
-                        },
-                        5.0,
-                    )
+                # a query's error is its own entry, with its original
+                # type; the negation-only guard repeats server-side
+                unknown, negated = search(
+                    [ItemToken("zzz")], [NotToken(ItemToken("a"))]
+                )
+                assert isinstance(
+                    decode_error(unknown["error"]), UnknownItemError
+                )
+                assert isinstance(
+                    decode_error(negated["error"]), InvalidParameterError
+                )
+                # five ops after the hello, and no other
+                for op in ("nope", "describe", "multi_search"):
+                    with pytest.raises(InvalidParameterError, match="op"):
+                        client.request({"op": op}, 5.0)
                 # the connection survives all those error responses
-                assert client.request(
-                    {"v": PROTOCOL_VERSION, "op": "ping"}, 5.0
-                )["ok"]
+                assert client.request({"op": "ping"}, 5.0)["ok"]
             finally:
                 client.close()
 
@@ -395,14 +372,11 @@ class TestShardServer:
             host, port = server.address
             client = ShardClient(host, port)
             try:
-                status = client.request(
-                    {"v": PROTOCOL_VERSION, "op": "status"}, 5.0
-                )
+                status = client.request({"op": "status"}, 5.0)
                 assert status["owned"] == [1, 3]
                 with pytest.raises(InvalidParameterError):
                     client.request(
                         {
-                            "v": PROTOCOL_VERSION,
                             "op": "top",
                             "n": 5,
                             "shards": [0],
@@ -463,11 +437,15 @@ class TestPlacement:
                 "num_shards": 2,
                 "servers": [
                     {"host": "a", "port": 1, "shards": [0]},
-                    {"host": "b", "port": 2, "shards": [1, 0]},
+                    # keys the router does not read, such as the
+                    # retired "http_port", load unchanged
+                    {"host": "b", "port": 2, "shards": [1, 0],
+                     "http_port": 12},
                 ],
             }
         )
         assert cluster.replicas(0) == ("a:1", "b:2")
+        assert cluster.servers["b:2"] == ServerSpec("b", 2)
         assert cluster.replicas(1) == ("b:2",)
 
 
@@ -609,12 +587,12 @@ class TestRouterFailover:
             finally:
                 router.close()
 
-    def test_healthz_probe_drives_exclusion(self, store_path):
-        """check_health marks a dead server down via its HTTP sidecar,
-        after which fan-outs skip it (first-wave picks go straight to
-        the replica — the retry counter stays put)."""
+    def test_ping_probe_drives_exclusion(self, store_path):
+        """check_health marks a dead server down by a mux ping, after
+        which fan-outs skip it (first-wave picks go straight to the
+        replica — the retry counter stays put)."""
         with ShardServer(
-            store_path, shard_subset=[0, 1]
+            store_path, shard_subset=[0, 1], http_port=None
         ) as s1, ShardServer(store_path, http_port=None) as replica:
             cluster = _cluster_for([(s1, [0, 1])], full_replica=replica)
             router = RouterBackend(cluster)
@@ -639,15 +617,27 @@ class TestRouterFailover:
                 router.close()
 
     def test_a_non_http_answer_reads_as_that_server_down(self, store_path):
-        """An ``http_port`` that reaches a listener speaking no HTTP
-        (here the server's own mux port) is that one server down: the
-        probe does not raise, and the other servers are still probed —
-        a downed replica is revived by the same sweep."""
-        with ShardServer(
-            store_path, shard_subset=[0, 1], http_port=None
-        ) as s1, ShardServer(store_path, http_port=None) as replica:
-            host, port = s1.address
-            confused = ServerSpec(host, port, http_port=port)
+        """A server entry that reaches a listener answering neither HTTP
+        nor this protocol (here a line of garbage) is that one server
+        down: the ping does not raise, and the other servers are still
+        probed — a downed replica is revived by the same sweep."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(POLL_INTERVAL)
+        done = threading.Event()
+
+        def answer_http() -> None:
+            while not done.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    continue
+                with conn:
+                    conn.sendall(b"garbage, not a frame\n")
+
+        thread = threading.Thread(target=answer_http, daemon=True)
+        thread.start()
+        with ShardServer(store_path, http_port=None) as replica:
+            confused = ServerSpec(*listener.getsockname()[:2])
             healthy = ServerSpec(*replica.address)
             cluster = ClusterMap(
                 [confused, healthy],
@@ -671,6 +661,9 @@ class TestRouterFailover:
                 }
             finally:
                 router.close()
+                done.set()
+                thread.join(timeout=5)
+                listener.close()
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ import pytest
 from repro.core import Lash, MiningParams
 from repro.errors import (
     EncodingError,
-    InvalidParameterError,
     ReproError,
     ServerBusyError,
 )
@@ -105,13 +104,7 @@ def _cluster_for(servers, num_shards=NUM_SHARDS, full_replica=None):
         entries.append((full_replica, range(num_shards)))
     for server, shards in entries:
         host, port = server.address
-        spec = ServerSpec(
-            host,
-            port,
-            http_port=(
-                server.http_address[1] if server.http_address else None
-            ),
-        )
+        spec = ServerSpec(host, port)
         specs.append(spec)
         for shard in shards:
             placement.setdefault(shard, []).append(spec.key)
@@ -124,6 +117,24 @@ def _pairs(matches):
 
 def _matches(backend, query, **kwargs):
     return _pairs(backend.search(query, **kwargs))
+
+
+def _search_frame(*entries, shards=None) -> dict:
+    """A ``search`` frame of one unbounded entry per wire token list
+    (an entry given as a dict goes in as it is)."""
+    return {
+        "op": "search",
+        "shards": shards,
+        "queries": [
+            entry if isinstance(entry, dict)
+            else {"tokens": entry, "limit": None, "min_freq": None}
+            for entry in entries
+        ],
+    }
+
+
+def _entry_pairs(entry):
+    return [(tuple(names), freq) for _, freq, names in entry["records"]]
 
 
 # ----------------------------------------------------------------------
@@ -526,9 +537,7 @@ class TestWireCompression:
             client = ShardClient(host, port)
             try:
                 # ping answers are tiny: never compressed
-                client.request(
-                    {"v": PROTOCOL_VERSION, "op": "ping"}, timeout=5
-                )
+                client.request({"op": "ping"}, timeout=5)
                 assert (
                     client.compress_threshold == DEFAULT_COMPRESS_THRESHOLD
                 )
@@ -536,21 +545,10 @@ class TestWireCompression:
                 assert baseline["compressed_frames_received"] == 0
                 # the full "? ?" result set is well past the threshold
                 response = client.request(
-                    {
-                        "v": PROTOCOL_VERSION,
-                        "op": "search",
-                        "tokens": [["any"], ["any"]],
-                        "shards": None,
-                        "limit": None,
-                        "min_freq": None,
-                    },
-                    timeout=5,
+                    _search_frame([["any"], ["any"]]), timeout=5
                 )
-                got = [
-                    (tuple(names), freq)
-                    for _, freq, names in response["records"]
-                ]
-                assert got == expected["? ?"]
+                (entry,) = response["results"]
+                assert _entry_pairs(entry) == expected["? ?"]
                 snap = client.wire_stats.snapshot()
                 assert snap["compressed_frames_received"] >= 1
                 assert (
@@ -569,26 +567,13 @@ class TestWireCompression:
             host, port = server.address
             client = ShardClient(host, port)
             try:
-                client.request(
-                    {"v": PROTOCOL_VERSION, "op": "ping"}, timeout=5
-                )
+                client.request({"op": "ping"}, timeout=5)
                 assert client.compress_threshold is None
                 response = client.request(
-                    {
-                        "v": PROTOCOL_VERSION,
-                        "op": "search",
-                        "tokens": [["any"], ["any"]],
-                        "shards": None,
-                        "limit": None,
-                        "min_freq": None,
-                    },
-                    timeout=5,
+                    _search_frame([["any"], ["any"]]), timeout=5
                 )
-                got = [
-                    (tuple(names), freq)
-                    for _, freq, names in response["records"]
-                ]
-                assert got == expected["? ?"]
+                (entry,) = response["results"]
+                assert _entry_pairs(entry) == expected["? ?"]
                 snap = client.wire_stats.snapshot()
                 assert snap["compressed_frames_received"] == 0
                 assert (
@@ -615,7 +600,7 @@ class TestKillMidPipeline:
         # connection just died
         client = ShardClient(host, port)
         with pytest.raises((OSError, ConnectionError)):
-            client.request({"v": PROTOCOL_VERSION, "op": "ping"}, timeout=2)
+            client.request({"op": "ping"}, timeout=2)
         client.close()
 
     def test_concurrent_queries_fail_over_to_replica(
@@ -671,41 +656,23 @@ class TestKillMidPipeline:
 
 
 # ----------------------------------------------------------------------
-# batched scatter (multi_search + service prefetch)
+# batched scatter (one search frame per server + service prefetch)
 # ----------------------------------------------------------------------
 
 
 class TestBatchedScatter:
-    def test_multi_search_op_matches_per_query(self, store_path, expected):
+    def test_search_op_answers_each_entry(self, store_path, expected):
         with ShardServer(store_path, http_port=None) as server:
             host, port = server.address
             client = ShardClient(host, port)
             try:
-                queries = [
-                    {
-                        "tokens": [["any"], ["any"]],
-                        "limit": None,
-                        "min_freq": None,
-                    },
-                    {"tokens": [["item", "zzz"]], "limit": None,
-                     "min_freq": None},
-                ]
                 response = client.request(
-                    {
-                        "v": PROTOCOL_VERSION,
-                        "op": "multi_search",
-                        "shards": None,
-                        "queries": queries,
-                    },
+                    _search_frame([["any"], ["any"]], [["item", "zzz"]]),
                     timeout=5,
                 )
                 results = response["results"]
                 assert len(results) == 2
-                got = [
-                    (tuple(names), freq)
-                    for _, freq, names in results[0]["records"]
-                ]
-                assert got == expected["? ?"]
+                assert _entry_pairs(results[0]) == expected["? ?"]
                 # the bad query fails alone, with its original type
                 assert results[1]["error"]["type"] == "UnknownItemError"
             finally:
@@ -716,39 +683,32 @@ class TestBatchedScatter:
         self, store_path, expected, field
     ):
         """A non-integer ``limit`` or ``min_freq`` is a typed error for
-        its own ``multi_search`` entry, or its own ``search`` frame: the
+        its own ``search`` entry, alone in its frame or not: the
         batchmates are answered and the connection stays usable."""
         good = {"tokens": [["any"], ["any"]], "limit": None, "min_freq": None}
         bad = {**good, field: "x"}
-
-        def records(result):
-            return [
-                (tuple(names), freq) for _, freq, names in result["records"]
-            ]
 
         with ShardServer(store_path, http_port=None) as server:
             client = ShardClient(*server.address)
             try:
                 response = client.request(
-                    {
-                        "v": PROTOCOL_VERSION,
-                        "op": "multi_search",
-                        "shards": None,
-                        "queries": [good, bad, good],
-                    },
-                    timeout=5,
+                    _search_frame(good, bad, good), timeout=5
                 )
                 first, failed, last = response["results"]
                 assert failed["error"]["type"] == "InvalidParameterError"
                 assert field in failed["error"]["message"]
-                assert records(first) == records(last) == expected["? ?"]
-                single = {
-                    "v": PROTOCOL_VERSION, "op": "search", "shards": None
-                }
-                with pytest.raises(InvalidParameterError, match=field):
-                    client.request({**single, **bad}, timeout=5)
-                answer = client.request({**single, **good}, timeout=5)
-                assert records(answer) == expected["? ?"]
+                assert (
+                    _entry_pairs(first) == _entry_pairs(last)
+                    == expected["? ?"]
+                )
+                (alone,) = client.request(
+                    _search_frame(bad), timeout=5
+                )["results"]
+                assert alone == failed
+                (answer,) = client.request(
+                    _search_frame(good), timeout=5
+                )["results"]
+                assert _entry_pairs(answer) == expected["? ?"]
             finally:
                 client.close()
 
@@ -765,27 +725,33 @@ class TestBatchedScatter:
                 # estimated_cost included: the servers' plan prices,
                 # summed in shard order, are the local store's
                 assert service.batch(queries, limit=5) == want
-                # the whole batch was one multi_search scatter
+                # the whole batch was one search scatter
                 assert router.describe()["fanouts"] == 1
             finally:
                 router.close()
 
-    def test_failed_multi_search_does_not_disable_batching(
+    def test_failed_batch_search_does_not_disable_batching(
         self, store_path
     ):
         class FlakyShardServer(ShardServer):
-            """Fails the first ``multi_search`` frame, counts them all."""
+            """Fails the first ``search`` frame carrying more than one
+            query, counts batch and one-query frames apart."""
 
-            multi_frames = 0
-            search_frames = 0
+            batch_frames = 0
+            single_frames = 0
 
             def dispatch(self, request):
-                op = request.get("op") if isinstance(request, dict) else None
-                if op == "search":
-                    self.search_frames += 1
-                if op == "multi_search":
-                    self.multi_frames += 1
-                    if self.multi_frames == 1:
+                queries = (
+                    request.get("queries")
+                    if isinstance(request, dict)
+                    and request.get("op") == "search"
+                    else None
+                )
+                if isinstance(queries, list) and len(queries) == 1:
+                    self.single_frames += 1
+                elif isinstance(queries, list):
+                    self.batch_frames += 1
+                    if self.batch_frames == 1:
                         return {
                             "error": {
                                 "type": "ReproError",
@@ -807,12 +773,12 @@ class TestBatchedScatter:
                 # the failed scatter costs this batch its batching only:
                 # every query falls back to its own fan-out
                 assert service.batch(first, limit=5) == want_first
-                assert server.multi_frames == 1
-                assert server.search_frames == len(first)
-                # the next batch is one multi_search frame again
+                assert server.batch_frames == 1
+                assert server.single_frames == len(first)
+                # the next batch is one search frame again
                 assert service.batch(second, limit=5) == want_second
-                assert server.multi_frames == 2
-                assert server.search_frames == len(first)
+                assert server.batch_frames == 2
+                assert server.single_frames == len(first)
             finally:
                 router.close()
 
@@ -833,20 +799,14 @@ class TestBackpressure:
                 assert server._acquire_slot()  # pin the only slot
                 try:
                     with pytest.raises(ServerBusyError) as err:
-                        client.request(
-                            {"v": PROTOCOL_VERSION, "op": "ping"}, timeout=5
-                        )
+                        client.request({"op": "ping"}, timeout=5)
                     assert err.value.retry_after >= 1
                 finally:
                     server._release_slot()
                 # slot free again: the same connection keeps working
-                answer = client.request(
-                    {"v": PROTOCOL_VERSION, "op": "ping"}, timeout=5
-                )
+                answer = client.request({"op": "ping"}, timeout=5)
                 assert answer["ok"] is True
-                status = client.request(
-                    {"v": PROTOCOL_VERSION, "op": "status"}, timeout=5
-                )
+                status = client.request({"op": "status"}, timeout=5)
                 assert status["frontend"]["rejected"] >= 1
                 assert status["frontend"]["workers"] == 1
             finally:
@@ -997,21 +957,11 @@ class TestPipelining:
                 for _ in range(5):
                     try:
                         response = client.request(
-                            {
-                                "v": PROTOCOL_VERSION,
-                                "op": "search",
-                                "tokens": encode_tokens(tokens),
-                                "shards": None,
-                                "limit": None,
-                                "min_freq": None,
-                            },
+                            _search_frame(encode_tokens(tokens)),
                             timeout=10,
                         )
-                        got = [
-                            (tuple(names), freq)
-                            for _, freq, names in response["records"]
-                        ]
-                        if got != expected[query]:
+                        (entry,) = response["results"]
+                        if _entry_pairs(entry) != expected[query]:
                             failures.append((query, "mismatch"))
                     except Exception as exc:  # noqa: BLE001 - recorded
                         failures.append((query, exc))

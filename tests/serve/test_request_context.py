@@ -239,8 +239,13 @@ class TestBatchOwnsItsParkedAnswers:
                 with pytest.raises(UnknownItemError):
                     router.search(bad[0])
                 assert router.describe()["fanouts"] == 3
-                # one query gains nothing from batching
-                assert router.prefetch([good]) == {}
+                # one query is the same frame: one scatter, one answer
+                (alone,) = router.prefetch([good]).values()
+                assert _pairs(alone.matches) == expected["? ?"]
+                assert router.describe()["fanouts"] == 4
+                # nothing to fetch is no scatter at all
+                assert router.prefetch([]) == {}
+                assert router.describe()["fanouts"] == 4
             finally:
                 router.close()
 
@@ -268,10 +273,12 @@ class TestBatchOwnsItsParkedAnswers:
                 router.close()
 
     def test_failed_scatter_parks_nothing(self, store_path):
-        class RefusesMulti(ShardServer):
+        class RefusesBatches(ShardServer):
+            """Refuses every ``search`` frame of more than one query."""
+
             def dispatch(self, request):
                 if isinstance(request, dict) and (
-                    request.get("op") == "multi_search"
+                    len(request.get("queries") or ()) > 1
                 ):
                     return {
                         "error": {"type": "ReproError", "message": "boom"}
@@ -281,7 +288,7 @@ class TestBatchOwnsItsParkedAnswers:
         queries = QUERIES[:3]
         with open_store(store_path) as mono:
             want = QueryService(mono).batch(queries, limit=5)
-        with RefusesMulti(store_path, http_port=None) as server:
+        with RefusesBatches(store_path, http_port=None) as server:
             router = RouterBackend(
                 _cluster_for([(server, range(NUM_SHARDS))])
             )

@@ -95,7 +95,8 @@ def site(tmp_path) -> Path:
     Ingestor.init(
         root / "state", root / "live.shards", root / "spool", gamma=1, lam=3
     )
-    # nobody listens on port 1: the router announces with 0 healthy
+    # nobody listens on port 1: the router announces with 0 healthy.
+    # The router reads no "http_port": a map that carries one loads
     server = {"host": "127.0.0.1", "port": 1, "http_port": 1}
     (root / "cluster.json").write_text(
         json.dumps({"num_shards": 2, "replication": 1, "servers": [server]})
@@ -231,6 +232,9 @@ def test_serving_commands_load_no_mining_stack(site, tmp_path, command):
     else:
         assert _offenders(modules, WRITER_SIDE) == []
     assert "repro.query.base" in modules  # the matcher did load
+    if command == "route":
+        # health is a ping on the shard protocol: no HTTP client
+        assert "urllib.request" not in modules
 
 
 @pytest.mark.parametrize("command", ["status", "add"])
