@@ -54,7 +54,7 @@ if TYPE_CHECKING:
         build_vocabulary,
         compute_generalized_flist,
     )
-    from repro.mapreduce import ClusterSpec, MapReduceEngine
+    from repro.mapreduce import MapReduceEngine
     from repro.miners import (
         BfsMiner,
         BruteForceMiner,
@@ -105,7 +105,6 @@ _EXPORTS = {
     "MgFsm": "repro.baselines.mgfsm",
     "NaiveAlgorithm": "repro.baselines.naive",
     "SemiNaiveAlgorithm": "repro.baselines.seminaive",
-    "ClusterSpec": "repro.mapreduce.cluster",
     "MapReduceEngine": "repro.mapreduce.engine",
     "PatternIndex": "repro.query.index",
     "PatternStore": "repro.serve.store",

@@ -16,12 +16,6 @@ from repro.analysis.closedmax import (
     mine_closed,
 )
 from repro.analysis.compare import ResultDiff, compare_results, recode_patterns
-from repro.analysis.textplot import (
-    bar_chart,
-    chart_from_report,
-    grouped_bar_chart,
-    parse_report_table,
-)
 from repro.analysis.interestingness import (
     ScoredPattern,
     lift_scores,
@@ -68,8 +62,4 @@ __all__ = [
     "r_interest_scores",
     "r_interesting_patterns",
     "rank_patterns",
-    "bar_chart",
-    "chart_from_report",
-    "grouped_bar_chart",
-    "parse_report_table",
 ]

@@ -833,8 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["serial", "parallel"],
         default="serial",
-        help="MapReduce engine: serial (simulated placement) or parallel "
-        "(real worker processes)",
+        help="MapReduce engine: serial (one process, tasks in turn) or "
+        "parallel (worker processes)",
     )
     minep.add_argument(
         "--max-workers", type=int, default=None,

@@ -13,11 +13,6 @@ if TYPE_CHECKING:
     from repro.core.lash import Lash
     from repro.core.params import MiningParams
     from repro.core.partition import build_partitions, frequent_pivots
-    from repro.core.partition_stats import (
-        PartitionStats,
-        partition_statistics,
-        replication_factor,
-    )
     from repro.core.psm import ExplorationStats, PivotSequenceMiner
     from repro.core.result import MiningResult
     from repro.core.rewrite import (
@@ -50,9 +45,6 @@ _EXPORTS = {
     "rewrite_for_pivot": "repro.core.rewrite",
     "frequent_pivots": "repro.core.partition",
     "build_partitions": "repro.core.partition",
-    "PartitionStats": "repro.core.partition_stats",
-    "partition_statistics": "repro.core.partition_stats",
-    "replication_factor": "repro.core.partition_stats",
     "PivotSequenceMiner": "repro.core.psm",
     "ExplorationStats": "repro.core.psm",
     "MiningResult": "repro.core.result",

@@ -8,7 +8,6 @@ from typing import Iterator
 
 from repro.core.params import MiningParams
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.mapreduce.cluster import ClusterSpec, simulate_cluster
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import JobResult
 from repro.mapreduce.metrics import JobMetrics, PhaseTimes
@@ -113,10 +112,6 @@ class MiningResult:
     def phase_times(self) -> PhaseTimes:
         """Serial (single-worker) phase times of the mining job."""
         return self.metrics.serial_phase_times()
-
-    def cluster_times(self, cluster: ClusterSpec) -> PhaseTimes:
-        """Phase makespans of the mining job on a simulated cluster."""
-        return simulate_cluster(self.metrics, cluster)
 
     def total_metrics(self) -> JobMetrics:
         """Merged task profile of preprocessing + mining."""

@@ -69,7 +69,7 @@ class RewritePlan:
     stage only makes the later stages conservative), which makes the plan a
     sound ablation knob: LASH must mine the identical answer under any
     plan, while communication and skew degrade as stages are dropped
-    (``benchmarks/bench_ablation_rewrites.py``).
+    (``tests/test_paper_claims.py`` holds the shuffle bytes to that).
     """
 
     generalize: bool = True

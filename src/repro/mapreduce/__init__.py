@@ -9,18 +9,14 @@ the equivalent execution model for a single machine:
   key groups in sorted key order,
 * Hadoop-style counters (``MAP_OUTPUT_BYTES`` et al.) are maintained with
   job-provided serialized sizes,
-* per-task wall-clock times are recorded, and a :class:`ClusterSpec`
-  scheduler places them onto ``nodes × slots`` to obtain the phase makespans
-  a real cluster would show (used for the scalability experiments, Fig. 6),
+* per-task wall-clock times are recorded (:class:`JobMetrics`), and
+  :class:`ParallelMapReduceEngine` runs the tasks on a process pool,
 * task failures can be injected deterministically (:class:`FailurePlan`);
   failed attempts are discarded and retried exactly like Hadoop does,
 * the shuffle can run through disk (``spill_dir``): each map task's output
   is sorted into one run file, a segment per partition, and reducers
   stream a merge of their partition's segments, exactly like Hadoop's
   sort/spill/merge pipeline (:mod:`repro.mapreduce.spill`).
-
-Only task *placement* is simulated; all data movement, skew, and compute are
-real, measured quantities.
 """
 
 from typing import TYPE_CHECKING
@@ -28,11 +24,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.mapreduce.cluster import (
-        ClusterSpec,
-        schedule_makespan,
-        simulate_cluster,
-    )
     from repro.mapreduce.counters import C, Counters
     from repro.mapreduce.engine import JobResult, MapReduceEngine, stable_hash
     from repro.mapreduce.failures import FailurePlan, TaskRetriesExceededError
@@ -63,9 +54,6 @@ _EXPORTS = {
     "stable_hash": "repro.io.codec",
     "FailurePlan": "repro.mapreduce.failures",
     "TaskRetriesExceededError": "repro.mapreduce.failures",
-    "ClusterSpec": "repro.mapreduce.cluster",
-    "schedule_makespan": "repro.mapreduce.cluster",
-    "simulate_cluster": "repro.mapreduce.cluster",
     "MERGED_RUNS": "repro.mapreduce.spill",
     "SPILL_BYTES": "repro.mapreduce.spill",
     "SPILLED_RECORDS": "repro.mapreduce.spill",

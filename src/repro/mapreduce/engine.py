@@ -20,8 +20,7 @@ identical to a failure-free run (only ``FAILED_*`` counters and the wasted
 attempt times differ).
 
 Everything runs sequentially and deterministically; per-task wall-clock
-times are recorded so a cluster layout can be simulated afterwards
-(:mod:`repro.mapreduce.cluster`).
+times are recorded (:class:`~repro.mapreduce.metrics.JobMetrics`).
 """
 
 from __future__ import annotations

@@ -38,8 +38,7 @@ class JobMetrics:
     """Measured execution profile of one job run.
 
     ``map_task_s`` / ``reduce_task_s`` hold one wall-clock entry per task;
-    ``shuffle_s`` is the measured grouping/partitioning time.  The raw task
-    vectors feed the cluster scheduler in :mod:`repro.mapreduce.cluster`.
+    ``shuffle_s`` is the measured grouping/partitioning time.
     """
 
     name: str = "job"

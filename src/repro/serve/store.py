@@ -22,8 +22,8 @@ deflated on disk and inflated once per mount.  For stores written with
 per-section checksums, ``open()`` verifies every section's CRC-32 and
 raises :class:`~repro.errors.StoreCorruptError` on a mismatch (skippable
 with ``verify_checksums=False`` when O(header) startup matters more than
-bit-rot detection); without the sweep, damaged tables and a damaged
-vocabulary still raise it when first read.
+bit-rot detection); without the sweep, damaged tables, postings, pattern
+lengths and a damaged vocabulary still raise it when first read.
 """
 
 from __future__ import annotations
@@ -455,9 +455,18 @@ class PatternStore(PatternSearchBase):
         start, end = self._posting_span(item_id)
         base = self._off_postings
         try:
-            return read_positional_postings(self._data, base + start, base + end)
+            indexes, positions = read_positional_postings(
+                self._data, base + start, base + end
+            )
         except EncodingError:
             raise self._corrupt(f"postings of item {item_id} overrun") from None
+        # indexes ascend, so the last one bounds them all
+        if indexes and indexes[-1] >= self._n_patterns:
+            raise self._corrupt(
+                f"postings of item {item_id} name a pattern past "
+                f"{self._n_patterns}"
+            )
+        return indexes, positions
 
     def _postings_for(self, item_id: int) -> Sequence[int]:
         return self._positional_postings_for(item_id)[0]
@@ -496,9 +505,17 @@ class PatternStore(PatternSearchBase):
                 if self._by_length is None:
                     groups: dict[int, list[int]] = {}
                     offset = self._off_lengths
-                    for idx in range(self._n_patterns):
-                        length, offset = read_uvarint(self._data, offset)
-                        groups.setdefault(length, []).append(idx)
+                    try:
+                        for idx in range(self._n_patterns):
+                            length, offset = read_uvarint(self._data, offset)
+                            groups.setdefault(length, []).append(idx)
+                    except EncodingError:
+                        offset = -1  # a varint ran off the file
+                    # exactly one varint per pattern, ending at the boundary
+                    if offset != self._off_pat_offsets:
+                        raise self._corrupt(
+                            "pattern lengths do not fill their section"
+                        )
                     self._by_length = groups
         return self._by_length
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import MiningParams
 from repro.core.lash import mine
-from repro.mapreduce import ClusterSpec
 from repro.core.result import MiningResult
 
 
@@ -39,12 +38,6 @@ class TestAccess:
 
 
 class TestMeasurements:
-    def test_cluster_times(self, result):
-        serial = result.phase_times()
-        parallel = result.cluster_times(ClusterSpec(nodes=10))
-        assert parallel.map_s <= serial.map_s
-        assert parallel.total_s > 0
-
     def test_empty_result_defaults(self, result):
         empty = MiningResult(
             patterns={}, vocabulary=result.vocabulary,

@@ -3,10 +3,10 @@
 Each case rewrites one section of a valid store (fixing up the section
 table so the file still opens) and opens it with ``verify_checksums=
 False``, so the bytes reach the decoders instead of the CRC sweep.  A
-damaged vocabulary, posting directory or pattern-offset table must
-raise :class:`StoreCorruptError` — never ``IndexError``, ``zlib.error``
-or ``struct.error`` — and must not allocate past what the file's own
-size justifies.
+damaged vocabulary, posting directory, postings record, lengths section
+or pattern-offset table must raise :class:`StoreCorruptError` — never
+``IndexError``, ``zlib.error`` or ``struct.error`` — and must not
+allocate past what the file's own size justifies.
 """
 
 import struct
@@ -291,6 +291,37 @@ class TestPatternOffsets:
             tmp_path,
             with_section(pristine, PATTERN_OFFSETS, table + U32.pack(0)),
             "does not match the pattern count",
+        )
+
+
+class TestPostings:
+    def test_index_past_the_pattern_count(self, pristine, tmp_path):
+        postings = bytearray(section(pristine, POSTINGS))
+        assert postings[0] < 0x80  # a one-byte first index
+        postings[0] = 15  # the example store holds 10 patterns
+        assert_corrupt(
+            tmp_path,
+            with_section(pristine, POSTINGS, bytes(postings)),
+            "name a pattern past 10",
+        )
+
+
+class TestLengths:
+    def test_last_varint_runs_off_the_section(self, pristine, tmp_path):
+        lengths = bytearray(section(pristine, LENGTHS))
+        lengths[-1] = 0x80
+        assert_corrupt(
+            tmp_path,
+            with_section(pristine, LENGTHS, bytes(lengths)),
+            "pattern lengths",
+        )
+
+    def test_section_longer_than_the_pattern_count(self, pristine, tmp_path):
+        lengths = section(pristine, LENGTHS)
+        assert_corrupt(
+            tmp_path,
+            with_section(pristine, LENGTHS, lengths + b"\x02"),
+            "pattern lengths",
         )
 
 
