@@ -36,8 +36,11 @@ This splits the witness test along partition boundaries:
 
 Covers only cross partition boundaries when removing or generalizing an
 item *lowers the pivot* — for most patterns the pivot occurs away from the
-edges and nothing is emitted, so the reconciliation shuffle is a small
-fraction of the mining shuffle (measured by the ablation benchmark).
+edges and nothing is emitted, so the reconciliation shuffle is smaller
+than the mining shuffle (``tests/core/test_closedlash.py::
+test_reconcile_shuffle_smaller_than_mining_shuffle``); on the NYT corpus,
+``tests/test_paper_claims.py::test_direct_closed_mining_prunes_locally``
+checks that local pruning ships fewer candidates than the full output.
 
 The result provably equals post-processing the full GSM output with
 :func:`repro.analysis.closedmax.filter_result`; the agreement is enforced
@@ -317,7 +320,6 @@ class ClosedLash:
         num_reduce_tasks: int = 8,
         failure_plan=None,
         rewrite_plan: RewritePlan = FULL_REWRITE,
-        spill_dir=None,
     ) -> None:
         self.params = params
         self.mode = _check_mode(mode)
@@ -327,7 +329,6 @@ class ClosedLash:
             num_map_tasks=num_map_tasks,
             num_reduce_tasks=num_reduce_tasks,
             failure_plan=failure_plan,
-            spill_dir=spill_dir,
         )
 
     def mine(

@@ -157,13 +157,6 @@ class Lash:
     rewrite_plan:
         Which Sec. 4 rewrite stages the map phase applies (ablation knob;
         the mined answer is identical under any plan).
-    spill_dir:
-        Shuffle through disk instead of memory: each map task spills one
-        anonymous run file here, in the run format of the package's one
-        external sort (:mod:`repro.io.runs`, see
-        :class:`~repro.mapreduce.engine.MapReduceEngine`); the mined
-        answer and every counter but ``SPILL_BYTES``'s value are
-        identical either way.
 
     Example
     -------
@@ -181,7 +174,6 @@ class Lash:
         num_reduce_tasks: int = 8,
         failure_plan=None,
         rewrite_plan: RewritePlan = FULL_REWRITE,
-        spill_dir=None,
     ) -> None:
         self.params = params
         self.miner_factory = resolve_miner(local_miner)
@@ -190,7 +182,6 @@ class Lash:
             num_map_tasks=num_map_tasks,
             num_reduce_tasks=num_reduce_tasks,
             failure_plan=failure_plan,
-            spill_dir=spill_dir,
         )
         self._miner_name = (
             local_miner if isinstance(local_miner, str) else "custom"

@@ -1,8 +1,7 @@
 """The package's one external sort: spill runs and their k-way merge.
 
-The store merge's pattern-record sorts, the store writer's postings
-(:mod:`repro.serve.writer`) and the MapReduce disk shuffle
-(:mod:`repro.mapreduce.spill`) all sort through this module.
+The store merge's pattern-record sorts and the store writer's postings
+(:mod:`repro.serve.writer`) both sort through this module.
 
 A *run* is sorted records written back to back by a caller-supplied
 ``encode(buf, record)`` into an anonymous temp file — no length prefix,

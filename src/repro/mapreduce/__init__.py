@@ -5,18 +5,15 @@ the equivalent execution model for a single machine:
 
 * jobs are (map, combine, reduce) functions over key–value pairs,
 * the engine runs map tasks over input splits, applies per-split combiners,
-  shuffles by stable key hash into reduce partitions, and runs reducers over
-  key groups in sorted key order,
+  shuffles in memory by stable key hash into reduce partitions, and runs
+  reducers over key groups in sorted key order,
 * Hadoop-style counters (``MAP_OUTPUT_BYTES`` et al.) are maintained with
   job-provided serialized sizes,
 * per-task wall-clock times are recorded (:class:`JobMetrics`), and
-  :class:`ParallelMapReduceEngine` runs the tasks on a process pool,
+  :class:`ParallelMapReduceEngine` runs the same tasks on a process pool,
 * task failures can be injected deterministically (:class:`FailurePlan`);
   failed attempts are discarded and retried exactly like Hadoop does,
-* the shuffle can run through disk (``spill_dir``): each map task's output
-  is sorted into one run file, a segment per partition, and reducers
-  stream a merge of their partition's segments, exactly like Hadoop's
-  sort/spill/merge pipeline (:mod:`repro.mapreduce.spill`).
+  under either engine.
 """
 
 from typing import TYPE_CHECKING
@@ -30,14 +27,6 @@ if TYPE_CHECKING:
     from repro.mapreduce.job import MapReduceJob
     from repro.mapreduce.metrics import JobMetrics, PhaseTimes
     from repro.mapreduce.parallel import ParallelMapReduceEngine
-    from repro.mapreduce.spill import (
-        MERGED_RUNS,
-        SPILL_BYTES,
-        SPILLED_RECORDS,
-        MergedPartition,
-        SpillRun,
-        spill_map_output,
-    )
 
 # lazy so that the serial engine, the counters a `MiningResult` carries
 # and the store format's `stable_hash` do not load the process pool
@@ -54,12 +43,6 @@ _EXPORTS = {
     "stable_hash": "repro.io.codec",
     "FailurePlan": "repro.mapreduce.failures",
     "TaskRetriesExceededError": "repro.mapreduce.failures",
-    "MERGED_RUNS": "repro.mapreduce.spill",
-    "SPILL_BYTES": "repro.mapreduce.spill",
-    "SPILLED_RECORDS": "repro.mapreduce.spill",
-    "MergedPartition": "repro.mapreduce.spill",
-    "SpillRun": "repro.mapreduce.spill",
-    "spill_map_output": "repro.mapreduce.spill",
 }
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,4 +1,4 @@
-"""The in-process MapReduce engine.
+"""The MapReduce engine.
 
 Execution model (mirrors Hadoop's semantics):
 
@@ -6,9 +6,9 @@ Execution model (mirrors Hadoop's semantics):
 2. A map task applies ``job.map`` to each record, meters the raw emissions
    (``MAP_OUTPUT_BYTES``), then applies ``job.combine`` per key within the
    split and meters the combined emissions (``SHUFFLE_BYTES``).
-3. The shuffle groups pairs by key and assigns keys to ``num_reduce_tasks``
-   partitions via a *stable* hash (Python's randomized string hashing would
-   break reproducibility).
+3. The shuffle groups pairs by key in memory and assigns keys to
+   ``num_reduce_tasks`` partitions via a *stable* hash (Python's
+   randomized string hashing would break reproducibility).
 4. Each reduce task processes its keys in sorted order and collects
    ``job.reduce`` outputs.
 
@@ -19,8 +19,12 @@ and counters and retries, so the job's logical result and counters are
 identical to a failure-free run (only ``FAILED_*`` counters and the wasted
 attempt times differ).
 
-Everything runs sequentially and deterministically; per-task wall-clock
-times are recorded (:class:`~repro.mapreduce.metrics.JobMetrics`).
+Every attempt of every task runs in :func:`run_task`, so both engines
+share one run loop: :class:`MapReduceEngine` maps the tasks in process,
+one after another, and
+:class:`~repro.mapreduce.parallel.ParallelMapReduceEngine` maps the same
+tasks over a process pool.  Per-task wall-clock times are recorded
+(:class:`~repro.mapreduce.metrics.JobMetrics`).
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.io.codec import stable_hash
 from repro.mapreduce.counters import C, Counters
@@ -40,14 +43,7 @@ from repro.mapreduce.failures import (
 )
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
-from repro.mapreduce.spill import (
-    MERGED_RUNS,
-    SPILL_BYTES,
-    SPILLED_RECORDS,
-    MergedPartition,
-    spill_file,
-    spill_map_output,
-)
+
 
 @dataclass
 class JobResult:
@@ -56,6 +52,30 @@ class JobResult:
     output: list[Any]
     counters: Counters
     metrics: JobMetrics
+
+
+class Task(NamedTuple):
+    """One map or reduce task: everything an attempt needs, picklable."""
+
+    job: MapReduceJob
+    failure_plan: FailurePlan | None
+    phase: str
+    index: int
+    data: Any
+
+
+class TaskResult(NamedTuple):
+    """The committed attempt's output and counters (plus ``FAILED_*``),
+    its seconds, and the seconds of the attempts that failed before it."""
+
+    output: list
+    counters: Counters
+    seconds: float
+    failed_seconds: list[float]
+
+
+#: runs tasks and yields their results in task order
+TaskMap = Callable[[Iterable[Task]], Iterable[TaskResult]]
 
 
 class MapReduceEngine:
@@ -72,16 +92,6 @@ class MapReduceEngine:
     failure_plan:
         Optional deterministic task-failure injection (see
         :mod:`repro.mapreduce.failures`).
-    spill_dir:
-        When set, shuffle through disk instead of memory: every map task's
-        output is sorted and spilled to one run file in this directory,
-        one segment per partition, and each reduce task streams a merge
-        of its partition's segments (:mod:`repro.mapreduce.spill`, over
-        the package's one external sort, :mod:`repro.io.runs`).  Results
-        and byte counters are identical to the in-memory shuffle;
-        ``SPILLED_RECORDS``, ``SPILL_BYTES`` and ``MERGED_RUNS`` meter the
-        extra disk traffic.  Run files are anonymous: open only while the
-        job runs, and never visible in the directory.
     """
 
     def __init__(
@@ -89,14 +99,12 @@ class MapReduceEngine:
         num_map_tasks: int = 8,
         num_reduce_tasks: int = 8,
         failure_plan: FailurePlan | None = None,
-        spill_dir: str | Path | None = None,
     ) -> None:
         if num_map_tasks < 1 or num_reduce_tasks < 1:
             raise ValueError("task counts must be >= 1")
         self.num_map_tasks = num_map_tasks
         self.num_reduce_tasks = num_reduce_tasks
         self.failure_plan = failure_plan
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
 
     # ------------------------------------------------------------------
 
@@ -104,88 +112,42 @@ class MapReduceEngine:
         counters = Counters()
         metrics = JobMetrics(name=job.name)
 
-        splits = self._split(records)
-        map_outputs: list[list[tuple[Any, Any]]] = []
-        for index, split in enumerate(splits):
-            pairs = self._attempt_task(
-                "map", index, split, job, counters, metrics,
-                self._run_map_task,
-            )
-            map_outputs.append(pairs)
+        with self._task_map(job) as run_tasks:
 
-        with contextlib.ExitStack() as spills:
+            def run_phase(phase: str, inputs: Sequence[Any]) -> Iterator[list]:
+                """Each task's output, its counters and times committed."""
+                if phase == "map":
+                    ok, failed = metrics.map_task_s, metrics.failed_map_task_s
+                else:
+                    ok = metrics.reduce_task_s
+                    failed = metrics.failed_reduce_task_s
+                plan = self.failure_plan
+                for result in run_tasks(
+                    Task(job, plan, phase, index, data)
+                    for index, data in enumerate(inputs)
+                ):
+                    counters.merge(result.counters)
+                    failed.extend(result.failed_seconds)
+                    ok.append(result.seconds)
+                    yield result.output
+
+            map_outputs = list(run_phase("map", self._split(records)))
+
             start = time.perf_counter()
-            if self.spill_dir is None:
-                partitions: Sequence[Any] = self._shuffle(map_outputs)
-            else:
-                partitions = self._shuffle_external(
-                    map_outputs, spills, counters
-                )
+            partitions = self._shuffle(map_outputs)
             metrics.shuffle_s = time.perf_counter() - start
             metrics.shuffle_bytes = counters[C.SHUFFLE_BYTES]
 
             output: list[Any] = []
-            for index, partition in enumerate(partitions):
-                output.extend(
-                    self._attempt_task(
-                        "reduce", index, partition, job, counters, metrics,
-                        self._run_reduce_task,
-                    )
-                )
-
+            for records_out in run_phase("reduce", partitions):
+                output.extend(records_out)
         return JobResult(output=output, counters=counters, metrics=metrics)
 
-    def _spill_root(self) -> Path:
-        assert self.spill_dir is not None
-        self.spill_dir.mkdir(parents=True, exist_ok=True)
-        return self.spill_dir
-
-    # ------------------------------------------------------------------
-    # fault-tolerant task execution
-    # ------------------------------------------------------------------
-
-    def _attempt_task(
-        self, phase, index, payload, job, counters, metrics, runner
-    ):
-        """Run one task with retries; merge counters only on success."""
-        plan = self.failure_plan
-        max_attempts = plan.max_attempts if plan else 1
-        attempt = 0
-        while True:
-            crash_after = None
-            if plan is not None and plan.should_fail(phase, index, attempt):
-                crash_after = plan.crash_point(
-                    phase, index, attempt, len(payload)
-                )
-            attempt_counters = Counters()
-            start = time.perf_counter()
-            try:
-                result = runner(job, payload, attempt_counters, crash_after)
-            except _InjectedFailure:
-                elapsed = time.perf_counter() - start
-                failed = (
-                    metrics.failed_map_task_s
-                    if phase == "map"
-                    else metrics.failed_reduce_task_s
-                )
-                failed.append(elapsed)
-                counters.increment(
-                    C.FAILED_MAP_TASKS
-                    if phase == "map"
-                    else C.FAILED_REDUCE_TASKS
-                )
-                attempt += 1
-                if attempt >= max_attempts:
-                    raise TaskRetriesExceededError(phase, index, attempt)
-                continue
-            elapsed = time.perf_counter() - start
-            (
-                metrics.map_task_s
-                if phase == "map"
-                else metrics.reduce_task_s
-            ).append(elapsed)
-            counters.merge(attempt_counters)
-            return result
+    @contextlib.contextmanager
+    def _task_map(self, job: MapReduceJob) -> Iterator[TaskMap]:
+        """How this engine runs a job's tasks: here, in process, in
+        order."""
+        yield lambda tasks: map(run_task, tasks)
 
     # ------------------------------------------------------------------
     # phases
@@ -197,40 +159,6 @@ class MapReduceEngine:
         for i, record in enumerate(records):
             splits[i % n_tasks].append(record)
         return splits
-
-    def _run_map_task(
-        self,
-        job: MapReduceJob,
-        split: Sequence[Any],
-        counters: Counters,
-        crash_after: int | None = None,
-    ) -> list[tuple[Any, Any]]:
-        return run_map_task(job, split, counters, crash_after)
-
-    def _shuffle_external(
-        self,
-        map_outputs: list[list[tuple[Any, Any]]],
-        spills: contextlib.ExitStack,
-        counters: Counters,
-    ) -> list[MergedPartition]:
-        """Sort/spill each map output to disk, merge runs per partition;
-        the run files close with ``spills``."""
-        partitioner = lambda key: (  # noqa: E731 - tiny closure
-            stable_hash(key) % self.num_reduce_tasks
-        )
-        by_partition: list[list] = [[] for _ in range(self.num_reduce_tasks)]
-        spill_dir = self._spill_root()
-        for pairs in map_outputs:
-            file = spill_file(spill_dir)
-            spills.callback(file.close)
-            for run in spill_map_output(pairs, partitioner, file):
-                counters.increment(SPILLED_RECORDS, run.records)
-                counters.increment(SPILL_BYTES, run.bytes)
-                by_partition[run.partition].append(run)
-        counters.increment(
-            MERGED_RUNS, sum(len(runs) for runs in by_partition)
-        )
-        return [MergedPartition(runs=runs) for runs in by_partition]
 
     def _shuffle(
         self, map_outputs: list[list[tuple[Any, Any]]]
@@ -244,14 +172,39 @@ class MapReduceEngine:
                 bucket.setdefault(key, []).append(value)
         return partitions
 
-    def _run_reduce_task(
-        self,
-        job: MapReduceJob,
-        partition: dict[Any, list[Any]],
-        counters: Counters,
-        crash_after: int | None = None,
-    ) -> list[Any]:
-        return run_reduce_task(job, partition, counters, crash_after)
+
+def run_task(task: Task) -> TaskResult:
+    """Run one task with retries; keep only the committed attempt's
+    output and counters.
+
+    Module-level so the serial engine and the process pool
+    (:mod:`repro.mapreduce.parallel`) run every attempt through the
+    identical code.
+    """
+    job, plan, phase, index, data = task
+    body = run_map_task if phase == "map" else run_reduce_task
+    max_attempts = plan.max_attempts if plan else 1
+    counters = Counters()
+    failed_seconds: list[float] = []
+    for attempt in range(max_attempts):
+        crash_after = None
+        if plan is not None and plan.should_fail(phase, index, attempt):
+            crash_after = plan.crash_point(phase, index, attempt, len(data))
+        attempt_counters = Counters()
+        start = time.perf_counter()
+        try:
+            output = body(job, data, attempt_counters, crash_after)
+        except _InjectedFailure:
+            failed_seconds.append(time.perf_counter() - start)
+            counters.increment(
+                C.FAILED_MAP_TASKS if phase == "map" else C.FAILED_REDUCE_TASKS
+            )
+            continue
+        seconds = time.perf_counter() - start
+        return TaskResult(
+            output, counters.merge(attempt_counters), seconds, failed_seconds
+        )
+    raise TaskRetriesExceededError(phase, index, max_attempts)
 
 
 def run_map_task(
@@ -260,11 +213,8 @@ def run_map_task(
     counters: Counters,
     crash_after: int | None = None,
 ) -> list[tuple[Any, Any]]:
-    """One map task: apply ``job.map`` to a split, then the combiner.
-
-    Module-level so both the serial engine and the process-parallel
-    executor (:mod:`repro.mapreduce.parallel`) run the identical code.
-    """
+    """One map task attempt: apply ``job.map`` to a split, then the
+    combiner; dies at ``crash_after`` records if that is set."""
     # records and bytes are counted in locals and posted once per phase of
     # the attempt: a crashed attempt's counters are discarded whole, so
     # the totals are the same as posting per record
@@ -308,7 +258,8 @@ def run_reduce_task(
     counters: Counters,
     crash_after: int | None = None,
 ) -> list[Any]:
-    """One reduce task: ``job.reduce`` over the partition's sorted keys."""
+    """One reduce task attempt: ``job.reduce`` over the partition's
+    sorted keys; dies at ``crash_after`` keys if that is set."""
     # counted in locals and posted once per attempt, as in run_map_task
     output: list[Any] = []
     groups = records = 0

@@ -38,6 +38,10 @@ class TaskRetriesExceededError(ReproError):
         self.task_index = task_index
         self.attempts = attempts
 
+    def __reduce__(self):
+        # raised in a pool worker, it is pickled back to the driver
+        return type(self), (self.phase, self.task_index, self.attempts)
+
 
 class _InjectedFailure(Exception):
     """Internal signal: the current task attempt just 'crashed'."""

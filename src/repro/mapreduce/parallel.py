@@ -1,13 +1,12 @@
 """Process-parallel execution of MapReduce jobs.
 
-The serial engine runs tasks one after another and *simulates* cluster
-placement from the measured profile.  This module actually runs map and
-reduce tasks concurrently in worker processes — on a multi-core machine
-the wall-clock speedup is real.  Semantics are identical: each task runs
-the same :func:`~repro.mapreduce.engine.run_map_task` /
-:func:`~repro.mapreduce.engine.run_reduce_task` code the serial engine
-uses, per-task counters and timings are shipped back and merged, and the
-shuffle is the same stable-hash grouping.
+:class:`ParallelMapReduceEngine` runs the serial engine's run loop and
+hands its tasks to a process pool instead of running them in process —
+on a multi-core machine the wall-clock speedup is real.  Semantics are
+identical: every attempt of every task runs in the same
+:func:`~repro.mapreduce.engine.run_task` the serial engine uses, failure
+plan and retries included, and per-task counters and timings are shipped
+back and committed by the same loop.
 
 Scope notes (documented limitations, not surprises):
 
@@ -16,12 +15,9 @@ Scope notes (documented limitations, not surprises):
   all plain data).
 * Mutations a job makes to itself inside a worker stay in the worker —
   with one deliberate exception: a local miner's ``ExplorationStats``
-  are measured per reduce task, shipped back with the task output, and
-  merged into the driver-side miner, so Fig. 4(d)-style search-space
+  are measured per task, shipped back with the task result, and merged
+  into the driver-side miner, so Fig. 4(d)-style search-space
   measurements read identically under either engine.
-* Failure injection and the disk-backed shuffle are features of the
-  serial engine; combining them with process parallelism is rejected
-  rather than half-supported.
 
 >>> engine = ParallelMapReduceEngine(num_map_tasks=8, num_reduce_tasks=8,
 ...                                  max_workers=4)
@@ -32,53 +28,35 @@ Scope notes (documented limitations, not surprises):
 
 from __future__ import annotations
 
+import contextlib
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Sequence
+from typing import Iterable, Iterator
 
 from repro.errors import InvalidParameterError
-from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.engine import (
-    JobResult,
     MapReduceEngine,
-    run_map_task,
-    run_reduce_task,
+    Task,
+    TaskMap,
+    TaskResult,
+    run_task,
 )
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.metrics import JobMetrics
 from repro.miners.base import ExplorationStats
 
-#: payloads are (job, task input); results are (records, counters, seconds)
-_TaskResult = tuple[list, Counters, float]
-#: reduce results additionally carry the task's local-miner stats delta
-_ReduceResult = tuple[list, Counters, float, ExplorationStats | None]
 
-
-def _map_worker(payload: tuple[MapReduceJob, Sequence[Any]]) -> _TaskResult:
-    job, split = payload
-    counters = Counters()
-    start = time.perf_counter()
-    pairs = run_map_task(job, split, counters)
-    return pairs, counters, time.perf_counter() - start
-
-
-def _reduce_worker(
-    payload: tuple[MapReduceJob, dict[Any, list[Any]]]
-) -> _ReduceResult:
-    job, partition = payload
+def _run_in_worker(task: Task) -> tuple[TaskResult, ExplorationStats | None]:
+    """:func:`run_task`, plus the task's local-miner stats delta."""
     # the job arrived by pickle, so its miner may carry stats accumulated
     # before shipping; zero the worker-local copy to measure this task's
     # delta alone — the driver merges deltas, never absolute counts
-    miner = getattr(job, "miner", None)
-    stats: ExplorationStats | None = getattr(miner, "stats", None)
-    if stats is not None and hasattr(miner, "reset_stats"):
+    miner = getattr(task.job, "miner", None)
+    if getattr(miner, "stats", None) is not None and hasattr(
+        miner, "reset_stats"
+    ):
         miner.reset_stats()
-    counters = Counters()
-    start = time.perf_counter()
-    output = run_reduce_task(job, partition, counters)
-    stats = getattr(miner, "stats", None)
-    return output, counters, time.perf_counter() - start, stats
+    result = run_task(task)
+    return result, getattr(miner, "stats", None)
 
 
 class ParallelMapReduceEngine(MapReduceEngine):
@@ -113,43 +91,22 @@ class ParallelMapReduceEngine(MapReduceEngine):
             )
         self.max_workers = max_workers
 
-    def run(self, job: MapReduceJob, records: Sequence[Any]) -> JobResult:
-        counters = Counters()
-        metrics = JobMetrics(name=job.name)
-        splits = self._split(records)
-
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            map_results = list(
-                pool.map(_map_worker, [(job, split) for split in splits])
-            )
-            map_outputs = []
-            for pairs, task_counters, elapsed in map_results:
-                map_outputs.append(pairs)
-                counters.merge(task_counters)
-                metrics.map_task_s.append(elapsed)
-
-            start = time.perf_counter()
-            partitions = self._shuffle(map_outputs)
-            metrics.shuffle_s = time.perf_counter() - start
-            metrics.shuffle_bytes = counters[C.SHUFFLE_BYTES]
-
-            reduce_results = list(
-                pool.map(
-                    _reduce_worker,
-                    [(job, partition) for partition in partitions],
-                )
-            )
-        output: list[Any] = []
+    @contextlib.contextmanager
+    def _task_map(self, job: MapReduceJob) -> Iterator[TaskMap]:
+        """One pool for the job: both phases map their tasks over it."""
         driver_miner = getattr(job, "miner", None)
-        for records_out, task_counters, elapsed, task_stats in reduce_results:
-            output.extend(records_out)
-            counters.merge(task_counters)
-            metrics.reduce_task_s.append(elapsed)
-            if task_stats is not None and driver_miner is not None:
-                # fold each worker's search-space delta into the driver's
-                # miner, matching the serial engine's in-place accounting
-                driver_miner.stats.merge(task_stats)
-        return JobResult(output=output, counters=counters, metrics=metrics)
+        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
+
+            def run_tasks(tasks: Iterable[Task]) -> Iterator[TaskResult]:
+                for result, stats in pool.map(_run_in_worker, tasks):
+                    if stats is not None and driver_miner is not None:
+                        # fold each worker's search-space delta into the
+                        # driver's miner, matching the serial engine's
+                        # in-place accounting
+                        driver_miner.stats.merge(stats)
+                    yield result
+
+            yield run_tasks
 
 
 __all__ = ["ParallelMapReduceEngine"]

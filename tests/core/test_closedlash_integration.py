@@ -1,14 +1,12 @@
-"""Integration: ClosedLash with the external shuffle, failure injection,
-rewrite ablations and datasets beyond the running example."""
+"""Integration: ClosedLash with failure injection, rewrite ablations and
+datasets beyond the running example."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro import ClosedLash, MiningParams, mine
 from repro.analysis.closedmax import filter_result
 from repro.core import NO_REWRITE
-from repro.mapreduce import FailurePlan, SPILLED_RECORDS
+from repro.mapreduce import FailurePlan
 
 
 def reference(database, hierarchy, params, mode):
@@ -17,21 +15,6 @@ def reference(database, hierarchy, params, mode):
         sigma=params.sigma, gamma=params.gamma, lam=params.lam,
     )
     return filter_result(full, mode).patterns
-
-
-@pytest.mark.parametrize("mode", ["closed", "maximal"])
-def test_closedlash_with_spilling(tmp_path, fig1_database, fig1_hierarchy,
-                                  mode):
-    params = MiningParams(2, 1, 3)
-    driver = ClosedLash(params, mode=mode, spill_dir=tmp_path)
-    result = driver.mine(fig1_database, fig1_hierarchy)
-    assert result.patterns == reference(
-        fig1_database, fig1_hierarchy, params, mode
-    )
-    # all three jobs shuffled through disk
-    assert result.mining_job.counters[SPILLED_RECORDS] > 0
-    assert result.reconcile_job.counters[SPILLED_RECORDS] > 0
-    assert list(tmp_path.rglob("*.run")) == []
 
 
 def test_closedlash_under_failures(fig1_database, fig1_hierarchy):

@@ -1,8 +1,8 @@
-"""The one external sort (repro.io.runs) under its three codecs.
+"""The one external sort (repro.io.runs) under its two codecs.
 
 Every bounded-memory sort of the package — the store merge's pattern
-records, the store writer's postings and the MapReduce disk shuffle's
-pickled groups — is an :class:`ExternalSort` over :class:`RunFile` runs.
+records and the store writer's postings — is an :class:`ExternalSort`
+over :class:`RunFile` runs.
 For any buffer size it must equal Python's stable ``sorted``, close its
 run file however the iteration ends, and fail a corrupt run with
 ``EncodingError`` before allocating what the run claims.
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.errors import EncodingError
 from repro.io.codec import write_uvarint
 from repro.io.runs import CHUNK, ExternalSort, RunFile
-from repro.mapreduce.spill import read_group, write_group
 from repro.serve.writer import (
     read_pattern_record,
     read_posting,
@@ -45,15 +44,6 @@ CODECS = {
             ids, ids, st.sets(st.integers(0, 40), min_size=1).map(
                 lambda positions: tuple(sorted(positions))
             ),
-        ),
-    ),
-    "shuffle group": (
-        write_group,
-        read_group,
-        lambda group: group[0],
-        st.tuples(
-            st.tuples(st.integers(0, 5), st.text(max_size=3)),
-            st.lists(st.integers(), max_size=4),
         ),
     ),
 }
@@ -99,13 +89,15 @@ def test_external_sort_is_a_stable_sorted(tmp_path_factory, case, drop_early):
 def test_records_longer_than_the_window(tmp_path):
     """A record straddling several windows is read in one piece, and
     runs stay segments of one file, readable in any order."""
-    groups = [((i,), ["x" * (3 * CHUNK + i)] * 2) for i in range(5)]
-    with closing(RunFile(write_group, read_group, tmp_path)) as file:
-        first = file.append(groups[:3])
-        second = file.append(groups[3:])
-        assert list(file.read(*second)) == groups[3:]
-        assert list(file.read(*first)) == groups[:3]
-        assert list(file.read(0, file.size)) == groups
+    records = [((i,) * (3 * CHUNK + i), i) for i in range(5)]
+    with closing(
+        RunFile(write_pattern_record, read_pattern_record, tmp_path)
+    ) as file:
+        first = file.append(records[:3])
+        second = file.append(records[3:])
+        assert list(file.read(*second)) == records[3:]
+        assert list(file.read(*first)) == records[:3]
+        assert list(file.read(0, file.size)) == records
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +119,6 @@ def _raw(buf: bytearray, chunk: bytes) -> None:
 VALID = {
     "pattern record": ((3, 1, 4), 7),
     "postings triple": (5, 9, (0, 2)),
-    "shuffle group": (("k", 1), [1, 2, 3]),
 }
 
 
@@ -138,11 +129,10 @@ def _encoded(codec: str) -> bytes:
 
 
 #: codec -> the bytes of a record before its first length: a sequence
-#: length, a position count after item and index, a pickle size
+#: length, a position count after item and index
 CLAIM_AT = {
     "pattern record": b"",
     "postings triple": b"\0\0",
-    "shuffle group": b"",
 }
 
 

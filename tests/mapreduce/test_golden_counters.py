@@ -83,19 +83,20 @@ def _commit_crashes(lash, tmp_path):
     return lash
 
 
-def _spill(lash, tmp_path):
-    lash.engine.spill_dir = tmp_path
-    return lash
-
-
 def _parallel(lash, tmp_path):
     lash.engine = ParallelMapReduceEngine(8, 8, max_workers=2)
     return lash
 
 
+def _parallel_crashes(lash, tmp_path):
+    """The process engine runs a failure plan like the serial one."""
+    return _mid_split_crashes(_parallel(lash, tmp_path), tmp_path)
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 @pytest.mark.parametrize(
-    "way", [_plain, _mid_split_crashes, _commit_crashes, _spill, _parallel]
+    "way",
+    [_plain, _mid_split_crashes, _commit_crashes, _parallel, _parallel_crashes],
 )
 def test_counters_do_not_depend_on_how_the_job_ran(case, way, tmp_path):
     make, flist_golden, mine_golden, patterns = GOLDEN[case]
@@ -111,7 +112,7 @@ def test_counters_do_not_depend_on_how_the_job_ran(case, way, tmp_path):
             tuple(job.counters[name] for name in REDUCE_NAMES) == reduce_golden
         )
     assert len(result) == patterns
-    if way in (_mid_split_crashes, _commit_crashes):
+    if way in (_mid_split_crashes, _commit_crashes, _parallel_crashes):
         for failed_tasks in (C.FAILED_MAP_TASKS, C.FAILED_REDUCE_TASKS):
             failed = (
                 result.preprocess_job.counters[failed_tasks]

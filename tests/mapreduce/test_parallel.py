@@ -12,9 +12,11 @@ from repro import Lash, MiningParams
 from repro.errors import InvalidParameterError
 from repro.mapreduce import (
     C,
+    FailurePlan,
     MapReduceEngine,
     MapReduceJob,
     ParallelMapReduceEngine,
+    TaskRetriesExceededError,
 )
 
 
@@ -167,3 +169,27 @@ def test_single_worker_degenerates_gracefully():
         WordCount(), RECORDS
     )
     assert sorted(result.output) == sorted(serial.output)
+
+
+def test_failure_plan_runs_in_the_workers():
+    """Failed attempts are retried in the pool: same output, and the
+    same failure bookkeeping as the serial engine."""
+    plan = FailurePlan(map_failures={0: 2}, reduce_failures={1: 1})
+    serial = MapReduceEngine(3, 4, failure_plan=plan).run(WordCount(), RECORDS)
+    engine = ParallelMapReduceEngine(3, 4, max_workers=2)
+    engine.failure_plan = plan
+    parallel = engine.run(WordCount(), RECORDS)
+    assert sorted(parallel.output) == sorted(serial.output)
+    for name in (C.FAILED_MAP_TASKS, C.FAILED_REDUCE_TASKS, C.SHUFFLE_BYTES):
+        assert parallel.counters[name] == serial.counters[name], name
+    assert len(parallel.metrics.failed_map_task_s) == 2
+    assert len(parallel.metrics.failed_reduce_task_s) == 1
+
+
+def test_retries_exhausted_in_a_worker_raise_in_the_driver():
+    engine = ParallelMapReduceEngine(2, 2, max_workers=2)
+    engine.failure_plan = FailurePlan(map_failures={1: 99}, max_attempts=3)
+    with pytest.raises(TaskRetriesExceededError) as info:
+        engine.run(WordCount(), RECORDS)
+    assert (info.value.phase, info.value.task_index) == ("map", 1)
+    assert info.value.attempts == 3

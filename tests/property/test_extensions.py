@@ -180,18 +180,6 @@ def test_lift_scale(instance, num_sequences):
 
 
 @SETTINGS
-@given(mining_instances())
-def test_external_shuffle_equals_memory_shuffle(tmp_path_factory, instance):
-    """Spilling through disk never changes the mined answer."""
-    hierarchy, database, sigma, gamma, lam = instance
-    params = MiningParams(sigma, gamma, lam)
-    memory = Lash(params).mine(database, hierarchy)
-    spill_dir = tmp_path_factory.mktemp("spills")
-    spilled = Lash(params, spill_dir=spill_dir).mine(database, hierarchy)
-    assert spilled.decoded() == memory.decoded()
-
-
-@SETTINGS
 @given(mining_instances(), st.integers(1, 12))
 def test_top_k_equals_full_output_head(instance, k):
     """mine_top_k returns exactly the deterministic k-head of a σ=1 run."""

@@ -53,12 +53,7 @@ from repro.datasets import (
     generate_text_corpus,
     hierarchy_stats,
 )
-from repro.mapreduce import (
-    SPILL_BYTES,
-    C,
-    FailurePlan,
-    MapReduceEngine,
-)
+from repro.mapreduce import C, FailurePlan, MapReduceEngine
 from repro.sequence import SequenceDatabase
 from repro.serve import merge_stores, open_store
 
@@ -509,19 +504,6 @@ def test_combiner_aggregation_shrinks_shuffle_and_reduce_input(nyt, clp):
     assert dict(runs["on"].output) == dict(runs["off"].output)
     for counter in (C.SHUFFLE_BYTES, C.REDUCE_INPUT_RECORDS):
         assert runs["on"].counters[counter] < runs["off"].counters[counter]
-
-
-def test_disk_shuffle_moves_the_same_bytes(nyt, clp, tmp_path):
-    """Hadoop's sort/spill/merge shuffle changes where bytes go, not
-    how many or what is mined."""
-    memory = clp
-    spilled = Lash(memory.params, spill_dir=tmp_path).mine(
-        nyt.database, vocabulary=memory.vocabulary
-    )
-    assert spilled.patterns == memory.patterns
-    assert shuffle_bytes(spilled) == shuffle_bytes(memory)
-    assert memory.counters[SPILL_BYTES] == 0
-    assert spilled.counters[SPILL_BYTES] > 0
 
 
 def test_injected_failures_change_bookkeeping_only(nyt, lash_nyt):
