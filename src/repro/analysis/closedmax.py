@@ -164,7 +164,6 @@ def filter_result(result: MiningResult, mode: str) -> MiningResult:
         algorithm=f"{result.algorithm}+{mode}",
         preprocess_job=result.preprocess_job,
         mining_job=result.mining_job,
-        local_stats=result.local_stats,
     )
 
 

@@ -36,18 +36,15 @@ standard GSP implementation special-case.
 
 from __future__ import annotations
 
-from repro.core.lash import FlistJob
+from repro.baselines.naive import SupportCountJob
+from repro.core.lash import GsmDriver
 from repro.core.params import MiningParams
 from repro.core.result import MiningResult
-from repro.hierarchy.flist import build_total_order
-from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.engine import JobResult, MapReduceEngine
+from repro.mapreduce.engine import JobResult
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
-from repro.sequence.database import SequenceDatabase
-from repro.sequence.encoding import encoded_size, uvarint_size
 
 Pattern = tuple[int, ...]
 
@@ -100,11 +97,10 @@ def join_candidates(frequent: list[Pattern]) -> list[Pattern]:
     return candidates
 
 
-class GspLevel2Job(MapReduceJob):
+class GspLevel2Job(SupportCountJob):
     """Count all generalized 2-subsequences over frequent items directly."""
 
     name = "gsp-L2"
-    has_combiner = True
 
     def __init__(
         self,
@@ -112,8 +108,7 @@ class GspLevel2Job(MapReduceJob):
         params: MiningParams,
         frequent_items: frozenset[int],
     ) -> None:
-        self.vocabulary = vocabulary
-        self.params = params
+        super().__init__(vocabulary, params)
         self.frequent_items = frequent_items
 
     def map(self, record: tuple[int, ...]):
@@ -130,23 +125,11 @@ class GspLevel2Job(MapReduceJob):
         for pair in seen:
             yield pair, 1
 
-    def combine(self, key, values):
-        yield key, sum(values)
 
-    def reduce(self, key, values):
-        frequency = sum(values)
-        if frequency >= self.params.sigma:
-            yield key, frequency
-
-    def kv_size(self, key, value) -> int:
-        return encoded_size(key) + uvarint_size(value)
-
-
-class GspCountJob(MapReduceJob):
+class GspCountJob(SupportCountJob):
     """Count a broadcast candidate set against extended sequences (k ≥ 3)."""
 
     name = "gsp-count"
-    has_combiner = True
 
     def __init__(
         self,
@@ -154,8 +137,7 @@ class GspCountJob(MapReduceJob):
         params: MiningParams,
         candidates: list[Pattern],
     ) -> None:
-        self.vocabulary = vocabulary
-        self.params = params
+        super().__init__(vocabulary, params)
         # Index by first item so a map call only probes plausible candidates.
         self._by_first: dict[int, list[Pattern]] = {}
         for candidate in candidates:
@@ -172,71 +154,26 @@ class GspCountJob(MapReduceJob):
                 ):
                     yield candidate, 1
 
-    def combine(self, key, values):
-        yield key, sum(values)
 
-    def reduce(self, key, values):
-        frequency = sum(values)
-        if frequency >= self.params.sigma:
-            yield key, frequency
-
-    def kv_size(self, key, value) -> int:
-        return encoded_size(key) + uvarint_size(value)
-
-
-class GspAlgorithm:
+class GspAlgorithm(GsmDriver):
     """Driver: f-list preprocessing + one counting job per pattern length.
 
     The f-list job doubles as level-1 counting: ``f0(w, D)`` — sequences
     containing ``w`` or a descendant — is exactly a single item's support
     over the extended database.
 
-    The per-level candidate and frequent-set sizes are recorded in
+    Each run records its per-level candidate and frequent-set sizes in
     :attr:`level_sizes` (``{length: (candidates, frequent)}``) for
     diagnostics and benchmarks.
     """
 
-    algorithm_name = "gsp"
-
-    def __init__(
-        self,
-        params: MiningParams,
-        num_map_tasks: int = 8,
-        num_reduce_tasks: int = 8,
-    ) -> None:
-        self.params = params
-        self.engine = MapReduceEngine(
-            num_map_tasks=num_map_tasks, num_reduce_tasks=num_reduce_tasks
-        )
-        self.level_sizes: dict[int, tuple[int, int]] = {}
-
-    def mine(
-        self,
-        database: SequenceDatabase,
-        hierarchy: Hierarchy | None = None,
-        vocabulary: Vocabulary | None = None,
+    def mine_encoded(
+        self, vocabulary: Vocabulary, encoded: list[Pattern]
     ) -> MiningResult:
-        preprocess_job = None
-        if vocabulary is None:
-            if hierarchy is None:
-                hierarchy = Hierarchy.flat(
-                    {item for seq in database for item in seq}
-                )
-            flist = FlistJob(hierarchy)
-            preprocess_job = self.engine.run(flist, list(database))
-            frequencies = dict(preprocess_job.output)
-            for item in hierarchy:
-                frequencies.setdefault(item, 0)
-            order = build_total_order(frequencies, hierarchy)
-            vocabulary = Vocabulary(
-                order, hierarchy, [frequencies[i] for i in order]
-            )
-        encoded = [vocabulary.encode_sequence(seq) for seq in database]
-
         counters = Counters()
-        metrics = JobMetrics(name=self.algorithm_name)
+        metrics = JobMetrics(name="gsp")
         patterns: dict[Pattern, int] = {}
-        self.level_sizes = {}
+        self.level_sizes: dict[int, tuple[int, int]] = {}
 
         # Level 1 comes from the f-list; level 2 is counted by enumeration.
         frequent_items = vocabulary.frequent_ids(self.params.sigma)
@@ -270,8 +207,7 @@ class GspAlgorithm:
             patterns=patterns,
             vocabulary=vocabulary,
             params=self.params,
-            algorithm=self.algorithm_name,
-            preprocess_job=preprocess_job,
+            algorithm="gsp",
             mining_job=mining_job,
         )
 

@@ -9,34 +9,25 @@ demonstrates.
 
 from __future__ import annotations
 
+from repro.core.lash import GsmDriver
 from repro.core.params import MiningParams
 from repro.core.result import MiningResult
-from repro.hierarchy.flist import build_vocabulary
-from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import MapReduceJob
-from repro.sequence.database import SequenceDatabase
 from repro.sequence.encoding import encoded_size, uvarint_size
 from repro.sequence.generate import generalized_subsequences
 
 
-class NaiveGsmJob(MapReduceJob):
-    """Emit every generalized subsequence; count in the reducer."""
+class SupportCountJob(MapReduceJob):
+    """Word counting over integer-coded patterns: the combiner sums, the
+    reducer sums and keeps what reaches σ.  Every baseline's counting job
+    is one of these with its own ``map``."""
 
-    name = "naive"
     has_combiner = True
 
     def __init__(self, vocabulary: Vocabulary, params: MiningParams) -> None:
         self.vocabulary = vocabulary
         self.params = params
-
-    def map(self, record: tuple[int, ...]):
-        patterns = generalized_subsequences(
-            self.vocabulary, record, self.params.gamma, self.params.lam
-        )
-        for pattern in patterns:
-            yield pattern, 1
 
     def combine(self, key, values):
         yield key, sum(values)
@@ -50,7 +41,20 @@ class NaiveGsmJob(MapReduceJob):
         return encoded_size(key) + uvarint_size(value)
 
 
-class NaiveAlgorithm:
+class NaiveGsmJob(SupportCountJob):
+    """Emit every generalized subsequence; count in the reducer."""
+
+    name = "naive"
+
+    def map(self, record: tuple[int, ...]):
+        patterns = generalized_subsequences(
+            self.vocabulary, record, self.params.gamma, self.params.lam
+        )
+        for pattern in patterns:
+            yield pattern, 1
+
+
+class NaiveAlgorithm(GsmDriver):
     """Driver: one MapReduce job over the encoded database.
 
     Item ids still come from the generalized f-list (the paper assigns ids
@@ -58,38 +62,18 @@ class NaiveAlgorithm:
     makes no use of the frequencies.
     """
 
-    algorithm_name = "naive"
+    #: the counting job; its name is the algorithm's
+    job_class: type[SupportCountJob] = NaiveGsmJob
 
-    def __init__(
-        self,
-        params: MiningParams,
-        num_map_tasks: int = 8,
-        num_reduce_tasks: int = 8,
-    ) -> None:
-        self.params = params
-        self.engine = MapReduceEngine(
-            num_map_tasks=num_map_tasks, num_reduce_tasks=num_reduce_tasks
-        )
-
-    def mine(
-        self,
-        database: SequenceDatabase,
-        hierarchy: Hierarchy | None = None,
-        vocabulary: Vocabulary | None = None,
+    def mine_encoded(
+        self, vocabulary: Vocabulary, encoded: list[tuple[int, ...]]
     ) -> MiningResult:
-        if vocabulary is None:
-            if hierarchy is None:
-                hierarchy = Hierarchy.flat(
-                    {item for seq in database for item in seq}
-                )
-            vocabulary = build_vocabulary(database, hierarchy)
-        job = NaiveGsmJob(vocabulary, self.params)
-        encoded = [vocabulary.encode_sequence(seq) for seq in database]
+        job = self.job_class(vocabulary, self.params)
         mining_job = self.engine.run(job, encoded)
         return MiningResult(
             patterns=dict(mining_job.output),
             vocabulary=vocabulary,
             params=self.params,
-            algorithm=self.algorithm_name,
+            algorithm=job.name,
             mining_job=mining_job,
         )

@@ -14,17 +14,10 @@ the naïve algorithm (``G3(b11aea)``: 19 naïve emissions vs 5 semi-naïve).
 
 from __future__ import annotations
 
+from repro.baselines.naive import NaiveAlgorithm, SupportCountJob
 from repro.core.params import MiningParams
-from repro.core.result import MiningResult
 from repro.core.rewrite import w_generalize
-from repro.hierarchy.flist import build_total_order
-from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.core.lash import FlistJob
-from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.job import MapReduceJob
-from repro.sequence.database import SequenceDatabase
-from repro.sequence.encoding import encoded_size, uvarint_size
 from repro.sequence.generate import generalized_subsequences
 
 
@@ -42,15 +35,13 @@ def generalize_to_frequent(
     return w_generalize(vocabulary, sequence, threshold)
 
 
-class SemiNaiveGsmJob(MapReduceJob):
+class SemiNaiveGsmJob(SupportCountJob):
     """Naïve enumeration over frequency-generalized sequences."""
 
     name = "semi-naive"
-    has_combiner = True
 
     def __init__(self, vocabulary: Vocabulary, params: MiningParams) -> None:
-        self.vocabulary = vocabulary
-        self.params = params
+        super().__init__(vocabulary, params)
         self._threshold = frequency_threshold_item(vocabulary, params.sigma)
 
     def map(self, record: tuple[int, ...]):
@@ -61,63 +52,8 @@ class SemiNaiveGsmJob(MapReduceJob):
         for pattern in patterns:
             yield pattern, 1
 
-    def combine(self, key, values):
-        yield key, sum(values)
 
-    def reduce(self, key, values):
-        frequency = sum(values)
-        if frequency >= self.params.sigma:
-            yield key, frequency
-
-    def kv_size(self, key, value) -> int:
-        return encoded_size(key) + uvarint_size(value)
-
-
-class SemiNaiveAlgorithm:
+class SemiNaiveAlgorithm(NaiveAlgorithm):
     """Driver: f-list job + enumeration job."""
 
-    algorithm_name = "semi-naive"
-
-    def __init__(
-        self,
-        params: MiningParams,
-        num_map_tasks: int = 8,
-        num_reduce_tasks: int = 8,
-    ) -> None:
-        self.params = params
-        self.engine = MapReduceEngine(
-            num_map_tasks=num_map_tasks, num_reduce_tasks=num_reduce_tasks
-        )
-
-    def mine(
-        self,
-        database: SequenceDatabase,
-        hierarchy: Hierarchy | None = None,
-        vocabulary: Vocabulary | None = None,
-    ) -> MiningResult:
-        preprocess_job = None
-        if vocabulary is None:
-            if hierarchy is None:
-                hierarchy = Hierarchy.flat(
-                    {item for seq in database for item in seq}
-                )
-            flist = FlistJob(hierarchy)
-            preprocess_job = self.engine.run(flist, list(database))
-            frequencies = dict(preprocess_job.output)
-            for item in hierarchy:
-                frequencies.setdefault(item, 0)
-            order = build_total_order(frequencies, hierarchy)
-            vocabulary = Vocabulary(
-                order, hierarchy, [frequencies[i] for i in order]
-            )
-        job = SemiNaiveGsmJob(vocabulary, self.params)
-        encoded = [vocabulary.encode_sequence(seq) for seq in database]
-        mining_job = self.engine.run(job, encoded)
-        return MiningResult(
-            patterns=dict(mining_job.output),
-            vocabulary=vocabulary,
-            params=self.params,
-            algorithm=self.algorithm_name,
-            preprocess_job=preprocess_job,
-            mining_job=mining_job,
-        )
+    job_class = SemiNaiveGsmJob

@@ -1,4 +1,9 @@
-"""Command-line interface: ``lash generate | stats | flist | mine | compare``.
+"""Command-line interface of the ``lash`` tool.
+
+Commands: ``generate``, ``stats``, ``flist``, ``mine`` and ``compare``
+(mining); ``query``, ``index build | merge | compact | info``, ``serve``,
+``shard-serve`` and ``route`` (serving); ``ingest init | add | retire |
+flush | status`` (live ingestion).
 
 Examples
 --------
@@ -14,7 +19,9 @@ Persist the generalized f-list once, reuse it across parameter sweeps
     lash flist --db db.txt --hierarchy h.txt --out flist.tsv
     lash mine --db db.txt --hierarchy h.txt --flist flist.tsv --sigma 50
 
-Compare two algorithms on the same input::
+Compare two algorithms on the same input (every ``--algorithm`` runs
+through one driver, so ``--flist`` and ``--engine parallel`` apply to
+each; MG-FSM always mines flat)::
 
     lash mine --db db.txt --hierarchy h.txt --algorithm naive --out naive.tsv
     lash mine --db db.txt --hierarchy h.txt --algorithm lash  --out lash.tsv
@@ -222,10 +229,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if args.engine == "parallel":
         from repro.mapreduce.parallel import ParallelMapReduceEngine
 
-        if not hasattr(algorithm, "engine"):
-            raise SystemExit(
-                f"--engine parallel is not supported for {args.algorithm}"
-            )
         algorithm.engine = ParallelMapReduceEngine(
             max_workers=args.max_workers
         )
@@ -244,12 +247,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         vocabulary = read_vocabulary(args.flist, hierarchy)
 
     start = time.perf_counter()
-    if args.algorithm == "mg-fsm":  # flat by definition: takes no hierarchy
-        result = algorithm.mine(database)
-    elif vocabulary is not None:
-        result = algorithm.mine(database, vocabulary=vocabulary)
-    else:
-        result = algorithm.mine(database, hierarchy)
+    result = algorithm.mine(database, hierarchy, vocabulary)
     if args.filter:
         result = filter_result(result, args.filter)
     elapsed = time.perf_counter() - start

@@ -56,15 +56,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.core.lash import MinerFactory, PartitionMineJob, resolve_miner
+from repro.core.lash import Lash, MinerFactory, PartitionMineJob
 from repro.core.params import MiningParams
-from repro.core.partition import merge_weighted
 from repro.core.result import MiningResult
 from repro.core.rewrite import FULL_REWRITE, RewritePlan
 from repro.errors import InvalidParameterError
-from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.mapreduce.engine import JobResult, MapReduceEngine
+from repro.mapreduce.engine import JobResult
 from repro.mapreduce.job import MapReduceJob
 from repro.miners.base import LocalMiner
 from repro.sequence.database import SequenceDatabase
@@ -213,8 +211,7 @@ class CandidateMineJob(PartitionMineJob):
         self._children = _child_ids(vocabulary)
 
     def reduce(self, key, values):
-        partition = merge_weighted(values)
-        mined = self.miner.mine_partition(partition, key)
+        mined = self.mine_group(key, values)
         survivors = prune_locally(
             mined, self.vocabulary, self.mode, self._children
         )
@@ -296,7 +293,7 @@ class ClosedMiningResult(MiningResult):
         return merged
 
 
-class ClosedLash:
+class ClosedLash(Lash):
     """LASH with direct closed/maximal mining (three MapReduce jobs).
 
     Parameters mirror :class:`repro.core.lash.Lash` plus ``mode``:
@@ -321,53 +318,32 @@ class ClosedLash:
         failure_plan=None,
         rewrite_plan: RewritePlan = FULL_REWRITE,
     ) -> None:
-        self.params = params
-        self.mode = _check_mode(mode)
-        self.miner_factory = resolve_miner(local_miner)
-        self.rewrite_plan = rewrite_plan
-        self.engine = MapReduceEngine(
-            num_map_tasks=num_map_tasks,
-            num_reduce_tasks=num_reduce_tasks,
-            failure_plan=failure_plan,
+        super().__init__(
+            params,
+            local_miner,
+            num_map_tasks,
+            num_reduce_tasks,
+            failure_plan,
+            rewrite_plan,
         )
+        self.mode = _check_mode(mode)
 
-    def mine(
-        self,
-        database: SequenceDatabase,
-        hierarchy: Hierarchy | None = None,
-        vocabulary: Vocabulary | None = None,
+    def mine_encoded(
+        self, vocabulary: Vocabulary, encoded: list[Pattern]
     ) -> ClosedMiningResult:
         """Mine the closed (or maximal) frequent generalized sequences."""
-        from repro.core.lash import Lash
-
-        preprocess_job = None
-        if vocabulary is None:
-            if hierarchy is None:
-                hierarchy = Hierarchy.flat(
-                    {item for seq in database for item in seq}
-                )
-            helper = Lash(self.params)
-            helper.engine = self.engine
-            vocabulary, preprocess_job = helper.preprocess(
-                database, hierarchy
-            )
-
         miner = self.miner_factory(vocabulary, self.params)
         mine_job = CandidateMineJob(
             vocabulary, self.params, miner, self.mode, self.rewrite_plan
         )
-        encoded = [vocabulary.encode_sequence(seq) for seq in database]
         mining = self.engine.run(mine_job, encoded)
         reconcile = self.engine.run(ReconcileJob(self.mode), mining.output)
-
         return ClosedMiningResult(
             patterns=dict(reconcile.output),
             vocabulary=vocabulary,
             params=self.params,
             algorithm=f"closed-lash[{self.mode},{miner.name}]",
-            preprocess_job=preprocess_job,
             mining_job=mining,
-            local_stats=miner.stats,
             reconcile_job=reconcile,
         )
 

@@ -1,4 +1,5 @@
-"""The LASH driver: preprocessing + partitioning/mining MapReduce jobs.
+"""The GSM driver every algorithm shares, and LASH on it: preprocessing +
+partitioning/mining MapReduce jobs.
 
 LASH runs two jobs (paper Sec. 3.4, Alg. 1):
 
@@ -26,10 +27,11 @@ from repro.core.psm import PivotSequenceMiner
 from repro.core.rewrite import FULL_REWRITE, RewritePlan
 from repro.core.result import MiningResult
 from repro.errors import InvalidParameterError
-from repro.hierarchy.flist import build_total_order, iter_generalized_items
+from repro.hierarchy.flist import build_vocabulary, iter_generalized_items
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.mapreduce.engine import MapReduceEngine
+from repro.mapreduce.counters import C, task_counters
+from repro.mapreduce.engine import JobResult, MapReduceEngine
 from repro.mapreduce.job import MapReduceJob
 from repro.miners.base import LocalMiner
 from repro.miners.bfs import BfsMiner
@@ -130,15 +132,90 @@ class PartitionMineJob(MapReduceJob):
             yield key, (seq, weight)
 
     def reduce(self, key, values):
-        partition = merge_weighted(values)
-        yield from self.miner.mine_partition(partition, key).items()
+        yield from self.mine_group(key, values).items()
+
+    def mine_group(self, key, values) -> dict[tuple[int, ...], int]:
+        """Mine one partition; post the miner's search-space delta to the
+        running attempt's counters, so only committed work is counted."""
+        stats = self.miner.stats
+        candidates, outputs = stats.candidates, stats.outputs
+        mined = self.miner.mine_partition(merge_weighted(values), key)
+        counters = task_counters()
+        counters.increment(C.LOCAL_CANDIDATES, stats.candidates - candidates)
+        counters.increment(C.LOCAL_OUTPUTS, stats.outputs - outputs)
+        return mined
 
     def kv_size(self, key, value) -> int:
         seq, weight = value
         return uvarint_size(key) + encoded_size(seq) + uvarint_size(weight)
 
 
-class Lash:
+class GsmDriver:
+    """What every GSM algorithm shares (paper Sec. 6.1): item ids from the
+    generalized f-list job, a database encoded once, jobs run on
+    :attr:`engine`, and a :class:`MiningResult` measured by the jobs'
+    committed counters.
+
+    A subclass supplies :meth:`mine_encoded`.
+    """
+
+    def __init__(
+        self,
+        params: MiningParams,
+        num_map_tasks: int = 8,
+        num_reduce_tasks: int = 8,
+    ) -> None:
+        self.params = params
+        self.engine = MapReduceEngine(
+            num_map_tasks=num_map_tasks, num_reduce_tasks=num_reduce_tasks
+        )
+
+    def preprocess(
+        self, database: SequenceDatabase, hierarchy: Hierarchy | None = None
+    ) -> tuple[Vocabulary, JobResult]:
+        """Run the f-list job and build the vocabulary (reusable).
+
+        ``hierarchy=None`` preprocesses without hierarchies: every item is
+        its own root (flat mining, as in Fig. 4(e)).
+        """
+        if hierarchy is None:
+            hierarchy = Hierarchy.flat(
+                {item for seq in database for item in seq}
+            )
+        job = self.engine.run(FlistJob(hierarchy), list(database))
+        frequencies = dict(job.output)
+        for item in hierarchy:
+            frequencies.setdefault(item, 0)
+        return build_vocabulary(database, hierarchy, frequencies), job
+
+    def mine(
+        self,
+        database: SequenceDatabase,
+        hierarchy: Hierarchy | None = None,
+        vocabulary: Vocabulary | None = None,
+    ) -> MiningResult:
+        """Mine all frequent generalized sequences of the database.
+
+        With a prebuilt ``vocabulary`` preprocessing is reused and
+        ``hierarchy`` is not read; otherwise the f-list job runs first,
+        over ``hierarchy`` or, when that is ``None``, flat.
+        """
+        preprocess_job = None
+        if vocabulary is None:
+            vocabulary, preprocess_job = self.preprocess(database, hierarchy)
+        encoded = [vocabulary.encode_sequence(seq) for seq in database]
+        result = self.mine_encoded(vocabulary, encoded)
+        result.preprocess_job = preprocess_job
+        return result
+
+    def mine_encoded(
+        self, vocabulary: Vocabulary, encoded: list[tuple[int, ...]]
+    ) -> MiningResult:
+        """Run the algorithm's jobs over the encoded database."""
+        raise NotImplementedError
+
+
+class Lash(GsmDriver):
     """The LASH algorithm (paper Sec. 3.4–5).
 
     Parameters
@@ -175,71 +252,25 @@ class Lash:
         failure_plan=None,
         rewrite_plan: RewritePlan = FULL_REWRITE,
     ) -> None:
-        self.params = params
+        super().__init__(params, num_map_tasks, num_reduce_tasks)
+        self.engine.failure_plan = failure_plan
         self.miner_factory = resolve_miner(local_miner)
         self.rewrite_plan = rewrite_plan
-        self.engine = MapReduceEngine(
-            num_map_tasks=num_map_tasks,
-            num_reduce_tasks=num_reduce_tasks,
-            failure_plan=failure_plan,
-        )
-        self._miner_name = (
-            local_miner if isinstance(local_miner, str) else "custom"
-        )
 
-    # ------------------------------------------------------------------
-
-    def preprocess(
-        self, database: SequenceDatabase, hierarchy: Hierarchy
-    ) -> tuple[Vocabulary, object]:
-        """Run the f-list job and build the vocabulary (reusable)."""
-        job = FlistJob(hierarchy)
-        result = self.engine.run(job, list(database))
-        frequencies = dict(result.output)
-        for item in hierarchy:
-            frequencies.setdefault(item, 0)
-        order = build_total_order(frequencies, hierarchy)
-        vocabulary = Vocabulary(
-            order, hierarchy, [frequencies[i] for i in order]
-        )
-        return vocabulary, result
-
-    def mine(
-        self,
-        database: SequenceDatabase,
-        hierarchy: Hierarchy | None = None,
-        vocabulary: Vocabulary | None = None,
+    def mine_encoded(
+        self, vocabulary: Vocabulary, encoded: list[tuple[int, ...]]
     ) -> MiningResult:
-        """Mine all frequent generalized sequences of the database.
-
-        Either a ``hierarchy`` (preprocessing runs as part of the call) or a
-        prebuilt ``vocabulary`` (preprocessing reused) must be supplied.
-        Passing ``hierarchy=None`` with no vocabulary mines without
-        hierarchies (flat mining, as in Fig. 4(e)).
-        """
-        preprocess_job = None
-        if vocabulary is None:
-            if hierarchy is None:
-                hierarchy = Hierarchy.flat(
-                    {item for seq in database for item in seq}
-                )
-            vocabulary, preprocess_job = self.preprocess(database, hierarchy)
-
         miner = self.miner_factory(vocabulary, self.params)
         job = PartitionMineJob(
             vocabulary, self.params, miner, self.rewrite_plan
         )
-        encoded = [vocabulary.encode_sequence(seq) for seq in database]
         mining_job = self.engine.run(job, encoded)
-
         return MiningResult(
             patterns=dict(mining_job.output),
             vocabulary=vocabulary,
             params=self.params,
             algorithm=f"lash[{miner.name}]",
-            preprocess_job=preprocess_job,
             mining_job=mining_job,
-            local_stats=miner.stats,
         )
 
 

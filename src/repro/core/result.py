@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from repro.core.params import MiningParams
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.mapreduce.counters import Counters
+from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.engine import JobResult
 from repro.mapreduce.metrics import JobMetrics, PhaseTimes
 from repro.miners.base import ExplorationStats
@@ -30,7 +30,6 @@ class MiningResult:
     algorithm: str = "lash"
     preprocess_job: JobResult | None = None
     mining_job: JobResult | None = None
-    local_stats: ExplorationStats = field(default_factory=ExplorationStats)
 
     # ------------------------------------------------------------------
     # pattern access
@@ -102,6 +101,15 @@ class MiningResult:
         if self.mining_job is None:
             return Counters()
         return self.mining_job.counters
+
+    @property
+    def local_stats(self) -> ExplorationStats:
+        """The local miner's search space (Fig. 4(d)), read off the mining
+        job's counters: committed reduce attempts only."""
+        counters = self.counters
+        return ExplorationStats(
+            counters[C.LOCAL_CANDIDATES], counters[C.LOCAL_OUTPUTS]
+        )
 
     @property
     def metrics(self) -> JobMetrics:

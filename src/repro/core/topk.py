@@ -4,8 +4,8 @@ Choosing σ requires knowing the corpus; exploration users usually want
 "the k most frequent patterns".  This module finds them with a
 threshold-halving loop over the LASH driver:
 
-1. Preprocess once (f-list + vocabulary are σ-independent; paper
-   Sec. 3.4 notes they are reusable across parameter settings).
+1. Preprocess and encode once (f-list + vocabulary are σ-independent;
+   paper Sec. 3.4 notes they are reusable across parameter settings).
 2. Start from the largest generalized item frequency — no pattern can be
    more frequent than its most frequent item (Lemma 1) — and halve σ
    until at least ``k`` patterns are frequent (or σ = 1).
@@ -50,14 +50,10 @@ def mine_top_k(
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     if not isinstance(database, SequenceDatabase):
         database = SequenceDatabase(database)
-    if hierarchy is None:
-        hierarchy = Hierarchy.flat(
-            {item for seq in database for item in seq}
-        )
 
-    # Preprocess once at σ=1; reuse the vocabulary for every probe.
-    probe = Lash(MiningParams(1, gamma, lam), local_miner=local_miner)
-    vocabulary, preprocess_job = probe.preprocess(database, hierarchy)
+    # Preprocess and encode once; every σ probe reuses both.
+    lash = Lash(MiningParams(1, gamma, lam), local_miner=local_miner)
+    vocabulary, preprocess_job = lash.preprocess(database, hierarchy)
     max_frequency = max(
         (vocabulary.frequency(i) for i in range(len(vocabulary))),
         default=0,
@@ -71,13 +67,11 @@ def mine_top_k(
             preprocess_job=preprocess_job,
         )
 
+    encoded = [vocabulary.encode_sequence(seq) for seq in database]
     sigma = max(1, max_frequency)
-    result = None
     while True:
-        lash = Lash(
-            MiningParams(sigma, gamma, lam), local_miner=local_miner
-        )
-        result = lash.mine(database, vocabulary=vocabulary)
+        lash.params = MiningParams(sigma, gamma, lam)
+        result = lash.mine_encoded(vocabulary, encoded)
         if len(result.patterns) >= k or sigma == 1:
             break
         sigma = max(1, sigma // 2)
@@ -94,7 +88,6 @@ def mine_top_k(
         algorithm=f"top-k-{result.algorithm}",
         preprocess_job=preprocess_job,
         mining_job=result.mining_job,
-        local_stats=result.local_stats,
     )
 
 

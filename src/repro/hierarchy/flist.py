@@ -10,9 +10,12 @@ any of its descendants**.  The total order ``<`` then sorts items by
 3. item name (a deterministic stand-in for the paper's "arbitrary"
    tie-breaking).
 
-The computation here is the direct (driver-side) implementation; the
-equivalent MapReduce job used by the distributed drivers lives in
-:mod:`repro.core.lash` and :mod:`repro.baselines`.
+The computation here is the direct (driver-side) implementation, which
+``lash flist`` and :func:`repro.query.build.code_patterns` use.  Every
+mining algorithm — LASH, closed LASH, top-k, MG-FSM and the naïve,
+semi-naïve and GSP baselines — runs the equivalent MapReduce job instead,
+:class:`repro.core.lash.FlistJob`, through
+:meth:`repro.core.lash.GsmDriver.preprocess`.
 """
 
 from __future__ import annotations

@@ -3,11 +3,16 @@
 The paper reports ``MAP_OUTPUT_BYTES`` ("total data transferred between map
 and reduce task", Sec. 6.1); the engine additionally tracks record counts and
 post-combine (materialized/shuffled) bytes.
+
+A job reports measurements of its own the way a Hadoop task calls
+``context.getCounter``: :func:`task_counters` is the running attempt's
+:class:`Counters`, which the engine commits only when the attempt does.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from contextvars import ContextVar
 from typing import Iterator
 
 
@@ -30,6 +35,10 @@ class C:
     #: partial output and counters of failed attempts are discarded
     FAILED_MAP_TASKS = "FAILED_MAP_TASKS"
     FAILED_REDUCE_TASKS = "FAILED_REDUCE_TASKS"
+    #: candidate sequences whose support the reduce-side local search
+    #: evaluated, and the ones it output (Fig. 4(d)'s search space)
+    LOCAL_CANDIDATES = "LOCAL_CANDIDATES"
+    LOCAL_OUTPUTS = "LOCAL_OUTPUTS"
 
 
 class Counters:
@@ -61,3 +70,20 @@ class Counters:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._values.items()))
         return f"Counters({inner})"
+
+
+#: the counters of the task attempt running in this context; set by
+#: :func:`repro.mapreduce.engine.run_task` around each attempt
+ATTEMPT_COUNTERS: ContextVar[Counters | None] = ContextVar(
+    "attempt_counters", default=None
+)
+
+
+def task_counters() -> Counters:
+    """The running attempt's counters (a throwaway outside a task).
+
+    What a job adds here is committed with the attempt and discarded
+    with a failed one, under either engine.
+    """
+    counters = ATTEMPT_COUNTERS.get()
+    return Counters() if counters is None else counters

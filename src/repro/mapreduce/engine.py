@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.io.codec import stable_hash
-from repro.mapreduce.counters import C, Counters
+from repro.mapreduce.counters import ATTEMPT_COUNTERS, C, Counters
 from repro.mapreduce.failures import (
     FailurePlan,
     TaskRetriesExceededError,
@@ -112,7 +112,7 @@ class MapReduceEngine:
         counters = Counters()
         metrics = JobMetrics(name=job.name)
 
-        with self._task_map(job) as run_tasks:
+        with self._task_map() as run_tasks:
 
             def run_phase(phase: str, inputs: Sequence[Any]) -> Iterator[list]:
                 """Each task's output, its counters and times committed."""
@@ -144,7 +144,7 @@ class MapReduceEngine:
         return JobResult(output=output, counters=counters, metrics=metrics)
 
     @contextlib.contextmanager
-    def _task_map(self, job: MapReduceJob) -> Iterator[TaskMap]:
+    def _task_map(self) -> Iterator[TaskMap]:
         """How this engine runs a job's tasks: here, in process, in
         order."""
         yield lambda tasks: map(run_task, tasks)
@@ -175,7 +175,8 @@ class MapReduceEngine:
 
 def run_task(task: Task) -> TaskResult:
     """Run one task with retries; keep only the committed attempt's
-    output and counters.
+    output and counters, the ones the job adds through
+    :func:`~repro.mapreduce.counters.task_counters` included.
 
     Module-level so the serial engine and the process pool
     (:mod:`repro.mapreduce.parallel`) run every attempt through the
@@ -191,6 +192,8 @@ def run_task(task: Task) -> TaskResult:
         if plan is not None and plan.should_fail(phase, index, attempt):
             crash_after = plan.crash_point(phase, index, attempt, len(data))
         attempt_counters = Counters()
+        # what the job itself counts (task_counters()) lands here too
+        token = ATTEMPT_COUNTERS.set(attempt_counters)
         start = time.perf_counter()
         try:
             output = body(job, data, attempt_counters, crash_after)
@@ -200,6 +203,8 @@ def run_task(task: Task) -> TaskResult:
                 C.FAILED_MAP_TASKS if phase == "map" else C.FAILED_REDUCE_TASKS
             )
             continue
+        finally:
+            ATTEMPT_COUNTERS.reset(token)
         seconds = time.perf_counter() - start
         return TaskResult(
             output, counters.merge(attempt_counters), seconds, failed_seconds

@@ -11,8 +11,9 @@ class MapReduceJob:
     Subclasses override :meth:`map` and :meth:`reduce`; :meth:`combine` is
     optional pre-aggregation that the engine applies per input split (as
     Hadoop applies combiners per spill).  ``kv_size`` supplies serialized
-    sizes for the byte counters; jobs shipping integer-coded sequences
-    override it with real varint sizes.
+    sizes for the byte counters; every job in the library overrides it
+    with its records' varint wire format, so the generic estimate meters
+    ad-hoc jobs only.
     """
 
     #: descriptive name used in metrics and logs
@@ -45,9 +46,7 @@ class MapReduceJob:
     def kv_size(self, key: Any, value: Any) -> int:
         """Serialized size in bytes of one emitted pair.
 
-        The default estimates with a compact generic encoding; jobs that
-        care about Fig. 4(b)-style measurements override this with their
-        actual wire format.
+        The default estimates with a compact generic encoding.
         """
         return _generic_size(key) + _generic_size(value)
 

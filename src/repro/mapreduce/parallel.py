@@ -11,13 +11,13 @@ back and committed by the same loop.
 Scope notes (documented limitations, not surprises):
 
 * Jobs are pickled to workers, so a job must be picklable — true for
-  every job in this library (they hold vocabularies, params and miners,
-  all plain data).
-* Mutations a job makes to itself inside a worker stay in the worker —
-  with one deliberate exception: a local miner's ``ExplorationStats``
-  are measured per task, shipped back with the task result, and merged
-  into the driver-side miner, so Fig. 4(d)-style search-space
-  measurements read identically under either engine.
+  every job in this library (they hold vocabularies, params and plain
+  data).
+* Mutations a job makes to itself inside a worker stay in the worker.
+  A job that measures something reports it through
+  :func:`~repro.mapreduce.counters.task_counters`, so the measurement
+  travels back with the committed attempt's counters, as it does under
+  the serial engine.
 
 >>> engine = ParallelMapReduceEngine(num_map_tasks=8, num_reduce_tasks=8,
 ...                                  max_workers=4)
@@ -31,32 +31,10 @@ from __future__ import annotations
 import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import InvalidParameterError
-from repro.mapreduce.engine import (
-    MapReduceEngine,
-    Task,
-    TaskMap,
-    TaskResult,
-    run_task,
-)
-from repro.mapreduce.job import MapReduceJob
-from repro.miners.base import ExplorationStats
-
-
-def _run_in_worker(task: Task) -> tuple[TaskResult, ExplorationStats | None]:
-    """:func:`run_task`, plus the task's local-miner stats delta."""
-    # the job arrived by pickle, so its miner may carry stats accumulated
-    # before shipping; zero the worker-local copy to measure this task's
-    # delta alone — the driver merges deltas, never absolute counts
-    miner = getattr(task.job, "miner", None)
-    if getattr(miner, "stats", None) is not None and hasattr(
-        miner, "reset_stats"
-    ):
-        miner.reset_stats()
-    result = run_task(task)
-    return result, getattr(miner, "stats", None)
+from repro.mapreduce.engine import MapReduceEngine, TaskMap, run_task
 
 
 class ParallelMapReduceEngine(MapReduceEngine):
@@ -92,21 +70,10 @@ class ParallelMapReduceEngine(MapReduceEngine):
         self.max_workers = max_workers
 
     @contextlib.contextmanager
-    def _task_map(self, job: MapReduceJob) -> Iterator[TaskMap]:
+    def _task_map(self) -> Iterator[TaskMap]:
         """One pool for the job: both phases map their tasks over it."""
-        driver_miner = getattr(job, "miner", None)
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-
-            def run_tasks(tasks: Iterable[Task]) -> Iterator[TaskResult]:
-                for result, stats in pool.map(_run_in_worker, tasks):
-                    if stats is not None and driver_miner is not None:
-                        # fold each worker's search-space delta into the
-                        # driver's miner, matching the serial engine's
-                        # in-place accounting
-                        driver_miner.stats.merge(stats)
-                    yield result
-
-            yield run_tasks
+            yield lambda tasks: pool.map(run_task, tasks)
 
 
 __all__ = ["ParallelMapReduceEngine"]

@@ -10,6 +10,13 @@ counting convention matches the paper's worked example (Sec. 5.2): every
 candidate sequence whose support is evaluated counts once — including
 infrequent ones — while sequences skipped by PSM's right-expansion index are
 never evaluated and therefore never counted.
+
+A miner's own ``stats`` count every call made on that object, and a
+MapReduce job may run on a pickled copy or be retried.  The figures a
+:class:`~repro.core.result.MiningResult` reports therefore come from the
+job's counters instead: the mining reduce posts each partition's delta to
+its task attempt, and only committed attempts count (Hadoop discards a
+failed attempt's work, Sec. 3.1).
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 ``run_map_task`` and ``run_reduce_task`` count records and bytes in locals
 and post them once per attempt; the numbers below were produced by the
 per-record posting they replaced, and must come out the same whichever way
-a job is run.
+a job is run.  So must the local miner's search space, which the mining
+reduce posts to its attempt's counters: a failed attempt's partial search
+is not counted.
 """
 
 from dataclasses import dataclass
@@ -54,6 +56,9 @@ REDUCE_GOLDEN = {
     "fig1": ((14, 28, 14), (5, 14, 10)),
     "text300": ((628, 1274, 628), (80, 1415, 453)),
 }
+#: case -> the local miner's (candidates, outputs): committed attempts
+#: only, so a failure plan must not inflate them
+STATS_GOLDEN = {"fig1": (31, 10), "text300": (1621, 453)}
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,8 @@ def test_counters_do_not_depend_on_how_the_job_ran(case, way, tmp_path):
             tuple(job.counters[name] for name in REDUCE_NAMES) == reduce_golden
         )
     assert len(result) == patterns
+    stats = result.local_stats
+    assert (stats.candidates, stats.outputs) == STATS_GOLDEN[case]
     if way in (_mid_split_crashes, _commit_crashes, _parallel_crashes):
         for failed_tasks in (C.FAILED_MAP_TASKS, C.FAILED_REDUCE_TASKS):
             failed = (

@@ -94,9 +94,9 @@ def test_lash_with_parallel_engine(fig1_database, fig1_hierarchy):
 
 
 def test_exploration_stats_shipped_back(fig1_database, fig1_hierarchy):
-    """Workers' local-miner search-space accounting is aggregated into
-    the driver's miner: Fig. 4(d)-style measurements no longer require
-    the serial engine."""
+    """Workers' local-miner search-space accounting comes back in the
+    job's counters: Fig. 4(d)-style measurements read the same under
+    either engine."""
     params = MiningParams(2, 1, 3)
     serial = Lash(params).mine(fig1_database, fig1_hierarchy)
     lash = Lash(params)
@@ -114,15 +114,14 @@ def test_exploration_stats_shipped_back(fig1_database, fig1_hierarchy):
 
 
 def test_exploration_stats_not_double_counted(fig1_database, fig1_hierarchy):
-    """A driver miner that already carries stats accumulates only
-    per-task deltas from the workers — the pickled copies' pre-existing
-    counts are zeroed worker-side, never echoed back."""
+    """Search-space accounting travels in the job's counters, one delta
+    per partition: stats the driver's miner already carries are neither
+    echoed back nor added to, since workers mine on their own copies."""
     from repro.core.lash import PartitionMineJob
+    from repro.mapreduce import C
 
     params = MiningParams(2, 1, 3)
-    expected = Lash(params).mine(
-        fig1_database, fig1_hierarchy
-    ).local_stats.candidates
+    expected = Lash(params).mine(fig1_database, fig1_hierarchy).local_stats
 
     lash = Lash(params)
     vocabulary, _ = lash.preprocess(fig1_database, fig1_hierarchy)
@@ -130,10 +129,12 @@ def test_exploration_stats_not_double_counted(fig1_database, fig1_hierarchy):
     miner.stats.candidates = 7  # pre-existing driver-side accounting
     job = PartitionMineJob(vocabulary, params, miner, lash.rewrite_plan)
     encoded = [vocabulary.encode_sequence(seq) for seq in fig1_database]
-    ParallelMapReduceEngine(
+    result = ParallelMapReduceEngine(
         num_map_tasks=4, num_reduce_tasks=4, max_workers=2
     ).run(job, encoded)
-    assert miner.stats.candidates == 7 + expected
+    assert result.counters[C.LOCAL_CANDIDATES] == expected.candidates > 0
+    assert result.counters[C.LOCAL_OUTPUTS] == expected.outputs
+    assert (miner.stats.candidates, miner.stats.outputs) == (7, 0)
 
 
 def test_closedlash_with_parallel_engine(fig1_database, fig1_hierarchy):

@@ -158,9 +158,10 @@ class TestMine:
         assert phases.startswith("phases: map=")
         assert search == ["search: 31 candidates -> 10 outputs (32.3% useful)"]
 
-        # no local miner, no search space to report
+        # naive takes its item ids from the same f-list job; it has no
+        # local miner, so no search space to report
         phases, search = summary("--algorithm", "naive")
-        assert phases.startswith("phases: map=")
+        assert phases.startswith("phases: flist=")
         assert search == []
 
     def test_store_shards_export(self, example_files, capsys, tmp_path):
@@ -248,14 +249,27 @@ class TestMine:
                 "--sigma", "2", "--max-workers", "2",
             ])
 
-    def test_parallel_engine_rejected_for_mgfsm(self, example_files):
+    def test_parallel_engine_mgfsm(self, example_files, tmp_path, capsys):
+        """MG-FSM is LASH with a BFS miner, so it runs on the process
+        engine too: same patterns, same search space as serial."""
         db, hierarchy = example_files
-        with pytest.raises(SystemExit, match="not supported"):
-            main([
-                "mine", "--db", db, "--hierarchy", hierarchy,
-                "--sigma", "2", "--algorithm", "mg-fsm",
-                "--engine", "parallel",
-            ])
+        serial, parallel = tmp_path / "serial.tsv", tmp_path / "par.tsv"
+        base = ["mine", "--db", db, "--hierarchy", hierarchy,
+                "--sigma", "2", "--gamma", "1", "--lam", "3",
+                "--algorithm", "mg-fsm"]
+
+        def search_line(*extra):
+            assert main(base + list(extra)) == 0
+            out = capsys.readouterr().out.splitlines()
+            return [line for line in out if line.startswith("search: ")]
+
+        serial_search = search_line("--out", str(serial))
+        assert serial_search == search_line(
+            "--engine", "parallel", "--max-workers", "2",
+            "--out", str(parallel),
+        )
+        assert serial.read_text().strip()
+        assert main(["compare", str(serial), str(parallel)]) == 0
 
 
 class TestCompare:
