@@ -1,22 +1,18 @@
-"""Taming redundant output: closed/maximal mining and ranking.
+"""Taming redundant output: direct closed/maximal mining.
 
 The paper notes (Sec. 2/6.7) that the GSM output is large and partly
 redundant — ``b1D`` frequent implies ``BD`` frequent — and names direct
 mining of closed and maximal generalized sequences as future work.  This
-script runs that extension on product sessions:
-
-1. Mine the full output, then mine *directly* with ``ClosedLash`` in
-   closed and maximal mode, showing how much output the modes remove.
-2. Rank the closed patterns by hierarchy-aware R-interestingness
-   (Srikant & Agrawal's measure, adapted to sequences): a pattern is
-   interesting when its frequency exceeds what its own generalizations
-   predict.
+script runs that extension on product sessions: it mines the full output,
+then mines *directly* with ``ClosedLash`` in closed and maximal mode,
+showing how much output the modes remove, and checks both against
+filtering the full output.
 
 Run:  python examples/closed_patterns.py
 """
 
 from repro import ClosedLash, Lash, MiningParams
-from repro.analysis import rank_patterns
+from repro.analysis import filter_result
 from repro.datasets import ProductDataConfig, generate_product_data
 
 SIGMA, GAMMA, LAM = 40, 1, 4
@@ -47,29 +43,10 @@ print(
 assert all(full.patterns[p] == f for p, f in closed.patterns.items())
 # maximality is stricter than closedness
 assert set(maximal.patterns) <= set(closed.patterns)
+# mining directly equals filtering the full output afterwards
+assert closed.patterns == filter_result(full, "closed").patterns
+assert maximal.patterns == filter_result(full, "maximal").patterns
 
 print("most frequent maximal patterns (no frequent extension exists):")
 for pattern, freq in maximal.top(8):
     print(f"{freq:>9}  {pattern}")
-
-print("\nmost *interesting* closed patterns (R-interestingness):")
-ranked = rank_patterns(closed, measure="r-interest")
-shown = 0
-for scored in ranked:
-    if scored.score == float("inf"):
-        continue  # unexplained patterns are trivially interesting
-    print(
-        f"{scored.frequency:>9}  score {scored.score:5.2f}  "
-        f"{scored.render()}"
-    )
-    shown += 1
-    if shown == 8:
-        break
-
-print("\npatterns whose frequency their generalizations fully explain")
-print("(score << 1 — candidates for suppression in exploration UIs):")
-for scored in ranked[::-1][:5]:
-    print(
-        f"{scored.frequency:>9}  score {scored.score:5.2f}  "
-        f"{scored.render()}"
-    )

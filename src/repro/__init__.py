@@ -29,7 +29,6 @@ from repro.errors import (
 )
 
 if TYPE_CHECKING:
-    from repro.analysis.closedmax import mine_closed
     from repro.baselines import (
         GspAlgorithm,
         MgFsm,
@@ -43,8 +42,6 @@ if TYPE_CHECKING:
         MiningParams,
         MiningResult,
         PivotSequenceMiner,
-        mine_closed_direct,
-        mine_top_k,
     )
     from repro.core.lash import mine
     from repro.hierarchy import (
@@ -91,9 +88,6 @@ _EXPORTS = {
     "MiningResult": "repro.core.result",
     "PivotSequenceMiner": "repro.core.psm",
     "mine": "repro.core.lash",
-    "mine_closed": "repro.analysis.closedmax",
-    "mine_closed_direct": "repro.core.closedlash",
-    "mine_top_k": "repro.core.topk",
     "ClosedLash": "repro.core.closedlash",
     "ClosedMiningResult": "repro.core.closedlash",
     "BfsMiner": "repro.miners.bfs",

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from repro.core.result import MiningResult
-from repro.hierarchy.vocabulary import Vocabulary
+if TYPE_CHECKING:
+    from repro.core.result import MiningResult
+    from repro.hierarchy.vocabulary import Vocabulary
 
 Pattern = tuple[int, ...]
 
@@ -33,21 +34,28 @@ class ResultDiff:
             f"frequency mismatches={len(self.frequency_mismatches)}"
         )
 
+    @classmethod
+    def between(
+        cls,
+        expected: Mapping[tuple[str, ...], int],
+        actual: Mapping[tuple[str, ...], int],
+    ) -> ResultDiff:
+        """Diff two name-coded pattern sets."""
+        diff = cls()
+        for pattern, freq in expected.items():
+            if pattern not in actual:
+                diff.missing[pattern] = freq
+            elif actual[pattern] != freq:
+                diff.frequency_mismatches[pattern] = (freq, actual[pattern])
+        for pattern, freq in actual.items():
+            if pattern not in expected:
+                diff.extra[pattern] = freq
+        return diff
+
 
 def compare_results(expected: MiningResult, actual: MiningResult) -> ResultDiff:
     """Diff two results; robust to differing vocabularies (compares names)."""
-    left = expected.decoded()
-    right = actual.decoded()
-    diff = ResultDiff()
-    for pattern, freq in left.items():
-        if pattern not in right:
-            diff.missing[pattern] = freq
-        elif right[pattern] != freq:
-            diff.frequency_mismatches[pattern] = (freq, right[pattern])
-    for pattern, freq in right.items():
-        if pattern not in left:
-            diff.extra[pattern] = freq
-    return diff
+    return ResultDiff.between(expected.decoded(), actual.decoded())
 
 
 def recode_patterns(

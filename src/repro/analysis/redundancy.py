@@ -1,4 +1,5 @@
-"""Output-set statistics: non-trivial, closed and maximal patterns (Sec. 6.7).
+"""Output-set statistics: non-trivial, closed and maximal patterns (Sec. 6.7),
+and the closed/maximal filter of a mining result.
 
 * A mined sequence is **trivial** when it can be generated from the output
   of a *flat* sequence miner (no hierarchies) by generalizing items — i.e.
@@ -13,6 +14,12 @@
 ``S ⊑0 S'`` here is the generalized subsequence relation with gap 0, so a
 "supersequence" may be longer *or* more specific (e.g. ``ab1`` is a
 supersequence of ``aB``), capturing both redundancy dimensions.
+
+:func:`filter_result` and :func:`output_statistics` find the closed and
+maximal patterns with the neighbor lemma
+(:func:`repro.core.closedlash.prune_locally`), linear in the output size;
+the pairwise :func:`closed_patterns` / :func:`maximal_patterns` are the
+literal definition, quadratic, kept as the independent testing oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.core.closedlash import prune_locally
+from repro.core.result import MiningResult
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.sequence.subsequence import is_generalized_subsequence
 
@@ -145,11 +154,23 @@ def _group_by_length(patterns: Mapping[Pattern, int]) -> dict[int, list[Pattern]
     return by_length
 
 
+def filter_result(result: MiningResult, mode: str) -> MiningResult:
+    """A copy of ``result`` restricted to its ``"closed"`` or ``"maximal"``
+    patterns."""
+    return MiningResult(
+        patterns=prune_locally(result.patterns, result.vocabulary, mode),
+        vocabulary=result.vocabulary,
+        params=result.params,
+        algorithm=f"{result.algorithm}+{mode}",
+        preprocess_job=result.preprocess_job,
+        mining_job=result.mining_job,
+    )
+
+
 def output_statistics(
     vocabulary: Vocabulary,
     gsm_patterns: Mapping[Pattern, int],
     flat_patterns: Mapping[Pattern, int] | None = None,
-    method: str = "fast",
 ) -> OutputStats:
     """Compute the Table 3 statistics for one mined output set.
 
@@ -158,33 +179,15 @@ def output_statistics(
     :func:`repro.analysis.compare.recode_patterns`) — is required for a
     meaningful non-trivial percentage; when omitted, no pattern is
     considered trivial.
-
-    ``method`` selects the closed/maximal computation: ``"fast"`` (the
-    neighbor-lemma filters of :mod:`repro.analysis.closedmax`, linear in
-    the output size) or ``"pairwise"`` (the literal definition; quadratic,
-    kept as the testing oracle).  Both give identical answers.
     """
-    if method not in ("fast", "pairwise"):
-        raise ValueError(f"method must be 'fast' or 'pairwise', got {method!r}")
     total = len(gsm_patterns)
     if flat_patterns is None:
         trivial: set[Pattern] = set()
     else:
         trivial = trivial_patterns(vocabulary, gsm_patterns, flat_patterns)
-    if method == "fast":
-        from repro.analysis.closedmax import (
-            closed_patterns_fast,
-            maximal_patterns_fast,
-        )
-
-        closed = closed_patterns_fast(vocabulary, gsm_patterns)
-        maximal = maximal_patterns_fast(vocabulary, gsm_patterns)
-    else:
-        closed = closed_patterns(vocabulary, gsm_patterns)
-        maximal = maximal_patterns(vocabulary, gsm_patterns)
     return OutputStats(
         total=total,
         non_trivial=total - len(trivial),
-        closed=len(closed),
-        maximal=len(maximal),
+        closed=len(prune_locally(gsm_patterns, vocabulary, "closed")),
+        maximal=len(prune_locally(gsm_patterns, vocabulary, "maximal")),
     )

@@ -724,33 +724,26 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.compare import ResultDiff
     from repro.io import read_patterns
 
-    def load(path: str) -> dict[str, int]:
-        return {
-            " ".join(pattern): freq
-            for pattern, freq in read_patterns(path).items()
-        }
-
-    left, right = load(args.left), load(args.right)
-    missing = {p for p in left if p not in right}
-    extra = {p for p in right if p not in left}
-    mismatched = {
-        p for p in left if p in right and left[p] != right[p]
-    }
-    if not (missing or extra or mismatched):
+    left = read_patterns(args.left)
+    diff = ResultDiff.between(left, read_patterns(args.right))
+    if diff.agree:
         print(f"results agree ({len(left)} patterns)")
         return 0
-    print(
-        f"results differ: missing={len(missing)} extra={len(extra)} "
-        f"frequency mismatches={len(mismatched)}"
-    )
-    for p in sorted(missing)[: args.show]:
-        print(f"  missing: {p} ({left[p]})")
-    for p in sorted(extra)[: args.show]:
-        print(f"  extra:   {p} ({right[p]})")
-    for p in sorted(mismatched)[: args.show]:
-        print(f"  freq:    {p} ({left[p]} vs {right[p]})")
+    print(f"results differ: {diff.summary()}")
+
+    def head(patterns):
+        return sorted(patterns, key=" ".join)[: args.show]
+
+    for p in head(diff.missing):
+        print(f"  missing: {' '.join(p)} ({diff.missing[p]})")
+    for p in head(diff.extra):
+        print(f"  extra:   {' '.join(p)} ({diff.extra[p]})")
+    for p in head(diff.frequency_mismatches):
+        expected, actual = diff.frequency_mismatches[p]
+        print(f"  freq:    {' '.join(p)} ({expected} vs {actual})")
     return 1
 
 

@@ -5,11 +5,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.core.closedlash import (
-        ClosedLash,
-        ClosedMiningResult,
-        mine_closed_direct,
-    )
+    from repro.core.closedlash import ClosedLash, ClosedMiningResult
     from repro.core.lash import Lash
     from repro.core.params import MiningParams
     from repro.core.partition import build_partitions, frequent_pivots
@@ -26,7 +22,6 @@ if TYPE_CHECKING:
         rewrite_for_pivot,
         w_generalize,
     )
-    from repro.core.topk import mine_top_k
 
 # lazy because the leaves are imported from outside the package
 # (`miners.base` -> `core.params`, and `core.psm` -> `miners.base` back):
@@ -51,8 +46,6 @@ _EXPORTS = {
     "Lash": "repro.core.lash",
     "ClosedLash": "repro.core.closedlash",
     "ClosedMiningResult": "repro.core.closedlash",
-    "mine_closed_direct": "repro.core.closedlash",
-    "mine_top_k": "repro.core.topk",
 }
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

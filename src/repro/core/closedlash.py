@@ -17,7 +17,7 @@ if every such supersequence has strictly lower frequency.
 Algorithm
 ---------
 
-By the atomic-neighbor lemma (:mod:`repro.analysis.closedmax`), ``S`` is
+By the atomic-neighbor lemma (proved in :func:`prune_locally`), ``S`` is
 non-maximal (non-closed) iff some *atomic neighbor* of ``S`` — one-item
 prepend, one-item append, or one-step specialization — is in the output
 (with equal frequency).  Every atomic neighbor ``P`` of ``S`` satisfies
@@ -43,8 +43,9 @@ test_reconcile_shuffle_smaller_than_mining_shuffle``); on the NYT corpus,
 checks that local pruning ships fewer candidates than the full output.
 
 The result provably equals post-processing the full GSM output with
-:func:`repro.analysis.closedmax.filter_result`; the agreement is enforced
-by property-based tests.
+:func:`repro.analysis.redundancy.filter_result` — which is
+:func:`prune_locally` applied to the whole output at once; the agreement
+is enforced by property-based tests.
 
 >>> from repro.core.closedlash import ClosedLash
 >>> lash = ClosedLash(MiningParams(sigma=2, gamma=1, lam=3), mode="maximal")
@@ -65,7 +66,6 @@ from repro.hierarchy.vocabulary import Vocabulary
 from repro.mapreduce.engine import JobResult
 from repro.mapreduce.job import MapReduceJob
 from repro.miners.base import LocalMiner
-from repro.sequence.database import SequenceDatabase
 from repro.sequence.encoding import encoded_size, uvarint_size
 
 Pattern = tuple[int, ...]
@@ -90,32 +90,51 @@ def _check_mode(mode: str) -> str:
 # ----------------------------------------------------------------------
 
 
-def _child_ids(vocabulary: Vocabulary) -> dict[int, list[int]]:
-    """Item id → ids of its one-step specializations (hierarchy children)."""
-    children: dict[int, list[int]] = {i: [] for i in range(len(vocabulary))}
-    for item_id in range(len(vocabulary)):
-        for parent in vocabulary.parent_ids(item_id):
-            children[parent].append(item_id)
-    return children
-
-
 def prune_locally(
-    patterns: Mapping[Pattern, int],
-    vocabulary: Vocabulary,
-    mode: str,
-    children: dict[int, list[int]] | None = None,
+    patterns: Mapping[Pattern, int], vocabulary: Vocabulary, mode: str
 ) -> dict[Pattern, int]:
-    """Drop patterns witnessed non-closed/non-maximal by a *same-partition*
-    atomic neighbor.
+    """Drop every pattern that an atomic neighbor in ``patterns`` witnesses
+    as non-closed (``mode="closed"``) or non-maximal (``mode="maximal"``).
 
-    ``patterns`` must be the complete local output of one partition (all
-    frequent pivot sequences for one pivot, global frequencies).  Patterns
-    whose only witnesses live in larger-pivot partitions survive here and
-    are settled by the reconciliation job.
+    Called with one partition's complete local output (all frequent pivot
+    sequences for one pivot, global frequencies), it drops the patterns
+    witnessed by a *same-partition* neighbor; those whose only witnesses
+    live in larger-pivot partitions survive and are settled by the
+    reconciliation job.  Called with the whole GSM output, it is exactly
+    the closed/maximal filter of Table 3.
+
+    **Neighbor lemma.**  Within the GSM output universe (frequent
+    generalized sequences of length 2…λ), a pattern ``S`` has a proper
+    supersequence ``S' ⊒0 S`` with frequency ``f`` in the output **iff**
+    it has an *atomic neighbor* in the output with frequency ``≥ f``, where
+    an atomic neighbor is obtained from ``S`` by exactly one of
+
+    * replacing one item by one of its hierarchy children (one-step
+      specialization),
+    * prepending one item, or
+    * appending one item.
+
+    *Proof sketch.*  ``S ⊑0 S'`` embeds ``S`` into a contiguous window of
+    ``S'`` with itemwise generalization.  Walk from ``S`` to ``S'`` by first
+    specializing items one hierarchy level at a time (length preserved),
+    then prepending the items left of the window outside-in, then appending
+    the right ones.  Every intermediate ``S''`` satisfies
+    ``S ⊑0 S'' ⊑0 S'``, so ``f(S) ≥ f(S'') ≥ f(S')`` (Lemma 1) and
+    ``|S| ≤ |S''| ≤ |S'| ≤ λ``: each intermediate is frequent and inside
+    the output universe.  The first step of the walk is an atomic neighbor;
+    its frequency is ``≥ f(S')``.  The converse is immediate (a neighbor
+    *is* a proper supersequence).  ∎
+
+    Hence ``S`` is **maximal** iff it has no atomic neighbor in the output,
+    and **closed** iff it has none with frequency equal to ``f(S)`` (a
+    neighbor's frequency never exceeds ``f(S)``).  That is
+    ``O(|S|·fanout)`` probes per pattern instead of all pattern pairs:
+    prepend/append neighbors are found by indexing the output by its
+    first-item and last-item drops, so the cost is independent of the
+    vocabulary size.
     """
     _check_mode(mode)
-    if children is None:
-        children = _child_ids(vocabulary)
+    child_ids = vocabulary.child_ids
     # prepend/append witnesses: max frequency of any output pattern whose
     # first/last drop equals the probed pattern
     drop_first: dict[Pattern, int] = {}
@@ -139,7 +158,7 @@ def prune_locally(
         if witness_f is not None and witness_f > best:
             best = witness_f
         for j, item in enumerate(pattern):
-            for child in children[item]:
+            for child in child_ids(item):
                 witness_f = patterns.get(
                     pattern[:j] + (child,) + pattern[j + 1 :]
                 )
@@ -208,13 +227,10 @@ class CandidateMineJob(PartitionMineJob):
     ) -> None:
         super().__init__(vocabulary, params, miner, rewrite_plan)
         self.mode = _check_mode(mode)
-        self._children = _child_ids(vocabulary)
 
     def reduce(self, key, values):
         mined = self.mine_group(key, values)
-        survivors = prune_locally(
-            mined, self.vocabulary, self.mode, self._children
-        )
+        survivors = prune_locally(mined, self.vocabulary, self.mode)
         for pattern, frequency in survivors.items():
             yield pattern, (_CAND, frequency)
         for pattern, frequency in cross_pivot_covers(
@@ -348,28 +364,6 @@ class ClosedLash(Lash):
         )
 
 
-def mine_closed_direct(
-    database,
-    hierarchy=None,
-    sigma: int = 1,
-    gamma: int | None = 0,
-    lam: int = 5,
-    mode: str = "closed",
-    local_miner: str = "psm",
-) -> ClosedMiningResult:
-    """One-call convenience API for direct closed/maximal mining.
-
-    >>> result = mine_closed_direct(db, h, sigma=2, gamma=1, lam=3,
-    ...                             mode="maximal")
-    """
-    if not isinstance(database, SequenceDatabase):
-        database = SequenceDatabase(database)
-    driver = ClosedLash(
-        MiningParams(sigma, gamma, lam), mode=mode, local_miner=local_miner
-    )
-    return driver.mine(database, hierarchy)
-
-
 __all__ = [
     "MODES",
     "ClosedLash",
@@ -378,5 +372,4 @@ __all__ = [
     "ReconcileJob",
     "prune_locally",
     "cross_pivot_covers",
-    "mine_closed_direct",
 ]

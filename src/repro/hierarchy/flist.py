@@ -12,7 +12,7 @@ any of its descendants**.  The total order ``<`` then sorts items by
 
 The computation here is the direct (driver-side) implementation, which
 ``lash flist`` and :func:`repro.query.build.code_patterns` use.  Every
-mining algorithm — LASH, closed LASH, top-k, MG-FSM and the naïve,
+mining algorithm — LASH, closed LASH, MG-FSM and the naïve,
 semi-naïve and GSP baselines — runs the equivalent MapReduce job instead,
 :class:`repro.core.lash.FlistJob`, through
 :meth:`repro.core.lash.GsmDriver.preprocess`.

@@ -97,6 +97,11 @@ class Vocabulary:
         # on every repeated query, and name() per item dominates that
         # cost (values are tuples of the interned names — tiny)
         self._decode_cache: dict[tuple[int, ...], tuple[str, ...]] = {}
+        # parent → children, inverted from the parents on first use:
+        # only the closed/maximal filter and ``^name`` queries need it.
+        # Unlocked: two racing first calls build equal tables and the
+        # attribute store is atomic
+        self._children: tuple[tuple[int, ...], ...] | None = None
 
     def _require_id(self, name: str) -> int:
         try:
@@ -165,6 +170,18 @@ class Vocabulary:
             return self._multi_parents[item_id]
         p = self._parent_ids[item_id]
         return () if p == NO_PARENT else (p,)
+
+    def child_ids(self, item_id: int) -> tuple[int, ...]:
+        """Ids of the item's hierarchy children, ascending (empty for
+        leaves and for items outside the hierarchy)."""
+        children = self._children
+        if children is None:
+            lists: list[list[int]] = [[] for _ in range(len(self._names))]
+            for child in range(len(self._names)):
+                for parent in self.parent_ids(child):
+                    lists[parent].append(child)
+            children = self._children = tuple(map(tuple, lists))
+        return children[item_id]
 
     def ancestors_or_self(self, item_id: int) -> tuple[int, ...]:
         """Ancestor ids (ascending) ending with ``item_id`` itself.

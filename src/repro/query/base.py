@@ -181,7 +181,6 @@ class PatternSearchBase:
     retained_from: int | None = None
 
     def __init__(self) -> None:
-        self._children_map: dict[int, list[int]] | None = None
         self._descendants_cache: dict[int, tuple[int, ...]] = {}
         self._descendants_lock = threading.Lock()
         # planner-statistics memo (the length histogram, postings sums
@@ -579,15 +578,7 @@ class PatternSearchBase:
             cached = self._descendants_cache.get(item_id)
             if cached is not None:
                 return cached
-            if self._children_map is None:
-                vocabulary = self.vocabulary
-                children: dict[int, list[int]] = {
-                    i: [] for i in range(len(vocabulary))
-                }
-                for child in range(len(vocabulary)):
-                    for parent in vocabulary.parent_ids(child):
-                        children[parent].append(child)
-                self._children_map = children
+            child_ids = self.vocabulary.child_ids
             seen: set[int] = set()
             stack = [item_id]
             while stack:
@@ -595,7 +586,7 @@ class PatternSearchBase:
                 if current in seen:
                     continue
                 seen.add(current)
-                stack.extend(self._children_map[current])
+                stack.extend(child_ids(current))
             result = tuple(sorted(seen))
             self._descendants_cache[item_id] = result
             return result

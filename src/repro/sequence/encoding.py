@@ -5,7 +5,8 @@ frequent items are assigned smaller ids"), compresses map output with
 variable-length integer encoding, and notes that blanks can be run-length
 encoded.  This module implements exactly that:
 
-* unsigned LEB128 varints (small ids → few bytes),
+* unsigned LEB128 varints (small ids → few bytes; the store's codec,
+  :mod:`repro.io.codec`),
 * token stream per sequence: item id ``x`` → varint ``x + 1``; a run of
   ``r`` blanks → escape varint ``0`` followed by varint ``r``,
 * a leading varint with the token count.
@@ -20,46 +21,27 @@ from typing import Sequence
 
 from repro.constants import BLANK
 from repro.errors import EncodingError
+from repro.io.codec import read_uvarint, write_uvarint
 
 Seq = Sequence[int]
 
 
 def encode_uvarint(value: int) -> bytes:
     """Encode a non-negative integer as LEB128."""
-    if value < 0:
-        raise EncodingError(f"uvarint cannot encode negative value {value}")
     out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    write_uvarint(out, value)
+    return bytes(out)
 
 
 def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a LEB128 varint; returns ``(value, next_offset)``."""
-    result = 0
-    shift = 0
-    pos = offset
-    while True:
-        if pos >= len(data):
-            raise EncodingError("truncated uvarint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise EncodingError("uvarint too long")
+    return read_uvarint(data, offset)
 
 
 def encode_sequence(sequence: Seq) -> bytes:
     """Serialize a sequence of item ids (blanks allowed, run-length coded)."""
-    tokens: list[bytes] = []
+    tokens = bytearray()
+    num_tokens = 0
     i = 0
     n = len(sequence)
     while i < n:
@@ -68,27 +50,29 @@ def encode_sequence(sequence: Seq) -> bytes:
             run = 1
             while i + run < n and sequence[i + run] == BLANK:
                 run += 1
-            tokens.append(encode_uvarint(0))
-            tokens.append(encode_uvarint(run))
+            write_uvarint(tokens, 0)
+            write_uvarint(tokens, run)
+            num_tokens += 2
             i += run
         else:
             if item < 0:
                 raise EncodingError(f"invalid item id {item}")
-            tokens.append(encode_uvarint(item + 1))
+            write_uvarint(tokens, item + 1)
+            num_tokens += 1
             i += 1
-    return encode_uvarint(len(tokens)) + b"".join(tokens)
+    return encode_uvarint(num_tokens) + bytes(tokens)
 
 
 def decode_sequence(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], int]:
     """Inverse of :func:`encode_sequence`; returns ``(sequence, next_offset)``."""
-    num_tokens, pos = decode_uvarint(data, offset)
+    num_tokens, pos = read_uvarint(data, offset)
     items: list[int] = []
     consumed = 0
     while consumed < num_tokens:
-        token, pos = decode_uvarint(data, pos)
+        token, pos = read_uvarint(data, pos)
         consumed += 1
         if token == 0:
-            run, pos = decode_uvarint(data, pos)
+            run, pos = read_uvarint(data, pos)
             consumed += 1
             if consumed > num_tokens:
                 raise EncodingError("blank run without length token")

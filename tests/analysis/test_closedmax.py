@@ -1,16 +1,21 @@
-"""Tests for fast closed/maximal identification (neighbor lemma)."""
+"""The closed/maximal filter (neighbor lemma, ``filter_result``) against the
+pairwise definition (``closed_patterns`` / ``maximal_patterns``)."""
 
 import pytest
 from hypothesis import given, settings
 
-from repro import Lash, MiningParams, mine, mine_closed
-from repro.analysis.closedmax import (
-    closed_patterns_fast,
+from repro import Lash, MiningParams, ReproError, mine
+from repro.analysis import (
+    closed_patterns,
     filter_result,
-    maximal_patterns_fast,
+    maximal_patterns,
+    output_statistics,
 )
-from repro.analysis.redundancy import closed_patterns, maximal_patterns
 from tests.property.strategies import dag_hierarchies, mining_instances
+
+
+def kept(result, mode):
+    return set(filter_result(result, mode).patterns)
 
 
 @pytest.fixture
@@ -20,16 +25,12 @@ def paper_result(fig1_database, fig1_hierarchy):
 
 class TestNeighborLemmaOnPaperExample:
     def test_agrees_with_bruteforce_closed(self, paper_result):
-        fast = closed_patterns_fast(
-            paper_result.vocabulary, paper_result.patterns
-        )
+        fast = kept(paper_result, "closed")
         brute = closed_patterns(paper_result.vocabulary, paper_result.patterns)
         assert fast == brute
 
     def test_agrees_with_bruteforce_maximal(self, paper_result):
-        fast = maximal_patterns_fast(
-            paper_result.vocabulary, paper_result.patterns
-        )
+        fast = kept(paper_result, "maximal")
         brute = maximal_patterns(
             paper_result.vocabulary, paper_result.patterns
         )
@@ -38,7 +39,7 @@ class TestNeighborLemmaOnPaperExample:
     def test_ab1_not_closed(self, paper_result):
         """f(aB)=3 but f(ab1)=2: aB is closed, Ba (f=2) vs b1a (f=2) is not."""
         V = paper_result.vocabulary
-        closed = closed_patterns_fast(V, paper_result.patterns)
+        closed = kept(paper_result, "closed")
         # aB has frequency 3; its specialization ab1 has frequency 2 — so the
         # specialization does not kill aB, but aBc (f=2) ≠ 3 either: check
         # that aB survives while BD (f=2, with specialization b1D also f=2)
@@ -48,28 +49,30 @@ class TestNeighborLemmaOnPaperExample:
         assert V.encode_sequence(["b1", "D"]) in closed
 
     def test_maximal_subset_of_closed(self, paper_result):
-        V = paper_result.vocabulary
-        closed = closed_patterns_fast(V, paper_result.patterns)
-        maximal = maximal_patterns_fast(V, paper_result.patterns)
-        assert maximal <= closed
+        assert kept(paper_result, "maximal") <= kept(paper_result, "closed")
 
 
 class TestFilterResult:
     def test_closed_filter(self, paper_result):
         filtered = filter_result(paper_result, "closed")
-        assert set(filtered.patterns) == closed_patterns_fast(
+        assert set(filtered.patterns) == closed_patterns(
             paper_result.vocabulary, paper_result.patterns
         )
         assert filtered.algorithm.endswith("+closed")
 
     def test_maximal_filter(self, paper_result):
         filtered = filter_result(paper_result, "maximal")
-        assert set(filtered.patterns) == maximal_patterns_fast(
+        assert set(filtered.patterns) == maximal_patterns(
             paper_result.vocabulary, paper_result.patterns
         )
 
     def test_invalid_mode_rejected(self, paper_result):
         with pytest.raises(ValueError):
+            filter_result(paper_result, "open")
+
+    def test_invalid_mode_is_a_repro_error(self, paper_result):
+        """The filter and ``ClosedLash`` share one typed mode check."""
+        with pytest.raises(ReproError, match="mode must be one of"):
             filter_result(paper_result, "open")
 
     def test_frequencies_preserved(self, paper_result):
@@ -78,63 +81,24 @@ class TestFilterResult:
             assert paper_result.patterns[pattern] == freq
 
 
-class TestMineClosed:
-    def test_convenience_api(self, fig1_database, fig1_hierarchy):
-        result = mine_closed(
-            fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3
-        )
-        assert result.algorithm == "lash[psm]+closed"
-        assert len(result) > 0
-
-    def test_accepts_plain_lists(self, fig1_hierarchy):
-        result = mine_closed(
-            [["a", "b1"], ["a", "b1"]], fig1_hierarchy, sigma=2, lam=2
-        )
-        assert result.frequency("a", "b1") == 2
-
-    def test_maximal_mode(self, fig1_database, fig1_hierarchy):
-        maximal = mine_closed(
-            fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3,
-            mode="maximal",
-        )
-        closed = mine_closed(
-            fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3,
-            mode="closed",
-        )
-        assert set(maximal.patterns) <= set(closed.patterns)
-
-
 class TestOutputStatisticsMethods:
     def test_fast_and_pairwise_agree(self, paper_result):
-        from repro.analysis import output_statistics
-
-        fast = output_statistics(
-            paper_result.vocabulary, paper_result.patterns, method="fast"
-        )
-        pairwise = output_statistics(
-            paper_result.vocabulary, paper_result.patterns, method="pairwise"
-        )
-        assert fast == pairwise
-
-    def test_unknown_method_rejected(self, paper_result):
-        from repro.analysis import output_statistics
-
-        with pytest.raises(ValueError):
-            output_statistics(
-                paper_result.vocabulary, paper_result.patterns, method="magic"
-            )
+        V, patterns = paper_result.vocabulary, paper_result.patterns
+        stats = output_statistics(V, patterns)
+        assert stats.closed == len(closed_patterns(V, patterns))
+        assert stats.maximal == len(maximal_patterns(V, patterns))
 
 
 @settings(max_examples=30, deadline=None)
 @given(mining_instances())
 def test_fast_matches_bruteforce_on_random_instances(instance):
-    """The neighbor lemma must agree with the pairwise definition."""
+    """The neighbor-lemma filter must agree with the pairwise definition."""
     hierarchy, database, sigma, gamma, lam = instance
     params = MiningParams(sigma, gamma, lam)
     result = Lash(params).mine(database, hierarchy)
     V, patterns = result.vocabulary, result.patterns
-    assert closed_patterns_fast(V, patterns) == closed_patterns(V, patterns)
-    assert maximal_patterns_fast(V, patterns) == maximal_patterns(V, patterns)
+    assert kept(result, "closed") == closed_patterns(V, patterns)
+    assert kept(result, "maximal") == maximal_patterns(V, patterns)
 
 
 @settings(max_examples=15, deadline=None)
@@ -144,5 +108,5 @@ def test_fast_matches_bruteforce_on_dags(instance):
     params = MiningParams(sigma, gamma, lam)
     result = Lash(params).mine(database, hierarchy)
     V, patterns = result.vocabulary, result.patterns
-    assert closed_patterns_fast(V, patterns) == closed_patterns(V, patterns)
-    assert maximal_patterns_fast(V, patterns) == maximal_patterns(V, patterns)
+    assert kept(result, "closed") == closed_patterns(V, patterns)
+    assert kept(result, "maximal") == maximal_patterns(V, patterns)

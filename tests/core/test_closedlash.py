@@ -1,7 +1,7 @@
 """Direct closed/maximal mining (repro.core.closedlash).
 
 The gold standard throughout is post-processing the full GSM output with
-:func:`repro.analysis.closedmax.filter_result`; the direct algorithm must
+:func:`repro.analysis.filter_result`; the direct algorithm must
 produce the identical pattern→frequency mapping in both modes.
 """
 
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Lash, MiningParams, mine, mine_closed_direct
-from repro.analysis.closedmax import filter_result
+from repro import Lash, MiningParams, mine
+from repro.analysis import filter_result
 from repro.core.closedlash import (
     ClosedLash,
     ReconcileJob,
@@ -35,27 +35,27 @@ def reference(database, hierarchy, sigma, gamma, lam, mode):
 
 @pytest.mark.parametrize("mode", ["closed", "maximal"])
 def test_fig1_agrees_with_posthoc(fig1_database, fig1_hierarchy, mode):
-    direct = mine_closed_direct(
-        fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3, mode=mode
+    direct = ClosedLash(MiningParams(2, 1, 3), mode=mode).mine(
+        fig1_database, fig1_hierarchy
     )
     expected = reference(fig1_database, fig1_hierarchy, 2, 1, 3, mode)
     assert direct.patterns == expected
 
 
 def test_fig1_closed_contains_maximal(fig1_database, fig1_hierarchy):
-    closed = mine_closed_direct(
-        fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3, mode="closed"
+    closed = ClosedLash(MiningParams(2, 1, 3), mode="closed").mine(
+        fig1_database, fig1_hierarchy
     )
-    maximal = mine_closed_direct(
-        fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3, mode="maximal"
+    maximal = ClosedLash(MiningParams(2, 1, 3), mode="maximal").mine(
+        fig1_database, fig1_hierarchy
     )
     assert set(maximal.patterns) <= set(closed.patterns)
 
 
 def test_fig1_closed_subset_of_full_output(fig1_database, fig1_hierarchy):
     full = mine(fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3)
-    closed = mine_closed_direct(
-        fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3, mode="closed"
+    closed = ClosedLash(MiningParams(2, 1, 3), mode="closed").mine(
+        fig1_database, fig1_hierarchy
     )
     for pattern, frequency in closed.patterns.items():
         assert full.patterns[pattern] == frequency
@@ -63,8 +63,8 @@ def test_fig1_closed_subset_of_full_output(fig1_database, fig1_hierarchy):
 
 def test_fig1_known_nonclosed_pattern(fig1_database, fig1_hierarchy):
     """``Bc`` (f=2) is covered by ``aBc`` (f=2): non-closed, non-maximal."""
-    closed = mine_closed_direct(
-        fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3, mode="closed"
+    closed = ClosedLash(MiningParams(2, 1, 3), mode="closed").mine(
+        fig1_database, fig1_hierarchy
     )
     decoded = closed.decoded()
     assert ("B", "c") not in decoded
@@ -73,11 +73,11 @@ def test_fig1_known_nonclosed_pattern(fig1_database, fig1_hierarchy):
 
 def test_fig1_aB_closed_but_not_maximal(fig1_database, fig1_hierarchy):
     """``aB`` (f=3) has supersequence ``aBc`` (f=2): closed, not maximal."""
-    closed = mine_closed_direct(
-        fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3, mode="closed"
+    closed = ClosedLash(MiningParams(2, 1, 3), mode="closed").mine(
+        fig1_database, fig1_hierarchy
     )
-    maximal = mine_closed_direct(
-        fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3, mode="maximal"
+    maximal = ClosedLash(MiningParams(2, 1, 3), mode="maximal").mine(
+        fig1_database, fig1_hierarchy
     )
     assert ("a", "B") in closed.decoded()
     assert ("a", "B") not in maximal.decoded()
@@ -85,8 +85,8 @@ def test_fig1_aB_closed_but_not_maximal(fig1_database, fig1_hierarchy):
 
 def test_flat_mining_agreement(fig1_database):
     """Without a hierarchy the direct algorithm still matches post-hoc."""
-    direct = mine_closed_direct(
-        fig1_database, None, sigma=2, gamma=1, lam=3, mode="closed"
+    direct = ClosedLash(MiningParams(2, 1, 3), mode="closed").mine(
+        fig1_database, None
     )
     full = mine(fig1_database, None, sigma=2, gamma=1, lam=3)
     assert direct.patterns == filter_result(full, "closed").patterns
@@ -95,8 +95,8 @@ def test_flat_mining_agreement(fig1_database):
 @pytest.mark.parametrize("mode", ["closed", "maximal"])
 @pytest.mark.parametrize("gamma", [0, 2, None])
 def test_gamma_sweep_agreement(fig1_database, fig1_hierarchy, mode, gamma):
-    direct = mine_closed_direct(
-        fig1_database, fig1_hierarchy, sigma=2, gamma=gamma, lam=4, mode=mode
+    direct = ClosedLash(MiningParams(2, gamma, 4), mode=mode).mine(
+        fig1_database, fig1_hierarchy
     )
     expected = reference(fig1_database, fig1_hierarchy, 2, gamma, 4, mode)
     assert direct.patterns == expected
@@ -316,12 +316,12 @@ def test_invalid_mode_rejected():
     with pytest.raises(InvalidParameterError):
         ClosedLash(MiningParams(2, 1, 3), mode="semi-closed")
     with pytest.raises(InvalidParameterError):
-        mine_closed_direct([["a", "b"]], None, mode="")
+        ClosedLash(MiningParams(1, 0, 5), mode="")
 
 
 def test_result_metadata(fig1_database, fig1_hierarchy):
-    result = mine_closed_direct(
-        fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3, mode="closed"
+    result = ClosedLash(MiningParams(2, 1, 3), mode="closed").mine(
+        fig1_database, fig1_hierarchy
     )
     assert result.algorithm == "closed-lash[closed,psm]"
     assert result.reconcile_job is not None
@@ -336,8 +336,8 @@ def test_reconcile_shuffle_smaller_than_mining_shuffle(
 ):
     """The reconciliation job ships candidates+covers, which is far less
     than the rewritten-sequence shuffle of the mining job."""
-    result = mine_closed_direct(
-        fig1_database, fig1_hierarchy, sigma=2, gamma=1, lam=3, mode="closed"
+    result = ClosedLash(MiningParams(2, 1, 3), mode="closed").mine(
+        fig1_database, fig1_hierarchy
     )
     from repro.mapreduce.counters import C
 
@@ -348,15 +348,9 @@ def test_reconcile_shuffle_smaller_than_mining_shuffle(
 
 @pytest.mark.parametrize("local_miner", ["psm", "bfs", "dfs", "brute"])
 def test_any_local_miner(fig1_database, fig1_hierarchy, local_miner):
-    direct = mine_closed_direct(
-        fig1_database,
-        fig1_hierarchy,
-        sigma=2,
-        gamma=1,
-        lam=3,
-        mode="maximal",
-        local_miner=local_miner,
-    )
+    direct = ClosedLash(
+        MiningParams(2, 1, 3), mode="maximal", local_miner=local_miner
+    ).mine(fig1_database, fig1_hierarchy)
     assert direct.patterns == reference(
         fig1_database, fig1_hierarchy, 2, 1, 3, "maximal"
     )

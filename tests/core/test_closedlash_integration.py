@@ -4,7 +4,7 @@ datasets beyond the running example."""
 from __future__ import annotations
 
 from repro import ClosedLash, MiningParams, mine
-from repro.analysis.closedmax import filter_result
+from repro.analysis import filter_result
 from repro.core import NO_REWRITE
 from repro.mapreduce import FailurePlan
 

@@ -98,6 +98,24 @@ class TestStructure:
         v = Vocabulary(["x", "y"], h, [2, 1])
         assert v.ancestors_or_self(v.id("y")) == (v.id("y"),)
 
+    def test_child_ids_invert_parent_ids(self):
+        v = simple_vocab()
+        B, b1, b2, b11 = (v.id(n) for n in ("B", "b1", "b2", "b11"))
+        assert v.child_ids(B) == (b1, b2)
+        assert v.child_ids(b1) == (b11,)
+        assert v.child_ids(b2) == v.child_ids(b11) == ()
+
+    def test_child_ids_of_a_dag_node_under_each_parent(self):
+        h = Hierarchy()
+        h.add_edge("x", "p")
+        h.add_edge("x", "q")
+        h.add_edge("q", "p")
+        v = Vocabulary(["p", "q", "x", "y"], h, [5, 4, 3, 2])
+        p, q, x, y = (v.id(n) for n in ("p", "q", "x", "y"))
+        assert v.child_ids(p) == (q, x)
+        assert v.child_ids(q) == (x,)
+        assert v.child_ids(y) == ()  # outside the hierarchy
+
 
 class TestLargestRelevantAncestor:
     def test_relevant_item_returns_self(self):

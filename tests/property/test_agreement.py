@@ -100,7 +100,7 @@ def test_dag_hierarchies_agree(instance):
 @given(mining_instances())
 def test_direct_closed_matches_posthoc(instance):
     """Direct closed/maximal mining ≡ post-processing the full output."""
-    from repro.analysis.closedmax import filter_result
+    from repro.analysis import filter_result
     from repro.core.closedlash import ClosedLash
 
     hierarchy, database, sigma, gamma, lam = instance
@@ -115,7 +115,7 @@ def test_direct_closed_matches_posthoc(instance):
 @given(mining_instances(hierarchy_strategy=dag_hierarchies()))
 def test_direct_closed_matches_posthoc_on_dags(instance):
     """The cover/prune split stays exact when items have several parents."""
-    from repro.analysis.closedmax import filter_result
+    from repro.analysis import filter_result
     from repro.core.closedlash import ClosedLash
 
     hierarchy, database, sigma, gamma, lam = instance

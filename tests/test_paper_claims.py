@@ -41,7 +41,7 @@ from repro.analysis import (
     psm_explored_fraction,
     recode_patterns,
 )
-from repro.analysis.closedmax import filter_result
+from repro.analysis import filter_result
 from repro.core import RewritePlan, build_partitions
 from repro.core.closedlash import _CAND, ClosedLash
 from repro.core.lash import PartitionMineJob
