@@ -30,8 +30,8 @@ def main() -> int:
             print(f"error: no sections line after {info['path']}")
             return 1
         sections = sum(int(size) for size in cells(following).values())
-        expected = int(info["file_bytes"]) - HEADER_SIZE - (
-            CHECKSUMS_STRUCT.size if info["checksums"] == "True" else 0
+        expected = (
+            int(info["file_bytes"]) - HEADER_SIZE - CHECKSUMS_STRUCT.size
         )
         if sections != expected:
             print(

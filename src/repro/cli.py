@@ -236,15 +236,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
         raise SystemExit("--max-workers requires --engine parallel")
     if args.store_shards is not None and not args.store:
         raise SystemExit("--store-shards requires --store")
+    if args.flist and not args.hierarchy:
+        raise SystemExit("--flist requires --hierarchy")
 
     database = read_database(args.db)
     hierarchy = read_hierarchy(args.hierarchy) if args.hierarchy else None
-
-    vocabulary = None
-    if args.flist:
-        if hierarchy is None:
-            raise SystemExit("--flist requires --hierarchy")
-        vocabulary = read_vocabulary(args.flist, hierarchy)
+    vocabulary = (
+        read_vocabulary(args.flist, hierarchy) if args.flist else None
+    )
 
     start = time.perf_counter()
     result = algorithm.mine(database, hierarchy, vocabulary)
@@ -371,13 +370,10 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     coded, vocabulary = _load_coded_patterns(args.patterns, args.hierarchy)
-    checksums = not args.no_checksums
     if args.shards is None:
-        write_store(args.out, coded, vocabulary, checksums=checksums)
+        write_store(args.out, coded, vocabulary)
     else:
-        write_sharded_store(
-            args.out, coded, vocabulary, args.shards, checksums=checksums
-        )
+        write_sharded_store(args.out, coded, vocabulary, args.shards)
     _report_written_store("wrote", args.out, start)
     return 0
 
@@ -387,12 +383,7 @@ def cmd_index_merge(args: argparse.Namespace) -> int:
     from repro.serve import merge_stores
 
     start = time.perf_counter()
-    merge_stores(
-        args.sources,
-        args.out,
-        shards=args.shards,
-        checksums=not args.no_checksums,
-    )
+    merge_stores(args.sources, args.out, shards=args.shards)
     _report_written_store(
         f"merged {len(args.sources)} stores into", args.out, start
     )
@@ -467,10 +458,8 @@ def cmd_shard_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         http_port=None if args.no_http else args.http_port,
-        verify_checksums=not args.no_verify,
         quiet=not args.verbose,
         workers=args.workers,
-        compress=args.compress,
     )
     server.start()
     host, port = server.address
@@ -516,9 +505,6 @@ def cmd_route(args: argparse.Namespace) -> int:
         cluster,
         deadline=args.deadline,
         health_timeout=args.health_timeout,
-        pipeline_depth=args.pipeline_depth,
-        compress=args.compress,
-        fanout_workers=args.fanout_workers,
     )
     health = backend.check_health()
     backend.start_health_loop(args.health_interval)
@@ -531,7 +517,6 @@ def cmd_route(args: argparse.Namespace) -> int:
         args.port,
         quiet=not args.verbose,
         workers=args.workers,
-        compress=args.compress,
     )
     host, port = server.server_address[:2]
     up = sum(1 for ok in health.values() if ok)
@@ -552,11 +537,7 @@ def cmd_index_compact(args: argparse.Namespace) -> int:
     """Fold delta stores into a live shard set (atomic manifest swap)."""
     from repro.serve import StoreCompactor
 
-    compactor = StoreCompactor(
-        args.store,
-        checksums=not args.no_checksums,
-        verify_checksums=not args.no_verify,
-    )
+    compactor = StoreCompactor(args.store)
     stats = compactor.compact(args.deltas, shards=args.shards)
     print(
         f"compacted {stats['deltas']} deltas into {args.store} "
@@ -659,31 +640,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.http import run_server
 
     if args.compact_spool is not None:
+        from repro.serve.format import is_sharded_store
+
+        # refused before anything is opened
+        if not is_sharded_store(args.store):
+            raise SystemExit(
+                "--compact-spool requires a sharded store "
+                "(build with --shards)"
+            )
         # the daemon's whole fold path (compact -> writer -> stream),
         # loaded now rather than under the first fold
         from repro.serve import CompactionDaemon
 
-    store = open_store(args.store, verify_checksums=not args.no_verify)
+    store = open_store(args.store)
     service = QueryService(
         store, cache_size=args.cache_size, **_admission_kwargs(args)
     )
     daemon = None
     if args.compact_spool is not None:
-        if not hasattr(store, "num_shards"):
-            raise SystemExit(
-                "--compact-spool requires a sharded store "
-                "(build with --shards)"
-            )
-        daemon_kwargs = {}
-        if args.applied_retain is not None:
-            daemon_kwargs["applied_retain"] = args.applied_retain
         daemon = CompactionDaemon(
             service,
             args.store,
             args.compact_spool,
             interval=args.compact_interval,
-            verify_checksums=not args.no_verify,
-            **daemon_kwargs,
         )
     server = create_server(
         service,
@@ -691,7 +670,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.port,
         quiet=not args.verbose,
         workers=args.workers,
-        compress=args.compress,
     )
     host, port = server.server_address[:2]
     shards = getattr(store, "num_shards", None)
@@ -889,10 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=None,
         help="write a sharded store directory with this many shard files",
     )
-    build.add_argument(
-        "--no-checksums", action="store_true",
-        help="skip the per-section CRC-32 checksums",
-    )
     build.set_defaults(func=cmd_index_build)
     merge = index_sub.add_parser(
         "merge",
@@ -906,10 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument(
         "--shards", type=int, default=None,
         help="write the merged store as a shard set of this size",
-    )
-    merge.add_argument(
-        "--no-checksums", action="store_true",
-        help="skip the per-section CRC-32 checksums",
     )
     merge.set_defaults(func=cmd_index_merge)
     compact = index_sub.add_parser(
@@ -929,14 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=None,
         help="re-route the compacted store across this many shards "
         "(default: keep the current count)",
-    )
-    compact.add_argument(
-        "--no-checksums", action="store_true",
-        help="skip the per-section CRC-32 checksums on the new generation",
-    )
-    compact.add_argument(
-        "--no-verify", action="store_true",
-        help="skip checksum verification of the sources",
     )
     compact.set_defaults(func=cmd_index_compact)
     info = index_sub.add_parser("info", help="print store metadata")
@@ -1063,10 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="match-list cap for budgeted queries (with --budget-cost)",
     )
     serve.add_argument(
-        "--no-verify", action="store_true",
-        help="skip checksum verification on open",
-    )
-    serve.add_argument(
         "--compact-spool",
         help="watch this directory for delta stores and fold them into "
         "the served shard set in the background (sharded stores only)",
@@ -1078,19 +1036,9 @@ def build_parser() -> argparse.ArgumentParser:
         "by the next at once",
     )
     serve.add_argument(
-        "--applied-retain", type=int, default=None,
-        help="applied-delta archive entries to keep; older ones are "
-        "swept after each compaction (with --compact-spool; default 256)",
-    )
-    serve.add_argument(
         "--workers", type=int, default=8,
         help="HTTP worker threads; past 2x this many in-flight requests "
         "the server sheds load with 503 + Retry-After",
-    )
-    serve.add_argument(
-        "--compress", action=argparse.BooleanOptionalAction, default=True,
-        help="gzip responses above the size threshold for clients that "
-        "accept it",
     )
     serve.add_argument(
         "--verbose", action="store_true",
@@ -1126,17 +1074,9 @@ def build_parser() -> argparse.ArgumentParser:
         "socket pings either way)",
     )
     shard_serve.add_argument(
-        "--no-verify", action="store_true",
-        help="skip checksum verification on open",
-    )
-    shard_serve.add_argument(
         "--workers", type=int, default=8,
         help="request-execution worker threads; past 2x this many "
         "in-flight requests the server answers a retryable busy error",
-    )
-    shard_serve.add_argument(
-        "--compress", action=argparse.BooleanOptionalAction, default=True,
-        help="accept zlib frame compression when a client offers it",
     )
     shard_serve.add_argument(
         "--verbose", action="store_true",
@@ -1191,20 +1131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=8,
         help="HTTP worker threads; past 2x this many in-flight requests "
         "the router sheds load with 503 + Retry-After",
-    )
-    route.add_argument(
-        "--compress", action=argparse.BooleanOptionalAction, default=True,
-        help="request zlib frame compression from shard servers (and "
-        "gzip HTTP responses)",
-    )
-    route.add_argument(
-        "--pipeline-depth", type=int, default=32,
-        help="in-flight requests per shard-server connection",
-    )
-    route.add_argument(
-        "--fanout-workers", type=int, default=None,
-        help="scatter worker threads shared by all fan-outs (default: "
-        "scaled to the pipeline depth)",
     )
     route.add_argument(
         "--verbose", action="store_true",

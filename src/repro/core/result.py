@@ -72,7 +72,6 @@ class MiningResult:
         self,
         path: str | Path,
         shards: int | None = None,
-        checksums: bool = True,
     ) -> None:
         """Export to a binary :class:`~repro.serve.store.PatternStore`
         for query serving (``lash serve``).  ``shards=N`` writes a
@@ -83,13 +82,11 @@ class MiningResult:
         if shards is None:
             from repro.serve.writer import write_store
 
-            write_store(path, self.patterns, self.vocabulary, checksums)
+            write_store(path, self.patterns, self.vocabulary)
         else:
             from repro.serve.writer import write_sharded_store
 
-            write_sharded_store(
-                path, self.patterns, self.vocabulary, shards, checksums
-            )
+            write_sharded_store(path, self.patterns, self.vocabulary, shards)
 
     # ------------------------------------------------------------------
     # measurements

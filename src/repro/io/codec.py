@@ -141,7 +141,7 @@ def read_positional_postings(
 def section_checksum(data, start: int = 0, end: int | None = None) -> int:
     """CRC-32 of ``data[start:end]`` as an unsigned 32-bit value.
 
-    Used for the optional per-section checksums of the pattern store.
+    Used for the per-section checksums of the pattern store.
     Accepts any buffer (``bytes``, ``bytearray``, ``mmap``); the slice is
     taken through a :class:`memoryview` so mmapped sections are not
     copied before hashing.

@@ -6,7 +6,7 @@ turns it into a long-lived query-serving system:
 * :class:`~repro.serve.store.PatternStore` — a compact binary on-disk
   index (vocabulary + varint-coded patterns + gap-coded postings) that
   opens in O(header) time via ``mmap`` and decodes sections lazily,
-  with optional per-section checksums (:mod:`~repro.serve.format`,
+  with per-section checksums (:mod:`~repro.serve.format`,
   :mod:`~repro.serve.writer`);
 * :class:`~repro.serve.sharded.ShardedPatternStore` — many shard files
   behind one backend: hash-routed exact lookups, k-way-merged ranked

@@ -48,7 +48,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from repro.errors import EncodingError, ReproError, StoreCorruptError
-from repro.io.runs import DEFAULT_SORT_BUFFER
 from repro.serve.format import (
     DELTA_META_SUFFIX,
     MANIFEST_NAME,
@@ -101,33 +100,21 @@ class StoreCompactor:
     ----------
     path:
         A sharded store directory (must carry a manifest).
-    checksums:
-        Whether the new generation's shard files carry per-section
-        CRC-32 checksums.
-    verify_checksums:
-        Whether to CRC-verify the base store and deltas before folding
-        them in (corrupt input fails the compaction, never the store).
-    sort_buffer:
-        Records per in-memory run of every sort of the fold (merge and
-        postings alike) — the knob bounding compaction memory.
+
+    The base store and the deltas are CRC-verified before they are
+    folded in (corrupt input fails the compaction, never the store).
+    Every sort of the fold (merge and postings alike) runs
+    :data:`~repro.io.runs.DEFAULT_SORT_BUFFER` records per in-memory
+    run.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        checksums: bool = True,
-        verify_checksums: bool = True,
-        sort_buffer: int = DEFAULT_SORT_BUFFER,
-    ) -> None:
+    def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
         if not is_sharded_store(self._path):
             raise EncodingError(
                 f"{self._path}: not a sharded store directory; only shard "
                 "sets support online compaction (build with --shards)"
             )
-        self._checksums = checksums
-        self._verify = verify_checksums
-        self._sort_buffer = sort_buffer
 
     @property
     def path(self) -> Path:
@@ -271,12 +258,9 @@ class StoreCompactor:
             vocabulary, writer = fold_stores(
                 (self._path, *deltas),
                 lambda vocabulary: _ShardStreamWriter(
-                    self._path, new_files, vocabulary,
-                    checksums=self._checksums, sort_buffer=self._sort_buffer,
+                    self._path, new_files, vocabulary
                 ),
-                sort_buffer=self._sort_buffer,
                 spill_dir=self._path,
-                verify_checksums=self._verify,
             )
             meta = {
                 "items": len(vocabulary),
@@ -330,7 +314,7 @@ APPLIED_DIR = "applied"
 #: reclaims the oldest — enough history for post-mortems and for the
 #: ingestor's publish-idempotency probe, without the archive growing
 #: with corpus lifetime
-APPLIED_RETAIN_DEFAULT = 256
+APPLIED_RETAIN = 256
 
 #: seconds :meth:`CompactionDaemon.stop` lets the fold worker take to
 #: exit on end-of-input (it finishes a fold it is running) before it is
@@ -458,25 +442,14 @@ class CompactionDaemon:
         store_path: str | Path,
         spool: str | Path,
         interval: float = 30.0,
-        checksums: bool = True,
-        verify_checksums: bool = True,
-        sort_buffer: int = DEFAULT_SORT_BUFFER,
-        applied_retain: int = APPLIED_RETAIN_DEFAULT,
     ) -> None:
         self._service = service
         self._store_path = Path(store_path)
         # refuses a single-file store here, in the serving process
         self._compactor = StoreCompactor(store_path)
-        #: what the worker builds its StoreCompactor with
-        self._fold_options = {
-            "checksums": checksums,
-            "verify_checksums": verify_checksums,
-            "sort_buffer": sort_buffer,
-        }
         self._spool = Path(spool)
         self._spool.mkdir(parents=True, exist_ok=True)
         self._interval = interval
-        self._verify = verify_checksums
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
         self._worker: _FoldWorker | None = None
@@ -486,7 +459,6 @@ class CompactionDaemon:
         self._rejected: dict[tuple, str] = {}
         self._compactions = 0
         self._last_error: str | None = None
-        self._applied_retain = max(0, applied_retain)
         #: ingest-facing counters surfaced on /stats and /metrics
         self._applied_deltas = 0
         self._pending_count = 0
@@ -583,7 +555,6 @@ class CompactionDaemon:
             reply = self._worker.fold(
                 {
                     "store": str(self._store_path),
-                    "options": self._fold_options,
                     "deltas": [str(delta) for delta in deltas],
                 }
             )
@@ -641,14 +612,11 @@ class CompactionDaemon:
                     self._note(error=f"{delta.name}: {message}")
                     continue
             try:
-                # cheap structural probe (plus CRC sweep when verifying);
-                # compact() re-opens, but correctness of the batch beats
-                # one redundant validation pass
+                # cheap structural probe plus CRC sweep; compact()
+                # re-opens, but correctness of the batch beats one
+                # redundant validation pass
                 open_store(
-                    delta,
-                    pattern_cache_size=0,
-                    postings_cache_size=0,
-                    verify_checksums=self._verify,
+                    delta, pattern_cache_size=0, postings_cache_size=0
                 ).close()
             except (ReproError, OSError) as exc:
                 self._rejected[key] = str(exc)
@@ -683,7 +651,7 @@ class CompactionDaemon:
 
     def _sweep_applied(self, applied: Path) -> None:
         """Bound the applied-delta archive: keep only the newest
-        ``applied_retain`` deltas (sidecars ride along), oldest first
+        :data:`APPLIED_RETAIN` deltas (sidecars ride along), oldest first
         out.  Without this the archive grows with corpus lifetime — one
         file per ingest batch, forever."""
         entries = []
@@ -694,10 +662,10 @@ class CompactionDaemon:
                 entries.append((entry.stat().st_mtime_ns, entry.name, entry))
             except OSError:
                 continue
-        if len(entries) <= self._applied_retain:
+        if len(entries) <= APPLIED_RETAIN:
             return
         entries.sort()
-        for _, _, entry in entries[: len(entries) - self._applied_retain]:
+        for _, _, entry in entries[: len(entries) - APPLIED_RETAIN]:
             if entry.is_dir():
                 shutil.rmtree(entry, ignore_errors=True)
             else:
@@ -706,9 +674,7 @@ class CompactionDaemon:
             sidecar.unlink(missing_ok=True)
 
     def _swap(self) -> None:
-        self._service.swap_backend(
-            open_store(self._store_path, verify_checksums=self._verify)
-        )
+        self._service.swap_backend(open_store(self._store_path))
 
     def _note(self, stats: dict | None = None, error: str | None = None) -> None:
         self._last_error = error
@@ -754,10 +720,10 @@ class CompactionDaemon:
 def _worker_main() -> int:
     """The fold worker behind :class:`CompactionDaemon`.
 
-    Reads one JSON request per line — ``{"store", "options",
-    "deltas"}`` — runs ``StoreCompactor(store, **options).compact(deltas)``
-    and answers with one JSON line, ``{"stats"}`` or ``{"error"}``, plus
-    its own ``peak_rss_mb``.  Exits at end-of-input.
+    Reads one JSON request per line — ``{"store", "deltas"}`` — runs
+    ``StoreCompactor(store).compact(deltas)`` and answers with one JSON
+    line, ``{"stats"}`` or ``{"error"}``, plus its own ``peak_rss_mb``.
+    Exits at end-of-input.
     """
     import resource
     import signal
@@ -771,7 +737,7 @@ def _worker_main() -> int:
     for line in iter(sys.stdin.readline, ""):
         request = json.loads(line)
         try:
-            compactor = StoreCompactor(request["store"], **request["options"])
+            compactor = StoreCompactor(request["store"])
             reply = {"stats": compactor.compact(request["deltas"])}
         except Exception as exc:  # noqa: BLE001 - reported; the worker
             # stays up for the next fold
@@ -789,7 +755,7 @@ __all__ = [
     "StoreCompactor",
     "CompactionDaemon",
     "APPLIED_DIR",
-    "APPLIED_RETAIN_DEFAULT",
+    "APPLIED_RETAIN",
     "FOLDED_LOG_LIMIT",
     "delta_signature",
 ]

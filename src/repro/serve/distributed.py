@@ -209,7 +209,8 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
                 # the hello framing, and hang up
                 send_message(sock, {"error": encode_error(exc)})
                 return
-            threshold = owner.compress_threshold if offered else None
+            # a peer that does not offer zlib gets plain frames
+            threshold = DEFAULT_COMPRESS_THRESHOLD if offered else None
             send_message(sock, hello_response(threshold))
         except (EOFError, ConnectionError, OSError):
             return  # client hung up or died before the exchange finished
@@ -248,14 +249,15 @@ class ShardServer:
         ``0`` binds an ephemeral port; ``http_port=None`` disables the
         HTTP sidecar (per-server ``/stats`` and ``/metrics``; the router
         never needs it).
-    workers / max_in_flight:
-        Size of the request-execution worker pool, and the in-flight
-        cap (default ``2 * workers`` — a bounded queue's worth of
-        headroom) past which requests answer :class:`ServerBusyError`
-        instead of queueing silently.
-    compress:
-        Accept a client's zlib offer in the hello (frames above
-        ``compress_threshold`` bytes are then deflated).
+    workers:
+        Size of the request-execution worker pool.  Past ``2 * workers``
+        requests in flight (a bounded queue's worth of headroom)
+        requests answer :class:`ServerBusyError` instead of queueing
+        silently.
+
+    A client's zlib offer in the hello is always accepted: frames above
+    :data:`~repro.serve.protocol.DEFAULT_COMPRESS_THRESHOLD` bytes are
+    then deflated.  The store opens with its checksums verified.
     """
 
     def __init__(
@@ -265,20 +267,12 @@ class ShardServer:
         host: str = "127.0.0.1",
         port: int = 0,
         http_port: int | None = 0,
-        verify_checksums: bool = True,
         quiet: bool = True,
         workers: int = 8,
-        max_in_flight: int | None = None,
-        compress: bool = True,
-        compress_threshold: int = DEFAULT_COMPRESS_THRESHOLD,
     ) -> None:
         if workers < 1:
             raise InvalidParameterError(
                 f"workers must be >= 1, got {workers}"
-            )
-        if max_in_flight is not None and max_in_flight < 1:
-            raise InvalidParameterError(
-                f"max_in_flight must be >= 1, got {max_in_flight}"
             )
         self._store_path = Path(store_path)
         self._subset = (
@@ -287,15 +281,9 @@ class ShardServer:
         self._host = host
         self._port = port
         self._http_port = http_port
-        self._verify_checksums = verify_checksums
         self._quiet = quiet
         self._workers = workers
-        self._max_in_flight = (
-            max_in_flight if max_in_flight is not None else 2 * workers
-        )
-        #: threshold agreed with clients that offer zlib; ``None``
-        #: declines compression
-        self.compress_threshold = compress_threshold if compress else None
+        self._max_in_flight = 2 * workers
         self.wire_stats = WireStats()
         self._store: ShardedPatternStore | None = None
         self._tcp: _ShardTCPServer | None = None
@@ -339,9 +327,7 @@ class ShardServer:
             max_workers=self._workers, thread_name_prefix="shard-worker"
         )
         self._store = ShardedPatternStore(
-            self._store_path,
-            verify_checksums=self._verify_checksums,
-            shard_subset=self._subset,
+            self._store_path, shard_subset=self._subset
         )
         self._tcp = _ShardTCPServer((self._host, self._port), self)
         thread = threading.Thread(

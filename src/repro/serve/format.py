@@ -18,7 +18,7 @@ One store *file* (written by :mod:`repro.serve.writer`, read by
     [postings]  per listed item: ascending pattern indexes,
                 gap-coded, each interleaved with the gap-coded
                 positions of the item in that pattern
-    [checksums] 6 × u32 CRC-32, one per section               optional
+    [checksums] 6 × u32 CRC-32, one per section               24 bytes
 
 Every fixed-width entry is little-endian; the writer refuses a store
 whose pattern or postings section would pass the ``u32`` range.  An
@@ -26,12 +26,12 @@ item missing from ``[post_dir]`` has no postings in this file, so the
 directory costs one id and one offset per item the file actually
 indexes, not per vocabulary entry.
 
-The trailing checksum section exists iff :data:`FLAG_CHECKSUMS` is set
-in the header flags; the section table's final offset always marks the
-end of the postings, so readers locate the checksums (and validate the
-file size) from the flag alone.  The first checksum also covers the
-magic, header and section table, so every byte but the checksums
-themselves is under a CRC.
+Every file ends in the checksum section and sets :data:`FLAG_CHECKSUMS`
+in its header flags; a reader refuses a header without the flag as
+corrupt.  The section table's final offset marks the end of the
+postings, so readers locate the checksums (and validate the file size)
+from it.  The first checksum also covers the magic, header and section
+table, so every byte but the checksums themselves is under a CRC.
 
 A *sharded* store is a directory of store files plus a JSON manifest
 (:data:`MANIFEST_NAME`).  Patterns are routed to shards by
@@ -62,7 +62,8 @@ MAGIC = b"RPROPST1"
 #: query plans' positional propagation.
 VERSION = 3
 
-#: header flag: a 6 × u32 CRC-32 section trails the postings
+#: header flag: a 6 × u32 CRC-32 section trails the postings (set in
+#: every file)
 FLAG_CHECKSUMS = 0x1
 #: header flag: the store is a *signed delta*.  Every frequency — the
 #: header's total, each vocabulary entry's, each pattern record's — is

@@ -336,13 +336,13 @@ class PatternHTTPServer(ThreadingHTTPServer):
     The per-request socket timeout bounds how long a stalled client can
     pin a thread.
 
-    Concurrency is **bounded**: at most ``max_in_flight`` requests
-    (default ``2 * workers``) hold threads at once; past the cap the
-    accept path answers ``503`` with ``Retry-After`` immediately
-    instead of growing an unbounded thread herd — load balancers and
-    the serving benchmark read that as backpressure, never as silence.
+    Concurrency is **bounded**: at most ``2 * workers`` requests hold
+    threads at once; past the cap the accept path answers ``503`` with
+    ``Retry-After`` immediately instead of growing an unbounded thread
+    herd — load balancers and the serving benchmark read that as
+    backpressure, never as silence.
     Responses over ``DEFAULT_COMPRESS_THRESHOLD`` bytes are gzipped for
-    clients that accept it (``compress=False`` turns that off).
+    clients that accept it.
     """
 
     daemon_threads = False
@@ -353,8 +353,6 @@ class PatternHTTPServer(ThreadingHTTPServer):
         service: QueryService,
         quiet: bool = True,
         workers: int = 8,
-        max_in_flight: int | None = None,
-        compress: bool = True,
     ) -> None:
         if workers < 1:
             raise InvalidParameterError(
@@ -364,10 +362,7 @@ class PatternHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.quiet = quiet
         self.workers = workers
-        self.max_in_flight = (
-            max_in_flight if max_in_flight is not None else 2 * workers
-        )
-        self.compress = compress
+        self.max_in_flight = 2 * workers
         self._gate = threading.Lock()
         self._in_flight = 0
         self._rejected = 0
@@ -399,7 +394,6 @@ class PatternHTTPServer(ThreadingHTTPServer):
                 "in_flight": self._in_flight,
                 "rejected": self._rejected,
                 "gzipped_responses": self._gzipped,
-                "compress": self.compress,
             }
 
     def process_request(self, request, client_address) -> None:
@@ -653,7 +647,6 @@ class PatternRequestHandler(BaseHTTPRequestHandler):
         encoding = None
         if (
             status < 400
-            and getattr(self.server, "compress", False)
             and len(body) > DEFAULT_COMPRESS_THRESHOLD
             and self._accepts_gzip()
         ):
@@ -690,18 +683,11 @@ def create_server(
     port: int = 8080,
     quiet: bool = True,
     workers: int = 8,
-    max_in_flight: int | None = None,
-    compress: bool = True,
 ) -> PatternHTTPServer:
     """Bind a server (``port=0`` picks an ephemeral port) without
     serving.  ``quiet=False`` enables per-request access logging."""
     return PatternHTTPServer(
-        (host, port),
-        service,
-        quiet=quiet,
-        workers=workers,
-        max_in_flight=max_in_flight,
-        compress=compress,
+        (host, port), service, quiet=quiet, workers=workers
     )
 
 

@@ -440,10 +440,10 @@ def recv_mux(
     return request_id, value
 
 
-def hello_request(compress: bool = True) -> dict:
+def hello_request() -> dict:
     """The client's first frame: the protocol-version check and the
-    zlib offer."""
-    return {"v": PROTOCOL_VERSION, "op": "hello", "zlib": compress}
+    zlib offer (this build always offers it)."""
+    return {"v": PROTOCOL_VERSION, "op": "hello", "zlib": True}
 
 
 def hello_response(threshold: int | None) -> dict:

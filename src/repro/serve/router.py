@@ -78,6 +78,14 @@ from repro.serve.service import LatencyHistogram
 #: shards evenly across a handful of servers
 _VNODES = 64
 
+#: concurrent requests one shard-server connection carries
+PIPELINE_DEPTH = 32
+
+#: scatter threads shared by every fan-out of a router: group calls
+#: spend their life blocked on a socket, so the pool covers many
+#: *concurrent* scatters — a full pipeline's worth
+FANOUT_WORKERS = 32
+
 #: floor for any single socket operation's timeout: once the deadline
 #: budget is nearly spent, fail fast instead of waiting 0 seconds
 _MIN_TIMEOUT = 0.05
@@ -296,12 +304,12 @@ class _MuxConnection:
 class ShardClient:
     """Framed request/response to one shard server.
 
-    **One** multiplexed connection carries up to ``pipeline_depth``
+    **One** multiplexed connection carries up to :data:`PIPELINE_DEPTH`
     concurrent requests with out-of-order responses; it opens with the
     ``hello`` exchange of :mod:`repro.serve.protocol`, which checks the
-    protocol version and, with ``compress``, offers zlib.  A server
-    that refuses the hello makes :meth:`request` raise the typed error
-    it answered.
+    protocol version and offers zlib.  A server that declines zlib gets
+    plain frames; one that refuses the hello makes :meth:`request`
+    raise the typed error it answered.
 
     A connection that fails before the request went out may simply have
     idled past the server's patience and is retried once on a fresh
@@ -311,26 +319,15 @@ class ShardClient:
     replica-retry path fails its request over independently.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        pipeline_depth: int = 32,
-        compress: bool = True,
-    ) -> None:
-        if pipeline_depth < 1:
-            raise InvalidParameterError(
-                f"pipeline_depth must be >= 1, got {pipeline_depth}"
-            )
+    def __init__(self, host: str, port: int) -> None:
         self._host = host
         self._port = port
-        self._pipeline_depth = pipeline_depth
-        self._compress = compress
+        self._pipeline_depth = PIPELINE_DEPTH
         self._lock = threading.Lock()
         self._closed = False
         self._mux: _MuxConnection | None = None
         self._conn_lock = threading.Lock()
-        self._depth = threading.Semaphore(pipeline_depth)
+        self._depth = threading.Semaphore(self._pipeline_depth)
         #: compression threshold the server agreed to in the latest
         #: hello; ``None`` until connected or when zlib was declined
         self.compress_threshold: int | None = None
@@ -357,7 +354,7 @@ class ShardClient:
             sock = self._connect(timeout)
             try:
                 sock.settimeout(timeout)
-                send_message(sock, hello_request(self._compress))
+                send_message(sock, hello_request())
                 threshold = read_hello_response(recv_message(sock))
             except (OSError, EOFError, ConnectionError, ReproError):
                 sock.close()
@@ -482,7 +479,6 @@ class ShardClient:
         with self._lock:
             in_flight = self._in_flight
         return {
-            "pipeline_depth": self._pipeline_depth,
             "in_flight": in_flight,
             "wire": self.wire_stats.snapshot(),
         }
@@ -583,44 +579,28 @@ class RouterBackend:
         cluster: ClusterMap,
         deadline: float = 5.0,
         health_timeout: float = 1.0,
-        pipeline_depth: int = 32,
-        compress: bool = True,
-        fanout_workers: int | None = None,
     ) -> None:
         if deadline <= 0:
             raise InvalidParameterError(
                 f"deadline must be > 0 seconds, got {deadline}"
             )
-        if fanout_workers is not None and fanout_workers < 1:
+        if health_timeout <= 0:
+            # a socket timeout of 0 is non-blocking: every ping would
+            # fail and mark every server down
             raise InvalidParameterError(
-                f"fanout_workers must be >= 1, got {fanout_workers}"
+                f"health_timeout must be > 0 seconds, got {health_timeout}"
             )
         self._cluster = cluster
         self._deadline = deadline
         self._health_timeout = health_timeout
-        self._pipeline_depth = pipeline_depth
-        self._compress = compress
         self._clients = {
-            key: ShardClient(
-                spec.host,
-                spec.port,
-                pipeline_depth=pipeline_depth,
-                compress=compress,
-            )
+            key: ShardClient(spec.host, spec.port)
             for key, spec in cluster.servers.items()
         }
         self._healthy = {key: True for key in cluster.servers}
         self._lock = threading.Lock()
-        # group calls spend their life blocked on a socket, so the pool
-        # must cover many *concurrent* scatters, not just one — sized
-        # for the pipeline the shard links themselves advertise
-        self._fanout_workers = (
-            fanout_workers
-            if fanout_workers is not None
-            else min(64, max(8, pipeline_depth))
-        )
         self._executor = ThreadPoolExecutor(
-            max_workers=self._fanout_workers,
+            max_workers=FANOUT_WORKERS,
             thread_name_prefix="router-fanout",
         )
         self._shard_hists: dict[int, LatencyHistogram] = {
@@ -667,6 +647,11 @@ class RouterBackend:
 
     def start_health_loop(self, interval: float = 2.0) -> None:
         """Re-probe every ``interval`` seconds from a daemon thread."""
+        if interval <= 0:
+            # a zero wait would re-probe in a busy loop
+            raise InvalidParameterError(
+                f"health interval must be > 0 seconds, got {interval}"
+            )
         if self._health_thread is not None:
             return
         self._health_stop = threading.Event()
@@ -1034,11 +1019,6 @@ class RouterBackend:
                 "server_failures": self._server_failures,
                 "busy_sheds": self._busy_sheds,
                 "partial_results": self._partials,
-                "pipeline": {
-                    "depth": self._pipeline_depth,
-                    "compress": self._compress,
-                    "fanout_workers": self._fanout_workers,
-                },
                 "wire": merge_wire_snapshots(
                     stats["wire"] for stats in client_stats.values()
                 ),

@@ -48,7 +48,9 @@ from repro.query.tokens import is_negation_only, normalize_query
 DEFAULT_CACHE_SIZE = 1024
 DEFAULT_LIMIT = 10
 #: rendered matches retained per cache entry; aggregates always cover
-#: the full result set, so broad queries don't pin it in memory
+#: the full result set, so broad queries don't pin it in memory.
+#: Requests needing a longer prefix recompute instead of reading the
+#: cache.  Read at call time.
 MAX_CACHED_MATCHES = 1000
 
 #: upper bucket bounds (seconds) of the request-latency histograms; the
@@ -152,7 +154,7 @@ class _Found(NamedTuple):
     ``_search`` hands ``query``/``count`` and, minus ``matches``, what a
     cache entry holds."""
 
-    #: the first ``max_cached_matches`` matches, rendered
+    #: the first :data:`MAX_CACHED_MATCHES` matches, rendered
     rendered: list[dict]
     count: int
     total: int
@@ -178,9 +180,6 @@ class QueryService:
         Any pattern search backend (index or store).
     cache_size:
         Maximum cached queries; 0 disables caching.
-    max_cached_matches:
-        Rendered matches retained per cache entry; requests needing a
-        longer prefix recompute instead of reading the cache.
     max_cost:
         Admission ceiling in planner work units
         (:meth:`~repro.query.base.PatternSearchBase.estimate_cost`):
@@ -201,7 +200,6 @@ class QueryService:
         self,
         backend: PatternSearchBase,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        max_cached_matches: int = MAX_CACHED_MATCHES,
         max_cost: float | None = None,
         budget_cost: float | None = None,
         match_budget: int = MATCH_BUDGET_DEFAULT,
@@ -209,10 +207,6 @@ class QueryService:
         if cache_size < 0:
             raise InvalidParameterError(
                 f"cache_size must be >= 0, got {cache_size}"
-            )
-        if max_cached_matches < 1:
-            raise InvalidParameterError(
-                f"max_cached_matches must be >= 1, got {max_cached_matches}"
             )
         if max_cost is not None and max_cost <= 0:
             raise InvalidParameterError(
@@ -236,7 +230,6 @@ class QueryService:
             )
         self._backend = backend
         self._cache_size = cache_size
-        self._max_cached_matches = max_cached_matches
         self._max_cost = max_cost
         self._budget_cost = budget_cost
         self._match_budget = match_budget
@@ -428,7 +421,7 @@ class QueryService:
     def topk(self, n: int = DEFAULT_LIMIT) -> dict:
         """The ``n`` globally most frequent patterns (``n >= 1``).
 
-        ``n`` is clamped to ``max_cached_matches`` so one request cannot
+        ``n`` is clamped to :data:`MAX_CACHED_MATCHES` so one request cannot
         render (and cache) the entire store; the response's ``k`` is the
         clamped value.
         """
@@ -438,7 +431,7 @@ class QueryService:
             self._reject(f"n must be an integer, got {n!r}")
         if n < 1:
             self._reject(f"n must be >= 1, got {n}")
-        n = min(n, self._max_cached_matches)
+        n = min(n, MAX_CACHED_MATCHES)
         ctx = self._context()
 
         def compute():
@@ -465,7 +458,7 @@ class QueryService:
         — share one entry.  One entry per (normalized query, σ) pair
         serves every limit and both ``/query`` and ``/count``, with
         aggregates precomputed so cache hits cost O(limit), not
-        O(matches).  Only the first ``max_cached_matches`` rendered
+        O(matches).  Only the first :data:`MAX_CACHED_MATCHES` rendered
         matches are retained (bounding memory on broad queries).
         """
         try:
@@ -520,7 +513,7 @@ class QueryService:
                         "estimated_cost": round(estimate.cost, 1),
                     }
             found = _Found(
-                _render(matches[: self._max_cached_matches]),
+                _render(matches[:MAX_CACHED_MATCHES]),
                 len(matches),
                 sum(m.frequency for m in matches),
                 tokens,

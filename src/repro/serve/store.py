@@ -18,10 +18,12 @@ O(1) random access into the pattern records, and the posting directory —
 the ascending ids of the items with postings in the file, next to their
 ``u32`` offsets — finds an item's postings by binary search, so the
 store never has to decode records it does not touch.  The vocabulary is
-deflated on disk and inflated once per mount.  For stores written with
-per-section checksums, ``open()`` verifies every section's CRC-32 and
-raises :class:`~repro.errors.StoreCorruptError` on a mismatch (skippable
-with ``verify_checksums=False`` when O(header) startup matters more than
+deflated on disk and inflated once per mount.  Every store carries
+per-section checksums (a header without
+:data:`~repro.serve.format.FLAG_CHECKSUMS` is refused as corrupt), and
+``open()`` verifies every section's CRC-32 and raises
+:class:`~repro.errors.StoreCorruptError` on a mismatch (skippable with
+``verify_checksums=False`` when O(header) startup matters more than
 bit-rot detection); without the sweep, damaged tables, postings, pattern
 lengths and a damaged vocabulary still raise it when first read.
 """
@@ -67,8 +69,8 @@ from repro.serve.format import (
 class PatternStore(PatternSearchBase):
     """Lazily loaded, memory-mapped pattern store.
 
-    Opening is O(header) plus, for checksummed files, one CRC-32 sweep
-    (disable with ``verify_checksums=False``): the constructor validates
+    Opening is O(header) plus one CRC-32 sweep (disable with
+    ``verify_checksums=False``): the constructor validates
     the magic, reads the section table and maps the file.  The
     vocabulary, pattern records, postings lists and length groups are
     each decoded on first access and cached, so a process that only ever
@@ -147,15 +149,17 @@ class PatternStore(PatternSearchBase):
                 self._off_postings,
                 self._off_end,
             ) = self._bounds
-            self._checksummed = bool(self._flags & FLAG_CHECKSUMS)
+            if not self._flags & FLAG_CHECKSUMS:
+                # every writer sets it; a header without it is damaged
+                raise StoreCorruptError(
+                    f"{self._path}: header lacks the checksum flag"
+                )
             # a signed delta store (spool-only): every frequency is
             # zigzag-coded and decrements come out negative
             self._delta = bool(self._flags & FLAG_DELTA)
             if self._delta:
                 self._total_frequency = zigzag_decode(self._total_frequency)
-            expected_size = self._off_end + (
-                CHECKSUMS_STRUCT.size if self._checksummed else 0
-            )
+            expected_size = self._off_end + CHECKSUMS_STRUCT.size
             if expected_size != os.fstat(self._file.fileno()).st_size:
                 raise StoreCorruptError(
                     f"{self._path}: truncated pattern store"
@@ -164,7 +168,7 @@ class PatternStore(PatternSearchBase):
             self._data = mmap.mmap(
                 self._file.fileno(), 0, access=mmap.ACCESS_READ
             )
-            if self._checksummed and verify_checksums:
+            if verify_checksums:
                 self._verify_checksums()
             self._map_tables()
         except Exception:
@@ -249,14 +253,13 @@ class PatternStore(PatternSearchBase):
         path: str | Path,
         patterns: Mapping[Pattern, int],
         vocabulary: Vocabulary,
-        checksums: bool = True,
     ) -> "PatternStore":
         """Write a store file and open it."""
         # the one writer edge of this module, taken when a store is
         # built: a process that only reads stores never loads the writer
         from repro.serve.writer import write_store
 
-        write_store(path, patterns, vocabulary, checksums=checksums)
+        write_store(path, patterns, vocabulary)
         return cls(path)
 
     def close(self) -> None:
@@ -291,9 +294,7 @@ class PatternStore(PatternSearchBase):
             "patterns": self._n_patterns,
             "total_frequency": self._total_frequency,
             "max_length": self._max_length,
-            "file_bytes": self._off_end
-            + (CHECKSUMS_STRUCT.size if self._checksummed else 0),
-            "checksums": self._checksummed,
+            "file_bytes": self._off_end + CHECKSUMS_STRUCT.size,
             "delta": self._delta,
             "sections": {
                 name: self._bounds[i + 1] - self._bounds[i]

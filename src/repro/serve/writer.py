@@ -266,7 +266,6 @@ class PatternWriter(_Atomic):
         self,
         path: str | Path,
         vocabulary: Vocabulary,
-        checksums: bool = True,
         spill_dir: str | Path | None = None,
         buffer_bytes: int = DEFAULT_SECTION_BUFFER,
         sort_buffer: int = DEFAULT_SORT_BUFFER,
@@ -279,7 +278,6 @@ class PatternWriter(_Atomic):
         has exactly one canonical byte form."""
         self._path = Path(path)
         self._vocabulary = vocabulary
-        self._checksums = checksums
         self._delta = delta
         spill = Path(spill_dir) if spill_dir is not None else self._path.parent
         self._spill_dir = spill
@@ -441,7 +439,7 @@ class PatternWriter(_Atomic):
                 offset += size
             sections.append(offset)  # end of the data sections
 
-            flags = FLAG_CHECKSUMS if self._checksums else 0
+            flags = FLAG_CHECKSUMS
             if self._delta:
                 flags |= FLAG_DELTA
             header = HEADER_STRUCT.pack(
@@ -463,19 +461,18 @@ class PatternWriter(_Atomic):
                         spill.copy_into(f)
                     f.write(directory)
                     postings.copy_into(f)
-                    if self._checksums:
-                        # the first CRC covers the head too: a flipped
-                        # header flag or count cannot pass as intact
-                        f.write(
-                            CHECKSUMS_STRUCT.pack(
-                                zlib.crc32(
-                                    self._vocab_bytes, zlib.crc32(head)
-                                ) & 0xFFFFFFFF,
-                                *(spill.checksum() for spill in spills),
-                                zlib.crc32(directory) & 0xFFFFFFFF,
-                                postings.checksum(),
-                            )
+                    # the first CRC covers the head too: a flipped
+                    # header flag or count cannot pass as intact
+                    f.write(
+                        CHECKSUMS_STRUCT.pack(
+                            zlib.crc32(
+                                self._vocab_bytes, zlib.crc32(head)
+                            ) & 0xFFFFFFFF,
+                            *(spill.checksum() for spill in spills),
+                            zlib.crc32(directory) & 0xFFFFFFFF,
+                            postings.checksum(),
                         )
+                    )
                 os.replace(tmp, self._path)
             except BaseException:
                 tmp.unlink(missing_ok=True)
@@ -514,7 +511,6 @@ class _ShardStreamWriter(_Atomic):
         directory: Path,
         files: Sequence[str],
         vocabulary: Vocabulary,
-        checksums: bool = True,
         sort_buffer: int = DEFAULT_SORT_BUFFER,
         delta: bool = False,
     ) -> None:
@@ -529,7 +525,6 @@ class _ShardStreamWriter(_Atomic):
                     PatternWriter(
                         directory / name,
                         vocabulary,
-                        checksums=checksums,
                         spill_dir=directory,
                         sort_buffer=sort_buffer,
                         delta=delta,
@@ -577,7 +572,6 @@ class ShardedPatternWriter(_Atomic):
         path: str | Path,
         vocabulary: Vocabulary,
         shards: int,
-        checksums: bool = True,
         sort_buffer: int = DEFAULT_SORT_BUFFER,
         delta: bool = False,
     ) -> None:
@@ -604,7 +598,6 @@ class ShardedPatternWriter(_Atomic):
                 tmp,
                 self._files,
                 vocabulary,
-                checksums=checksums,
                 sort_buffer=sort_buffer,
                 delta=delta,
             )
@@ -667,21 +660,18 @@ def write_store(
     path: str | Path,
     patterns: Mapping[Pattern, int],
     vocabulary: Vocabulary,
-    checksums: bool = True,
     delta: bool = False,
 ) -> None:
     """Serialize coded patterns + vocabulary into a store file.
 
-    ``checksums=True`` (the default) appends a CRC-32 per section and
-    sets :data:`~repro.serve.format.FLAG_CHECKSUMS`, letting readers
-    detect bit-rot on open.  Empty patterns are rejected: no miner
+    Every file carries a CRC-32 per section and sets
+    :data:`~repro.serve.format.FLAG_CHECKSUMS`, letting readers detect
+    bit-rot on open.  Empty patterns are rejected: no miner
     produces them, and the postings-based exact lookup could not find
     them, so storing one would break the store/index answer-equivalence
     invariant.
     """
-    with PatternWriter(
-        path, vocabulary, checksums=checksums, delta=delta
-    ) as writer:
+    with PatternWriter(path, vocabulary, delta=delta) as writer:
         for pattern, frequency in rank_patterns(patterns):
             writer.write(pattern, frequency)
 
@@ -691,7 +681,6 @@ def write_sharded_store(
     patterns: Mapping[Pattern, int],
     vocabulary: Vocabulary,
     shards: int,
-    checksums: bool = True,
 ) -> Path:
     """Write a sharded store: a directory of shard files plus a manifest.
 
@@ -700,9 +689,7 @@ def write_sharded_store(
     vocabulary, so any shard also opens as a standalone
     :class:`~repro.serve.store.PatternStore`.
     """
-    with ShardedPatternWriter(
-        path, vocabulary, shards, checksums=checksums
-    ) as writer:
+    with ShardedPatternWriter(path, vocabulary, shards) as writer:
         for pattern, frequency in rank_patterns(patterns):
             writer.write(pattern, frequency)
     return writer.path
@@ -719,7 +706,6 @@ def fold_stores(
     spill_dir: str | Path | None = None,
     min_frequency: int = 1,
     signed: bool = False,
-    verify_checksums: bool = True,
 ) -> tuple[Vocabulary, _Atomic]:
     """The one fold loop, behind :func:`merge_stores` and the compactor.
 
@@ -745,8 +731,7 @@ def fold_stores(
         for source in sources:
             opened.append(
                 open_store(
-                    source, pattern_cache_size=0, postings_cache_size=0,
-                    verify_checksums=verify_checksums,
+                    source, pattern_cache_size=0, postings_cache_size=0
                 )
             )
         vocabulary = merge_vocabularies(
@@ -783,7 +768,6 @@ def merge_stores(
     sources: Sequence[str | Path],
     out: str | Path,
     shards: int | None = None,
-    checksums: bool = True,
     sort_buffer: int = DEFAULT_SORT_BUFFER,
     min_frequency: int = 1,
     as_delta: bool = False,
@@ -837,12 +821,10 @@ def merge_stores(
     def open_writer(vocabulary: Vocabulary) -> _Atomic:
         if shards is None:
             return PatternWriter(
-                out, vocabulary, checksums=checksums,
-                sort_buffer=sort_buffer, delta=as_delta,
+                out, vocabulary, sort_buffer=sort_buffer, delta=as_delta
             )
         return ShardedPatternWriter(
-            out, vocabulary, shards, checksums=checksums,
-            sort_buffer=sort_buffer, delta=as_delta,
+            out, vocabulary, shards, sort_buffer=sort_buffer, delta=as_delta
         )
 
     fold_stores(

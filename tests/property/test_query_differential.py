@@ -718,7 +718,7 @@ def test_canonicalization_differential(tmp_path):
     )
 
 
-def test_differential_router_backend(tmp_path):
+def test_differential_router_backend(tmp_path, monkeypatch):
     """The distributed tier joins the evaluate-everywhere discipline.
 
     Random instances are served by a **router** fanning out over two
@@ -732,6 +732,7 @@ def test_differential_router_backend(tmp_path):
     response is compared, ``estimated_cost`` included: the servers'
     plan prices, summed in shard order, are the in-process store's.
     """
+    from repro.serve import router as router_module
     from repro.serve.distributed import ShardServer
     from repro.serve.router import ClusterMap, RouterBackend, ServerSpec
 
@@ -777,9 +778,11 @@ def test_differential_router_backend(tmp_path):
             cluster = ClusterMap(
                 specs, num_shards=num_shards, placement=placement
             )
-            router = RouterBackend(
-                cluster, pipeline_depth=rng.randint(1, 8)
+            # shallow pipelines queue requests behind each other
+            monkeypatch.setattr(
+                router_module, "PIPELINE_DEPTH", rng.randint(1, 8)
             )
+            router = RouterBackend(cluster)
             service = QueryService(router, cache_size=0)
             with open_store(sharded_path) as mono:
                 mono_service = QueryService(mono, cache_size=0)

@@ -449,6 +449,28 @@ class TestPlacement:
         assert cluster.replicas(1) == ("b:2",)
 
 
+class TestRouterSettings:
+    """Health settings fail typed at construction, not as a socket
+    error at the first ping or a probe loop without pause."""
+
+    CLUSTER = ClusterMap([ServerSpec("127.0.0.1", 7601)], num_shards=1)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_health_timeout_must_be_positive(self, timeout):
+        with pytest.raises(InvalidParameterError, match="health_timeout"):
+            RouterBackend(self.CLUSTER, health_timeout=timeout)
+
+    @pytest.mark.parametrize("interval", [0, -2.0])
+    def test_health_interval_must_be_positive(self, interval):
+        router = RouterBackend(self.CLUSTER)
+        try:
+            with pytest.raises(InvalidParameterError, match="interval"):
+                router.start_health_loop(interval)
+            assert router._health_thread is None
+        finally:
+            router.close()
+
+
 # ----------------------------------------------------------------------
 # router: byte-identity and failover
 # ----------------------------------------------------------------------

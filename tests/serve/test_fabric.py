@@ -11,6 +11,7 @@ instead of queueing without bound.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
 import random
@@ -38,11 +39,15 @@ from repro.sequence import SequenceDatabase
 from repro.serve import QueryService, create_server, open_store
 from repro.serve.distributed import POLL_INTERVAL, ShardServer
 from repro.serve import protocol
+from repro.serve import router as router_module
 from repro.serve.protocol import (
     DEFAULT_COMPRESS_THRESHOLD,
     FLAG_COMPRESSED,
     PROTOCOL_VERSION,
+    WireStats,
+    check_hello,
     hello_request,
+    hello_response,
     read_hello_response,
     recv_message,
     recv_mux,
@@ -380,6 +385,49 @@ class _RefusingServer:
         assert not self._thread.is_alive()
 
 
+class _DecliningServer:
+    """A peer that accepts the hello but declines zlib, then answers
+    every mux frame with ``{"ok": True}`` — how a shard server that
+    does not compress looks to this build's client."""
+
+    def __init__(self) -> None:
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self.offers: list = []
+        self.stats = WireStats()
+        self._conn: socket.socket | None = None
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self._conn = conn
+            with conn:
+                self.offers.append(check_hello(recv_message(conn)))
+                send_message(conn, hello_response(None))
+                while True:
+                    try:
+                        request_id, _ = recv_mux(conn, self.stats)
+                    except (EOFError, OSError):
+                        break
+                    send_mux(conn, request_id, {"ok": True})
+
+    def close(self) -> None:
+        if self._conn is not None:
+            # wakes the frame loop: a client's close() alone does not
+            # interrupt its own reader, so no EOF may have arrived
+            with contextlib.suppress(OSError):
+                self._conn.shutdown(socket.SHUT_RDWR)
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
 class TestMixedVersions:
     def _first_frame_is_refused(self, server, frame, match):
         sock = socket.create_connection(server.address, timeout=5)
@@ -506,21 +554,39 @@ class TestMixedVersions:
             read_hello_response(response)
 
     def test_hello_settles_compression(self, store_path):
-        for server_on, client_on, want in (
-            (True, True, DEFAULT_COMPRESS_THRESHOLD),
-            (True, False, None),
-            (False, True, None),
-        ):
-            with ShardServer(
-                store_path, http_port=None, compress=server_on
-            ) as server:
-                client = ShardClient(*server.address, compress=client_on)
-                try:
-                    assert client.compress_threshold is None  # not dialed
-                    client.request({"op": "ping"}, timeout=5)
-                    assert client.compress_threshold == want
-                finally:
-                    client.close()
+        """This build's client offers zlib and its server accepts; a
+        server that declines (a peer from outside the process) gets
+        plain frames from the client."""
+        with ShardServer(store_path, http_port=None) as server:
+            client = ShardClient(*server.address)
+            try:
+                assert client.compress_threshold is None  # not dialed
+                client.request({"op": "ping"}, timeout=5)
+                assert client.compress_threshold == DEFAULT_COMPRESS_THRESHOLD
+            finally:
+                client.close()
+        peer = _DecliningServer()
+        try:
+            client = ShardClient(*peer.address)
+            try:
+                big = {
+                    "op": "ping",
+                    "pad": "x" * (4 * DEFAULT_COMPRESS_THRESHOLD),
+                }
+                assert client.request(big, timeout=5)["ok"] is True
+                assert client.compress_threshold is None
+                assert peer.offers == [True]
+                snap = peer.stats.snapshot()
+                assert snap["frames_received"] == 1
+                assert snap["compressed_frames_received"] == 0
+                assert (
+                    snap["wire_bytes_received"]
+                    >= snap["raw_bytes_received"]
+                )
+            finally:
+                client.close()
+        finally:
+            peer.close()
 
 
 # ----------------------------------------------------------------------
@@ -561,27 +627,30 @@ class TestWireCompression:
                 client.close()
 
     def test_compression_off_still_muxes(self, store_path, expected):
-        with ShardServer(
-            store_path, http_port=None, compress=False
-        ) as server:
-            host, port = server.address
-            client = ShardClient(host, port)
+        """A client that does not offer zlib (a raw-socket peer here)
+        gets the same answers in plain frames."""
+        with ShardServer(store_path, http_port=None) as server:
+            sock = socket.create_connection(server.address, timeout=5)
             try:
-                client.request({"op": "ping"}, timeout=5)
-                assert client.compress_threshold is None
-                response = client.request(
-                    _search_frame([["any"], ["any"]]), timeout=5
-                )
+                send_message(sock, {**hello_request(), "zlib": False})
+                assert read_hello_response(recv_message(sock)) is None
+                send_mux(sock, 1, _search_frame([["any"], ["any"]]))
+                stats = WireStats()
+                request_id, response = recv_mux(sock, stats)
+                assert request_id == 1
                 (entry,) = response["results"]
                 assert _entry_pairs(entry) == expected["? ?"]
-                snap = client.wire_stats.snapshot()
+                snap = stats.snapshot()
                 assert snap["compressed_frames_received"] == 0
                 assert (
                     snap["wire_bytes_received"]
                     >= snap["raw_bytes_received"]
                 )
+                assert server.wire_stats.snapshot()[
+                    "compressed_frames_sent"
+                ] == 0
             finally:
-                client.close()
+                sock.close()
 
 
 # ----------------------------------------------------------------------
@@ -604,7 +673,7 @@ class TestKillMidPipeline:
         client.close()
 
     def test_concurrent_queries_fail_over_to_replica(
-        self, store_path, expected
+        self, store_path, expected, monkeypatch
     ):
         """A primary killed with a full pipeline: every in-flight
         request fails over through the normal replica-retry path and
@@ -614,7 +683,8 @@ class TestKillMidPipeline:
         cluster = _cluster_for(
             [(primary, range(NUM_SHARDS))], full_replica=replica
         )
-        router = RouterBackend(cluster, deadline=10, pipeline_depth=64)
+        monkeypatch.setattr(router_module, "PIPELINE_DEPTH", 64)
+        router = RouterBackend(cluster, deadline=10)
         results: dict[tuple, list] = {}
         errors: list[Exception] = []
         lock = threading.Lock()
@@ -790,18 +860,18 @@ class TestBatchedScatter:
 
 class TestBackpressure:
     def test_shard_server_sheds_with_busy_error(self, store_path):
-        with ShardServer(
-            store_path, http_port=None, workers=1, max_in_flight=1
-        ) as server:
+        with ShardServer(store_path, http_port=None, workers=1) as server:
             host, port = server.address
             client = ShardClient(host, port)
             try:
-                assert server._acquire_slot()  # pin the only slot
+                # pin both slots of one worker's cap (2 x workers)
+                assert server._acquire_slot() and server._acquire_slot()
                 try:
                     with pytest.raises(ServerBusyError) as err:
                         client.request({"op": "ping"}, timeout=5)
                     assert err.value.retry_after >= 1
                 finally:
+                    server._release_slot()
                     server._release_slot()
                 # slot free again: the same connection keeps working
                 answer = client.request({"op": "ping"}, timeout=5)
@@ -815,9 +885,7 @@ class TestBackpressure:
     def test_router_retries_busy_server_on_replica(
         self, store_path, expected
     ):
-        primary = ShardServer(
-            store_path, http_port=None, max_in_flight=1
-        ).start()
+        primary = ShardServer(store_path, http_port=None, workers=1).start()
         replica = ShardServer(store_path, http_port=None).start()
         try:
             cluster = _cluster_for(
@@ -825,10 +893,12 @@ class TestBackpressure:
             )
             router = RouterBackend(cluster, deadline=5)
             try:
-                assert primary._acquire_slot()  # saturate the primary
+                # saturate the primary: both slots of its cap
+                assert primary._acquire_slot() and primary._acquire_slot()
                 try:
                     answer = router.search_answer(parse_query("? ?"))
                 finally:
+                    primary._release_slot()
                     primary._release_slot()
                 assert _pairs(answer.matches) == expected["? ?"]
                 assert answer.partial is None
@@ -863,9 +933,7 @@ class TestBackpressure:
     ):
         with open_store(store_path) as store:
             service = QueryService(store)
-            server = create_server(
-                service, port=0, workers=1, max_in_flight=1
-            )
+            server = create_server(service, port=0, workers=1)
             thread = threading.Thread(
                 target=server.serve_forever, args=(POLL_INTERVAL,),
                 daemon=True,
@@ -873,7 +941,8 @@ class TestBackpressure:
             thread.start()
             base = "http://{}:{}".format(*server.server_address[:2])
             try:
-                assert server._acquire_slot()  # pin the only slot
+                # pin both slots of one worker's cap (2 x workers)
+                assert server._acquire_slot() and server._acquire_slot()
                 try:
                     with pytest.raises(urllib.error.HTTPError) as err:
                         urllib.request.urlopen(f"{base}/healthz", timeout=5)
@@ -883,6 +952,7 @@ class TestBackpressure:
                     # is still pinned: nothing else can have been shed
                     assert server.frontend_stats()["rejected"] == 1
                 finally:
+                    server._release_slot()
                     server._release_slot()
                 # drained: served again, and the shed shows on /metrics.
                 # A request's slot is released only after its response
@@ -895,7 +965,7 @@ class TestBackpressure:
                 )
                 assert shed is not None and int(shed.group(1)) >= 1
                 assert "lash_http_in_flight 1" in metrics  # this request
-                assert "lash_http_max_in_flight 1" in metrics
+                assert "lash_http_max_in_flight 2" in metrics
                 stats = json.loads(self._get(f"{base}/stats"))
                 assert stats["frontend"]["rejected"] >= int(shed.group(1))
             finally:
@@ -940,13 +1010,14 @@ class TestBackpressure:
 
 class TestPipelining:
     def test_interleaved_responses_route_to_their_requests(
-        self, store_path, expected
+        self, store_path, expected, monkeypatch
     ):
         """Many threads share one mux connection; every answer must
         come back to the thread that asked."""
         with ShardServer(store_path, http_port=None) as server:
             host, port = server.address
-            client = ShardClient(host, port, pipeline_depth=16)
+            monkeypatch.setattr(router_module, "PIPELINE_DEPTH", 16)
+            client = ShardClient(host, port)
             failures: list = []
 
             def worker(index: int) -> None:

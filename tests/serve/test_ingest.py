@@ -21,6 +21,7 @@ from repro.serve import (
     open_store,
     write_store,
 )
+from repro.serve import compact as compact_module
 from repro.serve.distributed import POLL_INTERVAL
 from repro.serve.format import (
     delta_meta_path,
@@ -323,16 +324,17 @@ class TestCrashInjection:
 
 
 class TestAppliedRetention:
-    def test_sweep_keeps_newest_applied_deltas(self, live, tmp_path):
+    def test_sweep_keeps_newest_applied_deltas(
+        self, live, tmp_path, monkeypatch
+    ):
         spool = tmp_path / "spool"
         ingestor = Ingestor.init(
             tmp_path / "state", live, spool, gamma=PARAMS.gamma,
             lam=PARAMS.lam,
         )
         service = QueryService(open_store(live))
-        daemon = CompactionDaemon(
-            service, live, spool, interval=3600, applied_retain=2
-        )
+        monkeypatch.setattr(compact_module, "APPLIED_RETAIN", 2)
+        daemon = CompactionDaemon(service, live, spool, interval=3600)
         try:
             for batch in (BATCH1, BATCH2, BATCH1, BATCH2):
                 ingestor.add(batch)

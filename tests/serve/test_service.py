@@ -9,6 +9,7 @@ from repro.errors import InvalidParameterError, UnknownItemError
 from repro.hierarchy import Hierarchy
 from repro.query import PatternIndex, code_patterns
 from repro.serve import QueryService
+from repro.serve import service as service_module
 
 
 @pytest.fixture
@@ -91,8 +92,9 @@ class TestQueryApi:
         with pytest.raises(InvalidParameterError, match="n must be"):
             service.topk(n)
 
-    def test_topk_clamped_to_cache_cap(self, backend):
-        service = QueryService(backend, max_cached_matches=2)
+    def test_topk_clamped_to_cache_cap(self, backend, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_CACHED_MATCHES", 2)
+        service = QueryService(backend)
         response = service.topk(10**9)
         assert response["k"] == 2
         assert len(response["matches"]) == 2
@@ -145,9 +147,10 @@ class TestLruCache:
         assert stats["cache_entries"] == 0
 
     def test_cached_prefix_is_capped_but_answers_stay_complete(
-        self, backend
+        self, backend, monkeypatch
     ):
-        service = QueryService(backend, max_cached_matches=2)
+        monkeypatch.setattr(service_module, "MAX_CACHED_MATCHES", 2)
+        service = QueryService(backend)
         full = service.query("? ?", limit=None)
         assert len(full["matches"]) == full["count"] == 4  # recompute path
         assert full["truncated"] is False
@@ -159,8 +162,9 @@ class TestLruCache:
         # counts stay exact even though the list was capped
         assert service.count("? ?")["count"] == 4
 
-    def test_cold_overflow_searches_once(self, backend):
-        service = QueryService(backend, max_cached_matches=2)
+    def test_cold_overflow_searches_once(self, backend, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_CACHED_MATCHES", 2)
+        service = QueryService(backend)
         calls = []
         original = backend.search_answer
 
@@ -176,8 +180,11 @@ class TestLruCache:
         finally:
             del backend.search_answer
 
-    def test_overflow_requests_are_not_counted_as_hits(self, backend):
-        service = QueryService(backend, max_cached_matches=2)
+    def test_overflow_requests_are_not_counted_as_hits(
+        self, backend, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "MAX_CACHED_MATCHES", 2)
+        service = QueryService(backend)
         service.query("? ?", limit=1)          # miss, caches 2-prefix
         service.query("? ?", limit=None)       # recomputes → not a hit
         assert service.stats()["cache_hits"] == 0
@@ -419,10 +426,11 @@ class TestPerQuerySigma:
         assert service.stats()["errors"] == 1
 
     def test_min_freq_beyond_cached_prefix_recomputes_with_floor(
-        self, backend
+        self, backend, monkeypatch
     ):
         """The capped-entry re-search path must carry the σ override."""
-        service = QueryService(backend, max_cached_matches=1)
+        monkeypatch.setattr(service_module, "MAX_CACHED_MATCHES", 1)
+        service = QueryService(backend)
         assert service.query("a ?", limit=1, min_freq=1)["count"] == 2
         overflow = service.query("a ?", limit=5, min_freq=1)
         assert [m["frequency"] for m in overflow["matches"]] == [9, 5]

@@ -328,38 +328,6 @@ class TestChecksums:
         store = PatternStore.open(path, verify_checksums=False)
         store.close()
 
-    def test_unchecksummed_store_opens_without_validation(
-        self, fig1_result, tmp_path
-    ):
-        path = tmp_path / "plain.store"
-        write_store(
-            path,
-            fig1_result.patterns,
-            fig1_result.vocabulary,
-            checksums=False,
-        )
-        with PatternStore.open(path) as store:
-            assert store.describe()["checksums"] is False
-            index = PatternIndex.from_result(fig1_result)
-            assert store.search("a ?") == index.search("a ?")
-
-    def test_checksums_add_exactly_one_trailer(self, fig1_result, tmp_path):
-        plain = tmp_path / "plain.store"
-        summed = tmp_path / "summed.store"
-        write_store(
-            plain,
-            fig1_result.patterns,
-            fig1_result.vocabulary,
-            checksums=False,
-        )
-        write_store(summed, fig1_result.patterns, fig1_result.vocabulary)
-        # same sections, plus 6 × u32 checksums and the flags bit
-        assert (
-            summed.stat().st_size == plain.stat().st_size + 24
-        )
-        with PatternStore.open(summed) as store:
-            assert store.describe()["checksums"] is True
-
 
 def _random_setup(rng: random.Random):
     """A random DAG hierarchy plus random decoded patterns over it."""

@@ -22,7 +22,10 @@ from repro.errors import ReproError, StoreCorruptError
 from repro.io.codec import read_uvarint, write_uvarint
 from repro.serve import PatternStore, write_store
 from repro.serve.format import (
+    CHECKSUMS_STRUCT,
+    FLAG_CHECKSUMS,
     HEADER_SIZE,
+    MAGIC,
     MAX_DEFLATE_RATIO,
     SECTIONS_STRUCT,
     U32,
@@ -114,6 +117,31 @@ def test_pristine_store_passes(pristine, tmp_path):
     with PatternStore.open(path, verify_checksums=False) as store:
         answers = exercise(store)
     assert answers[0] and answers[1]
+
+
+class TestHeader:
+    FLAGS_AT = len(MAGIC) + 2  # after the u16 version
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("trailer", [True, False])
+    def test_flags_without_checksums_fail_open(
+        self, pristine, tmp_path, verify, trailer
+    ):
+        """Every writer sets the checksum flag, so a header without it
+        is damage — with the checksum block still in place, or cut off
+        as a file without checksums would be — and fails open typed."""
+        data = bytearray(pristine)
+        flags = struct.unpack_from("<H", data, self.FLAGS_AT)[0]
+        assert flags & FLAG_CHECKSUMS
+        struct.pack_into(
+            "<H", data, self.FLAGS_AT, flags & ~FLAG_CHECKSUMS
+        )
+        if not trailer:
+            del data[-CHECKSUMS_STRUCT.size:]
+        path = tmp_path / "unflagged.store"
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreCorruptError, match="checksum flag"):
+            PatternStore.open(path, verify_checksums=verify)
 
 
 class TestVocabulary:

@@ -57,9 +57,10 @@ def store_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def damaged_path(store_path, tmp_path_factory):
-    """A copy whose shard-0 pattern-offset entry 1 is one byte off:
-    opened without the checksum sweep, the damage reaches the
-    decoders only when a query reads those patterns."""
+    """A copy whose shard-0 pattern-offset entry 1 is one byte off.
+    Shards open lazily, so a server mounts it and the damage surfaces
+    when a query first touches shard 0: as a checksum mismatch on a
+    verifying open, in the decoders without the sweep."""
     path = tmp_path_factory.mktemp("wire-damaged") / "patterns.shards"
     shutil.copytree(store_path, path)
     manifest = json.loads((path / MANIFEST_NAME).read_text("utf-8"))
@@ -108,7 +109,7 @@ def test_damaged_replica_fails_over_on_query_count_and_batch(
                 damaged.search(query)
     for path in ("batch", "query", "count"):
         with ShardServer(
-            damaged_path, http_port=None, verify_checksums=False
+            damaged_path, http_port=None
         ) as damaged, ShardServer(store_path, http_port=None) as replica:
             router = RouterBackend(_cluster(damaged, replica))
             try:
@@ -146,7 +147,7 @@ class BlockingShardServer(ShardServer):
 
 def test_busy_server_pings_healthy_and_sheds_searches(store_path):
     with BlockingShardServer(
-        store_path, http_port=None, workers=1, max_in_flight=1
+        store_path, http_port=None, workers=1
     ) as busy, ShardServer(store_path, http_port=None) as replica:
         holder = ShardClient(*busy.address)
         blocked = threading.Thread(
@@ -155,7 +156,9 @@ def test_busy_server_pings_healthy_and_sheds_searches(store_path):
         router = RouterBackend(_cluster(busy, replica))
         try:
             blocked.start()
-            assert busy.entered.wait(5)  # the one slot is taken
+            assert busy.entered.wait(5)  # the one worker is taken
+            # ... and so is the rest of the cap (2 x workers)
+            assert busy._acquire_slot()
             pinger = ShardClient(*busy.address)
             try:
                 with pytest.raises(ServerBusyError):
@@ -176,6 +179,7 @@ def test_busy_server_pings_healthy_and_sheds_searches(store_path):
             assert info["server_failures"] == 0
             assert router.healthy_servers()[busy_key] is True
         finally:
+            busy._release_slot()
             busy.release.set()
             blocked.join(timeout=10)
             holder.close()

@@ -1,5 +1,6 @@
 """Integration tests for the CLI."""
 
+import argparse
 import re
 
 import pytest
@@ -187,6 +188,15 @@ class TestMine:
             main([
                 "mine", "--db", db, "--hierarchy", hierarchy,
                 "--sigma", "2", "--store-shards", "3",
+            ])
+
+    def test_flist_without_hierarchy_rejected_before_reading(self, tmp_path):
+        """The flag error comes before the corpus is read: a missing
+        ``--db`` is never reached."""
+        with pytest.raises(SystemExit, match="--flist requires --hierarchy"):
+            main([
+                "mine", "--db", str(tmp_path / "missing.txt"),
+                "--flist", str(tmp_path / "flist.tsv"), "--sigma", "2",
             ])
 
     def test_flist_without_hierarchy_rejected(self, example_files, tmp_path):
@@ -614,20 +624,6 @@ class TestIndex:
                     == 2 * match.frequency
                 )
 
-    def test_no_checksums_flag(self, mined_patterns, tmp_path, capsys):
-        from repro.serve import PatternStore
-
-        patterns, hierarchy = mined_patterns
-        store_path = tmp_path / "plain.store"
-        rc = main([
-            "index", "build", "--patterns", patterns,
-            "--hierarchy", hierarchy, "--out", str(store_path),
-            "--no-checksums",
-        ])
-        assert rc == 0
-        with PatternStore.open(store_path) as store:
-            assert store.describe()["checksums"] is False
-
     @pytest.mark.parametrize("shards", [None, "2"])
     @pytest.mark.parametrize("version", [1, 2, 99])
     def test_info_refuses_other_store_versions(
@@ -738,7 +734,7 @@ class TestIndexCompact:
             main(["index", "compact", "--store", str(store)])
 
     def test_serve_compact_spool_requires_sharded_store(
-        self, mined_patterns, tmp_path, capsys
+        self, mined_patterns, tmp_path, capsys, monkeypatch
     ):
         patterns, hierarchy = mined_patterns
         store = tmp_path / "single.store"
@@ -747,6 +743,12 @@ class TestIndexCompact:
             "--hierarchy", hierarchy, "--out", str(store),
         ])
         capsys.readouterr()
+
+        def never_opened(*args, **kwargs):
+            raise AssertionError("the store was opened before the refusal")
+
+        # refused before anything is opened, so nothing is left to close
+        monkeypatch.setattr("repro.serve.open_store", never_opened)
         with pytest.raises(SystemExit, match="sharded store"):
             main([
                 "serve", "--store", str(store),
@@ -878,6 +880,77 @@ class TestDistributedCLI:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _arguments(parser, prefix=()) -> dict[str, tuple[str, ...]]:
+    """Every leaf subcommand's arguments in parser order: a flag by its
+    option strings, a positional by its name."""
+    table: dict[str, tuple[str, ...]] = {}
+    own: list[str] = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(_arguments(sub, prefix + (name,)))
+            continue
+        own.append(" ".join(action.option_strings) or action.dest)
+    if prefix and own:
+        table[" ".join(prefix)] = tuple(own)
+    return table
+
+
+class TestOptionCensus:
+    #: every argument the CLI accepts; adding or removing one is a diff
+    #: here, reviewed with the change that makes it
+    ARGUMENTS = {
+        "generate": (
+            "kind", "--out", "--sentences", "--users", "--products",
+            "--machines", "--seed",
+        ),
+        "stats": ("--db", "--hierarchy"),
+        "flist": ("--db", "--hierarchy", "--out", "--top"),
+        "mine": (
+            "--db", "--hierarchy", "--sigma", "--gamma", "--lam",
+            "--algorithm", "--mode", "--miner", "--flist", "--filter",
+            "--engine", "--max-workers", "--top", "--out", "--store",
+            "--store-shards",
+        ),
+        "query": (
+            "--patterns", "--hierarchy", "--top", "--min-freq", "--explain",
+            "queries",
+        ),
+        "index build": ("--patterns", "--hierarchy", "--out", "--shards"),
+        "index merge": ("sources", "--out", "--shards"),
+        "index compact": ("--store", "deltas", "--shards"),
+        "index info": ("--store", "--advise", "--target-bytes"),
+        "ingest init": ("--store", "--spool", "--state", "--gamma", "--lam"),
+        "ingest add": ("--state", "--db", "sequences"),
+        "ingest retire": ("--state", "--count"),
+        "ingest flush": ("--state",),
+        "ingest status": ("--state",),
+        "serve": (
+            "--store", "--host", "--port", "--cache-size", "--max-cost",
+            "--budget-cost", "--budget-matches", "--compact-spool",
+            "--compact-interval", "--workers", "--verbose",
+        ),
+        "shard-serve": (
+            "--store", "--shards", "--host", "--port", "--http-port",
+            "--no-http", "--workers", "--verbose",
+        ),
+        "route": (
+            "--cluster", "--host", "--port", "--cache-size", "--max-cost",
+            "--budget-cost", "--budget-matches", "--deadline",
+            "--health-interval", "--health-timeout", "--workers",
+            "--verbose",
+        ),
+        "compare": ("left", "right", "--show"),
+    }
+
+    def test_every_subcommand_argument_is_pinned(self):
+        from repro.cli import build_parser
+
+        assert _arguments(build_parser()) == self.ARGUMENTS
+
+
 class TestIngestCLI:
     @pytest.fixture
     def live_store(self, example_files, tmp_path, capsys):
@@ -948,12 +1021,3 @@ class TestIngestCLI:
         capsys.readouterr()
         with pytest.raises(SystemExit, match="nothing to ingest"):
             main(["ingest", "add", "--state", state])
-
-    def test_serve_accepts_applied_retain_flag(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args([
-            "serve", "--store", "s", "--compact-spool", "sp",
-            "--applied-retain", "7",
-        ])
-        assert args.applied_retain == 7
