@@ -1,4 +1,5 @@
-"""Golden counters of the two LASH jobs.
+"""Golden counters of the LASH jobs and of the jobs that meter the same
+wire format: the baselines' counting jobs and closed LASH's two jobs.
 
 ``run_map_task`` and ``run_reduce_task`` count records and bytes in locals
 and post them once per attempt; the numbers below were produced by the
@@ -12,7 +13,14 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro import Lash, MiningParams
+from repro import (
+    ClosedLash,
+    GspAlgorithm,
+    Lash,
+    MiningParams,
+    NaiveAlgorithm,
+    SemiNaiveAlgorithm,
+)
 from repro.datasets.text import TextCorpusConfig, generate_text_corpus
 from repro.mapreduce import C, FailurePlan, ParallelMapReduceEngine
 from tests.conftest import paper_database, paper_hierarchy
@@ -126,3 +134,89 @@ def test_counters_do_not_depend_on_how_the_job_ran(case, way, tmp_path):
                 + result.mining_job.counters[failed_tasks]
             )
             assert failed >= 3
+
+
+#: (case, algorithm) -> {job: NAMES + REDUCE_NAMES counters}, patterns.
+#: GSP's mining job is the sum of its per-level counting jobs.
+OTHER_GOLDEN = {
+    ("fig1", "naive"): (
+        {"mining_job": (6, 112, 506, 112, 112, 506, 101, 112, 10)}, 10
+    ),
+    ("fig1", "semi-naive"): (
+        {"mining_job": (6, 55, 247, 55, 55, 247, 44, 55, 10)}, 10
+    ),
+    ("fig1", "gsp"): (
+        {"mining_job": (12, 42, 182, 42, 42, 182, 31, 42, 10)}, 10
+    ),
+    ("fig1", "closed"): (
+        {
+            "mining_job": (6, 14, 94, 14, 14, 94, 5, 14, 11),
+            "reconcile_job": (11, 11, 56, 11, 11, 56, 8, 11, 7),
+        },
+        7,
+    ),
+    ("fig1", "maximal"): (
+        {
+            "mining_job": (6, 14, 94, 14, 14, 94, 5, 14, 11),
+            "reconcile_job": (11, 11, 56, 11, 11, 56, 8, 11, 6),
+        },
+        6,
+    ),
+    ("text300", "naive"): (
+        {
+            "mining_job": (
+                300, 22267, 113291, 22267, 17088, 90078, 13248, 17088, 453
+            )
+        },
+        453,
+    ),
+    ("text300", "semi-naive"): (
+        {
+            "mining_job": (
+                300, 12038, 55436, 12038, 6915, 32492, 3536, 6915, 453
+            )
+        },
+        453,
+    ),
+    ("text300", "gsp"): (
+        {"mining_job": (600, 9583, 43161, 9583, 4540, 20617, 1612, 4540, 453)},
+        453,
+    ),
+    ("text300", "closed"): (
+        {
+            "mining_job": (300, 2381, 15951, 2381, 1415, 9804, 80, 1415, 958),
+            "reconcile_job": (958, 958, 5282, 958, 730, 4087, 395, 730, 350),
+        },
+        350,
+    ),
+    ("text300", "maximal"): (
+        {
+            "mining_job": (300, 2381, 15951, 2381, 1415, 9804, 80, 1415, 824),
+            "reconcile_job": (824, 824, 4547, 824, 597, 3358, 326, 597, 178),
+        },
+        178,
+    ),
+}
+
+ALGORITHMS = {
+    "naive": NaiveAlgorithm,
+    "semi-naive": SemiNaiveAlgorithm,
+    "gsp": GspAlgorithm,
+    "closed": lambda params: ClosedLash(params, mode="closed"),
+    "maximal": lambda params: ClosedLash(params, mode="maximal"),
+}
+
+
+@pytest.mark.parametrize("case, algorithm", sorted(OTHER_GOLDEN))
+def test_counters_of_the_other_wire_format_jobs(case, algorithm):
+    """Fig. 4(b) compares these jobs' bytes with LASH's, so they are
+    pinned as exactly as LASH's own."""
+    jobs, patterns = OTHER_GOLDEN[(case, algorithm)]
+    params, database, hierarchy = GOLDEN[case][0]()
+    result = ALGORITHMS[algorithm](params).mine(database, hierarchy)
+    for attribute, golden in jobs.items():
+        counters = getattr(result, attribute).counters
+        assert (
+            tuple(counters[name] for name in NAMES + REDUCE_NAMES) == golden
+        )
+    assert len(result) == patterns
