@@ -14,7 +14,7 @@ from repro.core.params import MiningParams
 from repro.core.result import MiningResult
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.mapreduce.job import MapReduceJob
-from repro.sequence.encoding import encoded_size, uvarint_size
+from repro.sequence.encoding import encode_sequence, uvarint_size
 from repro.sequence.generate import generalized_subsequences
 
 
@@ -38,7 +38,7 @@ class SupportCountJob(MapReduceJob):
             yield key, frequency
 
     def kv_size(self, key, value) -> int:
-        return encoded_size(key) + uvarint_size(value)
+        return len(encode_sequence(key)) + uvarint_size(value)
 
 
 class NaiveGsmJob(SupportCountJob):

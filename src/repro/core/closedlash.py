@@ -66,7 +66,7 @@ from repro.hierarchy.vocabulary import Vocabulary
 from repro.mapreduce.engine import JobResult
 from repro.mapreduce.job import MapReduceJob
 from repro.miners.base import LocalMiner
-from repro.sequence.encoding import encoded_size, uvarint_size
+from repro.sequence.encoding import encode_sequence, uvarint_size
 
 Pattern = tuple[int, ...]
 
@@ -288,7 +288,7 @@ class ReconcileJob(MapReduceJob):
 
     def kv_size(self, key, value) -> int:
         tag, frequency = value
-        return 1 + encoded_size(key) + uvarint_size(frequency)
+        return 1 + len(encode_sequence(key)) + uvarint_size(frequency)
 
 
 # ----------------------------------------------------------------------

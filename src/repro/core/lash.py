@@ -12,9 +12,13 @@ LASH runs two jobs (paper Sec. 3.4, Alg. 1):
    pairs; each reduce group is one partition, mined independently by the
    configured local miner (PSM by default).
 
-Shuffle bytes are metered with the real varint/run-length wire format, so
-``MAP_OUTPUT_BYTES`` comparisons against the baselines (Fig. 4(b)) are
-meaningful.
+Each rewritten sequence leaves the map side as the bytes of the paper's
+wire format (f-list-ranked varints, run-length-coded blanks;
+:func:`repro.sequence.encoding.encode_sequence`).  Combiner and shuffle
+merge on those bytes, and a record's metered size is ``len()`` of them
+plus the varints of pivot and weight, so ``MAP_OUTPUT_BYTES`` comparisons
+against the baselines (Fig. 4(b)) count what travels.  The reduce side
+decodes each distinct sequence of its partition once, before mining.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.core.params import MiningParams
-from repro.core.partition import merge_weighted, partition_emissions
+from repro.core.partition import merge_weighted
 from repro.core.psm import PivotSequenceMiner
-from repro.core.rewrite import FULL_REWRITE, RewritePlan
+from repro.core.rewrite import FULL_REWRITE, RewritePlan, pivot_rewrites
 from repro.core.result import MiningResult
 from repro.errors import InvalidParameterError
 from repro.hierarchy.flist import build_vocabulary, iter_generalized_items
@@ -39,7 +43,11 @@ from repro.miners.brute import BruteForceMiner
 from repro.miners.dfs import DfsMiner
 from repro.miners.spam import SpamMiner
 from repro.sequence.database import SequenceDatabase
-from repro.sequence.encoding import encoded_size, uvarint_size
+from repro.sequence.encoding import (
+    decode_sequence,
+    encode_sequence,
+    uvarint_size,
+)
 
 #: a miner factory receives (vocabulary, params) and returns a LocalMiner
 MinerFactory = Callable[[Vocabulary, MiningParams], LocalMiner]
@@ -104,7 +112,10 @@ class FlistJob(MapReduceJob):
 
 
 class PartitionMineJob(MapReduceJob):
-    """Partitioning (map) and local mining (reduce) — paper Alg. 1."""
+    """Partitioning (map) and local mining (reduce) — paper Alg. 1.
+
+    Records are ``(pivot, (encoded P_w(T), weight))``.
+    """
 
     name = "lash"
     has_combiner = True
@@ -122,10 +133,10 @@ class PartitionMineJob(MapReduceJob):
         self.rewrite_plan = rewrite_plan
 
     def map(self, record: tuple[int, ...]):
-        for pivot, rewritten in partition_emissions(
+        for pivot, rewritten in pivot_rewrites(
             self.vocabulary, record, self.params, self.rewrite_plan
         ):
-            yield pivot, (rewritten, 1)
+            yield pivot, (encode_sequence(rewritten), 1)
 
     def combine(self, key, values):
         for seq, weight in merge_weighted(values).items():
@@ -135,11 +146,16 @@ class PartitionMineJob(MapReduceJob):
         yield from self.mine_group(key, values).items()
 
     def mine_group(self, key, values) -> dict[tuple[int, ...], int]:
-        """Mine one partition; post the miner's search-space delta to the
-        running attempt's counters, so only committed work is counted."""
+        """Decode and mine one partition; post the miner's search-space
+        delta to the running attempt's counters, so only committed work is
+        counted."""
+        partition = {
+            decode_sequence(seq)[0]: weight
+            for seq, weight in merge_weighted(values).items()
+        }
         stats = self.miner.stats
         candidates, outputs = stats.candidates, stats.outputs
-        mined = self.miner.mine_partition(merge_weighted(values), key)
+        mined = self.miner.mine_partition(partition, key)
         counters = task_counters()
         counters.increment(C.LOCAL_CANDIDATES, stats.candidates - candidates)
         counters.increment(C.LOCAL_OUTPUTS, stats.outputs - outputs)
@@ -147,7 +163,7 @@ class PartitionMineJob(MapReduceJob):
 
     def kv_size(self, key, value) -> int:
         seq, weight = value
-        return uvarint_size(key) + encoded_size(seq) + uvarint_size(weight)
+        return uvarint_size(key) + len(seq) + uvarint_size(weight)
 
 
 class GsmDriver:

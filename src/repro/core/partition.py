@@ -9,7 +9,7 @@ pairs — the job of Hadoop's combiner in the distributed setting.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from repro.core.params import MiningParams
 from repro.core.rewrite import FULL_REWRITE, RewritePlan, pivot_rewrites
@@ -17,6 +17,7 @@ from repro.hierarchy.vocabulary import Vocabulary
 from repro.sequence.generate import generalized_items
 
 Seq = Sequence[int]
+K = TypeVar("K")
 
 #: a partition: aggregated rewritten sequences with multiplicities
 Partition = dict[tuple[int, ...], int]
@@ -36,30 +37,10 @@ def frequent_pivots(
     )
 
 
-def partition_emissions(
-    vocabulary: Vocabulary,
-    sequence: Seq,
-    params: MiningParams,
-    plan: RewritePlan = FULL_REWRITE,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield ``(pivot, P_w(T))`` pairs for one input sequence (map phase),
-    ascending in the pivot."""
-    return pivot_rewrites(vocabulary, sequence, params, plan)
-
-
-def aggregate(sequences: Iterable[tuple[int, ...]]) -> Partition:
-    """Aggregate duplicate sequences into weights (combine/reduce phases)."""
-    out: Partition = {}
-    for seq in sequences:
-        out[seq] = out.get(seq, 0) + 1
-    return out
-
-
-def merge_weighted(
-    entries: Iterable[tuple[tuple[int, ...], int]]
-) -> Partition:
-    """Merge pre-aggregated ``(sequence, weight)`` pairs."""
-    out: Partition = {}
+def merge_weighted(entries: Iterable[tuple[K, int]]) -> dict[K, int]:
+    """Merge pre-aggregated ``(sequence, weight)`` pairs.  A sequence is a
+    tuple of item ids, or its encoded bytes in the mining job."""
+    out: dict[K, int] = {}
     for seq, weight in entries:
         out[seq] = out.get(seq, 0) + weight
     return out
@@ -79,7 +60,7 @@ def build_partitions(
     """
     partitions: dict[int, Partition] = {}
     for sequence in database:
-        for pivot, rewritten in partition_emissions(
+        for pivot, rewritten in pivot_rewrites(
             vocabulary, sequence, params, plan
         ):
             bucket = partitions.setdefault(pivot, {})

@@ -52,12 +52,12 @@ layouts are provided:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.constants import BLANK
 from repro.core.params import MiningParams
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.miners.base import ExplorationStats, LocalMiner, normalize_partition
+from repro.miners.base import ExplorationStats, LocalMiner
 
 #: projected-database entry: (item → position mask, window memo, weight,
 #: window) — the sequence's first three, shared by all of its entries, then
@@ -131,11 +131,7 @@ class PivotSequenceMiner(LocalMiner):
         left: list[_Entry] = []
         groups: list[_Groups] = []
         total_weight = 0
-        for seq, weight in (
-            partition.items()
-            if isinstance(partition, Mapping)
-            else normalize_partition(partition)
-        ):
+        for seq, weight in partition.items():
             posmask: dict[int, int] = {}
             bit = 1
             for item in seq:

@@ -38,9 +38,9 @@ The pipeline is written down twice, on purpose.  The stage functions
 above, each returning a new sequence, pinned by the paper's examples.
 Nothing on the mining path calls them.  :func:`pivot_rewrites` is the
 *production path*: one kernel that rewrites a sequence for all of its
-pivots, which :func:`repro.core.partition.partition_emissions` (every
-pivot, the map phase) and :func:`rewrite_for_pivot` (one pivot) both run,
-under every :class:`RewritePlan`.  ``tests/core/test_rewrite_kernel.py``
+pivots, which the map phase (every pivot,
+:class:`repro.core.lash.PartitionMineJob`) and :func:`rewrite_for_pivot`
+(one pivot) both run, under every :class:`RewritePlan`.  ``tests/core/test_rewrite_kernel.py``
 holds the two to the same output.
 """
 

@@ -11,8 +11,10 @@ class MapReduceJob:
     Subclasses override :meth:`map` and :meth:`reduce`; :meth:`combine` is
     optional pre-aggregation that the engine applies per input split (as
     Hadoop applies combiners per spill).  ``kv_size`` supplies serialized
-    sizes for the byte counters; every job in the library overrides it
-    with its records' varint wire format, so the generic estimate meters
+    sizes for the byte counters.  Every job in the library overrides it
+    with its records' varint wire format: LASH's mining job emits that
+    format's bytes and meters their ``len()``, the jobs with tuple keys
+    meter ``len(encode_sequence(key))``.  The generic estimate meters
     ad-hoc jobs only.
     """
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from repro.core.params import MiningParams
 from repro.hierarchy.vocabulary import Vocabulary
@@ -51,26 +50,6 @@ class ExplorationStats:
         return self
 
 
-def normalize_partition(
-    partition: Partition | Iterable[tuple[tuple[int, ...], int]] | Iterable[tuple[int, ...]],
-) -> list[tuple[tuple[int, ...], int]]:
-    """Accept ``{seq: weight}``, ``[(seq, weight)]`` or bare ``[seq]``."""
-    if isinstance(partition, Mapping):
-        return list(partition.items())
-    out: list[tuple[tuple[int, ...], int]] = []
-    for entry in partition:
-        if (
-            isinstance(entry, tuple)
-            and len(entry) == 2
-            and isinstance(entry[0], tuple)
-            and isinstance(entry[1], int)
-        ):
-            out.append((entry[0], entry[1]))
-        else:
-            out.append((tuple(entry), 1))
-    return out
-
-
 class LocalMiner(ABC):
     """Base class: bind a vocabulary and parameters, mine partitions."""
 
@@ -82,13 +61,10 @@ class LocalMiner(ABC):
         self.params = params
         self.stats = ExplorationStats()
 
-    def reset_stats(self) -> None:
-        self.stats = ExplorationStats()
-
     @abstractmethod
     def mine_partition(
         self,
-        partition: Partition | Iterable,
+        partition: Partition,
         pivot: int,
     ) -> dict[tuple[int, ...], int]:
         """Return ``{pivot sequence: frequency}`` for one partition."""

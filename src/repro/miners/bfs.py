@@ -22,7 +22,7 @@ sequences at output time.
 from __future__ import annotations
 
 from repro.constants import BLANK
-from repro.miners.base import LocalMiner, normalize_partition
+from repro.miners.base import LocalMiner
 
 #: posting list: per supporting sequence (sequence, weight, end positions)
 _Posting = list[tuple[tuple[int, ...], int, frozenset[int]]]
@@ -37,7 +37,7 @@ class BfsMiner(LocalMiner):
     peak_postings: int = 0
 
     def mine_partition(self, partition, pivot: int) -> dict[tuple[int, ...], int]:
-        entries = normalize_partition(partition)
+        entries = partition.items()
         self._pivot = pivot
         self.peak_postings = 0
         output: dict[tuple[int, ...], int] = {}

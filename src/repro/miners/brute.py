@@ -7,7 +7,7 @@ correct — the oracle against which PSM/BFS/DFS are validated.
 
 from __future__ import annotations
 
-from repro.miners.base import LocalMiner, normalize_partition
+from repro.miners.base import LocalMiner
 from repro.sequence.generate import generalized_subsequences
 
 
@@ -19,7 +19,7 @@ class BruteForceMiner(LocalMiner):
     def mine_partition(self, partition, pivot: int) -> dict[tuple[int, ...], int]:
         params = self.params
         counts: dict[tuple[int, ...], int] = {}
-        for seq, weight in normalize_partition(partition):
+        for seq, weight in partition.items():
             patterns = generalized_subsequences(
                 self.vocabulary, seq, params.gamma, params.lam
             )

@@ -20,7 +20,7 @@ example partition yields 5 + 17 + 13 + 2 = 37 candidates).
 from __future__ import annotations
 
 from repro.constants import BLANK
-from repro.miners.base import LocalMiner, normalize_partition
+from repro.miners.base import LocalMiner
 
 #: projected entry: (sequence, weight, end positions)
 _Entry = tuple[tuple[int, ...], int, frozenset[int]]
@@ -32,7 +32,7 @@ class DfsMiner(LocalMiner):
     name = "dfs"
 
     def mine_partition(self, partition, pivot: int) -> dict[tuple[int, ...], int]:
-        entries = normalize_partition(partition)
+        entries = partition.items()
         self._pivot = pivot
         output: dict[tuple[int, ...], int] = {}
 

@@ -35,7 +35,7 @@ is evaluated counts once.
 from __future__ import annotations
 
 from repro.constants import BLANK
-from repro.miners.base import LocalMiner, normalize_partition
+from repro.miners.base import LocalMiner
 
 
 class SpamMiner(LocalMiner):
@@ -44,7 +44,7 @@ class SpamMiner(LocalMiner):
     name = "spam"
 
     def mine_partition(self, partition, pivot: int) -> dict[tuple[int, ...], int]:
-        entries = normalize_partition(partition)
+        entries = partition.items()
         output: dict[tuple[int, ...], int] = {}
         if not entries:
             return output

@@ -20,7 +20,6 @@ from repro.sequence.encoding import (
     decode_uvarint,
     encode_sequence,
     decode_sequence,
-    encoded_size,
 )
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "decode_uvarint",
     "encode_sequence",
     "decode_sequence",
-    "encoded_size",
 ]

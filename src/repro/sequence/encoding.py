@@ -11,8 +11,12 @@ encoded.  This module implements exactly that:
   ``r`` blanks → escape varint ``0`` followed by varint ``r``,
 * a leading varint with the token count.
 
-The encodings feed the engine's ``MAP_OUTPUT_BYTES`` counter so that
-communication measurements (Fig. 4(b)) reflect real serialized sizes.
+:func:`encode_sequence` is the one writer of this format.  LASH's map side
+emits its output in it (:class:`repro.core.lash.PartitionMineJob`), so the
+engine's ``MAP_OUTPUT_BYTES`` and ``SHUFFLE_BYTES`` counters (Fig. 4(b))
+are ``len()`` of the bytes that travel; the jobs that keep tuple keys
+(the baselines' counting jobs, closed LASH's reconciliation) meter
+``len(encode_sequence(key))``.
 """
 
 from __future__ import annotations
@@ -40,32 +44,52 @@ def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
 
 def encode_sequence(sequence: Seq) -> bytes:
     """Serialize a sequence of item ids (blanks allowed, run-length coded)."""
-    tokens = bytearray()
-    num_tokens = 0
-    i = 0
-    n = len(sequence)
-    while i < n:
-        item = sequence[i]
+    # byte 0 is reserved for a one-byte token count; a run of r blanks is
+    # two tokens where the sequence has r entries
+    out = bytearray(1)
+    append = out.append
+    num_tokens = len(sequence)
+    run = 0
+    for item in sequence:
+        if 0 <= item < 0x7F and not run:
+            # write_uvarint(out, item + 1) spelled out: the map side
+            # encodes every emitted item through this line
+            append(item + 1)
+            continue
         if item == BLANK:
-            run = 1
-            while i + run < n and sequence[i + run] == BLANK:
-                run += 1
-            write_uvarint(tokens, 0)
-            write_uvarint(tokens, run)
-            num_tokens += 2
-            i += run
-        else:
-            if item < 0:
-                raise EncodingError(f"invalid item id {item}")
-            write_uvarint(tokens, item + 1)
-            num_tokens += 1
-            i += 1
-    return encode_uvarint(num_tokens) + bytes(tokens)
+            run += 1
+            continue
+        if run:
+            append(0)
+            write_uvarint(out, run)
+            num_tokens += 2 - run
+            run = 0
+        if item < 0:
+            raise EncodingError(f"invalid item id {item}")
+        write_uvarint(out, item + 1)
+    if run:
+        append(0)
+        write_uvarint(out, run)
+        num_tokens += 2 - run
+    if num_tokens < 0x80:
+        out[0] = num_tokens
+        return bytes(out)
+    return encode_uvarint(num_tokens) + out[1:]
+
+
+#: byte ``b`` → ``b - 1``: a one-byte item token back to its item id
+_ITEM_OF_TOKEN = bytes((b - 1) & 0xFF for b in range(256))
 
 
 def decode_sequence(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], int]:
     """Inverse of :func:`encode_sequence`; returns ``(sequence, next_offset)``."""
     num_tokens, pos = read_uvarint(data, offset)
+    end = pos + num_tokens
+    body = data[pos:end]
+    if len(body) == num_tokens and body.isascii() and 0 not in body:
+        # every token is one byte and none is the blank escape: the reduce
+        # side decodes most shuffled sequences here
+        return tuple(body.translate(_ITEM_OF_TOKEN)), end
     items: list[int] = []
     consumed = 0
     while consumed < num_tokens:
@@ -87,28 +111,3 @@ def uvarint_size(value: int) -> int:
     if value < 0:
         raise EncodingError(f"uvarint cannot encode negative value {value}")
     return (value.bit_length() + 6) // 7 or 1
-
-
-def encoded_size(sequence: Seq) -> int:
-    """Number of bytes :func:`encode_sequence` produces, by arithmetic
-    alone: one varint per item, two per blank run, one for the token
-    count — nothing is allocated."""
-    size = tokens = run = 0
-    for item in sequence:
-        if item == BLANK:
-            run += 1
-            continue
-        if item < 0:
-            raise EncodingError(f"invalid item id {item}")
-        if run:
-            size += 1 + uvarint_size(run)
-            tokens += 2
-            run = 0
-        # uvarint_size(item + 1) spelled out: the job meters every shuffled
-        # item through this line
-        size += ((item + 1).bit_length() + 6) // 7
-        tokens += 1
-    if run:
-        size += 1 + uvarint_size(run)
-        tokens += 2
-    return size + uvarint_size(tokens)

@@ -11,7 +11,7 @@ the worst case — which is the paper's very argument against the baselines.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.constants import BLANK
 from repro.hierarchy.vocabulary import Vocabulary
@@ -90,10 +90,3 @@ def pivot_subsequences(
         )
         if max(s) == pivot
     }
-
-
-def iter_distinct_patterns(
-    patterns: set[tuple[int, ...]],
-) -> Iterator[tuple[int, ...]]:
-    """Deterministic (sorted) iteration order over a pattern set."""
-    return iter(sorted(patterns))

@@ -394,9 +394,12 @@ class ShardClient:
             if self._mux is mux:
                 self._mux = None
         try:
-            mux.sock.close()
+            # close() alone neither wakes this client's reader, blocked in
+            # recv() on the socket, nor sends the server a FIN
+            mux.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # already shut down, or closed by an earlier call
+        mux.sock.close()
         error = exc or ConnectionError(
             f"connection to {self._host}:{self._port} lost mid-pipeline"
         )

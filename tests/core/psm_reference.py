@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.constants import BLANK
 from repro.core.params import MiningParams
 from repro.hierarchy.vocabulary import Vocabulary
-from repro.miners.base import LocalMiner, normalize_partition
+from repro.miners.base import LocalMiner
 
 #: projected-database entry: (sequence, weight, embedding (start,end) pairs)
 _Entry = tuple[tuple[int, ...], int, frozenset[tuple[int, int]]]
@@ -47,7 +47,7 @@ class ReferencePivotSequenceMiner(LocalMiner):
     ) -> dict[tuple[int, ...], int]:
         entries: list[_Entry] = []
         total_weight = 0
-        for seq, weight in normalize_partition(partition):
+        for seq, weight in partition.items():
             pairs = frozenset(
                 (i, i)
                 for i, item in enumerate(seq)

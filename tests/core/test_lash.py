@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core import Lash, MiningParams
-from repro.core.lash import FlistJob, mine, resolve_miner
+from repro.core.lash import FlistJob, PartitionMineJob, mine, resolve_miner
+from repro.core.rewrite import pivot_rewrites
 from repro.errors import InvalidParameterError
 from repro.hierarchy import Hierarchy
 from repro.hierarchy.flist import iter_generalized_items
 from repro.mapreduce import C, MapReduceJob
+from repro.sequence.encoding import decode_sequence, uvarint_size
 
 #: the paper's complete GSM output for σ=2, γ=1, λ=3 (Sec. 2)
 PAPER_OUTPUT = {
@@ -165,3 +167,28 @@ class TestFlistJob:
             )
             for record in fig1_database
         ]
+
+
+class TestPartitionMineJob:
+    def test_map_emits_the_wire_bytes_it_meters(
+        self, fig1_database, fig1_hierarchy
+    ):
+        """A rewritten sequence leaves the map side encoded, and its
+        metered size is the record's own length."""
+        params = MiningParams(2, 1, 3)
+        lash = Lash(params)
+        vocabulary, _ = lash.preprocess(fig1_database, fig1_hierarchy)
+        job = PartitionMineJob(
+            vocabulary, params, lash.miner_factory(vocabulary, params)
+        )
+        for record in map(vocabulary.encode_sequence, fig1_database):
+            emitted = list(job.map(record))
+            assert [
+                (pivot, decode_sequence(data)[0])
+                for pivot, (data, _) in emitted
+            ] == list(pivot_rewrites(vocabulary, record, params))
+            for pivot, (data, weight) in emitted:
+                assert type(data) is bytes and weight == 1
+                assert job.kv_size(pivot, (data, weight)) == (
+                    uvarint_size(pivot) + len(data) + 1
+                )

@@ -4,7 +4,9 @@ import pytest
 
 from repro.constants import BLANK
 from repro.core import MiningParams, build_partitions, frequent_pivots
-from repro.core.partition import aggregate, merge_weighted, partition_emissions
+from repro.core.partition import merge_weighted
+from repro.core.rewrite import pivot_rewrites
+from repro.sequence.encoding import encode_sequence
 
 
 @pytest.fixture
@@ -50,7 +52,7 @@ class TestEmissions:
         t5 = enc(V, "a", "b12", "d1", "c")
         got = {
             V.name(pivot): V.render(seq)
-            for pivot, seq in partition_emissions(V, t5, params)
+            for pivot, seq in pivot_rewrites(V, t5, params)
         }
         assert got == {
             "B": "a B",
@@ -105,14 +107,12 @@ class TestFig2Partitions:
 
 
 class TestAggregation:
-    def test_aggregate(self):
-        got = aggregate([(1, 2), (1, 2), (3,)])
-        assert got == {(1, 2): 2, (3,): 1}
-
     def test_merge_weighted(self):
         got = merge_weighted([((1,), 2), ((1,), 3), ((2,), 1)])
         assert got == {(1,): 5, (2,): 1}
+        # the mining job merges the encoded bytes, not the tuples
+        a, b = encode_sequence((1, BLANK, 2)), encode_sequence((1, 2))
+        assert merge_weighted([(a, 2), (b, 1), (a, 3)]) == {a: 5, b: 1}
 
     def test_empty(self):
-        assert aggregate([]) == {}
         assert merge_weighted([]) == {}

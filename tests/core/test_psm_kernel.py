@@ -5,7 +5,7 @@
 kernel must reproduce it to the byte — the output dict *and its insertion
 order*, ``stats.candidates`` and ``stats.outputs`` — under every index mode,
 on partitions the Sec. 4 rewrites have not cleaned up (items above the
-pivot, blanks, weights), however the partition is handed over.
+pivot, blanks, weights), however the partition dict was built.
 """
 
 import pickle
@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 from repro import Hierarchy, SequenceDatabase
 from repro.constants import BLANK
 from repro.core import MiningParams, PivotSequenceMiner
-from repro.core.partition import build_partitions
+from repro.core.partition import build_partitions, merge_weighted
 from repro.core.psm import mine_partitions
 from repro.datasets import ProductDataConfig, generate_product_data
 from repro.hierarchy import build_vocabulary
 from repro.miners import BruteForceMiner
+from repro.sequence.encoding import decode_sequence, encode_sequence
 from tests.core.psm_reference import ReferencePivotSequenceMiner
 from tests.mapreduce.test_golden_counters import _text300
 from tests.property.strategies import (
@@ -67,11 +68,21 @@ def _as_dict(weighted):
     return merged
 
 
-#: the three shapes ``mine_partition`` accepts
+def _through_the_wire(weighted):
+    """What the mining job's reduce hands the miner: the pairs merged on
+    their encoded bytes, each distinct sequence decoded once."""
+    merged = merge_weighted(
+        (encode_sequence(sequence), weight) for sequence, weight in weighted
+    )
+    return {decode_sequence(data)[0]: weight for data, weight in merged.items()}
+
+
+#: three ways to build the ``{sequence: weight}`` dict ``mine_partition``
+#: takes: merged tuples, the wire round trip, and unit weights
 SHAPES = {
     "dict": _as_dict,
-    "pairs": list,
-    "bare": lambda weighted: [sequence for sequence, _ in weighted],
+    "pairs": _through_the_wire,
+    "bare": lambda weighted: _as_dict((seq, 1) for seq, _ in weighted),
 }
 
 
@@ -156,7 +167,7 @@ def test_unbounded_gap_costs_the_sequence_not_its_square():
         [[rng.choice(products) for _ in range(600)] for _ in range(10)]
     )
     vocabulary = build_vocabulary(database, hierarchy)
-    partition = [vocabulary.encode_sequence(seq) for seq in database]
+    partition = {vocabulary.encode_sequence(seq): 1 for seq in database}
     miner = PivotSequenceMiner(vocabulary, MiningParams(2, None, 3))
 
     start = time.perf_counter()

@@ -1,4 +1,4 @@
-"""Differential test: the fused kernel behind ``partition_emissions``
+"""Differential test: the fused kernel ``pivot_rewrites``
 against the stage functions of Sec. 4 composed one after the other."""
 
 from itertools import product
@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from repro.constants import BLANK
 from repro.core import MiningParams, RewritePlan, frequent_pivots
-from repro.core.partition import partition_emissions
 from repro.core.rewrite import (
     _is_pivot_pos,
     blank_isolated_pivots,
     blank_unreachable,
     compress_blanks,
     pivot_distances,
+    pivot_rewrites,
     rewrite_for_pivot,
     w_generalize,
 )
@@ -88,7 +88,7 @@ def test_kernel_equals_composed_stages(case):
     for plan in ALL_PLANS:
         for sequence in sequences:
             expected = staged_emissions(vocabulary, sequence, params, plan)
-            got = list(partition_emissions(vocabulary, sequence, params, plan))
+            got = list(pivot_rewrites(vocabulary, sequence, params, plan))
             assert got == expected, (plan.describe(), sequence, params)
 
 

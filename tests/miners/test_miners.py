@@ -4,7 +4,6 @@ import pytest
 
 from repro import BfsMiner, BruteForceMiner, DfsMiner, MiningParams
 from repro.constants import BLANK
-from repro.miners.base import normalize_partition
 
 
 @pytest.fixture
@@ -18,23 +17,6 @@ def enc(V, *names):
 
 def decode(V, mined):
     return {tuple(V.name(i) for i in s): f for s, f in mined.items()}
-
-
-class TestNormalizePartition:
-    def test_mapping(self):
-        assert normalize_partition({(1, 2): 3}) == [((1, 2), 3)]
-
-    def test_weighted_pairs(self):
-        assert normalize_partition([((1, 2), 3)]) == [((1, 2), 3)]
-
-    def test_bare_sequences(self):
-        assert normalize_partition([(1, 2), (3, 4)]) == [
-            ((1, 2), 1),
-            ((3, 4), 1),
-        ]
-
-    def test_lists_coerced(self):
-        assert normalize_partition([[1, 2]]) == [((1, 2), 1)]
 
 
 class TestDfs:
@@ -97,7 +79,7 @@ class TestBfs:
         miner._pivot = V.id("D")
         partition = {enc(V, "c", "a", "b1", "D"): 1}
         postings = miner._build_2seq_postings(
-            normalize_partition(partition),
+            partition.items(),
             frequent_items=set(range(len(V))),
         )
         rendered = {

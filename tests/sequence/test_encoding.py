@@ -11,9 +11,26 @@ from repro.sequence.encoding import (
     decode_uvarint,
     encode_sequence,
     encode_uvarint,
-    encoded_size,
     uvarint_size,
 )
+
+
+def arithmetic_size(seq) -> int:
+    """The format's length by arithmetic alone: one varint per item, two
+    per blank run, one for the token count."""
+    size = tokens = run = 0
+    for item in seq + (None,):
+        if item == BLANK:
+            run += 1
+            continue
+        if run:
+            size += 1 + uvarint_size(run)
+            tokens += 2
+            run = 0
+        if item is not None:
+            size += uvarint_size(item + 1)
+            tokens += 1
+    return size + uvarint_size(tokens)
 
 
 class TestUvarint:
@@ -67,15 +84,21 @@ class TestSequenceCodec:
     def test_blank_runs_compress(self):
         long_run = (1,) + (BLANK,) * 50 + (2,)
         no_run = tuple(range(1, 53))
-        assert encoded_size(long_run) < encoded_size(no_run)
+        assert len(encode_sequence(long_run)) < len(encode_sequence(no_run))
 
     def test_frequent_items_cost_fewer_bytes(self):
         # ids are f-list ranks: frequent=small=cheap (paper Sec. 6.1)
-        assert encoded_size((1, 2, 3)) < encoded_size((1000, 2000, 3000))
+        cheap, dear = (1, 2, 3), (1000, 2000, 3000)
+        assert len(encode_sequence(cheap)) < len(encode_sequence(dear))
 
     def test_invalid_item_rejected(self):
         with pytest.raises(EncodingError):
             encode_sequence((-5,))
+
+    @pytest.mark.parametrize("seq", [(1, 2, 3), (1, BLANK, 2), (300, 4)])
+    def test_truncated_sequence_rejected(self, seq):
+        with pytest.raises(EncodingError):
+            decode_sequence(encode_sequence(seq)[:-1])
 
     def test_concatenated_sequences(self):
         a, b = (1, BLANK, 2), (3, 4)
@@ -86,8 +109,10 @@ class TestSequenceCodec:
         assert off == len(data)
 
     def test_encoded_size_matches(self):
+        # 4 tokens: item 1, the blank escape and its run of 2, item 9
         seq = (1, BLANK, BLANK, 9)
-        assert encoded_size(seq) == len(encode_sequence(seq))
+        assert encode_sequence(seq) == bytes([4, 2, 0, 2, 10])
+        assert arithmetic_size(seq) == 5
 
 
 # ids on both sides of the 2**7 and 2**14 varint boundaries (an item is
@@ -109,10 +134,14 @@ _sequences = st.lists(_segments, max_size=6).map(
 
 
 class TestEncodedSizeIsArithmetic:
+    """The mining jobs meter ``len()`` of the encoded bytes; that length is
+    the format's arithmetic on every varint boundary, one-byte items
+    written inline included."""
+
     @given(_sequences)
     def test_size_equals_encoded_length_and_roundtrips(self, seq):
         data = encode_sequence(seq)
-        assert encoded_size(seq) == len(data)
+        assert arithmetic_size(seq) == len(data)
         assert decode_sequence(data) == (seq, len(data))
 
     @given(st.integers(0, 2**70))
@@ -121,6 +150,8 @@ class TestEncodedSizeIsArithmetic:
 
     def test_negative_ids_still_rejected(self):
         with pytest.raises(EncodingError):
-            encoded_size((3, -5, 4))
+            encode_sequence((3, -5, 4))
+        with pytest.raises(EncodingError):
+            encode_sequence((3, BLANK, -5))
         with pytest.raises(EncodingError):
             uvarint_size(-5)

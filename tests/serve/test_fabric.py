@@ -726,6 +726,38 @@ class TestKillMidPipeline:
 
 
 # ----------------------------------------------------------------------
+# shutdown, seen from the peer
+# ----------------------------------------------------------------------
+
+
+class TestShutdown:
+    def test_client_close_ends_the_connection_at_the_server(
+        self, store_path
+    ):
+        """Closing one side while the other keeps running: after
+        ``ShardClient.close()`` the server still up lists no connection
+        and the client's reader thread has exited, both within 1 s."""
+        with ShardServer(store_path, http_port=None) as server:
+            host, port = server.address
+            before = set(threading.enumerate())
+            client = ShardClient(host, port)
+            assert client.request({"op": "ping"}, timeout=5)["ok"]
+            (reader,) = [
+                thread
+                for thread in set(threading.enumerate()) - before
+                if thread.name == f"shard-client-{host}:{port}"
+            ]
+            assert server._tcp.connections
+            client.close()
+            deadline = time.monotonic() + 1.0
+            reader.join(timeout=1.0)
+            while server._tcp.connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._tcp.connections
+            assert not reader.is_alive()
+
+
+# ----------------------------------------------------------------------
 # batched scatter (one search frame per server + service prefetch)
 # ----------------------------------------------------------------------
 
