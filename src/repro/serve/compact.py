@@ -47,17 +47,14 @@ try:  # POSIX advisory locking; absent on some platforms
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-from repro.errors import EncodingError, ReproError, StoreCorruptError
+from repro.errors import EncodingError, ReproError
 from repro.serve.format import (
-    DELTA_META_SUFFIX,
     MANIFEST_NAME,
     SHARD_FILE_RE,
-    delta_meta_path,
+    delta_watermark,
     is_sharded_store,
-    read_delta_meta,
     read_manifest,
     shard_filename,
-    verify_delta_meta,
     write_manifest,
 )
 from repro.serve.sharded import open_store
@@ -91,6 +88,16 @@ def _signature_key(signature: dict) -> tuple:
         signature.get("size"),
         signature.get("mtime_ns"),
     )
+
+
+def _fold_watermarks(current: dict, update: dict) -> dict:
+    """``current`` with each watermark of ``update`` folded in as a
+    monotonic maximum, so the served watermark can never move backwards
+    no matter what order deltas are applied in."""
+    folded = dict(current)
+    for field, value in update.items():
+        folded[field] = max(folded.get(field, 0), value)
+    return folded
 
 
 class StoreCompactor:
@@ -175,6 +182,20 @@ class StoreCompactor:
         with self._exclusive():
             return self._compact_locked(deltas, shards)
 
+    def stamp_watermarks(self, ingest: dict) -> None:
+        """Fold ``ingest`` watermarks into the manifest without a
+        compaction, under the compaction lock, so a concurrent
+        compactor's manifest write cannot be lost."""
+        with self._exclusive():
+            manifest = read_manifest(self._path)
+            manifest["ingest"] = _fold_watermarks(
+                manifest.get("ingest") or {}, ingest
+            )
+            files = manifest.pop("shard_files")
+            for fixed in ("format", "version", "partitioner", "shards"):
+                manifest.pop(fixed, None)
+            write_manifest(self._path, files, manifest)
+
     def _compact_locked(
         self,
         deltas: Sequence[str | Path],
@@ -235,20 +256,13 @@ class StoreCompactor:
         # double their frequencies
         folded_log = folded_log[-max(FOLDED_LOG_LIMIT, len(deltas)):]
 
-        # freshness bookkeeping: ingest deltas carry their sequence
-        # watermarks in a sidecar; fold them into the manifest as
-        # monotonic maxima, so the served watermark can never move
-        # backwards no matter what order deltas are applied in
-        ingest = dict(manifest.get("ingest") or {})
+        # freshness bookkeeping: an ingest delta's name is the sequence
+        # range it covers, and so the watermark it moves
+        ingest = manifest.get("ingest") or {}
         for delta in deltas:
-            delta = Path(delta)
-            meta = read_delta_meta(delta) if delta.is_file() else None
-            if meta is None:
-                continue
-            for field in ("ingested_through", "retained_from"):
-                value = meta.get(field)
-                if isinstance(value, int) and not isinstance(value, bool):
-                    ingest[field] = max(ingest.get(field, 0), value)
+            ingest = _fold_watermarks(
+                ingest, delta_watermark(Path(delta).name)
+            )
 
         start = time.perf_counter()
         try:
@@ -595,26 +609,11 @@ class CompactionDaemon:
             pending_keys.add(key)
             if key in self._rejected:
                 continue
-            if delta.is_file():
-                # an ingest delta names its exact payload in a sidecar;
-                # a mismatch means the publish was torn or the file was
-                # damaged after publish — either way, applying it could
-                # silently skew every frequency it touches
-                try:
-                    meta = read_delta_meta(delta)
-                except StoreCorruptError as exc:
-                    self._rejected[key] = str(exc)
-                    self._note(error=f"{delta.name}: {exc}")
-                    continue
-                if meta is not None and not verify_delta_meta(delta, meta):
-                    message = "delta bytes do not match sidecar CRC"
-                    self._rejected[key] = message
-                    self._note(error=f"{delta.name}: {message}")
-                    continue
             try:
-                # cheap structural probe plus CRC sweep; compact()
-                # re-opens, but correctness of the batch beats one
-                # redundant validation pass
+                # structural probe plus CRC sweep over every byte: a
+                # torn or damaged delta fails here, before it can skew
+                # a frequency; compact() re-opens, but correctness of
+                # the batch beats one redundant validation pass
                 open_store(
                     delta, pattern_cache_size=0, postings_cache_size=0
                 ).close()
@@ -641,23 +640,15 @@ class CompactionDaemon:
                 suffix += 1
                 target = applied / f"{delta.name}.{suffix}"
             shutil.move(str(delta), str(target))
-            sidecar = delta_meta_path(delta)
-            if sidecar.is_file():
-                shutil.move(
-                    str(sidecar),
-                    str(applied / (target.name + DELTA_META_SUFFIX)),
-                )
         self._sweep_applied(applied)
 
     def _sweep_applied(self, applied: Path) -> None:
         """Bound the applied-delta archive: keep only the newest
-        :data:`APPLIED_RETAIN` deltas (sidecars ride along), oldest first
-        out.  Without this the archive grows with corpus lifetime — one
-        file per ingest batch, forever."""
+        :data:`APPLIED_RETAIN` deltas, oldest first out.  Without this
+        the archive grows with corpus lifetime — one file per ingest
+        batch, forever."""
         entries = []
         for entry in applied.iterdir():
-            if entry.name.endswith(DELTA_META_SUFFIX):
-                continue
             try:
                 entries.append((entry.stat().st_mtime_ns, entry.name, entry))
             except OSError:
@@ -670,8 +661,6 @@ class CompactionDaemon:
                 shutil.rmtree(entry, ignore_errors=True)
             else:
                 entry.unlink(missing_ok=True)
-            sidecar = applied / (entry.name + DELTA_META_SUFFIX)
-            sidecar.unlink(missing_ok=True)
 
     def _swap(self) -> None:
         self._service.swap_backend(open_store(self._store_path))

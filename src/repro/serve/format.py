@@ -47,7 +47,6 @@ import json
 import re
 import struct
 import sys
-import zlib
 from array import array
 from pathlib import Path
 from typing import Sequence
@@ -220,81 +219,35 @@ def is_sharded_store(path: str | Path) -> bool:
 
 
 # ----------------------------------------------------------------------
-# delta sidecar metadata
+# ingest delta names
 # ----------------------------------------------------------------------
 
-#: suffix of the JSON sidecar published next to each ingest delta.  The
-#: sidecar is written (tmp + rename) *before* the delta file itself is
-#: renamed into place, so a ``.store`` file with a sidecar is complete
-#: by construction; a ``.store`` without one is a legacy spool delta
-#: that carries no watermark.
-DELTA_META_SUFFIX = ".meta.json"
+#: a spool delta's name is the sequence range it covers:
+#: ``delta-F-T.store`` adds sequences ``F`` to ``T - 1``,
+#: ``retire-F-T.store`` retires them.  The range is the delta's identity
+#: (a crashed publish is recognized by rescanning the spool, never
+#: replayed) and its watermark (:func:`delta_watermark`)
+DELTA_NAME_RE = re.compile(
+    r"(?P<kind>delta|retire)-(?P<from>\d{8})-(?P<through>\d{8})\.store"
+    r"(\.\d+)?"  # the daemon suffixes archived duplicates
+)
 
 
-def delta_meta_path(delta: Path) -> Path:
-    """Sidecar path for a spool delta file."""
-    return delta.with_name(delta.name + DELTA_META_SUFFIX)
+def delta_name(kind: str, from_seq: int, through_seq: int) -> str:
+    """Spool name of the ``kind`` delta covering ``from_seq`` up to
+    ``through_seq`` (exclusive)."""
+    return f"{kind}-{from_seq:08d}-{through_seq:08d}.store"
 
 
-def write_delta_meta(
-    delta: Path, meta: dict, source: Path | None = None
-) -> Path:
-    """Atomically publish ``meta`` as the sidecar of ``delta``.
-
-    The caller supplies the semantic fields (kind, sequence range,
-    watermark); the payload integrity fields — byte size and CRC-32 of
-    the delta file as it exists *right now* — are stamped here so the
-    sidecar can never describe bytes it has not seen.  ``source`` reads
-    the bytes from a staging path while the sidecar is still named for
-    the final ``delta`` location (the publish protocol renames the
-    sidecar into place *before* the delta itself).
-    """
-    data = (delta if source is None else source).read_bytes()
-    payload = {
-        "format": "repro-ingest-delta",
-        "bytes": len(data),
-        "crc32": zlib.crc32(data) & 0xFFFFFFFF,
-        **meta,
-    }
-    path = delta_meta_path(delta)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
-
-
-def read_delta_meta(delta: Path) -> dict | None:
-    """Load the sidecar of ``delta``, or ``None`` when it has none.
-
-    A present-but-unreadable sidecar raises :class:`StoreCorruptError`
-    so the daemon quarantines the pair instead of applying a delta
-    whose provenance cannot be checked.
-    """
-    path = delta_meta_path(delta)
-    try:
-        meta = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return None
-    except (json.JSONDecodeError, OSError) as exc:
-        raise StoreCorruptError(f"{path}: invalid delta sidecar: {exc}") from None
-    if not isinstance(meta, dict) or meta.get("format") != "repro-ingest-delta":
-        raise StoreCorruptError(f"{path}: not an ingest-delta sidecar")
-    return meta
-
-
-def verify_delta_meta(delta: Path, meta: dict) -> bool:
-    """True iff the delta's bytes match the size + CRC-32 in ``meta``."""
-    try:
-        data = delta.read_bytes()
-    except OSError:
-        return False
-    return len(data) == meta.get("bytes") and (
-        zlib.crc32(data) & 0xFFFFFFFF
-    ) == meta.get("crc32")
+def delta_watermark(name: str) -> dict:
+    """The freshness watermark that folding the delta ``name`` moves:
+    ``{"ingested_through": T}`` for an add, ``{"retained_from": T}`` for
+    a retire, nothing for a store not named by :func:`delta_name`."""
+    match = DELTA_NAME_RE.fullmatch(name)
+    if match is None:
+        return {}
+    field = "ingested_through" if match["kind"] == "delta" else "retained_from"
+    return {field: int(match["through"])}
 
 
 __all__ = [
@@ -321,9 +274,7 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "is_sharded_store",
-    "DELTA_META_SUFFIX",
-    "delta_meta_path",
-    "write_delta_meta",
-    "read_delta_meta",
-    "verify_delta_meta",
+    "DELTA_NAME_RE",
+    "delta_name",
+    "delta_watermark",
 ]

@@ -27,58 +27,36 @@ retained corpus (at σ=1 over a stable hierarchy; see the README's
 * ``ingest.json`` — published/retained watermarks plus the mining
   parameters, rewritten atomically.
 
-Deltas are published into the compaction spool with a torn-write-proof
-protocol: the store is staged under a ``.part`` name the daemon never
-scans, a JSON sidecar carrying the payload CRC-32 and the sequence
-watermarks is renamed into place first, and only then does the delta
-itself get its final ``<name>.store`` name.  A ``.store`` file with a
-sidecar is therefore complete by construction, a torn publish leaves
-only invisible staging files, and the daemon CRC-verifies every
-sidecarred delta before folding it (mismatch → quarantine).  Delta
-names are deterministic functions of the sequence ranges they cover,
-so a crash between publish and state write is healed by rescanning the
-spool — the delta is found, never re-published, never double-applied.
+Each delta is one self-verifying store file in the compaction spool.
+The writer builds it as ``<name>.store.tmp`` and renames it into place,
+and the daemon scans only ``*.store`` names, so a torn publish is never
+seen; every byte of the file is under a CRC-32 of the store format, so
+the daemon's verifying open refuses a delta damaged after publish
+(→ quarantine).  The name is the sequence range the delta covers
+(:func:`~repro.serve.format.delta_name`): it carries the watermark the
+fold moves, and a crash between publish and state write is healed by
+rescanning the spool — the delta is found, never re-published, never
+double-applied.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 from repro.core.lash import micro_mine
 from repro.core.params import MiningParams
 from repro.errors import EncodingError, StoreCorruptError
 from repro.query.build import negate_vocabulary
-from repro.serve.format import (
-    is_sharded_store,
-    read_manifest,
-    write_delta_meta,
-    write_manifest,
-)
+from repro.serve.compact import APPLIED_DIR, StoreCompactor
+from repro.serve.format import DELTA_NAME_RE, delta_name, is_sharded_store
 from repro.serve.sharded import open_store
 from repro.serve.writer import write_store
-
-try:  # POSIX advisory locking; absent on some platforms
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
 
 STATE_NAME = "ingest.json"
 JOURNAL_NAME = "journal.jsonl"
 STATE_FORMAT = "repro-ingest-state"
 STATE_VERSION = 1
-
-#: published delta names: the sequence range is the identity, so a
-#: crashed publish is recognized by rescanning the spool, not replayed
-_DELTA_NAME_RE = re.compile(
-    r"(?P<kind>delta|retire)-(?P<from>\d{8})-(?P<through>\d{8})\.store"
-    r"(\.\d+)?"  # the daemon suffixes archived duplicates
-)
-
-
-def _delta_name(kind: str, from_seq: int, through_seq: int) -> str:
-    return f"{kind}-{from_seq:08d}-{through_seq:08d}.store"
 
 
 class Ingestor:
@@ -169,7 +147,9 @@ class Ingestor:
             "retained_from": 0,
         }
         _write_json(state_dir / STATE_NAME, state)
-        _stamp_manifest(store, {"ingested_through": 0, "retained_from": 0})
+        StoreCompactor(store).stamp_watermarks(
+            {"ingested_through": 0, "retained_from": 0}
+        )
         return cls(state_dir)
 
     @classmethod
@@ -244,20 +224,9 @@ class Ingestor:
                 f"{self._state['published_through'] - retained_from} "
                 "are retained"
             )
-        name = _delta_name("retire", retained_from, through)
-        if not self._already_published(name):
-            entries = self._journal_slice(retained_from, through)
-            self._publish_delta(
-                name,
-                entries,
-                negate=True,
-                meta={
-                    "kind": "retire",
-                    "from_seq": retained_from,
-                    "through_seq": through,
-                    "retained_from": through,
-                },
-            )
+        name = delta_name("retire", retained_from, through)
+        entries = self._journal_slice(retained_from, through)
+        self._publish_delta(name, entries, negate=True)
         self._state["retained_from"] = through
         self._persist()
         return {
@@ -285,7 +254,7 @@ class Ingestor:
         pending = [
             entry.name
             for entry in sorted(self._spool.iterdir())
-            if entry.is_file() and _DELTA_NAME_RE.fullmatch(entry.name)
+            if entry.is_file() and DELTA_NAME_RE.fullmatch(entry.name)
         ]
         return {
             "state": str(self._dir),
@@ -348,58 +317,43 @@ class Ingestor:
             )
         return entries
 
-    def _already_published(self, name: str) -> bool:
-        if (self._spool / name).exists():
-            return True
-        applied = self._spool / "applied"
-        if (applied / name).exists():
-            return True
-        # the daemon suffixes name collisions while archiving
-        if applied.is_dir():
-            prefix = name + "."
-            for entry in applied.iterdir():
-                if entry.name.startswith(prefix):
-                    return True
-        return False
+    def _published(self) -> set[tuple[str, int, int]]:
+        """Every delta range in the spool and its applied archive, as
+        ``(kind, from, through)``."""
+        published = set()
+        for directory in (self._spool, self._spool / APPLIED_DIR):
+            if not directory.is_dir():
+                continue
+            for entry in directory.iterdir():
+                match = DELTA_NAME_RE.fullmatch(entry.name)
+                if match is not None:
+                    kind, start, through = match.group(
+                        "kind", "from", "through"
+                    )
+                    published.add((kind, int(start), int(through)))
+        return published
 
     def _recover(self) -> None:
         """Heal a crash between a publish and its state write: delta
         names are deterministic in the watermarks, so any published
-        range starting at a current watermark is simply adopted."""
+        range starting at a current watermark is simply adopted.  Every
+        operation runs this first, so the delta it then publishes from
+        the watermarks is never one the spool already holds."""
+        # the furthest range published from each (kind, start)
+        reach: dict[tuple[str, int], int] = {}
+        for kind, start, through in self._published():
+            if through > start:
+                reach[kind, start] = max(through, reach.get((kind, start), 0))
         changed = False
-        while True:
-            found = self._find_published(
-                "delta", self._state["published_through"]
-            )
-            if found is None:
-                break
-            self._state["published_through"] = found
-            changed = True
-        while True:
-            found = self._find_published(
-                "retire", self._state["retained_from"]
-            )
-            if found is None:
-                break
-            self._state["retained_from"] = found
-            changed = True
+        for kind, field in (
+            ("delta", "published_through"),
+            ("retire", "retained_from"),
+        ):
+            while (kind, self._state[field]) in reach:
+                self._state[field] = reach[kind, self._state[field]]
+                changed = True
         if changed:
             self._persist()
-
-    def _find_published(self, kind: str, from_seq: int) -> int | None:
-        prefix = f"{kind}-{from_seq:08d}-"
-        best: int | None = None
-        for directory in (self._spool, self._spool / "applied"):
-            if not directory.is_dir():
-                continue
-            for entry in directory.iterdir():
-                match = _DELTA_NAME_RE.fullmatch(entry.name)
-                if match is None or not entry.name.startswith(prefix):
-                    continue
-                through = int(match.group("through"))
-                if best is None or through > best:
-                    best = through
-        return best
 
     def _publish_pending(self) -> str | None:
         """Publish one increment delta covering every journaled-but-
@@ -408,20 +362,9 @@ class Ingestor:
         next_seq = self._journal_length()
         if published_through >= next_seq:
             return None
-        name = _delta_name("delta", published_through, next_seq)
-        if not self._already_published(name):
-            entries = self._journal_slice(published_through, next_seq)
-            self._publish_delta(
-                name,
-                entries,
-                negate=False,
-                meta={
-                    "kind": "add",
-                    "from_seq": published_through,
-                    "through_seq": next_seq,
-                    "ingested_through": next_seq,
-                },
-            )
+        name = delta_name("delta", published_through, next_seq)
+        entries = self._journal_slice(published_through, next_seq)
+        self._publish_delta(name, entries, negate=False)
         self._state["published_through"] = next_seq
         self._persist()
         return name
@@ -431,15 +374,14 @@ class Ingestor:
         name: str,
         sequences: list[tuple[str, ...]],
         negate: bool,
-        meta: dict,
     ) -> None:
-        """Micro-mine ``sequences`` and publish the signed delta.
+        """Micro-mine ``sequences`` and publish the signed delta as
+        ``spool/<name>``.
 
-        Publish order is the torn-write contract: stage the store under
-        a ``.part`` name the spool scanner ignores, rename the CRC
-        sidecar into place, and only then rename the store to its final
-        ``.store`` name — so a visible delta always has a sidecar that
-        vouches for its exact bytes.
+        The writer builds ``<name>.tmp`` and renames it into place, so
+        the daemon, which scans only ``*.store`` names, sees the whole
+        file or nothing; the store's own CRCs vouch for every byte of
+        it, and its name for the range it covers.
         """
         params = MiningParams(
             sigma=1, gamma=self._state["gamma"], lam=self._state["lam"]
@@ -453,15 +395,7 @@ class Ingestor:
                 for pattern, frequency in patterns.items()
             }
             vocabulary = negate_vocabulary(vocabulary)
-        final = self._spool / name
-        part = self._spool / (name + ".part")
-        try:
-            write_store(part, patterns, vocabulary, delta=True)
-            write_delta_meta(final, meta, source=part)
-            part.replace(final)
-        except BaseException:
-            part.unlink(missing_ok=True)
-            raise
+        write_store(self._spool / name, patterns, vocabulary, delta=True)
 
     def _persist(self) -> None:
         _write_json(self._dir / STATE_NAME, self._state)
@@ -477,28 +411,6 @@ def _write_json(path: Path, payload: dict) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _stamp_manifest(store: Path, ingest: dict) -> None:
-    """Fold ``ingest`` watermarks into a sharded store's manifest (as
-    monotonic maxima), under the same advisory lock compactions take so
-    a concurrent compactor's manifest write cannot be lost."""
-    lock_path = store / ".compact.lock"
-    handle = open(lock_path, "a+b")
-    try:
-        if fcntl is not None:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        manifest = read_manifest(store)
-        current = dict(manifest.get("ingest") or {})
-        for field, value in ingest.items():
-            current[field] = max(current.get(field, 0), value)
-        manifest["ingest"] = current
-        files = manifest.pop("shard_files")
-        for fixed in ("format", "version", "partitioner", "shards"):
-            manifest.pop(fixed, None)
-        write_manifest(store, files, manifest)
-    finally:
-        handle.close()  # releases the flock
 
 
 __all__ = ["Ingestor", "STATE_NAME", "JOURNAL_NAME"]

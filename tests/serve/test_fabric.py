@@ -756,6 +756,38 @@ class TestShutdown:
             assert not server._tcp.connections
             assert not reader.is_alive()
 
+    def test_router_close_ends_every_server_connection(self, store_path):
+        """``RouterBackend.close()`` with both servers still up: within
+        1 s neither server lists a connection and no reader thread of
+        the router's clients is alive."""
+        with ShardServer(store_path, http_port=None) as first, ShardServer(
+            store_path, http_port=None
+        ) as second:
+            servers = (first, second)
+            before = set(threading.enumerate())
+            router = RouterBackend(
+                _cluster_for([(first, range(2)), (second, range(2, 4))]),
+                deadline=5,
+            )
+            assert all(router.check_health().values())
+            readers = [
+                thread
+                for thread in set(threading.enumerate()) - before
+                if thread.name.startswith("shard-client-")
+            ]
+            assert len(readers) == 2
+            assert all(server._tcp.connections for server in servers)
+            router.close()
+            deadline = time.monotonic() + 1.0
+            for reader in readers:
+                reader.join(timeout=max(0.0, deadline - time.monotonic()))
+            while time.monotonic() < deadline and any(
+                server._tcp.connections for server in servers
+            ):
+                time.sleep(0.01)
+            assert not any(server._tcp.connections for server in servers)
+            assert not any(reader.is_alive() for reader in readers)
+
 
 # ----------------------------------------------------------------------
 # batched scatter (one search frame per server + service prefetch)

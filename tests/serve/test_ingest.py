@@ -17,18 +17,15 @@ from repro.serve import (
     CompactionDaemon,
     Ingestor,
     QueryService,
+    StoreCompactor,
     create_server,
     open_store,
     write_store,
 )
 from repro.serve import compact as compact_module
 from repro.serve.distributed import POLL_INTERVAL
-from repro.serve.format import (
-    delta_meta_path,
-    read_manifest,
-    write_delta_meta,
-)
-from repro.serve.ingest import JOURNAL_NAME, STATE_NAME, _stamp_manifest
+from repro.serve.format import delta_watermark, read_manifest
+from repro.serve.ingest import JOURNAL_NAME, STATE_NAME
 
 SEED = int(os.environ.get("LASH_INGEST_SEED", "20260808"))
 
@@ -107,13 +104,14 @@ class TestDeltaStores:
                 tmp_path / "n.store", {(1,): -2}, fig1_vocabulary
             )
 
-    def test_sidecar_names_exact_bytes(self, fig1_vocabulary, tmp_path):
-        path = tmp_path / "delta.store"
-        write_store(path, {(1,): 1}, fig1_vocabulary, delta=True)
-        write_delta_meta(path, {"kind": "add"})
-        meta = json.loads(delta_meta_path(path).read_text())
-        assert meta["bytes"] == path.stat().st_size
-        assert meta["format"] == "repro-ingest-delta"
+    def test_name_carries_the_watermark(self):
+        assert delta_watermark("delta-00000000-00000002.store") == {
+            "ingested_through": 2
+        }
+        assert delta_watermark("retire-00000002-00000005.store") == {
+            "retained_from": 5
+        }
+        assert delta_watermark("stale.store") == {}
 
 
 # ----------------------------------------------------------------------
@@ -162,8 +160,8 @@ class TestIngestor:
         report = ingestor.add(BATCH1)
         assert report["published"] == "delta-00000000-00000002.store"
         assert report["ingested_through"] == 2
-        assert (spool / report["published"]).is_file()
-        assert delta_meta_path(spool / report["published"]).is_file()
+        # one self-verifying file: no sidecar, no staging left behind
+        assert [p.name for p in spool.iterdir()] == [report["published"]]
 
     def test_retire_needs_published_sequences(self, rig):
         ingestor, _, _, _ = rig
@@ -214,13 +212,29 @@ class TestIngestor:
         deltas = [p.name for p in spool.iterdir() if p.suffix == ".store"]
         assert deltas == ["delta-00000000-00000002.store"]
 
+    def test_recovery_skips_an_empty_range_name(self, rig):
+        """A spool name whose range is empty (written by hand, never by
+        the ingester) is no step forward for recovery, not a loop."""
+        ingestor, _, _, spool = rig
+        ingestor.add(BATCH1)
+        (spool / "delta-00000002-00000002.store").write_bytes(b"junk")
+        box = {}
+        worker = threading.Thread(
+            target=lambda: box.update(status=ingestor.status()), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert box["status"]["published_through"] == 2
+
     def test_crash_mid_delta_write_leaves_only_staging(self, rig):
-        """A torn ``write_store`` leaves a ``.part`` the daemon never
-        scans; the next flush overwrites it and publishes cleanly."""
+        """A writer that crashed mid-write leaves ``<name>.store.tmp``,
+        which the daemon never scans; the next flush overwrites it and
+        publishes cleanly."""
         ingestor, _, daemon, spool = rig
         ingestor.add(BATCH1)
-        # simulate a crash mid-write of the *next* delta: stale .part
-        (spool / "delta-00000002-00000004.store.part").write_bytes(
+        # simulate a crash mid-write of the *next* delta: stale .tmp
+        (spool / "delta-00000002-00000004.store.tmp").write_bytes(
             b"torn half-written delta"
         )
         assert [p.name for p in daemon.pending_deltas()] == [
@@ -229,7 +243,7 @@ class TestIngestor:
         report = ingestor.add(BATCH2)
         assert report["published"] == "delta-00000002-00000004.store"
         assert not (
-            spool / "delta-00000002-00000004.store.part"
+            spool / "delta-00000002-00000004.store.tmp"
         ).exists()
 
 
@@ -241,8 +255,8 @@ class TestIngestor:
 class TestCrashInjection:
     def test_torn_delta_is_quarantined_at_random_offsets(self, rig):
         """Truncate/corrupt the published delta at randomized byte
-        offsets: the daemon must reject every damaged version (CRC
-        against the sidecar), keep serving the old store, and never
+        offsets: the daemon must reject every damaged version (the
+        store's own CRCs), keep serving the old store, and never
         move the watermark — then fold the repaired bytes normally."""
         rng = random.Random(SEED)
         ingestor, service, daemon, spool = rig
@@ -279,18 +293,15 @@ class TestCrashInjection:
         assert "rejected" not in service.stats()["compaction"]
 
     def test_torn_spool_publish_is_invisible(self, rig):
-        """A crash between the sidecar rename and the final store
-        rename leaves sidecar + ``.part`` only: no pending delta, no
-        fold, and the next flush completes the publish."""
+        """A crash before the writer's rename leaves a crashed writer's
+        ``<name>.store.tmp`` only: no pending delta, no fold."""
         ingestor, service, daemon, spool = rig
         ingestor.add(BATCH1)
         daemon.poll_once()
 
         # simulate the torn second publish by hand
         name = "delta-00000002-00000004.store"
-        part = spool / (name + ".part")
-        part.write_bytes(b"half a store")
-        write_delta_meta(spool / name, {"kind": "add"}, source=part)
+        (spool / (name + ".tmp")).write_bytes(b"half a store")
         assert daemon.pending_deltas() == []
         assert daemon.poll_once() is False
         assert service.backend.ingested_through == 2
@@ -298,20 +309,17 @@ class TestCrashInjection:
     def test_manifest_watermark_never_regresses(
         self, live, fig1_hierarchy, tmp_path
     ):
-        """Folding a delta whose sidecar carries an older watermark
-        must not move the manifest backwards (monotonic max)."""
-        _stamp_manifest(live, {"ingested_through": 9, "retained_from": 3})
+        """Folding a delta whose name carries an older watermark must
+        not move the manifest backwards (monotonic max)."""
+        compactor = StoreCompactor(live)
+        compactor.stamp_watermarks({"ingested_through": 9, "retained_from": 3})
         from repro.core.lash import micro_mine
 
         mined = micro_mine(BATCH1, fig1_hierarchy, PARAMS)
-        delta = tmp_path / "stale.store"
+        delta = tmp_path / "delta-00000000-00000002.store"
         write_store(delta, mined.patterns, mined.vocabulary, delta=True)
-        write_delta_meta(
-            delta, {"kind": "add", "ingested_through": 2, "retained_from": 1}
-        )
-        from repro.serve import StoreCompactor
 
-        StoreCompactor(live).compact([delta])
+        compactor.compact([delta])
         assert read_manifest(live)["ingest"] == {
             "ingested_through": 9,
             "retained_from": 3,
@@ -347,13 +355,6 @@ class TestAppliedRetention:
                 "delta-00000004-00000006.store",
                 "delta-00000006-00000008.store",
             ]
-            # sidecars of swept deltas were swept with them
-            sidecars = sorted(
-                p.name
-                for p in applied.iterdir()
-                if p.name.endswith(".meta.json")
-            )
-            assert sidecars == [s + ".meta.json" for s in stores]
             assert service.backend.ingested_through == 8
         finally:
             daemon.stop()

@@ -7,6 +7,10 @@ damaged vocabulary, posting directory, postings record, lengths section
 or pattern-offset table must raise :class:`StoreCorruptError` — never
 ``IndexError``, ``zlib.error`` or ``struct.error`` — and must not
 allocate past what the file's own size justifies.
+
+With the CRC sweep on, a store checks itself: every torn or flipped
+spool delta is refused on open, which is all the compaction daemon
+relies on to keep a damaged delta out of the live store.
 """
 
 import struct
@@ -18,9 +22,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Lash, MiningParams
+from repro.core.lash import micro_mine
 from repro.errors import ReproError, StoreCorruptError
 from repro.io.codec import read_uvarint, write_uvarint
-from repro.serve import PatternStore, write_store
+from repro.query.build import negate_vocabulary
+from repro.serve import PatternStore, open_store, write_store
 from repro.serve.format import (
     CHECKSUMS_STRUCT,
     FLAG_CHECKSUMS,
@@ -383,3 +389,50 @@ def test_byte_flip_answers_pristine_or_fails_typed(pristine, tmp_path, data):
     except ReproError:
         return
     assert got == expected
+
+
+@pytest.fixture(scope="module")
+def signed_twins(tmp_path_factory) -> dict[str, bytes]:
+    """A small add delta — a micro-mine of two Fig. 1 sequences — and
+    its negated retire twin, as the ingester writes them."""
+    mined = micro_mine(
+        list(paper_database())[:2],
+        paper_hierarchy(),
+        MiningParams(sigma=1, gamma=0, lam=2),
+    )
+    negated = {pattern: -f for pattern, f in mined.patterns.items()}
+    directory = tmp_path_factory.mktemp("twins")
+    twins = {}
+    for kind, patterns, vocabulary in (
+        ("add", mined.patterns, mined.vocabulary),
+        ("retire", negated, negate_vocabulary(mined.vocabulary)),
+    ):
+        path = directory / f"{kind}.store"
+        write_store(path, patterns, vocabulary, delta=True)
+        twins[kind] = path.read_bytes()
+    return twins
+
+
+def test_every_torn_or_flipped_delta_is_refused(signed_twins, tmp_path):
+    """Each truncation ``data[:k]`` and each one-byte ``0xFF`` flip of a
+    signed delta makes a verifying ``open_store`` raise a library error:
+    no damaged delta opens, and none fails with another exception."""
+    path = tmp_path / "delta-00000000-00000002.store"
+    for kind, data in signed_twins.items():
+        path.write_bytes(data)
+        with open_store(path) as store:
+            assert store.describe()["delta"] is True
+        damaged = [(f"data[:{k}]", data[:k]) for k in range(len(data))] + [
+            (
+                f"0xFF flip at {i}",
+                data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1:],
+            )
+            for i in range(len(data))
+        ]
+        for what, blob in damaged:
+            path.write_bytes(blob)
+            try:
+                open_store(path).close()
+            except ReproError:
+                continue
+            pytest.fail(f"the {kind} delta opened after {what}")
