@@ -481,22 +481,27 @@ def cmd_shard_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _admission_kwargs(args: argparse.Namespace) -> dict:
-    """QueryService admission-control kwargs from the shared
-    ``--max-cost``/``--budget-cost``/``--budget-matches`` flags."""
-    kwargs: dict = {}
-    if args.max_cost is not None:
-        kwargs["max_cost"] = args.max_cost
-    if args.budget_cost is not None:
-        kwargs["budget_cost"] = args.budget_cost
-    if args.budget_matches is not None:
-        kwargs["match_budget"] = args.budget_matches
-    return kwargs
+def _front_end(args: argparse.Namespace, backend):
+    """The HTTP front end ``serve`` and ``route`` share, from the options
+    :func:`build_parser` declares once for both: ``(service, server)``,
+    the server bound but not yet serving."""
+    from repro.serve import QueryService, create_server
+
+    service = QueryService(
+        backend, cache_size=args.cache_size, max_cost=args.max_cost
+    )
+    server = create_server(
+        service,
+        args.host,
+        args.port,
+        quiet=not args.verbose,
+        workers=args.workers,
+    )
+    return service, server
 
 
 def cmd_route(args: argparse.Namespace) -> int:
     """Run the query router over a cluster of shard servers."""
-    from repro.serve import QueryService, create_server
     from repro.serve.http import run_server
     from repro.serve.router import ClusterMap, RouterBackend
 
@@ -508,16 +513,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     )
     health = backend.check_health()
     backend.start_health_loop(args.health_interval)
-    service = QueryService(
-        backend, cache_size=args.cache_size, **_admission_kwargs(args)
-    )
-    server = create_server(
-        service,
-        args.host,
-        args.port,
-        quiet=not args.verbose,
-        workers=args.workers,
-    )
+    _, server = _front_end(args, backend)
     host, port = server.server_address[:2]
     up = sum(1 for ok in health.values() if ok)
     print(
@@ -636,7 +632,7 @@ def cmd_ingest_status(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a pattern store (single file or shard set) over HTTP."""
-    from repro.serve import QueryService, create_server, open_store
+    from repro.serve import open_store
     from repro.serve.http import run_server
 
     if args.compact_spool is not None:
@@ -653,9 +649,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         from repro.serve import CompactionDaemon
 
     store = open_store(args.store)
-    service = QueryService(
-        store, cache_size=args.cache_size, **_admission_kwargs(args)
-    )
+    service, server = _front_end(args, store)
     daemon = None
     if args.compact_spool is not None:
         daemon = CompactionDaemon(
@@ -664,13 +658,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             args.compact_spool,
             interval=args.compact_interval,
         )
-    server = create_server(
-        service,
-        args.host,
-        args.port,
-        quiet=not args.verbose,
-        workers=args.workers,
-    )
     host, port = server.server_address[:2]
     shards = getattr(store, "num_shards", None)
     layout = f" across {shards} shards" if shards is not None else ""
@@ -998,31 +985,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest_status.set_defaults(func=cmd_ingest_status)
 
-    serve = sub.add_parser(
-        "serve", help="serve a pattern store over HTTP (JSON endpoints)"
-    )
-    serve.add_argument(
-        "--store", required=True, help="store file or shard directory"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument(
+    # the HTTP front end of `serve` and `route`, declared once
+    front_end = argparse.ArgumentParser(add_help=False)
+    front_end.add_argument("--host", default="127.0.0.1")
+    front_end.add_argument("--port", type=int, default=8080)
+    front_end.add_argument(
         "--cache-size", type=int, default=1024,
-        help="LRU result-cache entries (0 disables caching)",
+        help="LRU result-cache entries (0 disables caching; partial "
+        "answers are never cached)",
     )
-    serve.add_argument(
+    front_end.add_argument(
         "--max-cost", type=float, default=None,
         help="admission ceiling in planner work units: cache misses "
         "estimated above it answer 429 instead of running",
     )
-    serve.add_argument(
-        "--budget-cost", type=float, default=None,
-        help="soft cost threshold: pricier queries run under a bounded "
-        "match budget and are flagged partial if it binds",
+    front_end.add_argument(
+        "--workers", type=int, default=8,
+        help="HTTP worker threads; past 2x this many in-flight requests "
+        "the server sheds load with 503 + Retry-After",
+    )
+    front_end.add_argument(
+        "--verbose", action="store_true",
+        help="log every request to stderr",
+    )
+
+    serve = sub.add_parser(
+        "serve", parents=[front_end],
+        help="serve a pattern store over HTTP (JSON endpoints)",
     )
     serve.add_argument(
-        "--budget-matches", type=int, default=None,
-        help="match-list cap for budgeted queries (with --budget-cost)",
+        "--store", required=True, help="store file or shard directory"
     )
     serve.add_argument(
         "--compact-spool",
@@ -1034,15 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to wait after a spool scan that found nothing to "
         "fold (with --compact-spool); a scan that folded is followed "
         "by the next at once",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=8,
-        help="HTTP worker threads; past 2x this many in-flight requests "
-        "the server sheds load with 503 + Retry-After",
-    )
-    serve.add_argument(
-        "--verbose", action="store_true",
-        help="log every request to stderr",
     )
     serve.set_defaults(func=cmd_serve)
 
@@ -1085,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_serve.set_defaults(func=cmd_shard_serve)
 
     route = sub.add_parser(
-        "route",
+        "route", parents=[front_end],
         help="route queries across shard servers (fan-out + merge, "
         "same HTTP endpoints as `lash serve`)",
     )
@@ -1094,30 +1077,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cluster map JSON: {num_shards, replication, servers: "
         "[{host, port, shards?}]}",
     )
-    route.add_argument("--host", default="127.0.0.1")
-    route.add_argument("--port", type=int, default=8080)
-    route.add_argument(
-        "--cache-size", type=int, default=1024,
-        help="LRU result-cache entries (0 disables caching; partial "
-        "answers are never cached)",
-    )
-    route.add_argument(
-        "--max-cost", type=float, default=None,
-        help="admission ceiling in planner work units: cache misses "
-        "estimated above it answer 429 instead of fanning out",
-    )
-    route.add_argument(
-        "--budget-cost", type=float, default=None,
-        help="soft cost threshold: pricier queries run under a bounded "
-        "match budget and are flagged partial if it binds",
-    )
-    route.add_argument(
-        "--budget-matches", type=int, default=None,
-        help="match-list cap for budgeted queries (with --budget-cost)",
-    )
     route.add_argument(
         "--deadline", type=float, default=5.0,
-        help="seconds budgeted per fan-out, retries included",
+        help="seconds allowed per fan-out, retries included",
     )
     route.add_argument(
         "--health-interval", type=float, default=2.0,
@@ -1126,15 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--health-timeout", type=float, default=1.0,
         help="per-ping timeout in seconds",
-    )
-    route.add_argument(
-        "--workers", type=int, default=8,
-        help="HTTP worker threads; past 2x this many in-flight requests "
-        "the router sheds load with 503 + Retry-After",
-    )
-    route.add_argument(
-        "--verbose", action="store_true",
-        help="log every request to stderr",
     )
     route.set_defaults(func=cmd_route)
 

@@ -27,8 +27,8 @@ The same estimate is the serving tier's cost currency: every search
 returns the summed price of the plans it ran
 (:attr:`~repro.query.base.Answer.cost`, echoed as ``estimated_cost``),
 and :class:`~repro.serve.service.QueryService` prices a query *before*
-it runs only to hold it against a ceiling or budget threshold.  The
-constants below are the one definition all layers price work with.
+it runs only to hold it against the admission ceiling (``max_cost``).
+The constants below are the one definition all layers price work with.
 
 Pricing is per request: a plan is built, priced and executed by the one
 thread serving a query and then dropped.  The estimate a local backend
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 # (`repro.serve.service`) price query execution in abstract *work
 # units* — roughly "one postings entry touched".  The constants are
 # defined once, here, so the node-map source choice, the echoed
-# ``estimated_cost`` and the service's admission thresholds all speak
+# ``estimated_cost`` and the service's admission ceiling all speak
 # the same currency.  Absolute values are calibration, not physics:
 # only the *ratios* matter for the choice, and the unit tests pin the
 # decisions (a ubiquitous node beside a rare one maps from the
@@ -74,10 +74,6 @@ COST_BITMAP_BYTE = 0.02
 #: could remove — the planner leaves it out (the mask stays a superset,
 #: so answers cannot change)
 NODE_SKIP_FACTOR = 8.0
-
-#: default per-query match budget handed to budgeted (cost-capped)
-#: executions by the admission controller
-MATCH_BUDGET_DEFAULT = 1000
 
 #: estimated-cost histogram buckets for /stats and /metrics (work units)
 COST_BUCKETS = (

@@ -50,7 +50,7 @@ Build a store from a mining result and serve it::
 
     store = open_store("patterns.shards")        # either layout
     service = QueryService(store)
-    serve(service, port=8080)                    # lash serve --store ...
+    run_server(create_server(service, port=8080))  # lash serve --store ...
 """
 
 from typing import TYPE_CHECKING
@@ -65,7 +65,6 @@ if TYPE_CHECKING:
         PatternHTTPServer,
         create_server,
         run_server,
-        serve,
     )
     from repro.serve.ingest import Ingestor
     from repro.serve.router import ClusterMap, RouterBackend, plan_placement
@@ -100,7 +99,6 @@ _EXPORTS = {
     "PatternHTTPServer": "repro.serve.http",
     "create_server": "repro.serve.http",
     "run_server": "repro.serve.http",
-    "serve": "repro.serve.http",
     "ShardServer": "repro.serve.distributed",
     "ClusterMap": "repro.serve.router",
     "RouterBackend": "repro.serve.router",

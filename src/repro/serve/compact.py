@@ -268,7 +268,7 @@ class StoreCompactor:
         try:
             # delta decrements may cancel a pattern partially or fully;
             # anything below one supporting sequence would not exist in
-            # a re-mine of the retained corpus (min_frequency=1)
+            # a re-mine of the retained corpus (fold_stores drops them)
             vocabulary, writer = fold_stores(
                 (self._path, *deltas),
                 lambda vocabulary: _ShardStreamWriter(

@@ -139,11 +139,6 @@ def render_metrics(stats: dict) -> str:
             "Queries refused by admission control (HTTP 429).",
             admission["rejected"],
         )
-        emit(
-            "lash_budgeted_queries_total", "counter",
-            "Queries run under the bounded match budget.",
-            admission["budgeted"],
-        )
         cost = admission.get("cost")
         if cost and cost["count"]:
             emit_histogram(
@@ -704,19 +699,11 @@ def run_server(
         server.server_close()
 
 
-def serve(
-    service: QueryService, host: str = "127.0.0.1", port: int = 8080
-) -> None:  # pragma: no cover - blocking entry point, exercised manually
-    """Bind and serve until interrupted."""
-    run_server(create_server(service, host, port))
-
-
 __all__ = [
     "PatternHTTPServer",
     "PatternRequestHandler",
     "create_server",
     "run_server",
-    "serve",
     "render_metrics",
     "MAX_BATCH",
     "METRICS_CONTENT_TYPE",

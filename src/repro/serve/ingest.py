@@ -24,8 +24,11 @@ retained corpus (at σ=1 over a stable hierarchy; see the README's
 * ``journal.jsonl`` — one line per ingested sequence, append-only; the
   journal is the durable corpus of record (retire re-reads it to mine
   the decrement) and its line count *is* the next sequence number.
-* ``ingest.json`` — published/retained watermarks plus the mining
-  parameters, rewritten atomically.
+* ``ingest.json`` — published/retained watermarks, the journal byte
+  offset at which each watermark's line starts, and the mining
+  parameters, rewritten atomically.  The offsets let every operation
+  seek to the lines it publishes, retires or adopts and read only
+  those, however long the journal has grown.
 
 Each delta is one self-verifying store file in the compaction spool.
 The writer builds it as ``<name>.store.tmp`` and renames it into place,
@@ -56,7 +59,10 @@ from repro.serve.writer import write_store
 STATE_NAME = "ingest.json"
 JOURNAL_NAME = "journal.jsonl"
 STATE_FORMAT = "repro-ingest-state"
-STATE_VERSION = 1
+STATE_VERSION = 2
+#: each journal mark's watermark field; ``<mark>_offset`` is the byte
+#: offset in the journal where that watermark's line starts
+WATERMARKS = {"published": "published_through", "retained": "retained_from"}
 
 
 class Ingestor:
@@ -145,6 +151,10 @@ class Ingestor:
             "lam": lam,
             "published_through": 0,
             "retained_from": 0,
+            # journal byte offsets where lines published_through and
+            # retained_from start (the end of the journal once there)
+            "published_offset": 0,
+            "retained_offset": 0,
         }
         _write_json(state_dir / STATE_NAME, state)
         StoreCompactor(store).stamp_watermarks(
@@ -182,7 +192,8 @@ class Ingestor:
                         "hierarchy (rebuild the index to add items)"
                     )
         self._recover()
-        next_seq = self._journal_length()
+        pending, _ = self._journal_read("published")
+        next_seq = self._state["published_through"] + len(pending)
         with open(
             self._dir / JOURNAL_NAME, "a", encoding="utf-8"
         ) as journal:
@@ -225,9 +236,10 @@ class Ingestor:
                 "are retained"
             )
         name = delta_name("retire", retained_from, through)
-        entries = self._journal_slice(retained_from, through)
+        entries, end = self._journal_read("retained", count)
         self._publish_delta(name, entries, negate=True)
         self._state["retained_from"] = through
+        self._state["retained_offset"] = end
         self._persist()
         return {
             "from_seq": retained_from,
@@ -250,7 +262,8 @@ class Ingestor:
     def status(self) -> dict:
         """Watermarks, journal size, and what still sits in the spool."""
         self._recover()
-        next_seq = self._journal_length()
+        unpublished, _ = self._journal_read("published")
+        next_seq = self._state["published_through"] + len(unpublished)
         pending = [
             entry.name
             for entry in sorted(self._spool.iterdir())
@@ -282,40 +295,41 @@ class Ingestor:
                 self._hierarchy = store.vocabulary.hierarchy
         return self._hierarchy
 
-    def _journal_length(self) -> int:
-        with open(self._dir / JOURNAL_NAME, "rb") as journal:
-            return sum(1 for _ in journal)
-
-    def _journal_slice(self, start: int, stop: int) -> list[tuple[str, ...]]:
+    def _journal_read(
+        self, mark: str, count: int | None = None
+    ) -> tuple[list[tuple[str, ...]], int]:
+        """The journal's sequences from a watermark on: ``mark`` is
+        ``"published"`` or ``"retained"``, and the read seeks to that
+        watermark's offset.  Returns ``count`` sequences (``None``: all
+        up to the end of the journal) and the offset just past them."""
+        first = self._state[WATERMARKS[mark]]
+        path = self._dir / JOURNAL_NAME
         entries: list[tuple[str, ...]] = []
-        with open(
-            self._dir / JOURNAL_NAME, "r", encoding="utf-8"
-        ) as journal:
-            for index, line in enumerate(journal):
-                if index >= stop:
+        with open(path, "rb") as journal:
+            journal.seek(self._state[f"{mark}_offset"])
+            while count is None or len(entries) < count:
+                line = journal.readline()
+                if not line:
                     break
-                if index < start:
-                    continue
+                seq = first + len(entries)
                 try:
                     entry = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise StoreCorruptError(
-                        f"{self._dir / JOURNAL_NAME}:{index + 1}: "
-                        f"invalid journal line: {exc}"
+                        f"{path}:{seq + 1}: invalid journal line: {exc}"
                     ) from None
-                if entry.get("seq") != index:
+                if entry.get("seq") != seq:
                     raise StoreCorruptError(
-                        f"{self._dir / JOURNAL_NAME}:{index + 1}: journal "
-                        f"line claims seq {entry.get('seq')!r}, "
-                        f"expected {index}"
+                        f"{path}:{seq + 1}: journal line claims seq "
+                        f"{entry.get('seq')!r}, expected {seq}"
                     )
                 entries.append(tuple(entry["items"]))
-        if len(entries) != stop - start:
+            end = journal.tell()
+        if count is not None and len(entries) < count:
             raise StoreCorruptError(
-                f"{self._dir / JOURNAL_NAME}: journal ends before "
-                f"sequence {stop - 1}"
+                f"{path}: journal ends before sequence {first + count - 1}"
             )
-        return entries
+        return entries, end
 
     def _published(self) -> set[tuple[str, int, int]]:
         """Every delta range in the spool and its applied archive, as
@@ -345,12 +359,15 @@ class Ingestor:
             if through > start:
                 reach[kind, start] = max(through, reach.get((kind, start), 0))
         changed = False
-        for kind, field in (
-            ("delta", "published_through"),
-            ("retire", "retained_from"),
-        ):
+        for kind, mark in (("delta", "published"), ("retire", "retained")):
+            field = WATERMARKS[mark]
             while (kind, self._state[field]) in reach:
-                self._state[field] = reach[kind, self._state[field]]
+                through = reach[kind, self._state[field]]
+                _, end = self._journal_read(
+                    mark, through - self._state[field]
+                )
+                self._state[field] = through
+                self._state[f"{mark}_offset"] = end
                 changed = True
         if changed:
             self._persist()
@@ -358,14 +375,15 @@ class Ingestor:
     def _publish_pending(self) -> str | None:
         """Publish one increment delta covering every journaled-but-
         unpublished sequence; returns its name (None when clean)."""
-        published_through = self._state["published_through"]
-        next_seq = self._journal_length()
-        if published_through >= next_seq:
+        entries, end = self._journal_read("published")
+        if not entries:
             return None
+        published_through = self._state["published_through"]
+        next_seq = published_through + len(entries)
         name = delta_name("delta", published_through, next_seq)
-        entries = self._journal_slice(published_through, next_seq)
         self._publish_delta(name, entries, negate=False)
         self._state["published_through"] = next_seq
+        self._state["published_offset"] = end
         self._persist()
         return name
 

@@ -42,7 +42,7 @@ from repro.errors import (
 )
 from repro.query.base import PatternSearchBase, QueryMatch
 from repro.query.cost import COST_BUCKETS as _COST_BUCKETS
-from repro.query.cost import MATCH_BUDGET_DEFAULT, CostEstimate
+from repro.query.cost import CostEstimate
 from repro.query.tokens import is_negation_only, normalize_query
 
 DEFAULT_CACHE_SIZE = 1024
@@ -186,14 +186,10 @@ class QueryService:
         a cache miss whose estimate exceeds it is refused with
         :class:`QueryRejectedError` (HTTP 429) before any search work
         runs.  ``None`` (the default) admits everything.  Cache *hits*
-        always bypass admission — a cached answer costs nothing.
-    budget_cost:
-        Soft threshold: a miss whose estimate exceeds it still runs,
-        but under a ``match_budget``-bounded search; if the budget
-        binds, the response is flagged partial and never cached.
-        Only these two thresholds price a miss before it runs.
-    match_budget:
-        Match-list cap for budgeted queries.
+        always bypass admission — a cached answer costs nothing.  This
+        ceiling is the only admission rule: an admitted query always
+        gets its exact mined counts, and ``partial`` means only that a
+        shard did not answer.
     """
 
     def __init__(
@@ -201,8 +197,6 @@ class QueryService:
         backend: PatternSearchBase,
         cache_size: int = DEFAULT_CACHE_SIZE,
         max_cost: float | None = None,
-        budget_cost: float | None = None,
-        match_budget: int = MATCH_BUDGET_DEFAULT,
     ) -> None:
         if cache_size < 0:
             raise InvalidParameterError(
@@ -212,27 +206,9 @@ class QueryService:
             raise InvalidParameterError(
                 f"max_cost must be > 0 or None, got {max_cost}"
             )
-        if budget_cost is not None and budget_cost <= 0:
-            raise InvalidParameterError(
-                f"budget_cost must be > 0 or None, got {budget_cost}"
-            )
-        if (
-            max_cost is not None
-            and budget_cost is not None
-            and budget_cost > max_cost
-        ):
-            raise InvalidParameterError(
-                f"budget_cost {budget_cost} exceeds max_cost {max_cost}"
-            )
-        if match_budget < 1:
-            raise InvalidParameterError(
-                f"match_budget must be >= 1, got {match_budget}"
-            )
         self._backend = backend
         self._cache_size = cache_size
         self._max_cost = max_cost
-        self._budget_cost = budget_cost
-        self._match_budget = match_budget
         #: key -> entry, least recently used first
         self._cache: OrderedDict[tuple, object] = OrderedDict()
         self._lock = threading.Lock()
@@ -241,7 +217,6 @@ class QueryService:
         self._errors = 0
         self._latency_s = 0.0
         self._rejected = 0
-        self._budgeted = 0
         self._cache_evictions = 0
         self._cost_hist = LatencyHistogram(buckets=_COST_BUCKETS)
         self._request_hists: dict[str, LatencyHistogram] = {}
@@ -477,19 +452,10 @@ class QueryService:
             # the estimate (and its plans) goes to the search and no
             # further — the response keeps the answer's cost, a float
             estimate = self._admit(ctx, tokens)
-            budget = None
-            if (
-                estimate is not None
-                and self._budget_cost is not None
-                and estimate.cost > self._budget_cost
-            ):
-                budget = self._match_budget
-                with self._lock:
-                    self._budgeted += 1
             answer = ctx.parked.pop((tokens, min_freq), None)
             if answer is None:
                 answer = ctx.backend.search_answer(
-                    tokens, limit=budget, min_freq=min_freq, cost=estimate
+                    tokens, min_freq=min_freq, cost=estimate
                 )
             elif isinstance(answer, ReproError):
                 raise answer
@@ -497,21 +463,7 @@ class QueryService:
                 # not priced in advance: observe the search's own price
                 with self._lock:
                     self._cost_hist.observe(answer.cost)
-            matches, partial = answer.matches, answer.partial
-            if budget is not None:
-                # a parked answer is the unlimited stream, so the budget
-                # is a prefix of it — identical to the push-down
-                matches = matches[:budget]
-                if len(matches) >= budget:
-                    # the budget bound the ranking: count and mass below
-                    # cover only the returned prefix, so the answer is
-                    # flagged degraded (which also keeps it uncached)
-                    partial = {
-                        **(partial or {}),
-                        "budgeted": True,
-                        "match_budget": budget,
-                        "estimated_cost": round(estimate.cost, 1),
-                    }
+            matches = answer.matches
             found = _Found(
                 _render(matches[:MAX_CACHED_MATCHES]),
                 len(matches),
@@ -521,12 +473,15 @@ class QueryService:
                 answer.cost,
                 answer.ingested_through,
                 answer.retained_from,
-                partial,
+                answer.partial,
                 matches,
             )
             # a degraded answer (shard set unreachable mid-query) must
             # not be served from cache after the cluster heals
-            entry = found._replace(matches=None) if partial is None else None
+            entry = (
+                found._replace(matches=None) if answer.partial is None
+                else None
+            )
             return found, entry
 
         return self._cached(ctx, ("search", tokens, min_freq), compute)
@@ -646,10 +601,7 @@ class QueryService:
             }
             stats["admission"] = {
                 "max_cost": self._max_cost,
-                "budget_cost": self._budget_cost,
-                "match_budget": self._match_budget,
                 "rejected": self._rejected,
-                "budgeted": self._budgeted,
                 "cost": self._cost_hist.snapshot(),
             }
             stats["avg_latency_ms"] = (
@@ -706,14 +658,14 @@ class QueryService:
             return _Request(backend, self._epoch, {})
 
     def _admit(self, ctx: _Request, tokens) -> CostEstimate | None:
-        """The pre-flight, when a threshold needs the price before the
-        work: price the query, record the cost in the cost histogram,
-        and raise :class:`QueryRejectedError` when it crosses
-        ``max_cost`` (inside the cache-miss compute, so a rejection can
-        never be cached).  Returns the estimate, whose plans the search
-        then runs — ``None`` with no threshold set or when the backend
-        cannot estimate (e.g. no shard server reachable)."""
-        if self._max_cost is None and self._budget_cost is None:
+        """The pre-flight, when a ceiling is set: price the query, record
+        the cost in the cost histogram, and raise
+        :class:`QueryRejectedError` when it crosses ``max_cost`` (inside
+        the cache-miss compute, so a rejection can never be cached).
+        Returns the estimate, whose plans the search then runs —
+        ``None`` with no ceiling set or when the backend cannot estimate
+        (e.g. no shard server reachable)."""
+        if self._max_cost is None:
             return None
         estimate = ctx.backend.estimate_cost(tokens)
         if estimate is None:
@@ -721,7 +673,7 @@ class QueryService:
         cost = estimate.cost
         with self._lock:
             self._cost_hist.observe(cost)
-        if self._max_cost is not None and cost > self._max_cost:
+        if cost > self._max_cost:
             with self._lock:
                 self._rejected += 1
             raise QueryRejectedError(

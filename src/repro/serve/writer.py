@@ -704,7 +704,6 @@ def fold_stores(
     open_writer: Callable[[Vocabulary], _Atomic],
     sort_buffer: int = DEFAULT_SORT_BUFFER,
     spill_dir: str | Path | None = None,
-    min_frequency: int = 1,
     signed: bool = False,
 ) -> tuple[Vocabulary, _Atomic]:
     """The one fold loop, behind :func:`merge_stores` and the compactor.
@@ -714,10 +713,10 @@ def fold_stores(
     frequency-free depth order of a delta output), their ranked streams
     remapped onto the union, externally sorted by pattern so duplicates
     sum, re-sorted into rank order and written to
-    ``open_writer(vocabulary)``, dropping records below ``min_frequency``
-    (under ``signed``, only exact zeros).  Peak memory is ``sort_buffer``
-    records per sort plus O(vocabulary), however many patterns flow
-    through.  Returns the vocabulary and the closed writer.
+    ``open_writer(vocabulary)``, dropping records whose summed support
+    is below 1 (under ``signed``, only exact zeros).  Peak memory is
+    ``sort_buffer`` records per sort plus O(vocabulary), however many
+    patterns flow through.  Returns the vocabulary and the closed writer.
     """
     by_pattern, by_rank = (
         ExternalSort(
@@ -750,10 +749,7 @@ def fold_stores(
             by_rank.add(record)
         with open_writer(vocabulary) as writer:
             for pattern, frequency in by_rank:
-                if signed:
-                    if frequency == 0:
-                        continue
-                elif frequency < min_frequency:
+                if frequency == 0 or (frequency < 0 and not signed):
                     continue
                 writer.write(pattern, frequency)
         return vocabulary, writer
@@ -769,7 +765,6 @@ def merge_stores(
     out: str | Path,
     shards: int | None = None,
     sort_buffer: int = DEFAULT_SORT_BUFFER,
-    min_frequency: int = 1,
     as_delta: bool = False,
 ) -> None:
     """Merge existing stores (files or shard directories) into one store.
@@ -785,11 +780,9 @@ def merge_stores(
 
     Sources may include signed *delta* stores (ingest increments and
     retire decrements): frequencies sum algebraically, and the merged
-    record stream is thresholded at ``min_frequency`` — a pattern whose
-    summed support falls below it (e.g. fully retired, net 0) vanishes
-    from the output exactly as it would from a re-mine of the retained
-    corpus.  The default of 1 keeps positive-store merges byte-identical
-    to their historical output while erasing cancelled patterns.
+    record stream keeps support ≥ 1 — a pattern whose summed support
+    falls below it (e.g. fully retired, net 0) vanishes from the output
+    exactly as it would from a re-mine of the retained corpus.
 
     ``as_delta=True`` writes the *output* as a signed delta store
     instead: no thresholding except dropping exact-zero records (the
@@ -829,7 +822,7 @@ def merge_stores(
 
     fold_stores(
         sources, open_writer, sort_buffer=sort_buffer, spill_dir=out.parent,
-        min_frequency=min_frequency, signed=as_delta,
+        signed=as_delta,
     )
 
 

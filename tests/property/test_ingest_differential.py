@@ -50,6 +50,7 @@ from repro.serve import (
     write_store,
 )
 from repro.serve.format import read_manifest
+from repro.serve.ingest import JOURNAL_NAME, STATE_NAME
 
 SEED = int(os.environ.get("LASH_INGEST_SEED", "20260808"))
 N_RUNS = int(os.environ.get("LASH_INGEST_RUNS", "5"))
@@ -126,8 +127,9 @@ def test_update_differential_random_interleavings(tmp_path):
             store_dir, shards=shards
         )
         spool = tmp_path / f"run{run}.spool"
+        state_dir = tmp_path / f"run{run}.state"
         ingestor = Ingestor.init(
-            tmp_path / f"run{run}.state",
+            state_dir,
             store_dir,
             spool,
             gamma=params.gamma,
@@ -172,6 +174,7 @@ def test_update_differential_random_interleavings(tmp_path):
             assert stats["freshness"]["ingested_through"] == len(journal), (
                 context
             )
+            _check_journal_offsets(state_dir, len(journal), context)
             verified += 1
 
         try:
@@ -216,6 +219,32 @@ def test_update_differential_random_interleavings(tmp_path):
     assert adds >= N_RUNS, f"only {adds} add ops executed"
     assert retires >= 1, "no retire op was ever drawn"
     assert verified >= N_RUNS, f"only {verified} oracle verifications ran"
+
+
+def _check_journal_offsets(state_dir: Path, journaled: int, context: str):
+    """Each watermark's journal offset is where the line whose ``seq``
+    is that watermark starts, or the end of the journal once the
+    watermark has reached it."""
+    state = json.loads((state_dir / STATE_NAME).read_text())
+    data = (state_dir / JOURNAL_NAME).read_bytes()
+    for mark, field in (
+        ("published", "published_through"),
+        ("retained", "retained_from"),
+    ):
+        offset, watermark = state[f"{mark}_offset"], state[field]
+        if offset == len(data):
+            assert watermark == journaled, (
+                f"{context}: {mark} offset at EOF but {field}={watermark}"
+            )
+            continue
+        assert offset == 0 or data[offset - 1:offset] == b"\n", (
+            f"{context}: {mark} offset {offset} is not a line start"
+        )
+        line = data[offset:data.index(b"\n", offset)]
+        assert json.loads(line)["seq"] == watermark, (
+            f"{context}: {mark} offset {offset} points at {line!r}, "
+            f"not seq {watermark}"
+        )
 
 
 def test_decrement_merge_order_and_grouping_invariant(tmp_path):

@@ -1,10 +1,9 @@
-"""Admission control: cost gates, budgets, and the 429 path.
+"""Admission control: the ``max_cost`` gate and the 429 path.
 
-The estimator runs only inside cache-miss compute, so three properties
+The estimator runs only inside cache-miss compute, so two properties
 fall out by construction and are pinned here: cache hits never pay the
-gate, rejections are never cached (a raised estimate can't reach the
-cache), and budgeted answers reuse the partial-flag machinery that
-already keeps degraded answers out of the cache.
+gate, and rejections are never cached (a raised estimate can't reach
+the cache).
 """
 
 from __future__ import annotations
@@ -106,41 +105,6 @@ class TestAdmissionGate:
     def test_ctor_validation(self, backend):
         with pytest.raises(InvalidParameterError, match="max_cost"):
             QueryService(backend, max_cost=0)
-        with pytest.raises(InvalidParameterError, match="budget_cost"):
-            QueryService(backend, budget_cost=-1)
-        with pytest.raises(InvalidParameterError, match="match_budget"):
-            QueryService(backend, match_budget=0)
-        with pytest.raises(InvalidParameterError, match="exceeds"):
-            QueryService(backend, max_cost=10, budget_cost=20)
-
-
-class TestBudgetedQueries:
-    def test_binding_budget_flags_partial_and_skips_cache(self, backend):
-        service = QueryService(
-            backend, budget_cost=0.5, match_budget=1
-        )
-        response = service.query("? ?")
-        assert len(response["matches"]) == 1
-        partial = response["partial"]
-        assert partial["budgeted"] is True
-        assert partial["match_budget"] == 1
-        assert partial["estimated_cost"] > 0.5
-        stats = service.stats()
-        assert stats["admission"]["budgeted"] == 1
-        assert stats["cache_entries"] == 0
-        service.query("? ?")  # recomputed, not served from cache
-        assert service.stats()["cache_hits"] == 0
-        assert service.stats()["admission"]["budgeted"] == 2
-
-    def test_loose_budget_stays_clean_and_cached(self, backend):
-        service = QueryService(
-            backend, budget_cost=0.5, match_budget=100
-        )
-        response = service.query("? ?")
-        assert "partial" not in response
-        stats = service.stats()
-        assert stats["admission"]["budgeted"] == 1  # budget applied...
-        assert stats["cache_entries"] == 1  # ...but never bound
 
 
 class TestTopkValidation:
@@ -204,7 +168,6 @@ class TestHttpAdmission:
         _, raw = self._get(server, "/metrics")
         text = raw.decode()
         assert "lash_rejected_queries_total 1" in text
-        assert "lash_budgeted_queries_total 0" in text
         assert "lash_cache_evictions_total 0" in text
         # both queries were priced (the rejection too) → 2 observations
         assert 'lash_query_cost_units_bucket{le="+Inf"} 2' in text

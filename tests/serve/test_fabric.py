@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import gzip
+import http.client
 import json
 import random
 import re
@@ -787,6 +788,109 @@ class TestShutdown:
                 time.sleep(0.01)
             assert not any(server._tcp.connections for server in servers)
             assert not any(reader.is_alive() for reader in readers)
+
+    def test_keep_alive_client_close_ends_its_handler(self, store_path):
+        """A keep-alive HTTP/1.1 client of ``PatternHTTPServer`` closes
+        its socket: within 1 s the handler thread that held the
+        connection has ended and the front end counts nothing in
+        flight."""
+        with open_store(store_path) as store:
+            server = create_server(QueryService(store), port=0)
+            loop = threading.Thread(
+                target=server.serve_forever, args=(POLL_INTERVAL,),
+                daemon=True,
+            )
+            loop.start()
+            try:
+                before = set(threading.enumerate())
+                client = http.client.HTTPConnection(
+                    "127.0.0.1", server.server_port, timeout=5
+                )
+                for _ in range(2):  # one connection, two requests
+                    client.request("GET", "/healthz")
+                    response = client.getresponse()
+                    assert response.status == 200
+                    response.read()
+                (handler,) = [
+                    thread
+                    for thread in set(threading.enumerate()) - before
+                    if "process_request_thread" in thread.name
+                ]
+                assert server.frontend_stats()["in_flight"] == 1
+                client.close()
+                deadline = time.monotonic() + 1.0
+                handler.join(timeout=1.0)
+                while (
+                    server.frontend_stats()["in_flight"]
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                assert not handler.is_alive()
+                assert server.frontend_stats()["in_flight"] == 0
+            finally:
+                server.shutdown()
+                server.server_close()
+                loop.join(timeout=5)
+
+    def test_server_stop_fails_every_in_flight_request(self, store_path):
+        """``ShardServer.stop()`` while one ``ShardClient`` has several
+        requests in flight: within 1 s every waiter has a
+        ``ConnectionError`` and no ``shard-client-*`` thread is alive."""
+        in_flight = 3
+        entered = threading.Semaphore(0)
+        release = threading.Event()
+
+        class HeldShardServer(ShardServer):
+            """Holds every request in ``dispatch`` until released."""
+
+            def dispatch(self, request):
+                entered.release()
+                release.wait(timeout=10)
+                return super().dispatch(request)
+
+        server = HeldShardServer(store_path, http_port=None).start()
+        client = ShardClient(*server.address)
+        errors: list[BaseException] = []
+
+        def wait_for_answer() -> None:
+            try:
+                client.request({"op": "ping"}, timeout=10)
+            except BaseException as exc:  # noqa: BLE001 - recorded
+                errors.append(exc)
+
+        try:
+            before = set(threading.enumerate())
+            waiters = [
+                threading.Thread(target=wait_for_answer, daemon=True)
+                for _ in range(in_flight)
+            ]
+            for waiter in waiters:
+                waiter.start()
+            for _ in range(in_flight):
+                assert entered.acquire(timeout=5)
+            server.stop()
+            deadline = time.monotonic() + 1.0
+            for waiter in waiters:
+                waiter.join(timeout=max(0.0, deadline - time.monotonic()))
+            while time.monotonic() < deadline and any(
+                thread.name.startswith("shard-client-")
+                for thread in set(threading.enumerate()) - before
+            ):
+                time.sleep(0.01)
+            assert not any(waiter.is_alive() for waiter in waiters)
+            assert len(errors) == in_flight
+            assert all(isinstance(exc, ConnectionError) for exc in errors), (
+                errors
+            )
+            assert not [
+                thread.name
+                for thread in set(threading.enumerate()) - before
+                if thread.name.startswith("shard-client-")
+            ]
+        finally:
+            release.set()
+            server.stop()
+            client.close()
 
 
 # ----------------------------------------------------------------------

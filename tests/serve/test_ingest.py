@@ -202,7 +202,9 @@ class TestIngestor:
         ingestor.add(BATCH1)
         state_path = tmp_path / "state" / STATE_NAME
         state = json.loads(state_path.read_text())
-        state["published_through"] = 0  # simulated crash before persist
+        # simulated crash before persist: the watermark and its journal
+        # offset both still read as before the publish
+        state["published_through"] = state["published_offset"] = 0
         state_path.write_text(json.dumps(state))
 
         reopened = Ingestor.open(tmp_path / "state")
@@ -211,6 +213,27 @@ class TestIngestor:
         assert report["ingested_through"] == 2
         deltas = [p.name for p in spool.iterdir() if p.suffix == ".store"]
         assert deltas == ["delta-00000000-00000002.store"]
+
+    def test_crash_after_retire_publish_heals_at_the_right_line(
+        self, rig, tmp_path
+    ):
+        """Adopting a published retire moves its journal offset past the
+        retired lines, so the next retire starts at the next sequence."""
+        ingestor, _, _, spool = rig
+        ingestor.add(BATCH1)
+        ingestor.retire(1)
+        state_path = tmp_path / "state" / STATE_NAME
+        state = json.loads(state_path.read_text())
+        state["retained_from"] = state["retained_offset"] = 0
+        state_path.write_text(json.dumps(state))
+
+        reopened = Ingestor.open(tmp_path / "state")
+        assert reopened.status()["retained_from"] == 1
+        report = reopened.retire(1)
+        assert report["published"] == "retire-00000001-00000002.store"
+        state = json.loads(state_path.read_text())
+        journal = (tmp_path / "state" / JOURNAL_NAME).read_bytes()
+        assert state["retained_offset"] == len(journal)
 
     def test_recovery_skips_an_empty_range_name(self, rig):
         """A spool name whose range is empty (written by hand, never by

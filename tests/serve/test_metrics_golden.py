@@ -32,10 +32,7 @@ STATS = {
     "avg_latency_ms": 29.394,
     "admission": {
         "max_cost": 50000.0,
-        "budget_cost": 5000.0,
-        "match_budget": 1000,
         "rejected": 1,
-        "budgeted": 4,
         "cost": _hist(
             [[10.0, 2], [100.0, 5], [1000.0, 11], [1e6, 24]], 98765.4321, 25
         ),
@@ -108,7 +105,7 @@ def test_empty_histograms_and_absent_blocks_emit_nothing():
         )
     }
     core["admission"] = {
-        "rejected": 0, "budgeted": 0, "cost": _hist([[10.0, 0]], 0.0, 0),
+        "rejected": 0, "cost": _hist([[10.0, 0]], 0.0, 0),
     }
     text = render_metrics(core)
     assert "histogram" not in text

@@ -898,6 +898,21 @@ def _arguments(parser, prefix=()) -> dict[str, tuple[str, ...]]:
     return table
 
 
+#: the HTTP front-end options ``serve`` and ``route`` share
+FRONT_END = (
+    "--host", "--port", "--cache-size", "--max-cost", "--workers",
+    "--verbose",
+)
+
+
+def _subparsers(parser) -> dict:
+    (action,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
 class TestOptionCensus:
     #: every argument the CLI accepts; adding or removing one is a diff
     #: here, reviewed with the change that makes it
@@ -928,19 +943,15 @@ class TestOptionCensus:
         "ingest flush": ("--state",),
         "ingest status": ("--state",),
         "serve": (
-            "--store", "--host", "--port", "--cache-size", "--max-cost",
-            "--budget-cost", "--budget-matches", "--compact-spool",
-            "--compact-interval", "--workers", "--verbose",
+            *FRONT_END, "--store", "--compact-spool", "--compact-interval",
         ),
         "shard-serve": (
             "--store", "--shards", "--host", "--port", "--http-port",
             "--no-http", "--workers", "--verbose",
         ),
         "route": (
-            "--cluster", "--host", "--port", "--cache-size", "--max-cost",
-            "--budget-cost", "--budget-matches", "--deadline",
-            "--health-interval", "--health-timeout", "--workers",
-            "--verbose",
+            *FRONT_END, "--cluster", "--deadline", "--health-interval",
+            "--health-timeout",
         ),
         "compare": ("left", "right", "--show"),
     }
@@ -949,6 +960,39 @@ class TestOptionCensus:
         from repro.cli import build_parser
 
         assert _arguments(build_parser()) == self.ARGUMENTS
+
+    def test_serve_and_route_share_one_front_end(self):
+        """The six front-end options are the only ones ``serve`` and
+        ``route`` have in common, and each is one argparse action both
+        commands hold — declared once, not twice alike."""
+        from repro.cli import build_parser
+
+        commands = _subparsers(build_parser())
+        actions = {
+            name: {
+                action.option_strings[0]: action
+                for action in commands[name]._actions
+                if action.option_strings and action.dest != "help"
+            }
+            for name in ("serve", "route")
+        }
+        shared = actions["serve"].keys() & actions["route"].keys()
+        assert shared == set(FRONT_END)
+        for option in FRONT_END:
+            assert actions["serve"][option] is actions["route"][option]
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--store", "s.store"],
+        ["route", "--cluster", "cluster.json"],
+    ])
+    @pytest.mark.parametrize("flag", ["--budget-cost", "--budget-matches"])
+    def test_budget_options_are_gone(self, command, flag, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([*command, flag, "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestIngestCLI:
