@@ -34,13 +34,17 @@ A subclass provides the storage primitives:
 ``_length_groups()``
     Mapping ``pattern length -> ascending indexes``.
 
-Every public read path is expressed over three rank-ordered generators
-(:meth:`~PatternSearchBase._iter_ranked`,
-:meth:`~PatternSearchBase._iter_search`,
-:meth:`~PatternSearchBase._iter_itemwise`), so a composite backend —
-:class:`~repro.serve.sharded.ShardedPatternStore` — can answer by k-way
-merging the streams of its member stores without re-implementing any of
-the matching or ranking logic.
+There is one read path: every public read — ``search``, ``count``,
+``top``, exact ``frequency``/``in`` lookups and hierarchy navigation —
+is a query of the language, answered by
+:meth:`~PatternSearchBase.search_answer` (``top(n)`` is ``+`` cut at
+``n``; an exact lookup is one item token per item; navigation is one
+``^name`` or ancestor disjunction per item).  Matching records stream
+in rank order from :meth:`~PatternSearchBase._iter_search`, so a
+composite backend —
+:class:`~repro.serve.sharded.ShardedPatternStore` — answers by k-way
+merging the streams of its member stores without re-implementing any
+of the matching or ranking logic.
 
 Search itself runs through a :class:`~repro.query.plan.QueryPlan`
 built, priced and executed per request.  There is one matcher: a query
@@ -62,7 +66,7 @@ from dataclasses import dataclass, replace
 from itertools import islice, takewhile
 from typing import Iterable, Iterator, Sequence
 
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, UnknownItemError
 from repro.hierarchy.vocabulary import Vocabulary
 from repro.query.cost import CostEstimate, CostEstimator, combine_estimates
 from repro.query.plan import PositionSpace, QueryPlan
@@ -81,6 +85,10 @@ from repro.query.tokens import (
 )
 
 Pattern = tuple[int, ...]
+
+#: the query every stored pattern matches, in rank order: ``top(n)`` is
+#: this cut at ``n``
+PLUS = (PlusToken(),)
 
 #: one compiled query token: ``(kind, payload)``.  ``kind`` is one of
 #: ``item``/``under`` (payload: item id), ``any``/``plus``/``span``
@@ -162,8 +170,7 @@ class Answer:
     partially), the watermarks are those of the backend that produced
     ``matches`` — so a response cannot be stamped from a different
     generation than the one that answered — and ``cost`` is the summed
-    planner price of the plans that produced them (``None`` for reads
-    that run no plan, such as top-k)."""
+    planner price of the plans that produced them."""
 
     matches: list[QueryMatch]
     partial: dict | None = None
@@ -247,49 +254,28 @@ class PatternSearchBase:
             yield QueryMatch(vocabulary.decode_sequence(pattern), frequency)
 
     def __contains__(self, names: object) -> bool:
-        try:
-            coded = self.vocabulary.encode_sequence(tuple(names))  # type: ignore[arg-type]
-        except Exception:
-            return False
-        return self._find_coded(coded) is not None
+        return bool(self._exact(names))
 
     def frequency(self, *names: str) -> int:
         """Mined frequency of an exact pattern; 0 when absent."""
-        try:
-            coded = self.vocabulary.encode_sequence(names)
-        except Exception:
-            return 0
-        found = self._find_coded(coded)
-        return 0 if found is None else found
+        found = self._exact(names)
+        return found[0].frequency if found else 0
 
-    def _find_coded(self, coded: Pattern) -> int | None:
-        """Frequency of an exactly-stored pattern, ``None`` when absent
+    def _exact(self, names) -> list[QueryMatch]:
+        """The stored pattern spelled exactly ``names`` — one item token
+        per item — or nothing for an absent, empty or unknown pattern
         (membership and frequency stay distinct: a stored frequency-0
-        pattern is still a member).  Default: exact lookup through the
-        postings of the rarest item."""
-        if not coded:
-            return None
-        best: Sequence[int] | None = None
-        for item in set(coded):
-            postings = self._postings_for(item)
-            if best is None or len(postings) < len(best):
-                best = postings
-        for idx in best or ():
-            pattern, freq = self._pattern_at(idx)
-            if pattern == coded:
-                return freq
-        return None
+        pattern is still a member)."""
+        try:
+            tokens = tuple(ItemToken(name) for name in names)
+            return self.search(tokens, limit=1) if tokens else []
+        except (TypeError, UnknownItemError):
+            return []
 
     def top(self, n: int = 10) -> list[QueryMatch]:
-        """The ``n`` most frequent patterns in the index."""
-        return self._decoded(ranked_prefix(self._iter_ranked(), n))
-
-    def _decoded(self, records) -> list[QueryMatch]:
-        vocabulary = self.vocabulary
-        return [
-            QueryMatch(vocabulary.decode_sequence(pattern), frequency)
-            for pattern, frequency in records
-        ]
+        """The ``n`` most frequent patterns in the index: ``+`` cut at
+        ``n``."""
+        return self.search(PLUS, limit=n)
 
     # ------------------------------------------------------------------
     # search
@@ -316,9 +302,9 @@ class PatternSearchBase:
         """
         return self.search_answer(query, limit, min_freq).matches
 
-    # the serving tier's reads: the same answers as ``search``/``top``,
-    # as an :class:`Answer`.  A local backend always answers completely
-    # and stamps its own watermarks.
+    # the serving tier's read: the same answer as ``search``, as an
+    # :class:`Answer`.  A local backend always answers completely and
+    # stamps its own watermarks.
 
     def search_answer(
         self,
@@ -333,19 +319,16 @@ class PatternSearchBase:
         ``cost`` is the price of the plans that ran, priced or not."""
         compiled = self._compile(normalize_query(query))
         cost = self._priced(compiled, cost)
-        stream = self._iter_search(cost.plans)
-        return self._answer(
-            self._decoded(ranked_prefix(stream, limit, min_freq)), cost.cost
-        )
-
-    def top_answer(self, n: int) -> Answer:
-        return self._answer(self.top(n))
-
-    def _answer(
-        self, matches: list[QueryMatch], cost: float | None = None
-    ) -> Answer:
+        vocabulary = self.vocabulary
+        matches = [
+            QueryMatch(vocabulary.decode_sequence(pattern), frequency)
+            for pattern, frequency in ranked_prefix(
+                self._iter_search(cost.plans), limit, min_freq
+            )
+        ]
         return Answer(
-            matches, None, self.ingested_through, self.retained_from, cost
+            matches, None, self.ingested_through, self.retained_from,
+            cost.cost,
         )
 
     def prefetch(self, pairs) -> dict:
@@ -400,16 +383,28 @@ class PatternSearchBase:
     def generalizations_of(self, names) -> list[QueryMatch]:
         """Indexed patterns that are itemwise generalizations of ``names``
         (same length, each item an ancestor-or-self), including the pattern
-        itself when indexed."""
-        coded = self.vocabulary.encode_sequence(tuple(names))
-        return self._decoded(self._iter_itemwise(coded, upward=True))
+        itself when indexed: one disjunction of each item's
+        ancestors-or-self per item."""
+        vocabulary = self.vocabulary
+        return self._itemwise(
+            OneOfToken(tuple(
+                ItemToken(vocabulary.name(ancestor))
+                for ancestor in vocabulary.ancestors_or_self(
+                    vocabulary.id(name)
+                )
+            ))
+            for name in names
+        )
 
     def specializations_of(self, names) -> list[QueryMatch]:
         """Indexed patterns that are itemwise specializations of ``names``
         (same length, each item a descendant-or-self), including the
-        pattern itself when indexed."""
-        coded = self.vocabulary.encode_sequence(tuple(names))
-        return self._decoded(self._iter_itemwise(coded, upward=False))
+        pattern itself when indexed: one ``^name`` per item."""
+        return self._itemwise(UnderToken(name) for name in names)
+
+    def _itemwise(self, tokens) -> list[QueryMatch]:
+        tokens = tuple(tokens)
+        return self.search(tokens) if tokens else []
 
     # ------------------------------------------------------------------
     # rank-ordered streams (composite backends merge these)
@@ -428,9 +423,10 @@ class PatternSearchBase:
 
         Three cases: an unsatisfiable query matches nothing; a query
         with no chain node (wildcards and gaps only) is a pure
-        length-range scan; every other query is answered exactly by
-        positional propagation (:meth:`QueryPlan.match_indexes`).  Both
-        yield ascending pattern indexes — the rank order.
+        length-range scan, streamed lazily so ``top(n)`` decodes ``n``
+        records; every other query is answered exactly by positional
+        propagation (:meth:`QueryPlan.match_indexes`).  Both yield
+        ascending pattern indexes — the rank order.
         """
         plan = plans[self]
         if plan.unsatisfiable:
@@ -443,27 +439,6 @@ class PatternSearchBase:
             indexes = plan.length_scan_indexes(self)
         for idx in indexes:
             yield self._pattern_at(idx)
-
-    def _iter_itemwise(
-        self, coded: Pattern, upward: bool
-    ) -> Iterator[tuple[Pattern, int]]:
-        """Same-length patterns itemwise generalizing (``upward``) or
-        specializing ``coded``, in rank order."""
-        vocabulary = self.vocabulary
-        for idx in self._length_groups().get(len(coded), ()):
-            pattern, frequency = self._pattern_at(idx)
-            if upward:
-                ok = all(
-                    vocabulary.generalizes_to(s, p)
-                    for s, p in zip(coded, pattern)
-                )
-            else:
-                ok = all(
-                    vocabulary.generalizes_to(p, s)
-                    for s, p in zip(coded, pattern)
-                )
-            if ok:
-                yield pattern, frequency
 
     # ------------------------------------------------------------------
     # compiled query plans
@@ -708,6 +683,7 @@ class PatternSearchBase:
 
 __all__ = [
     "Answer",
+    "PLUS",
     "PatternSearchBase",
     "QueryMatch",
     "Pattern",

@@ -43,9 +43,14 @@ class PatternIndex(PatternSearchBase):
 
     Example
     -------
+    Every read is a query — ``top`` is ``+`` cut at ``n``, an exact
+    lookup is the pattern's items as exact tokens:
+
     >>> index = PatternIndex.from_result(result)
     >>> index.search("the ^ADJ ?", limit=5)
-    >>> index.frequency("a", "B")
+    >>> index.top(3) == index.search("+", limit=3)
+    True
+    >>> index.frequency("a", "B")  # the query ``a B``, exactly
     3
     """
 
@@ -55,7 +60,6 @@ class PatternIndex(PatternSearchBase):
         super().__init__()
         self._vocabulary = vocabulary
         self._patterns: list[tuple[Pattern, int]] = rank_patterns(patterns)
-        self._frequencies: dict[Pattern, int] = dict(patterns)
         self._postings: dict[int, list[int]] = {}
         self._positions: dict[int, list[tuple[int, ...]]] = {}
         self._by_length: dict[int, list[int]] = {}
@@ -97,10 +101,6 @@ class PatternIndex(PatternSearchBase):
 
     def _length_groups(self) -> dict[int, Sequence[int]]:
         return self._by_length
-
-    def _find_coded(self, coded: Pattern) -> int | None:
-        # O(1) via the retained mapping instead of a postings scan.
-        return self._frequencies.get(coded)
 
 
 __all__ = ["PatternIndex", "QueryMatch"]

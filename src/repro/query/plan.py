@@ -46,6 +46,7 @@ threads or retained between calls.  Repeats are the result cache's job
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from typing import Iterator, Sequence
 
@@ -304,7 +305,7 @@ class QueryPlan:
             return []
         mask = self.candidate_mask(backend)
         if mask is None:
-            scanned = self.length_scan_indexes(backend)
+            scanned = list(self.length_scan_indexes(backend))
             n_candidates = len(scanned)
         else:
             n_candidates = mask.bit_count()
@@ -352,19 +353,19 @@ class QueryPlan:
     # wildcard-only queries
     # ------------------------------------------------------------------
 
-    def length_scan_indexes(self, backend) -> list[int]:
+    def length_scan_indexes(self, backend) -> Iterator[int]:
         """For an empty chain (wildcards and gaps only) matching is a
         pure length-range test: the per-token consumptions range over
         full integer intervals, so their sum covers ``[min_len,
-        max_len]`` with no holes."""
-        indexes: list[int] = []
-        for length, group in backend._length_groups().items():
-            if length >= self.min_len and (
-                self.max_len is None or length <= self.max_len
-            ):
-                indexes.extend(group)
-        indexes.sort()
-        return indexes
+        max_len]`` with no holes.  The indexes come lazily, ascending —
+        a merge of the in-range length groups, each ascending already —
+        so a caller that stops early pays for what it took."""
+        return heapq.merge(*(
+            group
+            for length, group in backend._length_groups().items()
+            if length >= self.min_len
+            and (self.max_len is None or length <= self.max_len)
+        ))
 
 
 __all__ = ["PositionSpace", "QueryPlan", "iter_bit_indexes"]

@@ -9,8 +9,8 @@ turns it into a long-lived query-serving system:
   with per-section checksums (:mod:`~repro.serve.format`,
   :mod:`~repro.serve.writer`);
 * :class:`~repro.serve.sharded.ShardedPatternStore` — many shard files
-  behind one backend: hash-routed exact lookups, k-way-merged ranked
-  answers, byte-identical to a single-file store;
+  behind one backend: every read a k-way-merged ranked search,
+  byte-identical to a single-file store;
 * :func:`~repro.serve.writer.merge_stores` — incremental builds: fold
   new mining output into existing stores without re-mining, streaming
   in constant memory through :class:`~repro.serve.writer.PatternWriter`;

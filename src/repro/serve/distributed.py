@@ -19,7 +19,7 @@ The socket protocol is request/response over a persistent connection:
 one ``hello`` exchange — the version check and the zlib offer — then
 multiplexed frames: many requests in flight, out-of-order responses,
 optional zlib (see :mod:`repro.serve.protocol`).  After the hello a
-request is one of five ops:
+request is one of four ops:
 
 =============  =========================================================
 op             answer
@@ -36,8 +36,8 @@ op             answer
                ``min_freq`` (σ prefix) and ``limit``, plus the ``costs``
                of the plans they ran — or that query's ``{"error"}``.
                A routed miss is a one-entry search, a routed ``/batch``
-               one search per server
-``top``        rank-ordered top-``n`` records
+               one search per server.  Every read of the router is a
+               search: ``/topk`` is the ``+`` query cut at ``n``
 ``estimate``   per-shard planner ``estimates`` for ``tokens`` (the
                router's pre-flight when a ceiling is set)
 =============  =========================================================
@@ -138,15 +138,6 @@ def _price_slice(store, compiled, shard_ids) -> dict:
     one), by shard index."""
     ids = store.owned_shards if shard_ids is None else shard_ids
     return {index: store._shard(index)._price(compiled) for index in ids}
-
-
-def partial_top(
-    store: ShardedPatternStore,
-    n: int,
-    shard_ids: Sequence[int] | None = None,
-) -> list[tuple[tuple[int, ...], int]]:
-    """Rank-ordered top-``n`` ``(coded, frequency)`` over a shard slice."""
-    return list(ranked_prefix(store._iter_ranked(shard_ids), n))
 
 
 # ----------------------------------------------------------------------
@@ -470,8 +461,6 @@ class ShardServer:
                 return self._status()
             if op == "search":
                 return {"results": self._search(request)}
-            if op == "top":
-                return {"records": self._top(request)}
             if op == "estimate":
                 return {"estimates": self._estimate(request)}
             raise InvalidParameterError(f"unknown op {op!r}")
@@ -553,15 +542,6 @@ class ShardServer:
             for index, estimate in priced.items()
         }
 
-    def _top(self, request) -> list:
-        n = request.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InvalidParameterError(f"'n' must be an integer >= 1, got {n!r}")
-        records = partial_top(
-            self.store, n, shard_ids=self._shard_ids(request)
-        )
-        return self._render(records)
-
     def _search(self, request) -> list:
         """One entry per query of the frame.  A query's failure is its
         own entry's ``{"error"}`` — one bad query must not poison its
@@ -618,6 +598,5 @@ __all__ = [
     "POLL_INTERVAL",
     "ShardServer",
     "partial_search",
-    "partial_top",
     "parse_shard_list",
 ]

@@ -353,6 +353,7 @@ class Ingestor:
         range starting at a current watermark is simply adopted.  Every
         operation runs this first, so the delta it then publishes from
         the watermarks is never one the spool already holds."""
+        self._cut_torn_tail()
         # the furthest range published from each (kind, start)
         reach: dict[tuple[str, int], int] = {}
         for kind, start, through in self._published():
@@ -371,6 +372,21 @@ class Ingestor:
                 changed = True
         if changed:
             self._persist()
+
+    def _cut_torn_tail(self) -> None:
+        """Truncate an append torn by a crash — a last journal line with
+        no newline — back to the last whole line.  Lines before
+        ``published_offset`` were read back whole when they published,
+        so the cut never reaches below it: only a batch whose ``add``
+        never returned loses its unfinished line."""
+        floor = self._state["published_offset"]
+        with open(self._dir / JOURNAL_NAME, "rb+") as journal:
+            if journal.seek(0, 2) <= floor:
+                return
+            journal.seek(floor)
+            tail = journal.read()
+            if not tail.endswith(b"\n"):
+                journal.truncate(floor + tail.rfind(b"\n") + 1)
 
     def _publish_pending(self) -> str | None:
         """Publish one increment delta covering every journaled-but-

@@ -88,7 +88,7 @@ from repro.query.tokens import (
 #: protocol revision, checked once per connection by the hello; a
 #: server refuses a peer of another revision instead of misreading its
 #: frames
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: a frame larger than this is a corrupt length prefix, not a result
 #: set — reject before allocating the claimed size

@@ -10,9 +10,12 @@ manifest.
 
 :class:`RouterBackend` implements the backend surface
 :class:`~repro.serve.service.QueryService` consumes (``search_answer``,
-``top_answer``, ``prefetch``, ``estimate_cost``, ``__len__``,
-``describe``, ``close``), which means the whole existing HTTP layer —
-endpoints, error mapping, metrics — serves a cluster unchanged.
+``prefetch``, ``estimate_cost``, ``__len__``, ``describe``, ``close``),
+which means the whole existing HTTP layer — endpoints, error mapping,
+metrics — serves a cluster unchanged.  Every read is a ``search``
+scatter (``/topk`` is the ``+`` query cut at ``n``); the only other
+fan-outs are the ``estimate`` pre-flight and the ``status``/``ping``
+bookkeeping.
 
 Placement and failover:
 
@@ -506,17 +509,6 @@ def _record_key(record) -> tuple[int, tuple[int, ...]]:
     return (-record[1], record[0])
 
 
-def _parse_records(response, key: str) -> list[tuple]:
-    """One server's answer to ``top``: its record list."""
-    raw = response.get("records") if isinstance(response, dict) else None
-    if raw is None:
-        raise StoreCorruptError(f"server {key} sent a malformed response")
-    return [
-        (tuple(coded), frequency, tuple(names))
-        for coded, frequency, names in raw
-    ]
-
-
 def _parse_entry(entry, key: str):
     """One entry of a server's ``search`` answer: its record list and
     the price each of its shards ran at — or the error that query
@@ -527,8 +519,11 @@ def _parse_entry(entry, key: str):
         if isinstance(error, StoreCorruptError):
             raise error
         return error
-    costs = entry["costs"].items()
-    return _parse_records(entry, key), {int(s): c for s, c in costs}
+    records = [
+        (tuple(coded), frequency, tuple(names))
+        for coded, frequency, names in entry["records"]
+    ]
+    return records, {int(s): c for s, c in entry["costs"].items()}
 
 
 def _by_shard(groups) -> list:
@@ -541,10 +536,6 @@ def _by_shard(groups) -> list:
     return [merged[shard] for shard in sorted(merged)]
 
 
-def _to_matches(records) -> list[QueryMatch]:
-    return [QueryMatch(names, frequency) for _, frequency, names in records]
-
-
 def _merged_answer(groups, partial, limit: int | None) -> Answer:
     """One search's per-server ``(records, costs)`` as one answer:
     records k-way merged and cut at ``limit``, the prices of the shards
@@ -553,7 +544,7 @@ def _merged_answer(groups, partial, limit: int | None) -> Answer:
     if limit is not None:
         merged = itertools.islice(merged, limit)
     return Answer(
-        _to_matches(merged),
+        [QueryMatch(names, frequency) for _, frequency, names in merged],
         partial,
         cost=sum(_by_shard(costs for _, costs in groups)),
     )
@@ -563,15 +554,15 @@ class RouterBackend:
     """Fan-out search backend over a cluster of shard servers.
 
     Duck-types the slice of the backend surface ``QueryService`` uses:
-    ``search_answer``/``top_answer`` (an
-    :class:`~repro.query.base.Answer`: :class:`QueryMatch` lists in the
-    canonical rank order, plus whether that very fan-out degraded),
-    ``prefetch``, ``estimate_cost``, ``__len__``, ``describe`` and
-    ``close``.  ``search``/``top`` are the same reads for embedded
-    callers who only want the list.  Nothing about a request is kept
-    on the router between calls: what a fan-out needs comes in as
-    arguments, what it learned goes out on the answer — degradation
-    and, for searches, the price of the plans the servers ran.
+    ``search_answer`` (an :class:`~repro.query.base.Answer`:
+    :class:`QueryMatch` lists in the canonical rank order, plus whether
+    that very fan-out degraded), ``prefetch``, ``estimate_cost``,
+    ``__len__``, ``describe`` and ``close``.  ``search`` is the same
+    read for embedded callers who only want the list; top-k is the
+    ``+`` query with a limit.  Nothing about a request is kept on the
+    router between calls: what a fan-out needs comes in as arguments,
+    what it learned goes out on the answer — degradation and the price
+    of the plans the servers ran.
 
     Not a :class:`~repro.query.base.PatternSearchBase`: the router
     holds no vocabulary and no postings, only sockets.
@@ -708,15 +699,14 @@ class RouterBackend:
     def _scatter(
         self,
         make_payload: Callable[[list[int]], dict],
-        parse: Callable = _parse_records,
+        parse: Callable,
     ) -> tuple[list[list], dict | None]:
         """Fan one request out across the cluster.
 
         Returns ``(group_records, partial)`` where each element of
         ``group_records`` is one server's answer as ``parse(response,
-        key)`` extracted it (by default its rank-ordered record list),
-        ordered by the lowest shard it covers, and ``partial`` is
-        ``None`` when every shard answered, else
+        key)`` extracted it, ordered by the lowest shard it covers, and
+        ``partial`` is ``None`` when every shard answered, else
         ``{"missing_shards": [...], "failed_servers": [...]}``.
 
         Each shard gets at most two attempts (primary pick + one
@@ -955,20 +945,6 @@ class RouterBackend:
         min_freq: int | None = None,
     ) -> list[QueryMatch]:
         return self.search_answer(query, limit, min_freq).matches
-
-    def top_answer(self, n: int) -> Answer:
-        """Global top-``n``: per-server top-``n`` streams merged, first
-        ``n`` kept."""
-
-        def make_payload(shards: list[int]) -> dict:
-            return {"op": "top", "n": n, "shards": shards}
-
-        groups, partial = self._scatter(make_payload)
-        merged = itertools.islice(heapq.merge(*groups, key=_record_key), n)
-        return Answer(_to_matches(merged), partial)
-
-    def top(self, n: int) -> list[QueryMatch]:
-        return self.top_answer(n).matches
 
     def __len__(self) -> int:
         """Total patterns across the cluster's shards.

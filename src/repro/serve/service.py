@@ -40,7 +40,7 @@ from repro.errors import (
     ReproError,
     StoreCorruptError,
 )
-from repro.query.base import PatternSearchBase, QueryMatch
+from repro.query.base import PLUS, PatternSearchBase, QueryMatch
 from repro.query.cost import COST_BUCKETS as _COST_BUCKETS
 from repro.query.cost import CostEstimate
 from repro.query.tokens import is_negation_only, normalize_query
@@ -394,7 +394,8 @@ class QueryService:
         return result
 
     def topk(self, n: int = DEFAULT_LIMIT) -> dict:
-        """The ``n`` globally most frequent patterns (``n >= 1``).
+        """The ``n`` globally most frequent patterns (``n >= 1``): the
+        ``+`` search cut at ``n``.
 
         ``n`` is clamped to :data:`MAX_CACHED_MATCHES` so one request cannot
         render (and cache) the entire store; the response's ``k`` is the
@@ -410,7 +411,9 @@ class QueryService:
         ctx = self._context()
 
         def compute():
-            answer = ctx.backend.top_answer(n)
+            # a search, but not one admission prices: top-k is cut at
+            # ``n`` however many patterns ``+`` matches
+            answer = ctx.backend.search_answer(PLUS, limit=n)
             value = {"k": n, "matches": _render(answer.matches)}
             if answer.partial is not None:
                 return {**value, "partial": answer.partial}, None

@@ -13,12 +13,11 @@ item's *name*, and all shards carry the identical shared vocabulary.
   with its own decode caches, planner statistics and position space,
   each built when a query first needs it; only the decoded vocabulary
   and the descendant sets derived from it are shared between shards;
-* ranked read paths — search, iteration, top-k, hierarchy navigation —
-  k-way merge the shards' rank-ordered streams with a heap keyed by the
-  shared :func:`~repro.query.base.rank_key`, so answers are
-  byte-identical to a single-file store of the same patterns;
-* exact lookups route straight to the owning shard via the same hash
-  the writer used — one shard touched, not N.
+* every read — a search, and through it top-k, exact lookups and
+  hierarchy navigation, plus plain iteration — k-way merges the shards'
+  rank-ordered streams with a heap keyed by the shared
+  :func:`~repro.query.base.rank_key`, so answers are byte-identical to
+  a single-file store of the same patterns.
 
 :func:`open_store` dispatches on the path (directory with manifest →
 sharded, file → single) so callers serve either layout transparently.
@@ -38,7 +37,6 @@ from repro.serve.format import (
     SECTION_NAMES,
     is_sharded_store,
     read_manifest,
-    shard_of,
 )
 from repro.serve.store import PatternStore
 
@@ -64,9 +62,7 @@ class ShardedPatternStore(PatternSearchBase):
     ) -> None:
         """``shard_subset`` mounts only the named shard indexes — the
         distributed tier's shard servers each own a slice of one
-        manifest.  Ranked reads cover exactly the owned shards; exact
-        lookups whose hash routes to an unmounted shard are refused
-        (the router, which knows the whole cluster, owns that routing).
+        manifest.  Every read covers exactly the owned shards.
         """
         super().__init__()
         self._path = Path(path)
@@ -304,14 +300,9 @@ class ShardedPatternStore(PatternSearchBase):
             )
         return self._subset_counts[0]
 
-    # ``shard_ids`` narrows a ranked read to a slice of the mounted
-    # shards — what a shard server answers on behalf of the router
-
-    def _iter_ranked(
-        self, shard_ids: Sequence[int] | None = None
-    ) -> Iterator[tuple[Pattern, int]]:
+    def _iter_ranked(self) -> Iterator[tuple[Pattern, int]]:
         return heapq.merge(
-            *(store._iter_ranked() for store in self._shards(shard_ids)),
+            *(store._iter_ranked() for store in self._shards()),
             key=rank_key,
         )
 
@@ -320,27 +311,13 @@ class ShardedPatternStore(PatternSearchBase):
     ) -> Iterator[tuple[Pattern, int]]:
         # each shard runs its own plan; per-shard streams are
         # rank-ordered, so the heap interleaves them into exactly the
-        # order one monolithic store would emit
+        # order one monolithic store would emit.  ``shard_ids`` narrows
+        # the read to a slice of the mounted shards — what a shard
+        # server answers on behalf of the router
         return heapq.merge(
             *(store._iter_search(plans) for store in self._shards(shard_ids)),
             key=rank_key,
         )
-
-    def _iter_itemwise(
-        self, coded: Pattern, upward: bool
-    ) -> Iterator[tuple[Pattern, int]]:
-        return heapq.merge(
-            *(store._iter_itemwise(coded, upward) for store in self._shards()),
-            key=rank_key,
-        )
-
-    def _find_coded(self, coded: Pattern) -> int | None:
-        if not coded:
-            return None
-        # the writer routed this pattern by its first item's name; the
-        # same hash finds the one shard that can hold it
-        name = self.vocabulary.name(coded[0])
-        return self._shard(shard_of(name, len(self._files)))._find_coded(coded)
 
     def _pattern_at(self, idx: int):  # pragma: no cover - defensive
         raise NotImplementedError(

@@ -20,6 +20,12 @@ ranked ``(pattern, frequency)`` list:
 * :class:`~repro.serve.sharded.ShardedPatternStore` — k-way heap merge
   over shard files.
 
+The reads that run as searches — ``top(n)``, exact ``frequency``/``in``
+lookups and ``generalizations_of``/``specializations_of`` — are checked
+per instance on the same three backends against oracles over the
+pattern dict, and the router's ``/topk`` against the same top-``n``
+oracle.
+
 Queries are biased toward gap/adjacency-dense shapes (a third draw from
 a ``?``/``*{m,n}``-heavy pool) because position-window arithmetic is
 where the plan engine could silently diverge from the DP; a companion
@@ -162,6 +168,80 @@ def _oracle_search(patterns, vocab, tokens, min_freq=None):
     ]
     hits.sort(key=lambda record: (-record[1], record[0]))
     return [(vocab.decode_sequence(coded), freq) for coded, freq in hits]
+
+
+def _oracle_top(patterns, vocab, n: int):
+    """The ``n`` most frequent patterns, ranked like :func:`_oracle_search`."""
+    ranked = sorted(patterns.items(), key=lambda record: (-record[1], record[0]))
+    return [(vocab.decode_sequence(coded), freq) for coded, freq in ranked[:n]]
+
+
+def _oracle_itemwise(patterns, vocab, names, upward: bool):
+    """Same-length patterns whose every item generalizes to the query's
+    item (``upward``: the query's item generalizes to the pattern's),
+    by the string-level hierarchy, ranked like :func:`_oracle_search`."""
+    ancestors = vocab.hierarchy.ancestors_or_self
+
+    def general(specific: str, ancestor: str) -> bool:
+        return ancestor in ancestors(specific)
+
+    hits = []
+    for coded, freq in patterns.items():
+        decoded = vocab.decode_sequence(coded)
+        if len(decoded) == len(names) and all(
+            general(name, item) if upward else general(item, name)
+            for name, item in zip(names, decoded)
+        ):
+            hits.append((coded, freq))
+    hits.sort(key=lambda record: (-record[1], record[0]))
+    return [(vocab.decode_sequence(coded), freq) for coded, freq in hits]
+
+
+def _check_rerouted_reads(backends, patterns, vocab, rng, context) -> int:
+    """``top``, ``frequency``/``in`` and hierarchy navigation — reads
+    that run as searches — against oracles over the pattern dict.
+    Returns the number of checks made."""
+    checks = 0
+    for n in sorted({1, rng.randint(1, 8), len(patterns), len(patterns) + 1}):
+        want = _oracle_top(patterns, vocab, n)
+        for backend in backends:
+            got = [(m.pattern, m.frequency) for m in backend.top(n)]
+            assert got == want, f"{context} top({n}) {type(backend).__name__}"
+            checks += 1
+    names = list(vocab.hierarchy.items)
+    stored = [vocab.decode_sequence(coded) for coded in patterns]
+    probes = rng.sample(stored, min(len(stored), 4))
+    # absent sequences of known items, and sequences naming unknown ones
+    for _ in range(3):
+        drawn = tuple(rng.choice(names) for _ in range(rng.randint(1, 3)))
+        if drawn not in stored:
+            probes.append(drawn)
+    unknown = [("zz-unknown",), ()]
+    if stored:
+        unknown.append((*stored[0], "zz-unknown"))
+    frequencies = {vocab.decode_sequence(c): f for c, f in patterns.items()}
+    for probe in probes + unknown:
+        for backend in backends:
+            where = f"{context} probe={probe!r} {type(backend).__name__}"
+            assert backend.frequency(*probe) == frequencies.get(probe, 0), where
+            assert (probe in backend) == (probe in frequencies), where
+            checks += 1
+    for probe in probes:
+        for upward in (True, False):
+            want = _oracle_itemwise(patterns, vocab, probe, upward)
+            for backend in backends:
+                read = (
+                    backend.generalizations_of
+                    if upward
+                    else backend.specializations_of
+                )
+                got = [(m.pattern, m.frequency) for m in read(probe)]
+                assert got == want, (
+                    f"{context} probe={probe!r} upward={upward} "
+                    f"{type(backend).__name__}: {got!r} != {want!r}"
+                )
+                checks += 1
+    return checks
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +483,7 @@ def test_differential_oracle_vs_all_backends(tmp_path):
     sigma_cases = 0
     dense_cases = 0
     kinds_covered: set[str] = set()
+    rerouted_checks = 0
     paths_total = {"exact": 0, "wildcard": 0}
     sources_total = {"postings": 0, "candidates": 0}
     for instance in range(N_INSTANCES):
@@ -492,6 +573,15 @@ def test_differential_oracle_vs_all_backends(tmp_path):
                         paths_total[path] += count
                     for source, count in stats["sources"].items():
                         sources_total[source] += count
+                # after the counters are read, so the path asserts below
+                # count the random queries alone; a generator of its
+                # own, so the instances and queries drawn above stay the
+                # ones ``SEED`` always drew
+                rerouted_checks += _check_rerouted_reads(
+                    backends, patterns, vocab,
+                    random.Random(f"{SEED}/{instance}"),
+                    f"seed={SEED} instance={instance}",
+                )
         except AssertionError as exc:
             raise AssertionError(
                 str(exc)
@@ -506,6 +596,9 @@ def test_differential_oracle_vs_all_backends(tmp_path):
     )
     assert kinds_covered == set(KINDS), (
         f"token kinds never generated: {set(KINDS) - kinds_covered}"
+    )
+    assert rerouted_checks >= 600, (
+        f"only {rerouted_checks} top/lookup/navigation checks executed"
     )
     assert paths_total["exact"] > 0, f"exact path never taken: {paths_total}"
     assert paths_total["wildcard"] > 0, paths_total
@@ -838,9 +931,32 @@ def test_differential_router_backend(tmp_path, monkeypatch):
                             f"{routed!r} != mono {local!r}"
                         )
 
+                def compare_topk(phase):
+                    # a generator of its own: ``rng``'s draws stay as
+                    # they were
+                    draw = random.Random(f"{SEED + 3}/{instance}/topk")
+                    for n in sorted(
+                        {1, draw.randint(1, 8), len(result.patterns) + 1}
+                    ):
+                        want = {
+                            "k": n,
+                            "matches": [
+                                {"pattern": " ".join(names), "frequency": f}
+                                for names, f in _oracle_top(
+                                    result.patterns, vocab, n
+                                )
+                            ],
+                        }
+                        routed = service.topk(n)
+                        assert routed == want == mono_service.topk(n), (
+                            f"seed={SEED + 3} instance={instance} "
+                            f"phase={phase} topk({n}): {routed!r}"
+                        )
+
                 for tokens in queries:
                     compare(tokens, "healthy")
                     compared += 1
+                compare_topk("healthy")
                 assert len(router) == len(mono)
                 assert router.describe()["wire"]["frames_sent"] > 0
 
@@ -851,6 +967,7 @@ def test_differential_router_backend(tmp_path, monkeypatch):
                 for tokens in queries:
                     compare(tokens, "failover")
                     failover_compared += 1
+                compare_topk("failover")
         finally:
             if router is not None:
                 router.close()

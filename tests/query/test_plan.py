@@ -40,6 +40,12 @@ def small_index() -> PatternIndex:
     return PatternIndex(*code_patterns(patterns, hierarchy))
 
 
+def _coded(index) -> dict:
+    """The index's patterns as a coded pattern → frequency mapping."""
+    encode = index.vocabulary.encode_sequence
+    return {encode(m.pattern): m.frequency for m in index}
+
+
 def _compiled(backend, query):
     return backend._compile(normalize_query(query))
 
@@ -160,7 +166,7 @@ class TestQueryPlanStructure:
         assert (plan.min_len, plan.max_len) == (2, 2)
         # exactly the two-item patterns, in rank order: a b1 (5),
         # a b2 (3), a c (2) — the one-item B (7) and b1 (4) are skipped
-        assert plan.length_scan_indexes(small_index) == [1, 3, 4]
+        assert list(plan.length_scan_indexes(small_index)) == [1, 3, 4]
 
     def test_unsatisfiable_floor(self, small_index):
         plan = QueryPlan(_compiled(small_index, "(a|c)@1000"), small_index)
@@ -230,7 +236,7 @@ class TestPlanCache:
         have to guard — what the deleted plan locks used to guarantee."""
         path = tmp_path / "threads.shards"
         write_sharded_store(
-            path, small_index._frequencies, small_index.vocabulary, shards=2
+            path, _coded(small_index), small_index.vocabulary, shards=2
         )
         queries = [
             f"{QUERIES[i % len(QUERIES)]} *{{0,{i // len(QUERIES)}}}"
@@ -238,7 +244,7 @@ class TestPlanCache:
         ]
         expected = [_answers(small_index, q) for q in queries]
         cold_index = PatternIndex(
-            small_index._frequencies, small_index.vocabulary
+            _coded(small_index), small_index.vocabulary
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -380,7 +386,7 @@ class TestAcceleratedEqualsReference:
     def test_sharded_store_agrees(self, small_index, tmp_path):
         path = tmp_path / "reference.shards"
         write_sharded_store(
-            path, small_index._frequencies, small_index.vocabulary, shards=2
+            path, _coded(small_index), small_index.vocabulary, shards=2
         )
         with open_store(path) as store:
             for query in QUERIES:

@@ -28,6 +28,7 @@ from repro.errors import (
 )
 from repro.hierarchy import Hierarchy
 from repro.query import parse_query
+from repro.query.base import PLUS
 from repro.query.tokens import ItemToken, NotToken
 from repro.sequence import SequenceDatabase
 from repro.serve import QueryService, open_store
@@ -41,7 +42,6 @@ from repro.serve.distributed import (
     ShardServer,
     parse_shard_list,
     partial_search,
-    partial_top,
 )
 from repro.serve.format import HEADER_SIZE, SECTIONS_STRUCT
 from repro.serve.protocol import (
@@ -270,13 +270,18 @@ class TestPartialReads:
             )
 
     def test_top_slices(self, store_path):
+        """Top-k is the ``+`` search: a slice answers it like any query."""
         with open_store(store_path) as store:
-            full = partial_top(store, 10)
+            full, _ = partial_search(store, PLUS, limit=10)
             assert full == [
                 (store.vocabulary.encode_sequence(m.pattern), m.frequency)
                 for m in store.top(10)
             ]
-            assert len(partial_top(store, 3, shard_ids=[1])) <= 3
+            sliced, costs = partial_search(
+                store, PLUS, shard_ids=[1], limit=3
+            )
+            assert len(sliced) <= 3
+            assert list(costs) == [1]
 
     def test_parse_shard_list(self):
         assert parse_shard_list("0,2,5") == (0, 2, 5)
@@ -356,7 +361,7 @@ class TestShardServer:
                 assert isinstance(
                     decode_error(negated["error"]), InvalidParameterError
                 )
-                # five ops after the hello, and no other
+                # four ops after the hello, and no other
                 for op in ("nope", "describe", "multi_search"):
                     with pytest.raises(InvalidParameterError, match="op"):
                         client.request({"op": op}, 5.0)
@@ -374,15 +379,23 @@ class TestShardServer:
             try:
                 status = client.request({"op": "status"}, 5.0)
                 assert status["owned"] == [1, 3]
-                with pytest.raises(InvalidParameterError):
-                    client.request(
-                        {
-                            "op": "top",
-                            "n": 5,
-                            "shards": [0],
-                        },
-                        5.0,
-                    )
+                (entry,) = client.request(
+                    {
+                        "op": "search",
+                        "shards": [0],
+                        "queries": [
+                            {
+                                "tokens": encode_tokens(PLUS),
+                                "limit": 5,
+                                "min_freq": None,
+                            }
+                        ],
+                    },
+                    5.0,
+                )["results"]
+                assert isinstance(
+                    decode_error(entry["error"]), InvalidParameterError
+                )
             finally:
                 client.close()
 
@@ -502,7 +515,8 @@ class TestRouterByteIdentity:
                     assert floored.partial is None
                 for n in (1, 5, 100):
                     assert [
-                        (m.pattern, m.frequency) for m in router.top(n)
+                        (m.pattern, m.frequency)
+                        for m in router.search(PLUS, limit=n)
                     ] == [(m.pattern, m.frequency) for m in mono.top(n)]
                 with pytest.raises(UnknownItemError):
                     router.search((ItemToken("zzz"),))

@@ -481,6 +481,13 @@ class TestMixedVersions:
                 {**hello_request(), "v": PROTOCOL_VERSION + 1},
                 "unsupported protocol version",
             )
+            # revision 2 still had a ``top`` op: refused before it can
+            # send one
+            self._first_frame_is_refused(
+                server,
+                {**hello_request(), "v": 2},
+                f"unsupported protocol version 2 (expected {PROTOCOL_VERSION})",
+            )
             self._first_frame_is_refused(
                 server, {"op": "hello", "zlib": True}, "version"
             )

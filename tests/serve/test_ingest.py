@@ -235,6 +235,44 @@ class TestIngestor:
         journal = (tmp_path / "state" / JOURNAL_NAME).read_bytes()
         assert state["retained_offset"] == len(journal)
 
+    def test_torn_journal_tail_is_cut_back_to_the_last_line(
+        self, rig, tmp_path
+    ):
+        """An append torn by a crash leaves a last line without its
+        newline; every operation cuts it away instead of refusing the
+        journal, and the sequence numbers carry on from the whole
+        lines."""
+        ingestor, _, _, spool = rig
+        ingestor.add(BATCH1)
+        journal = tmp_path / "state" / JOURNAL_NAME
+        whole = journal.read_bytes()
+        with open(journal, "ab") as out:
+            out.write(b'{"seq":2,"items":["a"')
+        status = ingestor.status()
+        assert (status["journaled"], status["unpublished"]) == (2, 0)
+        assert journal.read_bytes() == whole
+        # torn again, after one whole unpublished line: that line stays
+        with open(journal, "ab") as out:
+            out.write(b'{"seq":2,"items":["a","c"]}\n{"seq":3,"ite')
+        assert ingestor.flush() == {
+            "published": "delta-00000002-00000003.store",
+            "ingested_through": 3,
+        }
+        with open(journal, "ab") as out:
+            out.write(b'{"seq":3,')
+        report = ingestor.add(BATCH2)
+        assert (report["from_seq"], report["through_seq"]) == (3, 5)
+        assert report["published"] == "delta-00000003-00000005.store"
+        lines = journal.read_bytes().splitlines()
+        assert [json.loads(line)["seq"] for line in lines] == [0, 1, 2, 3, 4]
+        status = ingestor.status()
+        assert (status["journaled"], status["published_through"]) == (5, 5)
+        assert sorted(p.name for p in spool.iterdir()) == [
+            "delta-00000000-00000002.store",
+            "delta-00000002-00000003.store",
+            "delta-00000003-00000005.store",
+        ]
+
     def test_recovery_skips_an_empty_range_name(self, rig):
         """A spool name whose range is empty (written by hand, never by
         the ingester) is no step forward for recovery, not a loop."""

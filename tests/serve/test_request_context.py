@@ -73,7 +73,7 @@ class TestCostNeverLeaksIntoTheNextFanOut:
         it must answer complete, not time out at the rejected query's
         10 % share."""
         deadline = 2.0
-        with _stalling(store_path, 0.3 * deadline, {"top"}) as server:
+        with _stalling(store_path, 0.3 * deadline, {"search"}) as server:
             cluster = _cluster_for([(server, range(NUM_SHARDS))])
             router = RouterBackend(cluster, deadline=deadline)
             try:
@@ -168,7 +168,6 @@ class TestFreshnessComesFromTheBackendThatAnswered:
         assert answer == Answer(
             index.search("a ?"), None, 7, 3, index.estimate_cost("a ?").cost
         )
-        assert index.top_answer(1).matches == index.top(1)
         assert index.prefetch([(normalize_query("a ?"), None)]) == {}
 
 

@@ -149,8 +149,8 @@ class TestShardedLifecycle:
             assert isinstance(store, ShardedPatternStore)
 
     def test_open_reads_manifest_only(self, fig1_result, tmp_path):
-        """Opening the shard set touches no shard file; the first query
-        opens only what it needs."""
+        """Opening the shard set touches no shard file; the vocabulary
+        opens only the shard it is decoded from."""
         path = tmp_path / "lazy.shards"
         fig1_result.to_store(path, shards=3)
         sharded = ShardedPatternStore.open(path)
@@ -158,8 +158,8 @@ class TestShardedLifecycle:
             assert sharded._stores == [None, None, None]
             assert len(sharded) == len(fig1_result)  # manifest-only
             assert sharded._stores == [None, None, None]
-            sharded.frequency("a", "B")  # routed: shard 0 (vocab) + owner
-            assert sum(s is not None for s in sharded._stores) <= 2
+            sharded.vocabulary  # decoded from the first shard alone
+            assert sum(s is not None for s in sharded._stores) == 1
         finally:
             sharded.close()
 

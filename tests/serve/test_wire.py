@@ -1,4 +1,4 @@
-"""The router-to-shard-server wire: one hello, five ops, one rule each.
+"""The router-to-shard-server wire: one hello, four ops, one rule each.
 
 A routed miss and a routed ``/batch`` travel as the same ``search``
 frame, so a damaged replica fails over on both paths alike; health is
@@ -131,7 +131,7 @@ def test_damaged_replica_fails_over_on_query_count_and_batch(
 
 
 class BlockingShardServer(ShardServer):
-    """Holds every ``top`` request until ``release`` is set."""
+    """Holds every ``status`` request until ``release`` is set."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -139,7 +139,7 @@ class BlockingShardServer(ShardServer):
         self.release = threading.Event()
 
     def dispatch(self, request):
-        if isinstance(request, dict) and request.get("op") == "top":
+        if isinstance(request, dict) and request.get("op") == "status":
             self.entered.set()
             self.release.wait(10)
         return super().dispatch(request)
@@ -151,7 +151,7 @@ def test_busy_server_pings_healthy_and_sheds_searches(store_path):
     ) as busy, ShardServer(store_path, http_port=None) as replica:
         holder = ShardClient(*busy.address)
         blocked = threading.Thread(
-            target=holder.request, args=({"op": "top", "n": 1}, 10)
+            target=holder.request, args=({"op": "status"}, 10)
         )
         router = RouterBackend(_cluster(busy, replica))
         try:
@@ -253,16 +253,35 @@ class TestHostileSearchFrames:
         assert len(results) == len(ran) == MAX_BATCH
         self._still_answers(client)
 
-    def test_old_version_hello_is_refused_naming_both(self, served):
+    def _hello_is_refused(self, served, version: int) -> None:
         server, client = served
         sock = socket.create_connection(server.address, timeout=5)
         try:
-            send_message(sock, {**hello_request(), "v": 1})
+            send_message(sock, {**hello_request(), "v": version})
             error = decode_error(recv_message(sock)["error"])
             assert isinstance(error, EncodingError)
-            assert f"version 1 (expected {PROTOCOL_VERSION})" in str(error)
-            assert PROTOCOL_VERSION != 1
+            assert (
+                f"version {version} (expected {PROTOCOL_VERSION})"
+                in str(error)
+            )
+            assert PROTOCOL_VERSION != version
             assert sock.recv(1) == b""  # refused, then closed
         finally:
             sock.close()
+        self._still_answers(client)
+
+    def test_old_version_hello_is_refused_naming_both(self, served):
+        self._hello_is_refused(served, 1)
+
+    def test_revision_2_hello_is_refused(self, served):
+        """Revision 2 still had a ``top`` op; a peer of it is turned
+        away at the hello, typed, before it can send one."""
+        self._hello_is_refused(served, 2)
+
+    def test_top_op_is_unknown(self, served):
+        """Top-k is a ``search`` of ``+``: the retired op is refused
+        like any unknown one, and the connection keeps serving."""
+        _, client = served
+        with pytest.raises(InvalidParameterError, match="unknown op 'top'"):
+            client.request({"op": "top", "n": 1}, 5)
         self._still_answers(client)
